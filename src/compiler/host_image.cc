@@ -3,15 +3,25 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "mem/ecc.hh"
 #include "sim/chip.hh"
 
 namespace tsp {
 
 void
+HostImage::push(const GlobalAddr &addr, Vec320 word)
+{
+    eccComputeVec(word);
+    entries_.push_back({addr, word});
+}
+
+void
 HostImage::add(const GlobalAddr &addr,
                const std::array<std::uint8_t, kLanes> &bytes)
 {
-    entries_.push_back({addr, bytes});
+    Vec320 w;
+    w.bytes = bytes;
+    push(addr, w);
 }
 
 void
@@ -19,13 +29,11 @@ HostImage::addInt8(const GlobalAddr &addr, const std::int8_t *values,
                    int count)
 {
     TSP_ASSERT(count >= 0 && count <= kLanes);
-    Entry e;
-    e.addr = addr;
-    e.bytes.fill(0);
+    Vec320 w;
     for (int i = 0; i < count; ++i)
-        e.bytes[static_cast<std::size_t>(i)] =
+        w.bytes[static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(values[i]);
-    entries_.push_back(std::move(e));
+    push(addr, w);
 }
 
 void
@@ -34,15 +42,13 @@ HostImage::addInt32Quad(const GlobalAddr quad[4],
 {
     TSP_ASSERT(count >= 0 && count <= kLanes);
     for (int k = 0; k < 4; ++k) {
-        Entry e;
-        e.addr = quad[k];
-        e.bytes.fill(0);
+        Vec320 w;
         for (int i = 0; i < count; ++i) {
             const auto u = static_cast<std::uint32_t>(values[i]);
-            e.bytes[static_cast<std::size_t>(i)] =
+            w.bytes[static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>((u >> (8 * k)) & 0xff);
         }
-        entries_.push_back(std::move(e));
+        push(quad[k], w);
     }
 }
 
@@ -52,16 +58,14 @@ HostImage::addFp32Quad(const GlobalAddr quad[4], const float *values,
 {
     TSP_ASSERT(count >= 0 && count <= kLanes);
     for (int k = 0; k < 4; ++k) {
-        Entry e;
-        e.addr = quad[k];
-        e.bytes.fill(0);
+        Vec320 w;
         for (int i = 0; i < count; ++i) {
             std::uint32_t u;
             std::memcpy(&u, &values[i], sizeof(u));
-            e.bytes[static_cast<std::size_t>(i)] =
+            w.bytes[static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>((u >> (8 * k)) & 0xff);
         }
-        entries_.push_back(std::move(e));
+        push(quad[k], w);
     }
 }
 
@@ -69,9 +73,8 @@ void
 HostImage::applyTo(Chip &chip) const
 {
     for (const Entry &e : entries_) {
-        Vec320 v;
-        v.bytes = e.bytes;
-        chip.mem(e.addr.hem, e.addr.slice).backdoorWrite(e.addr.addr, v);
+        chip.mem(e.addr.hem, e.addr.slice)
+            .backdoorWriteEncoded(e.addr.addr, e.word);
     }
 }
 

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "compiler/schedule.hh"
-#include "sim/snapshot.hh"
 
 namespace tsp {
 
@@ -53,9 +52,8 @@ BatchProgramCache::ensureLocked(int b) const
         bp->outputs.push_back(tensors.at(g_.outputNode()));
     }
     bp->cycles = bp->lw->finishCycle();
-    bp->prog = std::make_shared<const AsmProgram>(
+    bp->prog = SharedProgram(
         bp->lw->program().toAsm(/*with_preamble=*/true));
-    bp->progHash = hashProgram(*bp->prog);
     // One weight placement per conv layer, not per sample: the whole
     // point of the batch program. Checked against any other resident
     // size (compilation order is irrelevant — it's a pure function).

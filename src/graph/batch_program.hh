@@ -43,7 +43,7 @@
 
 #include "compiler/lowering.hh"
 #include "graph/graph.hh"
-#include "isa/assembler.hh"
+#include "sim/program.hh"
 
 namespace tsp {
 
@@ -52,14 +52,14 @@ struct BatchProgram
 {
     int batch = 1;
     std::unique_ptr<Lowering> lw;
-    std::shared_ptr<const AsmProgram> prog;
+    /** The assembled program, hashed once at compile; its hash is
+     *  also the trace-cache fingerprint. */
+    SharedProgram prog;
     /** inputs[s]/outputs[s]: sample s's staging/result tensors. */
     std::vector<LoweredTensor> inputs;
     std::vector<LoweredTensor> outputs;
     /** Exact finish cycle of the batch-B schedule. */
     Cycle cycles = 0;
-    /** hashProgram() of prog (trace-cache invalidation key). */
-    std::uint64_t progHash = 0;
 
     /** @return approximate heap footprint: weight/activation image
      * plus assembled instruction streams (byte-budget accounting). */

@@ -10,20 +10,14 @@ InstructionQueue::InstructionQueue(IcuId id, BarrierController &barrier)
 }
 
 void
-InstructionQueue::loadProgram(std::vector<Instruction> program)
+InstructionQueue::loadProgram(std::span<const Instruction> program)
 {
-    program_ = std::move(program);
+    program_ = program;
     pc_ = 0;
     busyUntil_ = 0;
     parked_ = false;
     repeatInst_ = nullptr;
     repeatsLeft_ = 0;
-}
-
-void
-InstructionQueue::appendInstructions(const std::vector<Instruction> &insts)
-{
-    program_.insert(program_.end(), insts.begin(), insts.end());
 }
 
 void

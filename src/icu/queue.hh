@@ -14,6 +14,7 @@
 #define TSP_ICU_QUEUE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/layout.hh"
@@ -33,11 +34,16 @@ class InstructionQueue
      */
     InstructionQueue(IcuId id, BarrierController &barrier);
 
-    /** Replaces the program and resets dispatch state. */
-    void loadProgram(std::vector<Instruction> program);
+    /**
+     * Points the queue at @p program and resets dispatch state. The
+     * queue borrows the instructions: the caller keeps them alive and
+     * unmodified while they are loaded (a chip holds the shared
+     * program its queues point into). An empty span unloads.
+     */
+    void loadProgram(std::span<const Instruction> program);
 
-    /** Appends instructions (used by the detailed Ifetch path). */
-    void appendInstructions(const std::vector<Instruction> &insts);
+    /** Deleted: borrowing a temporary would leave a dangling queue. */
+    void loadProgram(std::vector<Instruction> &&) = delete;
 
     /**
      * Advances one cycle.
@@ -113,9 +119,6 @@ class InstructionQueue
     /** @return number of program instructions not yet retired. */
     std::size_t pendingCount() const { return program_.size() - pc_; }
 
-    /** @return the loaded program (snapshot content hashing). */
-    const std::vector<Instruction> &program() const { return program_; }
-
     /**
      * Serializes dispatch state and counters. The program itself is
      * *not* serialized — restore requires the identical program to be
@@ -131,7 +134,7 @@ class InstructionQueue
     IcuId id_;
     BarrierController &barrier_;
 
-    std::vector<Instruction> program_;
+    std::span<const Instruction> program_; ///< Borrowed; see loadProgram.
     std::size_t pc_ = 0;
 
     /** Queue is idle until this cycle (exclusive) due to NOP. */

@@ -279,6 +279,17 @@ MemSlice::backdoorWrite(MemAddr addr, const Vec320 &vec)
     }
 }
 
+void
+MemSlice::backdoorWriteEncoded(MemAddr addr, const Vec320 &vec)
+{
+    Word &w = wordAt(addr);
+    w.bytes = vec.bytes;
+    if (eccEnabled_)
+        w.ecc = vec.ecc;
+    else
+        w.ecc.fill(0);
+}
+
 Vec320
 MemSlice::backdoorRead(MemAddr addr) const
 {

@@ -108,6 +108,14 @@ class MemSlice
     /** Untimed backdoor write used by host DMA; regenerates ECC. */
     void backdoorWrite(MemAddr addr, const Vec320 &vec);
 
+    /**
+     * backdoorWrite() of a word whose SECDED codes the caller already
+     * computed (a pre-encoded HostImage word): stores the bytes and
+     * @p vec's codes without re-encoding — zero codes on an ECC-off
+     * slice, as backdoorWrite() stores for a code-less vector.
+     */
+    void backdoorWriteEncoded(MemAddr addr, const Vec320 &vec);
+
     /** Untimed backdoor read used by host DMA and tests. */
     Vec320 backdoorRead(MemAddr addr) const;
 

@@ -1,15 +1,18 @@
 /**
  * @file
- * AVX2 kernel for the MXM plane's int8 activation broadcast
- * (MxmPlane::stepAbc) — the hottest loop in whole-chip simulation of
- * dense networks (320x320 MACs per active plane per cycle).
+ * Kernels for the MXM plane's activation broadcast (MxmPlane::stepAbc)
+ * — the hottest loop in whole-chip simulation of dense networks
+ * (320x320 MACs per active plane per cycle).
  *
- * The kernel is bit-identical to the scalar loop: int32 accumulation
- * wraps mod 2^32, so the reduction order is immaterial and the
- * vectorized horizontal sum produces exactly the scalar result.
- * Callers gate on tsp::simdKernelsEnabled() (common/cpu.hh); the
- * definitions live in mxm_kernels_avx2.cc, the only TU in the target
- * compiled with -mavx2.
+ * The int8 tiers (scalar, AVX2, AVX-512 VNNI) compute only the
+ * installed weights' nonzero block, which MxmPlane tracks at weight
+ * install; every tier is bit-identical to the full-plane scalar loop
+ * because int32 accumulation wraps mod 2^32, so neither the reduction
+ * order nor the omitted zero products change a result. Callers gate
+ * the vector tiers on tsp::simdKernelsEnabled() (common/cpu.hh); their
+ * definitions live in mxm_kernels_{avx2,vnni,f16}.cc, the only TUs
+ * compiled with the matching ISA flags (the scalar tier has its own
+ * baseline-ISA TU, so no ISA-flagged copy of it can be linked in).
  */
 
 #ifndef TSP_MXM_MXM_KERNELS_HH
@@ -20,43 +23,45 @@
 namespace tsp::simd {
 
 /**
- * One ABC cycle's dot products: for each row r < n,
+ * One int8 ABC cycle's dot products over the nonzero block of an
+ * n x n weight plane. The caller guarantees that every weight outside
+ * rows [0, @p rows) x columns [0, @p cols) is zero
+ * (0 <= rows, cols <= n), so for each row r < n
  *   acc[r] (+)= sum_{c<n} w[r*stride + c] * (int8)act[c]
- * (accumulate selects += vs =), exactly as MxmPlane::stepAbc's scalar
- * loop computes it.
+ * (accumulate selects += vs =) — the full-plane result — while only
+ * the block is computed: rows past it are set to 0, or left as they
+ * are when accumulating, and columns past it add nothing. A vector
+ * tier may round the block up to its own row/column blocking; the
+ * extra weights are zero.
+ */
+void mxmAbcInt8Scalar(const std::int8_t *w, int stride,
+                      const std::uint8_t *act, std::int32_t *acc,
+                      int n, int rows, int cols, bool accumulate);
+
+/**
+ * AVX2 tier of mxmAbcInt8Scalar (32-column chunks).
  *
  * @return false when this (n) has no vector path (n % 32 != 0) — the
- * caller must run the scalar loop instead.
+ * caller must run the scalar tier instead.
  */
 bool mxmAbcInt8Avx2(const std::int8_t *w, int stride,
                     const std::uint8_t *act, std::int32_t *acc, int n,
-                    bool accumulate);
+                    int rows, int cols, bool accumulate);
 
 /**
- * AVX-512 VNNI variant of mxmAbcInt8Avx2: vpdpbusd needs one unsigned
- * operand, so activations are biased by +128 (a XOR 0x80) and the
- * per-row correction 128 * sum(w[r][*]) — precomputed by
- * mxmRowSumsInt8Vnni at weight install — is subtracted, which is
- * exact in wrapping int32 arithmetic. Callers additionally gate on
- * tsp::cpuHasAvx512Vnni(); definitions live in mxm_kernels_vnni.cc,
- * the only TU compiled with -mavx512vnni.
+ * AVX-512 VNNI tier of mxmAbcInt8Scalar (64-column blocks, 4-row
+ * groups): vpdpbusd needs one unsigned operand, so activations are
+ * biased by +128 (a XOR 0x80) and the per-row correction
+ * 128 * sum_{c<n} w[r][c] — @p row_sums, which MxmPlane refreshes at
+ * weight install — is subtracted, which is exact in wrapping int32
+ * arithmetic. Callers additionally gate on tsp::cpuHasAvx512Vnni().
  *
  * @return false when (n) has no vector path (n % 64 != 0).
  */
 bool mxmAbcInt8Vnni(const std::int8_t *w, int stride,
                     const std::uint8_t *act,
                     const std::int32_t *row_sums, std::int32_t *acc,
-                    int n, bool accumulate);
-
-/**
- * Fills @p out[r] = sum_{c<n} w[r*stride + c] for r < n (the bias
- * correction mxmAbcInt8Vnni needs). Same gating and n % 64 == 0
- * contract as the kernel.
- *
- * @return false when (n) has no vector path.
- */
-bool mxmRowSumsInt8Vnni(const std::int8_t *w, int stride, int n,
-                        std::int32_t *out);
+                    int n, int rows, int cols, bool accumulate);
 
 /**
  * One fp16-mode ABC cycle's row dot products: for each row r < n,

@@ -25,15 +25,16 @@ hsumEpi32(__m256i v)
 bool
 mxmAbcInt8Avx2(const std::int8_t *w, int stride,
                const std::uint8_t *act, std::int32_t *acc, int n,
-               bool accumulate)
+               int rows, int cols, bool accumulate)
 {
     if (n % 32 != 0 || n > 320)
         return false;
 
-    // Widen the activations once; every row reuses them. 320 lanes
-    // is 10 chunks of 32 int8, each widened to two int16 vectors.
+    // Widen the block's activations once; every row reuses them. 320
+    // lanes is 10 chunks of 32 int8, each widened to two int16
+    // vectors; n % 32 == 0 keeps the rounded-up block in the plane.
     __m256i a16[20];
-    const int chunks = n / 32;
+    const int chunks = (cols + 31) / 32;
     for (int i = 0; i < chunks; ++i) {
         const __m256i a = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(act + 32 * i));
@@ -42,7 +43,7 @@ mxmAbcInt8Avx2(const std::int8_t *w, int stride,
             _mm256_cvtepi8_epi16(_mm256_extracti128_si256(a, 1));
     }
 
-    for (int r = 0; r < n; ++r) {
+    for (int r = 0; r < rows; ++r) {
         const std::int8_t *wrow =
             w + static_cast<std::size_t>(r) * stride;
         __m256i sum = _mm256_setzero_si256();
@@ -65,6 +66,13 @@ mxmAbcInt8Avx2(const std::int8_t *w, int stride,
             acc[r] += s;
         else
             acc[r] = s;
+    }
+    // Rows past the block have all-zero weights (dot product 0). A
+    // plain loop, not std::fill: a library template instantiated in
+    // this ISA-flagged TU could be linked into baseline callers.
+    if (!accumulate) {
+        for (int r = rows; r < n; ++r)
+            acc[r] = 0;
     }
     return true;
 }
@@ -106,7 +114,7 @@ namespace tsp::simd {
 
 bool
 mxmAbcInt8Avx2(const std::int8_t *, int, const std::uint8_t *,
-               std::int32_t *, int, bool)
+               std::int32_t *, int, int, int, bool)
 {
     return false;
 }

@@ -27,29 +27,11 @@ namespace tsp::simd {
 namespace {
 
 /**
- * Sum of the sixteen int32 elements, wrapping mod 2^32. Spills to the
- * stack instead of a shuffle tree: gcc 12's 512->256 downcast
- * intrinsics expand through _mm256_undefined_si256 and trip
- * -Wmaybe-uninitialized, and this variant only runs once per weight
- * install (row sums), so its cost is noise.
- */
-inline std::int32_t
-hsumEpi32(__m512i v)
-{
-    alignas(64) std::int32_t lanes[16];
-    _mm512_store_si512(lanes, v);
-    std::uint32_t s = 0;
-    for (int i = 0; i < 16; ++i)
-        s += static_cast<std::uint32_t>(lanes[i]);
-    return static_cast<std::int32_t>(s);
-}
-
-/**
  * Transposed reduction of four 16-lane int32 accumulators into one
  * __m128i of [sum(s0), sum(s1), sum(s2), sum(s3)], wrapping mod 2^32.
  * Integer adds are associative mod 2^32, so the shuffle-tree order is
  * as exact as any other. This runs once per four rows on the hot ABC
- * path — the scalar spill variant above costs ~20 ops plus a
+ * path — a scalar spill of each row's lanes costs ~20 ops plus a
  * store-forward stall per row and dominated the kernel.
  */
 inline __m128i
@@ -81,13 +63,18 @@ hsum4Epi32(__m512i s0, __m512i s1, __m512i s2, __m512i s3)
 bool
 mxmAbcInt8Vnni(const std::int8_t *w, int stride,
                const std::uint8_t *act, const std::int32_t *row_sums,
-               std::int32_t *acc, int n, bool accumulate)
+               std::int32_t *acc, int n, int rows, int cols,
+               bool accumulate)
 {
     if (n % 64 != 0 || n > 320)
         return false;
 
+    // The nonzero block rounded up to 64-column blocks and 4-row
+    // groups; n % 64 == 0 keeps both inside the plane.
+    const int blocks = (cols + 63) / 64;
+    const int rows4 = (rows + 3) & ~3;
+
     // Bias the activations once; every row reuses them.
-    const int blocks = n / 64;
     __m512i a[5];
     const __m512i bias = _mm512_set1_epi8(-128);
     for (int i = 0; i < blocks; ++i) {
@@ -99,7 +86,7 @@ mxmAbcInt8Vnni(const std::int8_t *w, int stride,
 
     // Four independent accumulator chains per group of rows keep the
     // dot-product unit busy across vpdpbusd's latency.
-    for (int r = 0; r < n; r += 4) {
+    for (int r = 0; r < rows4; r += 4) {
         const std::int8_t *w0 =
             w + static_cast<std::size_t>(r) * stride;
         const std::int8_t *w1 = w0 + stride;
@@ -130,7 +117,8 @@ mxmAbcInt8Vnni(const std::int8_t *w, int stride,
         }
         // [dot0..dot3] = transposed sums minus the u8-bias excess
         // 128 * row_sum; epi32 adds/subs wrap exactly like the scalar
-        // uint32 arithmetic they replace.
+        // uint32 arithmetic they replace. The row sums cover all n
+        // columns, which equals the block's columns (the rest are 0).
         const __m128i sums = hsum4Epi32(s0, s1, s2, s3);
         const __m128i excess = _mm_slli_epi32(
             _mm_loadu_si128(
@@ -144,29 +132,12 @@ mxmAbcInt8Vnni(const std::int8_t *w, int stride,
         }
         _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + r), dot);
     }
-    return true;
-}
-
-bool
-mxmRowSumsInt8Vnni(const std::int8_t *w, int stride, int n,
-                   std::int32_t *out)
-{
-    if (n % 64 != 0 || n > 320)
-        return false;
-
-    const int blocks = n / 64;
-    const __m512i ones = _mm512_set1_epi8(1);
-    for (int r = 0; r < n; ++r) {
-        const std::int8_t *wrow =
-            w + static_cast<std::size_t>(r) * stride;
-        __m512i s = _mm512_setzero_si512();
-        for (int i = 0; i < blocks; ++i) {
-            s = _mm512_dpbusd_epi32(
-                s, ones,
-                _mm512_loadu_si512(
-                    reinterpret_cast<const void *>(wrow + 64 * i)));
-        }
-        out[r] = hsumEpi32(s);
+    // Rows past the block have all-zero weights (dot product 0).
+    // A plain loop, not std::fill: a library template instantiated
+    // in this ISA-flagged TU could be linked into baseline callers.
+    if (!accumulate) {
+        for (int r = rows4; r < n; ++r)
+            acc[r] = 0;
     }
     return true;
 }
@@ -179,13 +150,8 @@ namespace tsp::simd {
 
 bool
 mxmAbcInt8Vnni(const std::int8_t *, int, const std::uint8_t *,
-               const std::int32_t *, std::int32_t *, int, bool)
-{
-    return false;
-}
-
-bool
-mxmRowSumsInt8Vnni(const std::int8_t *, int, int, std::int32_t *)
+               const std::int32_t *, std::int32_t *, int, int, int,
+               bool)
 {
     return false;
 }

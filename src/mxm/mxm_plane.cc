@@ -1,5 +1,7 @@
 #include "mxm/mxm_plane.hh"
 
+#include <algorithm>
+
 #include "common/cpu.hh"
 #include "common/fp16.hh"
 #include "common/logging.hh"
@@ -7,6 +9,32 @@
 #include "mxm/mxm_kernels.hh"
 
 namespace tsp {
+
+namespace {
+
+/**
+ * @return the number of @p block-column blocks up to and including
+ * the last one of @p row holding a nonzero weight (0 for an all-zero
+ * row). Scans from the end, so a dense row costs one block.
+ */
+std::uint8_t
+nonzeroBlocks(const std::int8_t *row, int block)
+{
+    for (int b = kMxmDim / block; b > 0; --b) {
+        const std::int8_t *p = row + (b - 1) * block;
+        std::uint64_t any = 0;
+        for (int i = 0; i < block; i += 8) {
+            std::uint64_t w;
+            __builtin_memcpy(&w, p + i, sizeof(w));
+            any |= w;
+        }
+        if (any != 0)
+            return static_cast<std::uint8_t>(b);
+    }
+    return 0;
+}
+
+} // namespace
 
 MxmPlane::MxmPlane(int plane, const ChipConfig &cfg,
                    StreamFabric &fabric)
@@ -16,6 +44,8 @@ MxmPlane::MxmPlane(int plane, const ChipConfig &cfg,
       winst_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
       wbufF_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
       winstF_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
+      wbufExt_(static_cast<std::size_t>(kMxmDim), 0),
+      winstExt_(static_cast<std::size_t>(kMxmDim), 0),
       winstRowSum_(static_cast<std::size_t>(kMxmDim), 0),
       winstFCols_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0.0f)
 {
@@ -90,11 +120,13 @@ MxmPlane::executeLw(const Instruction &inst, Cycle now)
         for (int k = 0; k < gs; ++k) {
             const Vec320 &v = *vp[k];
             const int row = fillRow_ + k;
+            std::int8_t *dst =
+                &wbuf_[static_cast<std::size_t>(row) * kMxmDim];
             // Bit-preserving u8 -> int8 row copy (the cast the scalar
             // loop did is a no-op on the representation).
-            __builtin_memcpy(
-                &wbuf_[static_cast<std::size_t>(row) * kMxmDim],
-                v.bytes.data(), kMxmDim);
+            __builtin_memcpy(dst, v.bytes.data(), kMxmDim);
+            wbufExt_[static_cast<std::size_t>(row)] =
+                nonzeroBlocks(dst, kColBlock);
             weightBytes_ += kMxmDim;
         }
         fillRow_ += gs;
@@ -143,12 +175,53 @@ MxmPlane::executeIw(const Instruction &inst, Cycle now)
 {
     (void)inst;
     (void)now;
-    winst_ = wbuf_;
-    winstF_ = wbufF_;
+    // Installs staged == installed for the whole plane, copying only
+    // what can differ: the rows staged since the last install, of the
+    // burst's dtype (see wbuf_).
+    const std::size_t n =
+        static_cast<std::size_t>(fillRow_) * kMxmDim;
+    if (weightType_ == DType::Int8) {
+        std::copy_n(wbuf_.begin(), n, winst_.begin());
+        std::copy_n(wbufExt_.begin(), fillRow_, winstExt_.begin());
+        refreshRowSums(fillRow_);
+        updateBlock();
+    } else if (n > 0) {
+        std::copy_n(wbufF_.begin(), n, winstF_.begin());
+        fWeightsValid_ = false;
+    }
     installedType_ = weightType_;
-    rowSumsValid_ = false;
-    fWeightsValid_ = false;
     fillRow_ = 0;
+}
+
+void
+MxmPlane::refreshRowSums(int rows)
+{
+    const int n = cfg_.vectorLength();
+    for (int r = 0; r < rows; ++r) {
+        const std::size_t ri = static_cast<std::size_t>(r);
+        const std::int8_t *row = &winst_[ri * kMxmDim];
+        // The row's weights past its extent are zero.
+        const int cols = std::min(n, winstExt_[ri] * kColBlock);
+        std::int32_t sum = 0;
+        for (int c = 0; c < cols; ++c)
+            sum += row[c];
+        winstRowSum_[ri] = sum;
+    }
+}
+
+void
+MxmPlane::updateBlock()
+{
+    blockRows_ = 0;
+    int blocks = 0;
+    for (int r = 0; r < kMxmDim; ++r) {
+        const int ext = winstExt_[static_cast<std::size_t>(r)];
+        if (ext != 0) {
+            blockRows_ = r + 1;
+            blocks = std::max(blocks, ext);
+        }
+    }
+    blockCols_ = blocks * kColBlock;
 }
 
 void
@@ -229,47 +302,33 @@ MxmPlane::stepAbc(Cycle now)
         Vec320 scratch;
         const Vec320 &a = *io_.consumeRef(abc_.src, pos(), scratch);
         auto &acc = accI_[idx];
-        // Dot products against installed rows: y[r] = sum_c W[r][c]*a[c].
-        // Kernel ladder: AVX-512 VNNI (needs the per-install row
-        // sums), then AVX2, then scalar. Every tier computes the
-        // identical wrapping int32 sums; a kernel declines lane
-        // counts it can't chunk and the next tier takes over.
+        // Dot products against installed rows: y[r] = sum_c W[r][c]*a[c],
+        // computed over the nonzero block only — the rest of the plane
+        // contributes exact zeros (mxm_kernels.hh). Kernel ladder:
+        // AVX-512 VNNI (with the per-install row sums), then AVX2,
+        // then scalar. Every tier computes the identical wrapping
+        // int32 sums; a kernel declines lane counts it can't chunk and
+        // the next tier takes over.
+        const int rows = std::min(blockRows_, n);
+        const int cols = std::min(blockCols_, n);
         bool done = false;
         if (simdKernelsEnabled()) {
             if (cpuHasAvx512Vnni()) {
-                if (!rowSumsValid_) {
-                    rowSumsValid_ = simd::mxmRowSumsInt8Vnni(
-                        winst_.data(), kMxmDim, n,
-                        winstRowSum_.data());
-                }
-                done = rowSumsValid_ &&
-                       simd::mxmAbcInt8Vnni(
-                           winst_.data(), kMxmDim, a.bytes.data(),
-                           winstRowSum_.data(), acc.data(), n,
-                           abc_.accumulate);
+                done = simd::mxmAbcInt8Vnni(
+                    winst_.data(), kMxmDim, a.bytes.data(),
+                    winstRowSum_.data(), acc.data(), n, rows, cols,
+                    abc_.accumulate);
             }
             if (!done) {
-                done = simd::mxmAbcInt8Avx2(winst_.data(), kMxmDim,
-                                            a.bytes.data(),
-                                            acc.data(), n,
-                                            abc_.accumulate);
+                done = simd::mxmAbcInt8Avx2(
+                    winst_.data(), kMxmDim, a.bytes.data(), acc.data(),
+                    n, rows, cols, abc_.accumulate);
             }
         }
         if (!done) {
-            for (int r = 0; r < n; ++r) {
-                const std::int8_t *wrow =
-                    &winst_[static_cast<std::size_t>(r) * kMxmDim];
-                std::int32_t sum = 0;
-                for (int c = 0; c < n; ++c) {
-                    sum += static_cast<std::int32_t>(wrow[c]) *
-                           static_cast<std::int8_t>(
-                               a.bytes[static_cast<std::size_t>(c)]);
-                }
-                if (abc_.accumulate)
-                    acc[static_cast<std::size_t>(r)] += sum;
-                else
-                    acc[static_cast<std::size_t>(r)] = sum;
-            }
+            simd::mxmAbcInt8Scalar(winst_.data(), kMxmDim,
+                                   a.bytes.data(), acc.data(), n, rows,
+                                   cols, abc_.accumulate);
         }
     } else if (abc_.atype == DType::Fp16) {
         const Vec320 *vp[2];
@@ -301,7 +360,11 @@ MxmPlane::stepAbc(Cycle now)
         // for the multiply and the add (no FMA). The SIMD tiers
         // vectorize *across rows*, so each row's rounding sequence is
         // exactly this scalar loop's — bit-identical including NaN
-        // and inf propagation.
+        // and inf propagation. Unlike int8, fp16 always computes the
+        // full plane: a zero weight is not a no-op in IEEE arithmetic
+        // (0 x Inf and 0 x NaN are NaN, and adding a zero row's +0 sum
+        // turns a -0 accumulator into +0), so bounding the kernel to
+        // the nonzero block would be inexact.
         bool done = false;
         if (simdKernelsEnabled()) {
             if (!fWeightsValid_)
@@ -481,11 +544,19 @@ MxmPlane::loadState(SnapshotReader &r)
     for (auto &v : winstF_)
         v = r.u16();
     fillRow_ = r.i32();
+    TSP_ASSERT(fillRow_ >= 0 && fillRow_ <= kMxmDim);
     weightType_ = static_cast<DType>(r.u8());
     installedType_ = static_cast<DType>(r.u8());
-    // The VNNI bias cache and the fp16 column image are derived
-    // state; recompute on demand.
-    rowSumsValid_ = false;
+    // Derived weight state: the nonzero extents, the VNNI row sums
+    // and the installed block are recomputed from the weights; the
+    // fp16 column image is rebuilt on demand.
+    for (int row = 0; row < kMxmDim; ++row) {
+        const std::size_t ri = static_cast<std::size_t>(row);
+        wbufExt_[ri] = nonzeroBlocks(&wbuf_[ri * kMxmDim], kColBlock);
+        winstExt_[ri] = nonzeroBlocks(&winst_[ri * kMxmDim], kColBlock);
+    }
+    refreshRowSums(kMxmDim);
+    updateBlock();
     fWeightsValid_ = false;
 
     abc_.active = r.b();

@@ -109,12 +109,13 @@ class MxmPlane
     /**
      * Serializes weight buffers (staging + installed), sequencer
      * state, the accumulator banks with their generation stamps, and
-     * counters. The lazy VNNI row-sum cache is excluded — it is
-     * recomputed deterministically from the installed weights.
+     * counters. Derived weight state — nonzero extents, VNNI row
+     * sums, the fp16 column image — is excluded: it is recomputed
+     * deterministically from the weights.
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores plane state (invalidates the row-sum cache). */
+    /** Restores plane state and recomputes the derived weight state. */
     void loadState(SnapshotReader &r);
 
   private:
@@ -129,29 +130,63 @@ class MxmPlane
     /** Rebuilds winstFCols_ from winstF_ (lazy, post-IW). */
     void buildF16WeightCols();
 
+    /** Recomputes the VNNI row sums of installed rows [0, @p rows). */
+    void refreshRowSums(int rows);
+
+    /** Recomputes blockRows_/blockCols_ from winstExt_. */
+    void updateBlock();
+
+    /**
+     * Column granule of the int8 nonzero-extent tracking: LW records,
+     * per staged row, how many kColBlock-column blocks reach its last
+     * nonzero weight. 32 is the AVX2 kernel's chunk and half the VNNI
+     * kernel's block (mxm_kernels.hh).
+     */
+    static constexpr int kColBlock = 32;
+    static_assert(kMxmDim % kColBlock == 0 && kColBlock % 8 == 0);
+
     const ChipConfig &cfg_;
     StreamIo io_;
     int plane_;
 
-    /** Weight staging (LW) and installed (IW) arrays, row-major. */
+    /**
+     * Weight staging (LW) and installed (IW) arrays, row-major. IW
+     * leaves installed == staged, and an LW burst writes only rows
+     * [0, fillRow_) of its own dtype's staging buffer — so those are
+     * the only rows the next IW has to copy.
+     */
     std::vector<std::int8_t> wbuf_;
     std::vector<std::int8_t> winst_;
     /** fp16 bit patterns when in fp16 mode. */
     std::vector<std::uint16_t> wbufF_;
     std::vector<std::uint16_t> winstF_;
     /**
-     * Per-row sums of the installed int8 weights, the bias correction
-     * for the VNNI kernel (mxm_kernels.hh). Recomputed lazily after
-     * each IW, and only on hosts taking the VNNI path.
+     * Nonzero extent of each int8 weight row in kColBlock-column
+     * blocks: every weight of row r at or past column
+     * ext[r] * kColBlock is zero. LW records it for each row it
+     * stages (wbufExt_), and IW installs it with the row (winstExt_).
+     */
+    std::vector<std::uint8_t> wbufExt_;
+    std::vector<std::uint8_t> winstExt_;
+    /**
+     * The installed int8 weights' nonzero block: every weight outside
+     * rows [0, blockRows_) x columns [0, blockCols_) is zero, so ABC
+     * computes only the block (mxm_kernels.hh).
+     */
+    int blockRows_ = 0;
+    int blockCols_ = 0;
+    /**
+     * Per-row sums of the installed int8 weights over the active
+     * columns, the bias correction for the VNNI kernel
+     * (mxm_kernels.hh). IW refreshes the rows it installs.
      */
     std::vector<std::int32_t> winstRowSum_;
-    bool rowSumsValid_ = false;
     /**
      * Column-major fp32 image of the installed fp16 weights
      * (winstFCols_[c * kMxmDim + r] = toFloat(winstF_[r][c])), the
      * operand layout the fp16 SIMD kernels need to vectorize across
-     * rows while keeping each row's scalar rounding order. Like the
-     * row-sum cache: rebuilt lazily after each IW, derived state
+     * rows while keeping each row's scalar rounding order. Rebuilt
+     * lazily after an IW that installs fp16 rows; derived state
      * excluded from snapshots, and fp16->fp32 conversion is exact so
      * the image carries the installed bits losslessly.
      */

@@ -12,7 +12,7 @@ PodSession::PodSession(int chips, Cycle wire_latency, ChipConfig cfg)
 }
 
 void
-PodSession::loadPrograms(std::vector<AsmProgram> programs)
+PodSession::loadPrograms(std::vector<SharedProgram> programs)
 {
     TSP_ASSERT(static_cast<int>(programs.size()) == chips_);
     programs_ = std::move(programs);

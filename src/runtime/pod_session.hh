@@ -34,9 +34,9 @@ class PodSession
 
     /**
      * Caches and loads one program per member chip (replacing any).
-     * reset() reloads the same programs.
+     * reset() reloads the same programs, borrowed as they are.
      */
-    void loadPrograms(std::vector<AsmProgram> programs);
+    void loadPrograms(std::vector<SharedProgram> programs);
 
     /**
      * Runs the pod for at most @p max_cycles (relative to the current
@@ -179,7 +179,7 @@ class PodSession
     Cycle wireLatency_;
     ChipConfig cfg_;
     std::unique_ptr<Pod> pod_;
-    std::vector<AsmProgram> programs_;
+    std::vector<SharedProgram> programs_;
     Cycle cycles_ = 0;
     bool timedOut_ = false;
     bool machineChecked_ = false;

@@ -21,9 +21,7 @@ runStatusName(RunStatus s)
 
 InferenceSession::InferenceSession(Lowering &lw, ChipConfig cfg)
     : InferenceSession(
-          lw,
-          std::make_shared<const AsmProgram>(
-              lw.program().toAsm(/*with_preamble=*/true)),
+          lw, SharedProgram(lw.program().toAsm(/*with_preamble=*/true)),
           cfg)
 {
 }
@@ -31,18 +29,23 @@ InferenceSession::InferenceSession(Lowering &lw, ChipConfig cfg)
 InferenceSession::InferenceSession(
     Lowering &lw, std::shared_ptr<const AsmProgram> prog,
     ChipConfig cfg)
+    : InferenceSession(lw, SharedProgram(std::move(prog)), cfg)
+{
+}
+
+InferenceSession::InferenceSession(Lowering &lw, SharedProgram prog,
+                                   ChipConfig cfg)
     : lw_(&lw), cfg_(cfg), prog_(std::move(prog)),
       chip_(std::make_unique<Chip>(cfg))
 {
-    chip_->loadProgram(*prog_);
+    chip_->loadProgram(prog_);
     lw.image().applyTo(*chip_);
     dmaSeconds_ =
         static_cast<double>(lw.image().totalBytes()) / kPcieGen4Bps;
 }
 
 void
-InferenceSession::bind(Lowering &lw,
-                       std::shared_ptr<const AsmProgram> prog)
+InferenceSession::bind(Lowering &lw, SharedProgram prog)
 {
     lw_ = &lw;
     prog_ = std::move(prog);
@@ -187,7 +190,7 @@ InferenceSession::reset()
         timedOut_ = false;
         machineChecked_ = false;
     }
-    chip_->loadProgram(*prog_);
+    chip_->loadProgram(prog_);
     lw_->image().applyTo(*chip_);
     lastSnap_.reset(); // A snapshot never outlives its batch.
     fresh_ = true;
@@ -207,7 +210,7 @@ InferenceSession::migrateAndResume(Cycle max_cycles)
         deriveSeed(cfg_.fault.seed, SeedDomain::EngineRebuild,
                    static_cast<std::uint64_t>(rebuilds_));
     auto fresh = std::make_unique<Chip>(cfg);
-    fresh->loadProgram(*prog_);
+    fresh->loadProgram(prog_);
     std::string err;
     if (!fresh->restore(*lastSnap_, &err)) {
         // Same program, config and fault environment, so this cannot

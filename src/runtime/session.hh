@@ -67,10 +67,18 @@ class InferenceSession
     /**
      * Same, but with a pre-assembled (shared) program — avoids
      * re-running toAsm() when many sessions serve one compiled
-     * lowering, e.g. a worker pool over a BatchProgramCache.
+     * lowering. The program is hashed here, once; reset() reloads it
+     * without rehashing or copying it.
      */
     InferenceSession(Lowering &lw,
                      std::shared_ptr<const AsmProgram> prog,
+                     ChipConfig cfg = {});
+
+    /**
+     * Same, with a program whose hash its owner already computed
+     * (e.g. a worker pool over a BatchProgramCache).
+     */
+    InferenceSession(Lowering &lw, SharedProgram prog,
                      ChipConfig cfg = {});
 
     /**
@@ -79,7 +87,7 @@ class InferenceSession
      * chip. Takes effect at the next reset(), which loads @p prog and
      * applies @p lw's DMA image.
      */
-    void bind(Lowering &lw, std::shared_ptr<const AsmProgram> prog);
+    void bind(Lowering &lw, SharedProgram prog);
 
     /**
      * Runs to completion; @return cycles consumed by this run.
@@ -241,8 +249,8 @@ class InferenceSession
 
     Lowering *lw_;
     ChipConfig cfg_;
-    /** Cached assembly (with barrier preamble); shareable. */
-    std::shared_ptr<const AsmProgram> prog_;
+    /** Cached assembly (with barrier preamble) and its hash. */
+    SharedProgram prog_;
     std::unique_ptr<Chip> chip_;
     Cycle cycles_ = 0;
     bool timedOut_ = false;

@@ -2,7 +2,6 @@
 
 #include "c2c/collective.hh"
 #include "common/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace tsp::serve {
 
@@ -178,15 +177,15 @@ SessionBackend::totalCycles() const
 
 namespace {
 
-std::vector<AsmProgram>
+std::vector<SharedProgram>
 allReducePrograms(const Pod &pod, int batch)
 {
     std::vector<ScheduledProgram> sched;
     buildRingAllReduce(pod, sched, batch);
-    std::vector<AsmProgram> progs;
+    std::vector<SharedProgram> progs;
     progs.reserve(sched.size());
     for (auto &p : sched)
-        progs.push_back(p.toAsm());
+        progs.emplace_back(p.toAsm());
     return progs;
 }
 
@@ -199,15 +198,8 @@ PodBackend::PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
     TSP_ASSERT(max_batch >= 1 &&
                max_batch <= AllReducePlan::kMaxBatch);
     progs_.reserve(static_cast<std::size_t>(max_batch));
-    progHashes_.reserve(static_cast<std::size_t>(max_batch));
-    for (int b = 1; b <= max_batch; ++b) {
+    for (int b = 1; b <= max_batch; ++b)
         progs_.push_back(allReducePrograms(sess_.pod(), b));
-        std::uint64_t h = 0;
-        for (const AsmProgram &p : progs_.back())
-            h ^= hashProgram(p) + 0x9e3779b97f4a7c15ull + (h << 6) +
-                 (h >> 2);
-        progHashes_.push_back(h);
-    }
     sess_.loadPrograms(progs_[0]);
 }
 
@@ -307,10 +299,17 @@ PodBackend::runBounded(Cycle max_cycles)
         return sess_.runBounded(max_cycles);
     // Keyed by this backend's compiled batch-b collective: the trace
     // survives batch switches (loadPrograms drops the session's own
-    // copy) and LRU-competes with every other program in the pool.
-    // Content-fingerprinted against pointer reuse (ABA).
-    const std::size_t bi = static_cast<std::size_t>(bound_ - 1);
-    const TraceKey key(&progs_[bi], progHashes_[bi]);
+    // reference) and LRU-competes with every other program in the
+    // pool. Content-fingerprinted against pointer reuse (ABA) by
+    // folding the members' carried hashes.
+    const std::vector<SharedProgram> &progs =
+        progs_[static_cast<std::size_t>(bound_ - 1)];
+    std::uint64_t fingerprint = 0;
+    for (const SharedProgram &p : progs) {
+        fingerprint ^= p.hash() + 0x9e3779b97f4a7c15ull +
+                       (fingerprint << 6) + (fingerprint >> 2);
+    }
+    const TraceKey key(&progs, fingerprint);
     if (!sess_.trace())
         sess_.setTrace(traces_->find(key));
     const bool had = sess_.trace() != nullptr;

@@ -336,10 +336,9 @@ class PodBackend final : public Backend
 
   private:
     PodSession sess_;
-    /** progs_[b-1]: the compiled batch-b collective. */
-    std::vector<std::vector<AsmProgram>> progs_;
-    /** progHashes_[b-1]: content fingerprint for the trace key. */
-    std::vector<std::uint64_t> progHashes_;
+    /** progs_[b-1]: the compiled batch-b collective, one program per
+     *  member, each hashed once here. */
+    std::vector<std::vector<SharedProgram>> progs_;
     int bound_ = 1; ///< Batch size currently loaded.
     std::shared_ptr<TraceCache> traces_;
 };

@@ -110,7 +110,7 @@ ModelRegistry::evictOverBudget(int keep_m, int keep_b)
         // lookup happens to miss on them.
         if (traces_)
             traces_->invalidate(
-                {evicted->prog.get(), evicted->progHash});
+                {evicted->prog.get(), evicted->prog.hash()});
     }
 }
 

@@ -72,21 +72,29 @@ Chip::sxm(Hemisphere hem) const
 }
 
 void
-Chip::loadProgram(const AsmProgram &program)
+Chip::loadProgram(SharedProgram program)
 {
-    for (auto &q : queues_)
-        q.loadProgram({});
-    for (const auto &[icu_id, insts] : program.queues) {
-        TSP_ASSERT(icu_id >= 0 && icu_id < kNumIcus);
-        queues_[static_cast<std::size_t>(icu_id)].loadProgram(insts);
+    TSP_ASSERT(program);
+    program_ = std::move(program);
+    // One merge pass over the (ICU-ordered) program: queues without
+    // instructions are unloaded, the rest borrow their vectors.
+    const auto &qs = program_->queues;
+    auto it = qs.begin();
+    for (int i = 0; i < kNumIcus; ++i) {
+        std::span<const Instruction> insts;
+        if (it != qs.end() && it->first == i) {
+            insts = it->second;
+            ++it;
+        }
+        queues_[static_cast<std::size_t>(i)].loadProgram(insts);
     }
+    TSP_ASSERT(it == qs.end()); // Every ICU id lies in [0, kNumIcus).
     fabric_.clear();
     // Stale broadcasts must not leak into the next program's barrier
     // preamble: a reloaded chip starts from the same barrier state as
     // a fresh one (session reuse determinism).
     barrier_.clear();
     lastStepQuiet_ = true;
-    programHash_ = hashProgram(program);
 }
 
 void

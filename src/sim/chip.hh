@@ -26,6 +26,7 @@
 #include "mxm/mxm_plane.hh"
 #include "sim/exec_trace.hh"
 #include "sim/power.hh"
+#include "sim/program.hh"
 #include "stream/stream_io.hh"
 #include "sxm/sxm_complex.hh"
 #include "vxm/vxm_unit.hh"
@@ -51,8 +52,25 @@ class Chip
     /** @return the active configuration. */
     const ChipConfig &config() const { return cfg_; }
 
-    /** Loads a program into the instruction queues (replaces any). */
-    void loadProgram(const AsmProgram &program);
+    /**
+     * Loads @p program into the instruction queues (replaces any).
+     * The queues borrow its instruction vectors and the chip keeps a
+     * reference, so the program outlives its creator's handle; its
+     * carried hash becomes programHash(). Nothing is copied or
+     * hashed, which makes a reload per request cheap.
+     */
+    void loadProgram(SharedProgram program);
+
+    /**
+     * One-shot form: takes ownership of @p program, hashes it once
+     * and loads it as above. Callers that load one program on many
+     * chips or many times should build a SharedProgram instead.
+     */
+    void
+    loadProgram(AsmProgram program)
+    {
+        loadProgram(SharedProgram(std::move(program)));
+    }
 
     /** Advances one core-clock cycle. */
     void step();
@@ -213,7 +231,7 @@ class Chip
     bool restore(const ChipSnapshot &snap, std::string *err = nullptr);
 
     /** @return content hash of the loaded program (0 when none). */
-    std::uint64_t programHash() const { return programHash_; }
+    std::uint64_t programHash() const { return program_.hash(); }
 
     // --- Trace record/replay tier (see sim/exec_trace.hh) ---
 
@@ -284,10 +302,11 @@ class Chip
     std::unique_ptr<StreamIo> memIo_;          // MEM slices' stream port.
     std::unique_ptr<PowerModel> power_;
 
+    /** The loaded program; queues_ point into its instructions. */
+    SharedProgram program_;
     std::vector<InstructionQueue> queues_;     // 144.
 
     std::vector<TraceEvent> trace_;
-    std::uint64_t programHash_ = 0;  ///< hashProgram() of the loaded program.
     std::uint64_t ifetches_ = 0;
     std::uint64_t dispatchesThisCycle_ = 0;
 

@@ -235,7 +235,7 @@ Chip::snapshot(ChipSnapshot &out, std::string *err) const
     w.u64(prevSramAccesses_);
 
     out.configHash = hashChipConfig(cfg_);
-    out.programHash = programHash_;
+    out.programHash = program_.hash();
     out.faultEnvHash = hashFaultEnv(cfg_.fault);
     out.faultSeed = cfg_.fault.seed;
     out.cycle = now();
@@ -254,7 +254,7 @@ Chip::restore(const ChipSnapshot &snap, std::string *err)
         return fail(err, "restore: dispatch trace enabled");
     if (snap.configHash != hashChipConfig(cfg_))
         return fail(err, "restore: chip configuration mismatch");
-    if (snap.programHash != programHash_) {
+    if (snap.programHash != program_.hash()) {
         return fail(err, "restore: program mismatch (load the "
                          "snapshot's program first)");
     }

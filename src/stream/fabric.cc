@@ -333,14 +333,21 @@ StreamFabric::loadState(SnapshotReader &r)
 void
 StreamFabric::clear()
 {
+    // Runs before every request (program load, replay entry), usually
+    // on an already-empty fabric: only rings holding values and a
+    // calendar holding writes are walked, as in advanceBy().
     for (auto &ring : rings_) {
+        if (ring.validInRing == 0)
+            continue;
         for (auto &e : ring.slots)
             e.valid = false;
         ring.validInRing = 0;
     }
     validCount_ = 0;
-    for (auto &b : pendingRing_)
-        b.writes.clear();
+    if (pendingCount_ > 0) {
+        for (auto &b : pendingRing_)
+            b.writes.clear();
+    }
     pendingCycles_ = {};
     pendingCount_ = 0;
     overflow_.clear();

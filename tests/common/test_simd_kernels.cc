@@ -9,8 +9,11 @@
  * sequences and clamp fixups are exercised where they can diverge.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -336,10 +339,86 @@ mxmScalarRef(const std::int8_t *w, int stride,
     }
 }
 
+/** @return per-row weight sums over n columns (the VNNI bias input). */
+std::vector<std::int32_t>
+rowSums(const std::vector<std::int8_t> &w, int stride, int n)
+{
+    std::vector<std::int32_t> rs(static_cast<std::size_t>(stride), 0);
+    for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < n; ++c)
+            rs[static_cast<std::size_t>(r)] +=
+                w[static_cast<std::size_t>(r) * stride + c];
+    }
+    return rs;
+}
+
+/**
+ * Runs every int8 ABC tier this host has over the block
+ * [0, rows) x [0, cols) and expects each to equal the full-plane
+ * scalar reference, with accumulate off and on (from a nonzero
+ * accumulator, so "left unchanged" is observable).
+ */
+void
+expectBoundedTiersMatch(const std::vector<std::int8_t> &w, int stride,
+                        const std::vector<std::uint8_t> &act, int n,
+                        int rows, int cols, const std::string &what)
+{
+    const std::vector<std::int32_t> rs = rowSums(w, stride, n);
+    for (const bool accumulate : {false, true}) {
+        std::vector<std::int32_t> init(static_cast<std::size_t>(n));
+        for (int r = 0; r < n; ++r)
+            init[static_cast<std::size_t>(r)] = 1000 * r - 7;
+        std::vector<std::int32_t> ref = init;
+        mxmScalarRef(w.data(), stride, act.data(), ref.data(), n,
+                     accumulate);
+        const std::string tag = what + (accumulate ? " acc" : " set");
+
+        std::vector<std::int32_t> got = init;
+        simd::mxmAbcInt8Scalar(w.data(), stride, act.data(),
+                               got.data(), n, rows, cols, accumulate);
+        ASSERT_EQ(ref, got) << "scalar " << tag;
+        if (cpuHasAvx2() && n % 32 == 0) {
+            got = init;
+            ASSERT_TRUE(simd::mxmAbcInt8Avx2(w.data(), stride,
+                                             act.data(), got.data(), n,
+                                             rows, cols, accumulate));
+            ASSERT_EQ(ref, got) << "avx2 " << tag;
+        }
+        if (cpuHasAvx512Vnni() && n % 64 == 0) {
+            got = init;
+            ASSERT_TRUE(simd::mxmAbcInt8Vnni(
+                w.data(), stride, act.data(), rs.data(), got.data(), n,
+                rows, cols, accumulate));
+            ASSERT_EQ(ref, got) << "vnni " << tag;
+        }
+    }
+}
+
+/** @return a 320-stride plane, random inside [0,rows) x [0,cols). */
+std::vector<std::int8_t>
+blockPlane(int rows, int cols, std::uint64_t seed)
+{
+    std::vector<std::int8_t> w(static_cast<std::size_t>(kLanes) *
+                               kLanes);
+    for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c)
+            w[static_cast<std::size_t>(r) * kLanes + c] =
+                static_cast<std::int8_t>(nextByte(seed));
+    }
+    return w;
+}
+
+std::vector<std::uint8_t>
+randomActs(std::uint64_t seed)
+{
+    std::vector<std::uint8_t> act(static_cast<std::size_t>(kLanes));
+    for (auto &v : act)
+        v = nextByte(seed);
+    return act;
+}
+
 TEST(MxmSimd, KernelsMatchScalar)
 {
-    if (!cpuHasAvx2())
-        GTEST_SKIP() << "no AVX2 on this host";
     const int n = 320;
     std::vector<std::int8_t> w(static_cast<std::size_t>(n) * n);
     std::vector<std::uint8_t> act(static_cast<std::size_t>(n));
@@ -355,31 +434,95 @@ TEST(MxmSimd, KernelsMatchScalar)
         act[static_cast<std::size_t>(c)] =
             (c % 2) ? 0x80 : 0x7f;
     }
+    expectBoundedTiersMatch(w, n, act, n, n, n, "dense");
+}
 
-    std::vector<std::int32_t> ref(static_cast<std::size_t>(n), 5);
-    mxmScalarRef(w.data(), n, act.data(), ref.data(), n, true);
-
-    std::vector<std::int32_t> got(static_cast<std::size_t>(n), 5);
-    ASSERT_TRUE(simd::mxmAbcInt8Avx2(w.data(), n, act.data(),
-                                     got.data(), n, true));
-    EXPECT_EQ(ref, got) << "avx2";
-
-    if (cpuHasAvx512Vnni()) {
-        std::vector<std::int32_t> rs(static_cast<std::size_t>(n));
-        ASSERT_TRUE(
-            simd::mxmRowSumsInt8Vnni(w.data(), n, n, rs.data()));
-        for (int r = 0; r < n; ++r) {
-            std::int32_t s = 0;
-            for (int c = 0; c < n; ++c)
-                s += w[static_cast<std::size_t>(r) * n + c];
-            ASSERT_EQ(s, rs[static_cast<std::size_t>(r)])
-                << "row sum " << r;
+TEST(MxmSimd, BoundedKernelsMatchFullPlane)
+{
+    // Block extents that are and are not multiples of the kernels'
+    // 4-row groups and 32/64-column chunks, from empty to full.
+    const int extents[] = {0,   1,   2,   3,   4,   5,   7,   8,
+                           15,  16,  17,  31,  32,  33,  63,  64,
+                           65,  95,  127, 128, 129, 160, 191, 192,
+                           193, 255, 256, 257, 300, 317, 318, 319,
+                           320};
+    const std::vector<std::uint8_t> act = randomActs(5);
+    std::uint64_t seed = 11;
+    for (const int e : extents) {
+        const std::pair<int, int> shapes[] = {
+            {e, kLanes}, {kLanes, e}, {e, e}, {e, kLanes - e}};
+        for (const auto &[rows, cols] : shapes) {
+            const auto w = blockPlane(rows, cols, ++seed);
+            expectBoundedTiersMatch(
+                w, kLanes, act, kLanes, rows, cols,
+                std::to_string(rows) + "x" + std::to_string(cols));
         }
-        std::vector<std::int32_t> vn(static_cast<std::size_t>(n), 5);
-        ASSERT_TRUE(simd::mxmAbcInt8Vnni(w.data(), n, act.data(),
-                                         rs.data(), vn.data(), n,
-                                         true));
-        EXPECT_EQ(ref, vn) << "vnni";
+    }
+}
+
+TEST(MxmSimd, BoundedKernelsReachBlockEdge)
+{
+    // The only nonzero weight sits on the block's last row or last
+    // column: a tier that rounds the block down would drop it.
+    const int extents[] = {1, 3, 4, 5, 31, 32, 33, 63, 64, 65,
+                           127, 129, 255, 257, 319, 320};
+    const std::vector<std::uint8_t> act = randomActs(23);
+    for (const int rows : extents) {
+        for (const int cols : {1, 33, 64, 65, 200, 320}) {
+            std::vector<std::int8_t> w(
+                static_cast<std::size_t>(kLanes) * kLanes);
+            w[static_cast<std::size_t>(rows - 1) * kLanes +
+              (cols / 2)] = -77;
+            expectBoundedTiersMatch(w, kLanes, act, kLanes, rows, cols,
+                                    "last row " + std::to_string(rows));
+            w.assign(w.size(), 0);
+            w[static_cast<std::size_t>(rows / 2) * kLanes + cols - 1] =
+                101;
+            expectBoundedTiersMatch(w, kLanes, act, kLanes, rows, cols,
+                                    "last col " + std::to_string(cols));
+        }
+    }
+}
+
+TEST(MxmSimd, BoundedKernelsAllZeroInstall)
+{
+    // An all-zero install: every tier zeroes the accumulators, or
+    // leaves them untouched when accumulating.
+    const std::vector<std::int8_t> w(static_cast<std::size_t>(kLanes) *
+                                     kLanes);
+    const std::vector<std::uint8_t> act = randomActs(3);
+    expectBoundedTiersMatch(w, kLanes, act, kLanes, 0, 0, "zero");
+    std::vector<std::int32_t> acc(kLanes, 42);
+    simd::mxmAbcInt8Scalar(w.data(), kLanes, act.data(), acc.data(),
+                           kLanes, 0, 0, /*accumulate=*/false);
+    EXPECT_EQ(acc, std::vector<std::int32_t>(kLanes, 0));
+    acc.assign(kLanes, 42);
+    simd::mxmAbcInt8Scalar(w.data(), kLanes, act.data(), acc.data(),
+                           kLanes, 0, 0, /*accumulate=*/true);
+    EXPECT_EQ(acc, std::vector<std::int32_t>(kLanes, 42));
+}
+
+TEST(MxmSimd, BoundedKernelsShortVectors)
+{
+    // Fewer active superlanes: n = 256 keeps both vector tiers, n =
+    // 96 leaves VNNI without a path (n % 64 != 0), which must decline
+    // rather than compute.
+    const std::vector<std::uint8_t> act = randomActs(41);
+    for (const int n : {256, 96}) {
+        for (const int e : {0, 1, 31, 33, 64, 95, 96}) {
+            const int rows = std::min(e, n);
+            const auto w = blockPlane(rows, n, 77 + e);
+            expectBoundedTiersMatch(w, kLanes, act, n, rows, n,
+                                    "n=" + std::to_string(n));
+        }
+    }
+    if (cpuHasAvx512Vnni()) {
+        const auto w = blockPlane(8, 8, 1);
+        const auto rs = rowSums(w, kLanes, 96);
+        std::vector<std::int32_t> acc(kLanes);
+        EXPECT_FALSE(simd::mxmAbcInt8Vnni(w.data(), kLanes, act.data(),
+                                          rs.data(), acc.data(), 96, 8,
+                                          8, false));
     }
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "icu/queue.hh"
 
 namespace tsp {
@@ -43,7 +45,8 @@ TEST(Queue, NopDelaysExactly)
 {
     BarrierController barrier;
     InstructionQueue q(IcuId::mem(Hemisphere::East, 0), barrier);
-    q.loadProgram({readInst(1), nop(5), readInst(2)});
+    const std::vector<Instruction> prog{readInst(1), nop(5), readInst(2)};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     EXPECT_EQ(tick(q, 0, out), 1);
@@ -60,7 +63,8 @@ TEST(Queue, BackToBackDispatch)
 {
     BarrierController barrier;
     InstructionQueue q(IcuId::mem(Hemisphere::East, 1), barrier);
-    q.loadProgram({readInst(1), readInst(2), readInst(3)});
+    const std::vector<Instruction> prog{readInst(1), readInst(2), readInst(3)};
+    q.loadProgram(prog);
     const Instruction *out[2];
     for (Cycle t = 0; t < 3; ++t) {
         ASSERT_EQ(tick(q, t, out), 1);
@@ -78,7 +82,8 @@ TEST(Queue, RepeatReissuesPrevious)
     rep.op = Opcode::Repeat;
     rep.imm0 = 3; // Three more issues...
     rep.imm1 = 2; // ...two cycles apart.
-    q.loadProgram({readInst(9), rep});
+    const std::vector<Instruction> prog{readInst(9), rep};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     EXPECT_EQ(tick(q, 0, out), 1); // Original at cycle 0.
@@ -100,7 +105,8 @@ TEST(Queue, SyncParksUntilNotify)
     InstructionQueue q(IcuId::vxmAlu(0), barrier);
     Instruction sync;
     sync.op = Opcode::Sync;
-    q.loadProgram({sync, readInst(5)});
+    const std::vector<Instruction> prog{sync, readInst(5)};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     EXPECT_EQ(tick(q, 0, out), 0);
@@ -124,7 +130,8 @@ TEST(Queue, MissedBroadcastWaitsForNext)
     InstructionQueue q(IcuId::vxmAlu(1), barrier);
     Instruction sync;
     sync.op = Opcode::Sync;
-    q.loadProgram({sync, readInst(1)});
+    const std::vector<Instruction> prog{sync, readInst(1)};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     // Parks at cycle 40, after the broadcast passed: must wait for a
@@ -146,7 +153,8 @@ TEST(Queue, CoIssueDispatchesPairTogether)
     wr.addr = 0x1010;
     wr.srcA = {1, Direction::East};
     wr.flags |= Instruction::kFlagCoIssue;
-    q.loadProgram({rd, wr, readInst(0x20)});
+    const std::vector<Instruction> prog{rd, wr, readInst(0x20)};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     EXPECT_EQ(tick(q, 0, out), 2);
@@ -160,7 +168,8 @@ TEST(Queue, StatsTrackNopAndParkCycles)
 {
     BarrierController barrier;
     InstructionQueue q(IcuId::vxmAlu(2), barrier);
-    q.loadProgram({nop(3), readInst(1)});
+    const std::vector<Instruction> prog{nop(3), readInst(1)};
+    q.loadProgram(prog);
     const Instruction *out[2];
     for (Cycle t = 0; t <= 3; ++t)
         tick(q, t, out);
@@ -174,7 +183,8 @@ TEST(Queue, NextEventCycleMirrorsTickStates)
     InstructionQueue q(IcuId::mem(Hemisphere::East, 4), barrier);
     Instruction sync;
     sync.op = Opcode::Sync;
-    q.loadProgram({nop(10), readInst(1), sync, readInst(2)});
+    const std::vector<Instruction> prog{nop(10), readInst(1), sync, readInst(2)};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     // Ready instruction: the event is now.
@@ -202,7 +212,8 @@ TEST(Queue, NextEventCycleTracksRepeatGaps)
     rep.op = Opcode::Repeat;
     rep.imm0 = 2;
     rep.imm1 = 4;
-    q.loadProgram({readInst(3), rep});
+    const std::vector<Instruction> prog{readInst(3), rep};
+    q.loadProgram(prog);
 
     const Instruction *out[2];
     tick(q, 0, out); // Original read.

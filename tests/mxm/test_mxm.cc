@@ -2,16 +2,20 @@
  * @file
  * MXM plane: LW/IW weight staging, int8 matvec against a host
  * reference, multi-window accumulation, fp16 mode with fp32
- * accumulation, the drain-generation consistency check, and the
- * 40-cycle weight-install claim's arithmetic.
+ * accumulation, the drain-generation consistency check, the 40-cycle
+ * weight-install claim's arithmetic, and short installs that replace
+ * only the rows they stage (in both dtypes, across a snapshot).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/fp16.hh"
 #include "common/rng.hh"
+#include "common/snapshot_io.hh"
 #include "mem/ecc.hh"
 #include "mxm/mxm_plane.hh"
 
@@ -35,10 +39,14 @@ class MxmHarness
         fabric_.write({id, dir}, plane_.pos(), x);
     }
 
+    /**
+     * Stages rows [0, @p rows) of @p w ([320][320], row-major) in
+     * 16-row LW bursts and installs them with one IW.
+     */
     void
-    loadWeights(const std::vector<std::int8_t> &w) // [320][320]
+    loadWeights(const std::vector<std::int8_t> &w, int rows = kMxmDim)
     {
-        for (int burst = 0; burst < 20; ++burst) {
+        for (int burst = 0; burst < rows / 16; ++burst) {
             for (int j = 0; j < 16; ++j) {
                 Vec320 row;
                 const int r = burst * 16 + j;
@@ -62,6 +70,105 @@ class MxmHarness
         iw.op = Opcode::Iw;
         plane_.issue(iw, fabric_.now());
         step();
+    }
+
+    /** fp16 form of loadWeights(): 8 rows (16 streams) per burst. */
+    void
+    loadWeightsF16(const std::vector<std::uint16_t> &w, int rows)
+    {
+        for (int burst = 0; burst < rows / 8; ++burst) {
+            for (int i = 0; i < 8; ++i) {
+                Vec320 lo, hi;
+                const int r = burst * 8 + i;
+                for (int c = 0; c < kMxmDim; ++c) {
+                    const std::uint16_t bits =
+                        w[static_cast<std::size_t>(r) * kMxmDim + c];
+                    lo.bytes[static_cast<std::size_t>(c)] =
+                        static_cast<std::uint8_t>(bits & 0xff);
+                    hi.bytes[static_cast<std::size_t>(c)] =
+                        static_cast<std::uint8_t>(bits >> 8);
+                }
+                putStream(static_cast<StreamId>(2 * i),
+                          Direction::West, lo);
+                putStream(static_cast<StreamId>(2 * i + 1),
+                          Direction::West, hi);
+            }
+            Instruction lw;
+            lw.op = Opcode::Lw;
+            lw.srcA = {0, Direction::West};
+            lw.groupSize = 16;
+            lw.dtype = DType::Fp16;
+            plane_.issue(lw, fabric_.now());
+            step();
+        }
+        Instruction iw;
+        iw.op = Opcode::Iw;
+        plane_.issue(iw, fabric_.now());
+        step();
+    }
+
+    /**
+     * Streams one one-vector ABC window of @p dt (an int8 vector in
+     * act[0], or fp16 low/high byte planes in act[0..1]) and drains
+     * it. @return each row's raw 32-bit accumulator.
+     */
+    std::vector<std::uint32_t>
+    matvec(const Vec320 *act, DType dt)
+    {
+        putStream(16, Direction::West, act[0]);
+        if (dt == DType::Fp16)
+            putStream(17, Direction::West, act[1]);
+        Instruction abc;
+        abc.op = Opcode::Abc;
+        abc.imm1 = 1;
+        abc.srcA = {16, Direction::West};
+        abc.dtype = dt;
+        plane_.issue(abc, fabric_.now());
+        step();
+
+        Instruction acc;
+        acc.op = Opcode::Acc;
+        acc.imm1 = 1;
+        acc.dst = {20, Direction::East};
+        plane_.issue(acc, fabric_.now());
+        const Cycle visible = fabric_.now() + opTiming(Opcode::Acc).dFunc;
+        while (fabric_.now() <= visible)
+            step();
+        const SlicePos p = plane_.pos() +
+                           static_cast<SlicePos>(fabric_.now() - visible);
+        std::vector<std::uint32_t> out(kMxmDim, 0);
+        for (int k = 0; k < 4; ++k) {
+            const Vec320 *v = fabric_.peek(
+                {static_cast<StreamId>(20 + k), Direction::East}, p);
+            EXPECT_NE(v, nullptr);
+            if (v == nullptr)
+                return out;
+            for (int r = 0; r < kMxmDim; ++r) {
+                out[static_cast<std::size_t>(r)] |=
+                    static_cast<std::uint32_t>(
+                        v->bytes[static_cast<std::size_t>(r)])
+                    << (8 * k);
+            }
+        }
+        return out;
+    }
+
+    /** @return the plane's serialized state. */
+    std::vector<std::uint8_t>
+    save() const
+    {
+        SnapshotWriter w;
+        plane_.saveState(w);
+        return w.take();
+    }
+
+    /** Restores state saved by save() (from another harness). */
+    void
+    restore(const std::vector<std::uint8_t> &blob)
+    {
+        SnapshotReader r(blob);
+        plane_.loadState(r);
+        EXPECT_TRUE(r.atEnd());
     }
 
     void
@@ -398,6 +505,169 @@ TEST(Mxm, Fp16ModeAccumulatesInFp32)
     float f;
     std::memcpy(&f, &u, sizeof(f));
     EXPECT_FLOAT_EQ(f, 1.0f);
+}
+
+/** @return int8 row dot products of @p w against @p act, as raw bits. */
+std::vector<std::uint32_t>
+hostMatvec(const std::vector<std::int8_t> &w, const Vec320 &act)
+{
+    std::vector<std::uint32_t> out(kMxmDim);
+    for (int r = 0; r < kMxmDim; ++r) {
+        std::int32_t sum = 0;
+        for (int c = 0; c < kMxmDim; ++c) {
+            sum += static_cast<std::int32_t>(
+                       w[static_cast<std::size_t>(r) * kMxmDim + c]) *
+                   static_cast<std::int8_t>(
+                       act.bytes[static_cast<std::size_t>(c)]);
+        }
+        out[static_cast<std::size_t>(r)] =
+            static_cast<std::uint32_t>(sum);
+    }
+    return out;
+}
+
+/** @return fp16 row dot products in the MXM's fp32 order, as bits. */
+std::vector<std::uint32_t>
+hostMatvecF16(const std::vector<std::uint16_t> &w, const Vec320 act[2])
+{
+    std::vector<std::uint32_t> out(kMxmDim);
+    for (int r = 0; r < kMxmDim; ++r) {
+        float sum = 0.0f;
+        for (int c = 0; c < kMxmDim; ++c) {
+            const auto abits = static_cast<std::uint16_t>(
+                act[0].bytes[static_cast<std::size_t>(c)] |
+                (act[1].bytes[static_cast<std::size_t>(c)] << 8));
+            const float wv = Fp16::fromBits(
+                w[static_cast<std::size_t>(r) * kMxmDim + c]).toFloat();
+            const float prod = wv * Fp16::fromBits(abits).toFloat();
+            sum = sum + prod;
+        }
+        std::memcpy(&out[static_cast<std::size_t>(r)], &sum,
+                    sizeof(sum));
+    }
+    return out;
+}
+
+TEST(Mxm, ShortBurstKeepsUntouchedInt8RowsInstalled)
+{
+    // A 16-row burst after a full install replaces rows 0..15 only;
+    // rows 16..319 stay as installed, including across a snapshot
+    // round-trip taken between the two installs. ABC over the result
+    // must match the host product of the expected plane whichever way
+    // the burst moves the nonzero block (dense -> sparse rows and
+    // sparse plane -> dense rows).
+    Rng rng(31);
+    Vec320 act;
+    for (auto &b : act.bytes)
+        b = static_cast<std::uint8_t>(rng.intIn(-128, 127));
+
+    for (const bool dense_first : {true, false}) {
+        std::vector<std::int8_t> w1(
+            static_cast<std::size_t>(kMxmDim) * kMxmDim, 0);
+        std::vector<std::int8_t> w2(w1.size(), 0);
+        for (int r = 0; r < kMxmDim; ++r) {
+            for (int c = 0; c < kMxmDim; ++c) {
+                const bool in1 = dense_first || (r < 100 && c < 40);
+                const bool in2 = r < 16 && (!dense_first || c < 33);
+                const std::size_t i =
+                    static_cast<std::size_t>(r) * kMxmDim + c;
+                if (in1)
+                    w1[i] = static_cast<std::int8_t>(
+                        rng.intIn(-127, 127));
+                if (in2)
+                    w2[i] = static_cast<std::int8_t>(
+                        rng.intIn(-127, 127));
+            }
+        }
+        if (!dense_first) // A lone weight far out in the old plane.
+            w1[250 * kMxmDim + 301] = -5;
+        std::vector<std::int8_t> want = w1;
+        std::copy_n(w2.begin(), 16 * kMxmDim, want.begin());
+
+        MxmHarness live;
+        live.loadWeights(w1);
+        const std::vector<std::uint8_t> blob = live.save();
+        live.loadWeights(w2, 16);
+
+        MxmHarness restored;
+        restored.restore(blob);
+        restored.loadWeights(w2, 16);
+
+        for (MxmHarness *h : {&live, &restored}) {
+            const char *which = h == &live ? "live" : "restored";
+            for (int r = 0; r < kMxmDim; ++r) {
+                for (int c = 0; c < kMxmDim; ++c) {
+                    ASSERT_EQ(h->plane_.installedWeight(r, c),
+                              want[static_cast<std::size_t>(r) *
+                                       kMxmDim +
+                                   c])
+                        << which << " dense_first=" << dense_first
+                        << " (" << r << "," << c << ")";
+                }
+            }
+            EXPECT_EQ(h->matvec(&act, DType::Int8),
+                      hostMatvec(want, act))
+                << which << " dense_first=" << dense_first;
+        }
+    }
+}
+
+TEST(Mxm, ShortBurstKeepsUntouchedFp16RowsInstalled)
+{
+    // fp16 form of the test above, over an int8 install: the fp16
+    // bursts leave every int8 row installed as it was (a burst only
+    // touches its own dtype's buffer).
+    Rng rng(37);
+    auto randomF16 = [&rng] {
+        return Fp16(static_cast<float>(rng.intIn(-64, 64)) / 16.0f)
+            .bits();
+    };
+    std::vector<std::int8_t> w8(
+        static_cast<std::size_t>(kMxmDim) * kMxmDim);
+    for (auto &v : w8)
+        v = static_cast<std::int8_t>(rng.intIn(-127, 127));
+    std::vector<std::uint16_t> w1(w8.size());
+    std::vector<std::uint16_t> w2(w8.size(), 0);
+    for (auto &v : w1)
+        v = randomF16();
+    for (int i = 0; i < 16 * kMxmDim; ++i)
+        w2[static_cast<std::size_t>(i)] = randomF16();
+    std::vector<std::uint16_t> want = w1;
+    std::copy_n(w2.begin(), 16 * kMxmDim, want.begin());
+    Vec320 act[2];
+    for (int c = 0; c < kMxmDim; ++c) {
+        const std::uint16_t bits = randomF16();
+        act[0].bytes[static_cast<std::size_t>(c)] =
+            static_cast<std::uint8_t>(bits & 0xff);
+        act[1].bytes[static_cast<std::size_t>(c)] =
+            static_cast<std::uint8_t>(bits >> 8);
+    }
+
+    MxmHarness live;
+    live.loadWeights(w8);
+    live.loadWeightsF16(w1, kMxmDim);
+    const std::vector<std::uint8_t> blob = live.save();
+    live.loadWeightsF16(w2, 16);
+
+    MxmHarness restored;
+    restored.restore(blob);
+    restored.loadWeightsF16(w2, 16);
+
+    for (MxmHarness *h : {&live, &restored}) {
+        const char *which = h == &live ? "live" : "restored";
+        for (int r = 0; r < kMxmDim; ++r) {
+            for (int c = 0; c < kMxmDim; ++c) {
+                const std::size_t i =
+                    static_cast<std::size_t>(r) * kMxmDim + c;
+                ASSERT_EQ(h->plane_.installedWeightF16(r, c), want[i])
+                    << which << " (" << r << "," << c << ")";
+                ASSERT_EQ(h->plane_.installedWeight(r, c), w8[i])
+                    << which << " int8 (" << r << "," << c << ")";
+            }
+        }
+        EXPECT_EQ(h->matvec(act, DType::Fp16), hostMatvecF16(want, act))
+            << which;
+    }
 }
 
 } // namespace

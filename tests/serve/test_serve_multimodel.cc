@@ -205,7 +205,7 @@ TEST(ModelRegistryTest, LruEvictsColdFamilyUnderBudget)
     // Re-acquiring family a recompiles to the identical program.
     auto pa2 = reg.acquire(0, 1);
     EXPECT_EQ(pa2->cycles, pa->cycles);
-    EXPECT_EQ(pa2->progHash, pa->progHash);
+    EXPECT_EQ(pa2->prog.hash(), pa->prog.hash());
     EXPECT_EQ(reg.evictions(), 2u);
     EXPECT_EQ(reg.compileCount(), 3u);
 }
@@ -225,7 +225,7 @@ TEST(ModelRegistryTest, EvictionEagerlyInvalidatesTraces)
     tr->events.resize(64);
     const std::size_t tr_bytes = tr->memoryBytes();
     ASSERT_GT(tr_bytes, 0u);
-    traces->insert(TraceKey{pa->prog.get(), pa->progHash}, tr);
+    traces->insert(TraceKey{pa->prog.get(), pa->prog.hash()}, tr);
     EXPECT_EQ(traces->size(), 1u);
     EXPECT_EQ(traces->memoryBytes(), tr_bytes);
 

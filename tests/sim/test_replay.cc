@@ -353,7 +353,7 @@ TEST(Replay, BindInvalidatesTrace)
     g.lower(lw2, input);
     auto prog2 = std::make_shared<const AsmProgram>(
         lw2.program().toAsm(/*with_preamble=*/true));
-    sess.bind(lw2, prog2);
+    sess.bind(lw2, SharedProgram(prog2));
     EXPECT_EQ(sess.trace(), nullptr);
     EXPECT_EQ(sess.program(), prog2.get());
 
@@ -432,11 +432,11 @@ TEST(Replay, PodAllReduceReplayIdentical)
     for (PodSession *ps : {&ref, &rep}) {
         std::vector<ScheduledProgram> programs;
         buildRingAllReduce(ps->pod(), programs);
-        std::vector<AsmProgram> asm_programs;
-        asm_programs.reserve(programs.size());
+        std::vector<SharedProgram> shared;
+        shared.reserve(programs.size());
         for (auto &p : programs)
-            asm_programs.push_back(p.toAsm());
-        ps->loadPrograms(std::move(asm_programs));
+            shared.emplace_back(p.toAsm());
+        ps->loadPrograms(std::move(shared));
     }
 
     for (int run = 0; run < 3; ++run) {

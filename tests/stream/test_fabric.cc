@@ -122,6 +122,19 @@ TEST(Fabric, ClearInvalidatesEverything)
     for (int i = 0; i < 12; ++i)
         f.advance();
     EXPECT_EQ(f.validEntries(), 0u) << "pending writes were dropped";
+
+    // clear() walks only rings holding values: a refilled ring is
+    // emptied again, and its slot takes a new value in the same cycle
+    // without a stale producer behind it.
+    f.write({7, Direction::East}, 40, mark(6));
+    f.clear();
+    f.write({7, Direction::East}, 40, mark(7));
+    EXPECT_EQ(f.validEntries(), 1u);
+    EXPECT_EQ(f.peek({7, Direction::East}, 40)->bytes[0], 7);
+    f.clear();
+    f.clear();
+    EXPECT_EQ(f.validEntries(), 0u);
+    EXPECT_EQ(f.peek({7, Direction::East}, 40), nullptr);
 }
 
 TEST(FabricDeath, TwoProducersSameSlotPanic)

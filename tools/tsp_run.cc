@@ -266,7 +266,9 @@ main(int argc, char **argv)
         chip_p->mem(m.hem, m.slice).backdoorWrite(m.addr, v);
     }
 
-    chip_p->loadProgram(result.program);
+    // Hashed once; a migration reloads it on a rebuilt chip.
+    const SharedProgram program(result.program);
+    chip_p->loadProgram(program);
     bool retired = false;
     std::uint64_t snapshots = 0;
     int migrations = 0;
@@ -293,7 +295,7 @@ main(int argc, char **argv)
                     cfg.fault.seed, SeedDomain::EngineRebuild,
                     static_cast<std::uint64_t>(migrations));
                 auto fresh = std::make_unique<Chip>(mig_cfg);
-                fresh->loadProgram(result.program);
+                fresh->loadProgram(program);
                 std::string err;
                 if (!fresh->restore(last, &err)) {
                     std::fprintf(stderr, "migration failed: %s\n",
