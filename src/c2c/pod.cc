@@ -10,7 +10,11 @@ namespace tsp {
 Pod::Pod(int chips, Cycle wire_latency, ChipConfig cfg)
     : wireLatency_(wire_latency)
 {
-    TSP_ASSERT(chips >= 2);
+    TSP_ASSERT(chips >= 1);
+    if (chips == 1) {
+        chips_.push_back(std::make_unique<Chip>(cfg));
+        return;
+    }
     chips_.reserve(static_cast<std::size_t>(chips));
     const std::uint64_t base_seed = cfg.fault.seed;
     for (int i = 0; i < chips; ++i) {

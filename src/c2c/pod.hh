@@ -48,11 +48,13 @@ class Pod
     static constexpr int kLeftLink = 0;  ///< From chip (i-1+n) % n.
 
     /**
-     * @param chips number of chips (>= 2).
+     * @param chips number of chips (>= 1).
      * @param wire_latency link flight time in cycles.
-     * @param cfg applied to every chip; each chip's fault seed is
-     *        derived from cfg.fault.seed and its ring index so
-     *        members do not replay identical upset sequences.
+     * @param cfg applied to every chip. In a ring of two or more,
+     *        each chip's fault seed is derived from cfg.fault.seed
+     *        and its ring index so members do not replay identical
+     *        upset sequences. A pod of one wires no link and its chip
+     *        keeps cfg.fault.seed: it is the bare chip, bit for bit.
      */
     Pod(int chips, Cycle wire_latency, ChipConfig cfg = {});
 

@@ -32,9 +32,6 @@ Fleet::launchPod(double now_sec)
 {
     const int id = static_cast<int>(pods_.size());
     serve::ServerConfig sc = cfg_.server;
-    // Fleet determinism requires every request to execute on the
-    // engine its booking assumed (see ServerConfig::pinnedDispatch).
-    sc.pinnedDispatch = true;
     sc.onResult = [this](const serve::Result &r) {
         ts_.recordResult(r);
     };

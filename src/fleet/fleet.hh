@@ -15,9 +15,10 @@
  * launches pods (routable after a provisioning delay) and drains
  * them (no new traffic; Drained once the booked backlog has passed).
  * All routing, shedding and scaling inputs are virtual-time
- * quantities, and every pod runs with pinned dispatch, so a whole
- * soak run — including which request absorbs which injected fault —
- * replays identically for a given seed.
+ * quantities, and every server runs each batch on the worker its
+ * booking chose, so a whole soak run — including which request
+ * absorbs which injected fault — replays identically for a given
+ * seed.
  *
  * Threading: submit()/advanceTo() must be called from one thread
  * (the load generator); pod worker threads run concurrently and
@@ -52,9 +53,8 @@ struct FleetConfig
     int initialPods = 2;
 
     /**
-     * Per-pod server template. pinnedDispatch is forced on (fleet
-     * determinism requires it) and onResult is chained to the
-     * fleet's time series; everything else applies as given.
+     * Per-pod server template. onResult is chained to the fleet's
+     * time series; everything else applies as given.
      */
     serve::ServerConfig server{};
 

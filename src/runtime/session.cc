@@ -35,27 +35,33 @@ InferenceSession::InferenceSession(
 
 InferenceSession::InferenceSession(Lowering &lw, SharedProgram prog,
                                    ChipConfig cfg)
-    : lw_(&lw), cfg_(cfg), prog_(std::move(prog)),
-      chip_(std::make_unique<Chip>(cfg))
+    : InferenceSession(1, 0, cfg)
 {
-    chip_->loadProgram(prog_);
-    lw.image().applyTo(*chip_);
-    dmaSeconds_ =
-        static_cast<double>(lw.image().totalBytes()) / kPcieGen4Bps;
+    bind(lw, std::move(prog));
+    reset();
+}
+
+InferenceSession::InferenceSession(int chips, Cycle wire_latency,
+                                   ChipConfig cfg)
+    : cfg_(cfg), pod_(std::make_unique<Pod>(chips, wire_latency, cfg))
+{
 }
 
 void
-InferenceSession::bind(Lowering &lw, SharedProgram prog)
+InferenceSession::bind(std::vector<SharedProgram> programs,
+                       Lowering *lw)
 {
-    lw_ = &lw;
-    prog_ = std::move(prog);
-    ++binds_;
+    TSP_ASSERT(static_cast<int>(programs.size()) == pod_->size());
+    programs_ = std::move(programs);
+    lw_ = lw;
+    key_ = traceKeyOf(programs_);
     dmaSeconds_ =
-        static_cast<double>(lw.image().totalBytes()) / kPcieGen4Bps;
-    // The chip still holds the previous program and image until the
-    // next reset(): any recorded trace is for the wrong program (or
-    // the wrong weights after a reinstall), and no run before that
-    // reset may record or replay.
+        lw ? static_cast<double>(lw->image().totalBytes()) / kPcieGen4Bps
+           : 0.0;
+    // The members still hold the previous programs and image until
+    // the next reset(): any recorded trace is for the wrong program
+    // (or the wrong weights after a reinstall), and no run before
+    // that reset may record or replay.
     trace_.reset();
     fresh_ = false;
 }
@@ -88,6 +94,16 @@ InferenceSession::replayEligible() const
            !cfg_.powerTraceEnabled;
 }
 
+std::vector<Chip *>
+InferenceSession::members()
+{
+    std::vector<Chip *> chips;
+    chips.reserve(static_cast<std::size_t>(pod_->size()));
+    for (int c = 0; c < pod_->size(); ++c)
+        chips.push_back(&pod_->chip(c));
+    return chips;
+}
+
 RunResult
 InferenceSession::runBounded(Cycle max_cycles)
 {
@@ -95,30 +111,37 @@ InferenceSession::runBounded(Cycle max_cycles)
     // state a recording started from; any run consumes freshness.
     const bool eligible = replayEnabled_ && fresh_ && replayEligible();
     fresh_ = false;
-    if (eligible && trace_ && trace_->span <= max_cycles) {
-        replayTrace(*trace_, {chip_.get()});
+    if (!eligible)
+        return runRaw(max_cycles);
+    // Another session of the pool may have recorded these programs.
+    if (!trace_ && pool_)
+        trace_ = pool_->find(key_);
+    if (trace_ && trace_->span <= max_cycles) {
+        replayTrace(*trace_, members());
         ++replays_;
         timedOut_ = false;
         machineChecked_ = false;
         cycles_ = trace_->span;
         return {true, RunStatus::Completed, trace_->span};
     }
-    if (eligible && !trace_) {
-        TraceRecording rec({chip_.get()});
-        const RunResult r = runRaw(max_cycles);
-        trace_ = rec.finish(r.completed);
-        if (trace_)
-            ++records_;
-        return r;
+    if (trace_)
+        return runRaw(max_cycles);
+    TraceRecording rec(members());
+    const RunResult r = runRaw(max_cycles);
+    trace_ = rec.finish(r.completed);
+    if (trace_) {
+        ++records_;
+        if (pool_)
+            pool_->insert(key_, trace_);
     }
-    return runRaw(max_cycles);
+    return r;
 }
 
 void
 InferenceSession::captureSnapshot()
 {
-    auto snap = std::make_unique<ChipSnapshot>();
-    if (chip_->snapshot(*snap)) {
+    auto snap = std::make_unique<PodSnapshot>();
+    if (pod_->snapshot(*snap)) {
         lastSnap_ = std::move(snap);
         ++snapshots_;
     }
@@ -127,71 +150,84 @@ InferenceSession::captureSnapshot()
 RunResult
 InferenceSession::runRaw(Cycle max_cycles)
 {
-    // The chip clock is cumulative across reset() cycles, so the
-    // budget is applied relative to the current time.
-    const Cycle base = chip_->now();
+    // Member clocks are cumulative across reset() cycles, so the
+    // budget applies relative to the current pod clock.
+    const Cycle base = pod_->now();
     const Cycle limit = base + max_cycles;
     RunResult r;
-    if (snapshotEvery_ > 0) {
-        // Chunked run with a snapshot at each boundary. runBounded()
-        // stops bit-identically at any absolute cycle (even inside a
+    for (;;) {
+        // With a snapshot cadence the run advances in chunks and
+        // captures at each boundary. runAllBounded() stops
+        // bit-identically at any absolute cycle (even inside a
         // fast-forwarded idle span), so chunking never perturbs the
         // simulation. A machine-checked chunk takes no snapshot: the
         // last capture always precedes the first uncorrectable error.
-        for (;;) {
-            const Cycle next =
-                std::min(limit, chip_->now() + snapshotEvery_);
-            r.completed = chip_->runBounded(next);
-            machineChecked_ = chip_->machineCheck();
-            if (r.completed || machineChecked_ ||
-                chip_->now() >= limit) {
-                break;
-            }
-            captureSnapshot();
-        }
-    } else {
-        r.completed = chip_->runBounded(limit);
-        machineChecked_ = chip_->machineCheck();
+        const Cycle next =
+            snapshotEvery_ > 0
+                ? std::min(limit, pod_->now() + snapshotEvery_)
+                : limit;
+        r.completed = pod_->runAllBounded(next);
+        machineChecked_ = pod_->machineCheck();
+        if (r.completed || machineChecked_ || next >= limit)
+            break;
+        captureSnapshot();
     }
     timedOut_ = !r.completed && !machineChecked_;
     if (r.completed) {
         r.status = RunStatus::Completed;
     } else if (machineChecked_) {
         r.status = RunStatus::MachineCheck;
-        lastMc_ = chip_->machineCheckInfo();
+        mcChip_ = pod_->machineCheckChip();
+        lastMc_ = pod_->chip(mcChip_).machineCheckInfo();
     } else {
         r.status = RunStatus::CycleLimit;
     }
-    r.cycles = chip_->now() - base;
+    r.cycles = pod_->now() - base;
     cycles_ = r.cycles;
     return r;
+}
+
+std::unique_ptr<Pod>
+InferenceSession::rebuildPod()
+{
+    // Soft errors are environmental, not part of the schedule, so the
+    // rebuilt pod draws a derived fault seed — a retry of the same
+    // request must not deterministically replay the upset that killed
+    // it. (Explicit FaultEvents *do* replay: they model a fault wired
+    // to a cycle, and bounded retries against them end in
+    // FailedMachineCheck by design.)
+    ++rebuilds_;
+    ChipConfig cfg = cfg_;
+    cfg.fault.seed = deriveSeed(cfg_.fault.seed, SeedDomain::EngineRebuild,
+                                static_cast<std::uint64_t>(rebuilds_));
+    auto pod =
+        std::make_unique<Pod>(pod_->size(), pod_->wireLatency(), cfg);
+    for (int c = 0; c < pod->size(); ++c)
+        pod->chip(c).loadProgram(programs_[static_cast<std::size_t>(c)]);
+    return pod;
 }
 
 void
 InferenceSession::reset()
 {
+    TSP_ASSERT(!programs_.empty());
     if (timedOut_ || machineChecked_) {
-        // A half-executed program leaves queues, barriers and MXM
-        // sequencers in an arbitrary state, and a machine-checked
-        // chip is condemned; only a fresh chip is trustworthy.
-        // Soft errors are environmental, not part of the schedule, so
-        // the rebuilt chip draws a derived fault seed — a retry of the
-        // same request must not deterministically replay the upset
-        // that killed it. (Explicit FaultEvents *do* replay: they
-        // model a fault wired to a cycle, and bounded retries against
-        // them end in FailedMachineCheck by design.)
-        ++rebuilds_;
-        retiredCycles_ += chip_->now();
-        ChipConfig cfg = cfg_;
-        cfg.fault.seed =
-            deriveSeed(cfg_.fault.seed, SeedDomain::EngineRebuild,
-                       static_cast<std::uint64_t>(rebuilds_));
-        chip_ = std::make_unique<Chip>(cfg);
+        // A half-executed program leaves queues, barriers, MXM
+        // sequencers and the members' mutual progress in an arbitrary
+        // state, and one condemned chip poisons every downstream
+        // partial; only a whole fresh pod is trustworthy.
+        retiredCycles_ += memberCycles();
+        pod_ = rebuildPod();
         timedOut_ = false;
         machineChecked_ = false;
+    } else {
+        for (int c = 0; c < pod_->size(); ++c) {
+            pod_->chip(c).loadProgram(
+                programs_[static_cast<std::size_t>(c)]);
+        }
     }
-    chip_->loadProgram(prog_);
-    lw_->image().applyTo(*chip_);
+    if (lw_)
+        lw_->image().applyTo(pod_->chip(0));
     lastSnap_.reset(); // A snapshot never outlives its batch.
     fresh_ = true;
 }
@@ -200,41 +236,61 @@ RunResult
 InferenceSession::migrateAndResume(Cycle max_cycles)
 {
     TSP_ASSERT(lastSnap_ != nullptr);
-    // Same rebuild discipline as reset() after a machine check: only
-    // a fresh chip is trustworthy, and it draws a derived fault seed
-    // so the condemned chip's upset sequence is not replayed.
-    ++rebuilds_;
+    // Same rebuild discipline as reset() after a machine check.
     ++migrations_;
-    ChipConfig cfg = cfg_;
-    cfg.fault.seed =
-        deriveSeed(cfg_.fault.seed, SeedDomain::EngineRebuild,
-                   static_cast<std::uint64_t>(rebuilds_));
-    auto fresh = std::make_unique<Chip>(cfg);
-    fresh->loadProgram(prog_);
-    std::string err;
-    if (!fresh->restore(*lastSnap_, &err)) {
-        // Same program, config and fault environment, so this cannot
+    std::unique_ptr<Pod> fresh = rebuildPod();
+    if (!fresh->restore(*lastSnap_)) {
+        // Same programs, config and fault environment, so this cannot
         // happen; if it somehow does, stay condemned and let the
         // caller fall back to a full retry.
         return {false, RunStatus::MachineCheck, 0};
     }
-    // The condemned chip ran from 0 to its fault; the restored one
-    // resumes at the snapshot cycle. Only the span the new chip will
-    // not re-cover is retired, or lifetime cycles would double-count
-    // the (snapshot, fault] segment it replays.
-    retiredCycles_ += chip_->now() - std::min(chip_->now(), fresh->now());
-    chip_ = std::move(fresh);
+    // The condemned members ran from 0 to the fault; the restored
+    // ones resume at their snapshot-time clocks. Only the span they
+    // will not re-cover is retired, or lifetime cycles would
+    // double-count the (snapshot, fault] segment they replay.
+    for (int c = 0; c < pod_->size(); ++c) {
+        const Cycle old_now = pod_->chip(c).now();
+        retiredCycles_ += old_now - std::min(old_now, fresh->chip(c).now());
+    }
+    pod_ = std::move(fresh);
     machineChecked_ = false;
     timedOut_ = false;
     fresh_ = false; // Mid-program: no record/replay footing.
     return runRaw(max_cycles);
 }
 
+Cycle
+InferenceSession::memberCycles() const
+{
+    Cycle total = 0;
+    for (int c = 0; c < pod_->size(); ++c)
+        total += pod_->chip(c).now();
+    return total;
+}
+
+std::uint64_t
+InferenceSession::correctedErrors() const
+{
+    std::uint64_t n = 0;
+    for (int c = 0; c < pod_->size(); ++c)
+        n += pod_->chip(c).correctedErrorCount();
+    return n;
+}
+
+std::uint64_t
+InferenceSession::machineCheckCount() const
+{
+    std::uint64_t n = 0;
+    for (int c = 0; c < pod_->size(); ++c)
+        n += pod_->chip(c).machineCheckCount();
+    return n;
+}
+
 double
 InferenceSession::latencySeconds() const
 {
-    return static_cast<double>(cycles_) *
-           chip_->config().cyclePeriodSec();
+    return static_cast<double>(cycles_) * cfg_.cyclePeriodSec();
 }
 
 void
@@ -245,6 +301,7 @@ InferenceSession::writeTensor(const LoweredTensor &t,
     TSP_ASSERT(static_cast<std::size_t>(at.height) * at.width *
                    at.channels ==
                data.size());
+    Chip &chip = pod_->chip(0);
     // Same traversal as Lowering::inputTensor's DMA manifest: every
     // stored row of both engine parts, including the halo rows each
     // side duplicates past the split boundary.
@@ -269,8 +326,7 @@ InferenceSession::writeTensor(const LoweredTensor &t,
                                      c]);
                     }
                     const GlobalAddr a = at.addrOf(e, y, x, kg);
-                    chip_->mem(a.hem, a.slice)
-                        .backdoorWrite(a.addr, v);
+                    chip.mem(a.hem, a.slice).backdoorWrite(a.addr, v);
                 }
             }
         }
@@ -281,6 +337,7 @@ ref::QTensor
 InferenceSession::readTensor(const LoweredTensor &t) const
 {
     const ActTensor &at = t.t;
+    const Chip &chip = pod_->chip(0);
     ref::QTensor out(at.height, at.width, at.channels);
     for (int y = 0; y < at.height; ++y) {
         const int e = at.ownerOf(y);
@@ -288,7 +345,7 @@ InferenceSession::readTensor(const LoweredTensor &t) const
             for (int kg = 0; kg < at.kgCount; ++kg) {
                 const GlobalAddr a = at.addrOf(e, y, x, kg);
                 const Vec320 v =
-                    chip_->mem(a.hem, a.slice).backdoorRead(a.addr);
+                    chip.mem(a.hem, a.slice).backdoorRead(a.addr);
                 const int c_lo = kg * kMxmDim;
                 const int c_hi =
                     std::min(at.channels, c_lo + kMxmDim);

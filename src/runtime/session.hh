@@ -1,24 +1,38 @@
 /**
  * @file
- * Host runtime: owns a chip instance, emplaces the model via the DMA
- * manifest, loads the scheduled program (with its barrier preamble),
- * runs it to completion, and reads result tensors back — the host
- * interface duties of the paper's C2C/PCIe module (II item 6).
+ * Host runtime: owns a pod of N >= 1 chips, emplaces the model via
+ * the DMA manifest, loads one scheduled program per member (with its
+ * barrier preamble), runs it to completion, and reads result tensors
+ * back — the host interface duties of the paper's C2C/PCIe module
+ * (II item 6).
  *
- * Sessions are *reusable*: reset() reloads the program and re-applies
- * the DMA image so the same chip serves inference after inference, and
+ * A chip is a pod of one. The paper's chips scale out on one clock
+ * domain over statically scheduled C2C links, so a multi-chip
+ * collective runs under the same execution contract as one chip and
+ * one engine serves both. A pod of one wires no link and keeps the
+ * configured fault seed: it is the bare chip, bit for bit.
+ *
+ * Sessions are *reusable*: reset() reloads the programs and re-applies
+ * the DMA image so the same pod serves inference after inference, and
  * writeTensor() substitutes a fresh input between runs. Because the
  * schedule is static, every run of the same compiled model consumes
  * exactly the same number of cycles regardless of input values — the
  * property the serving layer's admission control (src/serve) is built
  * on.
+ *
+ * Reliability semantics scale up from the chip: a machine check on
+ * *any* member condemns the *whole* pod (a collective's result is a
+ * function of every member's state), and reset() after a timeout or
+ * machine check rebuilds every member with a derived fault seed.
  */
 
 #ifndef TSP_RUNTIME_SESSION_HH
 #define TSP_RUNTIME_SESSION_HH
 
 #include <memory>
+#include <vector>
 
+#include "c2c/pod.hh"
 #include "compiler/lowering.hh"
 #include "ref/qnn.hh"
 #include "sim/chip.hh"
@@ -53,12 +67,12 @@ struct RunResult
     Cycle cycles = 0;
 };
 
-/** One compiled model bound to one chip. */
+/** One compiled workload bound to a pod of N >= 1 chips. */
 class InferenceSession
 {
   public:
     /**
-     * Builds the chip, applies @p lw's DMA image and loads its
+     * Builds one chip, applies @p lw's DMA image and loads its
      * program. The Lowering must be fully built (all layers added)
      * and must outlive the session (reset() re-reads its image).
      */
@@ -82,12 +96,29 @@ class InferenceSession
                      ChipConfig cfg = {});
 
     /**
-     * Rebinds the session to another compiled lowering (typically a
-     * different batch size of the same model) without rebuilding the
-     * chip. Takes effect at the next reset(), which loads @p prog and
-     * applies @p lw's DMA image.
+     * Builds a pod of @p chips (see Pod's ctor for member fault
+     * seeds) with nothing bound: bind() and reset() before the first
+     * run.
      */
-    void bind(Lowering &lw, SharedProgram prog);
+    InferenceSession(int chips, Cycle wire_latency, ChipConfig cfg = {});
+
+    /**
+     * Binds one program per member (ring order) and, optionally, the
+     * Lowering whose DMA image member 0 receives (it must outlive the
+     * binding). Takes effect at the next reset(), which loads the
+     * programs and applies the image; any held trace is for the
+     * previous programs and is dropped, and no run before that reset
+     * may record or replay.
+     */
+    void bind(std::vector<SharedProgram> programs,
+              Lowering *lw = nullptr);
+
+    /** Single-chip shorthand for bind({prog}, &lw). */
+    void
+    bind(Lowering &lw, SharedProgram prog)
+    {
+        bind({std::move(prog)}, &lw);
+    }
 
     /**
      * Runs to completion; @return cycles consumed by this run.
@@ -97,10 +128,10 @@ class InferenceSession
     Cycle run(Cycle max_cycles = 500'000'000);
 
     /**
-     * Runs for at most @p max_cycles (relative to the current chip
+     * Runs for at most @p max_cycles (relative to the current pod
      * clock) and reports exhaustion explicitly instead of exiting.
-     * After a timed-out run the chip is mid-program; the next
-     * reset() rebuilds it from scratch.
+     * After a failed run the pod is mid-program; the next reset()
+     * rebuilds it from scratch.
      */
     RunResult runBounded(Cycle max_cycles = 500'000'000);
 
@@ -117,58 +148,67 @@ class InferenceSession
      */
     const MachineCheckInfo &lastMachineCheck() const { return lastMc_; }
 
-    /** @return chips rebuilt after timeouts/machine checks. */
+    /**
+     * @return ring index of the member that raised the most recent
+     * machine check (-1 before any; survives reset()).
+     */
+    int machineCheckChip() const { return mcChip_; }
+
+    /** @return pods rebuilt after timeouts/machine checks. */
     int rebuilds() const { return rebuilds_; }
 
-    /** @return bind() calls since construction — how often this
-     * engine re-staged a different compiled program (batch switches
-     * and, in multi-model pools, weight swaps between families). */
-    std::uint64_t binds() const { return binds_; }
-
     /**
-     * Rearms the session for another inference: reloads the program
-     * and re-applies the DMA image (restoring weights, constants and
-     * the compile-time input). After a timed-out run the chip is
-     * rebuilt wholesale, since a half-executed program leaves queues
-     * and sequencers in an unknown state.
+     * Rearms the session for another inference: reloads the bound
+     * programs and re-applies the DMA image (restoring weights,
+     * constants and the compile-time input). After a timed-out or
+     * machine-checked run every member is rebuilt first, since a
+     * half-executed program leaves queues and sequencers in an
+     * unknown state. Memory a rebuild discards is only restored from
+     * the image: restage backdoor inputs after every reset().
      */
     void reset();
 
     /**
-     * Overwrites an activation tensor (typically the model input)
-     * with dense [h x w x c] int8 data — every stored row of both
-     * hemisphere parts, halos included, mirroring the compile-time
-     * DMA layout. Models the per-request host input transfer.
+     * Overwrites an activation tensor (typically the model input) on
+     * member 0 with dense [h x w x c] int8 data — every stored row of
+     * both hemisphere parts, halos included, mirroring the
+     * compile-time DMA layout. Models the per-request host input
+     * transfer.
      */
     void writeTensor(const LoweredTensor &t,
                      const std::vector<std::int8_t> &data);
 
-    /** Reads a lowered tensor back into a dense reference tensor. */
+    /** Reads a lowered tensor on member 0 back into a dense
+     *  reference tensor. */
     ref::QTensor readTensor(const LoweredTensor &t) const;
 
-    /** @return the chip model. */
-    Chip &chip() { return *chip_; }
-    const Chip &chip() const { return *chip_; }
+    /** @return member 0 (the chip of a single-chip session). */
+    Chip &chip() { return pod_->chip(0); }
+    const Chip &chip() const { return pod_->chip(0); }
+
+    /** @return the pod. */
+    Pod &pod() { return *pod_; }
+    const Pod &pod() const { return *pod_; }
 
     // --- Periodic snapshots + mid-batch migration ---
 
     /**
      * Arms periodic snapshotting: bounded runs advance in chunks of
-     * @p every cycles and capture a ChipSnapshot at each chunk
+     * @p every cycles and capture a PodSnapshot at each chunk
      * boundary (never after a machine check, so the last snapshot
      * always precedes the first uncorrectable error). 0 disables.
-     * Capture is skipped silently whenever the chip refuses (e.g. a
+     * Capture is skipped silently whenever a member refuses (e.g. a
      * trace recording is in progress). Chunking itself is invisible:
-     * Chip::runBounded() stops bit-identically at any absolute cycle.
+     * Pod::runAllBounded() stops bit-identically at any absolute
+     * cycle, and a chunk boundary is a consistent cut even when
+     * member clocks differ by the lookahead, because every C2C vector
+     * is delivered into the receiver's link queue at send time.
      */
     void enableSnapshots(Cycle every) { snapshotEvery_ = every; }
 
-    /** @return the armed snapshot cadence (0 when disabled). */
-    Cycle snapshotEvery() const { return snapshotEvery_; }
-
     /** @return the last captured snapshot, or nullptr. Cleared by
      *  reset() — a snapshot never outlives its batch. */
-    const ChipSnapshot *lastSnapshot() const { return lastSnap_.get(); }
+    const PodSnapshot *lastSnapshot() const { return lastSnap_.get(); }
 
     /** @return snapshots captured since construction. */
     std::uint64_t snapshotCount() const { return snapshots_; }
@@ -177,10 +217,10 @@ class InferenceSession
     int migrations() const { return migrations_; }
 
     /**
-     * Machine-check recovery without a full retry: rebuilds the chip
-     * (fresh derived fault seed), reloads the program, restores the
+     * Machine-check recovery without a full retry: rebuilds the pod
+     * (fresh derived fault seed), reloads the programs, restores the
      * last pre-fault snapshot onto it and resumes the run for at most
-     * @p max_cycles more. The restored chip keeps its fresh RNG
+     * @p max_cycles more. The restored members keep their fresh RNG
      * streams, so the upset that condemned the source is not replayed
      * (scheduled FaultEvents do replay — they are wired to cycles).
      * Requires lastSnapshot() != nullptr; if the restore is refused
@@ -190,25 +230,27 @@ class InferenceSession
 
     /**
      * Enables the trace record/replay tier: the first complete run
-     * after a reset() records the resolved micro-op sequence, and
-     * subsequent fresh runs of the same bound program replay it (see
-     * sim/exec_trace.hh). Runs with fault injection or a dispatch /
-     * power trace enabled always take the normal path.
+     * after a reset() records every member's resolved micro-op
+     * sequence, and subsequent fresh runs of the same bound programs
+     * replay it (see sim/exec_trace.hh). With a @p pool, recordings
+     * are shared: a fresh run with no trace of its own looks the
+     * bound programs up in the pool first (traceKeyOf()), and a new
+     * recording is inserted there. Runs with fault injection or a
+     * dispatch / power trace enabled always take the normal path.
      */
-    void enableReplay(bool on = true) { replayEnabled_ = on; }
+    void
+    enableReplay(bool on = true,
+                 std::shared_ptr<TraceCache> pool = nullptr)
+    {
+        replayEnabled_ = on;
+        pool_ = std::move(pool);
+    }
 
-    /** @return the trace recorded for the bound program, if any. */
+    /** @return the trace recorded for the bound programs, if any. */
     const std::shared_ptr<const ExecutionTrace> &
     trace() const
     {
         return trace_;
-    }
-
-    /** Installs a trace recorded elsewhere for the bound program. */
-    void
-    setTrace(std::shared_ptr<const ExecutionTrace> t)
-    {
-        trace_ = std::move(t);
     }
 
     /** @return runs served by replaying a recorded trace. */
@@ -217,63 +259,88 @@ class InferenceSession
     /** @return runs that successfully recorded a trace. */
     std::uint64_t recordCount() const { return records_; }
 
-    /** @return the bound compiled program (serving-cache key). */
-    const AsmProgram *program() const { return prog_.get(); }
+    /** @return member 0's bound compiled program. */
+    const AsmProgram *
+    program() const
+    {
+        return programs_.empty() ? nullptr : programs_.front().get();
+    }
 
     /** @return cycles consumed by the last run(). */
     Cycle cycles() const { return cycles_; }
 
     /**
-     * @return chip cycles consumed over the session's lifetime,
-     * *including* cycles burned on engines later condemned and
+     * @return member-summed chip cycles consumed over the session's
+     * lifetime, *including* cycles burned on pods later condemned and
      * rebuilt — the honest compute cost of retries and migrations,
-     * which the current chip's clock alone under-reports.
+     * which the current members' clocks alone under-report.
      */
-    Cycle totalCycles() const { return retiredCycles_ + chip_->now(); }
+    Cycle totalCycles() const { return retiredCycles_ + memberCycles(); }
+
+    /** @return single-bit corrections on the current pod's members. */
+    std::uint64_t correctedErrors() const;
+
+    /** @return uncorrectable raises on the current pod's members. */
+    std::uint64_t machineCheckCount() const;
 
     /** @return compute latency of the last run in seconds. */
     double latencySeconds() const;
 
-    /** @return modeled one-time PCIe DMA time for the image. */
+    /** @return modeled PCIe DMA time for the bound image (0 when no
+     *  Lowering is bound: backdoor-staged pods). */
     double dmaSeconds() const { return dmaSeconds_; }
 
   private:
-    /** The original per-cycle / fast-forward run path. */
+    /** The per-cycle / fast-forward run path. */
     RunResult runRaw(Cycle max_cycles);
 
-    /** Captures a snapshot if the chip permits one right now. */
+    /** Captures a snapshot if every member permits one right now. */
     void captureSnapshot();
 
     /** @return true when this config may ever record or replay. */
     bool replayEligible() const;
 
-    Lowering *lw_;
+    /** @return a fresh pod with the next derived fault seed and the
+     *  bound programs loaded. */
+    std::unique_ptr<Pod> rebuildPod();
+
+    /** @return the sum of the current members' clocks. */
+    Cycle memberCycles() const;
+
+    /** @return every member chip, in ring order. */
+    std::vector<Chip *> members();
+
     ChipConfig cfg_;
-    /** Cached assembly (with barrier preamble) and its hash. */
-    SharedProgram prog_;
-    std::unique_ptr<Chip> chip_;
+    std::unique_ptr<Pod> pod_;
+    /** One cached assembly (with barrier preamble) per member. */
+    std::vector<SharedProgram> programs_;
+    /** Image source for member 0; null for backdoor-staged pods. */
+    Lowering *lw_ = nullptr;
+    /** traceKeyOf(programs_), computed at bind(). */
+    TraceKey key_{nullptr};
     Cycle cycles_ = 0;
     bool timedOut_ = false;
     bool machineChecked_ = false;
     MachineCheckInfo lastMc_{};
+    int mcChip_ = -1;
     int rebuilds_ = 0;
-    std::uint64_t binds_ = 0;
     double dmaSeconds_ = 0.0;
-    /** Cycles consumed by chips already discarded (see totalCycles). */
+    /** Member cycles consumed by pods already discarded. */
     Cycle retiredCycles_ = 0;
 
     Cycle snapshotEvery_ = 0;
-    std::unique_ptr<ChipSnapshot> lastSnap_;
+    std::unique_ptr<PodSnapshot> lastSnap_;
     std::uint64_t snapshots_ = 0;
     int migrations_ = 0;
 
     bool replayEnabled_ = false;
     /**
-     * True between reset()/construction and the next run: the chip
-     * is at the freshly loaded program state a recording started
-     * from, so a replay lands on identical footing.
+     * True between reset() and the next run: the members are at the
+     * freshly loaded program state a recording started from, so a
+     * replay lands on identical footing.
      */
-    bool fresh_ = true;
+    bool fresh_ = false;
+    std::shared_ptr<TraceCache> pool_;
     std::shared_ptr<const ExecutionTrace> trace_;
     std::uint64_t replays_ = 0;
     std::uint64_t records_ = 0;

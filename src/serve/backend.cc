@@ -18,38 +18,29 @@ Backend::serveBatch(
     return runBounded(max_cycles);
 }
 
-SessionBackend::SessionBackend(Lowering &lw, LoweredTensor input,
+SessionBackend::SessionBackend(Lowering &lw, SharedProgram prog,
+                               LoweredTensor input,
                                LoweredTensor output, ChipConfig cfg)
-    : inputSlot_(std::move(input)), outputSlot_(std::move(output)),
-      sess_(lw, cfg), lwKey_(&lw)
+    : EngineBackend(InferenceSession(lw, std::move(prog), cfg)),
+      inputSlot_(std::move(input)), outputSlot_(std::move(output))
 {
 }
 
 SessionBackend::SessionBackend(BatchProgramCache &cache,
                                ChipConfig cfg)
-    : cache_(&cache), boundBp_(cache.acquire(1)),
-      sess_(*boundBp_->lw, boundBp_->prog, cfg)
+    : SessionBackend(cache.acquire(1), cache.maxBatch(), cfg)
 {
-    inputSlot_ = boundBp_->inputs[0];
-    outputSlot_ = boundBp_->outputs[0];
+    cache_ = &cache;
 }
 
 SessionBackend::SessionBackend(std::shared_ptr<BatchProgram> initial,
                                int max_batch, ChipConfig cfg)
-    : boundBp_(std::move(initial)), maxBatch_(max_batch),
-      sess_(*boundBp_->lw, boundBp_->prog, cfg)
+    : EngineBackend(InferenceSession(*initial->lw, initial->prog, cfg)),
+      inputSlot_(initial->inputs[0]), outputSlot_(initial->outputs[0]),
+      boundBp_(std::move(initial)), maxBatch_(max_batch),
+      bound_(boundBp_->batch)
 {
-    TSP_ASSERT(boundBp_ != nullptr);
     TSP_ASSERT(max_batch >= 1);
-    inputSlot_ = boundBp_->inputs[0];
-    outputSlot_ = boundBp_->outputs[0];
-    bound_ = boundBp_->batch;
-}
-
-int
-SessionBackend::maxBatch() const
-{
-    return cache_ ? cache_->maxBatch() : maxBatch_;
 }
 
 void
@@ -90,7 +81,7 @@ SessionBackend::resetBatch(int batch)
     // Multi-model mode: the worker loop bindProgram()s the job's
     // pinned program first, so the armed batch size must already
     // match here.
-    TSP_ASSERT(cache_ || !boundBp_ || bound_ == batch);
+    TSP_ASSERT(bound_ == batch);
     sess_.reset();
 }
 
@@ -108,42 +99,6 @@ SessionBackend::writeSample(int sample,
     sess_.writeTensor(inputSlot_, input);
 }
 
-void
-SessionBackend::attachTraceCache(std::shared_ptr<TraceCache> t)
-{
-    traces_ = std::move(t);
-    sess_.enableReplay(traces_ != nullptr);
-}
-
-TraceKey
-SessionBackend::traceKey() const
-{
-    // Pointer identity alone would be an ABA hazard (a retired
-    // program's address can be reused by a different one); the chip's
-    // cached program content hash disambiguates.
-    const void *ptr = boundBp_
-                          ? static_cast<const void *>(sess_.program())
-                          : static_cast<const void *>(lwKey_);
-    return {ptr, sess_.chip().programHash()};
-}
-
-RunResult
-SessionBackend::runBounded(Cycle max_cycles)
-{
-    if (!traces_)
-        return sess_.runBounded(max_cycles);
-    // Seed the session from the pool cache (another worker may have
-    // recorded this program already); publish a fresh recording back.
-    const TraceKey key = traceKey();
-    if (!sess_.trace())
-        sess_.setTrace(traces_->find(key));
-    const bool had = sess_.trace() != nullptr;
-    const RunResult r = sess_.runBounded(max_cycles);
-    if (!had && sess_.trace())
-        traces_->insert(key, sess_.trace());
-    return r;
-}
-
 ref::QTensor
 SessionBackend::readSample(int sample) const
 {
@@ -153,26 +108,6 @@ SessionBackend::readSample(int sample) const
     }
     TSP_ASSERT(sample == 0);
     return sess_.readTensor(outputSlot_);
-}
-
-std::uint64_t
-SessionBackend::correctedErrors() const
-{
-    return sess_.chip().stats().get("ecc_corrected");
-}
-
-std::uint64_t
-SessionBackend::machineCheckCount() const
-{
-    return sess_.chip().machineCheckCount();
-}
-
-Cycle
-SessionBackend::totalCycles() const
-{
-    // Lifetime accounting: the current chip's clock alone forgets
-    // cycles burned on engines condemned and rebuilt along the way.
-    return sess_.totalCycles();
 }
 
 namespace {
@@ -193,14 +128,15 @@ allReducePrograms(const Pod &pod, int batch)
 
 PodBackend::PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
                        int max_batch)
-    : sess_(chips, wire_latency, cfg)
+    : EngineBackend(InferenceSession(chips, wire_latency, cfg))
 {
     TSP_ASSERT(max_batch >= 1 &&
                max_batch <= AllReducePlan::kMaxBatch);
     progs_.reserve(static_cast<std::size_t>(max_batch));
     for (int b = 1; b <= max_batch; ++b)
         progs_.push_back(allReducePrograms(sess_.pod(), b));
-    sess_.loadPrograms(progs_[0]);
+    sess_.bind(progs_[0]);
+    sess_.reset();
 }
 
 Cycle
@@ -222,8 +158,9 @@ PodBackend::serviceCyclesTable(int chips, Cycle wire_latency,
     std::vector<Cycle> table;
     table.reserve(static_cast<std::size_t>(max_batch));
     for (int b = 1; b <= max_batch; ++b) {
-        PodSession calib(chips, wire_latency, cfg);
-        calib.loadPrograms(allReducePrograms(calib.pod(), b));
+        InferenceSession calib(chips, wire_latency, cfg);
+        calib.bind(allReducePrograms(calib.pod(), b));
+        calib.reset();
         const RunResult r = calib.runBounded();
         TSP_ASSERT(r.completed);
         table.push_back(r.cycles);
@@ -254,69 +191,33 @@ void
 PodBackend::resetBatch(int batch)
 {
     TSP_ASSERT(batch >= 1 && batch <= maxBatch());
-    // reset() first: it rebuilds a condemned/timed-out pod (derived
-    // fault seeds) before any program swap touches the members.
-    sess_.reset();
     if (batch != bound_) {
-        sess_.loadPrograms(progs_[static_cast<std::size_t>(
-            batch - 1)]);
+        sess_.bind(progs_[static_cast<std::size_t>(batch - 1)]);
         bound_ = batch;
     }
+    sess_.reset();
 }
 
 void
 PodBackend::writeSample(int sample,
                         const std::vector<std::int8_t> &input)
 {
-    const int n = sess_.pod().size();
-    TSP_ASSERT(input.size() == inputBytes(n));
+    Pod &pod = sess_.pod();
+    TSP_ASSERT(input.size() == inputBytes(pod.size()));
     Vec320 v;
-    for (int c = 0; c < n; ++c) {
+    for (int c = 0; c < pod.size(); ++c) {
         for (int i = 0; i < kLanes; ++i) {
             v.bytes[static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>(
                     input[static_cast<std::size_t>(c) * kLanes +
                           static_cast<std::size_t>(i)]);
         }
-        sess_.writeWord(c, Hemisphere::East, AllReducePlan::kSlice,
-                        AllReducePlan::kLocalAddr +
-                            static_cast<MemAddr>(sample),
-                        v);
+        pod.chip(c)
+            .mem(Hemisphere::East, AllReducePlan::kSlice)
+            .backdoorWrite(AllReducePlan::kLocalAddr +
+                               static_cast<MemAddr>(sample),
+                           v);
     }
-}
-
-void
-PodBackend::attachTraceCache(std::shared_ptr<TraceCache> t)
-{
-    traces_ = std::move(t);
-    sess_.enableReplay(traces_ != nullptr);
-}
-
-RunResult
-PodBackend::runBounded(Cycle max_cycles)
-{
-    if (!traces_)
-        return sess_.runBounded(max_cycles);
-    // Keyed by this backend's compiled batch-b collective: the trace
-    // survives batch switches (loadPrograms drops the session's own
-    // reference) and LRU-competes with every other program in the
-    // pool. Content-fingerprinted against pointer reuse (ABA) by
-    // folding the members' carried hashes.
-    const std::vector<SharedProgram> &progs =
-        progs_[static_cast<std::size_t>(bound_ - 1)];
-    std::uint64_t fingerprint = 0;
-    for (const SharedProgram &p : progs) {
-        fingerprint ^= p.hash() + 0x9e3779b97f4a7c15ull +
-                       (fingerprint << 6) + (fingerprint >> 2);
-    }
-    const TraceKey key(&progs, fingerprint);
-    if (!sess_.trace())
-        sess_.setTrace(traces_->find(key));
-    const bool had = sess_.trace() != nullptr;
-    const RunResult r = sess_.runBounded(max_cycles);
-    if (!had && sess_.trace())
-        traces_->insert(key, sess_.trace());
-    return r;
 }
 
 ref::QTensor
@@ -325,37 +226,15 @@ PodBackend::readSample(int sample) const
     // Every member holds the reduced vector after the broadcast;
     // chip 0 is the designated reader.
     const Vec320 v =
-        sess_.readWord(0, Hemisphere::East, AllReducePlan::kSlice,
-                       AllReducePlan::kResultAddr +
-                           static_cast<MemAddr>(sample));
+        sess_.chip()
+            .mem(Hemisphere::East, AllReducePlan::kSlice)
+            .backdoorRead(AllReducePlan::kResultAddr +
+                          static_cast<MemAddr>(sample));
     ref::QTensor out(1, 1, kLanes);
     for (int i = 0; i < kLanes; ++i)
         out.at(0, 0, i) = static_cast<std::int8_t>(
             v.bytes[static_cast<std::size_t>(i)]);
     return out;
-}
-
-std::uint64_t
-PodBackend::correctedErrors() const
-{
-    return sess_.stats().get("ecc_corrected");
-}
-
-std::uint64_t
-PodBackend::machineCheckCount() const
-{
-    std::uint64_t n = 0;
-    const Pod &pod = sess_.pod();
-    for (int c = 0; c < pod.size(); ++c)
-        n += pod.chip(c).machineCheckCount();
-    return n;
-}
-
-Cycle
-PodBackend::totalCycles() const
-{
-    // Lifetime accounting across rebuilds, as in SessionBackend.
-    return sess_.totalCycles();
 }
 
 } // namespace tsp::serve

@@ -4,8 +4,10 @@
  *
  * A worker thread doesn't care what is behind a request: one chip
  * running a compiled model (SessionBackend) or an N-chip pod running
- * a statically scheduled collective (PodBackend). Both expose the
- * same deterministic contract the admission controller relies on —
+ * a statically scheduled collective (PodBackend). Both run on one
+ * engine, an InferenceSession over a pod of N >= 1 chips
+ * (EngineBackend), and expose the same deterministic contract the
+ * admission controller relies on —
  * a completed run always consumes exactly the same cycle count —
  * plus the reliability surface (reset-rebuilds, machine-check and
  * corrected-error counters) the retry policy drives.
@@ -29,7 +31,6 @@
 #include "compiler/lowering.hh"
 #include "graph/batch_program.hh"
 #include "ref/qnn.hh"
-#include "runtime/pod_session.hh"
 #include "runtime/session.hh"
 
 namespace tsp::serve {
@@ -171,42 +172,35 @@ class Backend
 };
 
 /**
- * A single-chip backend over one compiled model, optionally with a
- * BatchProgramCache enabling multi-sample programs (weights installed
- * once per batch, per-sample activations — see graph/batch_program).
+ * The engine lifecycle both concrete backends share: one
+ * InferenceSession over a pod of N >= 1 chips carries the run,
+ * reliability, replay and migration surface. A subclass keeps only
+ * which programs a batch size binds and where a sample's bytes live
+ * in chip memory.
  */
-class SessionBackend final : public Backend
+class EngineBackend : public Backend
 {
   public:
-    /** @param lw must outlive the backend (image re-read on reset). */
-    SessionBackend(Lowering &lw, LoweredTensor input,
-                   LoweredTensor output, ChipConfig cfg);
-
-    /** Batch-capable: @p cache must outlive the backend. */
-    SessionBackend(BatchProgramCache &cache, ChipConfig cfg);
-
-    /**
-     * Multi-model form: starts bound to @p initial (pinned by the
-     * shared_ptr, so registry eviction cannot invalidate it) and
-     * re-binds whatever program each batch job carries via
-     * bindProgram(). @p max_batch is the largest batch any family
-     * compiles (per-family caps are enforced at admission).
-     */
-    SessionBackend(std::shared_ptr<BatchProgram> initial,
-                   int max_batch, ChipConfig cfg);
-
-    int maxBatch() const override;
-    std::size_t expectedInputBytes() const override;
-    void resetBatch(int batch) override;
-    void writeSample(int sample,
-                     const std::vector<std::int8_t> &input) override;
-    RunResult runBounded(Cycle max_cycles) override;
-    ref::QTensor readSample(int sample) const override;
-    std::uint64_t correctedErrors() const override;
-    std::uint64_t machineCheckCount() const override;
-    Cycle totalCycles() const override;
+    RunResult runBounded(Cycle max_cycles) override
+    {
+        return sess_.runBounded(max_cycles);
+    }
+    std::uint64_t correctedErrors() const override
+    {
+        return sess_.correctedErrors();
+    }
+    std::uint64_t machineCheckCount() const override
+    {
+        return sess_.machineCheckCount();
+    }
+    /** Lifetime accounting: the current pod's clocks alone forget
+     *  cycles burned on engines condemned and rebuilt. */
+    Cycle totalCycles() const override { return sess_.totalCycles(); }
     int rebuilds() const override { return sess_.rebuilds(); }
-    void attachTraceCache(std::shared_ptr<TraceCache> t) override;
+    void attachTraceCache(std::shared_ptr<TraceCache> t) override
+    {
+        sess_.enableReplay(t != nullptr, t);
+    }
     std::uint64_t replayCount() const override
     {
         return sess_.replayCount();
@@ -228,14 +222,61 @@ class SessionBackend final : public Backend
         return sess_.migrateAndResume(max_cycles);
     }
     int migrations() const override { return sess_.migrations(); }
+    /** The bound image's DMA time; 0 for backdoor-staged pods. */
     double rebuildPenaltySec() const override
     {
         return sess_.dmaSeconds();
     }
-    void bindProgram(std::shared_ptr<BatchProgram> bp) override;
 
-    /** @return the underlying session (tests). */
+    /** @return the underlying session (tests, benchmarks). */
     InferenceSession &session() { return sess_; }
+
+  protected:
+    explicit EngineBackend(InferenceSession sess)
+        : sess_(std::move(sess))
+    {
+    }
+
+    InferenceSession sess_;
+};
+
+/**
+ * A single-chip backend over one compiled model, optionally with a
+ * BatchProgramCache enabling multi-sample programs (weights installed
+ * once per batch, per-sample activations — see graph/batch_program).
+ */
+class SessionBackend final : public EngineBackend
+{
+  public:
+    /**
+     * @param lw must outlive the backend (image re-read on reset).
+     * @param prog @p lw's assembled program; a pool passes every
+     *        worker the same one, so its traces are shared.
+     */
+    SessionBackend(Lowering &lw, SharedProgram prog,
+                   LoweredTensor input, LoweredTensor output,
+                   ChipConfig cfg);
+
+    /** Batch-capable: @p cache must outlive the backend. */
+    SessionBackend(BatchProgramCache &cache, ChipConfig cfg);
+
+    /**
+     * Multi-model form: starts bound to @p initial (pinned by the
+     * shared_ptr, so registry eviction cannot invalidate it) and
+     * re-binds whatever program each batch job carries via
+     * bindProgram(). @p max_batch is the largest batch any family
+     * compiles (per-family caps are enforced at admission).
+     */
+    SessionBackend(std::shared_ptr<BatchProgram> initial,
+                   int max_batch, ChipConfig cfg);
+
+    int maxBatch() const override { return maxBatch_; }
+    std::size_t expectedInputBytes() const override;
+    void resetBatch(int batch) override;
+    void writeSample(int sample,
+                     const std::vector<std::int8_t> &input) override;
+    ref::QTensor readSample(int sample) const override;
+    void bindProgram(std::shared_ptr<BatchProgram> bp) override;
 
   private:
     LoweredTensor inputSlot_;
@@ -244,20 +285,8 @@ class SessionBackend final : public Backend
     /** Pinned program currently armed (batch-cache and multi-model
      * modes); null in single-Lowering mode. */
     std::shared_ptr<BatchProgram> boundBp_;
-    int maxBatch_ = 1; ///< Multi-model mode's global batch cap.
-    int bound_ = 1;    ///< Batch size the session is bound to.
-    InferenceSession sess_;
-    std::shared_ptr<TraceCache> traces_;
-    /**
-     * Cache key for the currently bound program. Batch-cache backends
-     * key by the cache's shared AsmProgram (one entry per batch size,
-     * shared by every worker over the same BatchProgramCache);
-     * Lowering-backed backends key by the Lowering, which every
-     * worker of a pool shares even though each session compiled its
-     * own (identical) program copy.
-     */
-    TraceKey traceKey() const;
-    const Lowering *lwKey_ = nullptr;
+    int maxBatch_ = 1;
+    int bound_ = 1; ///< Batch size the session is bound to.
 };
 
 /**
@@ -268,7 +297,7 @@ class SessionBackend final : public Backend
  * holds one compiled batched collective per batch size (samples
  * pipelined around the ring — see c2c/collective.hh).
  */
-class PodBackend final : public Backend
+class PodBackend final : public EngineBackend
 {
   public:
     PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
@@ -301,46 +330,13 @@ class PodBackend final : public Backend
     void resetBatch(int batch) override;
     void writeSample(int sample,
                      const std::vector<std::int8_t> &input) override;
-    RunResult runBounded(Cycle max_cycles) override;
     ref::QTensor readSample(int sample) const override;
-    std::uint64_t correctedErrors() const override;
-    std::uint64_t machineCheckCount() const override;
-    Cycle totalCycles() const override;
-    int rebuilds() const override { return sess_.rebuilds(); }
-    void attachTraceCache(std::shared_ptr<TraceCache> t) override;
-    std::uint64_t replayCount() const override
-    {
-        return sess_.replayCount();
-    }
-    std::uint64_t recordCount() const override
-    {
-        return sess_.recordCount();
-    }
-    void enableSnapshots(Cycle every) override
-    {
-        sess_.enableSnapshots(every);
-    }
-    bool canMigrate() const override
-    {
-        return sess_.lastSnapshot() != nullptr;
-    }
-    RunResult migrateAndResume(Cycle max_cycles) override
-    {
-        return sess_.migrateAndResume(max_cycles);
-    }
-    int migrations() const override { return sess_.migrations(); }
-    // Pod inputs are backdoor-staged; rebuilds carry no modeled DMA.
-
-    /** @return the underlying pod session (tests). */
-    PodSession &session() { return sess_; }
 
   private:
-    PodSession sess_;
     /** progs_[b-1]: the compiled batch-b collective, one program per
      *  member, each hashed once here. */
     std::vector<std::vector<SharedProgram>> progs_;
-    int bound_ = 1; ///< Batch size currently loaded.
-    std::shared_ptr<TraceCache> traces_;
+    int bound_ = 1; ///< Batch size currently bound.
 };
 
 } // namespace tsp::serve

@@ -109,8 +109,7 @@ ModelRegistry::evictOverBudget(int keep_m, int keep_b)
         // must not pin the shared trace-cache byte budget until a
         // lookup happens to miss on them.
         if (traces_)
-            traces_->invalidate(
-                {evicted->prog.get(), evicted->prog.hash()});
+            traces_->invalidate(traceKeyOf({evicted->prog}));
     }
 }
 

@@ -10,9 +10,13 @@ InferenceServer::InferenceServer(Lowering &lw, LoweredTensor input,
                                  LoweredTensor output,
                                  ServerConfig cfg)
     : InferenceServer(
-          [&lw, &input, &output, &cfg](int) {
+          // Assembled once: every worker borrows the same program, so
+          // its trace key is one identity pool-wide.
+          [&lw, &input, &output, &cfg,
+           prog = SharedProgram(lw.program().toAsm(
+               /*with_preamble=*/true))](int) {
               return std::make_unique<SessionBackend>(
-                  lw, input, output, cfg.chip);
+                  lw, prog, input, output, cfg.chip);
           },
           lw.finishCycle(), cfg)
 {
@@ -54,21 +58,6 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
 {
 }
 
-namespace {
-
-/** Multi-model servers with > 1 family require pinned dispatch: the
- * weight swap a booking paid for must happen on the worker it was
- * booked on, or the staged-model tracking is fiction. */
-ServerConfig
-forceMultiModel(ServerConfig cfg, int models)
-{
-    if (models > 1)
-        cfg.pinnedDispatch = true;
-    return cfg;
-}
-
-} // namespace
-
 InferenceServer::InferenceServer(ModelRegistry &registry,
                                  ServerConfig cfg)
     : InferenceServer(
@@ -90,7 +79,7 @@ InferenceServer::InferenceServer(ModelRegistry &registry,
               // (conv-placement cache), so batch-1's image is the
               // family's staging cost.
               [&registry](int m) { return registry.swapSec(m, 1); }},
-          &registry, forceMultiModel(cfg, registry.modelCount()))
+          &registry, cfg)
 {
 }
 
@@ -105,7 +94,7 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
               },
               [&registry](int m) { return registry.maxBatch(m); },
               [&registry](int m) { return registry.swapSec(m, 1); }},
-          &registry, forceMultiModel(cfg, registry.modelCount()))
+          &registry, cfg)
 {
 }
 
@@ -124,13 +113,11 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
     classes_ = cfg_.sloClasses;
     if (classes_.empty())
         classes_.push_back(SloClass{});
-    // One shared work-stealing queue, or one FIFO per worker under
-    // pinned dispatch (each sealed batch goes to the worker its
+    // One FIFO per worker: each sealed batch goes to the worker its
     // booking assumed, so the engine that serves a request is a pure
-    // function of the admission history).
-    const int nq = cfg_.pinnedDispatch ? cfg_.workers : 1;
-    queues_.reserve(static_cast<std::size_t>(nq));
-    for (int q = 0; q < nq; ++q)
+    // function of the admission history.
+    queues_.reserve(static_cast<std::size_t>(cfg_.workers));
+    for (int w = 0; w < cfg_.workers; ++w)
         queues_.push_back(std::make_unique<BoundedQueue<BatchJob>>(
             cfg_.queueCapacity));
     backends_.reserve(static_cast<std::size_t>(cfg_.workers));
@@ -407,9 +394,8 @@ InferenceServer::submitImpl(int model, int slo_class,
     // Backpressure check *before* booking so a full queue never
     // leaves a phantom reservation in the admission state. Only
     // submitters (serialized here) add to a queue, so a non-full
-    // observation cannot be invalidated before our push. Under
-    // pinned dispatch the relevant queue is the one this booking
-    // would land on.
+    // observation cannot be invalidated before our push. The
+    // relevant queue is the one this booking would land on.
     if (on_full == OnFull::Reject &&
         queueFor(admission_.bestWorkerFor(model, arrival_sec))
             .full())

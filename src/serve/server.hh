@@ -6,10 +6,12 @@
  * owning its own InferenceSession (one simulated chip). Requests
  * flow through a deadline-aware admission controller (exact, because
  * the schedule's cycle count is known before it runs — paper Eq. 4,
- * IV.F, V.c), then a bounded FIFO queue with backpressure, and are
- * executed by whichever worker frees up first. Per-request outcomes,
- * latency distributions and throughput are aggregated in
- * ServerMetrics and dumped as JSON.
+ * IV.F, V.c), then a bounded FIFO queue with backpressure, one per
+ * worker: each sealed batch runs on the worker its booking chose, so
+ * the engine that serves a request — and, with fault injection live,
+ * which request absorbs which upset — is a pure function of the
+ * admission history. Per-request outcomes, latency distributions and
+ * throughput are aggregated in ServerMetrics and dumped as JSON.
  *
  * Batching: with batchMax > 1 (and a batch-capable backend), submit()
  * doubles as the batcher. The first admitted request *opens* a batch;
@@ -99,7 +101,8 @@ struct ServerConfig
     /** Worker threads == simulated chips (>= 1). */
     int workers = 2;
 
-    /** Bounded request-queue capacity (backpressure point). */
+    /** Sealed batches each worker's FIFO may hold (the
+     *  backpressure point; the bound is per worker). */
     std::size_t queueCapacity = 64;
 
     /**
@@ -163,19 +166,6 @@ struct ServerConfig
      * batch.
      */
     double batchWindowSec = 0.0;
-
-    /**
-     * Pinned dispatch: pin each sealed batch to the worker the admission
-     * controller booked it on (per-worker FIFO queues) instead of
-     * letting whichever worker frees up first take it. Throughput is
-     * unchanged (the booking already assumes the assignment), but the
-     * *physical* engine that executes each request becomes a pure
-     * function of the admission history — so with fault injection
-     * enabled, which request absorbs which upset replays identically
-     * run after run. The fleet soak layer requires this; default off
-     * preserves the legacy work-stealing behavior.
-     */
-    bool pinnedDispatch = false;
 
     /**
      * Called once for every resolved request (all outcomes), after
@@ -275,9 +265,8 @@ class InferenceServer
      * @p registry. Each worker starts staged with family 0; batch
      * jobs carry a registry-pinned program, weight swaps between
      * families are booked exactly into admission, and
-     * submitModel() routes per request. With more than one family
-     * pinned dispatch is forced on — the swap a booking pays for
-     * must happen on the worker it was booked on. @p registry must
+     * submitModel() routes per request; the swap a booking pays for
+     * happens on the worker it was booked on. @p registry must
      * outlive the server.
      */
     explicit InferenceServer(ModelRegistry &registry,
@@ -485,9 +474,7 @@ class InferenceServer
     /** @return the queue feeding worker @p w's batches. */
     BoundedQueue<BatchJob> &queueFor(int w)
     {
-        return *queues_[cfg_.pinnedDispatch
-                            ? static_cast<std::size_t>(w)
-                            : 0];
+        return *queues_[static_cast<std::size_t>(w)];
     }
 
     const ServerConfig cfg_;
@@ -496,7 +483,7 @@ class InferenceServer
     std::vector<SloClass> classes_;
 
     AdmissionController admission_;
-    /** One shared queue, or one per worker under pinnedDispatch. */
+    /** One FIFO per worker, fed by the bookings. */
     std::vector<std::unique_ptr<BoundedQueue<BatchJob>>> queues_;
 
     std::vector<std::unique_ptr<Backend>> backends_;

@@ -583,6 +583,20 @@ Chip::totalMaccOps() const
     return total;
 }
 
+std::uint64_t
+Chip::correctedErrorCount() const
+{
+    std::uint64_t n =
+        memIo_->correctedErrors() + vxm_->io().correctedErrors();
+    for (const auto &m : memSlices_)
+        n += m.correctedErrors();
+    for (const auto &s : sxm_)
+        n += s->io().correctedErrors();
+    for (const auto &p : mxm_)
+        n += p->io().correctedErrors();
+    return n;
+}
+
 StatGroup
 Chip::stats() const
 {
@@ -633,9 +647,7 @@ Chip::stats() const
     g.set("ecc_uncorrectable_sxm", sxm_unc);
     g.set("ecc_corrected_mxm", mxm_cor);
     g.set("ecc_uncorrectable_mxm", mxm_unc);
-    g.set("ecc_corrected", sram_cor + memIo_->correctedErrors() +
-                               vxm_->io().correctedErrors() + sxm_cor +
-                               mxm_cor);
+    g.set("ecc_corrected", correctedErrorCount());
     g.set("ecc_uncorrectable",
           sram_unc + memIo_->uncorrectableErrors() +
               vxm_->io().uncorrectableErrors() + sxm_unc + mxm_unc);

@@ -143,6 +143,10 @@ class Chip
     /** @return total uncorrectable errors raised chip-wide. */
     std::uint64_t machineCheckCount() const { return mcheck_->raises(); }
 
+    /** @return single-bit corrections chip-wide (stats()'s
+     *  "ecc_corrected"), without building the stats map. */
+    std::uint64_t correctedErrorCount() const;
+
     /** @return the fault injector, or nullptr when injection is off. */
     const FaultInjector *faultInjector() const { return faults_.get(); }
 

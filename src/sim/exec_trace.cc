@@ -334,6 +334,18 @@ replayTrace(const ExecutionTrace &trace,
     TSP_ASSERT(player.drained());
 }
 
+TraceKey
+traceKeyOf(const std::vector<SharedProgram> &programs)
+{
+    TSP_ASSERT(!programs.empty());
+    std::uint64_t fingerprint = 0;
+    for (const SharedProgram &p : programs) {
+        fingerprint ^= p.hash() + 0x9e3779b97f4a7c15ull +
+                       (fingerprint << 6) + (fingerprint >> 2);
+    }
+    return {programs.front().get(), fingerprint};
+}
+
 std::shared_ptr<const ExecutionTrace>
 TraceCache::find(const TraceKey &key)
 {

@@ -26,7 +26,7 @@
  * written outside any StreamIo (kTapeUntagged), or a cycle offset
  * overflowing 32 bits. Callers must not record with fault injection
  * armed — an injector mutates consumed values in ways the tape does
- * not capture (InferenceSession/PodSession gate on this).
+ * not capture (InferenceSession gates on this).
  */
 
 #ifndef TSP_SIM_EXEC_TRACE_HH
@@ -41,6 +41,7 @@
 
 #include "isa/instruction.hh"
 #include "sim/power.hh"
+#include "sim/program.hh"
 #include "stream/trace_tape.hh"
 
 namespace tsp {
@@ -202,10 +203,6 @@ void replayTrace(const ExecutionTrace &trace,
                  const std::vector<Chip *> &chips);
 
 /**
- * A byte-bounded LRU cache of execution traces shared by a serving
- * pool's workers, keyed by compiled-program identity. Thread-safe.
- */
-/**
  * TraceCache key: an identity pointer *plus* a content fingerprint
  * (e.g. hashProgram() of the compiled program). The pointer alone is
  * an ABA hazard: retire a program, allocate a different one at the
@@ -245,6 +242,18 @@ struct TraceKeyHash
     }
 };
 
+/**
+ * @return the key of a bound program set, one program per pod member
+ * in ring order: the first program's identity plus a fold of every
+ * member's carried hash. The one definition shared by the session's
+ * lookups and the model registry's eager invalidation.
+ */
+TraceKey traceKeyOf(const std::vector<SharedProgram> &programs);
+
+/**
+ * A byte-bounded LRU cache of execution traces shared by a serving
+ * pool's workers, keyed by compiled-program identity. Thread-safe.
+ */
 class TraceCache
 {
   public:

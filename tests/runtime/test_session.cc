@@ -2,7 +2,9 @@
  * @file
  * Host runtime: DMA-time model, latency accounting, tensor readback
  * geometry, back-to-back sessions on fresh chips, the pre-encoded DMA
- * image, and programs borrowed by chips with their carried hash.
+ * image, programs borrowed by chips with their carried hash, a
+ * single-chip session as a pod of one, and the typed corrected-error
+ * counter.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <memory>
 
 #include "common/rng.hh"
+#include "common/seed.hh"
 #include "mem/ecc.hh"
 #include "model/resnet.hh"
 #include "runtime/session.hh"
@@ -240,6 +243,101 @@ TEST(Session, ChipKeepsBorrowedProgramAlive)
 
     chip.reset();
     EXPECT_TRUE(weak.expired());
+}
+
+/** @return a tiny-net config with single-bit upsets live. */
+ChipConfig
+singleBitFaults()
+{
+    ChipConfig cfg;
+    cfg.fault.seed = 0x0d1eull;
+    cfg.fault.memReadRate = 1e-3;
+    cfg.fault.memWriteRate = 1e-3;
+    cfg.fault.streamRate = 1e-3;
+    cfg.fault.doubleBitFraction = 0.0;
+    return cfg;
+}
+
+TEST(Session, PodOfOneIsABareChip)
+{
+    // A single-chip session runs on a pod of one. With faults live on
+    // a fixed seed it must be the bare chip driven by hand, bit for
+    // bit — and so must its first rebuild, against a bare chip seeded
+    // as the rebuild derives.
+    Graph g = model::buildTinyNet(7, 8, 8, 4);
+    Lowering lw(true);
+    const auto tensors = g.lower(lw, randomInput(8 * 8 * 4, 21));
+    const ActTensor &out = tensors.at(g.outputNode()).t;
+    const ChipConfig cfg = singleBitFaults();
+
+    auto outputBytes = [&out](const Chip &chip) {
+        std::vector<std::uint8_t> bytes;
+        for (int y = 0; y < out.height; ++y) {
+            for (int x = 0; x < out.width; ++x) {
+                for (int kg = 0; kg < out.kgCount; ++kg) {
+                    const GlobalAddr a =
+                        out.addrOf(out.ownerOf(y), y, x, kg);
+                    const Vec320 v =
+                        chip.mem(a.hem, a.slice).backdoorRead(a.addr);
+                    bytes.insert(bytes.end(), v.bytes.begin(),
+                                 v.bytes.end());
+                }
+            }
+        }
+        return bytes;
+    };
+    auto expectBare = [&](const InferenceSession &sess,
+                          ChipConfig bare_cfg, const char *what) {
+        Chip bare(bare_cfg);
+        bare.loadProgram(lw.program().toAsm(/*with_preamble=*/true));
+        lw.image().applyTo(bare);
+        ASSERT_TRUE(bare.runBounded(500'000'000)) << what;
+        const Chip &chip = sess.chip();
+        EXPECT_EQ(sess.cycles(), bare.now()) << what;
+        EXPECT_EQ(chip.stats().all(), bare.stats().all()) << what;
+        EXPECT_EQ(chip.power().totalEnergyJ(),
+                  bare.power().totalEnergyJ())
+            << what;
+        EXPECT_EQ(outputBytes(chip), outputBytes(bare)) << what;
+        // Every other SRAM word (with its check bits) and register too.
+        EXPECT_EQ(chipState(chip), chipState(bare)) << what;
+    };
+
+    InferenceSession sess(lw, cfg);
+    ASSERT_EQ(sess.pod().size(), 1);
+    ASSERT_TRUE(sess.runBounded().completed);
+    // The upsets struck and were corrected, so the check has teeth.
+    EXPECT_GT(sess.chip().stats().get("ecc_corrected"), 0u);
+    expectBare(sess, cfg, "first run");
+
+    // Force a timeout: the next reset() rebuilds the pod with the
+    // first EngineRebuild seed.
+    sess.reset();
+    ASSERT_EQ(sess.runBounded(/*max_cycles=*/10).status,
+              RunStatus::CycleLimit);
+    sess.reset();
+    ASSERT_EQ(sess.rebuilds(), 1);
+    ASSERT_TRUE(sess.runBounded().completed);
+    ChipConfig rebuilt = cfg;
+    rebuilt.fault.seed =
+        deriveSeed(cfg.fault.seed, SeedDomain::EngineRebuild, 1);
+    expectBare(sess, rebuilt, "rebuilt");
+}
+
+TEST(Session, CorrectedErrorCountMatchesStats)
+{
+    // The typed counter is the one definition stats() reports as
+    // ecc_corrected; the session sums it over members.
+    Graph g = model::buildTinyNet(3, 8, 8, 4);
+    Lowering lw(true);
+    g.lower(lw, randomInput(8 * 8 * 4, 8));
+    InferenceSession sess(lw, singleBitFaults());
+    ASSERT_TRUE(sess.runBounded().completed);
+    const Chip &chip = sess.chip();
+    EXPECT_GT(chip.correctedErrorCount(), 0u);
+    EXPECT_EQ(chip.correctedErrorCount(),
+              chip.stats().get("ecc_corrected"));
+    EXPECT_EQ(sess.correctedErrors(), chip.correctedErrorCount());
 }
 
 } // namespace

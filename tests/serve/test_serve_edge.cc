@@ -192,7 +192,6 @@ TEST(ServeEdge, PinnedDispatchReplaysFaultOutcomes)
     auto runOnce = [] {
         ServerConfig cfg;
         cfg.workers = 2;
-        cfg.pinnedDispatch = true;
         cfg.maxRetries = 2;
         cfg.chip.fault.memReadRate = 1e-2;
         cfg.chip.fault.memWriteRate = 1e-2;

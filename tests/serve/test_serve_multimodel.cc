@@ -225,12 +225,41 @@ TEST(ModelRegistryTest, EvictionEagerlyInvalidatesTraces)
     tr->events.resize(64);
     const std::size_t tr_bytes = tr->memoryBytes();
     ASSERT_GT(tr_bytes, 0u);
-    traces->insert(TraceKey{pa->prog.get(), pa->prog.hash()}, tr);
+    traces->insert(traceKeyOf({pa->prog}), tr);
     EXPECT_EQ(traces->size(), 1u);
     EXPECT_EQ(traces->memoryBytes(), tr_bytes);
 
     // Swapping family b in evicts a's program — and its traces leave
     // the shared budget *immediately*, not on some later miss.
+    auto pb = reg.acquire(1, 1);
+    EXPECT_FALSE(reg.compiled(0, 1));
+    EXPECT_EQ(traces->size(), 0u);
+    EXPECT_EQ(traces->memoryBytes(), 0u);
+}
+
+TEST(ModelRegistryTest, EvictionDropsTheTraceASessionRecorded)
+{
+    // End to end: the key a session records under and the key the
+    // registry invalidates come from one definition (traceKeyOf), so
+    // a real recording leaves the pool when its program is evicted.
+    std::vector<ModelSpec> specs;
+    specs.push_back(makeSpec("a", 3, 1));
+    specs.push_back(makeSpec("b", 11, 1));
+    ModelRegistry reg(std::move(specs), /*budget_bytes=*/1);
+    auto traces = std::make_shared<TraceCache>();
+    reg.attachTraceCache(traces);
+
+    serve::SessionBackend be(reg.acquire(0, 1), 1, ChipConfig{});
+    be.attachTraceCache(traces);
+    be.reset();
+    be.writeInput(randomInput(5));
+    ASSERT_TRUE(be.runBounded(500'000'000).completed);
+    EXPECT_EQ(be.recordCount(), 1u);
+    EXPECT_EQ(traces->size(), 1u);
+    EXPECT_GT(traces->memoryBytes(), 0u);
+
+    // Family b under the 1-byte budget evicts a (still pinned by the
+    // backend), and a's recording leaves the pool with it.
     auto pb = reg.acquire(1, 1);
     EXPECT_FALSE(reg.compiled(0, 1));
     EXPECT_EQ(traces->size(), 0u);
@@ -567,7 +596,6 @@ TEST(MultiModelReduction, OneFamilyNoPreemptionBitIdenticalToPr8)
     cfg.workers = 2;
     cfg.batchMax = 2;
     cfg.batchWindowSec = 2e-7;
-    cfg.pinnedDispatch = true;
 
     auto drive = [&](InferenceServer &server) {
         Rng rng(42);

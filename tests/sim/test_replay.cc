@@ -25,7 +25,6 @@
 #include "isa/assembler.hh"
 #include "mem/ecc.hh"
 #include "model/resnet.hh"
-#include "runtime/pod_session.hh"
 #include "runtime/session.hh"
 #include "sim/chip.hh"
 #include "sim/exec_trace.hh"
@@ -426,17 +425,18 @@ TEST(Replay, PodAllReduceReplayIdentical)
     constexpr int kChips = 4;
     constexpr Cycle kWire = 12;
 
-    PodSession ref(kChips, kWire);
-    PodSession rep(kChips, kWire);
+    InferenceSession ref(kChips, kWire);
+    InferenceSession rep(kChips, kWire);
     rep.enableReplay();
-    for (PodSession *ps : {&ref, &rep}) {
+    for (InferenceSession *s : {&ref, &rep}) {
         std::vector<ScheduledProgram> programs;
-        buildRingAllReduce(ps->pod(), programs);
+        buildRingAllReduce(s->pod(), programs);
         std::vector<SharedProgram> shared;
         shared.reserve(programs.size());
         for (auto &p : programs)
             shared.emplace_back(p.toAsm());
-        ps->loadPrograms(std::move(shared));
+        s->bind(std::move(shared));
+        s->reset();
     }
 
     for (int run = 0; run < 3; ++run) {
@@ -451,31 +451,31 @@ TEST(Replay, PodAllReduceReplayIdentical)
                 v.bytes[static_cast<std::size_t>(l)] =
                     static_cast<std::uint8_t>(rng.intIn(-90, 90));
             }
-            for (PodSession *ps : {&ref, &rep}) {
-                ps->writeWord(c, Hemisphere::East,
-                              AllReducePlan::kSlice,
-                              AllReducePlan::kLocalAddr, v);
+            for (InferenceSession *s : {&ref, &rep}) {
+                s->pod()
+                    .chip(c)
+                    .mem(Hemisphere::East, AllReducePlan::kSlice)
+                    .backdoorWrite(AllReducePlan::kLocalAddr, v);
             }
         }
         ASSERT_TRUE(ref.runBounded().completed) << "run " << run;
         ASSERT_TRUE(rep.runBounded().completed) << "run " << run;
         EXPECT_EQ(ref.cycles(), rep.cycles()) << "run " << run;
-        EXPECT_EQ(ref.stats().all(), rep.stats().all())
-            << "run " << run;
         for (int c = 0; c < kChips; ++c) {
-            EXPECT_EQ(ref.readWord(c, Hemisphere::East,
-                                   AllReducePlan::kSlice,
-                                   AllReducePlan::kResultAddr)
+            const Chip &a = ref.pod().chip(c);
+            const Chip &b = rep.pod().chip(c);
+            EXPECT_EQ(a.stats().all(), b.stats().all())
+                << "run " << run << " chip " << c;
+            EXPECT_EQ(a.mem(Hemisphere::East, AllReducePlan::kSlice)
+                          .backdoorRead(AllReducePlan::kResultAddr)
                           .bytes,
-                      rep.readWord(c, Hemisphere::East,
-                                   AllReducePlan::kSlice,
-                                   AllReducePlan::kResultAddr)
+                      b.mem(Hemisphere::East, AllReducePlan::kSlice)
+                          .backdoorRead(AllReducePlan::kResultAddr)
                           .bytes)
                 << "run " << run << " chip " << c;
-            EXPECT_NEAR(
-                ref.pod().chip(c).power().totalEnergyJ(),
-                rep.pod().chip(c).power().totalEnergyJ(),
-                1e-9 * ref.pod().chip(c).power().totalEnergyJ())
+            EXPECT_NEAR(a.power().totalEnergyJ(),
+                        b.power().totalEnergyJ(),
+                        1e-9 * a.power().totalEnergyJ())
                 << "run " << run << " chip " << c;
         }
     }

@@ -17,7 +17,7 @@
  *     --rho R           offered load vs pool capacity (default 1.2)
  *     --slack S         deadline = arrival + S * service; 0 = none
  *                                                    (default 4)
- *     --queue N         bounded queue capacity       (default 64)
+ *     --queue N         per-worker queue capacity    (default 64)
  *     --model-seed S    tiny-net weight seed         (default 3)
  *     --seed S          request-stream seed          (default 1)
  *     --json FILE       also write the report as JSON
