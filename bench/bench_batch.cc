@@ -95,22 +95,18 @@ main()
     for (auto &v : warm)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
     const BatchProgramCache cache(tiny, warm, 8);
-    const auto &cb = cache.cyclesByBatch();
     std::printf("\nTSP batch-B compiled programs (tiny conv net, "
                 "exact compile-time cycles):\n");
     std::printf("%-8s %14s %18s\n", "batch", "cycles(B)",
                 "cycles/image");
     bool decreasing = true;
     for (int b = 1; b <= 8; b *= 2) {
-        const double per =
-            static_cast<double>(cb[static_cast<std::size_t>(b - 1)]) /
-            b;
+        const double per = static_cast<double>(cache.cycles(b)) / b;
         std::printf("%-8d %14llu %18.1f\n", b,
-                    static_cast<unsigned long long>(
-                        cb[static_cast<std::size_t>(b - 1)]),
+                    static_cast<unsigned long long>(cache.cycles(b)),
                     per);
         decreasing = decreasing &&
-                     (b == 1 || per < static_cast<double>(cb[0]));
+                     (b == 1 || per < static_cast<double>(cache.cycles(1)));
     }
     std::printf("shape check: amortized weight install makes TSP "
                 "per-image cycles decrease in B: %s\n",

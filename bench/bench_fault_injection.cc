@@ -57,9 +57,9 @@ struct PointResult
  * (uncorrectable by SECDED).
  */
 PointResult
-runPoint(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
-         const LoweredTensor &out_slot, double rate,
-         double double_frac, int n)
+runPoint(Graph &g, serve::ModelRegistry &reg,
+         const LoweredTensor &in_slot, double rate, double double_frac,
+         int n)
 {
     ServerConfig cfg;
     cfg.workers = 2;
@@ -70,7 +70,7 @@ runPoint(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
     cfg.chip.fault.memWriteRate = rate;
     cfg.chip.fault.streamRate = rate;
     cfg.chip.fault.doubleBitFraction = double_frac;
-    InferenceServer server(lw, in_slot, out_slot, cfg);
+    InferenceServer server(reg, cfg);
 
     const ActTensor &in = in_slot.t;
     const std::size_t in_bytes =
@@ -166,15 +166,14 @@ main(int argc, char **argv)
     std::vector<std::int8_t> input(8 * 8 * 4);
     for (auto &v : input)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(true);
-    const auto tensors = g.lower(lw, input);
-    const LoweredTensor &in_slot = tensors.at(0);
-    const LoweredTensor &out_slot = tensors.at(g.outputNode());
+    serve::ModelRegistry reg({{"tinynet", g, input}});
+    const std::shared_ptr<BatchProgram> bp = reg.acquire(0, 1);
+    const LoweredTensor &in_slot = bp->inputs[0];
 
     std::printf("model: tiny conv net, %llu cycles per inference; "
                 "pool: 2 chips, retry budget 2, %d requests/point, "
                 "double-bit fraction %.2f\n\n",
-                static_cast<unsigned long long>(lw.finishCycle()), n,
+                static_cast<unsigned long long>(bp->cycles), n,
                 kDoubleFrac);
 
     const auto wall0 = std::chrono::steady_clock::now();
@@ -184,8 +183,8 @@ main(int argc, char **argv)
     std::vector<PointResult> points;
     for (const double rate :
          {0.0, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3}) {
-        points.push_back(runPoint(g, lw, in_slot, out_slot, rate,
-                                  kDoubleFrac, n));
+        points.push_back(
+            runPoint(g, reg, in_slot, rate, kDoubleFrac, n));
         printPoint(points.back());
     }
     const double wall =
@@ -196,8 +195,7 @@ main(int argc, char **argv)
     JsonWriter j;
     j.beginObject();
     j.kv("bench", "fault_injection");
-    j.kv("service_cycles",
-         static_cast<std::uint64_t>(lw.finishCycle()));
+    j.kv("service_cycles", static_cast<std::uint64_t>(bp->cycles));
     j.kv("requests_per_point", static_cast<std::int64_t>(n));
     j.kv("double_bit_fraction", kDoubleFrac);
     j.key("points").beginArray();

@@ -48,8 +48,8 @@ struct PolicyResult
 };
 
 PolicyResult
-runPolicy(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
-          const LoweredTensor &out_slot, bool migrate, int n)
+runPolicy(Graph &g, serve::ModelRegistry &reg,
+          const LoweredTensor &in_slot, bool migrate, int n)
 {
     ServerConfig cfg;
     cfg.workers = 1;
@@ -61,7 +61,7 @@ runPolicy(Graph &g, Lowering &lw, const LoweredTensor &in_slot,
     // the per-batch migration bound is exhausted.
     cfg.maxRetries = 64;
     cfg.migrateOnMachineCheck = migrate;
-    InferenceServer server(lw, in_slot, out_slot, cfg);
+    InferenceServer server(reg, cfg);
 
     const ActTensor &in = in_slot.t;
     const std::size_t in_bytes =
@@ -120,16 +120,14 @@ main(int argc, char **argv)
     std::vector<std::int8_t> input(8 * 8 * 4);
     for (auto &v : input)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(true);
-    const auto tensors = g.lower(lw, input);
+    serve::ModelRegistry reg({{"tinynet", g, input}});
+    const std::shared_ptr<BatchProgram> bp = reg.acquire(0, 1);
 
     const auto wall0 = std::chrono::steady_clock::now();
     const PolicyResult mig =
-        runPolicy(g, lw, tensors.at(0), tensors.at(g.outputNode()),
-                  /*migrate=*/true, n);
+        runPolicy(g, reg, bp->inputs[0], /*migrate=*/true, n);
     const PolicyResult ret =
-        runPolicy(g, lw, tensors.at(0), tensors.at(g.outputNode()),
-                  /*migrate=*/false, n);
+        runPolicy(g, reg, bp->inputs[0], /*migrate=*/false, n);
     const double wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wall0)
@@ -138,7 +136,7 @@ main(int argc, char **argv)
     std::printf("model: tiny conv net, %llu cycles per inference; "
                 "%d requests per policy, double-bit stream strikes "
                 "at 2e-4/access\n\n",
-                static_cast<unsigned long long>(lw.finishCycle()), n);
+                static_cast<unsigned long long>(bp->cycles), n);
     std::printf("  policy   served  mchecks recoveries  "
                 "total_chip_cycles\n");
     std::printf("  migrate  %6llu  %7llu %10llu  %17llu\n",
@@ -156,8 +154,7 @@ main(int argc, char **argv)
     j.beginObject();
     j.kv("bench", "migration");
     j.kv("requests", static_cast<std::int64_t>(n));
-    j.kv("service_cycles",
-         static_cast<std::uint64_t>(lw.finishCycle()));
+    j.kv("service_cycles", static_cast<std::uint64_t>(bp->cycles));
     j.key("migrate")
         .beginObject()
         .kv("served", mig.served)

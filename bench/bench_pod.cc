@@ -165,17 +165,18 @@ main()
     for (const int n : {2, 4}) {
         serve::ServerConfig cfg;
         cfg.workers = 2;
-        const Cycle service = serve::PodBackend::serviceCycles(
-            n, /*wire_latency=*/25, cfg.chip);
-        const ChipConfig chip_cfg = cfg.chip;
         const Cycle wire = 25;
+        const std::vector<Cycle> table =
+            serve::PodBackend::serviceCyclesTable(n, wire, cfg.chip, 1);
+        const Cycle service = table[0];
+        const ChipConfig chip_cfg = cfg.chip;
         serve::InferenceServer server(
             [n, wire,
              chip_cfg](int) -> std::unique_ptr<serve::Backend> {
                 return std::make_unique<serve::PodBackend>(
                     n, wire, chip_cfg);
             },
-            service, cfg);
+            table, cfg);
         Rng rng(42);
         const double svc = server.serviceSec();
         double now = 0.0;

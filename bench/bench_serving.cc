@@ -61,23 +61,20 @@ struct PointResult
  * (slack <= 0: no deadline).
  */
 PointResult
-runPoint(Lowering &lw, const LoweredTensor &input_slot,
-         const LoweredTensor &output_slot, int workers, double rho,
+runPoint(serve::ModelRegistry &reg, int workers, double rho,
          double slack_services, int n, std::uint64_t seed)
 {
     ServerConfig cfg;
     cfg.workers = workers;
     cfg.queueCapacity = 256;
-    InferenceServer server(lw, input_slot, output_slot, cfg);
+    InferenceServer server(reg, cfg);
 
     const double service = server.serviceSec();
     const double mean_gap =
         service / (rho * static_cast<double>(workers));
     const double slack = slack_services * service;
 
-    const ActTensor &in = input_slot.t;
-    const std::size_t in_bytes =
-        static_cast<std::size_t>(in.height) * in.width * in.channels;
+    const std::size_t in_bytes = reg.expectedInputBytes(0);
 
     Rng rng(seed);
     std::vector<std::future<Result>> futures;
@@ -158,15 +155,13 @@ main(int argc, char **argv)
     std::vector<std::int8_t> input(8 * 8 * 4);
     for (auto &v : input)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(true);
-    const auto tensors = g.lower(lw, input);
-    const LoweredTensor &in_slot = tensors.at(0);
-    const LoweredTensor &out_slot = tensors.at(g.outputNode());
+    serve::ModelRegistry reg({{"tinynet", g, input}});
+    const Cycle service_cycles = reg.cycles(0, 1);
 
     std::printf("model: tiny conv net, %llu cycles = %.3f us per "
                 "inference (exact, compiler-known)\n\n",
-                static_cast<unsigned long long>(lw.finishCycle()),
-                static_cast<double>(lw.finishCycle()) * 1e-3);
+                static_cast<unsigned long long>(service_cycles),
+                static_cast<double>(service_cycles) * 1e-3);
 
     const auto wall0 = std::chrono::steady_clock::now();
     std::vector<PointResult> points;
@@ -177,8 +172,8 @@ main(int argc, char **argv)
     std::printf("   W   rho  slack_us   off_rps served rej_ddl "
                 "rej_qf  fail   p50_us   p99_us  thpt_rps\n");
     for (const double rho : {0.6, 0.9, 1.0, 1.2, 1.6, 2.0}) {
-        points.push_back(runPoint(lw, in_slot, out_slot, 4, rho, 4.0,
-                                  n, 1000 + points.size()));
+        points.push_back(
+            runPoint(reg, 4, rho, 4.0, n, 1000 + points.size()));
         printPoint(points.back());
     }
 
@@ -187,8 +182,8 @@ main(int argc, char **argv)
     std::printf("   W   rho  slack_us   off_rps served rej_ddl "
                 "rej_qf  fail   p50_us   p99_us  thpt_rps\n");
     for (const int w : {1, 2, 4, 8}) {
-        points.push_back(runPoint(lw, in_slot, out_slot, w, 0.95,
-                                  4.0, n, 2000 + points.size()));
+        points.push_back(
+            runPoint(reg, w, 0.95, 4.0, n, 2000 + points.size()));
         printPoint(points.back());
     }
 
@@ -201,8 +196,7 @@ main(int argc, char **argv)
     JsonWriter j;
     j.beginObject();
     j.kv("bench", "serving");
-    j.kv("service_cycles",
-         static_cast<std::uint64_t>(lw.finishCycle()));
+    j.kv("service_cycles", static_cast<std::uint64_t>(service_cycles));
     j.kv("requests_per_point", static_cast<std::int64_t>(n));
     j.key("points").beginArray();
     for (const auto &p : points) {

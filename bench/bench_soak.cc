@@ -33,7 +33,7 @@ baseConfig()
     fleet::SoakConfig cfg;
     cfg.seed = 17;
     cfg.chipsPerPod = 2;
-    cfg.wireLatencySec = 17;
+    cfg.wireLatency = 17;
     cfg.workersPerPod = 2;
     cfg.initialPods = 2;
     cfg.durationSec = 3.0;
@@ -89,7 +89,7 @@ run()
     // up, and the quiet base-rate tail drains it back down.
     fleet::SoakConfig burst = baseConfig();
     burst.seed = 23;
-    burst.wireLatencySec = 100000;
+    burst.wireLatency = 100000;
     burst.load.model = fleet::ArrivalModel::Bursty;
     burst.load.rateRps = 8000.0;
     burst.load.burstFactor = 6.0;

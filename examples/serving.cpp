@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic-deadline serving in ~60 lines: compile a model once,
+ * Deterministic-deadline serving in ~60 lines: register a model,
  * stand up a pool of simulated chips behind an admission controller,
  * and submit requests with deadlines.
  *
@@ -25,7 +25,8 @@ main()
 {
     using namespace tsp;
 
-    // Compile once. The whole pool shares this program and image.
+    // A one-family registry: it compiles the model on first use and
+    // the whole pool shares that program and image.
     const int h = 8, w = 8, c = 4;
     Graph g = model::buildTinyNet(/*seed=*/3, h, w, c);
     Rng rng(7);
@@ -33,13 +34,11 @@ main()
         static_cast<std::size_t>(h) * w * c);
     for (auto &v : input)
         v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(/*pipelined=*/true);
-    const auto tensors = g.lower(lw, input);
+    serve::ModelRegistry registry({{"tinynet", g, input}});
 
     serve::ServerConfig cfg;
     cfg.workers = 2;
-    serve::InferenceServer server(lw, tensors.at(0),
-                                  tensors.at(g.outputNode()), cfg);
+    serve::InferenceServer server(registry, cfg);
 
     const double service = server.serviceSec();
     std::printf("compiled: %llu cycles -> every inference takes "

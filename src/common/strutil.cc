@@ -1,6 +1,8 @@
 #include "common/strutil.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -86,8 +88,24 @@ parseInt(std::string_view s, long &out)
         return false;
     std::string tmp(s);
     char *end = nullptr;
+    errno = 0;
     const long v = std::strtol(tmp.c_str(), &end, 0);
-    if (end != tmp.c_str() + tmp.size())
+    if (end != tmp.c_str() + tmp.size() || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseDouble(std::string_view s, double &out)
+{
+    s = trim(s);
+    if (s.empty())
+        return false;
+    std::string tmp(s);
+    char *end = nullptr;
+    const double v = std::strtod(tmp.c_str(), &end);
+    if (end != tmp.c_str() + tmp.size() || !std::isfinite(v))
         return false;
     out = v;
     return true;

@@ -27,8 +27,12 @@ bool iequals(std::string_view a, std::string_view b);
 /** ASCII lower-casing. */
 std::string toLower(std::string_view s);
 
-/** @return true if @p s parses fully as a (possibly negative) integer. */
+/** @return true if @p s parses fully as a (possibly negative) integer
+ * that fits a long (C prefixes: 0x hex, leading-0 octal). */
 bool parseInt(std::string_view s, long &out);
+
+/** @return true if @p s parses fully as a finite double. */
+bool parseDouble(std::string_view s, double &out);
 
 /** printf-style formatting into a std::string. */
 std::string strformat(const char *fmt, ...)

@@ -58,8 +58,9 @@ struct FleetConfig
      */
     serve::ServerConfig server{};
 
-    /** Exact cycles(b) table every pod books against (single-model
-     * fleets; ignored when @ref models is non-empty). */
+    /** Exact cycles(b) table every pod books against (fleets whose
+     * engines carry their own programs, e.g. collective pods;
+     * ignored when @ref models is non-empty). */
     std::vector<Cycle> cyclesByBatch;
 
     /**

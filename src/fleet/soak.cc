@@ -23,7 +23,7 @@ runSoak(const SoakConfig &cfg)
     // fault-independent in a static schedule).
     const std::vector<Cycle> table =
         serve::PodBackend::serviceCyclesTable(
-            cfg.chipsPerPod, cfg.wireLatencySec, cfg.chip,
+            cfg.chipsPerPod, cfg.wireLatency, cfg.chip,
             std::max(1, cfg.batchMax));
 
     FleetConfig fc;
@@ -48,7 +48,7 @@ runSoak(const SoakConfig &cfg)
             SeedDomain::FleetWorker,
             static_cast<std::uint64_t>(worker));
         return std::make_unique<serve::PodBackend>(
-            cfg.chipsPerPod, cfg.wireLatencySec, cc,
+            cfg.chipsPerPod, cfg.wireLatency, cc,
             std::max(1, cfg.batchMax));
     };
 

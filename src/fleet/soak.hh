@@ -34,7 +34,7 @@ struct SoakConfig
 
     // Workload (one pod = one serving tier over a chip-pod engine).
     int chipsPerPod = 2;      ///< Ring size of each pod collective.
-    Cycle wireLatencySec = 40; ///< C2C wire latency, cycles.
+    Cycle wireLatency = 40;   ///< C2C wire latency, cycles.
     int workersPerPod = 2;    ///< Engines (worker threads) per pod.
     int batchMax = 1;         ///< Submit-time batching cap.
     double batchWindowSec = 0.0;

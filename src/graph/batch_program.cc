@@ -30,7 +30,7 @@ BatchProgramCache::BatchProgramCache(
 {
     TSP_ASSERT(max_batch >= 1);
     progs_.resize(static_cast<std::size_t>(max_batch));
-    cycles_.assign(static_cast<std::size_t>(max_batch), 0);
+    memo_.resize(static_cast<std::size_t>(max_batch));
 }
 
 const std::shared_ptr<BatchProgram> &
@@ -62,40 +62,28 @@ BatchProgramCache::ensureLocked(int b) const
             TSP_ASSERT(bp->lw->weightPlacements() ==
                        other->lw->weightPlacements());
     }
-    // Compilation is deterministic, so a memoized cycle count from a
-    // since-evicted compile must match the fresh one exactly.
-    Cycle &memo = cycles_[static_cast<std::size_t>(b - 1)];
-    if (memo != 0)
-        TSP_ASSERT(memo == bp->cycles);
-    memo = bp->cycles;
+    // Compilation is deterministic, so a memo from a since-evicted
+    // compile must match the fresh one exactly.
+    Memo &memo = memo_[static_cast<std::size_t>(b - 1)];
+    const Memo fresh{bp->cycles, bp->lw->image().totalBytes()};
+    if (memo.cycles != 0)
+        TSP_ASSERT(memo.cycles == fresh.cycles &&
+                   memo.imageBytes == fresh.imageBytes);
+    memo = fresh;
     // cycles(B) must be exact and strictly monotone in B; checked
     // against every size whose count is already known.
-    for (std::size_t i = 0; i < cycles_.size(); ++i) {
-        if (cycles_[i] == 0 ||
+    for (std::size_t i = 0; i < memo_.size(); ++i) {
+        if (memo_[i].cycles == 0 ||
             i == static_cast<std::size_t>(b - 1))
             continue;
         if (i < static_cast<std::size_t>(b - 1))
-            TSP_ASSERT(cycles_[i] < bp->cycles);
+            TSP_ASSERT(memo_[i].cycles < bp->cycles);
         else
-            TSP_ASSERT(cycles_[i] > bp->cycles);
+            TSP_ASSERT(memo_[i].cycles > bp->cycles);
     }
     ++compiles_;
     slot = std::move(bp);
     return slot;
-}
-
-BatchProgram &
-BatchProgramCache::get(int batch)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return *ensureLocked(batch);
-}
-
-const BatchProgram &
-BatchProgramCache::get(int batch) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return *ensureLocked(batch);
 }
 
 std::shared_ptr<BatchProgram>
@@ -105,16 +93,27 @@ BatchProgramCache::acquire(int batch) const
     return ensureLocked(batch);
 }
 
+const BatchProgramCache::Memo &
+BatchProgramCache::memoLocked(int b) const
+{
+    TSP_ASSERT(b >= 1 && b <= static_cast<int>(progs_.size()));
+    if (memo_[static_cast<std::size_t>(b - 1)].cycles == 0)
+        ensureLocked(b);
+    return memo_[static_cast<std::size_t>(b - 1)];
+}
+
 Cycle
 BatchProgramCache::cycles(int batch) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    TSP_ASSERT(batch >= 1 &&
-               batch <= static_cast<int>(progs_.size()));
-    const Cycle memo = cycles_[static_cast<std::size_t>(batch - 1)];
-    if (memo != 0)
-        return memo;
-    return ensureLocked(batch)->cycles;
+    return memoLocked(batch).cycles;
+}
+
+std::size_t
+BatchProgramCache::imageBytes(int batch) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return memoLocked(batch).imageBytes;
 }
 
 bool
@@ -161,15 +160,6 @@ BatchProgramCache::evict(int batch)
                batch <= static_cast<int>(progs_.size()));
     return std::exchange(
         progs_[static_cast<std::size_t>(batch - 1)], nullptr);
-}
-
-const std::vector<Cycle> &
-BatchProgramCache::cyclesByBatch() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int b = 1; b <= static_cast<int>(progs_.size()); ++b)
-        ensureLocked(b);
-    return cycles_;
 }
 
 } // namespace tsp

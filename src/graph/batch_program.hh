@@ -28,9 +28,9 @@
  * (a sealed batch riding a queue, a worker's bound engine) pins its
  * program via acquire(); evict(b) — used by the serving layer's
  * model registry to stay under a byte budget — only drops the
- * cache's own reference. get() references are stable only while the
- * slot is resident; callers that never evict (every pre-registry
- * call site) keep the old contract unchanged.
+ * cache's own reference. A size's exact cycles and image bytes are
+ * memoized at its first compile, so reading them never recompiles
+ * an evicted program.
  */
 
 #ifndef TSP_GRAPH_BATCH_PROGRAM_HH
@@ -83,14 +83,6 @@ class BatchProgramCache
         return static_cast<int>(progs_.size());
     }
 
-    /**
-     * @return the compiled program for @p batch (1-based), compiling
-     * it on first use. The reference is stable while the slot stays
-     * resident; use acquire() when eviction is possible.
-     */
-    BatchProgram &get(int batch);
-    const BatchProgram &get(int batch) const;
-
     /** @return a shared handle to batch @p batch's program (compiled
      * on first use), pinning it across a later evict(). */
     std::shared_ptr<BatchProgram> acquire(int batch) const;
@@ -98,6 +90,10 @@ class BatchProgramCache
     /** @return exact cycles(@p batch), compiling on first use; the
      * value is memoized and survives eviction. */
     Cycle cycles(int batch) const;
+
+    /** @return bytes of @p batch's weight/constant image, memoized
+     * like cycles(). */
+    std::size_t imageBytes(int batch) const;
 
     /** @return true when @p batch's program is currently resident. */
     bool compiled(int batch) const;
@@ -113,25 +109,29 @@ class BatchProgramCache
 
     /**
      * Drops batch @p batch's program from the cache (memoized cycles
-     * are kept, so admission stays exact without recompiling).
+     * and image bytes are kept, so admission stays exact without
+     * recompiling).
      * @return the evicted handle (null if the slot was empty) so the
      * caller can invalidate derived state (e.g. execution traces)
      * keyed by it.
      */
     std::shared_ptr<BatchProgram> evict(int batch);
 
-    /**
-     * Legacy eager accessor: compiles every remaining size, then
-     * returns the full exact-cycles table (cyclesByBatch()[b-1] =
-     * cycles(b)). New call sites should prefer cycles(b).
-     */
-    const std::vector<Cycle> &cyclesByBatch() const;
-
     const Graph &graph() const { return g_; }
 
   private:
+    /** What a size's first compile fixes forever. */
+    struct Memo
+    {
+        Cycle cycles = 0; ///< 0 until first compiled.
+        std::size_t imageBytes = 0;
+    };
+
     /** Compiles slot @p b if absent; requires mu_. */
     const std::shared_ptr<BatchProgram> &ensureLocked(int b) const;
+    /** @return slot @p b's memo, compiling if never compiled;
+     *  requires mu_. */
+    const Memo &memoLocked(int b) const;
 
     Graph g_;
     std::vector<std::int8_t> warm_;
@@ -140,8 +140,8 @@ class BatchProgramCache
     mutable std::mutex mu_;
     /** progs_[b-1]; null until compiled (or after eviction). */
     mutable std::vector<std::shared_ptr<BatchProgram>> progs_;
-    /** cycles_[b-1]; 0 until first compiled, then exact forever. */
-    mutable std::vector<Cycle> cycles_;
+    /** memo_[b-1]; survives eviction. */
+    mutable std::vector<Memo> memo_;
     mutable std::uint64_t compiles_ = 0;
 };
 

@@ -34,24 +34,6 @@ ModelTiming::fromTable(std::vector<Cycle> cycles_by_batch)
     return t;
 }
 
-AdmissionController::AdmissionController(int workers,
-                                         Cycle service_cycles,
-                                         double cycle_period_sec)
-    : AdmissionController(workers,
-                          std::vector<Cycle>{service_cycles},
-                          cycle_period_sec)
-{
-}
-
-AdmissionController::AdmissionController(
-    int workers, std::vector<Cycle> cycles_by_batch,
-    double cycle_period_sec)
-    : AdmissionController(
-          workers, 1, ModelTiming::fromTable(std::move(cycles_by_batch)),
-          cycle_period_sec)
-{
-}
-
 AdmissionController::AdmissionController(int workers, int models,
                                          ModelTiming timing,
                                          double cycle_period_sec)
@@ -153,15 +135,6 @@ int
 AdmissionController::maxBatchFor(int model) const
 {
     return timing_.maxBatchOf(model);
-}
-
-Admission
-AdmissionController::admit(double arrival_sec, double deadline_sec)
-{
-    Admission a = open(arrival_sec, deadline_sec, 0);
-    if (a.admitted)
-        seal();
-    return a;
 }
 
 Admission

@@ -40,8 +40,8 @@
  * Worker choice minimizes that completion (ties: earliest-free, then
  * lowest index), which for a single family — where every swap term
  * is zero — reduces *exactly* to the classic earliest-free-worker
- * rule, so single-model bookings are bit-identical to the
- * pre-registry controller.
+ * rule, so one-family bookings are bit-identical to those over a
+ * fixed cycles table (ModelTiming::fromTable).
  *
  * Priority preemption stays inside the same arithmetic: only the
  * *open* (not yet dispatched) batch is preemptible, and its booking
@@ -112,7 +112,7 @@ struct ModelTiming
 /**
  * Books exact per-worker busy intervals on the virtual timeline.
  *
- * Thread-safe; admit() is a single compare-and-book under a mutex.
+ * Thread-safe; open() is a single compare-and-book under a mutex.
  * Rejected requests leave no trace in the booking state. The
  * batch-forming flow (open / tryJoin / seal / rollbackOpen) must be
  * serialized by the caller (the server's submit lock does this):
@@ -122,47 +122,22 @@ class AdmissionController
 {
   public:
     /**
-     * @param workers identical chip workers in the pool (>= 1).
-     * @param service_cycles exact cycles of one inference (the
-     *        compiler's Lowering::finishCycle()).
-     * @param cycle_period_sec seconds per chip cycle.
-     */
-    AdmissionController(int workers, Cycle service_cycles,
-                        double cycle_period_sec);
-
-    /**
-     * Batch-capable controller: @p cycles_by_batch[b-1] is the exact
-     * cycle count of the compiled batch-b program (strictly
-     * increasing; maxBatch() = its size).
-     */
-    AdmissionController(int workers,
-                        std::vector<Cycle> cycles_by_batch,
-                        double cycle_period_sec);
-
-    /**
-     * Multi-model controller over @p models families; every worker
-     * starts staged with model 0 (the registry's first family).
-     * Timing is pulled lazily so batch sizes that never form are
-     * never compiled.
+     * Controller over @p workers identical engines (>= 1) serving
+     * @p models families; every worker starts staged with model 0
+     * (the registry's first family). Timing is pulled lazily so batch
+     * sizes that never form are never compiled; a fixed table is
+     * ModelTiming::fromTable().
      */
     AdmissionController(int workers, int models, ModelTiming timing,
                         double cycle_period_sec);
-
-    /**
-     * Decides one request as a batch of one. @p deadline_sec <= 0
-     * means no deadline (always admitted). On admission the chosen
-     * worker's free time advances to the booked completion; on
-     * rejection nothing changes.
-     */
-    Admission admit(double arrival_sec, double deadline_sec);
 
     /**
      * Opens a new batch of model @p model with its first member:
      * books the completion-minimizing worker (swap included), but
      * leaves the batch open so later arrivals of the same model may
      * join. Fails (nothing booked) only when the first member's own
-     * deadline is infeasible. At most one batch may be open; seal()
-     * the previous one first.
+     * deadline is infeasible — @p deadline_sec <= 0 means none. At
+     * most one batch may be open; seal() the previous one first.
      */
     Admission open(double arrival_sec, double deadline_sec,
                    int model = 0);
@@ -251,7 +226,7 @@ class AdmissionController
     double earliestCompletionFor(int model,
                                  double arrival_sec) const;
 
-    /** @return the worker index the next open()/admit() would book
+    /** @return the worker index the next open() would book
      * (min free-time, lowest index on ties). */
     int earliestWorker() const;
 

@@ -18,27 +18,10 @@ Backend::serveBatch(
     return runBounded(max_cycles);
 }
 
-SessionBackend::SessionBackend(Lowering &lw, SharedProgram prog,
-                               LoweredTensor input,
-                               LoweredTensor output, ChipConfig cfg)
-    : EngineBackend(InferenceSession(lw, std::move(prog), cfg)),
-      inputSlot_(std::move(input)), outputSlot_(std::move(output))
-{
-}
-
-SessionBackend::SessionBackend(BatchProgramCache &cache,
-                               ChipConfig cfg)
-    : SessionBackend(cache.acquire(1), cache.maxBatch(), cfg)
-{
-    cache_ = &cache;
-}
-
 SessionBackend::SessionBackend(std::shared_ptr<BatchProgram> initial,
                                int max_batch, ChipConfig cfg)
     : EngineBackend(InferenceSession(*initial->lw, initial->prog, cfg)),
-      inputSlot_(initial->inputs[0]), outputSlot_(initial->outputs[0]),
-      boundBp_(std::move(initial)), maxBatch_(max_batch),
-      bound_(boundBp_->batch)
+      boundBp_(std::move(initial)), maxBatch_(max_batch)
 {
     TSP_ASSERT(max_batch >= 1);
 }
@@ -54,16 +37,13 @@ SessionBackend::bindProgram(std::shared_ptr<BatchProgram> bp)
     // session re-stages the new image (the weight swap the booking
     // already paid for).
     boundBp_ = std::move(bp);
-    inputSlot_ = boundBp_->inputs[0];
-    outputSlot_ = boundBp_->outputs[0];
     sess_.bind(*boundBp_->lw, boundBp_->prog);
-    bound_ = boundBp_->batch;
 }
 
 std::size_t
 SessionBackend::expectedInputBytes() const
 {
-    const ActTensor &t = inputSlot_.t;
+    const ActTensor &t = boundBp_->inputs[0].t;
     return static_cast<std::size_t>(t.height) *
            static_cast<std::size_t>(t.width) *
            static_cast<std::size_t>(t.channels);
@@ -72,16 +52,11 @@ SessionBackend::expectedInputBytes() const
 void
 SessionBackend::resetBatch(int batch)
 {
-    TSP_ASSERT(batch >= 1 && batch <= maxBatch());
-    if (cache_ && batch != bound_) {
-        boundBp_ = cache_->acquire(batch);
-        sess_.bind(*boundBp_->lw, boundBp_->prog);
-        bound_ = batch;
-    }
-    // Multi-model mode: the worker loop bindProgram()s the job's
-    // pinned program first, so the armed batch size must already
-    // match here.
-    TSP_ASSERT(bound_ == batch);
+    // The caller binds the matching batch program first (the worker
+    // loop binds each job's pinned program), so the armed batch size
+    // must already match here.
+    TSP_ASSERT(batch >= 1 && batch <= maxBatch() &&
+               boundBp_->batch == batch);
     sess_.reset();
 }
 
@@ -89,25 +64,15 @@ void
 SessionBackend::writeSample(int sample,
                             const std::vector<std::int8_t> &input)
 {
-    if (boundBp_) {
-        sess_.writeTensor(
-            boundBp_->inputs[static_cast<std::size_t>(sample)],
-            input);
-        return;
-    }
-    TSP_ASSERT(sample == 0);
-    sess_.writeTensor(inputSlot_, input);
+    sess_.writeTensor(
+        boundBp_->inputs[static_cast<std::size_t>(sample)], input);
 }
 
 ref::QTensor
 SessionBackend::readSample(int sample) const
 {
-    if (boundBp_) {
-        return sess_.readTensor(
-            boundBp_->outputs[static_cast<std::size_t>(sample)]);
-    }
-    TSP_ASSERT(sample == 0);
-    return sess_.readTensor(outputSlot_);
+    return sess_.readTensor(
+        boundBp_->outputs[static_cast<std::size_t>(sample)]);
 }
 
 namespace {
@@ -137,13 +102,6 @@ PodBackend::PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
         progs_.push_back(allReducePrograms(sess_.pod(), b));
     sess_.bind(progs_[0]);
     sess_.reset();
-}
-
-Cycle
-PodBackend::serviceCycles(int chips, Cycle wire_latency,
-                          ChipConfig cfg)
-{
-    return serviceCyclesTable(chips, wire_latency, cfg, 1)[0];
 }
 
 std::vector<Cycle>

@@ -14,10 +14,9 @@
  *
  * The interface is batch-native: resetBatch(b) arms the engine's
  * compiled batch-b program, writeSample/readSample stage and extract
- * per-sample data, and serveBatch() is the one-shot convenience the
- * worker loop uses. maxBatch() == 1 backends (the default) are plain
- * single-request engines; the legacy reset()/writeInput()/
- * readOutput() wrappers are batch-1 shorthands.
+ * per-sample data, and serveBatch() runs one whole attempt.
+ * maxBatch() == 1 backends (the default) are plain single-request
+ * engines that serve batches of one.
  */
 
 #ifndef TSP_SERVE_BACKEND_HH
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "compiler/lowering.hh"
 #include "graph/batch_program.hh"
 #include "ref/qnn.hh"
 #include "runtime/session.hh"
@@ -153,14 +151,6 @@ class Backend
         TSP_ASSERT(!"backend does not support program binding");
     }
 
-    // Batch-1 shorthands (legacy call sites and simple clients).
-    void reset() { resetBatch(1); }
-    void writeInput(const std::vector<std::int8_t> &input)
-    {
-        writeSample(0, input);
-    }
-    ref::QTensor readOutput() const { return readSample(0); }
-
     /**
      * One attempt at a whole batch: rearms the batch-|inputs|
      * program, stages every sample, runs. Outputs (readSample) are
@@ -241,31 +231,20 @@ class EngineBackend : public Backend
 };
 
 /**
- * A single-chip backend over one compiled model, optionally with a
- * BatchProgramCache enabling multi-sample programs (weights installed
- * once per batch, per-sample activations — see graph/batch_program).
+ * A single-chip backend over compiled batch programs (weights
+ * installed once per batch, per-sample activations — see
+ * graph/batch_program). It runs whichever program was bound last:
+ * the server binds each batch job's registry-pinned program, and a
+ * standalone caller binds acquire(b) before resetBatch(b).
  */
 class SessionBackend final : public EngineBackend
 {
   public:
     /**
-     * @param lw must outlive the backend (image re-read on reset).
-     * @param prog @p lw's assembled program; a pool passes every
-     *        worker the same one, so its traces are shared.
-     */
-    SessionBackend(Lowering &lw, SharedProgram prog,
-                   LoweredTensor input, LoweredTensor output,
-                   ChipConfig cfg);
-
-    /** Batch-capable: @p cache must outlive the backend. */
-    SessionBackend(BatchProgramCache &cache, ChipConfig cfg);
-
-    /**
-     * Multi-model form: starts bound to @p initial (pinned by the
-     * shared_ptr, so registry eviction cannot invalidate it) and
-     * re-binds whatever program each batch job carries via
-     * bindProgram(). @p max_batch is the largest batch any family
-     * compiles (per-family caps are enforced at admission).
+     * Starts bound to @p initial (pinned by the shared_ptr, so
+     * registry eviction cannot invalidate it). @p max_batch is the
+     * largest batch any family compiles (per-family caps are
+     * enforced at admission).
      */
     SessionBackend(std::shared_ptr<BatchProgram> initial,
                    int max_batch, ChipConfig cfg);
@@ -279,14 +258,8 @@ class SessionBackend final : public EngineBackend
     void bindProgram(std::shared_ptr<BatchProgram> bp) override;
 
   private:
-    LoweredTensor inputSlot_;
-    LoweredTensor outputSlot_;
-    BatchProgramCache *cache_ = nullptr;
-    /** Pinned program currently armed (batch-cache and multi-model
-     * modes); null in single-Lowering mode. */
-    std::shared_ptr<BatchProgram> boundBp_;
+    std::shared_ptr<BatchProgram> boundBp_; ///< Pinned, armed program.
     int maxBatch_ = 1;
-    int bound_ = 1; ///< Batch size the session is bound to.
 };
 
 /**
@@ -304,18 +277,11 @@ class PodBackend final : public EngineBackend
                int max_batch = 1);
 
     /**
-     * @return the exact cycle count of one all-reduce on an
-     * equivalent pod, measured on a fault-free calibration pod (the
-     * timing of a deterministic schedule is independent of fault
-     * injection, which only flips data bits). This is what the
+     * @return exact cycles(b) for b = 1..max_batch of the all-reduce
+     * on an equivalent pod, each measured on a fault-free calibration
+     * pod (a deterministic schedule's timing is independent of fault
+     * injection, which only flips data bits). This is the table the
      * admission controller books against.
-     */
-    static Cycle serviceCycles(int chips, Cycle wire_latency,
-                               ChipConfig cfg);
-
-    /**
-     * @return exact cycles(b) for b = 1..max_batch, each measured on
-     * a fault-free calibration pod.
      */
     static std::vector<Cycle> serviceCyclesTable(int chips,
                                                  Cycle wire_latency,

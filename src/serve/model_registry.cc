@@ -56,9 +56,8 @@ ModelRegistry::cycles(int m, int b) const
 double
 ModelRegistry::swapSec(int m, int b) const
 {
-    const BatchProgram &bp =
-        models_.at(static_cast<std::size_t>(m)).cache->get(b);
-    return static_cast<double>(bp.lw->image().totalBytes()) /
+    return static_cast<double>(models_.at(static_cast<std::size_t>(m))
+                                   .cache->imageBytes(b)) /
            kPcieGen4Bps;
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Multi-model registry: N compiled model families behind one server.
+ * Model registry: the compiled model families behind one server.
  *
- * Production TSP fleets serve many models per pod. The registry owns
- * one lazily compiled BatchProgramCache per model family and presents
- * the serving layer a single keyed surface: (model-id, batch-size) →
- * compiled program. Three properties make exact multi-tenant
- * admission possible on top of it:
+ * Every server of compiled models is built over a registry; a single
+ * model is the one-family case. Production TSP fleets serve many
+ * models per pod. The registry owns one lazily compiled
+ * BatchProgramCache per model family and presents the serving layer a
+ * single keyed surface: (model-id, batch-size) → compiled program.
+ * Three properties make exact multi-tenant admission possible on top
+ * of it:
  *
  *  - cycles(m, b) is exact and memoized forever: compilation is a
  *    pure function of the graph, so the admission controller's
@@ -15,7 +17,9 @@
  *  - swapSec(m, b) is the modeled host cost of re-staging model m's
  *    batch-b weight image over PCIe when a worker switches model
  *    families — booked *exactly* into admission completions, the
- *    same way engine-rebuild cost is booked into retries.
+ *    same way engine-rebuild cost is booked into retries. It reads
+ *    the image size memoized at compile, so pricing a swap never
+ *    recompiles an evicted program behind the budget and the LRU.
  *  - acquire() pins the program with a shared_ptr, so LRU eviction
  *    under the byte budget can never yank a program out from under a
  *    sealed batch riding a queue or a worker's bound engine.
@@ -102,7 +106,8 @@ class ModelRegistry
     /**
      * @return modeled seconds to re-stage family @p m's batch-@p b
      * weight/constant image over the host link when a worker
-     * switches model families (image bytes at PCIe Gen4 x16).
+     * switches model families (image bytes at PCIe Gen4 x16). Reads
+     * the memoized image size: compiles only a size never compiled.
      */
     double swapSec(int m, int b) const;
 

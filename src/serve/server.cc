@@ -6,48 +6,6 @@
 
 namespace tsp::serve {
 
-InferenceServer::InferenceServer(Lowering &lw, LoweredTensor input,
-                                 LoweredTensor output,
-                                 ServerConfig cfg)
-    : InferenceServer(
-          // Assembled once: every worker borrows the same program, so
-          // its trace key is one identity pool-wide.
-          [&lw, &input, &output, &cfg,
-           prog = SharedProgram(lw.program().toAsm(
-               /*with_preamble=*/true))](int) {
-              return std::make_unique<SessionBackend>(
-                  lw, prog, input, output, cfg.chip);
-          },
-          lw.finishCycle(), cfg)
-{
-}
-
-InferenceServer::InferenceServer(BatchProgramCache &cache,
-                                 ServerConfig cfg)
-    : InferenceServer(
-          [&cache, &cfg](int) {
-              return std::make_unique<SessionBackend>(cache,
-                                                      cfg.chip);
-          },
-          1,
-          ModelTiming{
-              // Lazy pulls: a batch size the batcher never forms is
-              // never compiled (the cache memoizes exact cycles).
-              [&cache](int, int b) { return cache.cycles(b); },
-              [&cache](int) { return cache.maxBatch(); },
-              nullptr},
-          nullptr, cfg)
-{
-}
-
-InferenceServer::InferenceServer(const BackendFactory &factory,
-                                 Cycle service_cycles,
-                                 ServerConfig cfg)
-    : InferenceServer(factory, std::vector<Cycle>{service_cycles},
-                      cfg)
-{
-}
-
 InferenceServer::InferenceServer(const BackendFactory &factory,
                                  std::vector<Cycle> cycles_by_batch,
                                  ServerConfig cfg)
@@ -68,7 +26,17 @@ InferenceServer::InferenceServer(ModelRegistry &registry,
               return std::make_unique<SessionBackend>(
                   registry.acquire(0, 1), cap, cfg.chip);
           },
-          registry.modelCount(),
+          registry, cfg)
+{
+}
+
+InferenceServer::InferenceServer(const BackendFactory &factory,
+                                 ModelRegistry &registry,
+                                 ServerConfig cfg)
+    : InferenceServer(
+          factory, registry.modelCount(),
+          // Lazy pulls: a batch size the batcher never forms is never
+          // compiled (the registry memoizes exact cycles).
           ModelTiming{
               [&registry](int m, int b) {
                   return registry.cycles(m, b);
@@ -78,21 +46,6 @@ InferenceServer::InferenceServer(ModelRegistry &registry,
               // image; batch sizes of one family share placements
               // (conv-placement cache), so batch-1's image is the
               // family's staging cost.
-              [&registry](int m) { return registry.swapSec(m, 1); }},
-          &registry, cfg)
-{
-}
-
-InferenceServer::InferenceServer(const BackendFactory &factory,
-                                 ModelRegistry &registry,
-                                 ServerConfig cfg)
-    : InferenceServer(
-          factory, registry.modelCount(),
-          ModelTiming{
-              [&registry](int m, int b) {
-                  return registry.cycles(m, b);
-              },
-              [&registry](int m) { return registry.maxBatch(m); },
               [&registry](int m) { return registry.swapSec(m, 1); }},
           &registry, cfg)
 {
@@ -833,13 +786,6 @@ InferenceServer::metricsJson() const
         .kv("batch_window_us", cfg_.batchWindowSec * 1e6)
         .kv("trace_cache_budget_bytes",
             static_cast<std::uint64_t>(cfg_.traceCacheBytes))
-        .endObject();
-    j.key("trace_cache")
-        .beginObject()
-        .kv("entries", static_cast<std::uint64_t>(traceCacheSize()))
-        .kv("bytes", static_cast<std::uint64_t>(traceCacheBytes()))
-        .kv("replays", replayCount())
-        .kv("records", recordCount())
         .endObject();
     j.key("model").beginObject();
     j.kv("service_cycles",

@@ -2,16 +2,19 @@
  * @file
  * InferenceServer: a multi-chip serving tier over the host runtime.
  *
- * One compiled Lowering is shared by a pool of worker threads, each
- * owning its own InferenceSession (one simulated chip). Requests
- * flow through a deadline-aware admission controller (exact, because
- * the schedule's cycle count is known before it runs — paper Eq. 4,
- * IV.F, V.c), then a bounded FIFO queue with backpressure, one per
- * worker: each sealed batch runs on the worker its booking chose, so
- * the engine that serves a request — and, with fault injection live,
- * which request absorbs which upset — is a pure function of the
- * admission history. Per-request outcomes, latency distributions and
- * throughput are aggregated in ServerMetrics and dumped as JSON.
+ * A pool of worker threads, each owning one execution engine (a
+ * Backend: one simulated chip or a pod of chips), serves either the
+ * compiled families of a ModelRegistry — a single model is the
+ * one-family case — or, for engines that carry their own programs
+ * (pods), a fixed exact cycles(b) table. Requests flow through a
+ * deadline-aware admission controller (exact, because the schedule's
+ * cycle count is known before it runs — paper Eq. 4, IV.F, V.c), then
+ * a bounded FIFO queue with backpressure, one per worker: each sealed
+ * batch runs on the worker its booking chose, so the engine that
+ * serves a request — and, with fault injection live, which request
+ * absorbs which upset — is a pure function of the admission history.
+ * Per-request outcomes, latency distributions and throughput are
+ * aggregated in ServerMetrics and dumped as JSON.
  *
  * Batching: with batchMax > 1 (and a batch-capable backend), submit()
  * doubles as the batcher. The first admitted request *opens* a batch;
@@ -27,11 +30,11 @@
  * engine and retries the *whole batch* under the usual retry/deadline
  * policy; per-sample outputs are only read from a completed run.
  *
- * Multi-model: constructed over a ModelRegistry, one server holds N
- * compiled families. submitModel() routes each request; batches are
- * single-family; each sealed job carries a registry-pinned program
- * its worker binds before running (weight swaps between families
- * cost exactly the modeled image re-stage, which admission booked).
+ * Registry servers: submitModel() routes each request to a family;
+ * batches are single-family; each sealed job carries a
+ * registry-pinned program its worker binds before running (weight
+ * swaps between families cost exactly the modeled image re-stage,
+ * which admission booked; with one family nothing ever swaps).
  * Tenant SLO classes scale deadlines and rank priorities; with
  * preemption on, a higher-priority arrival that is infeasible behind
  * the open batch but feasible in its place takes the booking and the
@@ -179,13 +182,15 @@ struct ServerConfig
 
     /**
      * Byte budget of the pool-shared execution-trace cache (LRU,
-     * see sim/exec_trace.hh). The first worker to run a compiled
-     * program records its micro-op trace; every later serve of that
-     * program — on any worker — replays it instead of re-simulating
-     * per cycle, bit-identically. 0 disables the replay tier
-     * entirely. Sessions self-gate when replay would be unsound
-     * (fault injection, dispatch tracing, power tracing), so leaving
-     * this on is always safe.
+     * see sim/exec_trace.hh). A worker that runs a compiled program
+     * with no resident trace records one; later serves of that
+     * program, on any worker, replay it bit-identically instead of
+     * re-simulating per cycle. Which runs record depends on host
+     * thread timing, so the record/replay counts are accessors only
+     * (recordCount()), never part of metricsJson(). 0 disables the
+     * replay tier entirely. Sessions self-gate when replay would be
+     * unsound (fault injection, dispatch tracing, power tracing), so
+     * leaving this on is always safe.
      */
     std::size_t traceCacheBytes = TraceCache::kDefaultBudget;
 
@@ -212,7 +217,7 @@ struct ServerConfig
 using BackendFactory =
     std::function<std::unique_ptr<Backend>(int worker)>;
 
-/** A pool of simulated TSP engines serving one compiled workload. */
+/** A pool of simulated TSP engines serving compiled workloads. */
 class InferenceServer
 {
   public:
@@ -223,60 +228,33 @@ class InferenceServer
     };
 
     /**
-     * Builds one chip per worker and emplaces @p lw on each.
-     *
-     * @param lw the fully built compiled model; must outlive the
-     *        server (sessions re-read its DMA image on reset).
-     * @param input the model's lowered input tensor (request data is
-     *        written here before each run).
-     * @param output the lowered output tensor read back per request.
-     */
-    InferenceServer(Lowering &lw, LoweredTensor input,
-                    LoweredTensor output, ServerConfig cfg = {});
-
-    /**
-     * Batch-capable form: every worker serves @p cache's compiled
-     * batch programs and the admission controller books against the
-     * exact cycles(b) table. @p cache must outlive the server.
-     */
-    explicit InferenceServer(BatchProgramCache &cache,
-                             ServerConfig cfg = {});
-
-    /**
-     * Generic form: one Backend per worker from @p factory, with
-     * @p service_cycles the exact per-request cycle count the
-     * admission controller books against (e.g.
-     * PodBackend::serviceCycles for a pod of chips).
-     */
-    InferenceServer(const BackendFactory &factory,
-                    Cycle service_cycles, ServerConfig cfg = {});
-
-    /**
-     * Generic batch-capable form: @p cycles_by_batch[b-1] is the
-     * exact cycle count of the batch-b program every backend from
-     * @p factory can run (e.g. PodBackend::serviceCyclesTable).
+     * Table form, for engines that carry their own programs (e.g.
+     * pods): one Backend per worker from @p factory, booked against
+     * @p cycles_by_batch[b-1], the exact cycle count of the batch-b
+     * program every backend can run (e.g.
+     * PodBackend::serviceCyclesTable).
      */
     InferenceServer(const BackendFactory &factory,
                     std::vector<Cycle> cycles_by_batch,
                     ServerConfig cfg = {});
 
     /**
-     * Multi-model form: one server holds every family in
-     * @p registry. Each worker starts staged with family 0; batch
-     * jobs carry a registry-pinned program, weight swaps between
-     * families are booked exactly into admission, and
-     * submitModel() routes per request; the swap a booking pays for
-     * happens on the worker it was booked on. @p registry must
-     * outlive the server.
+     * Registry form: one SessionBackend per worker serves every
+     * family in @p registry (one family for a single model). Each
+     * worker starts staged with family 0; batch jobs carry a
+     * registry-pinned program, weight swaps between families are
+     * booked exactly into admission, and submitModel() routes per
+     * request; the swap a booking pays for happens on the worker it
+     * was booked on. @p registry must outlive the server.
      */
     explicit InferenceServer(ModelRegistry &registry,
                              ServerConfig cfg = {});
 
     /**
-     * Multi-model form with operator-supplied backends (e.g. fault
+     * Registry form with operator-supplied backends (e.g. fault
      * plans seeded per worker). Every backend must support
-     * bindProgram() — SessionBackend's (program, max_batch) ctor
-     * does. @p registry must outlive the server.
+     * bindProgram(), as SessionBackend does. @p registry must
+     * outlive the server.
      */
     InferenceServer(const BackendFactory &factory,
                     ModelRegistry &registry, ServerConfig cfg = {});
@@ -371,10 +349,11 @@ class InferenceServer
      * admission table and every backend's maxBatch). */
     int batchMax() const { return effBatchMax_; }
 
-    /** @return model families served (1 without a registry). */
+    /** @return model families served (1 for the table form). */
     int models() const { return admission_.models(); }
 
-    /** @return the registry backing this server (null without one). */
+    /** @return the registry backing this server (null for the
+     * table form). */
     const ModelRegistry *registry() const { return registry_; }
 
     /** @return the admission controller (booking state + counters). */
@@ -384,8 +363,10 @@ class InferenceServer
     ServerMetrics metricsSnapshot() const;
 
     /**
-     * @return the full serving report (config, model, counters,
-     * latency percentiles, throughput) as a JSON document.
+     * @return the full serving report (config, model, registry,
+     * counters, latency percentiles, throughput) as a JSON document.
+     * Every field is a pure function of the submitted stream, so
+     * same-seed runs produce byte-identical reports.
      */
     std::string metricsJson() const;
 
@@ -432,9 +413,9 @@ class InferenceServer
         Admission booking; ///< Final sealed booking (whole batch).
         int model = 0;     ///< Model family the batch runs.
         int priority = 0;  ///< Highest member SLO priority.
-        /** Registry-pinned compiled program (null in single-model
-         * servers): safe against eviction while the job is queued
-         * or running. */
+        /** Registry-pinned compiled program (null for the table
+         * form): safe against eviction while the job is queued or
+         * running. */
         std::shared_ptr<BatchProgram> program;
     };
 
@@ -478,7 +459,7 @@ class InferenceServer
     }
 
     const ServerConfig cfg_;
-    ModelRegistry *registry_ = nullptr; ///< Null in single-model mode.
+    ModelRegistry *registry_ = nullptr; ///< Null for the table form.
     /** Effective SLO classes (cfg_.sloClasses or one default). */
     std::vector<SloClass> classes_;
 

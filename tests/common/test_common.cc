@@ -163,6 +163,28 @@ TEST(StrUtil, TrimSplitParse)
     EXPECT_EQ(v, -3);
     EXPECT_FALSE(parseInt("12x", v));
     EXPECT_FALSE(parseInt("", v));
+    // Out of range is rejected, not clamped to LONG_MAX/LONG_MIN.
+    v = 5;
+    EXPECT_FALSE(parseInt("99999999999999999999", v));
+    EXPECT_FALSE(parseInt("-99999999999999999999", v));
+    EXPECT_EQ(v, 5); // Untouched on failure.
+    EXPECT_TRUE(parseInt("9223372036854775807", v));
+    EXPECT_EQ(v, 9223372036854775807L);
+    double d = 0.0;
+    EXPECT_TRUE(parseDouble("1.5", d));
+    EXPECT_DOUBLE_EQ(d, 1.5);
+    EXPECT_TRUE(parseDouble(" 1e-5 ", d));
+    EXPECT_DOUBLE_EQ(d, 1e-5);
+    EXPECT_TRUE(parseDouble("-2", d));
+    EXPECT_DOUBLE_EQ(d, -2.0);
+    d = 7.0;
+    EXPECT_FALSE(parseDouble("1.5x", d)); // Must consume it all.
+    EXPECT_FALSE(parseDouble("abc", d));
+    EXPECT_FALSE(parseDouble("", d));
+    EXPECT_FALSE(parseDouble("1e999", d)); // Overflows to inf.
+    EXPECT_FALSE(parseDouble("inf", d));
+    EXPECT_FALSE(parseDouble("nan", d));
+    EXPECT_DOUBLE_EQ(d, 7.0);
     EXPECT_EQ(strformat("%d-%s", 5, "ok"), "5-ok");
 }
 

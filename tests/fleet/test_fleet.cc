@@ -272,7 +272,7 @@ soakConfig()
     fleet::SoakConfig cfg;
     cfg.seed = 99;
     cfg.chipsPerPod = 2;
-    cfg.wireLatencySec = 17;
+    cfg.wireLatency = 17;
     cfg.workersPerPod = 2;
     cfg.initialPods = 2;
     cfg.durationSec = 0.2;

@@ -2,7 +2,7 @@
  * @file
  * Cross-session determinism under concurrency: the property the
  * serving layer's admission control rests on. Multiple
- * InferenceSessions sharing one compiled Lowering — on different
+ * InferenceSessions sharing one compiled program — on different
  * threads, reused across resets, or behind the server's worker pool —
  * must produce byte-identical outputs and the exact cycle count the
  * compiler predicted (paper Eq. 4, IV.F, V.c).
@@ -102,13 +102,11 @@ TEST(ConcurrentDeterminism, ServerPoolIdenticalInputsIdenticalBytes)
 {
     Graph g = model::buildTinyNet(3, kH, kW, kC);
     const auto input = randomInput(7);
-    Lowering lw(true);
-    const auto lowered = g.lower(lw, input);
+    serve::ModelRegistry reg({{"tinynet", g, input}});
 
     serve::ServerConfig cfg;
     cfg.workers = 4;
-    serve::InferenceServer server(lw, lowered.at(0),
-                                  lowered.at(g.outputNode()), cfg);
+    serve::InferenceServer server(reg, cfg);
 
     // The same input through different chips in the pool: byte-equal
     // outputs and cycle-equal service, regardless of which worker ran
@@ -123,7 +121,8 @@ TEST(ConcurrentDeterminism, ServerPoolIdenticalInputsIdenticalBytes)
 
     serve::Result first = futures[0].get();
     ASSERT_EQ(first.outcome, serve::Outcome::Served);
-    EXPECT_EQ(first.measuredCycles, lw.finishCycle());
+    EXPECT_EQ(first.measuredCycles,
+              reg.acquire(0, 1)->lw->finishCycle());
     for (int i = 1; i < kN; ++i) {
         const serve::Result r =
             futures[static_cast<std::size_t>(i)].get();
@@ -137,14 +136,11 @@ TEST(ConcurrentDeterminism, ServerPoolIdenticalInputsIdenticalBytes)
 TEST(ConcurrentDeterminism, ServerPoolVaryingInputsMatchReference)
 {
     Graph g = model::buildTinyNet(3, kH, kW, kC);
-    const auto warm = randomInput(7);
-    Lowering lw(true);
-    const auto lowered = g.lower(lw, warm);
+    serve::ModelRegistry reg({{"tinynet", g, randomInput(7)}});
 
     serve::ServerConfig cfg;
     cfg.workers = 3;
-    serve::InferenceServer server(lw, lowered.at(0),
-                                  lowered.at(g.outputNode()), cfg);
+    serve::InferenceServer server(reg, cfg);
 
     constexpr int kN = 6;
     std::vector<std::vector<std::int8_t>> inputs;

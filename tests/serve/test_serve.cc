@@ -28,6 +28,7 @@ using serve::Admission;
 using serve::AdmissionController;
 using serve::BoundedQueue;
 using serve::InferenceServer;
+using serve::ModelTiming;
 using serve::Outcome;
 using serve::Result;
 using serve::ServerConfig;
@@ -169,25 +170,46 @@ TEST(BoundedQueue, ConcurrentProducersConsumers)
 // AdmissionController — the deterministic-deadline arithmetic.
 // ---------------------------------------------------------------
 
+/** A controller over one family with a fixed exact-cycles table, at
+ *  1 GHz. */
+AdmissionController
+tableController(int workers, std::vector<Cycle> cycles_by_batch)
+{
+    return AdmissionController(
+        workers, 1, ModelTiming::fromTable(std::move(cycles_by_batch)),
+        1e-9);
+}
+
+/** Books one request as a sealed batch of one. */
+Admission
+admitOne(AdmissionController &ac, double arrival_sec,
+         double deadline_sec)
+{
+    const Admission a = ac.open(arrival_sec, deadline_sec);
+    if (a.admitted)
+        ac.seal();
+    return a;
+}
+
 TEST(Admission, ExactBookingSingleWorker)
 {
     // 1000 cycles at 1 GHz = exactly 1 us of service.
-    AdmissionController ac(1, 1000, 1e-9);
+    AdmissionController ac = tableController(1, {1000});
     EXPECT_DOUBLE_EQ(ac.serviceSec(), 1e-6);
 
     // Idle server: service starts at arrival.
-    const Admission a = ac.admit(0.0, 0.0);
+    const Admission a = admitOne(ac, 0.0, 0.0);
     EXPECT_TRUE(a.admitted);
     EXPECT_DOUBLE_EQ(a.startSec, 0.0);
     EXPECT_DOUBLE_EQ(a.completionSec, 1e-6);
 
     // Same-instant arrival queues behind the first booking.
-    const Admission b = ac.admit(0.0, 0.0);
+    const Admission b = admitOne(ac, 0.0, 0.0);
     EXPECT_DOUBLE_EQ(b.startSec, 1e-6);
     EXPECT_DOUBLE_EQ(b.completionSec, 2e-6);
 
     // An arrival after the backlog clears starts immediately.
-    const Admission c = ac.admit(5e-6, 0.0);
+    const Admission c = admitOne(ac, 5e-6, 0.0);
     EXPECT_DOUBLE_EQ(c.startSec, 5e-6);
     EXPECT_DOUBLE_EQ(c.completionSec, 6e-6);
     EXPECT_EQ(ac.admitted(), 3u);
@@ -195,23 +217,23 @@ TEST(Admission, ExactBookingSingleWorker)
 
 TEST(Admission, RejectInfeasibleWithoutBooking)
 {
-    AdmissionController ac(1, 1000, 1e-9);
+    AdmissionController ac = tableController(1, {1000});
     // Deadline shorter than the service time: provably infeasible
     // even on an idle chip.
-    const Admission a = ac.admit(0.0, 0.5e-6);
+    const Admission a = admitOne(ac, 0.0, 0.5e-6);
     EXPECT_FALSE(a.admitted);
     EXPECT_DOUBLE_EQ(a.completionSec, 1e-6); // Best case reported.
     EXPECT_EQ(ac.rejected(), 1u);
 
     // The rejection left no phantom reservation: the next request
     // still sees an idle server.
-    const Admission b = ac.admit(0.0, 1.1e-6);
+    const Admission b = admitOne(ac, 0.0, 1.1e-6);
     EXPECT_TRUE(b.admitted);
     EXPECT_DOUBLE_EQ(b.startSec, 0.0);
 
     // Now the server is busy until 1 us; a deadline of 1.5 us
     // cannot fit another 1 us service.
-    const Admission c = ac.admit(0.0, 1.5e-6);
+    const Admission c = admitOne(ac, 0.0, 1.5e-6);
     EXPECT_FALSE(c.admitted);
     EXPECT_EQ(ac.admitted(), 1u);
     EXPECT_EQ(ac.rejected(), 2u);
@@ -219,22 +241,22 @@ TEST(Admission, RejectInfeasibleWithoutBooking)
 
 TEST(Admission, MultiWorkerBooksEarliestFree)
 {
-    AdmissionController ac(2, 1000, 1e-9);
+    AdmissionController ac = tableController(2, {1000});
     // Two same-instant arrivals run in parallel on the two chips.
-    EXPECT_DOUBLE_EQ(ac.admit(0.0, 0.0).startSec, 0.0);
-    EXPECT_DOUBLE_EQ(ac.admit(0.0, 0.0).startSec, 0.0);
+    EXPECT_DOUBLE_EQ(admitOne(ac, 0.0, 0.0).startSec, 0.0);
+    EXPECT_DOUBLE_EQ(admitOne(ac, 0.0, 0.0).startSec, 0.0);
     // The third waits for whichever frees first.
-    const Admission c = ac.admit(0.0, 0.0);
+    const Admission c = admitOne(ac, 0.0, 0.0);
     EXPECT_DOUBLE_EQ(c.startSec, 1e-6);
     EXPECT_DOUBLE_EQ(c.completionSec, 2e-6);
 }
 
 TEST(Admission, EarliestCompletionDoesNotBook)
 {
-    AdmissionController ac(1, 1000, 1e-9);
+    AdmissionController ac = tableController(1, {1000});
     EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 1e-6);
     EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 1e-6); // Unchanged.
-    ASSERT_TRUE(ac.admit(0.0, 0.0).admitted);
+    ASSERT_TRUE(admitOne(ac, 0.0, 0.0).admitted);
     EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 2e-6);
 }
 
@@ -242,17 +264,20 @@ TEST(Admission, EarliestCompletionDoesNotBook)
 // InferenceServer end-to-end.
 // ---------------------------------------------------------------
 
+/** The tiny net as a one-family registry; its batch-1 program is the
+ *  lowered model the tests inspect. */
 struct Compiled
 {
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
     int h = 8, w = 8, c = 4;
+    Graph g;
+    serve::ModelRegistry reg;
+    std::shared_ptr<BatchProgram> bp;
 
     explicit Compiled(std::uint64_t input_seed = 7)
-        : g(model::buildTinyNet(3, 8, 8, 4))
+        : g(model::buildTinyNet(3, 8, 8, 4)),
+          reg({{"tinynet", g, randomInput(input_seed)}}),
+          bp(reg.acquire(0, 1))
     {
-        tensors = g.lower(lw, randomInput(input_seed));
     }
 
     std::vector<std::int8_t>
@@ -274,12 +299,8 @@ struct Compiled
         return g.runReference(qin).at(g.outputNode());
     }
 
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
+    const LoweredTensor &in() const { return bp->inputs[0]; }
+    const LoweredTensor &out() const { return bp->outputs[0]; }
 };
 
 TEST(Server, ServedRequestsMatchGoldenReference)
@@ -287,8 +308,8 @@ TEST(Server, ServedRequestsMatchGoldenReference)
     Compiled m;
     ServerConfig cfg;
     cfg.workers = 2;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
-    EXPECT_EQ(server.serviceCycles(), m.lw.finishCycle());
+    InferenceServer server(m.reg, cfg);
+    EXPECT_EQ(server.serviceCycles(), m.bp->lw->finishCycle());
 
     std::vector<std::future<Result>> futures;
     std::vector<std::vector<std::int8_t>> inputs;
@@ -317,7 +338,7 @@ TEST(Server, InfeasibleDeadlineRejectedWithoutChipCycles)
     Compiled m;
     ServerConfig cfg;
     cfg.workers = 1;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     // Deadline = half a service: provably unmeetable.
     const double half = server.serviceSec() / 2;
@@ -347,7 +368,7 @@ TEST(Server, QueueFullBackpressureRejects)
     cfg.workers = 1;
     cfg.queueCapacity = 2;
     cfg.startPaused = true; // Workers gated: the queue must fill.
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     auto f1 = server.submit(m.randomInput(1), 0.0);
     auto f2 = server.submit(m.randomInput(2), 0.0);
@@ -369,7 +390,7 @@ TEST(Server, CycleBudgetExhaustionPropagatesAsFailure)
     Compiled m;
 
     // Session-level: the explicit status replaces the old fatal().
-    InferenceSession sess(m.lw);
+    InferenceSession sess(*m.bp->lw);
     const RunResult rr = sess.runBounded(/*max_cycles=*/10);
     EXPECT_FALSE(rr.completed);
     EXPECT_TRUE(sess.timedOut());
@@ -378,14 +399,14 @@ TEST(Server, CycleBudgetExhaustionPropagatesAsFailure)
     EXPECT_FALSE(sess.timedOut());
     const RunResult ok = sess.runBounded();
     EXPECT_TRUE(ok.completed);
-    EXPECT_EQ(ok.cycles, m.lw.finishCycle());
+    EXPECT_EQ(ok.cycles, m.bp->lw->finishCycle());
 
     // Server-level: the timeout surfaces as Outcome::Failed instead
     // of a bogus result.
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxCyclesPerRun = 10;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
     const Result r = server.submit(m.randomInput(4), 0.0).get();
     EXPECT_EQ(r.outcome, Outcome::Failed);
     EXPECT_EQ(server.metricsSnapshot().counters().get("failed"), 1u);
@@ -402,7 +423,7 @@ TEST(Server, ShutdownRejectsBlockedSubmitterWithRecordedMetrics)
     cfg.workers = 1;
     cfg.queueCapacity = 1;
     cfg.startPaused = true; // Gate the worker so the queue stays full.
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     auto f1 = server.submit(m.randomInput(1), 0.0, 0.0,
                             InferenceServer::OnFull::Block);
@@ -466,7 +487,7 @@ TEST(Server, MetricsJsonIsWellFormed)
     Compiled m;
     ServerConfig cfg;
     cfg.workers = 2;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
     for (int i = 0; i < 4; ++i) {
         server.submit(m.randomInput(static_cast<std::uint64_t>(i)),
                       static_cast<double>(i) * 1e-7);

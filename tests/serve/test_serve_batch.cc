@@ -27,6 +27,7 @@ namespace {
 using serve::Admission;
 using serve::AdmissionController;
 using serve::InferenceServer;
+using serve::ModelTiming;
 using serve::Outcome;
 using serve::PodBackend;
 using serve::Result;
@@ -46,15 +47,16 @@ randomInput(std::uint64_t seed)
     return data;
 }
 
-/** One compiled batch cache over the tiny net, shared per fixture. */
+/** The tiny net as a one-family registry compiling batch sizes up to
+ *  max_batch, shared per fixture. */
 struct BatchCompiled
 {
     Graph g;
-    BatchProgramCache cache;
+    serve::ModelRegistry reg;
 
     explicit BatchCompiled(int max_batch)
         : g(model::buildTinyNet(3, kH, kW, kC)),
-          cache(g, randomInput(7), max_batch)
+          reg({{"tinynet", g, randomInput(7), max_batch}})
     {
     }
 
@@ -68,13 +70,15 @@ struct BatchCompiled
 };
 
 // ---------------------------------------------------------------
-// BatchProgramCache — the compiler-side amortization claims.
+// Batch programs — the compiler-side amortization claims.
 // ---------------------------------------------------------------
 
 TEST(BatchProgram, PerSampleCyclesStrictlyDecrease)
 {
     BatchCompiled m(8);
-    const auto &cycles = m.cache.cyclesByBatch();
+    std::vector<Cycle> cycles;
+    for (int b = 1; b <= m.reg.maxBatch(0); ++b)
+        cycles.push_back(m.reg.cycles(0, b));
     ASSERT_EQ(cycles.size(), 8u);
     for (int b = 2; b <= 8; ++b) {
         const double per_prev =
@@ -101,17 +105,18 @@ TEST(BatchProgram, WeightInstallIsAmortized)
     // The conv placement cache places each layer's weights exactly
     // once regardless of batch size — repeats reuse the tiles.
     const std::uint64_t solo =
-        m.cache.get(1).lw->weightPlacements();
+        m.reg.acquire(0, 1)->lw->weightPlacements();
     ASSERT_GT(solo, 0u);
     for (int b = 2; b <= 4; ++b)
-        EXPECT_EQ(m.cache.get(b).lw->weightPlacements(), solo)
+        EXPECT_EQ(m.reg.acquire(0, b)->lw->weightPlacements(), solo)
             << "batch " << b;
 }
 
 TEST(BatchProgram, PerSampleSlotsAreDistinct)
 {
     BatchCompiled m(4);
-    const BatchProgram &bp = m.cache.get(4);
+    const std::shared_ptr<BatchProgram> pinned = m.reg.acquire(0, 4);
+    const BatchProgram &bp = *pinned;
     ASSERT_EQ(bp.inputs.size(), 4u);
     ASSERT_EQ(bp.outputs.size(), 4u);
     for (int a = 0; a < 4; ++a) {
@@ -136,10 +141,19 @@ TEST(BatchProgram, PerSampleSlotsAreDistinct)
 // AdmissionController — batch open/tryJoin/seal arithmetic.
 // ---------------------------------------------------------------
 
+/** A one-worker controller over a fixed exact-cycles table, at
+ *  1 GHz. */
+AdmissionController
+tableController(std::vector<Cycle> cycles_by_batch)
+{
+    return AdmissionController(
+        1, 1, ModelTiming::fromTable(std::move(cycles_by_batch)), 1e-9);
+}
+
 TEST(BatchAdmission, JoinRebooksExactBatchCompletion)
 {
     // cycles table {1000, 1800, 2400} at 1 GHz.
-    AdmissionController ac(1, {1000, 1800, 2400}, 1e-9);
+    AdmissionController ac = tableController({1000, 1800, 2400});
     EXPECT_EQ(ac.maxBatch(), 3);
     EXPECT_DOUBLE_EQ(ac.serviceSec(2), 1.8e-6);
 
@@ -165,7 +179,7 @@ TEST(BatchAdmission, JoinRebooksExactBatchCompletion)
 
 TEST(BatchAdmission, JoinRefusedWhenMemberDeadlineWouldBreak)
 {
-    AdmissionController ac(1, {1000, 1800, 2400}, 1e-9);
+    AdmissionController ac = tableController({1000, 1800, 2400});
     // The opener's deadline fits batch-1 but not batch-2.
     const Admission a = ac.open(0.0, 1.5e-6);
     ASSERT_TRUE(a.admitted);
@@ -182,7 +196,7 @@ TEST(BatchAdmission, JoinRefusedWhenMemberDeadlineWouldBreak)
 
 TEST(BatchAdmission, JoinRefusedWhenCandidateDeadlineWouldBreak)
 {
-    AdmissionController ac(1, {1000, 1800, 2400}, 1e-9);
+    AdmissionController ac = tableController({1000, 1800, 2400});
     ASSERT_TRUE(ac.open(0.0, 0.0).admitted);
     // The candidate's own deadline cannot absorb cycles(2).
     EXPECT_FALSE(ac.tryJoin(0.0, 1.7e-6).admitted);
@@ -193,7 +207,7 @@ TEST(BatchAdmission, JoinRefusedWhenCandidateDeadlineWouldBreak)
 
 TEST(BatchAdmission, JoinRefusedBeyondMaxBatch)
 {
-    AdmissionController ac(1, {1000, 1800}, 1e-9);
+    AdmissionController ac = tableController({1000, 1800});
     ASSERT_TRUE(ac.open(0.0, 0.0).admitted);
     ASSERT_TRUE(ac.tryJoin(0.0, 0.0).admitted);
     EXPECT_FALSE(ac.tryJoin(0.0, 0.0).admitted); // Table ends at 2.
@@ -220,7 +234,7 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
     {
         ServerConfig cfg;
         cfg.workers = 1;
-        InferenceServer server(m.cache, cfg);
+        InferenceServer server(m.reg, cfg);
         EXPECT_EQ(server.batchMax(), 1);
         std::vector<std::future<Result>> futures;
         for (int i = 0; i < kRequests; ++i)
@@ -242,7 +256,7 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
     cfg.batchMax = kB;
     cfg.batchWindowSec = 1.0; // Everything may share a batch.
     cfg.startPaused = true;   // Batches must form, not race a worker.
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server(m.reg, cfg);
     EXPECT_EQ(server.batchMax(), kB);
 
     std::vector<std::future<Result>> futures;
@@ -259,8 +273,7 @@ TEST(BatchServer, BatchedOutputsBitIdenticalToSoloServes)
         EXPECT_EQ(r.batch, kB) << "request " << i;
         // The determinism contract survives batching: the booking is
         // the exact cycles(B) and the run matches it.
-        EXPECT_EQ(r.predictedCycles,
-                  m.cache.cyclesByBatch()[kB - 1]);
+        EXPECT_EQ(r.predictedCycles, m.reg.cycles(0, kB));
         EXPECT_EQ(r.measuredCycles, r.predictedCycles);
         // Byte-for-byte identical to the solo serve and the golden
         // reference.
@@ -297,7 +310,7 @@ TEST(BatchServer, BitIdenticalUnderCorrectableFaults)
     cfg.chip.fault.memReadRate = 0.02;
     cfg.chip.fault.memWriteRate = 0.02;
     cfg.chip.fault.doubleBitFraction = 0.0;
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server(m.reg, cfg);
 
     constexpr int kRequests = 8;
     std::vector<std::future<Result>> futures;
@@ -338,7 +351,7 @@ TEST(BatchServer, MidBatchMachineCheckFailsWholeBatch)
     // machine-check and *all* members fail together — never a
     // partial batch.
     const GlobalAddr a =
-        m.cache.get(kB).inputs[0].t.addrOf(0, 0, 0, 0);
+        m.reg.acquire(0, kB)->inputs[0].t.addrOf(0, 0, 0, 0);
     const int slice =
         (a.hem == Hemisphere::West ? 0 : kMemSlicesPerHem) + a.slice;
     ServerConfig cfg;
@@ -349,7 +362,7 @@ TEST(BatchServer, MidBatchMachineCheckFailsWholeBatch)
     cfg.maxRetries = 1;
     cfg.chip.fault.events = {{0, slice, a.addr, 0, 1},
                              {0, slice, a.addr, 0, 5}};
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server(m.reg, cfg);
 
     std::vector<std::future<Result>> futures;
     for (int i = 0; i < kB; ++i)
@@ -387,7 +400,7 @@ TEST(BatchServer, UncorrectableStrikesNeverServeCorruptedBatch)
     cfg.chip.fault.seed = 0x5151ull;
     cfg.chip.fault.streamRate = 2e-4;
     cfg.chip.fault.doubleBitFraction = 1.0;
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server(m.reg, cfg);
 
     constexpr int kRequests = 24;
     std::vector<std::future<Result>> futures;
@@ -430,7 +443,7 @@ TEST(BatchServer, WindowZeroBatchesOnlySameArrival)
     cfg.batchMax = kB;
     cfg.batchWindowSec = 0.0;
     cfg.startPaused = true;
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server(m.reg, cfg);
 
     // Two same-stamp pairs with distinct stamps between pairs: the
     // zero window seals at each stamp change, deterministically.
@@ -458,7 +471,7 @@ TEST(BatchServer, BatchMaxOneIsPreBatchingBehavior)
     cfg.workers = 1;
     cfg.batchMax = 1;
     cfg.batchWindowSec = 1.0; // Ignored at batchMax 1.
-    InferenceServer server(m.cache, cfg);
+    InferenceServer server(m.reg, cfg);
     EXPECT_EQ(server.batchMax(), 1);
 
     auto f1 = server.submit(randomInput(1), 0.0);

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/rng.hh"
 #include "graph/graph.hh"
 #include "model/resnet.hh"
@@ -25,17 +23,20 @@ using serve::Outcome;
 using serve::Result;
 using serve::ServerConfig;
 
+/** The tiny net as a one-family registry; its batch-1 program is the
+ *  lowered model the tests inspect. */
 struct Compiled
 {
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
     int h = 8, w = 8, c = 4;
+    Graph g;
+    serve::ModelRegistry reg;
+    std::shared_ptr<BatchProgram> bp;
 
     explicit Compiled(std::uint64_t input_seed = 7)
-        : g(model::buildTinyNet(3, 8, 8, 4))
+        : g(model::buildTinyNet(3, 8, 8, 4)),
+          reg({{"tinynet", g, randomInput(input_seed)}}),
+          bp(reg.acquire(0, 1))
     {
-        tensors = g.lower(lw, randomInput(input_seed));
     }
 
     std::vector<std::int8_t>
@@ -57,12 +58,8 @@ struct Compiled
         return g.runReference(qin).at(g.outputNode());
     }
 
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
+    const LoweredTensor &in() const { return bp->inputs[0]; }
+    const LoweredTensor &out() const { return bp->outputs[0]; }
 
     /** A double-bit (uncorrectable) scheduled fault pair on the first
      *  word of the model input — a word every inference reads. */
@@ -88,7 +85,7 @@ TEST(ServeFaults, ScheduledDoubleBitFaultExhaustsRetries)
     cfg.workers = 2;
     cfg.maxRetries = 1;
     cfg.chip.fault.events = m.poisonInputEvents();
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     std::vector<std::future<Result>> futures;
     for (int i = 0; i < 4; ++i) {
@@ -129,7 +126,7 @@ TEST(ServeFaults, TightDeadlineForbidsRetry)
     cfg.workers = 1;
     cfg.maxRetries = 3;
     cfg.chip.fault.events = m.poisonInputEvents();
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     auto f = server.submit(m.randomInput(1), 0.0,
                            1.5 * server.serviceSec());
@@ -154,7 +151,7 @@ TEST(ServeFaults, RandomDoubleBitStrikesNeverServeCorrupted)
     cfg.chip.fault.seed = 0x5151ull;
     cfg.chip.fault.streamRate = 5e-4;
     cfg.chip.fault.doubleBitFraction = 1.0;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     constexpr int kRequests = 24;
     std::vector<std::future<Result>> futures;
@@ -210,7 +207,7 @@ TEST(ServeFaults, SingleBitStrikesAreCorrectedAndReported)
     cfg.chip.fault.memReadRate = 0.02;
     cfg.chip.fault.memWriteRate = 0.02;
     cfg.chip.fault.doubleBitFraction = 0.0;
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     constexpr int kRequests = 8;
     std::vector<std::future<Result>> futures;

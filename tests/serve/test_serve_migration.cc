@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/rng.hh"
 #include "graph/graph.hh"
 #include "model/resnet.hh"
@@ -27,17 +25,20 @@ using serve::Outcome;
 using serve::Result;
 using serve::ServerConfig;
 
+/** The tiny net as a one-family registry; its batch-1 program is the
+ *  lowered model the tests inspect. */
 struct Compiled
 {
-    Graph g;
-    Lowering lw{true};
-    std::map<int, LoweredTensor> tensors;
     int h = 8, w = 8, c = 4;
+    Graph g;
+    serve::ModelRegistry reg;
+    std::shared_ptr<BatchProgram> bp;
 
     explicit Compiled(std::uint64_t input_seed = 7)
-        : g(model::buildTinyNet(3, 8, 8, 4))
+        : g(model::buildTinyNet(3, 8, 8, 4)),
+          reg({{"tinynet", g, randomInput(input_seed)}}),
+          bp(reg.acquire(0, 1))
     {
-        tensors = g.lower(lw, randomInput(input_seed));
     }
 
     std::vector<std::int8_t>
@@ -59,12 +60,8 @@ struct Compiled
         return g.runReference(qin).at(g.outputNode());
     }
 
-    const LoweredTensor &in() const { return tensors.at(0); }
-    const LoweredTensor &
-    out() const
-    {
-        return tensors.at(g.outputNode());
-    }
+    const LoweredTensor &in() const { return bp->inputs[0]; }
+    const LoweredTensor &out() const { return bp->outputs[0]; }
 
     /** Uncorrectable scheduled double-bit pair on the model input:
      *  wired to cycle 0, so it replays on every rebuilt engine. */
@@ -101,7 +98,7 @@ TEST(ServeMigration, CondemnedBatchCompletesWithinDeadline)
     cfg.maxRetries = 0;
     cfg.migrateOnMachineCheck = true;
     m.armRandomStrikes(cfg);
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     const double service = server.serviceSec();
     const double deadline = 25.0 * service;
@@ -138,7 +135,7 @@ TEST(ServeMigration, WithoutMigrationSameFaultsFail)
     cfg.maxRetries = 0;
     cfg.migrateOnMachineCheck = false;
     m.armRandomStrikes(cfg);
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     auto f = server.submit(m.randomInput(1), 0.0,
                            25.0 * server.serviceSec());
@@ -163,7 +160,7 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
     mig.maxRetries = 0;
     mig.migrateOnMachineCheck = true;
     m.armRandomStrikes(mig);
-    InferenceServer migrate(m.lw, m.in(), m.out(), mig);
+    InferenceServer migrate(m.reg, mig);
     auto fm = migrate.submit(input, 0.0);
     migrate.drain();
     ASSERT_EQ(fm.get().outcome, Outcome::Served);
@@ -171,7 +168,7 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
     ServerConfig ret = mig;
     ret.maxRetries = 30; // This seed lineage needs ~25 full retries.
     ret.migrateOnMachineCheck = false;
-    InferenceServer retry(m.lw, m.in(), m.out(), ret);
+    InferenceServer retry(m.reg, ret);
     auto fr = retry.submit(input, 0.0);
     retry.drain();
     ASSERT_EQ(fr.get().outcome, Outcome::Served);
@@ -194,9 +191,9 @@ TEST(ServeMigration, RetryBookingChargesEngineRebuild)
     cfg.maxRetries = 3;
     cfg.chip.fault.events = m.poisonInputEvents();
     const double rebuild =
-        InferenceSession(m.lw, cfg.chip).dmaSeconds();
+        InferenceSession(*m.bp->lw, cfg.chip).dmaSeconds();
     ASSERT_GT(rebuild, 0.0);
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     const double service = server.serviceSec();
     const double deadline = 2.0 * service + 0.5 * rebuild;
@@ -223,7 +220,7 @@ TEST(ServeMigration, NoSnapshotFallsBackToFullRetry)
     cfg.migrateOnMachineCheck = true;
     cfg.snapshotEveryCycles = 100'000'000;
     cfg.chip.fault.events = m.poisonInputEvents();
-    InferenceServer server(m.lw, m.in(), m.out(), cfg);
+    InferenceServer server(m.reg, cfg);
 
     auto f = server.submit(m.randomInput(1), 0.0);
     server.drain();
@@ -244,8 +241,8 @@ TEST(ServeMigration, SnapshotCadenceAloneDoesNotPerturbServing)
     ServerConfig snap_cfg = plain_cfg;
     snap_cfg.snapshotEveryCycles = 97;
 
-    InferenceServer plain(m.lw, m.in(), m.out(), plain_cfg);
-    InferenceServer snapped(m.lw, m.in(), m.out(), snap_cfg);
+    InferenceServer plain(m.reg, plain_cfg);
+    InferenceServer snapped(m.reg, snap_cfg);
     const std::vector<std::int8_t> input = m.randomInput(2);
 
     auto fa = plain.submit(input, 0.0);

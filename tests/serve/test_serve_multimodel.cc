@@ -131,17 +131,18 @@ TEST(LazyBatchCompile, MemoizedCyclesSurviveEviction)
 /** Regression for the eager-compile bug: a server configured for
  * batches up to 4 must not compile size k until the first k-batch
  * actually forms. (Previously the server ctor compiled every size up
- * front via cyclesByBatch().) */
+ * front.) */
 TEST(LazyBatchCompile, ServerCompilesOnlyFormedBatchSizes)
 {
     Graph g = model::buildTinyNet(3, kH, kW, kC);
-    BatchProgramCache cache(g, randomInput(7), 4);
+    ModelRegistry reg({{"tinynet", g, randomInput(7), 4}});
+    const BatchProgramCache &cache = reg.cache(0);
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.batchMax = 4;
     cfg.batchWindowSec = 0.0; // No joining: every batch is size 1.
     {
-        InferenceServer server(cache, cfg);
+        InferenceServer server(reg, cfg);
         // Construction needs exactly batch-1 (the backend arms it
         // and admission prices a batch-1 service).
         EXPECT_EQ(cache.compiledCount(), 1u);
@@ -164,7 +165,7 @@ TEST(LazyBatchCompile, ServerCompilesOnlyFormedBatchSizes)
     // Now a 2-batch forms: size 2 compiles on first use.
     ServerConfig cfg2 = cfg;
     cfg2.batchWindowSec = 1.0;
-    InferenceServer server(cache, cfg2);
+    InferenceServer server(reg, cfg2);
     auto f0 = server.submit(randomInput(200), 0.0);
     auto f1 = server.submit(randomInput(201), 1e-7);
     server.flushOpenBatch();
@@ -251,8 +252,8 @@ TEST(ModelRegistryTest, EvictionDropsTheTraceASessionRecorded)
 
     serve::SessionBackend be(reg.acquire(0, 1), 1, ChipConfig{});
     be.attachTraceCache(traces);
-    be.reset();
-    be.writeInput(randomInput(5));
+    be.resetBatch(1);
+    be.writeSample(0, randomInput(5));
     ASSERT_TRUE(be.runBounded(500'000'000).completed);
     EXPECT_EQ(be.recordCount(), 1u);
     EXPECT_EQ(traces->size(), 1u);
@@ -264,6 +265,29 @@ TEST(ModelRegistryTest, EvictionDropsTheTraceASessionRecorded)
     EXPECT_FALSE(reg.compiled(0, 1));
     EXPECT_EQ(traces->size(), 0u);
     EXPECT_EQ(traces->memoryBytes(), 0u);
+}
+
+TEST(ModelRegistryTest, SwapPricingNeverCompiles)
+{
+    // Pricing a swap reads the image size memoized at compile: after
+    // an eviction it must not recompile the program behind the
+    // registry's budget and LRU.
+    std::vector<ModelSpec> specs;
+    specs.push_back(makeSpec("a", 3, 1));
+    specs.push_back(makeSpec("b", 11, 1));
+    ModelRegistry reg(std::move(specs), /*budget_bytes=*/1);
+    const double swap_a = reg.swapSec(0, 1);
+    ASSERT_GT(swap_a, 0.0);
+    reg.acquire(0, 1);
+    reg.acquire(1, 1); // Evicts family a.
+    ASSERT_FALSE(reg.compiled(0, 1));
+    const std::uint64_t compiles = reg.compileCount();
+    const std::size_t resident = reg.residentBytes();
+
+    EXPECT_DOUBLE_EQ(reg.swapSec(0, 1), swap_a);
+    EXPECT_EQ(reg.compileCount(), compiles);
+    EXPECT_FALSE(reg.compiled(0, 1));
+    EXPECT_EQ(reg.residentBytes(), resident);
 }
 
 // ---------------------------------------------------------------
@@ -581,20 +605,17 @@ TEST(Preemption, PreemptedBatchRetriesThroughMachineCheck)
 
 TEST(MultiModelReduction, OneFamilyNoPreemptionBitIdenticalToPr8)
 {
-    // Same graph, same stream: a one-family registry server with
+    // Same programs, same stream: a one-family registry server with
     // preemption off must produce byte-identical serving metrics to
-    // the plain BatchProgramCache server.
-    Graph g = model::buildTinyNet(3, kH, kW, kC);
-    const auto warm = randomInput(3 ^ 0x5eedu);
-    BatchProgramCache cache(g, warm, 2);
-
+    // a server booked by the plain exact-cycles table rule — its
+    // swap-aware worker choice reduces exactly to earliest-free.
     std::vector<ModelSpec> specs;
     specs.push_back(makeSpec("a", 3, 2));
     ModelRegistry reg(std::move(specs));
 
     ServerConfig cfg;
     cfg.workers = 2;
-    cfg.batchMax = 2;
+    cfg.batchMax = 1;
     cfg.batchWindowSec = 2e-7;
 
     auto drive = [&](InferenceServer &server) {
@@ -623,7 +644,12 @@ TEST(MultiModelReduction, OneFamilyNoPreemptionBitIdenticalToPr8)
 
     std::string a, b;
     {
-        InferenceServer s(cache, cfg);
+        InferenceServer s(
+            [&reg, &cfg](int) {
+                return std::make_unique<serve::SessionBackend>(
+                    reg.acquire(0, 1), 1, cfg.chip);
+            },
+            {reg.cycles(0, 1)}, cfg);
         a = drive(s);
     }
     {

@@ -191,14 +191,14 @@ main(int argc, char **argv)
         } else if (arg == "--power") {
             want_power = true;
         } else if (arg == "--fault-rate") {
-            fault_rate = std::atof(next());
-            if (fault_rate < 0.0 || fault_rate > 1.0) {
+            if (!parseDouble(next(), fault_rate) || fault_rate < 0.0 ||
+                fault_rate > 1.0) {
                 std::fprintf(stderr, "bad --fault-rate\n");
                 return 2;
             }
         } else if (arg == "--fault-double") {
-            fault_double = std::atof(next());
-            if (fault_double < 0.0 || fault_double > 1.0) {
+            if (!parseDouble(next(), fault_double) ||
+                fault_double < 0.0 || fault_double > 1.0) {
                 std::fprintf(stderr, "bad --fault-double\n");
                 return 2;
             }

@@ -2,10 +2,11 @@
  * @file
  * tsp-serve: demo CLI for the deterministic-deadline serving layer.
  *
- * Compiles a model once, spins up a pool of simulated chips, replays
- * an open-loop Poisson request stream against it and prints the
- * serving report (per-outcome counts, latency percentiles on the
- * virtual chip timeline, throughput), optionally as JSON.
+ * Registers a model (or several) in a ModelRegistry, spins up a pool
+ * of simulated chips over it, replays an open-loop Poisson request
+ * stream against it and prints the serving report (per-outcome
+ * counts, latency percentiles on the virtual chip timeline,
+ * throughput), optionally as JSON.
  *
  *   tsp-serve [options]
  *     --workers N       engines in the pool          (default 2)
@@ -18,7 +19,8 @@
  *     --slack S         deadline = arrival + S * service; 0 = none
  *                                                    (default 4)
  *     --queue N         per-worker queue capacity    (default 64)
- *     --model-seed S    tiny-net weight seed         (default 3)
+ *     --model-seed S    weight seed of the single tiny-net family
+ *                       served without --model     (default 3)
  *     --seed S          request-stream seed          (default 1)
  *     --json FILE       also write the report as JSON
  *     --fault-rate R    per-access bit-upset rate on MEM reads,
@@ -45,12 +47,11 @@
  *                       leader's arrival later requests may still
  *                       join its batch            (default 0)
  *     --model NAME=SEED[:HxWxC]
- *                       register a model family (repeatable). With
- *                       one or more --model flags the server runs
- *                       multi-model: one registry holds every
- *                       family, requests spread across them, and
- *                       weight swaps are booked exactly into
- *                       admission (default shape 8x8x4)
+ *                       register a model family (repeatable) in
+ *                       place of the single --model-seed one; the
+ *                       registry holds every family, requests spread
+ *                       across them, and weight swaps are booked
+ *                       exactly into admission (default shape 8x8x4)
  *     --registry-mb N   compiled-program byte budget, MiB; LRU
  *                       eviction (with eager trace invalidation)
  *                       above it               (default unbounded)
@@ -61,6 +62,9 @@
  *                       miss its deadline to preempt the open
  *                       batch (victims re-queued, never dropped)
  *
+ * Numeric values must parse whole and fit their type; anything else
+ * prints usage and exits 2.
+ *
  * Examples:
  *   tsp-serve --workers 4 --requests 400 --rho 1.5 --slack 3 \
  *             --json serve_report.json
@@ -68,6 +72,7 @@
  *             --hipri 0.2 --preempt --requests 400
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -77,15 +82,20 @@
 
 #include "c2c/collective.hh"
 #include "common/rng.hh"
+#include "common/strutil.hh"
 #include "model/resnet.hh"
 #include "serve/server.hh"
 
-namespace {
+#include "cli_args.hh"
 
 using namespace tsp;
+using cli::badArg;
+using cli::intArg;
+using cli::longArg;
+using cli::realArg;
 
 void
-usage()
+tsp::cli::usage()
 {
     std::fprintf(stderr,
                  "usage: tsp-serve [--workers N] [--pod N] "
@@ -100,6 +110,8 @@ usage()
                  "[--hipri F] [--preempt]\n");
 }
 
+namespace {
+
 /** One --model flag: NAME=SEED[:HxWxC]. */
 struct ModelArg
 {
@@ -109,25 +121,49 @@ struct ModelArg
 };
 
 bool
-parseModelArg(const char *s, ModelArg &out)
+parseModelArg(std::string_view s, ModelArg &out)
 {
-    const char *eq = std::strchr(s, '=');
-    if (eq == nullptr || eq == s)
+    const std::size_t eq = s.find('=');
+    if (eq == 0 || eq == std::string_view::npos)
         return false;
-    out.name.assign(s, static_cast<std::size_t>(eq - s));
-    char *end = nullptr;
-    out.seed = std::strtoull(eq + 1, &end, 10);
-    if (end == eq + 1)
+    out.name = s.substr(0, eq);
+    s.remove_prefix(eq + 1);
+    const std::size_t colon = s.find(':');
+    long seed = 0;
+    if (!parseInt(s.substr(0, colon), seed))
         return false;
-    if (*end == ':') {
-        if (std::sscanf(end + 1, "%dx%dx%d", &out.h, &out.w,
-                        &out.c) != 3 ||
-            out.h < 1 || out.w < 1 || out.c < 1)
+    out.seed = static_cast<std::uint64_t>(seed);
+    if (colon == std::string_view::npos)
+        return true;
+    const std::vector<std::string> dims = split(s.substr(colon + 1), 'x');
+    if (dims.size() != 3)
+        return false;
+    int *shape[3] = {&out.h, &out.w, &out.c};
+    for (int i = 0; i < 3; ++i) {
+        long v = 0;
+        if (!parseInt(dims[static_cast<std::size_t>(i)], v) || v < 1 ||
+            v > INT_MAX)
             return false;
-    } else if (*end != '\0') {
-        return false;
+        *shape[i] = static_cast<int>(v);
     }
     return true;
+}
+
+/** @return a tiny-net family drawing its warm input from @p rng. */
+serve::ModelSpec
+tinyNetSpec(std::string name, std::uint64_t weight_seed, int h, int w,
+            int c, Rng &rng, int max_batch)
+{
+    serve::ModelSpec sp;
+    sp.name = std::move(name);
+    sp.graph = model::buildTinyNet(weight_seed, h, w, c);
+    sp.warmInput.resize(static_cast<std::size_t>(h) *
+                        static_cast<std::size_t>(w) *
+                        static_cast<std::size_t>(c));
+    for (auto &v : sp.warmInput)
+        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
+    sp.maxBatch = max_batch;
+    return sp;
 }
 
 } // namespace
@@ -137,11 +173,11 @@ main(int argc, char **argv)
 {
     int workers = 2;
     int pod_chips = 0;
-    Cycle wire_latency = 17;
+    long wire_latency = 17;
     int requests = 200;
     double rho = 1.2;
     double slack_services = 4.0;
-    std::size_t queue_cap = 64;
+    long queue_cap = 64;
     std::uint64_t model_seed = 3;
     std::uint64_t seed = 1;
     const char *json_path = nullptr;
@@ -161,95 +197,76 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
+            if (i + 1 >= argc)
+                badArg();
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--workers")) {
-            workers = std::atoi(next());
+            workers = intArg(next());
         } else if (!std::strcmp(argv[i], "--pod")) {
-            pod_chips = std::atoi(next());
+            pod_chips = intArg(next());
         } else if (!std::strcmp(argv[i], "--wire")) {
-            wire_latency = static_cast<Cycle>(std::atol(next()));
+            wire_latency = longArg(next());
         } else if (!std::strcmp(argv[i], "--requests")) {
-            requests = std::atoi(next());
+            requests = intArg(next());
         } else if (!std::strcmp(argv[i], "--rho")) {
-            rho = std::atof(next());
+            rho = realArg(next());
         } else if (!std::strcmp(argv[i], "--slack")) {
-            slack_services = std::atof(next());
+            slack_services = realArg(next());
         } else if (!std::strcmp(argv[i], "--queue")) {
-            queue_cap = static_cast<std::size_t>(std::atol(next()));
+            queue_cap = longArg(next());
         } else if (!std::strcmp(argv[i], "--model-seed")) {
-            model_seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            model_seed = static_cast<std::uint64_t>(longArg(next()));
         } else if (!std::strcmp(argv[i], "--seed")) {
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
+            seed = static_cast<std::uint64_t>(longArg(next()));
         } else if (!std::strcmp(argv[i], "--json")) {
             json_path = next();
         } else if (!std::strcmp(argv[i], "--fault-rate")) {
-            fault_rate = std::atof(next());
+            fault_rate = realArg(next());
         } else if (!std::strcmp(argv[i], "--fault-double")) {
-            fault_double = std::atof(next());
+            fault_double = realArg(next());
         } else if (!std::strcmp(argv[i], "--fault-seed")) {
-            fault_seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            fault_seed = static_cast<std::uint64_t>(longArg(next()));
             have_fault_seed = true;
         } else if (!std::strcmp(argv[i], "--retries")) {
-            retries = std::atoi(next());
+            retries = intArg(next());
         } else if (!std::strcmp(argv[i], "--migrate-on-mc")) {
             migrate_on_mc = true;
         } else if (!std::strcmp(argv[i], "--snapshot-every")) {
-            snapshot_every = std::atol(next());
+            snapshot_every = longArg(next());
         } else if (!std::strcmp(argv[i], "--batch-max")) {
-            batch_max = std::atoi(next());
+            batch_max = intArg(next());
         } else if (!std::strcmp(argv[i], "--batch-window-us")) {
-            batch_window_us = std::atof(next());
+            batch_window_us = realArg(next());
         } else if (!std::strcmp(argv[i], "--model")) {
             ModelArg ma;
-            if (!parseModelArg(next(), ma)) {
-                usage();
-                return 2;
-            }
+            if (!parseModelArg(next(), ma))
+                badArg();
             model_args.push_back(std::move(ma));
         } else if (!std::strcmp(argv[i], "--registry-mb")) {
-            registry_mb = std::atol(next());
+            registry_mb = longArg(next());
         } else if (!std::strcmp(argv[i], "--hipri")) {
-            hipri = std::atof(next());
+            hipri = realArg(next());
         } else if (!std::strcmp(argv[i], "--preempt")) {
             preempt = true;
         } else {
-            usage();
-            return 2;
+            badArg();
         }
     }
-    if (workers < 1 || requests < 1 || rho <= 0.0 ||
-        fault_rate < 0.0 || fault_rate > 1.0 || fault_double < 0.0 ||
-        fault_double > 1.0 || retries < 0 || snapshot_every < 0 ||
-        pod_chips == 1 ||
-        pod_chips < 0 || batch_max < 1 || batch_window_us < 0.0 ||
+    if (workers < 1 || requests < 1 || rho <= 0.0 || wire_latency < 0 ||
+        queue_cap < 0 || fault_rate < 0.0 || fault_rate > 1.0 ||
+        fault_double < 0.0 || fault_double > 1.0 || retries < 0 ||
+        snapshot_every < 0 || pod_chips == 1 || pod_chips < 0 ||
+        batch_max < 1 || batch_window_us < 0.0 ||
         (pod_chips >= 2 && batch_max > AllReducePlan::kMaxBatch) ||
-        registry_mb < 0 || hipri < 0.0 || hipri > 1.0 ||
-        (!model_args.empty() && pod_chips != 0)) {
-        usage();
-        return 2;
-    }
-
-    // Compile once; the pool shares the lowered program and image.
-    const int h = 8, w = 8, c = 4;
-    Graph g = model::buildTinyNet(model_seed, h, w, c);
-    Rng rng(seed);
-    std::vector<std::int8_t> warm(
-        static_cast<std::size_t>(h) * w * c);
-    for (auto &v : warm)
-        v = static_cast<std::int8_t>(rng.intIn(-100, 100));
-    Lowering lw(/*pipelined=*/true);
-    const auto tensors = g.lower(lw, warm);
+        registry_mb < 0 || registry_mb > (LONG_MAX >> 20) ||
+        hipri < 0.0 || hipri > 1.0 ||
+        (!model_args.empty() && pod_chips != 0))
+        badArg();
 
     serve::ServerConfig cfg;
     cfg.workers = workers;
-    cfg.queueCapacity = queue_cap;
+    cfg.queueCapacity = static_cast<std::size_t>(queue_cap);
     cfg.maxRetries = retries;
     cfg.migrateOnMachineCheck = migrate_on_mc;
     cfg.snapshotEveryCycles = static_cast<Cycle>(snapshot_every);
@@ -270,28 +287,47 @@ main(int argc, char **argv)
         cfg.sloClasses.push_back(serve::SloClass{0.5, 1});
     }
 
-    std::unique_ptr<BatchProgramCache> cache;
+    // The single family's warm input is the stream's first draws, in
+    // every mode, so a seed names one request stream.
+    Rng rng(seed);
+    serve::ModelSpec single =
+        tinyNetSpec("tinynet", model_seed, 8, 8, 4, rng, batch_max);
+
     std::unique_ptr<serve::ModelRegistry> registry;
     std::unique_ptr<serve::InferenceServer> server_p;
-    if (!model_args.empty()) {
-        // Multi-model: one registry holds every family; programs
-        // compile lazily on first use of each (model, batch) pair.
+    std::vector<std::size_t> input_len; ///< Per family.
+    if (pod_chips >= 2) {
+        // Each worker owns an N-chip ring pod serving the statically
+        // scheduled all-reduce; the collective's exact cycles(b) are
+        // calibrated once per batch size on a fault-free pod.
+        const std::vector<Cycle> table =
+            serve::PodBackend::serviceCyclesTable(
+                pod_chips, static_cast<Cycle>(wire_latency), cfg.chip,
+                batch_max);
+        const ChipConfig chip_cfg = cfg.chip;
+        server_p = std::make_unique<serve::InferenceServer>(
+            [pod_chips, wire_latency, chip_cfg,
+             batch_max](int) -> std::unique_ptr<serve::Backend> {
+                return std::make_unique<serve::PodBackend>(
+                    pod_chips, static_cast<Cycle>(wire_latency),
+                    chip_cfg, batch_max);
+            },
+            table, cfg);
+        input_len.push_back(serve::PodBackend::inputBytes(pod_chips));
+    } else {
+        // One registry holds every family (the single --model-seed
+        // one by default); programs compile lazily on first use of
+        // each (model, batch) pair.
         std::vector<serve::ModelSpec> specs;
-        specs.reserve(model_args.size());
         for (const ModelArg &ma : model_args) {
-            serve::ModelSpec sp;
-            sp.name = ma.name;
-            sp.graph =
-                model::buildTinyNet(ma.seed, ma.h, ma.w, ma.c);
-            sp.warmInput.resize(static_cast<std::size_t>(ma.h) *
-                                static_cast<std::size_t>(ma.w) *
-                                static_cast<std::size_t>(ma.c));
             Rng wr(ma.seed ^ 0x9e3779b97f4a7c15ull);
-            for (auto &v : sp.warmInput)
-                v = static_cast<std::int8_t>(wr.intIn(-100, 100));
-            sp.maxBatch = batch_max;
-            specs.push_back(std::move(sp));
+            specs.push_back(tinyNetSpec(ma.name, ma.seed, ma.h, ma.w,
+                                        ma.c, wr, batch_max));
         }
+        if (specs.empty())
+            specs.push_back(std::move(single));
+        for (const serve::ModelSpec &sp : specs)
+            input_len.push_back(sp.warmInput.size());
         registry = std::make_unique<serve::ModelRegistry>(
             std::move(specs),
             registry_mb > 0
@@ -299,36 +335,12 @@ main(int argc, char **argv)
                 : serve::ModelRegistry::kDefaultBudget);
         server_p = std::make_unique<serve::InferenceServer>(
             *registry, cfg);
-    } else if (pod_chips >= 2) {
-        // Each worker owns an N-chip ring pod serving the statically
-        // scheduled all-reduce; the collective's exact cycles(b) are
-        // calibrated once per batch size on a fault-free pod.
-        const std::vector<Cycle> table =
-            serve::PodBackend::serviceCyclesTable(
-                pod_chips, wire_latency, cfg.chip, batch_max);
-        const ChipConfig chip_cfg = cfg.chip;
-        server_p = std::make_unique<serve::InferenceServer>(
-            [pod_chips, wire_latency, chip_cfg,
-             batch_max](int) -> std::unique_ptr<serve::Backend> {
-                return std::make_unique<serve::PodBackend>(
-                    pod_chips, wire_latency, chip_cfg, batch_max);
-            },
-            table, cfg);
-    } else if (batch_max > 1) {
-        // Compile one batch-b program per b <= batch_max: weights
-        // install once per batch, per-sample activations repeat.
-        cache = std::make_unique<BatchProgramCache>(g, warm,
-                                                    batch_max);
-        server_p =
-            std::make_unique<serve::InferenceServer>(*cache, cfg);
-    } else {
-        server_p = std::make_unique<serve::InferenceServer>(
-            lw, tensors.at(0), tensors.at(g.outputNode()), cfg);
     }
     serve::InferenceServer &server = *server_p;
     if (registry) {
-        std::printf("model registry: %d families, budget %s\n",
+        std::printf("model registry: %d famil%s, budget %s\n",
                     registry->modelCount(),
+                    registry->modelCount() == 1 ? "y" : "ies",
                     registry_mb > 0 ? "bounded" : "unbounded");
         for (int m = 0; m < registry->modelCount(); ++m) {
             std::printf("  %-12s max batch %d, cycles(1) %llu, "
@@ -339,12 +351,11 @@ main(int argc, char **argv)
                             registry->cycles(m, 1)),
                         registry->swapSec(m, 1) * 1e6);
         }
-        if (!cfg.sloClasses.empty()) {
-            std::printf("tenant classes: %.0f%% of traffic "
-                        "high-priority (slack x0.5)%s\n",
-                        hipri * 100.0,
-                        preempt ? ", preemption on" : "");
-        }
+    }
+    if (!cfg.sloClasses.empty()) {
+        std::printf("tenant classes: %.0f%% of traffic "
+                    "high-priority (slack x0.5)%s\n",
+                    hipri * 100.0, preempt ? ", preemption on" : "");
     }
     if (server.batchMax() > 1) {
         std::printf("batching: up to %d samples per batch, join "
@@ -359,14 +370,13 @@ main(int argc, char **argv)
 
     if (pod_chips >= 2) {
         std::printf("collective: %d-chip ring all-reduce, wire "
-                    "latency %llu — %llu cycles = %.3f us per "
+                    "latency %ld — %llu cycles = %.3f us per "
                     "request, known before execution\n",
-                    pod_chips,
-                    static_cast<unsigned long long>(wire_latency),
+                    pod_chips, wire_latency,
                     static_cast<unsigned long long>(
                         server.serviceCycles()),
                     server.serviceSec() * 1e6);
-        std::printf("pool: %d pod%s of %d chips, queue capacity %zu, "
+        std::printf("pool: %d pod%s of %d chips, queue capacity %ld, "
                     "offered load %.2f x capacity%s\n",
                     workers, workers == 1 ? "" : "s", pod_chips,
                     queue_cap, rho,
@@ -377,7 +387,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         server.serviceCycles()),
                     server.serviceSec() * 1e6);
-        std::printf("pool: %d chip%s, queue capacity %zu, offered "
+        std::printf("pool: %d chip%s, queue capacity %ld, offered "
                     "load %.2f x capacity%s\n",
                     workers, workers == 1 ? "" : "s", queue_cap, rho,
                     slack_services > 0.0 ? "" : ", no deadlines");
@@ -390,16 +400,12 @@ main(int argc, char **argv)
     }
     std::printf("\n");
 
-    const double service = server.serviceSec();
     const double mean_gap =
-        service / (rho * static_cast<double>(workers));
-    const std::size_t input_len =
-        pod_chips >= 2 ? serve::PodBackend::inputBytes(pod_chips)
-                       : static_cast<std::size_t>(h) * w * c;
+        server.serviceSec() / (rho * static_cast<double>(workers));
+    const int nmodels = server.models();
     double now = 0.0;
     std::vector<std::future<serve::Result>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
-    const int nmodels = registry ? registry->modelCount() : 1;
     for (int i = 0; i < requests; ++i) {
         now += -std::log(1.0 - rng.nextDouble()) * mean_gap;
         int m = 0, tenant = 0;
@@ -408,24 +414,19 @@ main(int argc, char **argv)
         if (!cfg.sloClasses.empty() && hipri > 0.0 &&
             rng.nextDouble() < hipri)
             tenant = 1;
-        const std::size_t len =
-            registry ? registry->expectedInputBytes(m) : input_len;
-        std::vector<std::int8_t> data(len);
+        std::vector<std::int8_t> data(
+            input_len[static_cast<std::size_t>(m)]);
         for (auto &v : data)
             v = static_cast<std::int8_t>(rng.intIn(-100, 100));
         // Slack is measured in this family's own service times.
-        const double svc =
-            registry ? server.admission().serviceSecFor(m, 1)
-                     : service;
         const double deadline =
-            slack_services > 0.0 ? now + slack_services * svc : 0.0;
-        futures.push_back(
-            registry ? server.submitModel(
-                           m, tenant, std::move(data), now, deadline,
-                           serve::InferenceServer::OnFull::Block)
-                     : server.submit(
-                           std::move(data), now, deadline,
-                           serve::InferenceServer::OnFull::Block));
+            slack_services > 0.0
+                ? now + slack_services *
+                            server.admission().serviceSecFor(m, 1)
+                : 0.0;
+        futures.push_back(server.submitModel(
+            m, tenant, std::move(data), now, deadline,
+            serve::InferenceServer::OnFull::Block));
     }
     server.drain();
 
@@ -466,6 +467,13 @@ main(int argc, char **argv)
     std::printf("  prediction mismatches  %llu\n",
                 static_cast<unsigned long long>(
                     snap.predictionMismatches()));
+    // Which runs recorded a trace depends on host thread timing, so
+    // these counts stay out of the (deterministic) JSON report.
+    std::printf("  trace cache            %zu entries, %zu bytes, "
+                "%llu replays, %llu records\n",
+                server.traceCacheSize(), server.traceCacheBytes(),
+                static_cast<unsigned long long>(server.replayCount()),
+                static_cast<unsigned long long>(server.recordCount()));
 
     if (json_path) {
         if (!writeJsonFile(json_path, server.metricsJson())) {

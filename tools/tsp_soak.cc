@@ -47,6 +47,9 @@
  *     --min-availability A  exit 1 if served/submitted < A
  *                                                       (default 0)
  *
+ * Numeric values must parse whole and fit their type; anything else
+ * prints usage and exits 2.
+ *
  * Two runs with the same flags produce byte-identical JSON: every
  * quantity in the document is virtual-time arithmetic.
  */
@@ -60,12 +63,16 @@
 #include "fleet/soak.hh"
 #include "serve/backend.hh"
 
-namespace {
+#include "cli_args.hh"
 
 using namespace tsp;
+using cli::badArg;
+using cli::intArg;
+using cli::longArg;
+using cli::realArg;
 
 void
-usage()
+tsp::cli::usage()
 {
     std::fprintf(
         stderr,
@@ -82,14 +89,13 @@ usage()
         "  [--json FILE] [--min-availability A]\n");
 }
 
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     fleet::SoakConfig cfg;
     cfg.chipsPerPod = 2;
-    cfg.wireLatencySec = 17;
+    long wire = 17;
+    long requests = 0;
     double rate = 0.0;
     double rho = 1.2;
     double slack_services = 0.0;
@@ -98,34 +104,30 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
+            if (i + 1 >= argc)
+                badArg();
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--pods")) {
-            cfg.initialPods = std::atoi(next());
+            cfg.initialPods = intArg(next());
         } else if (!std::strcmp(argv[i], "--min-pods")) {
-            cfg.autoscaler.minPods = std::atoi(next());
+            cfg.autoscaler.minPods = intArg(next());
         } else if (!std::strcmp(argv[i], "--max-pods")) {
-            cfg.autoscaler.maxPods = std::atoi(next());
+            cfg.autoscaler.maxPods = intArg(next());
         } else if (!std::strcmp(argv[i], "--chips")) {
-            cfg.chipsPerPod = std::atoi(next());
+            cfg.chipsPerPod = intArg(next());
         } else if (!std::strcmp(argv[i], "--wire")) {
-            cfg.wireLatencySec =
-                static_cast<Cycle>(std::atol(next()));
+            wire = longArg(next());
         } else if (!std::strcmp(argv[i], "--workers")) {
-            cfg.workersPerPod = std::atoi(next());
+            cfg.workersPerPod = intArg(next());
         } else if (!std::strcmp(argv[i], "--duration")) {
-            cfg.durationSec = std::atof(next());
+            cfg.durationSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--requests")) {
-            cfg.maxRequests =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            requests = longArg(next());
         } else if (!std::strcmp(argv[i], "--rate")) {
-            rate = std::atof(next());
+            rate = realArg(next());
         } else if (!std::strcmp(argv[i], "--rho")) {
-            rho = std::atof(next());
+            rho = realArg(next());
         } else if (!std::strcmp(argv[i], "--arrivals")) {
             const char *m = next();
             if (!std::strcmp(m, "poisson")) {
@@ -135,74 +137,71 @@ main(int argc, char **argv)
             } else if (!std::strcmp(m, "diurnal")) {
                 cfg.load.model = fleet::ArrivalModel::Diurnal;
             } else {
-                usage();
-                return 2;
+                badArg();
             }
         } else if (!std::strcmp(argv[i], "--burst-factor")) {
-            cfg.load.burstFactor = std::atof(next());
+            cfg.load.burstFactor = realArg(next());
         } else if (!std::strcmp(argv[i], "--burst-frac")) {
-            cfg.load.burstFraction = std::atof(next());
+            cfg.load.burstFraction = realArg(next());
         } else if (!std::strcmp(argv[i], "--burst-sec")) {
-            cfg.load.meanBurstSec = std::atof(next());
+            cfg.load.meanBurstSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--diurnal-amp")) {
-            cfg.load.diurnalAmplitude = std::atof(next());
+            cfg.load.diurnalAmplitude = realArg(next());
         } else if (!std::strcmp(argv[i], "--diurnal-period")) {
-            cfg.load.diurnalPeriodSec = std::atof(next());
+            cfg.load.diurnalPeriodSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--slack")) {
-            slack_services = std::atof(next());
+            slack_services = realArg(next());
         } else if (!std::strcmp(argv[i], "--batch-max")) {
-            cfg.batchMax = std::atoi(next());
+            cfg.batchMax = intArg(next());
         } else if (!std::strcmp(argv[i], "--batch-window-us")) {
-            cfg.batchWindowSec = std::atof(next()) * 1e-6;
+            cfg.batchWindowSec = realArg(next()) * 1e-6;
         } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.windowSec = std::atof(next());
+            cfg.windowSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--up-backlog")) {
-            cfg.autoscaler.scaleUpBacklogSec = std::atof(next());
+            cfg.autoscaler.scaleUpBacklogSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--down-backlog")) {
-            cfg.autoscaler.scaleDownBacklogSec = std::atof(next());
+            cfg.autoscaler.scaleDownBacklogSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--up-windows")) {
-            cfg.autoscaler.upWindows = std::atoi(next());
+            cfg.autoscaler.upWindows = intArg(next());
         } else if (!std::strcmp(argv[i], "--down-windows")) {
-            cfg.autoscaler.downWindows = std::atoi(next());
+            cfg.autoscaler.downWindows = intArg(next());
         } else if (!std::strcmp(argv[i], "--provision")) {
-            cfg.autoscaler.provisionSec = std::atof(next());
+            cfg.autoscaler.provisionSec = realArg(next());
         } else if (!std::strcmp(argv[i], "--fault-rate")) {
-            const double r = std::atof(next());
+            const double r = realArg(next());
             cfg.fault.memReadRate = r;
             cfg.fault.memWriteRate = r;
             cfg.fault.streamRate = r;
             cfg.fault.c2cRate = r;
         } else if (!std::strcmp(argv[i], "--fault-double")) {
-            cfg.fault.doubleBitFraction = std::atof(next());
+            cfg.fault.doubleBitFraction = realArg(next());
         } else if (!std::strcmp(argv[i], "--retries")) {
-            cfg.maxRetries = std::atoi(next());
+            cfg.maxRetries = intArg(next());
         } else if (!std::strcmp(argv[i], "--seed")) {
-            cfg.seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            cfg.seed = static_cast<std::uint64_t>(longArg(next()));
         } else if (!std::strcmp(argv[i], "--json")) {
             json_path = next();
         } else if (!std::strcmp(argv[i], "--min-availability")) {
-            min_availability = std::atof(next());
+            min_availability = realArg(next());
         } else {
-            usage();
-            return 2;
+            badArg();
         }
     }
 
     if (cfg.initialPods < 1 || cfg.chipsPerPod < 2 ||
         cfg.workersPerPod < 1 || cfg.durationSec <= 0.0 ||
         cfg.windowSec <= 0.0 || rho <= 0.0 || rate < 0.0 ||
-        slack_services < 0.0 || cfg.batchMax < 1 ||
-        cfg.fault.doubleBitFraction < 0.0 ||
-        cfg.fault.doubleBitFraction > 1.0) {
-        usage();
-        return 2;
-    }
+        slack_services < 0.0 || cfg.batchMax < 1 || wire < 0 ||
+        requests < 0 || cfg.fault.doubleBitFraction < 0.0 ||
+        cfg.fault.doubleBitFraction > 1.0)
+        badArg();
+    cfg.wireLatency = static_cast<Cycle>(wire);
+    cfg.maxRequests = static_cast<std::uint64_t>(requests);
 
     // Derive the arrival rate (and the deadline slack) from the
     // initial fleet's exact service time when requested.
-    const Cycle service_cycles = serve::PodBackend::serviceCycles(
-        cfg.chipsPerPod, cfg.wireLatencySec, cfg.chip);
+    const Cycle service_cycles = serve::PodBackend::serviceCyclesTable(
+        cfg.chipsPerPod, cfg.wireLatency, cfg.chip, 1)[0];
     const double service_sec = static_cast<double>(service_cycles) *
                                cfg.chip.cyclePeriodSec();
     const double capacity_rps =
