@@ -2,7 +2,7 @@
  * @file
  * E17 (Table I): ISA coverage — every instruction of every functional
  * slice executes on the chip at least once in a single program, and
- * the dispatch trace proves it.
+ * a recording of every dispatch proves it.
  */
 
 #include <map>
@@ -250,14 +250,14 @@ main()
     prog.emit(st + 219 + kC2cSerializationCycles + 5 + 2,
               IcuId::c2c(0), recv);
 
-    // Trace everything.
+    // Record every dispatch.
     ChipConfig cfg;
     cfg.strictStreams = false;
-    cfg.traceEnabled = true;
     Chip main_chip(cfg);
     main_chip.c2c().connect(0, peer.c2c(), 0, 5);
     main_chip.loadProgram(prog.toAsm(/*with_preamble=*/true));
     peer.loadProgram(peer_prog.toAsm());
+    TraceRecording rec({&main_chip});
     Cycle guard = 0;
     while ((!main_chip.done() || !peer.done()) && guard++ < 100000) {
         main_chip.step();
@@ -266,9 +266,13 @@ main()
 
     std::set<Opcode> seen;
     int repeated_reads = 0;
-    for (const auto &e : main_chip.trace()) {
-        seen.insert(e.inst.op);
-        if (e.inst.op == Opcode::Read && e.inst.addr == 0x17)
+    const ExecutionTrace &trace = rec.recorded();
+    for (const auto &e : trace.events) {
+        if (e.kind != ExecutionTrace::EventKind::Dispatch)
+            continue;
+        const Instruction &inst = trace.insts[e.instIndex];
+        seen.insert(inst.op);
+        if (inst.op == Opcode::Read && inst.addr == 0x17)
             ++repeated_reads;
     }
     seen.insert(Opcode::Nop);  // Retired inside the queues.

@@ -20,24 +20,6 @@
 
 namespace tsp::bench {
 
-/**
- * Order-independent mean of @p n samples: summed with FixedPointSum
- * (int64, 2^20 fixed point) so the reported aggregate depends only on
- * the sample multiset, keeping bench tables byte-identical under any
- * reordering of the series they summarize.
- *
- * @return 0.0 for an empty span.
- */
-template <typename T>
-inline double
-fixedPointMean(const T *samples, std::size_t n)
-{
-    FixedPointSum sum;
-    for (std::size_t i = 0; i < n; ++i)
-        sum.add(static_cast<double>(samples[i]));
-    return n ? sum.value() / static_cast<double>(n) : 0.0;
-}
-
 /** Prints the experiment banner. */
 inline void
 banner(const char *id, const char *claim)

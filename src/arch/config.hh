@@ -6,7 +6,8 @@
  * architecture and live in arch/types.hh and arch/layout.hh; this
  * struct carries the knobs that vary between experiments: clock
  * frequency, ECC enablement, active vector length (superlane power
- * gating), tracing, and the power-model coefficients.
+ * gating), the execution tier, the power-model coefficients and
+ * fault injection.
  */
 
 #ifndef TSP_ARCH_CONFIG_HH
@@ -151,9 +152,6 @@ struct ChipConfig
     /** Generate/check SECDED codes on streams and SRAM. */
     bool eccEnabled = true;
 
-    /** Record a cycle-by-cycle power trace (costs memory). */
-    bool powerTraceEnabled = false;
-
     /**
      * Panic when an instruction samples a stream register with no
      * valid value flowing through it. The hardware would silently
@@ -162,17 +160,13 @@ struct ChipConfig
      */
     bool strictStreams = true;
 
-    /** Record per-instruction execution events for schedule dumps. */
-    bool traceEnabled = false;
-
     /**
      * Let run()/runBounded() fast-forward over provably idle spans
      * (the event-driven core). Results are bit-identical to per-cycle
      * stepping — same cycle counts, stats, memory and stream contents
      * — because the static schedule makes every idle span provable.
-     * Disable to force the legacy per-cycle stepper (differential
-     * testing); runs with powerTraceEnabled fall back to per-cycle
-     * stepping automatically so the trace keeps one entry per cycle.
+     * Disable to force the per-cycle reference stepper (differential
+     * testing).
      */
     bool fastForwardEnabled = true;
 

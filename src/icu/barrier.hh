@@ -74,8 +74,9 @@ class BarrierController
     loadState(SnapshotReader &r)
     {
         notifies_.clear();
+        // No reserve(n): n comes from the blob, and the loop stops
+        // when the reader runs dry.
         const std::uint64_t n = r.u64();
-        notifies_.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n && r.ok(); ++i)
             notifies_.push_back(r.u64());
         totalNotifies_ = static_cast<std::size_t>(r.u64());

@@ -88,10 +88,8 @@ bool
 InferenceSession::replayEligible() const
 {
     // Fault injection mutates consumed values in ways the tape does
-    // not capture; the dispatch trace and the per-cycle power trace
-    // are artifacts only per-cycle execution populates.
-    return !cfg_.fault.enabled() && !cfg_.traceEnabled &&
-           !cfg_.powerTraceEnabled;
+    // not capture.
+    return !cfg_.fault.enabled();
 }
 
 std::vector<Chip *>

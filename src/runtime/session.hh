@@ -229,14 +229,21 @@ class InferenceSession
     RunResult migrateAndResume(Cycle max_cycles = 500'000'000);
 
     /**
+     * Migrations a caller attempts for one run before giving up (a
+     * resumed run can machine-check again under sustained fault
+     * rates).
+     */
+    static constexpr int kMaxMigrations = 8;
+
+    /**
      * Enables the trace record/replay tier: the first complete run
      * after a reset() records every member's resolved micro-op
      * sequence, and subsequent fresh runs of the same bound programs
      * replay it (see sim/exec_trace.hh). With a @p pool, recordings
      * are shared: a fresh run with no trace of its own looks the
      * bound programs up in the pool first (traceKeyOf()), and a new
-     * recording is inserted there. Runs with fault injection or a
-     * dispatch / power trace enabled always take the normal path.
+     * recording is inserted there. Runs with fault injection always
+     * take the normal path.
      */
     void
     enableReplay(bool on = true,

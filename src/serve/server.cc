@@ -572,7 +572,7 @@ InferenceServer::workerLoop(int w)
             // through to the full-retry policy.
             while (rr.status == RunStatus::MachineCheck &&
                    cfg_.migrateOnMachineCheck && be.canMigrate() &&
-                   migrations < cfg_.maxMigrations) {
+                   migrations < InferenceSession::kMaxMigrations) {
                 machine_checks += be.machineCheckCount();
                 migratedSec +=
                     static_cast<double>(rr.cycles) * period + rebuild;

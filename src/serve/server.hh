@@ -142,16 +142,11 @@ struct ServerConfig
      * snapshot onto a rebuilt engine and resuming (mid-batch
      * migration), instead of burning a full retry. Falls back to the
      * retry path when no clean snapshot precedes the first
-     * uncorrectable error. Implies periodic snapshotting.
+     * uncorrectable error, or after
+     * InferenceSession::kMaxMigrations attempts on one batch. Implies
+     * periodic snapshotting.
      */
     bool migrateOnMachineCheck = false;
-
-    /**
-     * Migration attempts permitted per batch (a resumed run can
-     * machine-check again under sustained fault rates); exhaustion
-     * falls back to the full-retry policy.
-     */
-    int maxMigrations = 8;
 
     /**
      * Largest batch submit() may form (clamped to what the admission
@@ -189,8 +184,7 @@ struct ServerConfig
      * thread timing, so the record/replay counts are accessors only
      * (recordCount()), never part of metricsJson(). 0 disables the
      * replay tier entirely. Sessions self-gate when replay would be
-     * unsound (fault injection, dispatch tracing, power tracing), so
-     * leaving this on is always safe.
+     * unsound (fault injection), so leaving this on is always safe.
      */
     std::size_t traceCacheBytes = TraceCache::kDefaultBudget;
 

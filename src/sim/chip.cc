@@ -36,7 +36,6 @@ Chip::Chip(ChipConfig cfg) : cfg_(std::move(cfg))
                                                 fabric_));
     c2c_ = std::make_unique<C2cModule>(cfg_, fabric_);
     memIo_ = std::make_unique<StreamIo>(cfg_, fabric_, "MEM");
-    power_ = std::make_unique<PowerModel>(cfg_);
 
     queues_.reserve(kNumIcus);
     for (int i = 0; i < kNumIcus; ++i)
@@ -107,7 +106,7 @@ Chip::dispatchMem(const IcuId &icu, const Instruction &inst)
     const Cycle when = now + opTiming(inst.op).dFunc;
 
     // Every MEM opcode below uses exactly one SRAM port access;
-    // counting here keeps the power sample free of slice scans.
+    // counting here keeps the power model free of slice scans.
     ++sramAccesses_;
 
     switch (inst.op) {
@@ -247,7 +246,7 @@ void
 Chip::step()
 {
     const Cycle now = fabric_.now();
-    dispatchesThisCycle_ = 0;
+    int dispatches = 0;
 
     // Scheduled SRAM upsets land before any access this cycle. These
     // are events to nextEventCycle(), so fast-forward stops exactly
@@ -258,10 +257,8 @@ Chip::step()
     for (auto &q : queues_) {
         const Instruction *insts[2] = {nullptr, nullptr};
         const int n = q.tick(now, insts);
+        dispatches += n;
         for (int i = 0; i < n; ++i) {
-            ++dispatchesThisCycle_;
-            if (cfg_.traceEnabled)
-                trace_.push_back({now, q.id(), *insts[i]});
             if (traceRec_)
                 traceRec_->onDispatch(traceChip_, q.id().id, *insts[i],
                                       now);
@@ -271,8 +268,8 @@ Chip::step()
 
     // MXM sequencers stream activations/results every cycle. Note
     // whether any plane was active *before* ticking so the final
-    // cycle of a window still reaches the delta scan below. A tick on
-    // an idle plane is a no-op, so only busy-plane ticks are recorded.
+    // cycle of a window still counts as busy. A tick on an idle plane
+    // is a no-op, so only busy-plane ticks are recorded.
     bool mxm_busy = false;
     for (int p = 0; p < kMxmPlanes; ++p) {
         MxmPlane &plane = *mxm_[static_cast<std::size_t>(p)];
@@ -284,35 +281,7 @@ Chip::step()
         plane.tick(now);
     }
 
-    // Power accounting from activity deltas. Unit counters only move
-    // on a cycle with a dispatch or an active MXM sequencer — every
-    // other cycle contributes stream hops and static power alone, so
-    // the per-cycle scans collapse to incremental counters.
-    ActivitySample act;
-    if (dispatchesThisCycle_ > 0 || mxm_busy) {
-        std::uint64_t macc = 0;
-        for (const auto &plane : mxm_)
-            macc += plane->maccOps();
-        std::uint64_t sxm_bytes = 0;
-        for (const auto &s : sxm_)
-            sxm_bytes += s->bytesSwitched();
-
-        act.maccOps = macc - prevMacc_;
-        act.vxmLaneOps = vxm_->laneOps() - prevVxmOps_;
-        act.sxmBytes = sxm_bytes - prevSxmBytes_;
-        act.sramWords = (sramAccesses_ - prevSramAccesses_) *
-                        kSuperlanes; // 20 words/access.
-
-        prevMacc_ = macc;
-        prevVxmOps_ = vxm_->laneOps();
-        prevSxmBytes_ = sxm_bytes;
-        prevSramAccesses_ = sramAccesses_;
-    }
-    act.streamHops = fabric_.validEntries();
-    act.icuDispatches = dispatchesThisCycle_;
-    power_->sample(act);
-
-    lastStepQuiet_ = dispatchesThisCycle_ == 0 && !mxm_busy;
+    lastStepQuiet_ = dispatches == 0 && !mxm_busy;
     fabric_.advance();
 }
 
@@ -357,21 +326,15 @@ Chip::advanceTo(Cycle target)
 {
     const Cycle now = fabric_.now();
     TSP_ASSERT(target > now);
-    const Cycle span = target - now;
 
     // Idle accounting each queue would have accumulated per cycle.
     for (auto &q : queues_)
         q.skipIdle(now, target);
 
     // Nothing dispatches or executes inside the span, so the only
-    // dynamic activity is vectors hopping along the fabric: the span
-    // hop total is exactly the fabric's closed-form accumulation.
-    const std::uint64_t hops_before = fabric_.totalHops();
-    fabric_.advanceBy(span);
-
-    ActivitySample act;
-    act.streamHops = fabric_.totalHops() - hops_before;
-    power_->sampleSpan(act, span);
+    // activity is vectors hopping along the fabric, which advanceBy()
+    // accumulates in closed form.
+    fabric_.advanceBy(target - now);
 }
 
 bool
@@ -408,10 +371,6 @@ Chip::run(Cycle max_cycles)
 bool
 Chip::runBounded(Cycle cycle_limit)
 {
-    // The event-driven core jumps over idle spans; the power trace
-    // needs one sample per cycle, so it forces per-cycle stepping.
-    const bool fast_forward =
-        cfg_.fastForwardEnabled && !cfg_.powerTraceEnabled;
     while (!done()) {
         // A raised machine check halts the clock after the cycle that
         // detected it: no further dispatch can consume corrupted data.
@@ -419,7 +378,7 @@ Chip::runBounded(Cycle cycle_limit)
             return false;
         if (now() >= cycle_limit)
             return false;
-        if (fast_forward && lastStepQuiet_) {
+        if (cfg_.fastForwardEnabled && lastStepQuiet_) {
             const Cycle ev = nextEventCycle();
             if (ev > now()) {
                 advanceTo(ev < cycle_limit ? ev : cycle_limit);
@@ -436,12 +395,10 @@ Chip::runBounded(Cycle cycle_limit)
 void
 Chip::runTo(Cycle target)
 {
-    const bool fast_forward =
-        cfg_.fastForwardEnabled && !cfg_.powerTraceEnabled;
     while (now() < target) {
         if (mcheck_->raised())
             return;
-        if (fast_forward && lastStepQuiet_) {
+        if (cfg_.fastForwardEnabled && lastStepQuiet_) {
             const Cycle ev = nextEventCycle();
             if (ev > now()) {
                 advanceTo(ev < target ? ev : target);
@@ -538,10 +495,9 @@ Chip::replayMxmTickRun(int plane, Cycle when, std::size_t count)
 }
 
 void
-Chip::finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle start,
-                   Cycle end)
+Chip::finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle end)
 {
-    TSP_ASSERT(fabric_.tapeReplayer() != nullptr && end >= start);
+    TSP_ASSERT(fabric_.tapeReplayer() != nullptr);
     fabric_.replayJumpTo(end);
     fabric_.replayCredit(d.fabricHops, d.fabricWrites);
     fabric_.attachTapeHooks(nullptr, nullptr);
@@ -556,21 +512,6 @@ Chip::finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle start,
     dispatchedAdjust_ += d.dispatched;
     nopAdjust_ += d.nopCycles;
     parkedAdjust_ += d.parkedCycles;
-
-    // One span-sized sample integrates exactly what per-cycle
-    // sampling summed over the recorded run.
-    power_->sampleSpan(d.activity, end - start);
-
-    // Re-executed numerics moved the unit counters; resync the
-    // per-cycle delta baselines so the next real step() does not
-    // re-count replay's work.
-    prevMacc_ = totalMaccOps();
-    prevVxmOps_ = vxm_->laneOps();
-    std::uint64_t sxm_bytes = 0;
-    for (const auto &s : sxm_)
-        sxm_bytes += s->bytesSwitched();
-    prevSxmBytes_ = sxm_bytes;
-    prevSramAccesses_ = sramAccesses_;
     lastStepQuiet_ = true;
 }
 
@@ -581,6 +522,20 @@ Chip::totalMaccOps() const
     for (const auto &plane : mxm_)
         total += plane->maccOps();
     return total;
+}
+
+PowerReport
+Chip::power() const
+{
+    ActivityTotals a;
+    a.maccOps = totalMaccOps();
+    a.vxmLaneOps = vxm_->laneOps();
+    a.streamHops = fabric_.totalHops();
+    a.sramAccesses = sramAccesses_;
+    for (const auto &s : sxm_)
+        a.sxmBytes += s->bytesSwitched();
+    a.icuDispatches = totalDispatched();
+    return energyOf(cfg_, a, now());
 }
 
 std::uint64_t

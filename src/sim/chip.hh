@@ -35,14 +35,6 @@ namespace tsp {
 
 struct ChipSnapshot;
 
-/** One instruction-dispatch trace event (for schedule dumps). */
-struct TraceEvent
-{
-    Cycle cycle = 0;
-    IcuId icu{};
-    Instruction inst{};
-};
-
 /** The full first-generation TSP chip. */
 class Chip
 {
@@ -89,9 +81,8 @@ class Chip
      * Fast-forwards to @p target (> now()) in one jump. Every cycle
      * in [now(), target) must be event-free (the caller jumps to
      * nextEventCycle() or earlier); queues accumulate their idle
-     * counters in closed form, the fabric bulk-advances, and the
-     * power model integrates the span — all bit-identical to stepping
-     * cycle by cycle.
+     * counters in closed form and the fabric bulk-advances — all
+     * bit-identical to stepping cycle by cycle.
      */
     void advanceTo(Cycle target);
 
@@ -120,13 +111,13 @@ class Chip
 
     /**
      * Advances the clock to exactly @p target (absolute), done or
-     * not: a retired chip accumulates its idle/power accounting just
-     * as per-cycle stepping would, and scheduled fault events inside
-     * the span still land on their cycles. Used by the pod scheduler
-     * to equalize member clocks — lock-step stepping keeps stepping
-     * finished chips until the whole pod retires, so bit-identical
-     * stats require the same tail here. Stops early (clock halted)
-     * if a machine check is raised.
+     * not: a retired chip accumulates its idle accounting and static
+     * energy just as per-cycle stepping would, and scheduled fault
+     * events inside the span still land on their cycles. Used by the
+     * pod scheduler to equalize member clocks — lock-step stepping
+     * keeps stepping finished chips until the whole pod retires, so
+     * bit-identical stats require the same tail here. Stops early
+     * (clock halted) if a machine check is raised.
      */
     void runTo(Cycle target);
 
@@ -184,14 +175,12 @@ class Chip
     C2cModule &c2c() { return *c2c_; }
     const C2cModule &c2c() const { return *c2c_; }
 
-    /** @return the power model. */
-    const PowerModel &power() const { return *power_; }
+    /** @return energy so far: the power model over the lifetime
+     *  activity counters and now() (sim/power.hh). */
+    PowerReport power() const;
 
     /** @return the barrier controller (tests). */
     const BarrierController &barrier() const { return barrier_; }
-
-    /** @return dispatch trace (empty unless ChipConfig::traceEnabled). */
-    const std::vector<TraceEvent> &trace() const { return trace_; }
 
     /** @return aggregate statistics across all units. */
     StatGroup stats() const;
@@ -219,8 +208,8 @@ class Chip
     /**
      * Serializes the full architectural state into @p out at the
      * current quiesce point (between steps). Refuses — returning
-     * false with @p err set — while a trace recorder is armed, a
-     * replay is in progress, or the dispatch trace is enabled.
+     * false with @p err set — while a trace recorder is armed or a
+     * replay is in progress.
      */
     bool snapshot(ChipSnapshot &out, std::string *err = nullptr) const;
 
@@ -277,13 +266,12 @@ class Chip
     void replayMxmTickRun(int plane, Cycle when, std::size_t count);
 
     /**
-     * Leaves replay: jumps the clock to @p end (= @p start + recorded
-     * span), credits the counters replay skipped from @p d, retires
-     * the queues, and integrates the span's power in one sample. The
-     * chip is left in the exact end-of-run state of a normal run.
+     * Leaves replay: jumps the clock to @p end (replay start +
+     * recorded span), credits the counters replay skipped from @p d
+     * and retires the queues. The chip is left in the exact
+     * end-of-run state of a normal run.
      */
-    void finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle start,
-                      Cycle end);
+    void finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle end);
 
   private:
     void dispatch(const IcuId &icu, const Instruction &inst);
@@ -304,15 +292,12 @@ class Chip
     std::vector<std::unique_ptr<SxmComplex>> sxm_;
     std::unique_ptr<C2cModule> c2c_;
     std::unique_ptr<StreamIo> memIo_;          // MEM slices' stream port.
-    std::unique_ptr<PowerModel> power_;
 
     /** The loaded program; queues_ point into its instructions. */
     SharedProgram program_;
     std::vector<InstructionQueue> queues_;     // 144.
 
-    std::vector<TraceEvent> trace_;
     std::uint64_t ifetches_ = 0;
-    std::uint64_t dispatchesThisCycle_ = 0;
 
     /** Armed recorder (record tier) and this chip's index in it. */
     TraceRecording *traceRec_ = nullptr;
@@ -340,17 +325,9 @@ class Chip
     /**
      * Timed SRAM accesses, counted incrementally at MEM dispatch
      * (read/write/gather/scatter each use one port access) so the
-     * per-cycle power sample never rescans all 88 slices.
+     * power model never rescans all 88 slices.
      */
     std::uint64_t sramAccesses_ = 0;
-
-    // Previous totals for per-cycle power deltas. Only updated on
-    // cycles with dispatch or MXM activity — no unit's counters can
-    // move on any other cycle.
-    std::uint64_t prevMacc_ = 0;
-    std::uint64_t prevVxmOps_ = 0;
-    std::uint64_t prevSxmBytes_ = 0;
-    std::uint64_t prevSramAccesses_ = 0;
 };
 
 } // namespace tsp

@@ -62,11 +62,6 @@ TraceRecording::snapshot(const Chip &chip)
     s.parkedCycles = chip.totalParkedCycles();
     s.hops = chip.fabric().totalHops();
     s.writes = chip.fabric().totalWrites();
-    s.maccOps = chip.totalMaccOps();
-    s.vxmOps = chip.vxm().laneOps();
-    s.sxmBytes = chip.sxm(Hemisphere::West).bytesSwitched() +
-                 chip.sxm(Hemisphere::East).bytesSwitched();
-    s.sramAccesses = chip.sramAccessCount();
     return s;
 }
 
@@ -158,17 +153,6 @@ TraceRecording::finish(bool completed)
         d.parkedCycles = s1.parkedCycles - s0.parkedCycles;
         d.fabricHops = s1.hops - s0.hops;
         d.fabricWrites = s1.writes - s0.writes;
-        // The run's activity totals: exactly what per-cycle sampling
-        // summed, since every counter only moves on sampled cycles
-        // and the fabric's hop total equals the per-cycle
-        // validEntries() sum (advance() accrues that same value).
-        d.activity.maccOps = s1.maccOps - s0.maccOps;
-        d.activity.vxmLaneOps = s1.vxmOps - s0.vxmOps;
-        d.activity.sxmBytes = s1.sxmBytes - s0.sxmBytes;
-        d.activity.sramWords =
-            (s1.sramAccesses - s0.sramAccesses) * kSuperlanes;
-        d.activity.streamHops = s1.hops - s0.hops;
-        d.activity.icuDispatches = d.dispatched;
         t.chips.push_back(d);
     }
     // Slot allocation: walk produces and consumes in recorded order,
@@ -327,8 +311,7 @@ replayTrace(const ExecutionTrace &trace,
         i = j;
     }
     for (std::size_t i = 0; i < chips.size(); ++i) {
-        chips[i]->finishReplay(trace.chips[i], start,
-                               start + trace.span);
+        chips[i]->finishReplay(trace.chips[i], start + trace.span);
     }
     // The replayed run exchanged exactly what the recording did.
     TSP_ASSERT(player.drained());

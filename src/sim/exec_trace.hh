@@ -10,11 +10,10 @@
  * against the real functional units — the numerics run for real, so
  * fresh inputs staged in SRAM flow through — while skipping
  * everything input-independent: the 144-queue scan, NOP/Sync/Repeat
- * bookkeeping, fabric flow, barrier scans and per-cycle power
- * sampling. Counters the skipped machinery would have bumped are
- * credited from recorded per-chip deltas, leaving cycles, stats and
- * energy bit-identical (energy within float-summation association)
- * to a normal run.
+ * bookkeeping, fabric flow and barrier scans. Counters the skipped
+ * machinery would have bumped are credited from recorded per-chip
+ * deltas, leaving cycles, stats and energy (a function of those
+ * counters) bit-identical to a normal run.
  *
  * A trace holds no data values (produces are re-computed at replay),
  * so it is valid for any identically configured chip running the
@@ -24,9 +23,11 @@
  * Recording *poisons* itself (finish() returns null) when it sees
  * anything replay could not reproduce: a consume of a fabric entry
  * written outside any StreamIo (kTapeUntagged), or a cycle offset
- * overflowing 32 bits. Callers must not record with fault injection
- * armed — an injector mutates consumed values in ways the tape does
- * not capture (InferenceSession gates on this).
+ * overflowing 32 bits. A recording also lists every dispatch in order
+ * (recorded()), which is what the dispatch listing and Chrome trace
+ * export read. Recording with fault injection armed is fine; replaying
+ * such a recording is not — an injector mutates consumed values in
+ * ways the tape does not capture (InferenceSession gates on this).
  */
 
 #ifndef TSP_SIM_EXEC_TRACE_HH
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "isa/instruction.hh"
-#include "sim/power.hh"
 #include "sim/program.hh"
 #include "stream/trace_tape.hh"
 
@@ -69,11 +69,10 @@ struct ExecutionTrace
 
     /**
      * Per-chip counter deltas of the recorded run for everything
-     * replay skips (queue/idle counters, fabric flow) plus the
-     * activity totals one sampleSpan() call turns into the span's
-     * energy. Counters that re-execution bumps naturally (MACCs,
-     * SRAM accesses, ECC, C2C, notifies) are *not* here — crediting
-     * them too would double-count.
+     * replay skips (queue/idle counters, fabric flow). Counters that
+     * re-execution bumps naturally (MACCs, SRAM accesses, ECC, C2C,
+     * notifies) are *not* here — crediting them too would
+     * double-count.
      */
     struct ChipDeltas
     {
@@ -82,7 +81,6 @@ struct ExecutionTrace
         std::uint64_t parkedCycles = 0;
         std::uint64_t fabricHops = 0;
         std::uint64_t fabricWrites = 0;
-        ActivitySample activity{};
     };
 
     std::vector<Event> events;
@@ -153,6 +151,14 @@ class TraceRecording final : public TapeRecorder
     bool poisoned() const { return poisoned_; }
 
     /**
+     * @return what has been recorded so far (events with cycle
+     * offsets from the recording's start, and their instructions).
+     * Valid until finish() seals a replayable trace, so a run that
+     * was cut off or machine-checked still lists what dispatched.
+     */
+    const ExecutionTrace &recorded() const { return *trace_; }
+
+    /**
      * Disarms and seals the recording.
      *
      * @param completed whether the recorded run retired cleanly.
@@ -170,10 +176,6 @@ class TraceRecording final : public TapeRecorder
         std::uint64_t parkedCycles = 0;
         std::uint64_t hops = 0;
         std::uint64_t writes = 0;
-        std::uint64_t maccOps = 0;
-        std::uint64_t vxmOps = 0;
-        std::uint64_t sxmBytes = 0;
-        std::uint64_t sramAccesses = 0;
     };
 
     static Snap snapshot(const Chip &chip);
@@ -197,7 +199,7 @@ class TraceRecording final : public TapeRecorder
  * necessarily the same objects as — the recorded set, with the same
  * programs loaded and clocks equal across members). On return the
  * chips are in the exact end-of-run state of a normal run: done(),
- * clocks advanced by trace.span, stats/energy credited.
+ * clocks advanced by trace.span, stats credited.
  */
 void replayTrace(const ExecutionTrace &trace,
                  const std::vector<Chip *> &chips);

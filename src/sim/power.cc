@@ -1,76 +1,34 @@
 #include "sim/power.hh"
 
-#include "arch/types.hh"
-#include "common/stats.hh"
-
 namespace tsp {
 
-PowerModel::PowerModel(const ChipConfig &cfg) : cfg_(cfg) {}
-
-void
-PowerModel::sampleSpan(const ActivitySample &activity, Cycle span)
+double
+PowerReport::averagePowerW() const
 {
-    if (span == 0)
-        return;
-    const PowerParams &p = cfg_.power;
+    if (cycles_ == 0)
+        return 0.0;
+    return energyJ_ / (static_cast<double>(cycles_) * cycleSec_);
+}
+
+PowerReport
+energyOf(const ChipConfig &cfg, const ActivityTotals &activity,
+         Cycle cycles)
+{
+    const PowerParams &p = cfg.power;
     const double pj =
         static_cast<double>(activity.maccOps) * p.mxmMaccPj +
         static_cast<double>(activity.vxmLaneOps) * p.vxmOpPj +
         static_cast<double>(activity.streamHops) * kLanes *
             p.streamHopPj +
-        static_cast<double>(activity.sramWords) * p.sramWordPj +
+        static_cast<double>(activity.sramAccesses) * kSuperlanes *
+            p.sramWordPj +
         static_cast<double>(activity.sxmBytes) * p.sxmBytePj +
         static_cast<double>(activity.icuDispatches) * p.icuDispatchPj;
-
     const double static_w =
-        p.uncoreStaticW +
-        p.superlaneStaticW * cfg_.activeSuperlanes;
-    const double cycle_s = cfg_.cyclePeriodSec();
-    const double joules =
-        pj * 1e-12 + static_w * cycle_s * static_cast<double>(span);
-
-    energyJ_ += joules;
-    cycles_ += span;
-    if (cfg_.powerTraceEnabled) {
-        const double per_cycle_w =
-            joules / (cycle_s * static_cast<double>(span));
-        for (Cycle c = 0; c < span; ++c)
-            trace_.push_back(static_cast<float>(per_cycle_w));
-    }
-}
-
-double
-PowerModel::averagePowerW() const
-{
-    if (cycles_ == 0)
-        return 0.0;
-    return energyJ_ / (static_cast<double>(cycles_) *
-                       cfg_.cyclePeriodSec());
-}
-
-std::vector<double>
-PowerModel::downsampledTrace(std::size_t buckets) const
-{
-    std::vector<double> out;
-    if (trace_.empty() || buckets == 0)
-        return out;
-    // Watt-scale samples sum order-independently in fixed point, so
-    // a bucket's average depends only on which samples fell in it.
-    std::vector<FixedPointSum> sums(buckets);
-    std::vector<std::size_t> counts(buckets, 0);
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-        const std::size_t b =
-            i * buckets / trace_.size();
-        sums[b].add(trace_[i]);
-        ++counts[b];
-    }
-    out.resize(buckets, 0.0);
-    for (std::size_t b = 0; b < buckets; ++b) {
-        if (counts[b])
-            out[b] = sums[b].value() /
-                     static_cast<double>(counts[b]);
-    }
-    return out;
+        p.uncoreStaticW + p.superlaneStaticW * cfg.activeSuperlanes;
+    const double cycle_s = cfg.cyclePeriodSec();
+    return {pj * 1e-12 + static_w * cycle_s * static_cast<double>(cycles),
+            cycles, cycle_s};
 }
 
 } // namespace tsp

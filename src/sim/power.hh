@@ -3,66 +3,48 @@
  * Activity-based power model.
  *
  * The paper reports measured per-layer chip power (Fig. 10); we
- * reproduce the *shape* with activity counting: each cycle the chip
- * reports deltas of its activity counters (MACCs, ALU ops, stream
- * hops, SRAM words, switched bytes, dispatches) which are weighted by
- * per-op energy coefficients and added to static power. See DESIGN.md
- * substitution table.
+ * reproduce the *shape* with activity counting: the chip's lifetime
+ * activity counters (MACCs, ALU ops, stream hops, SRAM accesses,
+ * switched bytes, dispatches) are weighted by per-op energy
+ * coefficients and added to static power over the elapsed cycles.
+ * On this statically scheduled chip every count is an exact integer
+ * that all three execution tiers reproduce, so energy is a pure
+ * function of the counters and the clock, identical across tiers bit
+ * for bit. Power over any window is the energy difference between two
+ * reads divided by the window's duration. See DESIGN.md substitution
+ * table.
  */
 
 #ifndef TSP_SIM_POWER_HH
 #define TSP_SIM_POWER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "arch/config.hh"
-#include "common/snapshot_io.hh"
 
 namespace tsp {
 
-/**
- * Activity deltas for one cycle — or, via sampleSpan(), totals over a
- * multi-cycle span the event-driven core fast-forwarded in one jump.
- */
-struct ActivitySample
+/** Cumulative activity counts of one chip. */
+struct ActivityTotals
 {
     std::uint64_t maccOps = 0;
     std::uint64_t vxmLaneOps = 0;
-    std::uint64_t streamHops = 0;   ///< Flowing vectors (320 B each).
-    std::uint64_t sramWords = 0;    ///< 16-byte word accesses.
+    std::uint64_t streamHops = 0;    ///< Flowing vectors (320 B each).
+    std::uint64_t sramAccesses = 0;  ///< Port accesses (20 words each).
     std::uint64_t sxmBytes = 0;
     std::uint64_t icuDispatches = 0;
 };
 
-/** Integrates activity into energy and an optional power trace. */
-class PowerModel
+/** Energy over a number of cycles (what Chip::power() reports). */
+class PowerReport
 {
   public:
-    explicit PowerModel(const ChipConfig &cfg);
-
-    /** Accounts one cycle of activity. */
-    void
-    sample(const ActivitySample &activity)
+    PowerReport(double energy_j, Cycle cycles, double cycle_sec)
+        : energyJ_(energy_j), cycles_(cycles), cycleSec_(cycle_sec)
     {
-        sampleSpan(activity, 1);
     }
 
-    /**
-     * Accounts @p span cycles in one call: @p activity carries the
-     * activity *totals* over the whole span (the dynamic-energy sum is
-     * linear in the deltas, so the aggregate integrates to exactly the
-     * same energy as per-cycle sampling, up to floating-point
-     * association) plus @p span cycles of static power. Used by the
-     * fast-forward core for idle spans, where the only nonzero field
-     * is streamHops. With the per-cycle trace enabled the span's
-     * average power is recorded for each cycle; callers that need the
-     * exact per-cycle trace must sample cycle by cycle (the chip
-     * disables fast-forward when powerTraceEnabled).
-     */
-    void sampleSpan(const ActivitySample &activity, Cycle span);
-
-    /** @return total energy in joules so far. */
+    /** @return total energy in joules. */
     double totalEnergyJ() const { return energyJ_; }
 
     /** @return cycles accounted. */
@@ -71,52 +53,18 @@ class PowerModel
     /** @return average power in watts over all accounted cycles. */
     double averagePowerW() const;
 
-    /**
-     * @return the per-cycle power trace in watts (empty unless
-     * ChipConfig::powerTraceEnabled).
-     */
-    const std::vector<float> &traceW() const { return trace_; }
-
-    /**
-     * Downsamples the trace into @p buckets averages — the layer-by-
-     * layer power plot.
-     */
-    std::vector<double> downsampledTrace(std::size_t buckets) const;
-
-    /** Serializes accumulated energy, cycles and the power trace. */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        w.f64(energyJ_);
-        w.u64(cycles_);
-        w.u64(trace_.size());
-        for (const float v : trace_)
-            w.f32(v);
-    }
-
-    /** Restores accumulated energy, cycles and the power trace. */
-    void
-    loadState(SnapshotReader &r)
-    {
-        energyJ_ = r.f64();
-        cycles_ = r.u64();
-        trace_.clear();
-        const std::uint64_t n = r.u64();
-        trace_.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-            trace_.push_back(r.f32());
-    }
-
   private:
-    const ChipConfig &cfg_;
-    /// Deliberately double, not FixedPointSum: per-cycle quanta are
-    /// ~1e-7 J, below the 2^20 fixed-point grid (every sample would
-    /// round to zero), and sampleSpan accumulates in deterministic
-    /// simulation order anyway.
-    double energyJ_ = 0.0;
-    Cycle cycles_ = 0;
-    std::vector<float> trace_;
+    double energyJ_;
+    Cycle cycles_;
+    double cycleSec_;
 };
+
+/**
+ * @return the energy of @p activity plus @p cycles of static power
+ * under @p cfg's coefficients and clock.
+ */
+PowerReport energyOf(const ChipConfig &cfg, const ActivityTotals &activity,
+                     Cycle cycles);
 
 } // namespace tsp
 

@@ -91,9 +91,7 @@ hashChipConfig(const ChipConfig &cfg)
     h = mixF(h, cfg.clockHz);
     h = mix(h, static_cast<std::uint64_t>(cfg.activeSuperlanes));
     h = mix(h, cfg.eccEnabled);
-    h = mix(h, cfg.powerTraceEnabled);
     h = mix(h, cfg.strictStreams);
-    h = mix(h, cfg.traceEnabled);
     // fastForwardEnabled deliberately excluded: execution tiers are
     // bit-identical, so a snapshot from a per-cycle run restores onto
     // a fast-forwarding chip and vice versa.
@@ -191,15 +189,12 @@ ChipSnapshot::deserialize(const std::uint8_t *data, std::size_t size,
 bool
 Chip::snapshot(ChipSnapshot &out, std::string *err) const
 {
-    // Quiesce rules: the record/replay tier redirects stream traffic
-    // through side structures a snapshot cannot see, and a dispatch
-    // trace would need the (unserialized) event list to stay aligned.
+    // Quiesce rule: the record/replay tier redirects stream traffic
+    // through side structures a snapshot cannot see.
     if (traceRec_ != nullptr)
         return fail(err, "snapshot: trace recorder armed");
     if (fabric_.tapeReplayer() != nullptr)
         return fail(err, "snapshot: replay in progress");
-    if (cfg_.traceEnabled)
-        return fail(err, "snapshot: dispatch trace enabled");
 
     SnapshotWriter w;
     fabric_.saveState(w);
@@ -217,22 +212,16 @@ Chip::snapshot(ChipSnapshot &out, std::string *err) const
         s->saveState(w);
     c2c_->saveState(w);
     memIo_->saveState(w);
-    power_->saveState(w);
     w.b(faults_ != nullptr);
     if (faults_)
         faults_->saveState(w);
     mcheck_->saveState(w);
     w.u64(ifetches_);
-    w.u64(dispatchesThisCycle_);
     w.u64(dispatchedAdjust_);
     w.u64(nopAdjust_);
     w.u64(parkedAdjust_);
     w.b(lastStepQuiet_);
     w.u64(sramAccesses_);
-    w.u64(prevMacc_);
-    w.u64(prevVxmOps_);
-    w.u64(prevSxmBytes_);
-    w.u64(prevSramAccesses_);
 
     out.configHash = hashChipConfig(cfg_);
     out.programHash = program_.hash();
@@ -250,8 +239,6 @@ Chip::restore(const ChipSnapshot &snap, std::string *err)
         return fail(err, "restore: trace recorder armed");
     if (fabric_.tapeReplayer() != nullptr)
         return fail(err, "restore: replay in progress");
-    if (cfg_.traceEnabled)
-        return fail(err, "restore: dispatch trace enabled");
     if (snap.configHash != hashChipConfig(cfg_))
         return fail(err, "restore: chip configuration mismatch");
     if (snap.programHash != program_.hash()) {
@@ -287,7 +274,6 @@ Chip::restore(const ChipSnapshot &snap, std::string *err)
         s->loadState(r);
     c2c_->loadState(r);
     memIo_->loadState(r);
-    power_->loadState(r);
     const bool have_faults = r.b();
     if (have_faults != (faults_ != nullptr))
         return fail(err, "restore: fault injector presence mismatch");
@@ -295,22 +281,16 @@ Chip::restore(const ChipSnapshot &snap, std::string *err)
         faults_->loadState(r, restore_rng);
     mcheck_->loadState(r);
     ifetches_ = r.u64();
-    dispatchesThisCycle_ = r.u64();
     dispatchedAdjust_ = r.u64();
     nopAdjust_ = r.u64();
     parkedAdjust_ = r.u64();
     lastStepQuiet_ = r.b();
     sramAccesses_ = r.u64();
-    prevMacc_ = r.u64();
-    prevVxmOps_ = r.u64();
-    prevSxmBytes_ = r.u64();
-    prevSramAccesses_ = r.u64();
 
     if (!r.ok())
         return fail(err, "restore: truncated payload");
     if (!r.atEnd())
         return fail(err, "restore: trailing payload bytes");
-    trace_.clear();
     TSP_ASSERT(now() == snap.cycle);
     return true;
 }

@@ -7,8 +7,9 @@
  * outside trace record/replay): MEM slices with their SECDED check
  * bits, stream registers and in-flight fabric writes, ICU queue
  * positions, MXM accumulators and weight-install state, SXM/VXM
- * latches and counters, barrier state, C2C link flight, power
- * accounting, machine-check latch and fault-injector RNG streams.
+ * latches and counters (from which energy follows), barrier state,
+ * C2C link flight, machine-check latch and fault-injector RNG
+ * streams.
  *
  * The format is versioned little-endian binary with an FNV-1a content
  * hash over the payload. Three environment hashes gate restore:
@@ -55,7 +56,7 @@ struct ChipSnapshot
     static constexpr std::uint32_t kMagic = 0x54535053u;
 
     /** Bumped on any incompatible payload-layout change. */
-    static constexpr std::uint32_t kVersion = 1;
+    static constexpr std::uint32_t kVersion = 2;
 
     /** Chip configuration hash (see file comment for exclusions). */
     std::uint64_t configHash = 0;

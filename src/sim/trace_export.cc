@@ -3,6 +3,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/strutil.hh"
 
@@ -37,14 +38,15 @@ jsonEscape(const std::string &s)
 } // namespace
 
 std::string
-traceToChromeJson(const std::vector<TraceEvent> &events)
+traceToChromeJson(const ExecutionTrace &trace)
 {
+    using Kind = ExecutionTrace::EventKind;
     std::ostringstream os;
     os << "{\"traceEvents\":[\n";
 
-    // Thread metadata: name each queue once, grouped by slice kind
-    // via the sort index.
-    std::set<int> named;
+    // Thread metadata: name each (chip, queue) once, grouped by slice
+    // kind via the sort index.
+    std::set<std::pair<int, int>> named;
     bool first = true;
     auto emit = [&](const std::string &line) {
         if (!first)
@@ -53,39 +55,42 @@ traceToChromeJson(const std::vector<TraceEvent> &events)
         os << line;
     };
 
-    for (const TraceEvent &e : events) {
-        if (!named.count(e.icu.id)) {
-            named.insert(e.icu.id);
-            emit(strformat(
-                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                e.icu.id, e.icu.name().c_str()));
-            emit(strformat(
-                "{\"name\":\"thread_sort_index\",\"ph\":\"M\","
-                "\"pid\":1,\"tid\":%d,\"args\":{\"sort_index\":%d}}",
-                e.icu.id, e.icu.id));
+    for (const ExecutionTrace::Event &e : trace.events) {
+        if (e.kind != Kind::Dispatch ||
+            !named.insert({e.chip, e.unit}).second) {
+            continue;
         }
+        emit(strformat(
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
+            "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
+            e.chip + 1, e.unit, IcuId{e.unit}.name().c_str()));
+        emit(strformat(
+            "{\"name\":\"thread_sort_index\",\"ph\":\"M\","
+            "\"pid\":%d,\"tid\":%d,\"args\":{\"sort_index\":%d}}",
+            e.chip + 1, e.unit, e.unit));
     }
 
-    for (const TraceEvent &e : events) {
+    for (const ExecutionTrace::Event &e : trace.events) {
+        if (e.kind != Kind::Dispatch)
+            continue;
+        const Instruction &inst = trace.insts[e.instIndex];
         emit(strformat(
-            "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-            "\"ts\":%llu,\"dur\":1,\"args\":{\"asm\":\"%s\"}}",
-            opcodeName(e.inst.op), e.icu.id,
-            static_cast<unsigned long long>(e.cycle),
-            jsonEscape(e.inst.toString()).c_str()));
+            "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
+            "\"ts\":%u,\"dur\":1,\"args\":{\"asm\":\"%s\"}}",
+            opcodeName(inst.op), e.chip + 1, e.unit, e.cycleOffset,
+            jsonEscape(inst.toString()).c_str()));
     }
     os << "\n]}\n";
     return os.str();
 }
 
 bool
-writeChromeTrace(const Chip &chip, const std::string &path)
+writeChromeTrace(const ExecutionTrace &trace, const std::string &path)
 {
     std::ofstream out(path);
     if (!out)
         return false;
-    out << traceToChromeJson(chip.trace());
+    out << traceToChromeJson(trace);
     return static_cast<bool>(out);
 }
 

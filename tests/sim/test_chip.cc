@@ -176,25 +176,6 @@ TEST(Chip, EccErrorInSramIsCorrectedByConsumer)
     EXPECT_EQ(out.bytes[100], 9); // Corrected before the ALU.
 }
 
-TEST(Chip, PowerTraceRecordsPerCycle)
-{
-    ChipConfig cfg;
-    cfg.powerTraceEnabled = true;
-    Chip chip(cfg);
-    const std::string text = "@MEM_W0:\n    read 0x1, s0.e\n";
-    const AsmResult r = assemble(text);
-    ASSERT_TRUE(r.ok);
-    chip.loadProgram(r.program);
-    const Cycle cycles = chip.run();
-    EXPECT_EQ(chip.power().traceW().size(),
-              static_cast<std::size_t>(cycles));
-    // Static floor: uncore + 20 superlanes.
-    const double floor = cfg.power.uncoreStaticW +
-                         cfg.power.superlaneStaticW * kSuperlanes;
-    for (const float w : chip.power().traceW())
-        EXPECT_GE(w, floor * 0.99);
-}
-
 TEST(Chip, ReducedVectorLengthLowersStaticPower)
 {
     ChipConfig full;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Activity-based power model: static floor, activity scaling,
- * downsampling, and configuration validation.
+ * Activity-based power model: static floor, activity scaling, and
+ * configuration validation.
  */
 
 #include <gtest/gtest.h>
@@ -15,62 +15,28 @@ namespace {
 TEST(PowerModel, StaticFloorMatchesConfig)
 {
     ChipConfig cfg;
-    PowerModel pm(cfg);
-    pm.sample({}); // One idle cycle.
+    const PowerReport pm = energyOf(cfg, {}, 1); // One idle cycle.
     const double floor = cfg.power.uncoreStaticW +
                          cfg.power.superlaneStaticW * kSuperlanes;
     EXPECT_NEAR(pm.averagePowerW(), floor, 1e-9);
     EXPECT_EQ(pm.cycles(), 1u);
+    EXPECT_EQ(energyOf(cfg, {}, 0).averagePowerW(), 0.0);
 }
 
 TEST(PowerModel, ActivityAddsDynamicEnergy)
 {
     ChipConfig cfg;
-    PowerModel idle(cfg), busy(cfg);
-    idle.sample({});
-    ActivitySample act;
+    const PowerReport idle = energyOf(cfg, {}, 1);
+    ActivityTotals act;
     act.maccOps = 4ull * 320 * 320; // Peak MXM cycle.
     act.vxmLaneOps = 320;
-    act.sramWords = 88 * 20;
+    act.sramAccesses = 88;
     act.icuDispatches = 100;
-    busy.sample(act);
+    const PowerReport busy = energyOf(cfg, act, 1);
     EXPECT_GT(busy.totalEnergyJ(), idle.totalEnergyJ());
     // Peak MXM activity should dominate: 409,600 MACCs x 0.4 pJ =
     // ~164 W of dynamic power at 1 GHz.
     EXPECT_GT(busy.averagePowerW(), idle.averagePowerW() + 150.0);
-}
-
-TEST(PowerModel, TraceOnlyWhenEnabled)
-{
-    ChipConfig off;
-    PowerModel a(off);
-    a.sample({});
-    EXPECT_TRUE(a.traceW().empty());
-
-    ChipConfig on;
-    on.powerTraceEnabled = true;
-    PowerModel b(on);
-    b.sample({});
-    b.sample({});
-    EXPECT_EQ(b.traceW().size(), 2u);
-}
-
-TEST(PowerModel, DownsampleAverages)
-{
-    ChipConfig cfg;
-    cfg.powerTraceEnabled = true;
-    PowerModel pm(cfg);
-    // 8 idle cycles then 8 busy cycles.
-    for (int i = 0; i < 8; ++i)
-        pm.sample({});
-    ActivitySample act;
-    act.maccOps = 100000;
-    for (int i = 0; i < 8; ++i)
-        pm.sample(act);
-    const auto buckets = pm.downsampledTrace(2);
-    ASSERT_EQ(buckets.size(), 2u);
-    EXPECT_GT(buckets[1], buckets[0]);
-    EXPECT_TRUE(pm.downsampledTrace(0).empty());
 }
 
 TEST(ChipConfigDeath, BadSuperlaneCountIsFatal)

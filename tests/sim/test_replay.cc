@@ -73,9 +73,7 @@ expectChipsIdentical(const Chip &ref, const Chip &other,
     EXPECT_EQ(ref.now(), other.now()) << label;
     EXPECT_EQ(ref.stats().all(), other.stats().all()) << label;
     EXPECT_EQ(ref.power().cycles(), other.power().cycles()) << label;
-    EXPECT_NEAR(ref.power().totalEnergyJ(),
-                other.power().totalEnergyJ(),
-                1e-9 * ref.power().totalEnergyJ())
+    EXPECT_EQ(ref.power().totalEnergyJ(), other.power().totalEnergyJ())
         << label;
     for (const auto &p : probes) {
         const Vec320 a = ref.mem(p.hem, p.slice).backdoorRead(p.addr);
@@ -263,9 +261,8 @@ TEST(Replay, CompiledNetworkSessionReplayWithFreshInputs)
         EXPECT_EQ(ref.cycles(), rep.cycles()) << "run " << i;
         EXPECT_EQ(ref.chip().stats().all(), rep.chip().stats().all())
             << "run " << i;
-        EXPECT_NEAR(ref.chip().power().totalEnergyJ(),
-                    rep.chip().power().totalEnergyJ(),
-                    1e-9 * ref.chip().power().totalEnergyJ())
+        EXPECT_EQ(ref.chip().power().totalEnergyJ(),
+                  rep.chip().power().totalEnergyJ())
             << "run " << i;
         for (const auto &[id, lt] : lowered_ref) {
             EXPECT_EQ(ref.readTensor(lt).data,
@@ -473,9 +470,7 @@ TEST(Replay, PodAllReduceReplayIdentical)
                           .backdoorRead(AllReducePlan::kResultAddr)
                           .bytes)
                 << "run " << run << " chip " << c;
-            EXPECT_NEAR(a.power().totalEnergyJ(),
-                        b.power().totalEnergyJ(),
-                        1e-9 * a.power().totalEnergyJ())
+            EXPECT_EQ(a.power().totalEnergyJ(), b.power().totalEnergyJ())
                 << "run " << run << " chip " << c;
         }
     }

@@ -20,6 +20,7 @@
 
 #include "c2c/collective.hh"
 #include "common/rng.hh"
+#include "common/snapshot_io.hh"
 #include "graph/graph.hh"
 #include "isa/assembler.hh"
 #include "model/resnet.hh"
@@ -99,30 +100,24 @@ seedInputs(Chip &chip)
 }
 
 /**
- * Asserts two completed chips are indistinguishable. With
- * @p exact_payload (same-tier, per-cycle runs), the comparison is a
- * byte-for-byte diff of both chips' serialized state — the full MEM
- * image (data + check bits), fabric, unit latches, counters, RNG
- * streams and the energy accumulator. Across tiers the energy
- * accumulator only differs in floating-point association (one span
- * sample vs N per-cycle samples), so it is compared with a relative
- * tolerance and everything else through stats()/probes.
+ * Asserts two completed chips are indistinguishable: clock, stats(),
+ * energy, the result word and a byte-for-byte diff of both chips'
+ * serialized state — the full MEM image (data + check bits), fabric,
+ * unit latches, counters and RNG streams. Energy is a function of
+ * those counters, so the diff holds across execution tiers too.
  */
 void
-expectChipsIdentical(const Chip &a, const Chip &b, bool exact_payload)
+expectChipsIdentical(const Chip &a, const Chip &b)
 {
     EXPECT_EQ(a.now(), b.now());
     EXPECT_EQ(a.stats().all(), b.stats().all());
     EXPECT_EQ(a.power().cycles(), b.power().cycles());
-    EXPECT_NEAR(a.power().totalEnergyJ(), b.power().totalEnergyJ(),
-                1e-9 * a.power().totalEnergyJ());
+    EXPECT_EQ(a.power().totalEnergyJ(), b.power().totalEnergyJ());
     const Vec320 ra =
         a.mem(Hemisphere::West, 2).backdoorRead(0x7);
     const Vec320 rb =
         b.mem(Hemisphere::West, 2).backdoorRead(0x7);
     EXPECT_EQ(ra.bytes, rb.bytes);
-    if (!exact_payload)
-        return;
     ChipSnapshot sa, sb;
     std::string err;
     ASSERT_TRUE(a.snapshot(sa, &err)) << err;
@@ -177,12 +172,7 @@ TEST_P(SnapshotMatrix, MidRunRestoreMatchesUninterruptedRun)
     ASSERT_TRUE(dst.restore(wire, &err)) << err;
     EXPECT_EQ(dst.now(), cut);
     dst.run();
-
-    // Byte-exact serialized-state diff is only meaningful when both
-    // executions sampled power with identical FP association: both
-    // final runs fully per-cycle.
-    const bool exact = !src_ff && !dst_ff;
-    expectChipsIdentical(ref, dst, exact);
+    expectChipsIdentical(ref, dst);
 
     // The scheduled single-bit flip (and the random strikes) must
     // have been corrected identically on both paths.
@@ -293,17 +283,44 @@ TEST(Snapshot, RestoreRefusesMismatches)
         dst.loadProgram(prog);
         EXPECT_FALSE(dst.restore(snap, &err));
     }
-    {
-        // The dispatch trace is a quiesce violation on both sides.
-        ChipConfig cfg = faultConfigFor(false);
-        cfg.traceEnabled = true;
-        Chip dst(cfg);
-        dst.loadProgram(prog);
-        EXPECT_FALSE(dst.restore(snap, &err));
-        EXPECT_NE(err.find("trace"), std::string::npos);
-        ChipSnapshot unused;
-        EXPECT_FALSE(dst.snapshot(unused, &err));
+}
+
+TEST(Snapshot, RestoreRefusesCraftedNotifyCount)
+{
+    // A blob whose barrier notify count is patched to 2^61 still
+    // deserializes (serialize() recomputes the content hash), so
+    // restore() itself must refuse it rather than size anything by
+    // the count.
+    const AsmProgram prog = program();
+    Chip src(configFor(false));
+    seedInputs(src);
+    src.loadProgram(prog);
+    EXPECT_FALSE(src.runBounded(400));
+    ChipSnapshot snap;
+    ASSERT_TRUE(src.snapshot(snap));
+
+    // The payload opens with the fabric's state, then the barrier's
+    // notify count.
+    SnapshotWriter fabric;
+    src.fabric().saveState(fabric);
+    const std::size_t at = fabric.size();
+    ASSERT_LE(at + 8, snap.payload.size());
+    const std::uint64_t count = std::uint64_t{1} << 61;
+    for (int i = 0; i < 8; ++i) {
+        snap.payload[at + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(count >> (8 * i));
     }
+    const std::vector<std::uint8_t> bytes = snap.serialize();
+    ChipSnapshot crafted;
+    std::string err;
+    ASSERT_TRUE(ChipSnapshot::deserialize(bytes.data(), bytes.size(),
+                                          crafted, &err))
+        << err;
+
+    Chip dst(configFor(false));
+    dst.loadProgram(prog);
+    EXPECT_FALSE(dst.restore(crafted, &err));
+    EXPECT_NE(err.find("restore:"), std::string::npos) << err;
 }
 
 TEST(Snapshot, DifferentFaultSeedRestoresWithFreshStreams)

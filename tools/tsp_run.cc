@@ -7,7 +7,7 @@
  *     --mem HEM:SLICE:ADDR=BYTE[,BYTE...]   preload a word (repeats)
  *     --dump HEM:SLICE:ADDR                 print a word after the run
  *     --max-cycles N                        abort limit (default 10M)
- *     --trace                               print the dispatch trace
+ *     --trace                               print every dispatch
  *     --trace-json FILE                     write a chrome://tracing file
  *     --stats                               print chip statistics
  *     --power                               print average power
@@ -24,6 +24,12 @@
  *                                           the last pre-fault snapshot
  *                                           (fresh fault seed) instead
  *                                           of dying
+ *
+ * --trace and --trace-json record the run (sim/exec_trace.hh); they
+ * cannot be combined with --snapshot-every (a chip refuses snapshots
+ * while recording) or with --max-cycles above 2^32 - 1 (recorded
+ * cycle offsets are 32-bit). A run that is cut off or machine-checked
+ * still lists everything it dispatched.
  *
  * Exit status: 0 on clean retirement, 1 on error or cycle-limit
  * abort, 2 on usage errors, 3 on a machine check (uncorrectable
@@ -51,14 +57,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
-
 #include <memory>
+#include <optional>
+#include <sstream>
 
 #include "common/seed.hh"
 #include "common/strutil.hh"
 #include "isa/assembler.hh"
 #include "mem/ecc.hh"
+#include "runtime/session.hh"
 #include "sim/chip.hh"
 #include "sim/snapshot.hh"
 #include "sim/trace_export.hh"
@@ -126,7 +133,7 @@ usage()
     std::fprintf(stderr,
                  "usage: tsp-run PROGRAM.tsp [--mem H:S:A=b,b,...] "
                  "[--dump H:S:A] [--max-cycles N] [--trace] "
-                 "[--stats] [--power] [--fault-rate R] "
+                 "[--trace-json FILE] [--stats] [--power] [--fault-rate R] "
                  "[--fault-double F] [--fault-seed S] "
                  "[--snapshot-every N]\n");
 }
@@ -228,6 +235,19 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
+    const bool record = want_trace || trace_json;
+    if (record && snapshot_every > 0) {
+        std::fprintf(stderr, "--trace/--trace-json cannot be combined "
+                             "with --snapshot-every\n");
+        usage();
+        return 2;
+    }
+    if (record && max_cycles > 0xffffffffull) {
+        std::fprintf(stderr, "--trace/--trace-json need --max-cycles "
+                             "<= 4294967295\n");
+        usage();
+        return 2;
+    }
 
     std::ifstream in(path);
     if (!in) {
@@ -245,7 +265,6 @@ main(int argc, char **argv)
     }
 
     ChipConfig cfg;
-    cfg.traceEnabled = want_trace || trace_json;
     cfg.fault.memReadRate = fault_rate;
     cfg.fault.memWriteRate = fault_rate;
     cfg.fault.streamRate = fault_rate;
@@ -269,6 +288,10 @@ main(int argc, char **argv)
     // Hashed once; a migration reloads it on a rebuilt chip.
     const SharedProgram program(result.program);
     chip_p->loadProgram(program);
+    // Declared after chip_p so it disarms before the chip goes.
+    std::optional<TraceRecording> rec;
+    if (record)
+        rec.emplace(std::vector<Chip *>{chip_p.get()});
     bool retired = false;
     std::uint64_t snapshots = 0;
     int migrations = 0;
@@ -287,8 +310,10 @@ main(int argc, char **argv)
                 std::min(max_cycles, chip_p->now() + snapshot_every);
             retired = chip_p->runBounded(next);
             if (chip_p->machineCheck()) {
-                if (!have_snap || migrations >= 8)
+                if (!have_snap ||
+                    migrations >= InferenceSession::kMaxMigrations) {
                     break;
+                }
                 ++migrations;
                 ChipConfig mig_cfg = cfg;
                 mig_cfg.fault.seed = deriveSeed(
@@ -354,15 +379,17 @@ main(int argc, char **argv)
     }
 
     if (want_trace) {
-        for (const TraceEvent &e : chip.trace()) {
-            std::printf("%8llu  %-12s %s\n",
-                        static_cast<unsigned long long>(e.cycle),
-                        e.icu.name().c_str(),
-                        e.inst.toString().c_str());
+        const ExecutionTrace &t = rec->recorded();
+        for (const ExecutionTrace::Event &e : t.events) {
+            if (e.kind != ExecutionTrace::EventKind::Dispatch)
+                continue;
+            std::printf("%8u  %-12s %s\n", e.cycleOffset,
+                        IcuId{e.unit}.name().c_str(),
+                        t.insts[e.instIndex].toString().c_str());
         }
     }
     if (trace_json) {
-        if (!writeChromeTrace(chip, trace_json)) {
+        if (!writeChromeTrace(rec->recorded(), trace_json)) {
             std::fprintf(stderr, "cannot write %s\n", trace_json);
             return 1;
         }
