@@ -105,6 +105,9 @@ class SnapshotWriter
         buf_.insert(buf_.end(), p, p + n);
     }
 
+    /** @p n zero bytes. */
+    void zeros(std::size_t n) { buf_.resize(buf_.size() + n, 0); }
+
     /** Length-prefixed string. */
     void
     str(const std::string &s)

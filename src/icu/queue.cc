@@ -65,12 +65,6 @@ InstructionQueue::loadState(SnapshotReader &r)
     parkedCycles_ = r.u64();
 }
 
-bool
-InstructionQueue::done() const
-{
-    return pc_ >= program_.size() && !parked_ && repeatsLeft_ == 0;
-}
-
 Cycle
 InstructionQueue::nextEventCycle(Cycle now) const
 {

@@ -81,7 +81,22 @@ class InstructionQueue
     void skipIdle(Cycle now, Cycle target);
 
     /** @return true once every instruction has retired. */
-    bool done() const;
+    bool
+    done() const
+    {
+        return pc_ >= program_.size() && !parked_ && repeatsLeft_ == 0;
+    }
+
+    /**
+     * @return true when the queue can no longer act at or after
+     * @p now: every instruction has retired and a trailing NOP no
+     * longer gates (and counts) cycles. From then on tick() returns 0
+     * and touches no counter, nextEventCycle() is kNoEventCycle and
+     * skipIdle() does nothing, so a chip may stop visiting the queue.
+     * Only loadProgram() or loadState() ends the state. A parked
+     * queue is never inert.
+     */
+    bool inert(Cycle now) const { return done() && now >= busyUntil_; }
 
     /**
      * Retires the loaded program without ticking (trace-replay tier:

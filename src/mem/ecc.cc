@@ -14,7 +14,10 @@ namespace {
 struct PosTables
 {
     std::array<std::uint8_t, 128> dataPos{};  // data bit -> position
-    std::array<std::int16_t, 137> posData{};  // position -> data bit
+    // Position -> data bit, over every 8-bit syndrome: an odd number
+    // of three or more flips can point past position 136, and those
+    // entries stay -1 (uncorrectable).
+    std::array<std::int16_t, 256> posData{};
 
     PosTables()
     {

@@ -46,36 +46,22 @@ MemSlice::reportUncorrectable(Cycle now, const char *what, MemAddr addr)
     }
 }
 
-MemSlice::Word *
-MemSlice::bankStore(int bank)
-{
-    TSP_ASSERT(bank >= 0 && bank < kMemBanks);
-    auto &store = banks_[static_cast<std::size_t>(bank)];
-    if (!store)
-        store = std::make_unique<Word[]>(kWordsPerBank);
-    return store.get();
-}
-
-const MemSlice::Word *
-MemSlice::bankStoreConst(int bank) const
-{
-    TSP_ASSERT(bank >= 0 && bank < kMemBanks);
-    return banks_[static_cast<std::size_t>(bank)].get();
-}
-
 MemSlice::Word &
 MemSlice::wordAt(MemAddr addr)
 {
     TSP_ASSERT(addr < static_cast<MemAddr>(kMemWordsPerSlice));
-    return bankStore(bankOf(addr))[addr % kWordsPerBank];
+    auto &page = pages_[addr / kPageWords];
+    if (!page)
+        page = std::make_unique<Word[]>(kPageWords);
+    return page[addr % kPageWords];
 }
 
 const MemSlice::Word *
 MemSlice::wordAtConst(MemAddr addr) const
 {
     TSP_ASSERT(addr < static_cast<MemAddr>(kMemWordsPerSlice));
-    const Word *bank = bankStoreConst(bankOf(addr));
-    return bank ? &bank[addr % kWordsPerBank] : nullptr;
+    const auto &page = pages_[addr / kPageWords];
+    return page ? &page[addr % kPageWords] : nullptr;
 }
 
 void
@@ -307,35 +293,32 @@ MemSlice::backdoorRead(MemAddr addr) const
 void
 MemSlice::saveState(SnapshotWriter &w) const
 {
+    // Per bank: the count of nonzero words, then each one's index in
+    // the bank, bytes and ECC. Untouched pages read as zero.
+    const auto stored = [this](int bank, int i) -> const Word * {
+        const Word *word = wordAtConst(
+            static_cast<MemAddr>(bank * kWordsPerBank + i));
+        if (!word)
+            return nullptr;
+        bool nonzero = false;
+        for (const auto b : word->bytes)
+            nonzero |= b != 0;
+        for (const auto e : word->ecc)
+            nonzero |= e != 0;
+        return nonzero ? word : nullptr;
+    };
     for (int bank = 0; bank < kMemBanks; ++bank) {
-        const Word *store = bankStoreConst(bank);
         std::uint32_t count = 0;
-        if (store) {
-            for (int i = 0; i < kWordsPerBank; ++i) {
-                const Word &word = store[static_cast<std::size_t>(i)];
-                bool nonzero = false;
-                for (const auto b : word.bytes)
-                    nonzero |= b != 0;
-                for (const auto e : word.ecc)
-                    nonzero |= e != 0;
-                count += nonzero ? 1 : 0;
-            }
-        }
+        for (int i = 0; i < kWordsPerBank; ++i)
+            count += stored(bank, i) ? 1 : 0;
         w.u32(count);
-        if (!store)
-            continue;
         for (int i = 0; i < kWordsPerBank; ++i) {
-            const Word &word = store[static_cast<std::size_t>(i)];
-            bool nonzero = false;
-            for (const auto b : word.bytes)
-                nonzero |= b != 0;
-            for (const auto e : word.ecc)
-                nonzero |= e != 0;
-            if (!nonzero)
+            const Word *word = stored(bank, i);
+            if (!word)
                 continue;
             w.u32(static_cast<std::uint32_t>(i));
-            w.bytes(word.bytes.data(), word.bytes.size());
-            for (const auto e : word.ecc)
+            w.bytes(word->bytes.data(), word->bytes.size());
+            for (const auto e : word->ecc)
                 w.u16(e);
         }
     }
@@ -351,17 +334,16 @@ MemSlice::saveState(SnapshotWriter &w) const
 void
 MemSlice::loadState(SnapshotReader &r)
 {
+    for (auto &page : pages_)
+        page.reset();
     for (int bank = 0; bank < kMemBanks; ++bank) {
-        banks_[static_cast<std::size_t>(bank)].reset();
         const std::uint32_t count = r.u32();
-        if (count == 0 || !r.ok())
-            continue;
-        Word *store = bankStore(bank);
         for (std::uint32_t n = 0; n < count && r.ok(); ++n) {
             const std::uint32_t i = r.u32();
             if (i >= static_cast<std::uint32_t>(kWordsPerBank))
                 break;
-            Word &word = store[i];
+            Word &word = wordAt(static_cast<MemAddr>(
+                static_cast<std::uint32_t>(bank * kWordsPerBank) + i));
             r.bytes(word.bytes.data(), word.bytes.size());
             for (auto &e : word.ecc)
                 e = r.u16();

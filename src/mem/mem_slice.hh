@@ -172,11 +172,9 @@ class MemSlice
         std::array<std::uint16_t, kSuperlanes> ecc{};
     };
 
-    /** Lazily materializes a bank's backing store. */
-    Word *bankStore(int bank);
-    const Word *bankStoreConst(int bank) const;
-
+    /** @return the word at @p addr, materializing its page. */
     Word &wordAt(MemAddr addr);
+    /** @return the word at @p addr, or null while its page is untouched. */
     const Word *wordAtConst(MemAddr addr) const;
 
     void checkPort(MemAddr addr, bool is_write, Cycle now);
@@ -191,8 +189,16 @@ class MemSlice
     FaultInjector *faults_;
     MachineCheckSink *mc_;
 
-    /** Two banks of 4096 words, allocated on first touch. */
-    mutable std::array<std::unique_ptr<Word[]>, kMemBanks> banks_{};
+    /**
+     * The two banks of 4096 words, stored in pages of kPageWords
+     * words, each allocated (zeroed) on first touch. A program that
+     * touches a few words of a bank, like the all-reduce's inputs and
+     * results, then builds one 88 KB page rather than the whole
+     * 1.4 MB bank, so a pod rebuilt after a machine check is cheap.
+     */
+    static constexpr int kPageWords = 256;
+    std::array<std::unique_ptr<Word[]>, kMemWordsPerSlice / kPageWords>
+        pages_{};
 
     // Port-conflict tracking for the current cycle.
     Cycle lastCycle_ = ~Cycle{0};

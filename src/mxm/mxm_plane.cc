@@ -39,23 +39,35 @@ nonzeroBlocks(const std::int8_t *row, int block)
 MxmPlane::MxmPlane(int plane, const ChipConfig &cfg,
                    StreamFabric &fabric)
     : cfg_(cfg), io_(cfg, fabric, strformat("MXM%d", plane)),
-      plane_(plane),
-      wbuf_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
-      winst_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
-      wbufF_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
-      winstF_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0),
-      wbufExt_(static_cast<std::size_t>(kMxmDim), 0),
-      winstExt_(static_cast<std::size_t>(kMxmDim), 0),
-      winstRowSum_(static_cast<std::size_t>(kMxmDim), 0),
-      winstFCols_(static_cast<std::size_t>(kMxmDim) * kMxmDim, 0.0f)
+      plane_(plane)
 {
     TSP_ASSERT(plane >= 0 && plane < kMxmPlanes);
+}
+
+void
+MxmPlane::allocateArrays()
+{
+    if (!wbuf_.empty())
+        return;
+    const std::size_t plane = static_cast<std::size_t>(kMxmDim) * kMxmDim;
+    wbuf_.assign(plane, 0);
+    winst_.assign(plane, 0);
+    wbufF_.assign(plane, 0);
+    winstF_.assign(plane, 0);
+    wbufExt_.assign(kMxmDim, 0);
+    winstExt_.assign(kMxmDim, 0);
+    winstRowSum_.assign(kMxmDim, 0);
+    winstFCols_.assign(plane, 0.0f);
+    accI_.assign(kMxmAccDepth, {});
+    accF_.assign(kMxmAccDepth, {});
 }
 
 std::int8_t
 MxmPlane::installedWeight(int row, int col) const
 {
     TSP_ASSERT(row >= 0 && row < kMxmDim && col >= 0 && col < kMxmDim);
+    if (winst_.empty())
+        return 0;
     return winst_[static_cast<std::size_t>(row) * kMxmDim +
                   static_cast<std::size_t>(col)];
 }
@@ -64,6 +76,8 @@ std::uint16_t
 MxmPlane::installedWeightF16(int row, int col) const
 {
     TSP_ASSERT(row >= 0 && row < kMxmDim && col >= 0 && col < kMxmDim);
+    if (winstF_.empty())
+        return 0;
     return winstF_[static_cast<std::size_t>(row) * kMxmDim +
                    static_cast<std::size_t>(col)];
 }
@@ -71,6 +85,9 @@ MxmPlane::installedWeightF16(int row, int col) const
 void
 MxmPlane::issue(const Instruction &inst, Cycle now)
 {
+    // ABC and ACC tick only after an issue, so every array access
+    // follows this.
+    allocateArrays();
     switch (inst.op) {
       case Opcode::Lw:
         executeLw(inst, now);
@@ -491,12 +508,19 @@ void
 MxmPlane::saveState(SnapshotWriter &w) const
 {
     io_.saveState(w);
-    w.bytes(wbuf_.data(), wbuf_.size());
-    w.bytes(winst_.data(), winst_.size());
-    for (const auto v : wbufF_)
-        w.u16(v);
-    for (const auto v : winstF_)
-        w.u16(v);
+    // A plane that never ran has no arrays; they read as zeros.
+    const std::size_t plane = static_cast<std::size_t>(kMxmDim) * kMxmDim;
+    const bool zero = wbuf_.empty();
+    if (zero) {
+        w.zeros(2 * plane + 2 * plane * sizeof(std::uint16_t));
+    } else {
+        w.bytes(wbuf_.data(), wbuf_.size());
+        w.bytes(winst_.data(), winst_.size());
+        for (const auto v : wbufF_)
+            w.u16(v);
+        for (const auto v : winstF_)
+            w.u16(v);
+    }
     w.i32(fillRow_);
     w.u8(static_cast<std::uint8_t>(weightType_));
     w.u8(static_cast<std::uint8_t>(installedType_));
@@ -515,13 +539,17 @@ MxmPlane::saveState(SnapshotWriter &w) const
     w.u32(acc_.remaining);
     w.u32(acc_.index);
 
-    for (const auto &row : accI_) {
-        for (const auto v : row)
-            w.i32(v);
-    }
-    for (const auto &row : accF_) {
-        for (const auto v : row)
-            w.f32(v);
+    if (zero) {
+        w.zeros(2 * std::size_t{kMxmAccDepth} * kMxmDim * sizeof(float));
+    } else {
+        for (const auto &row : accI_) {
+            for (const auto v : row)
+                w.i32(v);
+        }
+        for (const auto &row : accF_) {
+            for (const auto v : row)
+                w.f32(v);
+        }
     }
     w.u64(generation_);
     w.u64(accGen_);
@@ -537,6 +565,7 @@ void
 MxmPlane::loadState(SnapshotReader &r)
 {
     io_.loadState(r);
+    allocateArrays();
     r.bytes(wbuf_.data(), wbuf_.size());
     r.bytes(winst_.data(), winst_.size());
     for (auto &v : wbufF_)

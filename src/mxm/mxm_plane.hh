@@ -119,6 +119,15 @@ class MxmPlane
     void loadState(SnapshotReader &r);
 
   private:
+    /**
+     * Sizes the weight and accumulator arrays, all zero, on the
+     * plane's first instruction or state load. A program that never
+     * uses the plane, such as the all-reduce, leaves them empty, so a
+     * chip that stays off the MXM costs no 1.2 MB per plane to build
+     * or rebuild.
+     */
+    void allocateArrays();
+
     void executeLw(const Instruction &inst, Cycle now);
     void executeIw(const Instruction &inst, Cycle now);
     void executeAbc(const Instruction &inst, Cycle now);
@@ -153,7 +162,8 @@ class MxmPlane
      * Weight staging (LW) and installed (IW) arrays, row-major. IW
      * leaves installed == staged, and an LW burst writes only rows
      * [0, fillRow_) of its own dtype's staging buffer — so those are
-     * the only rows the next IW has to copy.
+     * the only rows the next IW has to copy. These and the arrays
+     * below stay empty until allocateArrays().
      */
     std::vector<std::int8_t> wbuf_;
     std::vector<std::int8_t> winst_;
@@ -218,9 +228,12 @@ class MxmPlane
     };
     AccState acc_{};
 
-    /** Accumulator bank: int32 and fp32 views (mode-selected). */
-    std::array<std::array<std::int32_t, kMxmDim>, kMxmAccDepth> accI_{};
-    std::array<std::array<float, kMxmDim>, kMxmAccDepth> accF_{};
+    /**
+     * Accumulator bank: int32 and fp32 views (mode-selected),
+     * kMxmAccDepth vectors each once allocated.
+     */
+    std::vector<std::array<std::int32_t, kMxmDim>> accI_;
+    std::vector<std::array<float, kMxmDim>> accF_;
 
     /**
      * Drain-consistency tracking: every overwriting ABC starts a new

@@ -4,6 +4,10 @@
  * point. Producers either block until space frees (open-loop load
  * generators that model backpressure as delay) or fail fast
  * (tryPush, surfaced to clients as Outcome::RejectedQueueFull).
+ * A producer blocked on a full queue resumes once consumers have
+ * drained it to half its capacity, not after every pop: a producer
+ * that outpaces its consumer then wakes once per half queue instead
+ * of trading the CPU with the consumer on every element.
  *
  * This is the *host-side* queue in front of the chip pool; it is
  * deliberately generic (template) so the unit tests can exercise the
@@ -85,9 +89,11 @@ class BoundedQueue
     }
 
     /**
-     * Enqueues, blocking while the queue is full. close() wakes
-     * blocked pushers, which then fail. On failure @p item is left
-     * intact (not moved from), so the caller can still resolve it.
+     * Enqueues, blocking while the queue is full; a blocked pusher
+     * resumes when the queue has drained to half its capacity.
+     * close() wakes blocked pushers, which then fail. On failure
+     * @p item is left intact (not moved from), so the caller can
+     * still resolve it.
      * @return false when the queue is (or becomes) closed.
      */
     bool
@@ -120,6 +126,7 @@ class BoundedQueue
     bool
     pop(T &out)
     {
+        bool wake = false;
         {
             std::unique_lock<std::mutex> lock(mu_);
             notEmpty_.wait(lock,
@@ -128,8 +135,10 @@ class BoundedQueue
                 return false; // Closed and drained.
             out = std::move(items_.front());
             items_.pop_front();
+            wake = drainedToLowWater();
         }
-        notFull_.notify_one();
+        if (wake)
+            notFull_.notify_all();
         return true;
     }
 
@@ -142,6 +151,7 @@ class BoundedQueue
     PopResult
     tryPop(T &out)
     {
+        bool wake = false;
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (items_.empty())
@@ -149,8 +159,10 @@ class BoundedQueue
                                : PopResult::Empty;
             out = std::move(items_.front());
             items_.pop_front();
+            wake = drainedToLowWater();
         }
-        notFull_.notify_one();
+        if (wake)
+            notFull_.notify_all();
         return PopResult::Item;
     }
 
@@ -178,6 +190,19 @@ class BoundedQueue
     }
 
   private:
+    /**
+     * @return true when the pop just made brings the queue down to
+     * half its capacity, the point at which blocked pushers resume.
+     * Pushers block only on a full queue, so while consumers keep
+     * popping the queue passes this point (unless tryPush() keeps
+     * topping it up); close() wakes every pusher regardless.
+     */
+    bool
+    drainedToLowWater() const
+    {
+        return items_.size() == capacity_ / 2;
+    }
+
     const std::size_t capacity_;
     mutable std::mutex mu_;
     std::condition_variable notEmpty_;

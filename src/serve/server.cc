@@ -193,11 +193,7 @@ InferenceServer::sealOpenLocked()
             metrics_.record(r);
         }
         resolveMember(m, std::move(r));
-        {
-            std::lock_guard<std::mutex> lock(doneMu_);
-            --inflight_;
-        }
-        doneCv_.notify_all();
+        releaseInflight(1);
     }
 }
 
@@ -482,11 +478,7 @@ InferenceServer::requeueVictimLocked(Member v, int vmodel, int vprio,
             metrics_.record(r);
         }
         resolveMember(v, std::move(r));
-        {
-            std::lock_guard<std::mutex> dl(doneMu_);
-            --inflight_;
-        }
-        doneCv_.notify_all();
+        releaseInflight(1);
         ++shed;
         return;
     }
@@ -693,11 +685,23 @@ InferenceServer::finishBatch(BatchJob &job,
     const std::size_t n = results.size();
     for (std::size_t i = 0; i < n; ++i)
         resolveMember(job.members[i], std::move(results[i]));
+    releaseInflight(n);
+}
+
+void
+InferenceServer::releaseInflight(std::uint64_t n)
+{
+    bool idle;
     {
         std::lock_guard<std::mutex> lock(doneMu_);
         inflight_ -= n;
+        idle = inflight_ == 0;
     }
-    doneCv_.notify_all();
+    // drain() waits for zero only. Waking it on every batch would
+    // bounce the draining thread and this one across the CPUs once
+    // per request.
+    if (idle)
+        doneCv_.notify_all();
 }
 
 void

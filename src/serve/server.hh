@@ -443,6 +443,8 @@ class InferenceServer
     /** Seals + enqueues the open batch (requires submitMu_). */
     void sealOpenLocked();
     void finishBatch(BatchJob &job, std::vector<Result> results);
+    /** Retires @p n resolved requests; wakes drain() at zero. */
+    void releaseInflight(std::uint64_t n);
     /** @return the batch cap for @p model (config clamped to the
      * model's compiled sizes and every backend). */
     int effBatchMaxFor(int model) const;

@@ -40,6 +40,17 @@ Chip::Chip(ChipConfig cfg) : cfg_(std::move(cfg))
     queues_.reserve(kNumIcus);
     for (int i = 0; i < kNumIcus; ++i)
         queues_.emplace_back(IcuId{i}, barrier_);
+    live_.reserve(kNumIcus);
+}
+
+void
+Chip::rebuildLive()
+{
+    live_.clear();
+    for (const auto &q : queues_) {
+        if (!q.inert(now()))
+            live_.push_back(q.id().id);
+    }
 }
 
 MemSlice &
@@ -88,6 +99,7 @@ Chip::loadProgram(SharedProgram program)
         queues_[static_cast<std::size_t>(i)].loadProgram(insts);
     }
     TSP_ASSERT(it == qs.end()); // Every ICU id lies in [0, kNumIcus).
+    rebuildLive();
     fabric_.clear();
     // Stale broadcasts must not leak into the next program's barrier
     // preamble: a reloaded chip starts from the same barrier state as
@@ -187,9 +199,13 @@ Chip::dispatch(const IcuId &icu, const Instruction &inst)
         // Broadcasts that arrived before the earliest still-parked
         // Sync can never satisfy another queue (future Syncs park at
         // >= now): drop them so long runs and reused sessions don't
-        // accumulate them without bound.
+        // accumulate them without bound. Only live queues can be
+        // parked. step() may be mid-way through compacting live_, but
+        // every entry still holds a live id or an inert (never
+        // parked) one.
         Cycle parked_floor = now;
-        for (const auto &q : queues_) {
+        for (const int id : live_) {
+            const auto &q = queues_[static_cast<std::size_t>(id)];
             if (q.parked() && q.parkedSince() < parked_floor)
                 parked_floor = q.parkedSince();
         }
@@ -254,17 +270,26 @@ Chip::step()
     if (faults_ && faults_->hasScheduled())
         faults_->applyScheduled(now, memSlices_);
 
-    for (auto &q : queues_) {
+    // Live queues tick in id order, as all 144 would: same-cycle
+    // dispatch order is observable through the fault RNG draws and
+    // the stream write order. A queue that is inert from the next
+    // cycle on is dropped in place.
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+        const int id = live_[k];
+        InstructionQueue &q = queues_[static_cast<std::size_t>(id)];
         const Instruction *insts[2] = {nullptr, nullptr};
         const int n = q.tick(now, insts);
         dispatches += n;
         for (int i = 0; i < n; ++i) {
             if (traceRec_)
-                traceRec_->onDispatch(traceChip_, q.id().id, *insts[i],
-                                      now);
+                traceRec_->onDispatch(traceChip_, id, *insts[i], now);
             dispatch(q.id(), *insts[i]);
         }
+        if (!q.inert(now + 1))
+            live_[kept++] = id;
     }
+    live_.resize(kept);
 
     // MXM sequencers stream activations/results every cycle. Note
     // whether any plane was active *before* ticking so the final
@@ -311,8 +336,9 @@ Chip::nextEventCycle() const
         if (f < ev)
             ev = f;
     }
-    for (const auto &q : queues_) {
-        const Cycle e = q.nextEventCycle(now);
+    for (const int id : live_) {
+        const Cycle e =
+            queues_[static_cast<std::size_t>(id)].nextEventCycle(now);
         if (e <= now)
             return now;
         if (e < ev)
@@ -327,9 +353,10 @@ Chip::advanceTo(Cycle target)
     const Cycle now = fabric_.now();
     TSP_ASSERT(target > now);
 
-    // Idle accounting each queue would have accumulated per cycle.
-    for (auto &q : queues_)
-        q.skipIdle(now, target);
+    // Idle accounting each queue would have accumulated per cycle
+    // (an inert queue accumulates none).
+    for (const int id : live_)
+        queues_[static_cast<std::size_t>(id)].skipIdle(now, target);
 
     // Nothing dispatches or executes inside the span, so the only
     // activity is vectors hopping along the fabric, which advanceBy()
@@ -340,8 +367,8 @@ Chip::advanceTo(Cycle target)
 bool
 Chip::done() const
 {
-    for (const auto &q : queues_) {
-        if (!q.done())
+    for (const int id : live_) {
+        if (!queues_[static_cast<std::size_t>(id)].done())
             return false;
     }
     for (const auto &plane : mxm_) {
@@ -509,6 +536,7 @@ Chip::finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle end)
     // accumulated.
     for (auto &q : queues_)
         q.retireForReplay();
+    live_.clear();
     dispatchedAdjust_ += d.dispatched;
     nopAdjust_ += d.nopCycles;
     parkedAdjust_ += d.parkedCycles;

@@ -220,6 +220,7 @@ class Chip
      * mismatches refuse with @p err set. With the same fault seed the
      * RNG streams resume exactly (bit-identical continuation); with a
      * different seed this chip keeps its fresh streams (migration).
+     * A refused restore leaves this chip exactly as it was.
      */
     bool restore(const ChipSnapshot &snap, std::string *err = nullptr);
 
@@ -297,6 +298,28 @@ class Chip
     SharedProgram program_;
     std::vector<InstructionQueue> queues_;     // 144.
 
+    /**
+     * Ids of the queues that are not inert (InstructionQueue::inert),
+     * ascending. Every per-cycle scan (step, nextEventCycle,
+     * advanceTo, done, the Notify floor) walks only these: an inert
+     * queue neither dispatches, counts, parks nor has an event, so
+     * skipping it changes nothing. Rebuilt by loadProgram() and a
+     * committed restore(); step() drops a queue once it turns inert;
+     * finishReplay() empties it.
+     */
+    std::vector<int> live_;
+
+    /** Refills live_ from the queues' state at now(). */
+    void rebuildLive();
+
+    /**
+     * Loads every unit from @p snap's payload (restore()'s decode,
+     * header already checked). Writes as it reads, so a refusal can
+     * leave the chip half-loaded; restore() runs it on a scratch chip
+     * first.
+     */
+    bool decodePayload(const ChipSnapshot &snap, std::string *err);
+
     std::uint64_t ifetches_ = 0;
 
     /** Armed recorder (record tier) and this chip's index in it. */
@@ -316,9 +339,9 @@ class Chip
     /**
      * True when the last step() dispatched nothing and no MXM
      * sequencer was streaming. A skippable idle span always begins
-     * with such a cycle, so runBounded() consults the (O(queues))
-     * event scan only after a quiet step — dense schedule regions
-     * pay nothing for fast-forward support.
+     * with such a cycle, so runBounded() consults the (O(live
+     * queues)) event scan only after a quiet step — dense schedule
+     * regions pay nothing for fast-forward support.
      */
     bool lastStepQuiet_ = true;
 

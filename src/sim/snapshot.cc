@@ -248,6 +248,25 @@ Chip::restore(const ChipSnapshot &snap, std::string *err)
     if (snap.faultEnvHash != hashFaultEnv(cfg_.fault))
         return fail(err, "restore: fault environment mismatch");
 
+    // The unit decoders write as they read, so decode onto a scratch
+    // chip first: a refused payload must leave this chip untouched.
+    // Restore runs on migration only, so the second pass is cheap.
+    {
+        Chip scratch(cfg_);
+        if (program_)
+            scratch.loadProgram(program_);
+        if (!scratch.decodePayload(snap, err))
+            return false;
+    }
+    const bool decoded = decodePayload(snap, err);
+    TSP_ASSERT(decoded);
+    rebuildLive();
+    return true;
+}
+
+bool
+Chip::decodePayload(const ChipSnapshot &snap, std::string *err)
+{
     // Same seed: resume the RNG streams exactly where the snapshot
     // left them (bit-identical continuation). Different seed: this is
     // a migration onto a rebuilt chip — keep its fresh streams so the
@@ -291,7 +310,9 @@ Chip::restore(const ChipSnapshot &snap, std::string *err)
         return fail(err, "restore: truncated payload");
     if (!r.atEnd())
         return fail(err, "restore: trailing payload bytes");
-    TSP_ASSERT(now() == snap.cycle);
+    // The header's cycle is untrusted input, like the payload.
+    if (now() != snap.cycle)
+        return fail(err, "restore: cycle mismatch");
     return true;
 }
 

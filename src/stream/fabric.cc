@@ -8,8 +8,6 @@ StreamFabric::StreamFabric()
     : rings_(kNumRings),
       pendingRing_(static_cast<std::size_t>(kPendingHorizon))
 {
-    for (auto &ring : rings_)
-        ring.slots.resize(kPositions);
 }
 
 void
@@ -18,6 +16,8 @@ StreamFabric::applyWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
 {
     TSP_ASSERT(pos >= 0 && pos < kPositions);
     Ring &ring = rings_[static_cast<std::size_t>(ringIndex(s))];
+    if (ring.slots.empty())
+        ring.slots.resize(kPositions);
     Entry &e =
         ring.slots[static_cast<std::size_t>(slotOf(s.dir, pos))];
     if (e.valid && e.writtenAt == cycle_) {
@@ -83,6 +83,8 @@ StreamFabric::peek(StreamRef s, SlicePos pos) const
 {
     TSP_ASSERT(pos >= 0 && pos < kPositions);
     const Ring &ring = rings_[static_cast<std::size_t>(ringIndex(s))];
+    if (ring.validInRing == 0)
+        return nullptr;
     const Entry &e =
         ring.slots[static_cast<std::size_t>(slotOf(s.dir, pos))];
     return e.valid ? &e.vec : nullptr;
@@ -94,6 +96,8 @@ StreamFabric::peek(StreamRef s, SlicePos pos,
 {
     TSP_ASSERT(pos >= 0 && pos < kPositions);
     const Ring &ring = rings_[static_cast<std::size_t>(ringIndex(s))];
+    if (ring.validInRing == 0)
+        return nullptr;
     const Entry &e =
         ring.slots[static_cast<std::size_t>(slotOf(s.dir, pos))];
     if (!e.valid)
@@ -151,9 +155,12 @@ StreamFabric::advance()
     // The slot that wrapped around the edge no longer holds a live
     // value: for eastward streams the value past position N-1 falls
     // off the east edge (its slot becomes position 0); westward values
-    // fall off the west edge (slot becomes position N-1).
-    for (int r = 0; r < kNumRings; ++r) {
+    // fall off the west edge (slot becomes position N-1). Empty rings
+    // (all of them on an empty fabric) have nothing to drop.
+    for (int r = 0; validCount_ > 0 && r < kNumRings; ++r) {
         Ring &ring = rings_[static_cast<std::size_t>(r)];
+        if (ring.validInRing == 0)
+            continue;
         const Direction dir =
             r < kStreamsPerDir ? Direction::East : Direction::West;
         const SlicePos entry_pos =
@@ -296,6 +303,8 @@ StreamFabric::loadState(SnapshotReader &r)
     cycle_ = r.u64();
     for (auto &ring : rings_) {
         const std::uint32_t n = r.u32();
+        if (n > 0 && ring.slots.empty())
+            ring.slots.resize(kPositions);
         for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
             const std::uint16_t idx = r.u16();
             if (idx >= ring.slots.size())

@@ -199,7 +199,12 @@ class StreamFabric
         std::uint32_t tag = kTapeUntagged; ///< Recording provenance.
     };
 
-    /** Ring of entries for one (direction, stream id). */
+    /**
+     * Ring of entries for one (direction, stream id). The slots are
+     * allocated on the ring's first write: most programs use a few
+     * of the 64 streams, and a chip is built on every engine rebuild.
+     * A ring without slots holds no value (validInRing == 0).
+     */
     struct Ring
     {
         std::vector<Entry> slots;

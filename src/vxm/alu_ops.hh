@@ -19,6 +19,7 @@
 #define TSP_VXM_ALU_OPS_HH
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -241,6 +242,23 @@ aluUnary(Opcode op, DType t, const LaneValue &a,
     }
 }
 
+/**
+ * @return @p ieee, the add, sub or mul of @p a and @p b, except that
+ * two NaN operands give @p a quieted. IEEE 754 leaves that payload to
+ * the implementation: x86, and so the AVX2 kernels, return the first
+ * source quieted, but a compiler may swap the operands of a
+ * commutative op. Pinning the x86 rule makes the scalar reference
+ * simulate the same bits at every optimisation level.
+ */
+inline float
+pinNanPair(float a, float b, float ieee)
+{
+    if (!std::isnan(a) || !std::isnan(b))
+        return ieee;
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) |
+                                0x00400000u);
+}
+
 /** Applies a binary VXM op. */
 inline LaneValue
 aluBinary(Opcode op, DType t, const LaneValue &a, const LaneValue &b)
@@ -250,37 +268,37 @@ aluBinary(Opcode op, DType t, const LaneValue &a, const LaneValue &b)
     switch (op) {
       case Opcode::Add:
         if (flt)
-            r.f = a.f + b.f;
+            r.f = pinNanPair(a.f, b.f, a.f + b.f);
         else
             r.i = wrapInt(t, a.i + b.i);
         return r;
       case Opcode::Sub:
         if (flt)
-            r.f = a.f - b.f;
+            r.f = pinNanPair(a.f, b.f, a.f - b.f);
         else
             r.i = wrapInt(t, a.i - b.i);
         return r;
       case Opcode::Mul:
         if (flt)
-            r.f = a.f * b.f;
+            r.f = pinNanPair(a.f, b.f, a.f * b.f);
         else
             r.i = wrapInt(t, a.i * b.i);
         return r;
       case Opcode::AddSat:
         if (flt)
-            r.f = a.f + b.f;
+            r.f = pinNanPair(a.f, b.f, a.f + b.f);
         else
             r.i = satInt(t, a.i + b.i);
         return r;
       case Opcode::SubSat:
         if (flt)
-            r.f = a.f - b.f;
+            r.f = pinNanPair(a.f, b.f, a.f - b.f);
         else
             r.i = satInt(t, a.i - b.i);
         return r;
       case Opcode::MulSat:
         if (flt)
-            r.f = a.f * b.f;
+            r.f = pinNanPair(a.f, b.f, a.f * b.f);
         else
             r.i = satInt(t, a.i * b.i);
         return r;

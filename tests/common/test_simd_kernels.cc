@@ -92,6 +92,20 @@ const float kSpecialF32[] = {
     -1.0f,
 };
 
+/**
+ * NaNs with distinct payloads, signs and quiet bits. IEEE 754 leaves
+ * the payload of a two-NaN result to the implementation; the
+ * simulator pins x86's first-operand rule, which only shows when the
+ * two operands differ.
+ */
+const std::uint32_t kNanBits[] = {
+    0x7fc94773u, // Quiet, positive.
+    0xfffc6fa8u, // Quiet, negative.
+    0x7f800001u, // Signaling, positive.
+    0xff812345u, // Signaling, negative.
+    0x7fffffffu, // Quiet, all payload bits.
+};
+
 /** Int32 values that stress the saturating add/sub overflow blends. */
 const std::int32_t kSpecialI32[] = {
     0,          1,           -1,          0x7fffffff, -0x7fffffff - 1,
@@ -111,6 +125,17 @@ plantSpecials(Vec320 *a, Vec320 *b, DType t)
             setLaneF32(b, i, kSpecialF32[(i * 7 + 3) % n]);
             setLaneF32(a, n + i, kSpecialF32[(i * 5 + 1) % n]);
             setLaneF32(b, n + i, kSpecialF32[i]);
+        }
+        // Every ordered pair of distinct NaNs, on fixed lanes.
+        int lane = 2 * n;
+        for (const std::uint32_t x : kNanBits) {
+            for (const std::uint32_t y : kNanBits) {
+                if (x == y)
+                    continue;
+                setLane32(a, lane, x);
+                setLane32(b, lane, y);
+                ++lane;
+            }
         }
     } else if (t == DType::Int32) {
         const int n = static_cast<int>(std::size(kSpecialI32));

@@ -1,14 +1,16 @@
 /**
  * @file
  * Instruction queue semantics: NOP delay precision, Repeat re-issue,
- * Sync/Notify barrier timing (35 cycles, paper III.A.2), and MEM
- * dual-issue via the co-issue flag.
+ * Sync/Notify barrier timing (35 cycles, paper III.A.2), MEM
+ * dual-issue via the co-issue flag, and the inert state in which a
+ * retired queue can never act again.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/rng.hh"
 #include "icu/queue.hh"
 
 namespace tsp {
@@ -248,6 +250,146 @@ TEST(Queue, SkipIdleCreditsCountersLikePerCycleTicks)
     EXPECT_EQ(fast.dispatched(), slow.dispatched());
     EXPECT_TRUE(slow.done());
     EXPECT_TRUE(fast.done());
+}
+
+TEST(Queue, TrailingNopStaysLiveUntilItExpires)
+{
+    // A queue whose last instruction is a NOP is done() once the NOP
+    // dispatches, but it still counts a NOP cycle per tick until the
+    // delay runs out: only then is it inert.
+    BarrierController barrier;
+    InstructionQueue q(IcuId::mem(Hemisphere::West, 9), barrier);
+    const std::vector<Instruction> prog{readInst(1), nop(5)};
+    q.loadProgram(prog);
+    EXPECT_FALSE(q.inert(0));
+
+    const Instruction *out[2];
+    EXPECT_EQ(tick(q, 0, out), 1);
+    EXPECT_EQ(tick(q, 1, out), 0); // NOP: idle through cycle 5.
+    EXPECT_TRUE(q.done());
+    for (Cycle t = 2; t <= 5; ++t) {
+        EXPECT_FALSE(q.inert(t)) << t;
+        EXPECT_EQ(q.nextEventCycle(t), Cycle{6}) << t;
+        tick(q, t, out);
+    }
+    EXPECT_EQ(q.nopCycles(), 5u);
+    EXPECT_TRUE(q.inert(6));
+
+    // Reloading ends the inert state.
+    q.loadProgram(prog);
+    EXPECT_FALSE(q.inert(6));
+}
+
+/**
+ * A random legal single-queue program: reads, co-issued read+write
+ * pairs, NOP n, Repeat n d of the previous dispatching instruction,
+ * Sync, Notify, and sometimes a trailing NOP.
+ */
+std::vector<Instruction>
+randomQueueProgram(Rng &rng)
+{
+    std::vector<Instruction> prog;
+    bool repeatable = false; // The last non-NOP may be repeated.
+    const int n = rng.intIn(0, 14);
+    for (int i = 0; i < n; ++i) {
+        Instruction inst;
+        switch (rng.nextBelow(6)) {
+          case 0:
+            prog.push_back(nop(static_cast<std::uint32_t>(
+                rng.intIn(1, 20))));
+            continue;
+          case 1:
+            if (repeatable) {
+                inst.op = Opcode::Repeat;
+                inst.imm0 = static_cast<std::uint32_t>(rng.intIn(0, 4));
+                inst.imm1 = static_cast<std::uint32_t>(rng.intIn(1, 6));
+                prog.push_back(inst);
+                repeatable = false;
+                continue;
+            }
+            prog.push_back(readInst(static_cast<MemAddr>(i)));
+            break;
+          case 2:
+            inst.op = Opcode::Sync;
+            prog.push_back(inst);
+            repeatable = false;
+            continue;
+          case 3:
+            inst.op = Opcode::Notify;
+            prog.push_back(inst);
+            break;
+          case 4: {
+            prog.push_back(readInst(static_cast<MemAddr>(i)));
+            Instruction wr;
+            wr.op = Opcode::Write;
+            wr.addr = 0x1000;
+            wr.srcA = {1, Direction::East};
+            wr.flags |= Instruction::kFlagCoIssue;
+            prog.push_back(wr);
+            break;
+          }
+          default:
+            prog.push_back(readInst(static_cast<MemAddr>(i)));
+            break;
+        }
+        repeatable = true;
+    }
+    if (rng.nextBelow(3) == 0)
+        prog.push_back(nop(static_cast<std::uint32_t>(rng.intIn(1, 30))));
+    return prog;
+}
+
+TEST(Queue, InertQueueNeverActsAgain)
+{
+    // The chip stops visiting a queue once inert(now) holds. Over
+    // generated programs, with Notify broadcasts at random cycles
+    // (and from the queue's own Notifies), an inert queue must stay
+    // inert and, for 200 more ticks, dispatch nothing, report no
+    // event and leave every counter where it was.
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        const std::vector<Instruction> prog = randomQueueProgram(rng);
+        BarrierController barrier;
+        InstructionQueue q(IcuId::vxmAlu(3), barrier);
+        q.loadProgram(prog);
+
+        const Instruction *out[2];
+        auto step = [&](Cycle c) {
+            if (rng.nextBelow(40) == 0)
+                barrier.notify(c);
+            const int n = tick(q, c, out);
+            for (int i = 0; i < n; ++i) {
+                if (out[i]->op == Opcode::Notify)
+                    barrier.notify(c);
+            }
+            return n;
+        };
+
+        Cycle c = 0;
+        while (!q.inert(c)) {
+            ASSERT_LT(c, Cycle{100'000}) << "program never retires";
+            step(c);
+            ++c;
+            if (q.parked()) {
+                ASSERT_FALSE(q.inert(c));
+            }
+        }
+        ASSERT_TRUE(q.done());
+
+        const std::uint64_t dispatched = q.dispatched();
+        const std::uint64_t nops = q.nopCycles();
+        const std::uint64_t parked = q.parkedCycles();
+        for (Cycle k = c; k < c + 200; ++k) {
+            ASSERT_TRUE(q.inert(k)) << k;
+            ASSERT_EQ(q.nextEventCycle(k), kNoEventCycle) << k;
+            ASSERT_EQ(step(k), 0) << k;
+        }
+        q.skipIdle(c + 200, c + 400);
+        EXPECT_EQ(q.dispatched(), dispatched);
+        EXPECT_EQ(q.nopCycles(), nops);
+        EXPECT_EQ(q.parkedCycles(), parked);
+    }
 }
 
 TEST(Barrier, ReleaseTimeSemantics)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hh"
 #include "mem/ecc.hh"
@@ -150,6 +152,78 @@ TEST(Ecc, ExhaustiveAllPairsDoubleBitNeverMiscorrects)
             ASSERT_EQ(c, damaged_code) << b1 << "," << b2;
         }
     }
+}
+
+TEST(Ecc, ExhaustiveTripleFlipsStayInsideTheWord)
+{
+    // An odd number of three or more flips can give any 8-bit
+    // syndrome, including ones past the last codeword position
+    // (136). Over all C(137,3) = 419,220 triple flips of one
+    // codeword, every result is Corrected (possibly a miscorrection:
+    // SECDED cannot tell three flips from one) or Uncorrectable, and
+    // a correction never writes outside the 16-byte word. The guard
+    // after the word spans every byte an int16 bit index could reach.
+    Rng rng(9);
+    const Word orig = randomWord(rng);
+    const std::uint16_t code = eccCompute(orig.data());
+
+    constexpr std::size_t kFront = 16;
+    constexpr std::size_t kBack = 4096;
+    std::vector<std::uint8_t> buf(kFront + orig.size() + kBack);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(0xa5 ^ i);
+    const std::vector<std::uint8_t> clean = buf;
+    std::uint8_t *const word = buf.data() + kFront;
+
+    auto flip = [&](std::uint16_t &c, int bit) {
+        if (bit < 128) {
+            word[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        } else {
+            c = static_cast<std::uint16_t>(c ^ (1u << (bit - 128)));
+        }
+    };
+
+    std::size_t uncorrectable = 0;
+    for (int b1 = 0; b1 < 137; ++b1) {
+        for (int b2 = b1 + 1; b2 < 137; ++b2) {
+            for (int b3 = b2 + 1; b3 < 137; ++b3) {
+                std::memcpy(word, orig.data(), orig.size());
+                std::uint16_t c = code;
+                flip(c, b1);
+                flip(c, b2);
+                flip(c, b3);
+                const EccStatus st = eccCheckCorrect(word, c);
+                ASSERT_TRUE(st == EccStatus::Corrected ||
+                            st == EccStatus::Uncorrectable)
+                    << b1 << "," << b2 << "," << b3;
+                ASSERT_EQ(c & ~0x1ffu, 0u)
+                    << b1 << "," << b2 << "," << b3;
+                ASSERT_EQ(std::memcmp(buf.data(), clean.data(), kFront),
+                          0)
+                    << b1 << "," << b2 << "," << b3;
+                ASSERT_EQ(std::memcmp(word + orig.size(),
+                                      clean.data() + kFront +
+                                          orig.size(),
+                                      kBack),
+                          0)
+                    << b1 << "," << b2 << "," << b3;
+                uncorrectable += st == EccStatus::Uncorrectable;
+            }
+        }
+    }
+    // The 137 bits sit one each at codeword positions 0 (overall
+    // parity) to 136, and three flips leave the syndrome at the XOR
+    // of their positions: exactly the triples whose XOR lies past 136
+    // are uncorrectable.
+    std::size_t past_end = 0;
+    for (int p1 = 0; p1 < 137; ++p1) {
+        for (int p2 = p1 + 1; p2 < 137; ++p2) {
+            for (int p3 = p2 + 1; p3 < 137; ++p3)
+                past_end += (p1 ^ p2 ^ p3) > 136 ? 1 : 0;
+        }
+    }
+    EXPECT_GT(past_end, 0u);
+    EXPECT_EQ(uncorrectable, past_end);
 }
 
 TEST(Ecc, VectorRoundTripOnRandomVectors)

@@ -89,6 +89,30 @@ TEST(BoundedQueue, BlockingPushWaitsForSpace)
     EXPECT_EQ(v, 2);
 }
 
+TEST(BoundedQueue, BlockedPushResumesAtHalfCapacity)
+{
+    BoundedQueue<int> q(4);
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(q.tryPush(i));
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+        ASSERT_TRUE(q.push(4));
+        pushed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    int v = 0;
+    ASSERT_TRUE(q.pop(v)); // 3 left: above half, no wake-up.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(pushed.load());
+    ASSERT_TRUE(q.pop(v)); // 2 left: half, the pusher resumes.
+    producer.join();
+    EXPECT_TRUE(pushed.load());
+    for (int want = 2; want <= 4; ++want) {
+        ASSERT_EQ(q.tryPop(v), serve::PopResult::Item);
+        EXPECT_EQ(v, want);
+    }
+}
+
 TEST(BoundedQueue, CloseDrainsThenStops)
 {
     BoundedQueue<int> q(8);

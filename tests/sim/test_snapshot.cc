@@ -317,10 +317,90 @@ TEST(Snapshot, RestoreRefusesCraftedNotifyCount)
                                           crafted, &err))
         << err;
 
+    // The target is mid-run, so a partial decode would show. A
+    // refused restore must leave every byte of its state as it was.
     Chip dst(configFor(false));
+    seedInputs(dst);
     dst.loadProgram(prog);
+    EXPECT_FALSE(dst.runBounded(100));
+    ChipSnapshot before;
+    ASSERT_TRUE(dst.snapshot(before, &err)) << err;
     EXPECT_FALSE(dst.restore(crafted, &err));
     EXPECT_NE(err.find("restore:"), std::string::npos) << err;
+    ChipSnapshot after;
+    ASSERT_TRUE(dst.snapshot(after, &err)) << err;
+    EXPECT_EQ(after.serialize(), before.serialize());
+
+    // And it still runs to the same end as an untouched chip.
+    Chip ref(configFor(false));
+    seedInputs(ref);
+    ref.loadProgram(prog);
+    ref.run();
+    dst.run();
+    expectChipsIdentical(ref, dst);
+}
+
+TEST(Snapshot, RestoreRefusesMismatchedHeaderCycle)
+{
+    // The header's cycle travels outside the payload hash: a blob
+    // whose header disagrees with the decoded clock is refused, and
+    // the target is left untouched.
+    const AsmProgram prog = program();
+    Chip src(configFor(false));
+    seedInputs(src);
+    src.loadProgram(prog);
+    EXPECT_FALSE(src.runBounded(400));
+    ChipSnapshot snap;
+    std::string err;
+    ASSERT_TRUE(src.snapshot(snap, &err)) << err;
+    snap.cycle = 401;
+    const std::vector<std::uint8_t> bytes = snap.serialize();
+    ChipSnapshot crafted;
+    ASSERT_TRUE(ChipSnapshot::deserialize(bytes.data(), bytes.size(),
+                                          crafted, &err))
+        << err;
+
+    Chip dst(configFor(false));
+    dst.loadProgram(prog);
+    ChipSnapshot before;
+    ASSERT_TRUE(dst.snapshot(before, &err)) << err;
+    EXPECT_FALSE(dst.restore(crafted, &err));
+    EXPECT_NE(err.find("cycle"), std::string::npos) << err;
+    ChipSnapshot after;
+    ASSERT_TRUE(dst.snapshot(after, &err)) << err;
+    EXPECT_EQ(after.serialize(), before.serialize());
+}
+
+TEST(Snapshot, RestoreOntoRetiredChipResumes)
+{
+    // A chip that already ran the program to the end has no queue
+    // left to visit; restoring a mid-run snapshot onto it must bring
+    // the restored queues back into every per-cycle scan.
+    const AsmProgram prog = program();
+    for (const bool ff : {false, true}) {
+        SCOPED_TRACE(ff ? "fast-forward" : "per-cycle");
+        Chip ref(configFor(ff));
+        seedInputs(ref);
+        ref.loadProgram(prog);
+        ref.run();
+
+        Chip src(configFor(ff));
+        seedInputs(src);
+        src.loadProgram(prog);
+        EXPECT_FALSE(src.runBounded(1012));
+        ChipSnapshot snap;
+        std::string err;
+        ASSERT_TRUE(src.snapshot(snap, &err)) << err;
+
+        Chip dst(configFor(ff));
+        dst.loadProgram(prog);
+        dst.run();
+        ASSERT_TRUE(dst.done());
+        ASSERT_TRUE(dst.restore(snap, &err)) << err;
+        EXPECT_FALSE(dst.done());
+        dst.run();
+        expectChipsIdentical(ref, dst);
+    }
 }
 
 TEST(Snapshot, DifferentFaultSeedRestoresWithFreshStreams)
