@@ -86,7 +86,10 @@ class C2cModule
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores link flight state onto the existing wiring. */
+    /**
+     * Restores link flight state onto the existing wiring. Marks @p r
+     * failed when the payload's link count differs.
+     */
     void loadState(SnapshotReader &r);
 
   private:

@@ -7,8 +7,8 @@
  * order, so a snapshot taken on one machine restores bit-identically
  * on another. SnapshotWriter appends to a growable buffer;
  * SnapshotReader consumes it sequentially with sticky failure on
- * overrun — callers check ok() once at the end instead of after every
- * field.
+ * overrun or on a value a decoder refuses (fail()) — callers check
+ * ok() once at the end instead of after every field.
  */
 
 #ifndef TSP_COMMON_SNAPSHOT_IO_HH
@@ -216,7 +216,14 @@ class SnapshotReader
         return s;
     }
 
-    /** @return true when no read overran the buffer. */
+    /**
+     * Marks the read failed, as sticky as an overrun: how a decoder
+     * refuses a value no saved state contains, so the caller's single
+     * ok() check covers malformed payloads as well as short ones.
+     */
+    void fail() { failed_ = true; }
+
+    /** @return true when no read overran the buffer or failed. */
     bool ok() const { return !failed_; }
 
     /** @return true when the buffer was consumed exactly. */

@@ -50,14 +50,13 @@ InstructionQueue::loadState(SnapshotReader &r)
     parked_ = r.b();
     parkedAt_ = r.u64();
     const std::uint64_t repeat_idx = r.u64();
-    if (repeat_idx == ~std::uint64_t{0}) {
-        repeatInst_ = nullptr;
-    } else {
-        TSP_ASSERT(repeat_idx < program_.size());
-        repeatInst_ =
-            &program_[static_cast<std::size_t>(repeat_idx)];
-    }
+    repeatInst_ = repeat_idx < program_.size()
+                      ? &program_[static_cast<std::size_t>(repeat_idx)]
+                      : nullptr;
     repeatsLeft_ = r.u32();
+    // Re-issues need a Repeat target inside the loaded program.
+    if (!repeatInst_ && (repeat_idx != ~std::uint64_t{0} || repeatsLeft_ > 0))
+        r.fail();
     repeatGap_ = r.u32();
     nextRepeatAt_ = r.u64();
     dispatched_ = r.u64();

@@ -142,7 +142,10 @@ class InstructionQueue
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores dispatch state over the already-loaded program. */
+    /**
+     * Restores dispatch state over the already-loaded program. Marks
+     * @p r failed on a Repeat target outside that program.
+     */
     void loadState(SnapshotReader &r);
 
   private:

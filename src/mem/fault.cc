@@ -72,7 +72,12 @@ FaultInjector::loadState(SnapshotReader &r, bool restore_rng)
         word = r.u64();
     if (restore_rng)
         rng_.setState(state);
+    // Link streams exist for every link or none (onC2cDeliver).
     const std::uint32_t n_links = r.u32();
+    if (n_links != 0 && n_links != kC2cLinks) {
+        r.fail();
+        return;
+    }
     for (std::uint32_t i = 0; i < n_links && r.ok(); ++i) {
         for (auto &word : state)
             word = r.u64();

@@ -200,7 +200,8 @@ class FaultInjector
      * migration onto a rebuilt chip draws a new upset future instead
      * of deterministically replaying the strike that condemned the
      * source — while the event cursor and counters still restore so
-     * already-applied scheduled faults never reapply.
+     * already-applied scheduled faults never reapply. Marks @p r
+     * failed unless link streams are saved for no link or for all.
      */
     void loadState(SnapshotReader &r, bool restore_rng);
 

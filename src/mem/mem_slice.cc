@@ -102,14 +102,6 @@ MemSlice::checkPort(MemAddr addr, bool is_write, Cycle now)
     }
 }
 
-Vec320
-MemSlice::read(MemAddr addr, Cycle now)
-{
-    Vec320 out;
-    readInto(addr, now, out);
-    return out;
-}
-
 void
 MemSlice::readInto(MemAddr addr, Cycle now, Vec320 &out)
 {
@@ -163,15 +155,6 @@ MemSlice::write(MemAddr addr, const Vec320 &vec, Cycle now)
     Word &w = wordAt(addr);
     w.bytes = v.bytes;
     w.ecc = v.ecc;
-}
-
-Vec320
-MemSlice::gather(const std::array<MemAddr, kSuperlanes> &addrs,
-                 Cycle now)
-{
-    Vec320 out;
-    gatherInto(addrs, now, out);
-    return out;
 }
 
 void
@@ -340,8 +323,10 @@ MemSlice::loadState(SnapshotReader &r)
         const std::uint32_t count = r.u32();
         for (std::uint32_t n = 0; n < count && r.ok(); ++n) {
             const std::uint32_t i = r.u32();
-            if (i >= static_cast<std::uint32_t>(kWordsPerBank))
-                break;
+            if (i >= static_cast<std::uint32_t>(kWordsPerBank)) {
+                r.fail();
+                return;
+            }
             Word &word = wordAt(static_cast<MemAddr>(
                 static_cast<std::uint32_t>(bank * kWordsPerBank) + i));
             r.bytes(word.bytes.data(), word.bytes.size());

@@ -52,16 +52,12 @@ class MemSlice
     }
 
     /**
-     * Timed read of one 320-byte word at cycle @p now.
+     * Timed read of one 320-byte word at cycle @p now into @p out
+     * (fully assigned: data and stored codes), which may be the
+     * produced vector's tape slot on replay.
      *
      * Panics on a same-cycle port violation (second read, or a
      * read+write conflict in the same bank).
-     */
-    Vec320 read(MemAddr addr, Cycle now);
-
-    /**
-     * read() writing straight into @p out (fully assigned) — the
-     * zero-copy replay produce path reads into a tape arena slot.
      */
     void readInto(MemAddr addr, Cycle now, Vec320 &out);
 
@@ -75,14 +71,11 @@ class MemSlice
     void write(MemAddr addr, const Vec320 &vec, Cycle now);
 
     /**
-     * Indirect read: each superlane tile reads its own word address
-     * (stream-indirect Gather). Counts as one read-port use; per-tile
-     * SRAM arrays make mixed addresses conflict-free within the port.
+     * Indirect read into @p out (fully assigned): each superlane tile
+     * reads its own word address (stream-indirect Gather). Counts as
+     * one read-port use; per-tile SRAM arrays make mixed addresses
+     * conflict-free within the port.
      */
-    Vec320 gather(const std::array<MemAddr, kSuperlanes> &addrs,
-                  Cycle now);
-
-    /** gather() writing straight into @p out (fully assigned). */
     void gatherInto(const std::array<MemAddr, kSuperlanes> &addrs,
                     Cycle now, Vec320 &out);
 
@@ -162,7 +155,10 @@ class MemSlice
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores the SRAM image and counters, replacing all content. */
+    /**
+     * Restores the SRAM image and counters, replacing all content.
+     * Marks @p r failed on a word index outside its bank.
+     */
     void loadState(SnapshotReader &r);
 
   private:

@@ -118,73 +118,42 @@ MxmPlane::executeLw(const Instruction &inst, Cycle now)
     else if (inst.dtype != weightType_)
         panic("MXM%d: mixed weight dtypes in one LW burst", plane_);
 
-    if (weightType_ == DType::Int8) {
-        if (fillRow_ + gs > kMxmDim) {
-            panic("MXM%d: LW overflows weight buffer (row %d + %d)",
-                  plane_, fillRow_, gs);
-        }
-        const Vec320 *vp[kStreamsPerDir];
-        Vec320 tmp[kStreamsPerDir];
-        if (!io_.replayConsumeRun(inst.srcA, pos(), vp,
-                                  static_cast<std::size_t>(gs))) {
-            for (int k = 0; k < gs; ++k) {
-                StreamRef s = inst.srcA;
-                s.id = static_cast<StreamId>(inst.srcA.id + k);
-                tmp[k] = io_.consume(s, pos());
-                vp[k] = &tmp[k];
-            }
-        }
-        for (int k = 0; k < gs; ++k) {
-            const Vec320 &v = *vp[k];
-            const int row = fillRow_ + k;
-            std::int8_t *dst =
-                &wbuf_[static_cast<std::size_t>(row) * kMxmDim];
-            // Bit-preserving u8 -> int8 row copy (the cast the scalar
-            // loop did is a no-op on the representation).
-            __builtin_memcpy(dst, v.bytes.data(), kMxmDim);
-            wbufExt_[static_cast<std::size_t>(row)] =
-                nonzeroBlocks(dst, kColBlock);
-            weightBytes_ += kMxmDim;
-        }
-        fillRow_ += gs;
-    } else if (weightType_ == DType::Fp16) {
-        TSP_ASSERT(gs % 2 == 0);
-        const int rows = gs / 2;
-        if (fillRow_ + rows > kMxmDim) {
-            panic("MXM%d: LW overflows weight buffer (row %d + %d)",
-                  plane_, fillRow_, rows);
-        }
-        const Vec320 *vp[kStreamsPerDir];
-        Vec320 tmp[kStreamsPerDir];
-        if (!io_.replayConsumeRun(inst.srcA, pos(), vp,
-                                  static_cast<std::size_t>(gs))) {
-            for (int k = 0; k < gs; ++k) {
-                StreamRef s = inst.srcA;
-                s.id = static_cast<StreamId>(inst.srcA.id + k);
-                tmp[k] = io_.consume(s, pos());
-                vp[k] = &tmp[k];
-            }
-        }
-        for (int i = 0; i < rows; ++i) {
-            const Vec320 &vlo = *vp[2 * i];
-            const Vec320 &vhi = *vp[2 * i + 1];
-            const int row = fillRow_ + i;
-            for (int c = 0; c < kMxmDim; ++c) {
-                const auto bits = static_cast<std::uint16_t>(
-                    vlo.bytes[static_cast<std::size_t>(c)] |
-                    (static_cast<std::uint16_t>(
-                         vhi.bytes[static_cast<std::size_t>(c)])
-                     << 8));
-                wbufF_[static_cast<std::size_t>(row) * kMxmDim +
-                       static_cast<std::size_t>(c)] = bits;
-            }
-            weightBytes_ += 2 * kMxmDim;
-        }
-        fillRow_ += rows;
-    } else {
+    if (weightType_ != DType::Int8 && weightType_ != DType::Fp16) {
         panic("MXM%d: weights must be int8 or fp16, got %s", plane_,
               dtypeName(weightType_));
     }
+    // An fp16 row arrives as a (low byte, high byte) stream pair.
+    const bool f16 = weightType_ == DType::Fp16;
+    TSP_ASSERT(!f16 || gs % 2 == 0);
+    const int rows = f16 ? gs / 2 : gs;
+    if (fillRow_ + rows > kMxmDim) {
+        panic("MXM%d: LW overflows weight buffer (row %d + %d)", plane_,
+              fillRow_, rows);
+    }
+    const Vec320 *vp[kStreamsPerDir];
+    Vec320 scratch[kStreamsPerDir];
+    io_.consumeRun(inst.srcA, pos(), scratch, vp,
+                   static_cast<std::size_t>(gs));
+    for (int i = 0; i < rows; ++i) {
+        const std::size_t row = static_cast<std::size_t>(fillRow_ + i);
+        if (f16) {
+            const Vec320 &vlo = *vp[2 * i];
+            const Vec320 &vhi = *vp[2 * i + 1];
+            for (std::size_t c = 0; c < kMxmDim; ++c) {
+                wbufF_[row * kMxmDim + c] = static_cast<std::uint16_t>(
+                    vlo.bytes[c] |
+                    (static_cast<std::uint16_t>(vhi.bytes[c]) << 8));
+            }
+        } else {
+            std::int8_t *dst = &wbuf_[row * kMxmDim];
+            // Bit-preserving u8 -> int8 row copy (the cast the scalar
+            // loop did is a no-op on the representation).
+            __builtin_memcpy(dst, vp[i]->bytes.data(), kMxmDim);
+            wbufExt_[row] = nonzeroBlocks(dst, kColBlock);
+        }
+    }
+    fillRow_ += rows;
+    weightBytes_ += static_cast<std::uint64_t>(gs) * kMxmDim;
 }
 
 void
@@ -349,17 +318,8 @@ MxmPlane::stepAbc(Cycle now)
         }
     } else if (abc_.atype == DType::Fp16) {
         const Vec320 *vp[2];
-        Vec320 tmpLo;
-        Vec320 tmpHi;
-        if (!io_.replayConsumeRun(abc_.src, pos(), vp, 2)) {
-            StreamRef lo = abc_.src;
-            StreamRef hi = abc_.src;
-            hi.id = static_cast<StreamId>(lo.id + 1);
-            tmpLo = io_.consume(lo, pos());
-            tmpHi = io_.consume(hi, pos());
-            vp[0] = &tmpLo;
-            vp[1] = &tmpHi;
-        }
+        Vec320 scratch[2];
+        io_.consumeRun(abc_.src, pos(), scratch, vp, 2);
         const Vec320 &vlo = *vp[0];
         const Vec320 &vhi = *vp[1];
         float act[kMxmDim];
@@ -444,53 +404,36 @@ MxmPlane::stepAcc(Cycle now)
     TSP_ASSERT(acc_.dst.id % 4 == 0 &&
                acc_.dst.id + 4 <= kStreamsPerDir);
 
-    // Replay: build the four byte-planes directly in their tape
-    // arena slots (claimed in the recorded produce order k = 0..3);
-    // nothing is copied. Slots are liveness-reused, so clear them
-    // first — a live run's out[] starts from zeroed vectors.
-    Vec320 local[4];
-    Vec320 *out[4];
-    bool replay = false;
-    for (int k = 0; k < 4; ++k) {
-        if (Vec320 *dst = io_.replayProduceDest()) {
-            *dst = Vec320{};
-            out[k] = dst;
-            replay = true;
-        } else {
-            out[k] = &local[k];
-        }
-    }
-
-    if (installedType_ == DType::Fp16) {
-        const auto &acc = accF_[acc_.index];
-        for (int r = 0; r < n; ++r) {
-            std::uint32_t u;
-            const float f = acc[static_cast<std::size_t>(r)];
-            __builtin_memcpy(&u, &f, sizeof(u));
-            for (int k = 0; k < 4; ++k) {
-                out[k]->bytes[static_cast<std::size_t>(r)] =
-                    static_cast<std::uint8_t>((u >> (8 * k)) & 0xff);
+    // The four byte planes of each accumulator row, built in one pass
+    // straight into the produced vectors (tape slots on replay).
+    io_.produceInPlace<4>(
+        acc_.dst, pos(), when, /*keep_codes=*/false,
+        [&](Vec320 *const *out) {
+            const auto put = [&](int r, std::uint32_t u) {
+                for (int k = 0; k < 4; ++k) {
+                    out[k]->bytes[static_cast<std::size_t>(r)] =
+                        static_cast<std::uint8_t>(u >> (8 * k));
+                }
+            };
+            if (installedType_ == DType::Fp16) {
+                const auto &acc = accF_[acc_.index];
+                for (int r = 0; r < n; ++r) {
+                    std::uint32_t u;
+                    __builtin_memcpy(&u, &acc[static_cast<std::size_t>(r)],
+                                     sizeof(u));
+                    put(r, u);
+                }
+            } else {
+                const auto &acc = accI_[acc_.index];
+                for (int r = 0; r < n; ++r) {
+                    put(r, static_cast<std::uint32_t>(
+                               acc[static_cast<std::size_t>(r)]));
+                }
             }
-        }
-    } else {
-        const auto &acc = accI_[acc_.index];
-        for (int r = 0; r < n; ++r) {
-            const auto u = static_cast<std::uint32_t>(
-                acc[static_cast<std::size_t>(r)]);
-            for (int k = 0; k < 4; ++k) {
-                out[k]->bytes[static_cast<std::size_t>(r)] =
-                    static_cast<std::uint8_t>((u >> (8 * k)) & 0xff);
-            }
-        }
-    }
-
-    if (!replay) {
-        for (int k = 0; k < 4; ++k) {
-            StreamRef s = acc_.dst;
-            s.id = static_cast<StreamId>(acc_.dst.id + k);
-            io_.produce(s, pos(), local[k], when);
-        }
-    }
+            // Lanes past the vector length read as zero.
+            for (int k = 0; k < 4; ++k)
+                std::fill(out[k]->bytes.begin() + n, out[k]->bytes.end(), 0);
+        });
 
     ++acc_.index;
     if (--acc_.remaining == 0)
@@ -573,7 +516,6 @@ MxmPlane::loadState(SnapshotReader &r)
     for (auto &v : winstF_)
         v = r.u16();
     fillRow_ = r.i32();
-    TSP_ASSERT(fillRow_ >= 0 && fillRow_ <= kMxmDim);
     weightType_ = static_cast<DType>(r.u8());
     installedType_ = static_cast<DType>(r.u8());
     // Derived weight state: the nonzero extents, the VNNI row sums
@@ -601,6 +543,23 @@ MxmPlane::loadState(SnapshotReader &r)
     acc_.dst.dir = r.u8() ? Direction::West : Direction::East;
     acc_.remaining = r.u32();
     acc_.index = r.u32();
+    // A sequencer steps index up to index + remaining <= the bank
+    // depth, on streams inside the direction; a payload that says
+    // otherwise was never saved.
+    const auto window_ok = [](bool active, std::uint32_t index,
+                              std::uint32_t remaining) {
+        return std::uint64_t{index} + remaining <= kMxmAccDepth &&
+               (!active || remaining > 0);
+    };
+    const int abc_ids = abc_.atype == DType::Fp16 ? 2 : 1;
+    if (fillRow_ < 0 || fillRow_ > kMxmDim ||
+        !window_ok(abc_.active, abc_.index, abc_.remaining) ||
+        !window_ok(acc_.active, acc_.index, acc_.remaining) ||
+        abc_.src.id + abc_ids > kStreamsPerDir || acc_.dst.id % 4 != 0 ||
+        acc_.dst.id + 4 > kStreamsPerDir) {
+        r.fail();
+        return;
+    }
 
     for (auto &row : accI_) {
         for (auto &v : row)

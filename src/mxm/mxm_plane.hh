@@ -115,7 +115,12 @@ class MxmPlane
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores plane state and recomputes the derived weight state. */
+    /**
+     * Restores plane state and recomputes the derived weight state.
+     * Marks @p r failed on a fill row past the plane, a sequencer
+     * window outside the accumulator bank or its streams outside the
+     * direction.
+     */
     void loadState(SnapshotReader &r);
 
   private:

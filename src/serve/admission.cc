@@ -52,14 +52,6 @@ AdmissionController::AdmissionController(int workers, int models,
     staged_.assign(static_cast<std::size_t>(workers), 0);
 }
 
-int
-AdmissionController::earliestWorkerLocked() const
-{
-    return static_cast<int>(
-        std::min_element(freeAt_.begin(), freeAt_.end()) -
-        freeAt_.begin());
-}
-
 double
 AdmissionController::swapSecLocked(int w, int model) const
 {
@@ -308,35 +300,6 @@ AdmissionController::completionIfPreempted(double arrival_sec,
     return best;
 }
 
-bool
-AdmissionController::hasOpenBatch() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return open_.active;
-}
-
-int
-AdmissionController::openModel() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    TSP_ASSERT(open_.active);
-    return open_.model;
-}
-
-int
-AdmissionController::openSize() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    TSP_ASSERT(open_.active);
-    return open_.size;
-}
-
-double
-AdmissionController::earliestCompletion(double arrival_sec) const
-{
-    return earliestCompletionFor(0, arrival_sec);
-}
-
 double
 AdmissionController::earliestCompletionFor(int model,
                                            double arrival_sec) const
@@ -349,25 +312,11 @@ AdmissionController::earliestCompletionFor(int model,
 }
 
 int
-AdmissionController::earliestWorker() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return earliestWorkerLocked();
-}
-
-int
 AdmissionController::bestWorkerFor(int model,
                                    double arrival_sec) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return bestWorkerLocked(model, arrival_sec);
-}
-
-int
-AdmissionController::stagedModel(int w) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return staged_.at(static_cast<std::size_t>(w));
 }
 
 double

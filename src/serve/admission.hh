@@ -175,15 +175,6 @@ class AdmissionController
     double completionIfPreempted(double arrival_sec,
                                  int model) const;
 
-    /** @return true while a batch is open. */
-    bool hasOpenBatch() const;
-
-    /** @return the open batch's model family. */
-    int openModel() const;
-
-    /** @return the open batch's current size. */
-    int openSize() const;
-
     /** @return largest compiled batch size (model 0). */
     int maxBatch() const;
 
@@ -213,31 +204,21 @@ class AdmissionController
 
     /**
      * @return the earliest possible completion for a batch-1 request
-     * (model 0) arriving at @p arrival_sec, without booking anything
-     * — what a client could poll to pick a feasible deadline. This
-     * is also the fleet load-shedder's primitive: a request whose
-     * deadline is below every pod's earliest completion is provably
-     * infeasible and can be shed before it touches a queue.
+     * of @p model arriving at @p arrival_sec, swap included, without
+     * booking anything — what a client could poll to pick a feasible
+     * deadline. This is also the fleet's model-aware routing and
+     * load-shedding primitive: a request whose deadline is below
+     * every pod's earliest completion is provably infeasible and can
+     * be shed before it touches a queue.
      */
-    double earliestCompletion(double arrival_sec) const;
-
-    /** @return earliestCompletion() for @p model, swap included —
-     * the fleet's model-aware routing/shedding primitive. */
     double earliestCompletionFor(int model,
                                  double arrival_sec) const;
 
-    /** @return the worker index the next open() would book
-     * (min free-time, lowest index on ties). */
-    int earliestWorker() const;
-
     /** @return the worker the next open() of @p model arriving at
      * @p arrival_sec would book (min completion; ties: min
-     * free-time, then lowest index — identical to earliestWorker()
-     * when every swap term is zero). */
+     * free-time, then lowest index — with every swap term zero, the
+     * earliest-free worker). */
     int bestWorkerFor(int model, double arrival_sec) const;
-
-    /** @return the model family worker @p w last staged. */
-    int stagedModel(int w) const;
 
     /** @return the latest booked completion across all workers —
      * virtual seconds; a pod whose busyUntil() has passed has
@@ -255,7 +236,6 @@ class AdmissionController
     double backlogSec(double now_sec) const;
 
   private:
-    int earliestWorkerLocked() const;
     int bestWorkerLocked(int model, double arrival_sec) const;
     double swapSecLocked(int w, int model) const;
     double serviceSecLocked(int model, int b) const;

@@ -218,15 +218,6 @@ InferenceServer::submitModel(int model, int slo_class,
 }
 
 void
-InferenceServer::submitDetached(std::vector<std::int8_t> input,
-                                double arrival_sec,
-                                double deadline_sec, OnFull on_full)
-{
-    submitImpl(0, 0, std::move(input), arrival_sec, deadline_sec,
-               on_full, /*want_future=*/false);
-}
-
-void
 InferenceServer::submitModelDetached(int model, int slo_class,
                                      std::vector<std::int8_t> input,
                                      double arrival_sec,
@@ -719,15 +710,6 @@ InferenceServer::flushOpenBatch()
 {
     std::lock_guard<std::mutex> lock(submitMu_);
     sealOpenLocked();
-}
-
-std::size_t
-InferenceServer::queueDepth() const
-{
-    std::size_t depth = 0;
-    for (const auto &q : queues_)
-        depth += q->size();
-    return depth;
 }
 
 void

@@ -288,16 +288,11 @@ class InferenceServer
                                     OnFull on_full = OnFull::Reject);
 
     /**
-     * submit() without the future: the request resolves through
+     * submitModel() without the future: the request resolves through
      * ServerConfig::onResult (and the metrics) only. This is the
      * fleet soak path — a million-request run must not allocate a
      * million promise/future pairs it never reads.
      */
-    void submitDetached(std::vector<std::int8_t> input,
-                        double arrival_sec, double deadline_sec = 0.0,
-                        OnFull on_full = OnFull::Reject);
-
-    /** submitModel() without the future (fleet soak path). */
     void submitModelDetached(int model, int slo_class,
                              std::vector<std::int8_t> input,
                              double arrival_sec,
@@ -311,9 +306,6 @@ class InferenceServer
      * the autoscaler.
      */
     void flushOpenBatch();
-
-    /** @return sealed batches currently queued (all worker queues). */
-    std::size_t queueDepth() const;
 
     /** Releases a startPaused pool (idempotent). */
     void resume();
@@ -345,10 +337,6 @@ class InferenceServer
 
     /** @return model families served (1 for the table form). */
     int models() const { return admission_.models(); }
-
-    /** @return the registry backing this server (null for the
-     * table form). */
-    const ModelRegistry *registry() const { return registry_; }
 
     /** @return the admission controller (booking state + counters). */
     const AdmissionController &admission() const { return admission_; }

@@ -122,18 +122,15 @@ Chip::dispatchMem(const IcuId &icu, const Instruction &inst)
     ++sramAccesses_;
 
     switch (inst.op) {
-      case Opcode::Read: {
-        // Replay: read straight into the tape arena slot — the MEM
-        // read path is the bulk of all produces, and this leaves it
-        // with a single SRAM-word copy and nothing else.
-        if (Vec320 *dst = memIo_->replayProduceDest()) {
-            slice.readInto(inst.addr, now, *dst);
-            return;
-        }
-        const Vec320 v = slice.read(inst.addr, now);
-        memIo_->produceRaw(inst.dst, pos, v, when);
+      case Opcode::Read:
+        // The word is read straight into the produced vector (a tape
+        // slot on replay: the bulk of all produces pays one SRAM-word
+        // copy), and its stored code travels with it so SRAM soft
+        // errors stay detectable downstream.
+        memIo_->produceInPlace<1>(
+            inst.dst, pos, when, /*keep_codes=*/true,
+            [&](Vec320 *const *o) { slice.readInto(inst.addr, now, *o[0]); });
         return;
-      }
       case Opcode::Write: {
         Vec320 scratch;
         const Vec320 *v = memIo_->consumeRef(inst.srcA, pos, scratch);
@@ -154,12 +151,9 @@ Chip::dispatchMem(const IcuId &icu, const Instruction &inst)
                  (static_cast<unsigned>(m->bytes[base + 1]) << 8)) &
                 (kMemWordsPerSlice - 1));
         }
-        if (Vec320 *dst = memIo_->replayProduceDest()) {
-            slice.gatherInto(addrs, now, *dst);
-            return;
-        }
-        const Vec320 v = slice.gather(addrs, now);
-        memIo_->produceRaw(inst.dst, pos, v, when);
+        memIo_->produceInPlace<1>(
+            inst.dst, pos, when, /*keep_codes=*/true,
+            [&](Vec320 *const *o) { slice.gatherInto(addrs, now, *o[0]); });
         return;
       }
       case Opcode::Scatter: {
@@ -504,15 +498,7 @@ Chip::replayDispatch(int icu_id, const Instruction &inst, Cycle when)
 }
 
 void
-Chip::replayMxmTick(int plane, Cycle when)
-{
-    TSP_ASSERT(plane >= 0 && plane < kMxmPlanes);
-    fabric_.replayJumpTo(when);
-    mxm_[static_cast<std::size_t>(plane)]->tick(when);
-}
-
-void
-Chip::replayMxmTickRun(int plane, Cycle when, std::size_t count)
+Chip::replayMxmRun(int plane, Cycle when, std::size_t count)
 {
     TSP_ASSERT(plane >= 0 && plane < kMxmPlanes);
     fabric_.replayJumpTo(when);

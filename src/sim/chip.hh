@@ -251,9 +251,6 @@ class Chip
     void replayDispatch(int icu_id, const Instruction &inst,
                         Cycle when);
 
-    /** Re-executes one recorded MXM-plane tick at cycle @p when. */
-    void replayMxmTick(int plane, Cycle when);
-
     /**
      * Re-executes @p count recorded MXM-plane ticks for consecutive
      * cycles starting at @p when, with one clock jump for the whole
@@ -264,7 +261,7 @@ class Chip
      * to the tape), so deferring the per-tick jumps to the run's
      * first cycle is invisible.
      */
-    void replayMxmTickRun(int plane, Cycle when, std::size_t count);
+    void replayMxmRun(int plane, Cycle when, std::size_t count);
 
     /**
      * Leaves replay: jumps the clock to @p end (replay start +

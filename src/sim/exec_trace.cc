@@ -53,15 +53,15 @@ TraceRecording::disarm()
     armed_ = false;
 }
 
-TraceRecording::Snap
+ExecutionTrace::ChipDeltas
 TraceRecording::snapshot(const Chip &chip)
 {
-    Snap s;
+    ExecutionTrace::ChipDeltas s;
     s.dispatched = chip.totalDispatched();
     s.nopCycles = chip.totalNopCycles();
     s.parkedCycles = chip.totalParkedCycles();
-    s.hops = chip.fabric().totalHops();
-    s.writes = chip.fabric().totalWrites();
+    s.fabricHops = chip.fabric().totalHops();
+    s.fabricWrites = chip.fabric().totalWrites();
     return s;
 }
 
@@ -145,14 +145,13 @@ TraceRecording::finish(bool completed)
     for (std::size_t i = 0; i < chips_.size(); ++i) {
         const Chip &c = *chips_[i];
         TSP_ASSERT(c.now() == end);
-        const Snap &s0 = snaps_[i];
-        const Snap s1 = snapshot(c);
-        ExecutionTrace::ChipDeltas d;
-        d.dispatched = s1.dispatched - s0.dispatched;
-        d.nopCycles = s1.nopCycles - s0.nopCycles;
-        d.parkedCycles = s1.parkedCycles - s0.parkedCycles;
-        d.fabricHops = s1.hops - s0.hops;
-        d.fabricWrites = s1.writes - s0.writes;
+        const ExecutionTrace::ChipDeltas &s0 = snaps_[i];
+        ExecutionTrace::ChipDeltas d = snapshot(c);
+        d.dispatched -= s0.dispatched;
+        d.nopCycles -= s0.nopCycles;
+        d.parkedCycles -= s0.parkedCycles;
+        d.fabricHops -= s0.fabricHops;
+        d.fabricWrites -= s0.fabricWrites;
         t.chips.push_back(d);
     }
     // Slot allocation: walk produces and consumes in recorded order,
@@ -222,19 +221,6 @@ class TapePlayer final : public TapeReplayer
         return &arena_[trace_.produceSlot[produced_++]];
     }
 
-    const Vec320 *
-    onConsume() override
-    {
-        TSP_ASSERT(next_ < trace_.consumeTape.size());
-        const std::uint32_t t = trace_.consumeTape[next_++];
-        if (t == kTapeMiss)
-            return nullptr;
-        // A consume can only cite a produce that already ran: the
-        // recorded host order is the replay order.
-        TSP_ASSERT(t < produced_);
-        return &arena_[trace_.produceSlot[t]];
-    }
-
     void
     onConsumeRun(const Vec320 **outs, std::size_t n) override
     {
@@ -246,6 +232,8 @@ class TapePlayer final : public TapeReplayer
                 outs[i] = nullptr;
                 continue;
             }
+            // A consume can only cite a produce that already ran: the
+            // recorded host order is the replay order.
             TSP_ASSERT(t < produced_);
             outs[i] = &arena_[trace_.produceSlot[t]];
         }
@@ -307,7 +295,7 @@ replayTrace(const ExecutionTrace &trace,
             }
             ++j;
         }
-        c.replayMxmTickRun(e.unit, cyc, j - i);
+        c.replayMxmRun(e.unit, cyc, j - i);
         i = j;
     }
     for (std::size_t i = 0; i < chips.size(); ++i) {

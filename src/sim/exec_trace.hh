@@ -168,22 +168,14 @@ class TraceRecording final : public TapeRecorder
     std::shared_ptr<const ExecutionTrace> finish(bool completed);
 
   private:
-    /** Record-start counter snapshot of one chip. */
-    struct Snap
-    {
-        std::uint64_t dispatched = 0;
-        std::uint64_t nopCycles = 0;
-        std::uint64_t parkedCycles = 0;
-        std::uint64_t hops = 0;
-        std::uint64_t writes = 0;
-    };
-
-    static Snap snapshot(const Chip &chip);
+    /** @return @p chip's lifetime totals of the ChipDeltas counters. */
+    static ExecutionTrace::ChipDeltas snapshot(const Chip &chip);
     std::uint32_t offsetOf(Cycle now);
     void disarm();
 
     std::vector<Chip *> chips_;
-    std::vector<Snap> snaps_;
+    /** Per chip, the totals at record start. */
+    std::vector<ExecutionTrace::ChipDeltas> snaps_;
     Cycle start_ = 0;
     std::unique_ptr<ExecutionTrace> trace_;
     std::unordered_map<const Instruction *, std::uint32_t> instIndex_;

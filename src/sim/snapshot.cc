@@ -306,8 +306,9 @@ Chip::decodePayload(const ChipSnapshot &snap, std::string *err)
     lastStepQuiet_ = r.b();
     sramAccesses_ = r.u64();
 
+    // Short, or a unit decoder refused a value no save produces.
     if (!r.ok())
-        return fail(err, "restore: truncated payload");
+        return fail(err, "restore: truncated or malformed payload");
     if (!r.atEnd())
         return fail(err, "restore: trailing payload bytes");
     // The header's cycle is untrusted input, like the payload.

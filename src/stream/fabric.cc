@@ -44,15 +44,11 @@ StreamFabric::scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
                             Cycle when, const char *writer,
                             std::uint32_t tag)
 {
-    TSP_ASSERT(when >= cycle_);
+    // Producer delays are architectural constants well inside the
+    // calendar: a write beyond it is a simulator bug.
+    TSP_ASSERT(when >= cycle_ && when - cycle_ < kPendingHorizon);
     if (when == cycle_) {
         applyWrite(s, pos, vec, writer, tag);
-        return;
-    }
-    if (when - cycle_ >= kPendingHorizon) {
-        // No architectural delay reaches this far; keep correctness
-        // anyway via the ordered overflow map.
-        overflow_[when].push_back({s, pos, vec, writer, tag});
         return;
     }
     PendingBatch &b =
@@ -70,12 +66,7 @@ StreamFabric::scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
 Cycle
 StreamFabric::earliestPendingCycle() const
 {
-    Cycle earliest = kNoEventCycle;
-    if (!pendingCycles_.empty())
-        earliest = pendingCycles_.top();
-    if (!overflow_.empty() && overflow_.begin()->first < earliest)
-        earliest = overflow_.begin()->first;
-    return earliest;
+    return pendingCycles_.empty() ? kNoEventCycle : pendingCycles_.top();
 }
 
 const Vec320 *
@@ -133,15 +124,6 @@ StreamFabric::applyPendingNow()
     // Drain-order invariant: nothing pending at or before now.
     TSP_ASSERT(pendingCycles_.empty() ||
                pendingCycles_.top() > cycle_);
-    if (!overflow_.empty()) {
-        const auto it = overflow_.begin();
-        TSP_ASSERT(it->first >= cycle_);
-        if (it->first == cycle_) {
-            for (const PendingWrite &w : it->second)
-                applyWrite(w.s, w.pos, w.vec, w.writer, w.tag);
-            overflow_.erase(it);
-        }
-    }
 }
 
 void
@@ -245,18 +227,6 @@ getVec(SnapshotReader &r, Vec320 &v)
         e = r.u16();
 }
 
-void
-putPendingWrite(SnapshotWriter &w, Cycle when, StreamRef s,
-                SlicePos pos, std::uint32_t tag, const Vec320 &vec)
-{
-    w.u64(when);
-    w.u8(s.id);
-    w.u8(s.dir == Direction::West ? 1 : 0);
-    w.i32(pos);
-    w.u32(tag);
-    putVec(w, vec);
-}
-
 } // namespace
 
 void
@@ -277,19 +247,16 @@ StreamFabric::saveState(SnapshotWriter &w) const
     }
     // All scheduled-but-unapplied writes, flattened with their
     // visibility cycle; loadState() re-inserts via scheduleWrite.
-    std::uint64_t pending = 0;
-    for (const auto &b : pendingRing_)
-        pending += b.writes.size();
-    for (const auto &[when, writes] : overflow_)
-        pending += writes.size();
-    w.u64(pending);
+    w.u64(pendingCount_);
     for (const auto &b : pendingRing_) {
-        for (const PendingWrite &pw : b.writes)
-            putPendingWrite(w, b.when, pw.s, pw.pos, pw.tag, pw.vec);
-    }
-    for (const auto &[when, writes] : overflow_) {
-        for (const PendingWrite &pw : writes)
-            putPendingWrite(w, when, pw.s, pw.pos, pw.tag, pw.vec);
+        for (const PendingWrite &pw : b.writes) {
+            w.u64(b.when);
+            w.u8(pw.s.id);
+            w.u8(pw.s.dir == Direction::West ? 1 : 0);
+            w.i32(pw.pos);
+            w.u32(pw.tag);
+            putVec(w, pw.vec);
+        }
     }
     w.u64(validCount_);
     w.u64(totalHops_);
@@ -307,8 +274,10 @@ StreamFabric::loadState(SnapshotReader &r)
             ring.slots.resize(kPositions);
         for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
             const std::uint16_t idx = r.u16();
-            if (idx >= ring.slots.size())
-                break;
+            if (idx >= kPositions || ring.slots[idx].valid) {
+                r.fail();
+                return;
+            }
             Entry &e = ring.slots[idx];
             e.valid = true;
             e.writtenAt = r.u64();
@@ -329,12 +298,18 @@ StreamFabric::loadState(SnapshotReader &r)
         const std::uint32_t tag = r.u32();
         Vec320 vec;
         getVec(r, vec);
-        // Pending means strictly in the future: writes for the
-        // restored cycle were applied before the snapshot was taken.
-        TSP_ASSERT(when > cycle_);
+        // Pending means strictly in the future (writes for the
+        // restored cycle were applied before the snapshot was taken)
+        // and inside the calendar.
+        if (s.id >= kStreamsPerDir || pos < 0 || pos >= kPositions ||
+            when <= cycle_ || when - cycle_ >= kPendingHorizon) {
+            r.fail();
+            return;
+        }
         scheduleWrite(s, pos, vec, when, "snapshot", tag);
     }
-    validCount_ = r.u64();
+    if (r.u64() != validCount_)
+        r.fail();
     totalHops_ = r.u64();
     totalWrites_ = r.u64();
 }
@@ -359,7 +334,6 @@ StreamFabric::clear()
     }
     pendingCycles_ = {};
     pendingCount_ = 0;
-    overflow_.clear();
 }
 
 } // namespace tsp

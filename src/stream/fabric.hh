@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
 #include <vector>
 
@@ -155,10 +154,7 @@ class StreamFabric
     std::uint64_t totalWrites() const { return totalWrites_; }
 
     /** @return scheduled-but-unapplied write count (tests/replay). */
-    std::size_t pendingWrites() const
-    {
-        return pendingCount_ + overflow_.size();
-    }
+    std::size_t pendingWrites() const { return pendingCount_; }
 
     /**
      * Replay-tier clock jump: moves now() to @p target (>= now)
@@ -181,12 +177,17 @@ class StreamFabric
      * Serializes the clock, every valid stream-register entry (by raw
      * ring-slot index — slotOf() depends only on cycle_ % positions,
      * which the restored clock reproduces), all scheduled-but-
-     * unapplied writes (calendar ring + overflow, flattened), and the
-     * hop/write totals. Fault/tape hooks are wiring, not state.
+     * unapplied writes (calendar ring, flattened), and the hop/write
+     * totals. Fault/tape hooks are wiring, not state.
      */
     void saveState(SnapshotWriter &w) const;
 
-    /** Restores fabric state; pending writes are re-scheduled. */
+    /**
+     * Restores fabric state; pending writes are re-scheduled. Marks
+     * @p r failed on a payload no saved fabric produces: a ring slot,
+     * stream id or position out of range, or a pending write outside
+     * (now, now + horizon).
+     */
     void loadState(SnapshotReader &r);
 
   private:
@@ -233,9 +234,9 @@ class StreamFabric
 
     /**
      * Calendar depth. Producer delays are architectural constants
-     * (the largest is Send's 22-cycle serialization), so every
+     * (the largest stream producer's is ACC's 21 cycles), so every
      * in-flight write lands well inside this horizon; scheduleWrite
-     * falls back to an ordered overflow map beyond it.
+     * asserts it.
      */
     static constexpr Cycle kPendingHorizon = 128;
 
@@ -280,9 +281,6 @@ class StreamFabric
                         std::greater<Cycle>>
         pendingCycles_;
     std::size_t pendingCount_ = 0;
-
-    /** Writes beyond the calendar horizon (empty in practice). */
-    std::map<Cycle, std::vector<PendingWrite>> overflow_;
 
     FaultInjector *faults_ = nullptr;
     MachineCheckSink *mc_ = nullptr;

@@ -13,27 +13,23 @@ StreamIo::StreamIo(const ChipConfig &cfg, StreamFabric &fabric,
 {
 }
 
-Vec320
-StreamIo::consume(StreamRef s, SlicePos pos)
+const Vec320 *
+StreamIo::missed(StreamRef s, SlicePos pos)
 {
-    Vec320 out;
-    if (!tryConsume(s, pos, out)) {
-        if (cfg_.strictStreams) {
-            panic("%s: no value flowing on %s at pos %d, cycle %llu "
-                  "(scheduler bug)",
-                  owner_.c_str(), s.toString().c_str(), pos,
-                  static_cast<unsigned long long>(fabric_.now()));
-        }
-        ++missed_;
+    if (cfg_.strictStreams) {
+        panic("%s: no value flowing on %s at pos %d, cycle %llu "
+              "(scheduler bug)",
+              owner_.c_str(), s.toString().c_str(), pos,
+              static_cast<unsigned long long>(fabric_.now()));
     }
-    return out;
+    ++missed_;
+    static const Vec320 kZero{};
+    return &kZero;
 }
 
 void
 StreamIo::checkReplayUntagged(StreamRef s, SlicePos pos)
 {
-    if (fabric_.validEntries() == 0)
-        return;
     std::uint32_t tag = kTapeUntagged;
     if (fabric_.peek(s, pos, &tag) && tag == kTapeUntagged) {
         panic("%s: replay consume on %s at pos %d, cycle %llu would "
@@ -45,45 +41,37 @@ StreamIo::checkReplayUntagged(StreamRef s, SlicePos pos)
     }
 }
 
-bool
-StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &out)
+const Vec320 *
+StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &scratch)
 {
     if (TapeReplayer *rep = fabric_.tapeReplayer()) {
         // Replay tier: the tape says which produce (if any) this
         // consume sampled. The consumer-side ECC check is skipped —
         // replay is only ever taken for fault-free recordings whose
         // check came back clean on every operand.
-        checkReplayUntagged(s, pos);
-        const Vec320 *rv = rep->onConsume();
-        if (!rv) {
-            out = Vec320{};
-            if (cfg_.eccEnabled)
-                eccComputeVec(out);
-            return false;
-        }
-        out = *rv;
-        ++consumed_;
-        return true;
+        if (fabric_.validEntries() != 0)
+            checkReplayUntagged(s, pos);
+        const Vec320 *v = nullptr;
+        rep->onConsumeRun(&v, 1);
+        if (v)
+            ++consumed_;
+        return v;
     }
     std::uint32_t tag = kTapeUntagged;
     const Vec320 *v = fabric_.peek(s, pos, &tag);
     if (TapeRecorder *rec = fabric_.tapeRecorder())
         rec->onConsume(v ? tag : kTapeMiss);
-    if (!v) {
-        out = Vec320{};
-        if (cfg_.eccEnabled)
-            eccComputeVec(out);
-        return false;
-    }
-    out = *v;
+    if (!v)
+        return nullptr;
+    scratch = *v;
     ++consumed_;
     if (FaultInjector *fi = fabric_.faultInjector()) {
         // Stream-hop upset on the consumed copy; the check below is
         // the consumer-side SECDED check that must catch it.
-        fi->onStreamConsume(out);
+        fi->onStreamConsume(scratch);
     }
     if (cfg_.eccEnabled) {
-        switch (eccCheckVec(out)) {
+        switch (eccCheckVec(scratch)) {
           case EccStatus::Ok:
             break;
           case EccStatus::Corrected:
@@ -105,89 +93,64 @@ StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &out)
             break;
         }
     }
-    return true;
+    return &scratch;
 }
 
 const Vec320 *
 StreamIo::consumeRef(StreamRef s, SlicePos pos, Vec320 &scratch)
 {
-    if (TapeReplayer *rep = fabric_.tapeReplayer()) {
-        checkReplayUntagged(s, pos);
-        if (const Vec320 *rv = rep->onConsume()) {
-            ++consumed_;
-            return rv;
-        }
-        if (cfg_.strictStreams) {
-            panic("%s: no value flowing on %s at pos %d, cycle %llu "
-                  "(scheduler bug)",
-                  owner_.c_str(), s.toString().c_str(), pos,
-                  static_cast<unsigned long long>(fabric_.now()));
-        }
-        ++missed_;
-        scratch = Vec320{};
-        // A default Vec320 already carries valid (zero) ECC for zero
-        // data, matching consume()'s eccComputeVec on the miss path.
-        return &scratch;
-    }
-    if (!tryConsume(s, pos, scratch)) {
-        if (cfg_.strictStreams) {
-            panic("%s: no value flowing on %s at pos %d, cycle %llu "
-                  "(scheduler bug)",
-                  owner_.c_str(), s.toString().c_str(), pos,
-                  static_cast<unsigned long long>(fabric_.now()));
-        }
-        ++missed_;
-    }
-    return &scratch;
+    const Vec320 *v = tryConsume(s, pos, scratch);
+    return v ? v : missed(s, pos);
 }
 
-bool
-StreamIo::replayConsumeRun(StreamRef base, SlicePos pos,
-                           const Vec320 **outs, std::size_t n)
+void
+StreamIo::consumeRun(StreamRef base, SlicePos pos, Vec320 *scratch,
+                     const Vec320 **outs, std::size_t n)
 {
     TapeReplayer *rep = fabric_.tapeReplayer();
-    if (!rep)
-        return false;
+    if (!rep) {
+        for (std::size_t i = 0; i < n; ++i)
+            outs[i] = consumeRef(nth(base, i), pos, scratch[i]);
+        return;
+    }
     if (fabric_.validEntries() != 0) {
-        for (std::size_t i = 0; i < n; ++i) {
-            StreamRef s = base;
-            s.id = static_cast<StreamId>(base.id + i);
-            checkReplayUntagged(s, pos);
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            checkReplayUntagged(nth(base, i), pos);
     }
     rep->onConsumeRun(outs, n);
-    static const Vec320 kZero{}; // Valid (zero) ECC for zero data.
     for (std::size_t i = 0; i < n; ++i) {
-        if (outs[i]) {
+        if (outs[i])
             ++consumed_;
-            continue;
-        }
-        if (cfg_.strictStreams) {
-            StreamRef s = base;
-            s.id = static_cast<StreamId>(base.id + i);
-            panic("%s: no value flowing on %s at pos %d, cycle %llu "
-                  "(scheduler bug)",
-                  owner_.c_str(), s.toString().c_str(), pos,
-                  static_cast<unsigned long long>(fabric_.now()));
-        }
-        ++missed_;
-        outs[i] = &kZero;
+        else
+            outs[i] = missed(nth(base, i), pos);
     }
-    return true;
 }
 
-Vec320 *
-StreamIo::replayProduceDest()
+Vec320
+StreamIo::consume(StreamRef s, SlicePos pos)
 {
-    if (TapeReplayer *rep = fabric_.tapeReplayer()) {
-        ++produced_;
-        return rep->onProduce();
-    }
-    return nullptr;
+    Vec320 out;
+    const Vec320 *v = consumeRef(s, pos, out);
+    if (v != &out)
+        out = *v;
+    return out;
 }
 
 void
 StreamIo::produce(StreamRef s, SlicePos pos, Vec320 vec, Cycle when)
+{
+    emit(s, pos, vec, when, /*encode=*/true);
+}
+
+void
+StreamIo::produceRaw(StreamRef s, SlicePos pos, Vec320 vec, Cycle when)
+{
+    emit(s, pos, vec, when, /*encode=*/false);
+}
+
+void
+StreamIo::emit(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
+               bool encode)
 {
     if (TapeReplayer *rep = fabric_.tapeReplayer()) {
         // Replay tier: skip the SECDED encode. No consumer on this
@@ -198,24 +161,15 @@ StreamIo::produce(StreamRef s, SlicePos pos, Vec320 vec, Cycle when)
         ++produced_;
         return;
     }
-    if (cfg_.eccEnabled)
-        eccComputeVec(vec);
-    std::uint32_t tag = kTapeUntagged;
-    if (TapeRecorder *rec = fabric_.tapeRecorder())
-        tag = rec->onProduce();
-    fabric_.scheduleWrite(s, pos, vec, when, owner_.c_str(), tag);
-    ++produced_;
+    publish(s, pos, vec, when, encode);
 }
 
 void
-StreamIo::produceRaw(StreamRef s, SlicePos pos, const Vec320 &vec,
-                     Cycle when)
+StreamIo::publish(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
+                  bool encode)
 {
-    if (TapeReplayer *rep = fabric_.tapeReplayer()) {
-        *rep->onProduce() = vec;
-        ++produced_;
-        return;
-    }
+    if (encode && cfg_.eccEnabled)
+        eccComputeVec(vec);
     std::uint32_t tag = kTapeUntagged;
     if (TapeRecorder *rec = fabric_.tapeRecorder())
         tag = rec->onProduce();

@@ -81,17 +81,12 @@ class TapeReplayer
     virtual Vec320 *onProduce() = 0;
 
     /**
-     * @return the arena slot the recorded tape says this consume
-     * sampled, or nullptr for a recorded miss. The pointer is valid
-     * until the value's last recorded consume has run.
-     */
-    virtual const Vec320 *onConsume() = 0;
-
-    /**
-     * Batched onConsume: resolves the next @p n tape entries in one
-     * call, filling @p outs[0..n) (nullptr per recorded miss). The
-     * run bypasses per-vector virtual dispatch for multi-operand
-     * consumers (MXM LW bursts / fp16 pairs, VXM groups).
+     * Resolves the next @p n consumes in one call: fills @p outs[i]
+     * with the arena slot the recorded tape says consume i sampled,
+     * or nullptr for a recorded miss. A single operand is a run of
+     * one; multi-operand consumers (MXM LW bursts and fp16 pairs, VXM
+     * groups) pay one virtual call per run. A pointer is valid until
+     * the value's last recorded consume has run.
      */
     virtual void onConsumeRun(const Vec320 **outs, std::size_t n) = 0;
 };

@@ -192,21 +192,15 @@ VxmUnit::checkAlignment(StreamRef s, int g)
 void
 VxmUnit::loadGroup(StreamRef base, int g, Vec320 *out)
 {
-    // Replay: one batched tape read for the whole group. The lane
-    // kernels want the operands contiguous, so the group is copied
-    // out of the arena — the same single copy the per-cycle path
-    // pays — but the per-vector StreamIo plumbing is skipped.
+    // The lane kernels want the group contiguous in out[]: operands
+    // the port consumed into out[] stay there, and tape slots (replay)
+    // are copied in.
     const Vec320 *vp[4];
-    if (io_.replayConsumeRun(base, Layout::vxm, vp,
-                             static_cast<std::size_t>(g))) {
-        for (int k = 0; k < g; ++k)
-            out[k] = *vp[k];
-        return;
-    }
+    io_.consumeRun(base, Layout::vxm, out, vp,
+                   static_cast<std::size_t>(g));
     for (int k = 0; k < g; ++k) {
-        StreamRef s = base;
-        s.id = static_cast<StreamId>(base.id + k);
-        out[k] = io_.consume(s, Layout::vxm);
+        if (vp[k] != &out[k])
+            out[k] = *vp[k];
     }
 }
 

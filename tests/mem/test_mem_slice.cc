@@ -29,7 +29,8 @@ TEST(MemSlice, WriteThenReadBack)
     MemSlice m(Hemisphere::East, 3, /*ecc=*/true);
     const Vec320 v = pattern(7);
     m.write(0x10, v, /*now=*/1);
-    const Vec320 r = m.read(0x10, /*now=*/2);
+    Vec320 r;
+    m.readInto(0x10, /*now=*/2, r);
     EXPECT_EQ(r.bytes, v.bytes);
     EXPECT_EQ(m.reads(), 1u);
     EXPECT_EQ(m.writes(), 1u);
@@ -38,7 +39,8 @@ TEST(MemSlice, WriteThenReadBack)
 TEST(MemSlice, UntouchedReadsZeroWithValidEcc)
 {
     MemSlice m(Hemisphere::West, 0, true);
-    Vec320 r = m.read(0x1f0, 5);
+    Vec320 r;
+    m.readInto(0x1f0, 5, r);
     for (const auto b : r.bytes)
         EXPECT_EQ(b, 0);
     EXPECT_EQ(eccCheckVec(r), EccStatus::Ok);
@@ -58,7 +60,8 @@ TEST(MemSlice, ReadAndWriteOppositeBanksSameCycle)
     m.backdoorWrite(0x0010, pattern(1));
     // Same cycle: read bank 0, write bank 1 — the paper's
     // pseudo-dual-port concurrency (IV.A).
-    const Vec320 r = m.read(0x0010, 9);
+    Vec320 r;
+    m.readInto(0x0010, 9, r);
     m.write(0x1010, pattern(2), 9);
     EXPECT_EQ(r.bytes, pattern(1).bytes);
     EXPECT_EQ(m.backdoorRead(0x1010).bytes, pattern(2).bytes);
@@ -72,7 +75,8 @@ TEST(MemSliceDeath, SameBankReadWriteConflictPanics)
     ASSERT_DEATH(
         {
             MemSlice m(Hemisphere::East, 2, true);
-            (void)m.read(0x0010, 3);
+            Vec320 r;
+            m.readInto(0x0010, 3, r);
             m.write(0x0020, pattern(0), 3); // Same bank, same cycle.
         },
         "bank conflict");
@@ -84,8 +88,9 @@ TEST(MemSliceDeath, TwoReadsSameCyclePanic)
     ASSERT_DEATH(
         {
             MemSlice m(Hemisphere::East, 2, true);
-            (void)m.read(0x0010, 3);
-            (void)m.read(0x1010, 3); // Even opposite banks.
+            Vec320 r;
+            m.readInto(0x0010, 3, r);
+            m.readInto(0x1010, 3, r); // Even opposite banks.
         },
         "second read");
 }
@@ -100,7 +105,8 @@ TEST(MemSlice, GatherReadsPerTileAddresses)
     for (int sl = 0; sl < kSuperlanes; ++sl)
         addrs[static_cast<std::size_t>(sl)] =
             sl % 2 ? 0x200 : 0x100;
-    Vec320 g = m.gather(addrs, 4);
+    Vec320 g;
+    m.gatherInto(addrs, 4, g);
     EXPECT_EQ(eccCheckVec(g), EccStatus::Ok);
     for (int sl = 0; sl < kSuperlanes; ++sl) {
         const Vec320 src = sl % 2 ? pattern(99) : pattern(10);
@@ -141,7 +147,8 @@ TEST(MemSlice, InjectedBitFlipTravelsWithStoredEcc)
     m.injectBitFlip(0x40, /*byte=*/33, /*bit=*/2);
     // The read forwards the stored (stale) ECC; a consumer-side
     // check corrects the flip.
-    Vec320 r = m.read(0x40, 11);
+    Vec320 r;
+    m.readInto(0x40, 11, r);
     EXPECT_EQ(eccCheckVec(r), EccStatus::Corrected);
     EXPECT_EQ(r.bytes, pattern(5).bytes);
 }

@@ -41,37 +41,38 @@ TEST(BoundedQueue, FifoOrder)
 {
     BoundedQueue<int> q(128);
     for (int i = 0; i < 100; ++i)
-        ASSERT_TRUE(q.tryPush(i));
+        ASSERT_TRUE(q.push(int{i}));
     int v = -1;
     for (int i = 0; i < 100; ++i) {
-        ASSERT_EQ(q.tryPop(v), serve::PopResult::Item);
+        ASSERT_TRUE(q.pop(v));
         EXPECT_EQ(v, i);
     }
-    // Open but momentarily empty: Empty, not Closed.
-    EXPECT_EQ(q.tryPop(v), serve::PopResult::Empty);
     q.close();
-    EXPECT_EQ(q.tryPop(v), serve::PopResult::Closed);
+    EXPECT_FALSE(q.pop(v)); // Closed and drained.
 }
 
-TEST(BoundedQueue, TryPushBackpressure)
+TEST(BoundedQueue, FullBoundsCapacity)
 {
+    // full() is the fail-fast producer's check (the server rejects a
+    // request whose queue is full instead of blocking).
     BoundedQueue<int> q(3);
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_TRUE(q.tryPush(2));
-    EXPECT_TRUE(q.tryPush(3));
-    EXPECT_TRUE(q.full());
-    EXPECT_FALSE(q.tryPush(4)); // Bounded: fail fast.
+    ASSERT_TRUE(q.push(1));
+    ASSERT_TRUE(q.push(2));
+    EXPECT_FALSE(q.full());
+    ASSERT_TRUE(q.push(3));
+    EXPECT_TRUE(q.full()); // Bounded.
     int v = 0;
     ASSERT_TRUE(q.pop(v));
     EXPECT_EQ(v, 1);
-    EXPECT_TRUE(q.tryPush(4)); // Space freed.
-    EXPECT_EQ(q.size(), 3u);
+    EXPECT_FALSE(q.full()); // Space freed.
+    ASSERT_TRUE(q.push(4));
+    EXPECT_TRUE(q.full());
 }
 
 TEST(BoundedQueue, BlockingPushWaitsForSpace)
 {
     BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.tryPush(1));
+    ASSERT_TRUE(q.push(1));
     std::atomic<bool> pushed{false};
     std::thread producer([&] {
         ASSERT_TRUE(q.push(2)); // Blocks until the pop below.
@@ -93,7 +94,7 @@ TEST(BoundedQueue, BlockedPushResumesAtHalfCapacity)
 {
     BoundedQueue<int> q(4);
     for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(q.tryPush(i));
+        ASSERT_TRUE(q.push(int{i}));
     std::atomic<bool> pushed{false};
     std::thread producer([&] {
         ASSERT_TRUE(q.push(4));
@@ -108,7 +109,7 @@ TEST(BoundedQueue, BlockedPushResumesAtHalfCapacity)
     producer.join();
     EXPECT_TRUE(pushed.load());
     for (int want = 2; want <= 4; ++want) {
-        ASSERT_EQ(q.tryPop(v), serve::PopResult::Item);
+        ASSERT_TRUE(q.pop(v));
         EXPECT_EQ(v, want);
     }
 }
@@ -116,11 +117,10 @@ TEST(BoundedQueue, BlockedPushResumesAtHalfCapacity)
 TEST(BoundedQueue, CloseDrainsThenStops)
 {
     BoundedQueue<int> q(8);
-    ASSERT_TRUE(q.tryPush(1));
-    ASSERT_TRUE(q.tryPush(2));
+    ASSERT_TRUE(q.push(1));
+    ASSERT_TRUE(q.push(2));
     q.close();
-    EXPECT_FALSE(q.tryPush(3)); // No pushes after close.
-    EXPECT_FALSE(q.push(3));
+    EXPECT_FALSE(q.push(3)); // No pushes after close.
     int v = 0;
     EXPECT_TRUE(q.pop(v)); // Queued items still drain...
     EXPECT_EQ(v, 1);
@@ -132,7 +132,7 @@ TEST(BoundedQueue, CloseDrainsThenStops)
 TEST(BoundedQueue, CloseWakesBlockedPush)
 {
     BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.tryPush(1)); // Full.
+    ASSERT_TRUE(q.push(1)); // Full.
     std::atomic<bool> returned{false};
     std::atomic<bool> result{true};
     std::thread producer([&] {
@@ -278,10 +278,10 @@ TEST(Admission, MultiWorkerBooksEarliestFree)
 TEST(Admission, EarliestCompletionDoesNotBook)
 {
     AdmissionController ac = tableController(1, {1000});
-    EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 1e-6);
-    EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 1e-6); // Unchanged.
+    EXPECT_DOUBLE_EQ(ac.earliestCompletionFor(0, 0.0), 1e-6);
+    EXPECT_DOUBLE_EQ(ac.earliestCompletionFor(0, 0.0), 1e-6); // Same.
     ASSERT_TRUE(admitOne(ac, 0.0, 0.0).admitted);
-    EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 2e-6);
+    EXPECT_DOUBLE_EQ(ac.earliestCompletionFor(0, 0.0), 2e-6);
 }
 
 // ---------------------------------------------------------------

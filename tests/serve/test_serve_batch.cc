@@ -173,7 +173,7 @@ TEST(BatchAdmission, JoinRebooksExactBatchCompletion)
     EXPECT_DOUBLE_EQ(sealed.completionSec, 2e-6);
 
     // The worker is booked through the batch completion.
-    EXPECT_DOUBLE_EQ(ac.earliestCompletion(0.0), 2e-6 + 1e-6);
+    EXPECT_DOUBLE_EQ(ac.earliestCompletionFor(0, 0.0), 2e-6 + 1e-6);
     EXPECT_EQ(ac.admitted(), 2u);
 }
 

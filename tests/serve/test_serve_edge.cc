@@ -132,8 +132,9 @@ TEST(ServeEdge, DetachedSubmitResolvesThroughCallback)
     };
     auto server = makeServer(cfg);
     for (int i = 0; i < 10; ++i)
-        server->submitDetached(podInput(), 1e-6 * (i + 1), 0.0);
-    server->submitDetached(std::vector<std::int8_t>(3), 12e-6, 0.0);
+        server->submitModelDetached(0, 0, podInput(), 1e-6 * (i + 1), 0.0);
+    server->submitModelDetached(0, 0, std::vector<std::int8_t>(3), 12e-6,
+                                0.0);
     server->drain();
     EXPECT_EQ(served.load(), 10u);
     EXPECT_EQ(invalid.load(), 1u);
@@ -164,12 +165,12 @@ TEST(ServeEdge, AdmissionAccessorsTrackBookings)
     const double service = server->serviceSec();
     EXPECT_EQ(server->admission().backlogSec(0.0), 0.0);
     EXPECT_EQ(server->admission().busyUntil(), 0.0);
-    EXPECT_EQ(server->admission().earliestWorker(), 0);
+    EXPECT_EQ(server->admission().bestWorkerFor(0, 1e-6), 0);
 
     auto f1 = server->submit(podInput(), 1e-6, 0.0);
     // Worker 0 is booked until 1e-6 + service; the next booking
     // would land on worker 1.
-    EXPECT_EQ(server->admission().earliestWorker(), 1);
+    EXPECT_EQ(server->admission().bestWorkerFor(0, 1e-6), 1);
     EXPECT_NEAR(server->admission().busyUntil(), 1e-6 + service,
                 1e-12);
     EXPECT_NEAR(server->admission().backlogSec(1e-6), service,

@@ -80,9 +80,9 @@ batchedReplayReport(std::uint64_t seed)
     for (int i = 0; i < 40; ++i) {
         now += -std::log(1.0 - rng.nextDouble()) * 0.3 *
                server.serviceSec();
-        server.submitDetached(randomInput(rng.next()), now,
-                              now + 6.0 * server.serviceSec(),
-                              InferenceServer::OnFull::Block);
+        server.submitModelDetached(0, 0, randomInput(rng.next()), now,
+                                   now + 6.0 * server.serviceSec(),
+                                   InferenceServer::OnFull::Block);
     }
     server.drain();
     EXPECT_GT(server.replayCount(), 0u);

@@ -25,6 +25,7 @@
 #include "isa/assembler.hh"
 #include "model/resnet.hh"
 #include "runtime/session.hh"
+#include "icu/queue.hh"
 #include "sim/chip.hh"
 #include "sim/snapshot.hh"
 
@@ -526,6 +527,253 @@ TEST(PodSnapshot, RestoreWithInFlightC2cTraffic)
     // Size mismatch refuses.
     Pod small(2, kWire);
     EXPECT_FALSE(small.restore(snap, &err));
+}
+
+constexpr Cycle kRingWire = 17;
+
+/** Correctable faults on every path the all-reduce uses. */
+ChipConfig
+ringFaultConfig()
+{
+    ChipConfig cfg;
+    cfg.fault.seed = 0x5eedull;
+    cfg.fault.memReadRate = 0.05;
+    cfg.fault.streamRate = 0.02;
+    cfg.fault.c2cRate = 0.5;
+    cfg.fault.doubleBitFraction = 0.0;
+    return cfg;
+}
+
+/** The batch-4 ring all-reduce's per-chip programs. */
+std::vector<SharedProgram>
+ringPrograms(const Pod &pod)
+{
+    std::vector<ScheduledProgram> sched;
+    buildRingAllReduce(pod, sched, /*batch=*/4);
+    std::vector<SharedProgram> progs;
+    for (auto &p : sched)
+        progs.emplace_back(p.toAsm());
+    return progs;
+}
+
+TEST(PodSnapshot, RestoreRefusesTruncatedPayloads)
+{
+    // A 2-chip batch-4 all-reduce with faults live, snapshotted every
+    // 40 cycles; its last snapshot is cut short at seeded points, one
+    // member at a time. Every cut must be refused (the unit decoders
+    // read a short payload as zeros, which must not trip an assert or
+    // index anything), and the target must stay restorable.
+    InferenceSession sess(2, kRingWire, ringFaultConfig());
+    sess.bind(ringPrograms(sess.pod()));
+    sess.reset();
+    Rng data(3);
+    for (int c = 0; c < 2; ++c) {
+        for (int s = 0; s < 4; ++s) {
+            Vec320 v;
+            for (auto &b : v.bytes)
+                b = static_cast<std::uint8_t>(data.intIn(-90, 90));
+            sess.pod()
+                .chip(c)
+                .mem(Hemisphere::East, AllReducePlan::kSlice)
+                .backdoorWrite(
+                    static_cast<MemAddr>(AllReducePlan::kLocalAddr + s), v);
+        }
+    }
+    sess.enableSnapshots(40);
+    ASSERT_TRUE(sess.runBounded().completed);
+    ASSERT_NE(sess.lastSnapshot(), nullptr);
+    const PodSnapshot &snap = *sess.lastSnapshot();
+
+    Pod dst(2, kRingWire, ringFaultConfig());
+    const std::vector<SharedProgram> progs = ringPrograms(dst);
+    for (int c = 0; c < 2; ++c)
+        dst.chip(c).loadProgram(progs[static_cast<std::size_t>(c)]);
+    PodSnapshot cut = snap;
+    Rng rng(11);
+    std::string err;
+    for (int i = 0; i < 120; ++i) {
+        const std::size_t c = static_cast<std::size_t>(i % 2);
+        const std::vector<std::uint8_t> &full = snap.chips[c].payload;
+        const std::size_t n = rng.nextBelow(full.size());
+        SCOPED_TRACE(testing::Message() << "chip " << c << " cut " << n);
+        cut.chips[c].payload.assign(full.begin(),
+                                    full.begin() + static_cast<long>(n));
+        EXPECT_FALSE(dst.restore(cut, &err));
+        EXPECT_NE(err.find("restore:"), std::string::npos) << err;
+        cut.chips[c].payload = full;
+    }
+    ASSERT_TRUE(dst.restore(snap, &err)) << err;
+}
+
+/** Overwrites the @p width-byte little-endian field at @p at. */
+void
+patch(std::vector<std::uint8_t> &buf, std::size_t at, std::uint64_t v,
+      int width)
+{
+    ASSERT_LE(at + static_cast<std::size_t>(width), buf.size());
+    for (int i = 0; i < width; ++i)
+        buf[at + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/**
+ * @return true when @p unit's loadState() reads all of @p buf and
+ * leaves the reader good (false: the decoder refused).
+ */
+template <typename Unit>
+bool
+loads(Unit &unit, const std::vector<std::uint8_t> &buf)
+{
+    SnapshotReader r(buf);
+    unit.loadState(r);
+    return r.atEnd();
+}
+
+/** Bytes of a StreamIo's saved counters. */
+constexpr std::size_t kIoBytes = 5 * 8;
+
+TEST(Snapshot, FabricDecoderRefusesOutOfRangeFields)
+{
+    // Two live entries on ring s0.e, then one pending write: the
+    // saved fields are at fixed offsets (clock, then per ring a count
+    // and its entries, then the pending list and the valid count).
+    constexpr std::size_t kVec = kLanes + 2 * kSuperlanes;
+    constexpr std::size_t kEntryBytes = 2 + 8 + 4 + kVec;
+    constexpr std::size_t kSlot = 8 + 4;
+    constexpr std::size_t kPending =
+        8 + 2 * kStreamsPerDir * 4 + 2 * kEntryBytes;
+    constexpr std::size_t kWhen = kPending + 8;
+    constexpr std::size_t kValid = kWhen + 8 + 1 + 1 + 4 + 4 + kVec;
+    StreamFabric src;
+    src.write({0, Direction::East}, 3, fill(1));
+    src.write({0, Direction::East}, 4, fill(1));
+    src.scheduleWrite({5, Direction::West}, 7, fill(2), /*when=*/4);
+    SnapshotWriter w;
+    src.saveState(w);
+    const std::vector<std::uint8_t> good = w.take();
+    StreamFabric dst;
+    ASSERT_TRUE(loads(dst, good));
+    const std::uint64_t first_slot = good[kSlot] | (good[kSlot + 1] << 8);
+
+    const struct
+    {
+        const char *field;
+        std::size_t at;
+        std::uint64_t value;
+        int width;
+    } cases[] = {
+        {"ring slot", kSlot, Layout::numPositions, 2},
+        {"ring slot twice", kSlot + kEntryBytes, first_slot, 2},
+        {"valid count", kValid, 3, 8},
+        {"pending when = now", kWhen, 0, 8},
+        {"pending when past the calendar", kWhen, 1000, 8},
+        {"pending stream id", kWhen + 8, kStreamsPerDir, 1},
+        {"pending position", kWhen + 10, Layout::numPositions, 4},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.field);
+        std::vector<std::uint8_t> bad = good;
+        patch(bad, c.at, c.value, c.width);
+        StreamFabric f;
+        EXPECT_FALSE(loads(f, bad));
+    }
+}
+
+TEST(Snapshot, UnitDecodersRefuseOutOfRangeFields)
+{
+    ChipConfig cfg;
+    StreamFabric fabric;
+    {
+        // Queue: the Repeat target indexes the loaded program.
+        const std::vector<Instruction> prog(3);
+        BarrierController barrier;
+        InstructionQueue q(IcuId{0}, barrier);
+        q.loadProgram(prog);
+        SnapshotWriter w;
+        q.saveState(w);
+        std::vector<std::uint8_t> buf = w.take();
+        ASSERT_TRUE(loads(q, buf));
+        constexpr std::size_t kRepeat = 8 + 8 + 1 + 8;
+        std::vector<std::uint8_t> bad = buf;
+        patch(bad, kRepeat, prog.size(), 8);
+        EXPECT_FALSE(loads(q, bad));
+        // Re-issues pending with no Repeat target saved.
+        bad = buf;
+        patch(bad, kRepeat + 8, 2, 4);
+        EXPECT_FALSE(loads(q, bad));
+    }
+    {
+        // Fault injector: link streams for no link or for all.
+        ChipConfig fcfg;
+        fcfg.fault.c2cRate = 0.5;
+        FaultInjector fi(fcfg.fault);
+        SnapshotWriter w;
+        fi.saveState(w);
+        std::vector<std::uint8_t> buf = w.take();
+        {
+            SnapshotReader r(buf);
+            fi.loadState(r, /*restore_rng=*/true);
+            ASSERT_TRUE(r.atEnd());
+        }
+        patch(buf, /*link count=*/Rng::kStateWords * 8, 1, 4);
+        SnapshotReader r(buf);
+        fi.loadState(r, true);
+        EXPECT_FALSE(r.ok());
+    }
+    {
+        // C2C: the link count must match the wiring.
+        C2cModule c2c(cfg, fabric);
+        SnapshotWriter w;
+        c2c.saveState(w);
+        std::vector<std::uint8_t> buf = w.take();
+        ASSERT_TRUE(loads(c2c, buf));
+        patch(buf, kIoBytes, kC2cLinks + 1, 4);
+        EXPECT_FALSE(loads(c2c, buf));
+    }
+    {
+        // MEM: a stored word's index within its bank.
+        MemSlice m(Hemisphere::West, 0, true);
+        m.backdoorWrite(0x5, fill(3));
+        SnapshotWriter w;
+        m.saveState(w);
+        std::vector<std::uint8_t> buf = w.take();
+        ASSERT_TRUE(loads(m, buf));
+        patch(buf, /*first word's index=*/4, kMemWordsPerSlice / 2, 4);
+        EXPECT_FALSE(loads(m, buf));
+    }
+    {
+        // MXM: the fill row and the sequencer windows, which index
+        // the weight rows and the depth-64 accumulator bank.
+        MxmPlane plane(0, cfg, fabric);
+        SnapshotWriter w;
+        plane.saveState(w);
+        const std::vector<std::uint8_t> good = w.take();
+        ASSERT_TRUE(loads(plane, good));
+        constexpr std::size_t kFill =
+            kIoBytes + 6 * std::size_t{kMxmDim} * kMxmDim;
+        constexpr std::size_t kAbc = kFill + 4 + 2;
+        constexpr std::size_t kAcc = kAbc + 1 + 2 + 4 + 4 + 1 + 1;
+        const struct
+        {
+            const char *field;
+            std::size_t at;
+            std::uint64_t value;
+            int width;
+        } cases[] = {
+            {"fill row", kFill, kMxmDim + 1, 4},
+            {"ABC index", kAbc + 7, kMxmAccDepth + 1, 4},
+            {"ABC stream", kAbc + 1, kStreamsPerDir, 1},
+            {"ACC index", kAcc + 7, kMxmAccDepth + 5, 4},
+            {"ACC stream", kAcc + 1, 2, 1},
+        };
+        for (const auto &c : cases) {
+            SCOPED_TRACE(c.field);
+            std::vector<std::uint8_t> bad = good;
+            patch(bad, c.at, c.value, c.width);
+            MxmPlane p(1, cfg, fabric);
+            EXPECT_FALSE(loads(p, bad));
+        }
+    }
 }
 
 /** Compiled tiny network for the session-level tests. */

@@ -3,12 +3,17 @@
  * Stream register file semantics (paper II.A, V.c): one-hop-per-cycle
  * propagation in the direction of flow, values falling off the chip
  * edge, producer overwrites, scheduled future writes, and the
- * two-producers-per-slot panic.
+ * two-producers-per-slot panic; and the StreamIo port over it on both
+ * tiers: run consumes against single consumes, strict misses, tape
+ * resolution and in-place produces.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/config.hh"
+#include "mem/ecc.hh"
 #include "stream/fabric.hh"
 #include "stream/stream_io.hh"
 
@@ -197,18 +202,13 @@ TEST(Fabric, EarliestPendingCycleTracksSchedule)
     EXPECT_EQ(f.earliestPendingCycle(), kNoEventCycle);
     f.scheduleWrite({1, Direction::East}, 10, mark(1), 12);
     f.scheduleWrite({2, Direction::East}, 11, mark(2), 5);
-    // Far beyond the pending ring horizon: exercises the overflow map.
-    f.scheduleWrite({3, Direction::East}, 12, mark(3), 500);
     EXPECT_EQ(f.earliestPendingCycle(), Cycle{5});
     for (int i = 0; i < 5; ++i)
         f.advance();
     EXPECT_EQ(f.earliestPendingCycle(), Cycle{12});
     for (int i = 0; i < 7; ++i)
         f.advance();
-    EXPECT_EQ(f.earliestPendingCycle(), Cycle{500});
-    f.advanceBy(488);
     EXPECT_EQ(f.earliestPendingCycle(), kNoEventCycle);
-    ASSERT_NE(f.peek({3, Direction::East}, 12), nullptr);
 }
 
 /** Minimal replay tape: every exchange resolves to one fixed slot. */
@@ -216,7 +216,6 @@ struct StubReplayer final : TapeReplayer
 {
     Vec320 slot{};
     Vec320 *onProduce() override { return &slot; }
-    const Vec320 *onConsume() override { return &slot; }
     void
     onConsumeRun(const Vec320 **outs, std::size_t n) override
     {
@@ -237,14 +236,16 @@ TEST(Fabric, ReplayConsumeResolvesFromTapeNotFabric)
     StreamIo io(cfg, f, "TEST");
 
     Vec320 out;
-    ASSERT_TRUE(io.tryConsume({4, Direction::East}, 10, out));
-    EXPECT_EQ(out.bytes[0], 9);
+    const Vec320 *v = io.tryConsume({4, Direction::East}, 10, out);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->bytes[0], 9);
 
+    Vec320 scratch[4];
     const Vec320 *outs[4] = {};
-    ASSERT_TRUE(io.replayConsumeRun({4, Direction::East}, 10, outs, 4));
-    for (const Vec320 *v : outs) {
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(v->bytes[0], 9);
+    io.consumeRun({4, Direction::East}, 10, scratch, outs, 4);
+    for (const Vec320 *o : outs) {
+        ASSERT_NE(o, nullptr);
+        EXPECT_EQ(o->bytes[0], 9);
     }
     EXPECT_EQ(io.consumed(), 5u);
 }
@@ -277,10 +278,203 @@ TEST(FabricDeath, UntaggedEntryConsumedDuringReplayPanics)
         StreamIo io(cfg, f, "TEST");
         // Poke a mid-run register: ids 4..7 are checked one by one.
         f.write({6, Direction::East}, 10, mark(7));
+        Vec320 scratch[4];
         const Vec320 *outs[4] = {};
-        io.replayConsumeRun({4, Direction::East}, 10, outs, 4);
+        io.consumeRun({4, Direction::East}, 10, scratch, outs, 4);
     };
     ASSERT_DEATH(batched(), "outside any StreamIo");
+}
+
+/** A value with valid codes and lanes 0..3 set from @p seed. */
+Vec320
+encoded(std::uint8_t seed)
+{
+    Vec320 x = mark(seed);
+    for (int l = 0; l < 4; ++l)
+        x.bytes[static_cast<std::size_t>(l)] =
+            static_cast<std::uint8_t>(seed * 3 + l);
+    eccComputeVec(x);
+    return x;
+}
+
+/** Streams s4..s7 east at position 10: s6 silent, s5 one bit off. */
+void
+stageRun(StreamFabric &f)
+{
+    f.write({4, Direction::East}, 10, encoded(1));
+    Vec320 flipped = encoded(2);
+    flipped.bytes[17] ^= 0x08; // Corrected by the consumer's check.
+    f.write({5, Direction::East}, 10, flipped);
+    f.write({7, Direction::East}, 10, encoded(4));
+}
+
+TEST(StreamIo, RunConsumeEqualsSingleConsumes)
+{
+    // Stepped tier: a run over s4..s7 reads, checks and counts
+    // exactly like four single consumes, each operand landing in the
+    // caller's scratch (the silent s6 reads as zero).
+    ChipConfig cfg;
+    cfg.strictStreams = false;
+    StreamFabric fr, fs;
+    stageRun(fr);
+    stageRun(fs);
+    StreamIo run(cfg, fr, "RUN");
+    StreamIo single(cfg, fs, "SINGLE");
+
+    Vec320 scratch[4];
+    const Vec320 *outs[4] = {};
+    run.consumeRun({4, Direction::East}, 10, scratch, outs, 4);
+    for (std::size_t i = 0; i < 4; ++i) {
+        SCOPED_TRACE(i);
+        Vec320 one;
+        const Vec320 *want = single.consumeRef(
+            {static_cast<StreamId>(4 + i), Direction::East}, 10, one);
+        ASSERT_NE(outs[i], nullptr);
+        EXPECT_EQ(*outs[i], *want);
+        if (i != 2) {
+            EXPECT_EQ(outs[i], &scratch[i]);
+        }
+    }
+    EXPECT_EQ(*outs[1], encoded(2));
+    EXPECT_EQ(*outs[2], Vec320{});
+    EXPECT_EQ(run.consumed(), 3u);
+    EXPECT_EQ(run.missedOperands(), 1u);
+    EXPECT_EQ(run.correctedErrors(), 1u);
+    EXPECT_EQ(single.consumed(), run.consumed());
+    EXPECT_EQ(single.missedOperands(), run.missedOperands());
+    EXPECT_EQ(single.correctedErrors(), run.correctedErrors());
+}
+
+TEST(StreamIoDeath, MissedOperandPanicsUnderStrictStreams)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Strict schedules: a run stops at its first silent stream, as
+    // the single consume of that stream does, naming it.
+    const auto run = [] {
+        ChipConfig cfg;
+        StreamFabric f;
+        stageRun(f);
+        StreamIo io(cfg, f, "RUN");
+        Vec320 scratch[4];
+        const Vec320 *outs[4] = {};
+        io.consumeRun({4, Direction::East}, 10, scratch, outs, 4);
+    };
+    ASSERT_DEATH(run(), "RUN: no value flowing on s6.e");
+    const auto single = [] {
+        ChipConfig cfg;
+        StreamFabric f;
+        stageRun(f);
+        StreamIo io(cfg, f, "ONE");
+        Vec320 scratch;
+        io.consumeRef({6, Direction::East}, 10, scratch);
+    };
+    ASSERT_DEATH(single(), "ONE: no value flowing on s6.e");
+}
+
+/** Replay tape: consumes resolve to a scripted list of slots. */
+struct ScriptReplayer final : TapeReplayer
+{
+    std::vector<const Vec320 *> tape;
+    std::size_t next = 0;
+    Vec320 slots[4];
+    std::size_t produced = 0;
+
+    Vec320 *onProduce() override { return &slots[produced++ % 4]; }
+    void
+    onConsumeRun(const Vec320 **outs, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            outs[i] = tape.at(next++);
+    }
+};
+
+TEST(StreamIo, ReplayRunConsumeEqualsTape)
+{
+    // Replay tier: a run hands out the tape's own slots in one read
+    // (a recorded miss reads as zero), as single consumes would.
+    ChipConfig cfg;
+    cfg.strictStreams = false;
+    const Vec320 a = encoded(5), b = encoded(6), c = encoded(7);
+    for (const bool batched : {true, false}) {
+        SCOPED_TRACE(batched ? "run" : "single");
+        StreamFabric f;
+        ScriptReplayer rep;
+        rep.tape = {&a, &b, nullptr, &c};
+        f.attachTapeHooks(nullptr, &rep);
+        StreamIo io(cfg, f, "TEST");
+        Vec320 scratch[4];
+        const Vec320 *outs[4] = {};
+        if (batched) {
+            io.consumeRun({8, Direction::West}, 3, scratch, outs, 4);
+        } else {
+            for (std::size_t i = 0; i < 4; ++i) {
+                outs[i] = io.consumeRef(
+                    {static_cast<StreamId>(8 + i), Direction::West}, 3,
+                    scratch[i]);
+            }
+        }
+        EXPECT_EQ(outs[0], &a);
+        EXPECT_EQ(outs[1], &b);
+        ASSERT_NE(outs[2], nullptr);
+        EXPECT_EQ(*outs[2], Vec320{});
+        EXPECT_EQ(outs[3], &c);
+        EXPECT_EQ(rep.next, 4u);
+        EXPECT_EQ(io.consumed(), 3u);
+        EXPECT_EQ(io.missedOperands(), 1u);
+        EXPECT_EQ(f.validEntries(), 0u);
+    }
+}
+
+TEST(StreamIo, ProduceInPlaceBuildsWhereTheTierKeepsValues)
+{
+    ChipConfig cfg;
+    const auto build = [](Vec320 *const *out) {
+        for (int k = 0; k < 2; ++k)
+            *out[k] = mark(static_cast<std::uint8_t>(20 + k));
+    };
+    {
+        // Stepped: each result is encoded and scheduled in order.
+        StreamFabric f;
+        StreamIo io(cfg, f, "TEST");
+        io.produceInPlace<2>({2, Direction::East}, 5, /*when=*/1,
+                             /*keep_codes=*/false, build);
+        EXPECT_EQ(f.pendingWrites(), 2u);
+        f.advance();
+        for (int k = 0; k < 2; ++k) {
+            Vec320 want = mark(static_cast<std::uint8_t>(20 + k));
+            eccComputeVec(want);
+            const Vec320 *v = f.peek(
+                {static_cast<StreamId>(2 + k), Direction::East}, 5);
+            ASSERT_NE(v, nullptr);
+            EXPECT_EQ(*v, want);
+        }
+        EXPECT_EQ(io.produced(), 2u);
+    }
+    {
+        // keep_codes: the codes the build stored travel unchanged.
+        StreamFabric f;
+        StreamIo io(cfg, f, "TEST");
+        Vec320 stale = mark(9);
+        stale.ecc[3] = 0x1ff;
+        io.produceInPlace<1>({2, Direction::East}, 5, 0,
+                             /*keep_codes=*/true,
+                             [&](Vec320 *const *out) { *out[0] = stale; });
+        ASSERT_NE(f.peek({2, Direction::East}, 5), nullptr);
+        EXPECT_EQ(*f.peek({2, Direction::East}, 5), stale);
+    }
+    {
+        // Replay: the build writes the tape slots; the fabric stays
+        // empty.
+        StreamFabric f;
+        ScriptReplayer rep;
+        f.attachTapeHooks(nullptr, &rep);
+        StreamIo io(cfg, f, "TEST");
+        io.produceInPlace<2>({2, Direction::East}, 5, 1, false, build);
+        EXPECT_EQ(rep.slots[0], mark(20));
+        EXPECT_EQ(rep.slots[1], mark(21));
+        EXPECT_EQ(f.pendingWrites(), 0u);
+        EXPECT_EQ(io.produced(), 2u);
+    }
 }
 
 TEST(Fabric, FullTraversalTiming)

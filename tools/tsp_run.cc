@@ -57,14 +57,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 
-#include "common/seed.hh"
 #include "common/strutil.hh"
 #include "isa/assembler.hh"
-#include "mem/ecc.hh"
 #include "runtime/session.hh"
 #include "sim/chip.hh"
 #include "sim/snapshot.hh"
@@ -271,7 +268,12 @@ main(int argc, char **argv)
     cfg.fault.doubleBitFraction = fault_double;
     if (have_fault_seed)
         cfg.fault.seed = fault_seed;
-    auto chip_p = std::make_unique<Chip>(cfg);
+    // A chip is a pod of one: the session runs the program, captures
+    // the snapshots and, on a machine check, migrates the run onto a
+    // rebuilt chip (derived fault seed) restored from the last one.
+    InferenceSession sess(1, 0, cfg);
+    sess.bind({SharedProgram(result.program)});
+    sess.reset();
     for (const MemSpec &m : preloads) {
         Vec320 v;
         for (std::size_t b = 0;
@@ -282,78 +284,37 @@ main(int argc, char **argv)
         // Single-byte preloads broadcast across all lanes.
         if (m.bytes.size() == 1)
             v.bytes.fill(m.bytes[0]);
-        chip_p->mem(m.hem, m.slice).backdoorWrite(m.addr, v);
+        sess.chip().mem(m.hem, m.slice).backdoorWrite(m.addr, v);
     }
 
-    // Hashed once; a migration reloads it on a rebuilt chip.
-    const SharedProgram program(result.program);
-    chip_p->loadProgram(program);
-    // Declared after chip_p so it disarms before the chip goes.
+    // Declared after sess so it disarms before the chip goes.
     std::optional<TraceRecording> rec;
     if (record)
-        rec.emplace(std::vector<Chip *>{chip_p.get()});
-    bool retired = false;
-    std::uint64_t snapshots = 0;
-    int migrations = 0;
-    if (snapshot_every == 0) {
-        retired = chip_p->runBounded(max_cycles);
-    } else {
-        // Chunked run: a snapshot at each boundary (never after a
-        // machine check, so the last capture precedes the first
-        // uncorrectable error). A machine check migrates the run
-        // onto a rebuilt chip restored from that snapshot, with a
-        // derived fault seed so the killing upset is not replayed.
-        ChipSnapshot last;
-        bool have_snap = false;
-        for (;;) {
-            const Cycle next =
-                std::min(max_cycles, chip_p->now() + snapshot_every);
-            retired = chip_p->runBounded(next);
-            if (chip_p->machineCheck()) {
-                if (!have_snap ||
-                    migrations >= InferenceSession::kMaxMigrations) {
-                    break;
-                }
-                ++migrations;
-                ChipConfig mig_cfg = cfg;
-                mig_cfg.fault.seed = deriveSeed(
-                    cfg.fault.seed, SeedDomain::EngineRebuild,
-                    static_cast<std::uint64_t>(migrations));
-                auto fresh = std::make_unique<Chip>(mig_cfg);
-                fresh->loadProgram(program);
-                std::string err;
-                if (!fresh->restore(last, &err)) {
-                    std::fprintf(stderr, "migration failed: %s\n",
-                                 err.c_str());
-                    break;
-                }
-                std::fprintf(
-                    stderr,
-                    "machine check at cycle %llu; migrated to a "
-                    "rebuilt chip from the cycle-%llu snapshot\n",
-                    static_cast<unsigned long long>(
-                        chip_p->machineCheckInfo().cycle),
-                    static_cast<unsigned long long>(last.cycle));
-                chip_p = std::move(fresh);
-                continue;
-            }
-            if (retired || chip_p->now() >= max_cycles)
-                break;
-            ChipSnapshot s;
-            if (chip_p->snapshot(s)) {
-                last = std::move(s);
-                have_snap = true;
-                ++snapshots;
-            }
-        }
+        rec.emplace(std::vector<Chip *>{&sess.chip()});
+    sess.enableSnapshots(snapshot_every);
+    RunResult run = sess.runBounded(max_cycles);
+    while (run.status == RunStatus::MachineCheck &&
+           sess.lastSnapshot() != nullptr &&
+           sess.migrations() < InferenceSession::kMaxMigrations) {
+        const Cycle from = sess.lastSnapshot()->chips[0].cycle;
+        std::fprintf(stderr,
+                     "machine check at cycle %llu; migrated to a rebuilt "
+                     "chip from the cycle-%llu snapshot\n",
+                     static_cast<unsigned long long>(
+                         sess.chip().machineCheckInfo().cycle),
+                     static_cast<unsigned long long>(from));
+        // The resumed run keeps the absolute cycle limit.
+        run = sess.migrateAndResume(max_cycles - from);
     }
-    Chip &chip = *chip_p;
+    const bool retired = run.completed;
+    const int migrations = sess.migrations();
+    Chip &chip = sess.chip();
     const Cycle cycles = chip.now();
 
     if (snapshot_every > 0) {
         std::printf("snapshots: %llu captured every %llu cycles, "
                     "%d migration%s\n",
-                    static_cast<unsigned long long>(snapshots),
+                    static_cast<unsigned long long>(sess.snapshotCount()),
                     static_cast<unsigned long long>(snapshot_every),
                     migrations, migrations == 1 ? "" : "s");
     }
