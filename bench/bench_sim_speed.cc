@@ -105,7 +105,6 @@ BM_MxmMatvecTick(benchmark::State &state)
 {
     ChipConfig cfg;
     cfg.strictStreams = false;
-    cfg.eccEnabled = false;
     StreamFabric fabric;
     MxmPlane plane(0, cfg, fabric);
     // A long activation window; each tick is one 320x320 matvec.

@@ -5,9 +5,10 @@
  * Geometry constants (lanes, slices, banks) are fixed by the
  * architecture and live in arch/types.hh and arch/layout.hh; this
  * struct carries the knobs that vary between experiments: clock
- * frequency, ECC enablement, active vector length (superlane power
- * gating), the execution tier, the power-model coefficients and
- * fault injection.
+ * frequency, active vector length (superlane power gating), the
+ * execution tier, the power-model coefficients and fault injection.
+ * SECDED on streams and SRAM is architectural (paper II.D) and always
+ * on.
  */
 
 #ifndef TSP_ARCH_CONFIG_HH
@@ -148,9 +149,6 @@ struct ChipConfig
      * (paper II.F, energy proportionality).
      */
     int activeSuperlanes = kSuperlanes;
-
-    /** Generate/check SECDED codes on streams and SRAM. */
-    bool eccEnabled = true;
 
     /**
      * Panic when an instruction samples a stream register with no

@@ -68,7 +68,7 @@ class HostImage
     /**
      * Writes every entry into @p chip via backdoor DMA. The stored
      * words and check bits are exactly those of a per-word
-     * MemSlice::backdoorWrite (zero codes on ECC-off chips).
+     * MemSlice::backdoorWrite.
      */
     void applyTo(Chip &chip) const;
 

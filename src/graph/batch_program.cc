@@ -23,10 +23,8 @@ BatchProgram::memoryBytes() const
 }
 
 BatchProgramCache::BatchProgramCache(
-    Graph g, std::vector<std::int8_t> warm_input, int max_batch,
-    bool pipelined)
-    : g_(std::move(g)), warm_(std::move(warm_input)),
-      pipelined_(pipelined)
+    Graph g, std::vector<std::int8_t> warm_input, int max_batch)
+    : g_(std::move(g)), warm_(std::move(warm_input))
 {
     TSP_ASSERT(max_batch >= 1);
     progs_.resize(static_cast<std::size_t>(max_batch));
@@ -43,7 +41,7 @@ BatchProgramCache::ensureLocked(int b) const
         return slot;
     auto bp = std::make_shared<BatchProgram>();
     bp->batch = b;
-    bp->lw = std::make_unique<Lowering>(pipelined_);
+    bp->lw = std::make_unique<Lowering>();
     bp->inputs.reserve(static_cast<std::size_t>(b));
     bp->outputs.reserve(static_cast<std::size_t>(b));
     for (int s = 0; s < b; ++s) {

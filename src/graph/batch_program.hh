@@ -18,7 +18,7 @@
  * costs neither startup time nor memory — with N model families per
  * server the eager 1..maxBatch sweep multiplied both for programs
  * that never ran. Compilation is a pure function of (graph,
- * warm input, batch, pipelined), so when a size compiles has no
+ * warm input, batch), so when a size compiles has no
  * effect on what it compiles to; exact cycle counts are memoized
  * forever (they survive eviction), keeping the admission
  * controller's feasibility arithmetic exact (paper V.c: deadlines
@@ -76,7 +76,7 @@ class BatchProgramCache
      * slot (real inputs are staged by the runtime before every run).
      */
     BatchProgramCache(Graph g, std::vector<std::int8_t> warm_input,
-                      int max_batch, bool pipelined = true);
+                      int max_batch);
 
     int maxBatch() const
     {
@@ -135,7 +135,6 @@ class BatchProgramCache
 
     Graph g_;
     std::vector<std::int8_t> warm_;
-    bool pipelined_;
 
     mutable std::mutex mu_;
     /** progs_[b-1]; null until compiled (or after eviction). */

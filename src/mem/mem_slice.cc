@@ -17,10 +17,9 @@ GlobalAddr::toString() const
                      slice, addr);
 }
 
-MemSlice::MemSlice(Hemisphere hem, int index, bool ecc_enabled,
-                   FaultInjector *faults, MachineCheckSink *mc)
-    : hem_(hem), index_(index), eccEnabled_(ecc_enabled),
-      faults_(faults), mc_(mc)
+MemSlice::MemSlice(Hemisphere hem, int index, FaultInjector *faults,
+                   MachineCheckSink *mc)
+    : hem_(hem), index_(index), faults_(faults), mc_(mc)
 {
     TSP_ASSERT(index >= 0 && index < kMemSlicesPerHem);
 }
@@ -125,33 +124,37 @@ MemSlice::readInto(MemAddr addr, Cycle now, Vec320 &out)
 }
 
 void
-MemSlice::write(MemAddr addr, const Vec320 &vec, Cycle now)
+MemSlice::checkBeforeCommit(Vec320 &v, Cycle now, const char *what,
+                            MemAddr addr)
 {
     checkPort(addr, /*is_write=*/true, now);
     ++writes_;
-
-    Vec320 v = vec;
     if (faults_)
         faults_->onMemWrite(v);
-    if (eccEnabled_) {
-        if (replay_) {
-            // Replay producers skip the encode; regenerate here so
-            // the committed word matches a live run byte-for-byte.
-            eccComputeVec(v);
-        } else {
-            // Consumer-side check before commit (paper II.D).
-            switch (eccCheckVec(v)) {
-              case EccStatus::Ok:
-                break;
-              case EccStatus::Corrected:
-                ++corrected_;
-                break;
-              case EccStatus::Uncorrectable:
-                reportUncorrectable(now, "on write", addr);
-                break;
-            }
-        }
+    if (replay_) {
+        // Replay producers skip the encode; regenerate here so the
+        // committed word matches a live run byte-for-byte.
+        eccComputeVec(v);
+        return;
     }
+    // Consumer-side check before commit (paper II.D).
+    switch (eccCheckVec(v)) {
+      case EccStatus::Ok:
+        break;
+      case EccStatus::Corrected:
+        ++corrected_;
+        break;
+      case EccStatus::Uncorrectable:
+        reportUncorrectable(now, what, addr);
+        break;
+    }
+}
+
+void
+MemSlice::write(MemAddr addr, const Vec320 &vec, Cycle now)
+{
+    Vec320 v = vec;
+    checkBeforeCommit(v, now, "on write", addr);
     Word &w = wordAt(addr);
     w.bytes = v.bytes;
     w.ecc = v.ecc;
@@ -165,32 +168,18 @@ MemSlice::gatherInto(const std::array<MemAddr, kSuperlanes> &addrs,
     ++reads_;
 
     out = Vec320{}; // May be a reused arena slot.
-    bool any_missing = false;
+    // A tile whose word is untouched reads zero data with its zero
+    // code.
     for (int sl = 0; sl < kSuperlanes; ++sl) {
         const Word *w = wordAtConst(addrs[static_cast<std::size_t>(sl)]);
-        if (!w) {
-            any_missing = true;
+        if (!w)
             continue;
-        }
         for (int b = 0; b < kWordBytes; ++b) {
             out.bytes[static_cast<std::size_t>(sl * kWordBytes + b)] =
                 w->bytes[static_cast<std::size_t>(sl * kWordBytes + b)];
         }
         out.ecc[static_cast<std::size_t>(sl)] =
             w->ecc[static_cast<std::size_t>(sl)];
-    }
-    if (any_missing && eccEnabled_) {
-        // Zero-filled tiles need valid codes for their zero words.
-        Vec320 codes = out;
-        eccComputeVec(codes);
-        for (int sl = 0; sl < kSuperlanes; ++sl) {
-            const Word *w =
-                wordAtConst(addrs[static_cast<std::size_t>(sl)]);
-            if (!w) {
-                out.ecc[static_cast<std::size_t>(sl)] =
-                    codes.ecc[static_cast<std::size_t>(sl)];
-            }
-        }
     }
     if (faults_)
         faults_->onMemRead(out);
@@ -200,28 +189,8 @@ void
 MemSlice::scatter(const std::array<MemAddr, kSuperlanes> &addrs,
                   const Vec320 &vec, Cycle now)
 {
-    checkPort(addrs[0], /*is_write=*/true, now);
-    ++writes_;
-
     Vec320 v = vec;
-    if (faults_)
-        faults_->onMemWrite(v);
-    if (eccEnabled_) {
-        if (replay_) {
-            eccComputeVec(v);
-        } else {
-            switch (eccCheckVec(v)) {
-              case EccStatus::Ok:
-                break;
-              case EccStatus::Corrected:
-                ++corrected_;
-                break;
-              case EccStatus::Uncorrectable:
-                reportUncorrectable(now, "on scatter", addrs[0]);
-                break;
-            }
-        }
-    }
+    checkBeforeCommit(v, now, "on scatter", addrs[0]);
     for (int sl = 0; sl < kSuperlanes; ++sl) {
         Word &w = wordAt(addrs[static_cast<std::size_t>(sl)]);
         for (int b = 0; b < kWordBytes; ++b) {
@@ -238,14 +207,10 @@ MemSlice::backdoorWrite(MemAddr addr, const Vec320 &vec)
 {
     Word &w = wordAt(addr);
     w.bytes = vec.bytes;
-    if (eccEnabled_) {
-        Vec320 tmp;
-        tmp.bytes = vec.bytes;
-        eccComputeVec(tmp);
-        w.ecc = tmp.ecc;
-    } else {
-        w.ecc = vec.ecc;
-    }
+    Vec320 tmp;
+    tmp.bytes = vec.bytes;
+    eccComputeVec(tmp);
+    w.ecc = tmp.ecc;
 }
 
 void
@@ -253,22 +218,17 @@ MemSlice::backdoorWriteEncoded(MemAddr addr, const Vec320 &vec)
 {
     Word &w = wordAt(addr);
     w.bytes = vec.bytes;
-    if (eccEnabled_)
-        w.ecc = vec.ecc;
-    else
-        w.ecc.fill(0);
+    w.ecc = vec.ecc;
 }
 
 Vec320
 MemSlice::backdoorRead(MemAddr addr) const
 {
+    // Untouched SRAM reads as zero data with its zero code.
     Vec320 out;
-    const Word *w = wordAtConst(addr);
-    if (w) {
+    if (const Word *w = wordAtConst(addr)) {
         out.bytes = w->bytes;
         out.ecc = w->ecc;
-    } else if (eccEnabled_) {
-        eccComputeVec(out);
     }
     return out;
 }

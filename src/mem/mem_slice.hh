@@ -34,13 +34,12 @@ class MemSlice
     /**
      * @param hem hemisphere this slice belongs to.
      * @param index slice number 0..43 within the hemisphere.
-     * @param ecc_enabled maintain/verify SECDED codes on words.
      * @param faults optional fault injector striking timed accesses.
      * @param mc optional machine-check sink; with one attached, an
      *   uncorrectable error raises a chip-level machine check instead
      *   of a warn-and-continue.
      */
-    MemSlice(Hemisphere hem, int index, bool ecc_enabled,
+    MemSlice(Hemisphere hem, int index,
              FaultInjector *faults = nullptr,
              MachineCheckSink *mc = nullptr);
 
@@ -104,8 +103,7 @@ class MemSlice
     /**
      * backdoorWrite() of a word whose SECDED codes the caller already
      * computed (a pre-encoded HostImage word): stores the bytes and
-     * @p vec's codes without re-encoding — zero codes on an ECC-off
-     * slice, as backdoorWrite() stores for a code-less vector.
+     * @p vec's codes without re-encoding.
      */
     void backdoorWriteEncoded(MemAddr addr, const Vec320 &vec);
 
@@ -178,9 +176,17 @@ class MemSlice
     /** Raises a machine check (or warns without a sink). */
     void reportUncorrectable(Cycle now, const char *what, MemAddr addr);
 
+    /**
+     * The timed write path shared by write() and scatter(): claims
+     * the write port at @p addr, applies the write-path fault, then
+     * checks @p v's codes before commit (paper II.D), or regenerates
+     * them in replay mode.
+     */
+    void checkBeforeCommit(Vec320 &v, Cycle now, const char *what,
+                           MemAddr addr);
+
     Hemisphere hem_;
     int index_;
-    bool eccEnabled_;
     bool replay_ = false; ///< Regenerate (not check) ECC on commit.
     FaultInjector *faults_;
     MachineCheckSink *mc_;

@@ -1,5 +1,7 @@
 #include "runtime/session.hh"
 
+#include <string>
+
 #include "common/logging.hh"
 #include "common/seed.hh"
 
@@ -59,10 +61,11 @@ InferenceSession::bind(std::vector<SharedProgram> programs,
         lw ? static_cast<double>(lw->image().totalBytes()) / kPcieGen4Bps
            : 0.0;
     // The members still hold the previous programs and image until
-    // the next reset(): any recorded trace is for the wrong program
-    // (or the wrong weights after a reinstall), and no run before
-    // that reset may record or replay.
+    // the next reset(): any recorded trace or snapshot is of the
+    // wrong program (or the wrong weights after a reinstall), and no
+    // run before that reset may record, replay or migrate.
     trace_.reset();
+    lastSnap_.reset();
     fresh_ = false;
 }
 
@@ -237,12 +240,13 @@ InferenceSession::migrateAndResume(Cycle max_cycles)
     // Same rebuild discipline as reset() after a machine check.
     ++migrations_;
     std::unique_ptr<Pod> fresh = rebuildPod();
-    if (!fresh->restore(*lastSnap_)) {
-        // Same programs, config and fault environment, so this cannot
-        // happen; if it somehow does, stay condemned and let the
-        // caller fall back to a full retry.
-        return {false, RunStatus::MachineCheck, 0};
-    }
+    // The snapshot is of this session's own programs, config and
+    // fault environment (bind() and reset() drop it), so a refusal
+    // is a simulator bug, never a new fault.
+    std::string err;
+    if (!fresh->restore(*lastSnap_, &err))
+        panic("InferenceSession::migrateAndResume: restore refused: %s",
+              err.c_str());
     // The condemned members ran from 0 to the fault; the restored
     // ones resume at their snapshot-time clocks. Only the span they
     // will not re-cover is retired, or lifetime cycles would

@@ -106,9 +106,9 @@ class InferenceSession
      * Binds one program per member (ring order) and, optionally, the
      * Lowering whose DMA image member 0 receives (it must outlive the
      * binding). Takes effect at the next reset(), which loads the
-     * programs and applies the image; any held trace is for the
-     * previous programs and is dropped, and no run before that reset
-     * may record or replay.
+     * programs and applies the image; any held trace or snapshot is
+     * of the previous programs and is dropped, and no run before that
+     * reset may record, replay or migrate.
      */
     void bind(std::vector<SharedProgram> programs,
               Lowering *lw = nullptr);
@@ -207,7 +207,7 @@ class InferenceSession
     void enableSnapshots(Cycle every) { snapshotEvery_ = every; }
 
     /** @return the last captured snapshot, or nullptr. Cleared by
-     *  reset() — a snapshot never outlives its batch. */
+     *  reset() and bind() — a snapshot never outlives its batch. */
     const PodSnapshot *lastSnapshot() const { return lastSnap_.get(); }
 
     /** @return snapshots captured since construction. */
@@ -223,8 +223,9 @@ class InferenceSession
      * @p max_cycles more. The restored members keep their fresh RNG
      * streams, so the upset that condemned the source is not replayed
      * (scheduled FaultEvents do replay — they are wired to cycles).
-     * Requires lastSnapshot() != nullptr; if the restore is refused
-     * the session stays condemned and the result reads MachineCheck.
+     * Requires lastSnapshot() != nullptr. The snapshot is always of
+     * the session's own programs, config and fault environment, so a
+     * refused restore is a simulator bug and panics with the reason.
      */
     RunResult migrateAndResume(Cycle max_cycles = 500'000'000);
 

@@ -15,8 +15,8 @@
  * The interface is batch-native: resetBatch(b) arms the engine's
  * compiled batch-b program, writeSample/readSample stage and extract
  * per-sample data, and serveBatch() runs one whole attempt.
- * maxBatch() == 1 backends (the default) are plain single-request
- * engines that serve batches of one.
+ * maxBatch() == 1 backends are plain single-request engines that
+ * serve batches of one.
  */
 
 #ifndef TSP_SERVE_BACKEND_HH
@@ -40,7 +40,7 @@ class Backend
     virtual ~Backend() = default;
 
     /** @return largest batch this engine has a compiled program for. */
-    virtual int maxBatch() const { return 1; }
+    virtual int maxBatch() const = 0;
 
     /**
      * @return exact bytes one sample's dense input must have, or 0
@@ -48,7 +48,7 @@ class Backend
      * server rejects mis-sized requests as RejectedInvalid before
      * admission instead of faulting inside a worker thread.
      */
-    virtual std::size_t expectedInputBytes() const { return 0; }
+    virtual std::size_t expectedInputBytes() const = 0;
 
     /**
      * Rearms for the next run of the compiled batch-@p batch program
@@ -90,45 +90,39 @@ class Backend
      * Attaches a pool-shared execution-trace cache and enables the
      * record/replay tier (see sim/exec_trace.hh): the first worker to
      * run a compiled program records it, every worker replays it.
-     * Default: no-op (engine without replay support).
      */
-    virtual void attachTraceCache(std::shared_ptr<TraceCache>) {}
+    virtual void attachTraceCache(std::shared_ptr<TraceCache>) = 0;
 
     /** @return runs served by replaying a recorded trace. */
-    virtual std::uint64_t replayCount() const { return 0; }
+    virtual std::uint64_t replayCount() const = 0;
 
     /** @return runs that recorded a trace. */
-    virtual std::uint64_t recordCount() const { return 0; }
+    virtual std::uint64_t recordCount() const = 0;
 
-    // --- Snapshot-based mid-batch migration (optional) ---
+    // --- Snapshot-based mid-batch migration ---
 
     /**
      * Arms periodic engine snapshotting with cadence @p every cycles
-     * (0 disables); see InferenceSession::enableSnapshots(). Default:
-     * no-op (engine without snapshot support).
+     * (0 disables); see InferenceSession::enableSnapshots().
      */
-    virtual void enableSnapshots(Cycle /*every*/) {}
+    virtual void enableSnapshots(Cycle every) = 0;
 
     /**
      * @return true when a clean pre-fault snapshot of the current
      * batch exists, i.e. migrateAndResume() can recover it without a
      * full retry.
      */
-    virtual bool canMigrate() const { return false; }
+    virtual bool canMigrate() const = 0;
 
     /**
      * Machine-check recovery: rebuilds the engine, restores the last
      * pre-fault snapshot and resumes the batch for at most
      * @p max_cycles more. Only meaningful after canMigrate().
      */
-    virtual RunResult
-    migrateAndResume(Cycle /*max_cycles*/)
-    {
-        return {false, RunStatus::MachineCheck, 0};
-    }
+    virtual RunResult migrateAndResume(Cycle max_cycles) = 0;
 
     /** @return batches recovered via migration. */
-    virtual int migrations() const { return 0; }
+    virtual int migrations() const = 0;
 
     /**
      * @return modeled host-side seconds to rebuild this engine and
@@ -136,7 +130,7 @@ class Backend
      * re-transfer for a chip; 0 when restaging is free). The retry
      * policy books this on top of the recompute time.
      */
-    virtual double rebuildPenaltySec() const { return 0.0; }
+    virtual double rebuildPenaltySec() const = 0;
 
     /**
      * Arms a registry-pinned compiled program (multi-model pools):

@@ -18,8 +18,7 @@ ModelRegistry::ModelRegistry(std::vector<ModelSpec> specs,
         TSP_ASSERT(spec.maxBatch >= 1);
         Model m;
         m.cache = std::make_unique<BatchProgramCache>(
-            spec.graph, spec.warmInput, spec.maxBatch,
-            spec.pipelined);
+            spec.graph, spec.warmInput, spec.maxBatch);
         m.lruStamp.assign(static_cast<std::size_t>(spec.maxBatch),
                           0);
         m.spec = std::move(spec);

@@ -66,9 +66,6 @@ struct ModelSpec
 
     /** Largest batch size the batcher may form for this family. */
     int maxBatch = 1;
-
-    /** Compile with the pipelined scheduler (default). */
-    bool pipelined = true;
 };
 
 /** N model families keyed by (model-id, batch-size). */

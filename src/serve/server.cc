@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -108,37 +109,38 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
 
 InferenceServer::~InferenceServer() { shutdown(); }
 
-std::future<Result>
-InferenceServer::rejectNow(Request req, Outcome outcome,
-                           const Admission &booking,
-                           bool want_future)
+Result
+InferenceServer::resultFor(const Member &m, int batch,
+                           const Admission &booking) const
 {
     Result r;
-    r.id = req.id;
-    r.outcome = outcome;
-    r.model = req.model;
+    r.id = m.req.id;
+    r.model = m.req.model;
+    r.preemptions = m.preemptions;
+    r.batch = batch;
     // An out-of-range model (RejectedInvalid) has no timing; report
     // the default family's like any other malformed request.
-    const int m =
-        req.model >= 0 && req.model < admission_.models()
-            ? req.model
-            : 0;
-    r.predictedCycles = admission_.serviceCyclesFor(m, 1);
-    r.arrivalSec = req.arrivalSec;
+    const bool known = m.req.model >= 0 && m.req.model < admission_.models();
+    r.predictedCycles =
+        admission_.serviceCyclesFor(known ? m.req.model : 0, batch);
+    r.arrivalSec = m.req.arrivalSec;
     r.startSec = booking.startSec;
     r.completionSec = booking.completionSec;
+    return r;
+}
+
+void
+InferenceServer::refuse(Member &m, Outcome outcome,
+                        const Admission &booking, int batch)
+{
+    Result r = resultFor(m, batch, booking);
+    r.outcome = outcome;
     {
         std::lock_guard<std::mutex> lock(doneMu_);
         metrics_.record(r);
     }
-    if (cfg_.onResult)
-        cfg_.onResult(r);
-    if (!want_future)
-        return {};
-    std::promise<Result> p;
-    std::future<Result> f = p.get_future();
-    p.set_value(std::move(r));
-    return f;
+    resolveMember(m, std::move(r));
+    releaseInflight(1);
 }
 
 void
@@ -153,14 +155,11 @@ InferenceServer::resolveMember(Member &m, Result r)
 void
 InferenceServer::sealOpenLocked()
 {
-    if (openMembers_.empty())
+    if (open_.members.empty())
         return;
-    BatchJob job;
-    job.members = std::move(openMembers_);
-    openMembers_.clear();
-    job.booking = admission_.seal();
-    job.model = openModel_;
-    job.priority = openPriority_;
+    // Moving the members out leaves the open batch empty.
+    BatchJob job{std::move(open_.members), admission_.seal(),
+                 open_.model, nullptr};
     // The registry handle rides with the job: LRU eviction may drop
     // the program from the registry while the batch is queued, but
     // the worker's copy stays pinned. acquire() runs here, on the
@@ -175,26 +174,9 @@ InferenceServer::sealOpenLocked()
     // fields intact, exactly like any other rejection.
     if (queueFor(job.booking.worker).push(std::move(job)))
         return;
-    const Cycle predicted =
-        admission_.serviceCyclesFor(openModel_, job.booking.batch);
-    for (Member &m : job.members) {
-        Result r;
-        r.id = m.req.id;
-        r.outcome = Outcome::RejectedQueueFull;
-        r.model = m.req.model;
-        r.preemptions = m.preemptions;
-        r.batch = job.booking.batch;
-        r.predictedCycles = predicted;
-        r.arrivalSec = m.req.arrivalSec;
-        r.startSec = job.booking.startSec;
-        r.completionSec = job.booking.completionSec;
-        {
-            std::lock_guard<std::mutex> lock(doneMu_);
-            metrics_.record(r);
-        }
-        resolveMember(m, std::move(r));
-        releaseInflight(1);
-    }
+    for (Member &m : job.members)
+        refuse(m, Outcome::RejectedQueueFull, job.booking,
+               job.booking.batch);
 }
 
 std::future<Result>
@@ -242,20 +224,21 @@ InferenceServer::submitImpl(int model, int slo_class,
                             double arrival_sec, double deadline_sec,
                             OnFull on_full, bool want_future)
 {
-    Request req;
-    req.id = nextId_.fetch_add(1, std::memory_order_relaxed);
-    req.input = std::move(input);
-    req.arrivalSec = arrival_sec;
-    req.model = model;
-    req.sloClass = slo_class;
+    Member m;
+    m.req = Request{nextId_.fetch_add(1, std::memory_order_relaxed),
+                    std::move(input), arrival_sec, deadline_sec,
+                    model, slo_class};
+    std::future<Result> f;
+    if (want_future)
+        f = m.promise.emplace().get_future();
+    inflight_.fetch_add(1);
 
     // An unknown model or tenant class is malformed, exactly like a
     // mis-sized input: refused before it can touch admission state.
     if (model < 0 || model >= admission_.models() || slo_class < 0 ||
         slo_class >= static_cast<int>(classes_.size())) {
-        req.deadlineSec = deadline_sec;
-        return rejectNow(std::move(req), Outcome::RejectedInvalid,
-                         Admission{}, want_future);
+        refuse(m, Outcome::RejectedInvalid, Admission{}, 1);
+        return f;
     }
 
     // The tenant class scales the *slack*, not the absolute stamp;
@@ -264,67 +247,61 @@ InferenceServer::submitImpl(int model, int slo_class,
     const SloClass &cls =
         classes_[static_cast<std::size_t>(slo_class)];
     if (deadline_sec > 0.0)
-        deadline_sec = arrival_sec + (deadline_sec - arrival_sec) *
-                                         cls.deadlineMultiplier;
-    req.deadlineSec = deadline_sec;
+        m.req.deadlineSec = arrival_sec + (deadline_sec - arrival_sec) *
+                                              cls.deadlineMultiplier;
 
     // Malformed input is refused before it can touch the admission
     // state or fault inside a worker thread.
     const std::size_t expect =
         registry_ ? registry_->expectedInputBytes(model)
                   : expectedInput_;
-    if (expect != 0 && req.input.size() != expect)
-        return rejectNow(std::move(req), Outcome::RejectedInvalid,
-                         Admission{}, want_future);
+    if (expect != 0 && m.req.input.size() != expect) {
+        refuse(m, Outcome::RejectedInvalid, Admission{}, 1);
+        return f;
+    }
 
-    std::unique_lock<std::mutex> lock(submitMu_);
+    std::lock_guard<std::mutex> lock(submitMu_);
     if (shutdown_)
-        return rejectNow(std::move(req), Outcome::RejectedQueueFull,
-                         Admission{}, want_future);
+        refuse(m, Outcome::RejectedQueueFull, Admission{}, 1);
+    else
+        admitLocked(std::move(m), cls.priority, arrival_sec, on_full);
+    return f;
+}
 
-    // Try to join the open batch first: a joined request consumes no
-    // queue slot of its own and cannot be queue-full rejected.
-    // Batches are single-family — a request for another model can
-    // never join.
-    if (!openMembers_.empty()) {
-        Admission joined{};
-        if (model == openModel_ &&
-            arrival_sec <=
-                openLeaderArrival_ + cfg_.batchWindowSec) {
-            joined = admission_.tryJoin(arrival_sec, deadline_sec);
-        }
-        if (joined.admitted) {
-            Member m;
-            m.req = std::move(req);
-            std::future<Result> f;
-            if (want_future) {
-                m.promise.emplace();
-                f = m.promise->get_future();
-            }
-            {
-                std::lock_guard<std::mutex> dl(doneMu_);
-                ++inflight_;
-            }
-            openMembers_.push_back(std::move(m));
-            openPriority_ = std::max(openPriority_, cls.priority);
-            if (static_cast<int>(openMembers_.size()) >=
+bool
+InferenceServer::admitLocked(Member m, int priority, double at_sec,
+                             OnFull on_full)
+{
+    const int model = m.req.model;
+    const double deadline = m.req.deadlineSec;
+    if (!open_.members.empty()) {
+        // Join the open batch first: a joined request consumes no
+        // queue slot of its own and cannot be queue-full rejected.
+        // Batches are single-family — a request for another model
+        // can never join.
+        if (model == open_.model &&
+            at_sec <= open_.leaderArrival + cfg_.batchWindowSec &&
+            admission_.tryJoin(at_sec, deadline).admitted) {
+            open_.members.push_back(std::move(m));
+            open_.priority = std::max(open_.priority, priority);
+            if (static_cast<int>(open_.members.size()) >=
                 effBatchMaxFor(model))
                 sealOpenLocked();
-            return f;
+            return true;
         }
-        // Priority preemption: this arrival outranks the open batch,
+        // Priority preemption: this request outranks the open batch,
         // cannot make its deadline behind it, but provably can in
-        // its place. The open batch's booking is rolled back and its
-        // members re-admitted right after (never dropped). Both
-        // probes book nothing, so declining leaves no trace.
-        if (cfg_.preemption && cls.priority > openPriority_ &&
-            deadline_sec > 0.0 &&
-            admission_.earliestCompletionFor(model, arrival_sec) >
-                deadline_sec &&
-            admission_.completionIfPreempted(arrival_sec, model) <=
-                deadline_sec) {
-            return preemptLocked(std::move(req), cls.priority,
-                                 want_future);
+        // its place. Both probes book nothing, so declining leaves no
+        // trace. Victims carry their batch's priority, so they never
+        // outrank the batch they re-form.
+        if (cfg_.preemption && priority > open_.priority &&
+            deadline > 0.0 &&
+            admission_.earliestCompletionFor(model, at_sec) >
+                deadline &&
+            admission_.completionIfPreempted(at_sec, model) <=
+                deadline) {
+            preemptLocked(std::move(m), priority, at_sec);
+            return true;
         }
         // Window expired or the join was provably infeasible: this
         // request starts the next batch.
@@ -337,149 +314,57 @@ InferenceServer::submitImpl(int model, int slo_class,
     // observation cannot be invalidated before our push. The
     // relevant queue is the one this booking would land on.
     if (on_full == OnFull::Reject &&
-        queueFor(admission_.bestWorkerFor(model, arrival_sec))
-            .full())
-        return rejectNow(std::move(req), Outcome::RejectedQueueFull,
-                         Admission{}, want_future);
-
-    const Admission booking =
-        admission_.open(arrival_sec, deadline_sec, model);
+        queueFor(admission_.bestWorkerFor(model, at_sec)).full()) {
+        refuse(m, Outcome::RejectedQueueFull, Admission{}, 1);
+        return false;
+    }
+    const Admission booking = admission_.open(at_sec, deadline, model);
     if (!booking.admitted) {
         // A failed open() books nothing and leaves no open batch.
-        return rejectNow(std::move(req), Outcome::RejectedDeadline,
-                         booking, want_future);
+        refuse(m, Outcome::RejectedDeadline, booking, 1);
+        return false;
     }
-
-    Member m;
-    m.req = std::move(req);
-    std::future<Result> f;
-    if (want_future) {
-        m.promise.emplace();
-        f = m.promise->get_future();
-    }
-    {
-        std::lock_guard<std::mutex> dl(doneMu_);
-        ++inflight_;
-    }
-    openMembers_.push_back(std::move(m));
-    openLeaderArrival_ = arrival_sec;
-    openModel_ = model;
-    openPriority_ = cls.priority;
+    open_.members.push_back(std::move(m));
+    open_.leaderArrival = at_sec;
+    open_.model = model;
+    open_.priority = priority;
     if (effBatchMaxFor(model) <= 1)
         sealOpenLocked();
-    return f;
-}
-
-std::future<Result>
-InferenceServer::preemptLocked(Request req, int priority,
-                               bool want_future)
-{
-    // Capture the victims and undo their booking completely; the
-    // controller returns to its pre-open timeline.
-    std::vector<Member> victims = std::move(openMembers_);
-    openMembers_.clear();
-    const int vmodel = openModel_;
-    const int vprio = openPriority_;
-    const int model = req.model;
-    const double now = req.arrivalSec;
-    admission_.rollbackOpen();
-
-    // Book the preemptor; the feasibility probe already proved this
-    // admits.
-    const Admission booking =
-        admission_.open(now, req.deadlineSec, model);
-    TSP_ASSERT(booking.admitted);
-
-    Member m;
-    m.req = std::move(req);
-    std::future<Result> f;
-    if (want_future) {
-        m.promise.emplace();
-        f = m.promise->get_future();
-    }
-    {
-        std::lock_guard<std::mutex> dl(doneMu_);
-        ++inflight_;
-    }
-    openMembers_.push_back(std::move(m));
-    openLeaderArrival_ = now;
-    openModel_ = model;
-    openPriority_ = priority;
-    // Seal immediately: the victims must re-book *now* (only one
-    // batch may be open, and deferring their fate to a later submit
-    // would leave them booked nowhere).
-    sealOpenLocked();
-
-    // Re-admit the victims in their original admission order at the
-    // preemption's virtual time. Feasible members re-batch; members
-    // whose own deadline became infeasible are shed as recorded
-    // RejectedDeadline — re-decided, never dropped.
-    std::uint64_t requeued = 0, shed = 0;
-    for (Member &v : victims) {
-        v.preemptions += 1;
-        requeueVictimLocked(std::move(v), vmodel, vprio, now,
-                            requeued, shed);
-    }
-    {
-        std::lock_guard<std::mutex> dl(doneMu_);
-        metrics_.recordPreemption(requeued, shed);
-    }
-    return f;
+    return true;
 }
 
 void
-InferenceServer::requeueVictimLocked(Member v, int vmodel, int vprio,
-                                     double now_sec,
-                                     std::uint64_t &requeued,
-                                     std::uint64_t &shed)
+InferenceServer::preemptLocked(Member m, int priority, double at_sec)
 {
-    // Victims re-enter as a fresh batch of their family: the first
-    // feasible one opens it, later ones try to join (they were
-    // batchmates already — same family, adjacent deadlines), and a
-    // join failure seals and re-opens, exactly like live arrivals.
-    if (!openMembers_.empty()) {
-        const Admission joined =
-            admission_.tryJoin(now_sec, v.req.deadlineSec);
-        if (joined.admitted) {
-            openMembers_.push_back(std::move(v));
+    // Capture the victims and undo their booking completely; the
+    // controller returns to its pre-open timeline.
+    OpenBatch victims = std::exchange(open_, OpenBatch{});
+    admission_.rollbackOpen();
+
+    // The feasibility probe already proved the preemptor admits.
+    // Seal it at once: the victims must re-book *now* (only one
+    // batch may be open, and deferring their fate to a later submit
+    // would leave them booked nowhere).
+    const bool booked =
+        admitLocked(std::move(m), priority, at_sec, OnFull::Block);
+    TSP_ASSERT(booked);
+    sealOpenLocked();
+
+    // Re-admit the victims in their original admission order at the
+    // preemption's virtual time, through the arrivals' own step:
+    // feasible members re-batch; members whose own deadline became
+    // infeasible are shed as recorded RejectedDeadline — re-decided,
+    // never dropped. A victim is never refused for backpressure.
+    std::uint64_t requeued = 0;
+    for (Member &v : victims.members) {
+        v.preemptions += 1;
+        if (admitLocked(std::move(v), victims.priority, at_sec,
+                        OnFull::Block))
             ++requeued;
-            if (static_cast<int>(openMembers_.size()) >=
-                effBatchMaxFor(vmodel))
-                sealOpenLocked();
-            return;
-        }
-        sealOpenLocked();
     }
-    const Admission booking =
-        admission_.open(now_sec, v.req.deadlineSec, vmodel);
-    if (!booking.admitted) {
-        // Provably infeasible after the preemption: shed against its
-        // original (effective) deadline, booking fields recorded.
-        Result r;
-        r.id = v.req.id;
-        r.outcome = Outcome::RejectedDeadline;
-        r.model = v.req.model;
-        r.preemptions = v.preemptions;
-        r.predictedCycles = admission_.serviceCyclesFor(vmodel, 1);
-        r.arrivalSec = v.req.arrivalSec;
-        r.startSec = booking.startSec;
-        r.completionSec = booking.completionSec;
-        {
-            std::lock_guard<std::mutex> dl(doneMu_);
-            metrics_.record(r);
-        }
-        resolveMember(v, std::move(r));
-        releaseInflight(1);
-        ++shed;
-        return;
-    }
-    openMembers_.push_back(std::move(v));
-    openLeaderArrival_ = now_sec;
-    openModel_ = vmodel;
-    openPriority_ = vprio;
-    ++requeued;
-    if (effBatchMaxFor(vmodel) <= 1)
-        sealOpenLocked();
+    std::lock_guard<std::mutex> dl(doneMu_);
+    metrics_.recordPreemption(requeued,
+                              victims.members.size() - requeued);
 }
 
 void
@@ -583,25 +468,16 @@ InferenceServer::workerLoop(int w)
             ++retries;
         }
 
-        std::vector<Result> results(
-            static_cast<std::size_t>(k));
-        for (int s = 0; s < k; ++s) {
-            const Member &m =
-                job.members[static_cast<std::size_t>(s)];
-            Result &r = results[static_cast<std::size_t>(s)];
-            r.id = m.req.id;
-            r.model = job.model;
-            r.preemptions = m.preemptions;
-            r.batch = k;
-            r.predictedCycles = predicted;
+        std::vector<Result> results;
+        results.reserve(static_cast<std::size_t>(k));
+        for (const Member &m : job.members) {
+            Result &r = results.emplace_back(
+                resultFor(m, k, job.booking));
             r.measuredCycles = rr.cycles;
             r.retries = retries;
             r.migrations = static_cast<std::uint32_t>(migrations);
             r.machineChecks = machine_checks;
             r.correctedErrors = corrected;
-            r.arrivalSec = m.req.arrivalSec;
-            r.startSec = job.booking.startSec;
-            r.completionSec = job.booking.completionSec;
         }
 
         if (rr.status == RunStatus::MachineCheck) {
@@ -682,17 +558,14 @@ InferenceServer::finishBatch(BatchJob &job,
 void
 InferenceServer::releaseInflight(std::uint64_t n)
 {
-    bool idle;
-    {
-        std::lock_guard<std::mutex> lock(doneMu_);
-        inflight_ -= n;
-        idle = inflight_ == 0;
-    }
     // drain() waits for zero only. Waking it on every batch would
     // bounce the draining thread and this one across the CPUs once
-    // per request.
-    if (idle)
+    // per request. The wake is sent under doneMu_, so it cannot slip
+    // between drain()'s check and its wait.
+    if (inflight_.fetch_sub(n) == n) {
+        std::lock_guard<std::mutex> lock(doneMu_);
         doneCv_.notify_all();
+    }
 }
 
 void
@@ -720,7 +593,7 @@ InferenceServer::drain()
         sealOpenLocked();
     }
     std::unique_lock<std::mutex> lock(doneMu_);
-    doneCv_.wait(lock, [&] { return inflight_ == 0; });
+    doneCv_.wait(lock, [&] { return inflight_.load() == 0; });
 }
 
 void

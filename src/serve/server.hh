@@ -30,6 +30,13 @@
  * engine and retries the *whole batch* under the usual retry/deadline
  * policy; per-sample outputs are only read from a completed run.
  *
+ * Admission has one entry and one refusal: every request, a live
+ * arrival or a preempted victim, enters a batch through the same step
+ * (join, else preempt, else seal and open), and every request no
+ * engine will run — malformed, after shutdown, queue-full or
+ * deadline-infeasible — resolves in one place, recorded like any
+ * other outcome.
+ *
  * Registry servers: submitModel() routes each request to a family;
  * batches are single-family; each sealed job carries a
  * registry-pinned program its worker binds before running (weight
@@ -38,11 +45,11 @@
  * Tenant SLO classes scale deadlines and rank priorities; with
  * preemption on, a higher-priority arrival that is infeasible behind
  * the open batch but feasible in its place takes the booking and the
- * open batch's members are re-admitted at once (shedding only the
- * provably infeasible ones). Only the *open* batch is preemptible —
- * it is pure admission state under the submit lock, so preemption
- * decisions replay deterministically; queued and running batches are
- * never revoked.
+ * open batch's members are re-admitted at once through the arrivals'
+ * step (shedding only the provably infeasible ones). Only the *open*
+ * batch is preemptible — it is pure admission state under the submit
+ * lock, so preemption decisions replay deterministically; queued and
+ * running batches are never revoked.
  *
  * Timeline note: all latencies are *virtual* chip time (seconds at
  * the configured clock). The host threads merely reproduce, slower,
@@ -394,11 +401,19 @@ class InferenceServer
         std::vector<Member> members;
         Admission booking; ///< Final sealed booking (whole batch).
         int model = 0;     ///< Model family the batch runs.
-        int priority = 0;  ///< Highest member SLO priority.
         /** Registry-pinned compiled program (null for the table
          * form): safe against eviction while the job is queued or
          * running. */
         std::shared_ptr<BatchProgram> program;
+    };
+
+    /** The batch admission is still growing (guarded by submitMu_). */
+    struct OpenBatch
+    {
+        std::vector<Member> members;
+        double leaderArrival = 0.0;
+        int model = 0;
+        int priority = 0; ///< Highest member priority.
     };
 
     /** Delegation target of every public constructor. */
@@ -411,20 +426,28 @@ class InferenceServer
     submitImpl(int model, int slo_class,
                std::vector<std::int8_t> input, double arrival_sec,
                double deadline_sec, OnFull on_full, bool want_future);
-    std::future<Result> rejectNow(Request req, Outcome outcome,
-                                  const Admission &booking,
-                                  bool want_future);
-    /** Preempts the open batch for @p req (feasibility already
-     * proved), seals the preemptor, re-admits the victims (requires
-     * submitMu_). */
-    std::future<Result> preemptLocked(Request req, int priority,
-                                      bool want_future);
-    /** Re-admits one preempted member at virtual time @p now_sec,
-     * growing/opening a victim batch or shedding it (requires
-     * submitMu_). */
-    void requeueVictimLocked(Member v, int vmodel, int vprio,
-                             double now_sec, std::uint64_t &requeued,
-                             std::uint64_t &shed);
+    /**
+     * The one step that puts a request in a batch, for arrivals and
+     * preempted victims alike (requires submitMu_): join the open
+     * batch, else preempt it, else seal it and open a new one;
+     * @p at_sec is the virtual time of the attempt. A request that
+     * cannot be admitted is refused.
+     * @return true when @p m was admitted.
+     */
+    bool admitLocked(Member m, int priority, double at_sec,
+                     OnFull on_full);
+    /** Preempts the open batch for @p m (feasibility already
+     * proved): books and seals the preemptor, then re-admits the
+     * victims at @p at_sec (requires submitMu_). */
+    void preemptLocked(Member m, int priority, double at_sec);
+    /** @return the fields every outcome of @p m shares, in a batch
+     * of @p batch booked as @p booking. */
+    Result resultFor(const Member &m, int batch,
+                     const Admission &booking) const;
+    /** Resolves a request no engine will run: recorded, resolved,
+     * released from the in-flight count. */
+    void refuse(Member &m, Outcome outcome, const Admission &booking,
+                int batch);
     /** Resolves one member: metrics hook already ran; fires the
      * onResult callback, then the promise (if attached). */
     void resolveMember(Member &m, Result r);
@@ -460,19 +483,16 @@ class InferenceServer
     std::size_t expectedInput_ = 0;
 
     std::mutex submitMu_; ///< Serializes admission + batching + enqueue.
-    /** Open-batch accumulator (guarded by submitMu_). */
-    std::vector<Member> openMembers_;
-    double openLeaderArrival_ = 0.0;
-    int openModel_ = 0;    ///< Open batch's family (submitMu_).
-    int openPriority_ = 0; ///< Highest member priority (submitMu_).
+    OpenBatch open_;
 
     std::mutex pauseMu_;
     std::condition_variable pauseCv_;
     bool paused_;
 
-    mutable std::mutex doneMu_; ///< Guards inflight_ and metrics_.
+    mutable std::mutex doneMu_; ///< Guards metrics_ and drain()'s wait.
     std::condition_variable doneCv_;
-    std::uint64_t inflight_ = 0;
+    /** Submitted requests not yet resolved. */
+    std::atomic<std::uint64_t> inflight_{0};
     ServerMetrics metrics_;
 
     std::atomic<RequestId> nextId_{1};

@@ -22,8 +22,7 @@ Chip::Chip(ChipConfig cfg) : cfg_(std::move(cfg))
     for (int h = 0; h < 2; ++h) {
         for (int i = 0; i < kMemSlicesPerHem; ++i) {
             memSlices_.emplace_back(static_cast<Hemisphere>(h), i,
-                                    cfg_.eccEnabled, faults_.get(),
-                                    mcheck_.get());
+                                    faults_.get(), mcheck_.get());
         }
     }
 

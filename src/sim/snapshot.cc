@@ -90,7 +90,6 @@ hashChipConfig(const ChipConfig &cfg)
     std::uint64_t h = kFnv1aBasis;
     h = mixF(h, cfg.clockHz);
     h = mix(h, static_cast<std::uint64_t>(cfg.activeSuperlanes));
-    h = mix(h, cfg.eccEnabled);
     h = mix(h, cfg.strictStreams);
     // fastForwardEnabled deliberately excluded: execution tiers are
     // bit-identical, so a snapshot from a per-cycle run restores onto

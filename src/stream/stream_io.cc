@@ -70,28 +70,26 @@ StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &scratch)
         // the consumer-side SECDED check that must catch it.
         fi->onStreamConsume(scratch);
     }
-    if (cfg_.eccEnabled) {
-        switch (eccCheckVec(scratch)) {
-          case EccStatus::Ok:
-            break;
-          case EccStatus::Corrected:
-            ++corrected_;
-            break;
-          case EccStatus::Uncorrectable:
-            ++uncorrectable_;
-            if (MachineCheckSink *mc = fabric_.machineCheckSink()) {
-                // Condemn the chip: corrupted data must never flow
-                // into a result as a silent success.
-                mc->raise(fabric_.now(), owner_,
-                          strformat("uncorrectable stream error on "
-                                    "%s at pos %d",
-                                    s.toString().c_str(), pos));
-            } else {
-                warn("%s: uncorrectable stream error on %s at pos %d",
-                     owner_.c_str(), s.toString().c_str(), pos);
-            }
-            break;
+    switch (eccCheckVec(scratch)) {
+      case EccStatus::Ok:
+        break;
+      case EccStatus::Corrected:
+        ++corrected_;
+        break;
+      case EccStatus::Uncorrectable:
+        ++uncorrectable_;
+        if (MachineCheckSink *mc = fabric_.machineCheckSink()) {
+            // Condemn the chip: corrupted data must never flow into
+            // a result as a silent success.
+            mc->raise(fabric_.now(), owner_,
+                      strformat("uncorrectable stream error on %s at "
+                                "pos %d",
+                                s.toString().c_str(), pos));
+        } else {
+            warn("%s: uncorrectable stream error on %s at pos %d",
+                 owner_.c_str(), s.toString().c_str(), pos);
         }
+        break;
     }
     return &scratch;
 }
@@ -168,7 +166,7 @@ void
 StreamIo::publish(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
                   bool encode)
 {
-    if (encode && cfg_.eccEnabled)
+    if (encode)
         eccComputeVec(vec);
     std::uint32_t tag = kTapeUntagged;
     if (TapeRecorder *rec = fabric_.tapeRecorder())

@@ -26,7 +26,7 @@ pattern(std::uint8_t seed)
 
 TEST(MemSlice, WriteThenReadBack)
 {
-    MemSlice m(Hemisphere::East, 3, /*ecc=*/true);
+    MemSlice m(Hemisphere::East, 3);
     const Vec320 v = pattern(7);
     m.write(0x10, v, /*now=*/1);
     Vec320 r;
@@ -38,7 +38,7 @@ TEST(MemSlice, WriteThenReadBack)
 
 TEST(MemSlice, UntouchedReadsZeroWithValidEcc)
 {
-    MemSlice m(Hemisphere::West, 0, true);
+    MemSlice m(Hemisphere::West, 0);
     Vec320 r;
     m.readInto(0x1f0, 5, r);
     for (const auto b : r.bytes)
@@ -56,7 +56,7 @@ TEST(MemSlice, BankBitIsAddressBit12)
 
 TEST(MemSlice, ReadAndWriteOppositeBanksSameCycle)
 {
-    MemSlice m(Hemisphere::East, 1, true);
+    MemSlice m(Hemisphere::East, 1);
     m.backdoorWrite(0x0010, pattern(1));
     // Same cycle: read bank 0, write bank 1 — the paper's
     // pseudo-dual-port concurrency (IV.A).
@@ -74,7 +74,7 @@ TEST(MemSliceDeath, SameBankReadWriteConflictPanics)
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ASSERT_DEATH(
         {
-            MemSlice m(Hemisphere::East, 2, true);
+            MemSlice m(Hemisphere::East, 2);
             Vec320 r;
             m.readInto(0x0010, 3, r);
             m.write(0x0020, pattern(0), 3); // Same bank, same cycle.
@@ -87,7 +87,7 @@ TEST(MemSliceDeath, TwoReadsSameCyclePanic)
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
     ASSERT_DEATH(
         {
-            MemSlice m(Hemisphere::East, 2, true);
+            MemSlice m(Hemisphere::East, 2);
             Vec320 r;
             m.readInto(0x0010, 3, r);
             m.readInto(0x1010, 3, r); // Even opposite banks.
@@ -97,7 +97,7 @@ TEST(MemSliceDeath, TwoReadsSameCyclePanic)
 
 TEST(MemSlice, GatherReadsPerTileAddresses)
 {
-    MemSlice m(Hemisphere::West, 5, true);
+    MemSlice m(Hemisphere::West, 5);
     // Distinct pattern at two addresses.
     m.backdoorWrite(0x100, pattern(10));
     m.backdoorWrite(0x200, pattern(99));
@@ -121,7 +121,7 @@ TEST(MemSlice, GatherReadsPerTileAddresses)
 
 TEST(MemSlice, ScatterWritesPerTileAddresses)
 {
-    MemSlice m(Hemisphere::West, 6, true);
+    MemSlice m(Hemisphere::West, 6);
     std::array<MemAddr, kSuperlanes> addrs;
     for (int sl = 0; sl < kSuperlanes; ++sl)
         addrs[static_cast<std::size_t>(sl)] =
@@ -142,7 +142,7 @@ TEST(MemSlice, ScatterWritesPerTileAddresses)
 
 TEST(MemSlice, InjectedBitFlipTravelsWithStoredEcc)
 {
-    MemSlice m(Hemisphere::East, 7, true);
+    MemSlice m(Hemisphere::East, 7);
     m.backdoorWrite(0x40, pattern(5));
     m.injectBitFlip(0x40, /*byte=*/33, /*bit=*/2);
     // The read forwards the stored (stale) ECC; a consumer-side
@@ -155,7 +155,7 @@ TEST(MemSlice, InjectedBitFlipTravelsWithStoredEcc)
 
 TEST(MemSlice, WriteCountsCorrectedStreamErrors)
 {
-    MemSlice m(Hemisphere::East, 8, true);
+    MemSlice m(Hemisphere::East, 8);
     Vec320 v = pattern(3);
     v.bytes[5] ^= 0x1; // Simulated datapath upset after ECC gen.
     m.write(0x50, v, 2);

@@ -471,14 +471,14 @@ struct PreemptRig
     std::unique_ptr<InferenceServer> server;
     double svc1 = 0.0;
 
-    explicit PreemptRig(bool preemption)
+    explicit PreemptRig(bool preemption, int batch_max = 2)
     {
         std::vector<ModelSpec> specs;
-        specs.push_back(makeSpec("a", 3, 2));
+        specs.push_back(makeSpec("a", 3, batch_max));
         reg = std::make_unique<ModelRegistry>(std::move(specs));
         ServerConfig cfg;
         cfg.workers = 1;
-        cfg.batchMax = 2;
+        cfg.batchMax = batch_max;
         cfg.batchWindowSec = 1.0; // Open batch lingers.
         cfg.preemption = preemption;
         cfg.sloClasses.push_back(SloClass{1.0, 0});
@@ -552,6 +552,63 @@ TEST(Preemption, VictimWithInfeasibleDeadlineIsShedNotDropped)
     EXPECT_EQ(snap.counters().get("submitted"),
               snap.counters().get("served") +
                   snap.counters().get("rejected_deadline"));
+}
+
+TEST(Preemption, MultiMemberVictimsReformOneBatch)
+{
+    // Two low-priority members are open when a high-priority request
+    // preempts them: both victims re-enter through the arrivals'
+    // admission step, the first opening a batch behind the preemptor
+    // and the second joining it.
+    PreemptRig rig(/*preemption=*/true, /*batch_max=*/3);
+    auto fa = rig.server->submitModel(0, 0, randomInput(1), 0.0);
+    auto fb = rig.server->submitModel(0, 0, randomInput(2), 0.0);
+    auto fc = rig.server->submitModel(0, 1, randomInput(3), 0.0,
+                                      1.2 * rig.svc1);
+    rig.server->drain();
+    const Result rc = fc.get();
+    EXPECT_EQ(rc.outcome, Outcome::Served);
+    EXPECT_EQ(rc.batch, 1);
+    EXPECT_EQ(rc.preemptions, 0u);
+    for (auto *f : {&fa, &fb}) {
+        const Result r = f->get();
+        EXPECT_EQ(r.outcome, Outcome::Served);
+        EXPECT_EQ(r.batch, 2);
+        EXPECT_EQ(r.preemptions, 1u);
+        EXPECT_DOUBLE_EQ(r.startSec, rig.svc1);
+    }
+    const auto snap = rig.server->metricsSnapshot();
+    EXPECT_EQ(snap.counters().get("preemptions"), 1u);
+    EXPECT_EQ(snap.counters().get("preempted_requeued"), 2u);
+    EXPECT_EQ(snap.counters().get("preempted_shed"), 0u);
+    EXPECT_EQ(snap.counters().get("batches"), 2u);
+}
+
+TEST(Preemption, InfeasibleVictimShedWhileTheOtherRebooks)
+{
+    // The first victim's deadline admits it in the open batch but not
+    // behind the preemptor: it is shed, and the second victim, with
+    // no deadline, opens a batch of its own.
+    PreemptRig rig(/*preemption=*/true, /*batch_max=*/3);
+    auto fa = rig.server->submitModel(0, 0, randomInput(1), 0.0,
+                                      1.9 * rig.svc1);
+    auto fb = rig.server->submitModel(0, 0, randomInput(2), 0.0);
+    auto fc = rig.server->submitModel(0, 1, randomInput(3), 0.0,
+                                      1.2 * rig.svc1);
+    rig.server->drain();
+    EXPECT_EQ(fc.get().outcome, Outcome::Served);
+    const Result ra = fa.get();
+    EXPECT_EQ(ra.outcome, Outcome::RejectedDeadline);
+    EXPECT_EQ(ra.preemptions, 1u);
+    const Result rb = fb.get();
+    EXPECT_EQ(rb.outcome, Outcome::Served);
+    EXPECT_EQ(rb.batch, 1);
+    EXPECT_EQ(rb.preemptions, 1u);
+    EXPECT_DOUBLE_EQ(rb.startSec, rig.svc1);
+    const auto snap = rig.server->metricsSnapshot();
+    EXPECT_EQ(snap.counters().get("preempted_requeued"), 1u);
+    EXPECT_EQ(snap.counters().get("preempted_shed"), 1u);
+    EXPECT_EQ(snap.counters().get("batches"), 2u);
 }
 
 TEST(Preemption, PreemptedBatchRetriesThroughMachineCheck)

@@ -253,9 +253,9 @@ TEST(Snapshot, RestoreRefusesMismatches)
         EXPECT_NE(err.find("program"), std::string::npos);
     }
     {
-        // Different chip configuration (ECC off).
+        // Different chip configuration (lax stream checks).
         ChipConfig cfg = faultConfigFor(false);
-        cfg.eccEnabled = false;
+        cfg.strictStreams = false;
         Chip dst(cfg);
         dst.loadProgram(prog);
         EXPECT_FALSE(dst.restore(snap, &err));
@@ -732,7 +732,7 @@ TEST(Snapshot, UnitDecodersRefuseOutOfRangeFields)
     }
     {
         // MEM: a stored word's index within its bank.
-        MemSlice m(Hemisphere::West, 0, true);
+        MemSlice m(Hemisphere::West, 0);
         m.backdoorWrite(0x5, fill(3));
         SnapshotWriter w;
         m.saveState(w);
@@ -832,6 +832,25 @@ TEST(SessionSnapshot, PeriodicSnapshotsAreInvisible)
     // next batch's migration decisions.
     snapped.reset();
     EXPECT_EQ(snapped.lastSnapshot(), nullptr);
+}
+
+TEST(SessionSnapshot, BindDropsTheLastSnapshot)
+{
+    // A snapshot is of the programs it was taken under. Kept across a
+    // bind() to another program, a later migrateAndResume() would
+    // restore it onto the wrong one; bind() drops it as reset() does.
+    Compiled m;
+    Graph g2 = model::buildTinyNet(5, 6, 6, 4);
+    Lowering lw2(true);
+    g2.lower(lw2, std::vector<std::int8_t>(6 * 6 * 4, 1));
+    InferenceSession sess(m.lw, ChipConfig{});
+    sess.enableSnapshots(250);
+    ASSERT_TRUE(sess.runBounded().completed);
+    ASSERT_NE(sess.lastSnapshot(), nullptr);
+
+    sess.bind(lw2, SharedProgram(lw2.program().toAsm(
+                       /*with_preamble=*/true)));
+    EXPECT_EQ(sess.lastSnapshot(), nullptr);
 }
 
 TEST(SessionSnapshot, MigrateAndResumeRecoversMachineCheck)
