@@ -60,7 +60,9 @@ runPolicy(Graph &g, serve::ModelRegistry &reg,
     // back to a full retry when no snapshot precedes the fault or
     // the per-batch migration bound is exhausted.
     cfg.maxRetries = 64;
-    cfg.migrateOnMachineCheck = migrate;
+    // Eight snapshots per batch-1 service: a migration re-executes
+    // at most ~1/8 of a run. The cadence is what arms migration.
+    cfg.snapshotEveryCycles = migrate ? reg.cycles(0, 1) / 8 : 0;
     InferenceServer server(reg, cfg);
 
     const ActTensor &in = in_slot.t;

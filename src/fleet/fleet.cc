@@ -13,8 +13,8 @@ Fleet::Fleet(FleetConfig cfg, SoakTimeSeries &ts)
     : cfg_(std::move(cfg)), ts_(ts), scaler_(cfg_.autoscaler)
 {
     TSP_ASSERT(cfg_.initialPods >= 1);
-    TSP_ASSERT(cfg_.makeBackend != nullptr || !cfg_.models.empty());
-    TSP_ASSERT(!cfg_.cyclesByBatch.empty() || !cfg_.models.empty());
+    TSP_ASSERT(cfg_.makeBackend != nullptr);
+    TSP_ASSERT(!cfg_.cyclesByBatch.empty());
     TSP_ASSERT(cfg_.windowSec > 0.0);
     pods_.reserve(static_cast<std::size_t>(cfg_.initialPods));
     for (int p = 0; p < cfg_.initialPods; ++p) {
@@ -39,28 +39,9 @@ Fleet::launchPod(double now_sec)
     pod.info.id = id;
     pod.info.state = PodState::Provisioning;
     pod.info.readyAtSec = now_sec + cfg_.autoscaler.provisionSec;
-    if (!cfg_.models.empty()) {
-        // Multi-model pod: its own registry (compiled programs are
-        // per-pod state, like the engines) over the shared specs.
-        pod.registry = std::make_unique<serve::ModelRegistry>(
-            cfg_.models, cfg_.registryBytes);
-        if (cfg_.makeBackend != nullptr) {
-            pod.server = std::make_unique<serve::InferenceServer>(
-                [this, id](int worker) {
-                    return cfg_.makeBackend(id, worker);
-                },
-                *pod.registry, sc);
-        } else {
-            pod.server = std::make_unique<serve::InferenceServer>(
-                *pod.registry, sc);
-        }
-    } else {
-        pod.server = std::make_unique<serve::InferenceServer>(
-            [this, id](int worker) {
-                return cfg_.makeBackend(id, worker);
-            },
-            cfg_.cyclesByBatch, sc);
-    }
+    pod.server = std::make_unique<serve::InferenceServer>(
+        [this, id](int worker) { return cfg_.makeBackend(id, worker); },
+        cfg_.cyclesByBatch, sc);
     pods_.push_back(std::move(pod));
 }
 
@@ -202,14 +183,6 @@ void
 Fleet::submit(std::vector<std::int8_t> input, double arrival_sec,
               double deadline_sec)
 {
-    submitModel(0, 0, std::move(input), arrival_sec, deadline_sec);
-}
-
-void
-Fleet::submitModel(int model, int slo_class,
-                   std::vector<std::int8_t> input,
-                   double arrival_sec, double deadline_sec)
-{
     const std::size_t w = static_cast<std::size_t>(
         std::floor(std::max(0.0, arrival_sec) / cfg_.windowSec));
     if (winSubmitted_.size() <= w) {
@@ -219,9 +192,7 @@ Fleet::submitModel(int model, int slo_class,
     ++winSubmitted_[w];
 
     // Route to the pod whose exact admission state proves the
-    // earliest completion for this model — swap cost included, so
-    // family affinity emerges from the arithmetic rather than a
-    // placement heuristic (ties to the lowest id).
+    // earliest completion (ties to the lowest id).
     Pod *best = nullptr;
     double best_completion =
         std::numeric_limits<double>::infinity();
@@ -229,8 +200,7 @@ Fleet::submitModel(int model, int slo_class,
         if (p.info.state != PodState::Active)
             continue;
         const double c =
-            p.server->admission().earliestCompletionFor(model,
-                                                        arrival_sec);
+            p.server->admission().earliestCompletionFor(0, arrival_sec);
         if (best == nullptr || c < best_completion) {
             best = &p;
             best_completion = c;
@@ -250,8 +220,8 @@ Fleet::submitModel(int model, int slo_class,
     }
 
     best->server->submitModelDetached(
-        model, slo_class, std::move(input), arrival_sec,
-        deadline_sec, serve::InferenceServer::OnFull::Block);
+        0, 0, std::move(input), arrival_sec, deadline_sec,
+        serve::InferenceServer::OnFull::Block);
 }
 
 void

@@ -58,23 +58,9 @@ struct FleetConfig
      */
     serve::ServerConfig server{};
 
-    /** Exact cycles(b) table every pod books against (fleets whose
-     * engines carry their own programs, e.g. collective pods;
-     * ignored when @ref models is non-empty). */
+    /** Exact cycles(b) table every pod books against (its engines
+     * carry their own programs, e.g. collective pods). */
     std::vector<Cycle> cyclesByBatch;
-
-    /**
-     * Model families (non-empty ⇒ every pod serves its own
-     * ModelRegistry built from these specs, requests route by model
-     * id via submitModel(), and swap costs are booked exactly). When
-     * makeBackend is also set, its backends must support
-     * bindProgram(); when it is null, pods build SessionBackends
-     * from the registry directly.
-     */
-    std::vector<serve::ModelSpec> models;
-
-    /** Per-pod registry byte budget (multi-model fleets only). */
-    std::size_t registryBytes = serve::ModelRegistry::kDefaultBudget;
 
     /** Engine factory (called workers times per pod). */
     PodBackendFactory makeBackend;
@@ -131,19 +117,6 @@ class Fleet
     void submit(std::vector<std::int8_t> input, double arrival_sec,
                 double deadline_sec);
 
-    /**
-     * Model-aware routing: routes one request of family @p model
-     * (tenant class @p slo_class) to the routable pod whose
-     * admission state proves the earliest completion *for that
-     * model* — weight-swap cost included, so a pod already staging
-     * the family wins over an otherwise-idle pod that would have to
-     * swap — or sheds it when every pod provably misses the
-     * deadline. submit() is exactly submitModel(0, 0, ...).
-     */
-    void submitModel(int model, int slo_class,
-                     std::vector<std::int8_t> input,
-                     double arrival_sec, double deadline_sec);
-
     /** Flushes open batches and blocks until every pod is idle. */
     void drainAll();
 
@@ -175,9 +148,6 @@ class Fleet
     struct Pod
     {
         PodInfo info;
-        /** Per-pod compiled-model registry (multi-model fleets);
-         * declared before the server so it outlives it. */
-        std::unique_ptr<serve::ModelRegistry> registry;
         std::unique_ptr<serve::InferenceServer> server;
     };
 

@@ -45,6 +45,7 @@ SoakTimeSeries::recordResult(const serve::Result &r)
         ++w.served;
         w.latency.record(r.latencySec());
         overall_.record(r.latencySec());
+        latencySum_.add(r.latencySec());
         break;
       case serve::Outcome::RejectedDeadline:
         ++w.rejectedDeadline;
@@ -96,16 +97,6 @@ SoakTimeSeries::windowCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return windows_.size();
-}
-
-double
-SoakTimeSeries::shedFraction(std::size_t w) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (w >= windows_.size() || windows_[w].submitted == 0)
-        return 0.0;
-    return static_cast<double>(windows_[w].shed) /
-           static_cast<double>(windows_[w].submitted);
 }
 
 std::uint64_t
@@ -185,7 +176,8 @@ SoakTimeSeries::appendJson(JsonWriter &j) const
         j.key("latency_us").beginObject();
         j.kv("p50", overall_.quantile(0.50) * 1e6);
         j.kv("p99", overall_.quantile(0.99) * 1e6);
-        j.kv("mean", overall_.mean() * 1e6);
+        j.kv("mean", latencySum_.value() /
+                         static_cast<double>(overall_.count()) * 1e6);
         j.kv("max", overall_.maxSample() * 1e6);
         j.endObject();
     }

@@ -66,10 +66,6 @@ class SoakTimeSeries
     /** @return windows spanned so far. */
     std::size_t windowCount() const;
 
-    /** @return fraction of window @p w's submissions that were shed
-     * (0 when the window saw none) — an autoscaler input. */
-    double shedFraction(std::size_t w) const;
-
     /** @return total requests recorded (all outcomes + sheds). */
     std::uint64_t totalSubmitted() const;
 
@@ -120,6 +116,9 @@ class SoakTimeSeries
     std::vector<Window> windows_;
     std::vector<ScaleEvent> events_;
     Histogram overall_; ///< Whole-run served-latency distribution.
+    /** Served-latency sum for the mean: the histogram's own sum sits
+     * on a ~1 us grid, which rounds sub-microsecond samples to 0. */
+    FineFixedPointSum latencySum_;
 };
 
 } // namespace tsp::fleet

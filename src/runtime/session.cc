@@ -144,6 +144,7 @@ InferenceSession::captureSnapshot()
     auto snap = std::make_unique<PodSnapshot>();
     if (pod_->snapshot(*snap)) {
         lastSnap_ = std::move(snap);
+        snapAt_ = pod_->now();
         ++snapshots_;
     }
 }
@@ -178,6 +179,7 @@ InferenceSession::runRaw(Cycle max_cycles)
         r.status = RunStatus::Completed;
     } else if (machineChecked_) {
         r.status = RunStatus::MachineCheck;
+        r.resumeAt = lastSnap_ ? snapAt_ - resetAt_ : 0;
         mcChip_ = pod_->machineCheckChip();
         lastMc_ = pod_->chip(mcChip_).machineCheckInfo();
     } else {
@@ -229,6 +231,7 @@ InferenceSession::reset()
     }
     if (lw_)
         lw_->image().applyTo(pod_->chip(0));
+    resetAt_ = pod_->now();
     lastSnap_.reset(); // A snapshot never outlives its batch.
     fresh_ = true;
 }

@@ -65,6 +65,13 @@ struct RunResult
 
     /** Cycles consumed by this run (meaningless when !completed). */
     Cycle cycles = 0;
+
+    /**
+     * After a machine check: the program cycles done (since reset())
+     * at the session's last clean snapshot, where migrateAndResume()
+     * continues; 0 when there is none.
+     */
+    Cycle resumeAt = 0;
 };
 
 /** One compiled workload bound to a pod of N >= 1 chips. */
@@ -219,13 +226,15 @@ class InferenceSession
     /**
      * Machine-check recovery without a full retry: rebuilds the pod
      * (fresh derived fault seed), reloads the programs, restores the
-     * last pre-fault snapshot onto it and resumes the run for at most
-     * @p max_cycles more. The restored members keep their fresh RNG
-     * streams, so the upset that condemned the source is not replayed
-     * (scheduled FaultEvents do replay — they are wired to cycles).
-     * Requires lastSnapshot() != nullptr. The snapshot is always of
-     * the session's own programs, config and fault environment, so a
-     * refused restore is a simulator bug and panics with the reason.
+     * last pre-fault snapshot onto it and resumes the run at program
+     * cycle RunResult::resumeAt for at most @p max_cycles more; the
+     * returned cycles count from there. The restored members keep
+     * their fresh RNG streams, so the upset that condemned the source
+     * is not replayed (scheduled FaultEvents do replay — they are
+     * wired to cycles). Requires a machine-checked run whose resumeAt
+     * is nonzero. The snapshot is always of the session's own
+     * programs, config and fault environment, so a refused restore is
+     * a simulator bug and panics with the reason.
      */
     RunResult migrateAndResume(Cycle max_cycles = 500'000'000);
 
@@ -338,6 +347,8 @@ class InferenceSession
 
     Cycle snapshotEvery_ = 0;
     std::unique_ptr<PodSnapshot> lastSnap_;
+    Cycle resetAt_ = 0; ///< Pod clock at the last reset().
+    Cycle snapAt_ = 0;  ///< Pod clock at the last snapshot capture.
     std::uint64_t snapshots_ = 0;
     int migrations_ = 0;
 

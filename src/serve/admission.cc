@@ -244,6 +244,7 @@ AdmissionController::seal()
     a.startSec = open_.startSec;
     a.completionSec = open_.completionSec;
     a.swapSec = open_.swapSec;
+    a.deadlineSec = open_.minDeadline;
     open_ = OpenBatch{};
     return a;
 }

@@ -84,6 +84,10 @@ struct Admission
     /** Exact modeled weight-swap seconds booked ahead of the
      * service window (0 when the worker already stages the model). */
     double swapSec = 0.0;
+
+    /** Tightest member deadline of a sealed batch, virtual seconds
+     * (0 = no member has one); set by seal(). */
+    double deadlineSec = 0.0;
 };
 
 /**
@@ -153,7 +157,8 @@ class AdmissionController
      */
     Admission tryJoin(double arrival_sec, double deadline_sec);
 
-    /** Closes the open batch; @return its final booking. */
+    /** Closes the open batch; @return its final booking, with the
+     * tightest member deadline. */
     Admission seal();
 
     /**
@@ -206,7 +211,7 @@ class AdmissionController
      * @return the earliest possible completion for a batch-1 request
      * of @p model arriving at @p arrival_sec, swap included, without
      * booking anything — what a client could poll to pick a feasible
-     * deadline. This is also the fleet's model-aware routing and
+     * deadline. This is also the fleet's routing and
      * load-shedding primitive: a request whose deadline is below
      * every pod's earliest completion is provably infeasible and can
      * be shed before it touches a queue.

@@ -116,8 +116,10 @@ class Backend
 
     /**
      * Machine-check recovery: rebuilds the engine, restores the last
-     * pre-fault snapshot and resumes the batch for at most
-     * @p max_cycles more. Only meaningful after canMigrate().
+     * pre-fault snapshot and resumes the batch at program cycle
+     * RunResult::resumeAt for at most @p max_cycles more. Only
+     * meaningful after a machine-checked run whose resumeAt is
+     * nonzero.
      */
     virtual RunResult migrateAndResume(Cycle max_cycles) = 0;
 

@@ -108,12 +108,9 @@ ServerMetrics::recordOne(const Result &r, bool count_reliability)
         r.outcome == Outcome::DeadlineMissed) {
         queueUs_.record(r.queueSec() * 1e6);
         totalUs_.record(r.latencySec() * 1e6);
-        // The mismatch counter is a determinism tripwire for
-        // uninterrupted runs. After a migration the measured count
-        // spans only the resumed segment, so a difference from the
-        // whole-run prediction is expected, not a simulator bug.
-        if (r.measuredCycles != r.predictedCycles &&
-            r.migrations == 0)
+        // Determinism tripwire: a migrated batch measures the whole
+        // program too (resume point plus the resumed run).
+        if (r.measuredCycles != r.predictedCycles)
             ++mismatches_;
         if (!any_ || r.arrivalSec < firstArrival_)
             firstArrival_ = r.arrivalSec;

@@ -62,10 +62,10 @@ enum class Outcome : std::uint8_t {
 
     /**
      * An uncorrectable error machine-checked the chip and every
-     * permitted retry (bounded by ServerConfig::maxRetries and the
-     * request's deadline) machine-checked too. The output is never
-     * populated from a machine-checked run — corrupted data cannot
-     * reach a client as a silent success.
+     * permitted recovery attempt (retries and migrations, bounded by
+     * their budgets and the batch's tightest deadline) machine-checked
+     * too. The output is never populated from a machine-checked run
+     * — corrupted data cannot reach a client as a silent success.
      */
     FailedMachineCheck,
 };
@@ -123,14 +123,17 @@ struct Result
      * whole batch's exact cycles(batch)). */
     Cycle predictedCycles = 0;
 
-    /** Cycles the chip actually consumed (0 if never scheduled). */
+    /** Program cycles the chip ran to the end of the last attempt
+     * (0 if never scheduled): after a migration, its resume point
+     * plus the resumed run, so a served batch measures the whole
+     * program. */
     Cycle measuredCycles = 0;
 
     /** Re-runs after machine checks (0 = served on first attempt). */
     std::uint32_t retries = 0;
 
-    /** Machine-check recoveries served by snapshot migration rather
-     *  than a full retry (see ServerConfig::migrateOnMachineCheck). */
+    /** Machine-check recoveries resumed from a snapshot rather than
+     *  re-run from cycle 0 (see ServerConfig::snapshotEveryCycles). */
     std::uint32_t migrations = 0;
 
     /** Uncorrectable errors raised across this request's attempts. */

@@ -87,16 +87,9 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
         if (registry_)
             registry_->attachTraceCache(traceCache_);
     }
-    if (cfg_.migrateOnMachineCheck || cfg_.snapshotEveryCycles > 0) {
-        // Default cadence: 8 snapshots per batch-1 service — cheap
-        // (serialization is tiny next to simulation) yet fine-grained
-        // enough that a migration re-executes at most ~1/8 of a run.
-        Cycle every = cfg_.snapshotEveryCycles;
-        if (every == 0)
-            every = std::max<Cycle>(1, admission_.serviceCycles(1) / 8);
-        for (const auto &b : backends_)
-            b->enableSnapshots(every);
-    }
+    // A snapshot cadence arms mid-batch migration (0 disables both).
+    for (const auto &b : backends_)
+        b->enableSnapshots(cfg_.snapshotEveryCycles);
     backendBatchCap_ = backends_[0]->maxBatch();
     for (const auto &b : backends_)
         backendBatchCap_ = std::min(backendBatchCap_, b->maxBatch());
@@ -390,90 +383,79 @@ InferenceServer::workerLoop(int w)
         const int k = static_cast<int>(job.members.size());
         const Cycle predicted =
             admission_.serviceCyclesFor(job.model, k);
-        const double service =
-            admission_.serviceSecFor(job.model, k);
-
-        // The whole batch retries or fails together; a retry is
-        // taken only while the *tightest* member deadline still
-        // admits another full batch service time.
-        double min_deadline = 0.0;
-        for (const Member &m : job.members) {
-            if (m.req.deadlineSec <= 0.0)
-                continue;
-            min_deadline = min_deadline <= 0.0
-                               ? m.req.deadlineSec
-                               : std::min(min_deadline,
-                                          m.req.deadlineSec);
-        }
-
-        // Engine rebuilds are not free: each retry (and each
-        // migration resume) first re-stages the engine image over
-        // the host link. Booking retries against service time alone
-        // under-estimates the completion and admits retries that
-        // cannot make their deadline.
+        const double deadline = job.booking.deadlineSec;
+        // Engine rebuilds are not free: every attempt after a machine
+        // check first re-stages the engine image over the host link.
         const double rebuild = be.rebuildPenaltySec();
 
+        // One recovery step. An attempt starts at program cycle
+        // `from`: 0 for the first attempt and every retry (a fresh
+        // run), the last clean snapshot's cycle for a migration. A
+        // failed attempt burns the cycles it ran plus a rebuild, and
+        // the next one is taken only when its booking — the time
+        // burned plus the program cycles left — meets the batch's
+        // tightest deadline. The whole batch recovers or fails
+        // together.
         std::uint32_t retries = 0;
         int migrations = 0;
         std::uint64_t machine_checks = 0;
         std::uint64_t corrected = 0;
-        double migratedSec = 0.0; // Burned by pre-migration segments.
+        double burned = 0.0;
+        Cycle from = 0;
+        // The one booking rule: an attempt that runs `left` program
+        // cycles after everything burned so far ends here.
+        const auto endAfter = [&](Cycle left) {
+            return job.booking.startSec + burned +
+                   static_cast<double>(left) * period;
+        };
         RunResult rr;
         for (;;) {
-            // resetBatch() rebuilds a condemned (or timed-out)
-            // engine, with a derived fault seed so a retry does not
-            // replay the identical environmental upset, and arms the
-            // compiled batch-k program.
-            be.resetBatch(k);
-            for (int s = 0; s < k; ++s)
-                be.writeSample(
-                    s,
-                    job.members[static_cast<std::size_t>(s)]
-                        .req.input);
-            const std::uint64_t cor0 = be.correctedErrors();
-            rr = be.runBounded(cfg_.maxCyclesPerRun);
-            corrected += be.correctedErrors() - cor0;
-            // Mid-batch migration: restore the last pre-fault
-            // snapshot onto a rebuilt engine and resume, instead of
-            // burning a full retry. Only when a clean snapshot
-            // precedes the first uncorrectable error; otherwise fall
-            // through to the full-retry policy.
-            while (rr.status == RunStatus::MachineCheck &&
-                   cfg_.migrateOnMachineCheck && be.canMigrate() &&
-                   migrations < InferenceSession::kMaxMigrations) {
-                machine_checks += be.machineCheckCount();
-                migratedSec +=
-                    static_cast<double>(rr.cycles) * period + rebuild;
-                ++migrations;
-                const std::uint64_t mcor0 = be.correctedErrors();
-                rr = be.migrateAndResume(cfg_.maxCyclesPerRun);
-                const std::uint64_t mcor1 = be.correctedErrors();
-                // The restored engine's counter rewinds to the
-                // snapshot-time value; only count forward progress.
-                if (mcor1 > mcor0)
-                    corrected += mcor1 - mcor0;
+            if (from == 0) {
+                // resetBatch() rebuilds a condemned (or timed-out)
+                // engine, with a derived fault seed so a retry does
+                // not replay the identical environmental upset, and
+                // arms the compiled batch-k program.
+                be.resetBatch(k);
+                for (int s = 0; s < k; ++s)
+                    be.writeSample(
+                        s,
+                        job.members[static_cast<std::size_t>(s)]
+                            .req.input);
             }
+            const std::uint64_t cor0 = be.correctedErrors();
+            rr = from == 0 ? be.runBounded(cfg_.maxCyclesPerRun)
+                           : be.migrateAndResume(cfg_.maxCyclesPerRun);
+            // A migrated engine's counter rewinds to its snapshot-time
+            // value; only count forward progress.
+            const std::uint64_t cor1 = be.correctedErrors();
+            if (cor1 > cor0)
+                corrected += cor1 - cor0;
             if (rr.status != RunStatus::MachineCheck)
                 break;
             machine_checks += be.machineCheckCount();
-            const double retry_completion =
-                job.booking.startSec + migratedSec +
-                static_cast<double>(retries + 2) * service +
-                static_cast<double>(retries + 1) * rebuild;
-            if (static_cast<int>(retries) >= cfg_.maxRetries ||
-                (min_deadline > 0.0 &&
-                 retry_completion > min_deadline)) {
+            burned += static_cast<double>(rr.cycles) * period + rebuild;
+            const bool migrate =
+                rr.resumeAt > 0 &&
+                migrations < InferenceSession::kMaxMigrations;
+            if (!migrate && static_cast<int>(retries) >= cfg_.maxRetries)
                 break;
-            }
-            ++retries;
+            const Cycle next = migrate ? rr.resumeAt : 0;
+            if (deadline > 0.0 && endAfter(predicted - next) > deadline)
+                break;
+            if (migrate)
+                ++migrations;
+            else
+                ++retries;
+            from = next;
         }
 
+        const Cycle measured = from + rr.cycles;
         std::vector<Result> results;
         results.reserve(static_cast<std::size_t>(k));
         for (const Member &m : job.members) {
             Result &r = results.emplace_back(
                 resultFor(m, k, job.booking));
-            r.measuredCycles = rr.cycles;
+            r.measuredCycles = measured;
             r.retries = retries;
             r.migrations = static_cast<std::uint32_t>(migrations);
             r.machineChecks = machine_checks;
@@ -492,45 +474,29 @@ InferenceServer::workerLoop(int w)
             for (Result &r : results)
                 r.outcome = Outcome::Failed;
         } else {
-            bool recheck = false;
-            // After a migration rr.cycles spans only the resumed
-            // segment, so a mismatch with the whole-run prediction is
-            // expected — the migration accounting below already
-            // re-derives the completion from measured time.
-            if (rr.cycles != predicted && migrations == 0) {
+            if (measured != predicted) {
                 // Defensive path — determinism says this is dead
-                // code; if it ever fires, re-derive the completion
-                // from the measured cycles and re-check deadlines.
+                // code; if it ever fires, the completion below comes
+                // from the measured cycles and deadlines are
+                // re-checked.
                 warn("serve: batch of %d measured %llu cycles, "
                      "predicted %llu",
-                     k, static_cast<unsigned long long>(rr.cycles),
+                     k, static_cast<unsigned long long>(measured),
                      static_cast<unsigned long long>(predicted));
-                recheck = true;
             }
+            // The batch completes at its last booking (the admission
+            // booking itself when nothing failed).
+            const double completion = endAfter(rr.cycles);
             for (int s = 0; s < k; ++s) {
                 const Member &m =
                     job.members[static_cast<std::size_t>(s)];
                 Result &r = results[static_cast<std::size_t>(s)];
                 r.output = be.readSample(s);
-                if (retries > 0 || migrations > 0 || recheck) {
-                    // Each machine-checked attempt burned one batch
-                    // service time plus an engine rebuild, and each
-                    // migration burned its failed segment plus a
-                    // rebuild, before the successful (re)run.
-                    r.completionSec =
-                        r.startSec +
-                        static_cast<double>(retries) *
-                            (service + rebuild) +
-                        migratedSec +
-                        static_cast<double>(rr.cycles) * period;
-                    r.outcome =
-                        (m.req.deadlineSec > 0.0 &&
-                         r.completionSec > m.req.deadlineSec)
-                            ? Outcome::DeadlineMissed
-                            : Outcome::Served;
-                } else {
-                    r.outcome = Outcome::Served;
-                }
+                r.completionSec = completion;
+                r.outcome = (m.req.deadlineSec > 0.0 &&
+                             completion > m.req.deadlineSec)
+                                ? Outcome::DeadlineMissed
+                                : Outcome::Served;
             }
         }
         finishBatch(job, std::move(results));

@@ -26,9 +26,17 @@
  * falls outside the window or cannot feasibly join, or when drain()/
  * shutdown() flushes it. Batches are formed at admission time under
  * the submit lock, so the grouping is a deterministic function of the
- * (monotone) arrival stamps. A mid-batch machine check condemns the
- * engine and retries the *whole batch* under the usual retry/deadline
- * policy; per-sample outputs are only read from a completed run.
+ * (monotone) arrival stamps.
+ *
+ * Recovery is one step. A mid-batch machine check condemns the
+ * engine, and the *whole batch* takes its next attempt: a migration
+ * from the last clean snapshot when one exists (snapshotEveryCycles
+ * armed), else a retry from cycle 0. A failed attempt costs the
+ * cycles it ran plus the engine rebuild, and every attempt is booked
+ * before it runs — burned time plus the program cycles left — and
+ * taken only when that booking meets the tightest member deadline,
+ * so a recovered batch completes exactly at its last booking.
+ * Per-sample outputs are only read from a completed run.
  *
  * Admission has one entry and one refusal: every request, a live
  * arrival or a preempted victim, enters a batch through the same step
@@ -130,30 +138,23 @@ struct ServerConfig
     bool startPaused = false;
 
     /**
-     * Re-runs allowed after a machine check (on a rebuilt chip with a
-     * derived fault seed — see InferenceSession::reset). A retry is
-     * taken only while every batch member's deadline still admits
-     * another full service time; exhaustion yields FailedMachineCheck.
+     * Re-runs from cycle 0 allowed per batch after machine checks (on
+     * a rebuilt chip with a derived fault seed — see
+     * InferenceSession::reset). Like a migration, a retry is taken
+     * only when its booking meets every member's deadline; exhaustion
+     * yields FailedMachineCheck.
      */
     int maxRetries = 2;
 
     /**
-     * Periodic engine-snapshot cadence in cycles (0 disables). With
-     * migrateOnMachineCheck and 0 here, the server derives a default
-     * of serviceCycles/8. See Backend::enableSnapshots().
+     * Periodic engine-snapshot cadence in cycles; nonzero arms
+     * mid-batch migration, 0 disables both. A machine-checked batch
+     * with a clean snapshot resumes from it on a rebuilt engine
+     * (Backend::migrateAndResume) instead of re-running from cycle 0,
+     * up to InferenceSession::kMaxMigrations times per batch; without
+     * one it falls back to a retry. See Backend::enableSnapshots().
      */
     Cycle snapshotEveryCycles = 0;
-
-    /**
-     * Recover a machine-checked batch by restoring its last pre-fault
-     * snapshot onto a rebuilt engine and resuming (mid-batch
-     * migration), instead of burning a full retry. Falls back to the
-     * retry path when no clean snapshot precedes the first
-     * uncorrectable error, or after
-     * InferenceSession::kMaxMigrations attempts on one batch. Implies
-     * periodic snapshotting.
-     */
-    bool migrateOnMachineCheck = false;
 
     /**
      * Largest batch submit() may form (clamped to what the admission

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "fleet/autoscaler.hh"
 #include "fleet/fleet.hh"
@@ -388,6 +389,28 @@ TEST(TimeSeries, SingleSampleWindowQuantileIsTheSample)
     JsonWriter j2;
     ts.appendJson(j2);
     EXPECT_EQ(json, j2.str());
+}
+
+TEST(TimeSeries, MeanLatencyResolvesSubMicrosecondSamples)
+{
+    // Regression: the whole-run mean was summed on the histogram's
+    // ~1 us fixed-point grid, so every sub-microsecond latency
+    // rounded to 0 and 1,000 samples of 0.45 us reported a mean of 0.
+    SoakTimeSeries ts(1.0, 10e-6);
+    for (int i = 0; i < 1000; ++i) {
+        serve::Result r;
+        r.outcome = serve::Outcome::Served;
+        r.arrivalSec = static_cast<double>(i) * 1e-4;
+        r.startSec = r.arrivalSec;
+        r.completionSec = r.arrivalSec + 0.45e-6;
+        ts.recordResult(r);
+    }
+    JsonWriter j;
+    ts.appendJson(j);
+    const std::string json = j.str();
+    const auto at = json.find("\"mean\":");
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_NEAR(std::stod(json.substr(at + 7)), 0.45, 1e-3) << json;
 }
 
 TEST(TimeSeries, ZeroAndSingleSampleHistogramQuantiles)

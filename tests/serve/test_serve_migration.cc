@@ -3,10 +3,11 @@
  * Mid-batch snapshot migration in the serving layer: a condemned
  * chip's in-flight batch is restored from its last pre-fault snapshot
  * onto a rebuilt engine and resumed — completing within the original
- * deadline without burning a full retry — plus the recovery-path
- * booking fixes: retry admission must charge the engine-rebuild cost,
- * and a machine check with no usable snapshot falls back to the full
- * retry policy.
+ * deadline without burning a full retry — plus the recovery step's
+ * booking: every attempt is charged what failed attempts ran plus
+ * engine rebuilds and is taken only when it meets the deadline, a
+ * migrated batch measures the whole program, and a machine check with
+ * no usable snapshot falls back to the full retry policy.
  */
 
 #include <gtest/gtest.h>
@@ -96,7 +97,7 @@ TEST(ServeMigration, CondemnedBatchCompletesWithinDeadline)
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 0;
-    cfg.migrateOnMachineCheck = true;
+    cfg.snapshotEveryCycles = m.reg.cycles(0, 1) / 8;
     m.armRandomStrikes(cfg);
     InferenceServer server(m.reg, cfg);
 
@@ -133,7 +134,7 @@ TEST(ServeMigration, WithoutMigrationSameFaultsFail)
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 0;
-    cfg.migrateOnMachineCheck = false;
+    cfg.snapshotEveryCycles = 0;
     m.armRandomStrikes(cfg);
     InferenceServer server(m.reg, cfg);
 
@@ -158,7 +159,7 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
     ServerConfig mig;
     mig.workers = 1;
     mig.maxRetries = 0;
-    mig.migrateOnMachineCheck = true;
+    mig.snapshotEveryCycles = m.reg.cycles(0, 1) / 8;
     m.armRandomStrikes(mig);
     InferenceServer migrate(m.reg, mig);
     auto fm = migrate.submit(input, 0.0);
@@ -167,7 +168,7 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
 
     ServerConfig ret = mig;
     ret.maxRetries = 30; // This seed lineage needs ~25 full retries.
-    ret.migrateOnMachineCheck = false;
+    ret.snapshotEveryCycles = 0;
     InferenceServer retry(m.reg, ret);
     auto fr = retry.submit(input, 0.0);
     retry.drain();
@@ -176,15 +177,70 @@ TEST(ServeMigration, MigrationBurnsFewerChipCyclesThanFullRetry)
     EXPECT_LT(migrate.totalChipCycles(), retry.totalChipCycles());
 }
 
+TEST(ServeMigration, MigrationThatMissesTheDeadlineIsNotTaken)
+{
+    // Every attempt is booked before it runs. A migration costs the
+    // condemned attempt's cycles plus an engine rebuild (about five
+    // service times), so under a deadline of 1.5 service times none
+    // fits: the batch fails as a machine check instead of running
+    // past its deadline.
+    Compiled m;
+    ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.maxRetries = 0;
+    cfg.snapshotEveryCycles = m.reg.cycles(0, 1) / 8;
+    m.armRandomStrikes(cfg);
+    InferenceServer server(m.reg, cfg);
+
+    auto f = server.submit(m.randomInput(1), 0.0,
+                           1.5 * server.serviceSec());
+    server.drain();
+    const Result r = f.get();
+    EXPECT_EQ(r.outcome, Outcome::FailedMachineCheck);
+    EXPECT_EQ(r.migrations, 0u);
+    EXPECT_GE(r.machineChecks, 1u);
+    EXPECT_TRUE(r.output.data.empty());
+
+    const auto snap = server.metricsSnapshot();
+    EXPECT_EQ(snap.counters().get("migrations"), 0u);
+    EXPECT_EQ(snap.counters().get("deadline_missed"), 0u);
+    // Only the condemned first attempt ran.
+    EXPECT_LE(server.totalChipCycles(), server.serviceCycles());
+}
+
+TEST(ServeMigration, MigratedBatchMeasuresTheWholeProgram)
+{
+    // A migrated batch measures its resume point plus the resumed
+    // run — the whole program — so the prediction-mismatch tripwire
+    // needs no migration exemption.
+    Compiled m;
+    ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.maxRetries = 0;
+    cfg.snapshotEveryCycles = m.reg.cycles(0, 1) / 8;
+    m.armRandomStrikes(cfg);
+    InferenceServer server(m.reg, cfg);
+
+    auto f = server.submit(m.randomInput(1), 0.0,
+                           25.0 * server.serviceSec());
+    server.drain();
+    const Result r = f.get();
+    ASSERT_EQ(r.outcome, Outcome::Served);
+    EXPECT_GE(r.migrations, 1u);
+    EXPECT_EQ(r.measuredCycles, r.predictedCycles);
+    EXPECT_EQ(server.metricsSnapshot().predictionMismatches(), 0u);
+}
+
 TEST(ServeMigration, RetryBookingChargesEngineRebuild)
 {
     // Regression: the retry decision used to budget service time
     // alone, admitting a retry whose completion — once the engine
     // image is re-staged over the host link — provably misses the
-    // deadline. The deadline here sits between the optimistic
-    // estimate (start + 2*service) and the honest one
-    // (start + 2*service + rebuild): the old code would have burned
-    // a doomed retry; the fixed code must fail fast with zero.
+    // deadline. A retry is booked at start + the failed attempt's
+    // cycles + rebuild + one service time; with a rebuild of about
+    // five service times that misses this deadline
+    // (start + 2*service + rebuild/2), which a service-time-only
+    // budget would have met. The server must fail fast with zero.
     Compiled m;
     ServerConfig cfg;
     cfg.workers = 1;
@@ -217,7 +273,6 @@ TEST(ServeMigration, NoSnapshotFallsBackToFullRetry)
     ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxRetries = 1;
-    cfg.migrateOnMachineCheck = true;
     cfg.snapshotEveryCycles = 100'000'000;
     cfg.chip.fault.events = m.poisonInputEvents();
     InferenceServer server(m.reg, cfg);

@@ -890,5 +890,54 @@ TEST(SessionSnapshot, MigrateAndResumeRecoversMachineCheck)
     EXPECT_EQ(sess.readTensor(m.out()).data, want.data);
 }
 
+TEST(SessionSnapshot, MachineCheckReportsWhereAMigrationResumes)
+{
+    // RunResult::resumeAt is the program cycle a migration continues
+    // from — the last clean snapshot's — so a caller can book the
+    // cycles still to run before it migrates.
+    Compiled m;
+    InferenceSession golden(m.lw, ChipConfig{});
+    const RunResult clean = golden.runBounded();
+    ASSERT_TRUE(clean.completed);
+
+    ChipConfig cfg;
+    cfg.fault.seed = 0x5151ull;
+    cfg.fault.streamRate = 5e-4;
+    cfg.fault.doubleBitFraction = 1.0;
+
+    // No snapshots, nowhere to resume.
+    InferenceSession bare(m.lw, cfg);
+    const RunResult cold = bare.runBounded();
+    ASSERT_EQ(cold.status, RunStatus::MachineCheck);
+    EXPECT_EQ(cold.resumeAt, 0u);
+
+    InferenceSession sess(m.lw, cfg);
+    sess.enableSnapshots(250);
+    RunResult r = sess.runBounded();
+    ASSERT_EQ(r.status, RunStatus::MachineCheck);
+    ASSERT_NE(sess.lastSnapshot(), nullptr);
+    EXPECT_GT(r.resumeAt, 0u);
+    EXPECT_EQ(r.resumeAt % 250, 0u);
+    EXPECT_EQ(r.resumeAt, sess.lastSnapshot()->chips[0].cycle);
+    EXPECT_LT(r.resumeAt, r.cycles);
+
+    // Each migration resumes at the reported cycle and counts its own
+    // cycles from there; resume points never move backwards.
+    Cycle from = 0;
+    int hops = 0;
+    while (r.status == RunStatus::MachineCheck && hops < 16) {
+        ASSERT_GT(r.resumeAt, 0u);
+        EXPECT_GE(r.resumeAt, from);
+        EXPECT_EQ(r.resumeAt % 250, 0u);
+        EXPECT_EQ(r.resumeAt, sess.lastSnapshot()->chips[0].cycle);
+        from = r.resumeAt;
+        r = sess.migrateAndResume();
+        ++hops;
+    }
+    ASSERT_TRUE(r.completed);
+    EXPECT_GE(hops, 1);
+    EXPECT_EQ(from + r.cycles, clean.cycles);
+}
+
 } // namespace
 } // namespace tsp

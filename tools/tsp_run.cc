@@ -293,10 +293,9 @@ main(int argc, char **argv)
         rec.emplace(std::vector<Chip *>{&sess.chip()});
     sess.enableSnapshots(snapshot_every);
     RunResult run = sess.runBounded(max_cycles);
-    while (run.status == RunStatus::MachineCheck &&
-           sess.lastSnapshot() != nullptr &&
+    while (run.status == RunStatus::MachineCheck && run.resumeAt > 0 &&
            sess.migrations() < InferenceSession::kMaxMigrations) {
-        const Cycle from = sess.lastSnapshot()->chips[0].cycle;
+        const Cycle from = run.resumeAt;
         std::fprintf(stderr,
                      "machine check at cycle %llu; migrated to a rebuilt "
                      "chip from the cycle-%llu snapshot\n",

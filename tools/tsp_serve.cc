@@ -32,12 +32,12 @@
  *     --fault-seed S    fault-injector seed          (default cfg)
  *     --retries N       retry budget after a machine check
  *                                                    (default 2)
- *     --migrate-on-mc   recover machine-checked batches by restoring
- *                       the last pre-fault snapshot onto a rebuilt
- *                       engine and resuming, instead of a full retry
  *     --snapshot-every N
- *                       snapshot cadence in cycles (default with
- *                       --migrate-on-mc: service cycles / 8)
+ *                       snapshot cadence in cycles; arms mid-batch
+ *                       migration: a machine-checked batch resumes
+ *                       from its last pre-fault snapshot on a
+ *                       rebuilt engine instead of re-running from
+ *                       cycle 0                   (default 0 = off)
  *     --batch-max N     largest batch submit() may form; compiles
  *                       one batch-b program per b = 1..N so the
  *                       admission controller books the exact
@@ -103,8 +103,7 @@ tsp::cli::usage()
                  "[--rho R] [--slack S] [--queue N] "
                  "[--model-seed S] [--seed S] [--json FILE] "
                  "[--fault-rate R] [--fault-double F] "
-                 "[--fault-seed S] [--retries N] "
-                 "[--migrate-on-mc] [--snapshot-every N] "
+                 "[--fault-seed S] [--retries N] [--snapshot-every N] "
                  "[--batch-max N] [--batch-window-us U] "
                  "[--model NAME=SEED[:HxWxC]]... [--registry-mb N] "
                  "[--hipri F] [--preempt]\n");
@@ -186,7 +185,6 @@ main(int argc, char **argv)
     bool have_fault_seed = false;
     std::uint64_t fault_seed = 0;
     int retries = 2;
-    bool migrate_on_mc = false;
     long snapshot_every = 0;
     int batch_max = 1;
     double batch_window_us = 0.0;
@@ -230,8 +228,6 @@ main(int argc, char **argv)
             have_fault_seed = true;
         } else if (!std::strcmp(argv[i], "--retries")) {
             retries = intArg(next());
-        } else if (!std::strcmp(argv[i], "--migrate-on-mc")) {
-            migrate_on_mc = true;
         } else if (!std::strcmp(argv[i], "--snapshot-every")) {
             snapshot_every = longArg(next());
         } else if (!std::strcmp(argv[i], "--batch-max")) {
@@ -268,7 +264,6 @@ main(int argc, char **argv)
     cfg.workers = workers;
     cfg.queueCapacity = static_cast<std::size_t>(queue_cap);
     cfg.maxRetries = retries;
-    cfg.migrateOnMachineCheck = migrate_on_mc;
     cfg.snapshotEveryCycles = static_cast<Cycle>(snapshot_every);
     cfg.batchMax = batch_max;
     cfg.batchWindowSec = batch_window_us * 1e-6;
@@ -396,7 +391,7 @@ main(int argc, char **argv)
         std::printf("fault injection: %.3g upsets/access, "
                     "double-bit fraction %.3g, retry budget %d%s\n",
                     fault_rate, fault_double, retries,
-                    migrate_on_mc ? ", mid-batch migration on" : "");
+                    snapshot_every > 0 ? ", mid-batch migration on" : "");
     }
     std::printf("\n");
 

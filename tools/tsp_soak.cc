@@ -191,8 +191,11 @@ main(int argc, char **argv)
     if (cfg.initialPods < 1 || cfg.chipsPerPod < 2 ||
         cfg.workersPerPod < 1 || cfg.durationSec <= 0.0 ||
         cfg.windowSec <= 0.0 || rho <= 0.0 || rate < 0.0 ||
-        slack_services < 0.0 || cfg.batchMax < 1 || wire < 0 ||
-        requests < 0 || cfg.fault.doubleBitFraction < 0.0 ||
+        slack_services < 0.0 || cfg.batchMax < 1 ||
+        cfg.batchWindowSec < 0.0 || wire < 0 || requests < 0 ||
+        cfg.maxRetries < 0 || cfg.fault.memReadRate < 0.0 ||
+        cfg.fault.memReadRate > 1.0 ||
+        cfg.fault.doubleBitFraction < 0.0 ||
         cfg.fault.doubleBitFraction > 1.0)
         badArg();
     cfg.wireLatency = static_cast<Cycle>(wire);
