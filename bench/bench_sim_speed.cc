@@ -18,8 +18,10 @@
  * trailing NOP on an unused queue, modeling a deadline-padded
  * serving slot where the chip idles until the next batch window
  * (paper VI: deterministic deadlines). Results land in
- * BENCH_sim_speed.json, with the active SIMD kernel tier recorded
- * (scalar / avx2 / avx2+vnni; see common/cpu.hh).
+ * BENCH_sim_speed.json, and the active SIMD kernel tiers are named
+ * in the end-to-end header (scalar, or avx2 plus +vnni for the MXM
+ * and +gfni for the ECC codec when the host has them; see
+ * common/cpu.hh).
  *
  * Flags: --e2e=resnet50 (default) | tiny | off selects the
  * end-to-end workload (CI smoke uses tiny);
@@ -99,6 +101,26 @@ BM_EccCheckVec(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * kLanes);
 }
 BENCHMARK(BM_EccCheckVec);
+
+void
+BM_EccCheckVecOneFlip(benchmark::State &state)
+{
+    // One flipped data bit per vector: the vector tier's check falls
+    // back to the scalar check for that word.
+    Rng rng(3);
+    Vec320 v;
+    for (auto &b : v.bytes)
+        b = static_cast<std::uint8_t>(rng.nextBelow(256));
+    eccComputeVec(v);
+    v.bytes[13 * kWordBytes + 5] ^= 0x10;
+    for (auto _ : state) {
+        Vec320 copy = v;
+        benchmark::DoNotOptimize(eccCheckVec(copy));
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kLanes);
+}
+BENCHMARK(BM_EccCheckVecOneFlip);
 
 void
 BM_MxmMatvecTick(benchmark::State &state)
@@ -313,11 +335,12 @@ runEndToEnd(const std::string &workload, double min_replay_over_ff)
     g.lower(lw, input);
 
     std::printf("\nend-to-end full-program simulation (%s "
-                "schedule, %s lane kernels):\n",
+                "schedule, %s%s%s kernels):\n",
                 workload.c_str(),
-                !simdKernelsEnabled()  ? "scalar"
-                : cpuHasAvx512Vnni()   ? "avx2+vnni"
-                                       : "avx2");
+                simdKernelsEnabled() ? "avx2" : "scalar",
+                simdKernelsEnabled() && cpuHasAvx512Vnni() ? "+vnni" : "",
+                simdKernelsEnabled() && cpuHasGfniAvx512() ? "+gfni"
+                                                           : "");
     const E2eTriple dense = compareTriple(
         "dense", [&](bool ff) { return timedRun(lw, ff); },
         [&] { return timedReplayRun(lw); });

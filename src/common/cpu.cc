@@ -58,6 +58,19 @@ cpuHasAvx512f()
 }
 
 bool
+cpuHasGfniAvx512()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const bool v = __builtin_cpu_supports("gfni") &&
+                          __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512bw");
+    return v;
+#else
+    return false;
+#endif
+}
+
+bool
 simdKernelsEnabled()
 {
     if (forced >= 0)

@@ -3,13 +3,15 @@
  * Runtime CPU-feature detection for the optional SIMD simulation
  * kernels.
  *
- * The vector kernels (vxm/vxm_kernels_avx2.cc, mxm/mxm_kernels_avx2.cc)
- * are bit-identical to the scalar lane loops, so selecting them is a
- * pure host-speed decision: use them when the host supports AVX2 and
- * nothing forces the scalar path. CI exercises both paths on any host
- * via the TSP_FORCE_SCALAR environment variable (any value other than
- * empty/"0" forces scalar); tests flip the decision in-process with
- * forceScalarKernels().
+ * The vector kernels (vxm/vxm_kernels_avx2.cc, mxm/mxm_kernels_avx2.cc,
+ * mem/ecc_kernels_gfni.cc) are bit-identical to the scalar loops, so
+ * selecting them is a pure host-speed decision: use them when the host
+ * supports their ISA and nothing forces the scalar path. CI exercises
+ * both paths on any host via the TSP_FORCE_SCALAR environment variable
+ * (any value other than empty/"0" forces scalar); tests flip the
+ * decision in-process with forceScalarKernels(). The SECDED tier
+ * additionally needs cpuHasGfniAvx512(), as the MXM VNNI tier needs
+ * cpuHasAvx512Vnni().
  */
 
 #ifndef TSP_COMMON_CPU_HH
@@ -31,6 +33,12 @@ bool cpuHasAvx512Vnni();
  * 16-wide fp32 kernels — the MXM fp16 fast path needs no VNNI).
  */
 bool cpuHasAvx512f();
+
+/**
+ * @return true when the host CPU supports the SECDED codec's vector
+ * tier (GFNI + AVX-512 F and BW — mem/ecc_kernels_gfni.cc).
+ */
+bool cpuHasGfniAvx512();
 
 /**
  * @return true when the AVX2 simulation kernels should be used: the

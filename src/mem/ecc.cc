@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/cpu.hh"
+
 namespace tsp {
 
 namespace {
@@ -70,6 +72,46 @@ struct ContribTable
 };
 
 const ContribTable kContrib;
+
+/**
+ * The GFNI tier's matrix operands (mem/ecc.hh). Byte j of a word
+ * maps its 8 data bits onto the 8 Hamming bits linearly: output bit
+ * i takes input bit b when bit i of data bit 8j+b's codeword
+ * position is set. vgf2p8affineqb reads output bit i's row from
+ * matrix byte 7-i, and each operand's qwords alternate the matrices
+ * of bytes p and 8+p, as a 512-bit load of four words alternates
+ * their low and high halves.
+ */
+struct GfniOperands
+{
+    alignas(64) std::array<std::uint64_t, 64> ops{};
+
+    GfniOperands()
+    {
+        for (int j = 0; j < 16; ++j) {
+            std::uint64_t m = 0;
+            for (int i = 0; i < 8; ++i) {
+                for (int b = 0; b < 8; ++b) {
+                    const int pos = kPos.dataPos[static_cast<std::size_t>(
+                        j * 8 + b)];
+                    if ((pos >> i) & 1)
+                        m |= std::uint64_t{1} << ((7 - i) * 8 + b);
+                }
+            }
+            for (int q = j / 8; q < 8; q += 2)
+                ops[static_cast<std::size_t>((j % 8) * 8 + q)] = m;
+        }
+    }
+};
+
+const GfniOperands kGfni;
+
+/** @return true when the vector helpers run the GFNI tier. */
+inline bool
+gfniTier()
+{
+    return simdKernelsEnabled() && cpuHasGfniAvx512();
+}
 
 /** @return (hamming syndrome, data parity) of the 16 data bytes. */
 inline std::pair<std::uint8_t, int>
@@ -152,6 +194,10 @@ eccCheckCorrect(std::uint8_t *word16, std::uint16_t &ecc)
 void
 eccComputeVec(Vec320 &vec)
 {
+    if (gfniTier() && simd::eccComputeGfni(vec.bytes.data(),
+                                           vec.ecc.data(),
+                                           kGfni.ops.data()))
+        return;
     for (int sl = 0; sl < kSuperlanes; ++sl) {
         vec.ecc[static_cast<std::size_t>(sl)] =
             eccCompute(vec.bytes.data() + sl * kWordBytes);
@@ -161,8 +207,19 @@ eccComputeVec(Vec320 &vec)
 EccStatus
 eccCheckVec(Vec320 &vec)
 {
+    // The GFNI tier narrows the check to the words whose recomputed
+    // code differs from the stored one. A matching word has syndrome
+    // 0 and good parity, which eccCheckCorrect reports Ok without a
+    // write, so corrections, miscorrections and stray bits 9-15 all
+    // still go through the one scalar check.
+    std::uint32_t words = 0;
+    if (!gfniTier() ||
+        !simd::eccDiffersGfni(vec.bytes.data(), vec.ecc.data(),
+                              kGfni.ops.data(), &words))
+        words = (1u << kSuperlanes) - 1;
     EccStatus worst = EccStatus::Ok;
-    for (int sl = 0; sl < kSuperlanes; ++sl) {
+    for (; words != 0; words &= words - 1) {
+        const int sl = __builtin_ctz(words);
         const EccStatus s = eccCheckCorrect(
             vec.bytes.data() + sl * kWordBytes,
             vec.ecc[static_cast<std::size_t>(sl)]);

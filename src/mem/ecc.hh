@@ -52,6 +52,34 @@ void eccComputeVec(Vec320 &vec);
  */
 EccStatus eccCheckVec(Vec320 &vec);
 
+namespace simd {
+
+/**
+ * GFNI tier of eccComputeVec: writes the codes of the kSuperlanes
+ * words at @p bytes to @p codes. Definitions live in
+ * ecc_kernels_gfni.cc, the only TU built with -mgfni -mavx512f
+ * -mavx512bw. @p ops holds eight 64-byte operands, one per byte
+ * position p in 0..7 of a qword, whose qwords alternate the 8x8 bit
+ * matrices mapping word bytes p and 8+p onto the Hamming bits; ecc.cc
+ * builds them from its position tables.
+ *
+ * @return false when this build has no vector path (nothing written).
+ */
+bool eccComputeGfni(const std::uint8_t *bytes, std::uint16_t *codes,
+                    const std::uint64_t *ops);
+
+/**
+ * Recomputes the codes of the words at @p bytes and sets bit s of
+ * @p differs for each word s whose stored code @p codes[s] differs.
+ *
+ * @return false when this build has no vector path.
+ */
+bool eccDiffersGfni(const std::uint8_t *bytes,
+                    const std::uint16_t *codes, const std::uint64_t *ops,
+                    std::uint32_t *differs);
+
+} // namespace simd
+
 } // namespace tsp
 
 #endif // TSP_MEM_ECC_HH

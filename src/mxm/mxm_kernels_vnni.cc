@@ -37,18 +37,20 @@ namespace {
 inline __m128i
 hsum4Epi32(__m512i s0, __m512i s1, __m512i s2, __m512i s3)
 {
+    // All-ones maskz_ extracts: the same instruction as the unmasked
+    // form, whose header placeholder GCC 12 flags as uninitialized.
     const __m256i q0 = _mm256_add_epi32(
-        _mm512_extracti64x4_epi64(s0, 0),
-        _mm512_extracti64x4_epi64(s0, 1));
+        _mm512_maskz_extracti64x4_epi64(0xff, s0, 0),
+        _mm512_maskz_extracti64x4_epi64(0xff, s0, 1));
     const __m256i q1 = _mm256_add_epi32(
-        _mm512_extracti64x4_epi64(s1, 0),
-        _mm512_extracti64x4_epi64(s1, 1));
+        _mm512_maskz_extracti64x4_epi64(0xff, s1, 0),
+        _mm512_maskz_extracti64x4_epi64(0xff, s1, 1));
     const __m256i q2 = _mm256_add_epi32(
-        _mm512_extracti64x4_epi64(s2, 0),
-        _mm512_extracti64x4_epi64(s2, 1));
+        _mm512_maskz_extracti64x4_epi64(0xff, s2, 0),
+        _mm512_maskz_extracti64x4_epi64(0xff, s2, 1));
     const __m256i q3 = _mm256_add_epi32(
-        _mm512_extracti64x4_epi64(s3, 0),
-        _mm512_extracti64x4_epi64(s3, 1));
+        _mm512_maskz_extracti64x4_epi64(0xff, s3, 0),
+        _mm512_maskz_extracti64x4_epi64(0xff, s3, 1));
     // hadd interleaves per 128-bit lane: after two rounds each lane
     // holds one partial per source, and the cross-lane add finishes.
     const __m256i h01 = _mm256_hadd_epi32(q0, q1);

@@ -227,6 +227,9 @@ class Chip
     /** @return content hash of the loaded program (0 when none). */
     std::uint64_t programHash() const { return program_.hash(); }
 
+    /** @return the loaded program (null when none). */
+    const SharedProgram &program() const { return program_; }
+
     // --- Trace record/replay tier (see sim/exec_trace.hh) ---
 
     /**

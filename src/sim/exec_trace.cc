@@ -1,9 +1,19 @@
 #include "sim/exec_trace.hh"
 
+#include <functional>
+
+#include "arch/layout.hh"
 #include "common/logging.hh"
 #include "sim/chip.hh"
 
 namespace tsp {
+
+namespace {
+
+/** instIndex_ entry of an instruction that has not dispatched yet. */
+constexpr std::uint32_t kUnseen = 0xffffffffu;
+
+} // namespace
 
 std::size_t
 ExecutionTrace::arenaBytes() const
@@ -32,10 +42,32 @@ TraceRecording::TraceRecording(std::vector<Chip *> chips)
     TSP_ASSERT(!chips_.empty() && chips_.size() <= 256);
     start_ = chips_[0]->now();
     snaps_.reserve(chips_.size());
+    // Programs stay loaded for the whole run, so each program vector
+    // gets its index table up front, and a dispatch finds its
+    // instruction by its offset in the queue's program. instIndex_
+    // may reallocate, but a moved table keeps its buffer, so the
+    // queues' pointers into it stay valid.
+    std::unordered_map<const Instruction *, std::uint32_t *> tableOf;
+    queueInsts_.resize(chips_.size() * kNumIcus);
     for (std::size_t i = 0; i < chips_.size(); ++i) {
         Chip *c = chips_[i];
         TSP_ASSERT(c->now() == start_);
         snaps_.push_back(snapshot(*c));
+        if (const SharedProgram &prog = c->program()) {
+            for (const auto &[icu, insts] : prog->queues) {
+                if (insts.empty())
+                    continue;
+                auto [it, fresh] = tableOf.try_emplace(insts.data());
+                if (fresh) {
+                    it->second =
+                        instIndex_.emplace_back(insts.size(), kUnseen)
+                            .data();
+                }
+                queueInsts_[i * kNumIcus +
+                            static_cast<std::size_t>(icu)] = {
+                    insts.data(), insts.size(), it->second};
+            }
+        }
         c->armTraceRecorder(this, static_cast<int>(i));
     }
     armed_ = true;
@@ -103,16 +135,22 @@ void
 TraceRecording::onDispatch(int chip, int queue_id,
                            const Instruction &inst, Cycle now)
 {
-    // Program vectors are stable for the duration of a run, so the
-    // instruction's address identifies it — Repeat re-issues and the
-    // steady state of a loop dedup to one stored copy.
-    const auto [it, inserted] = instIndex_.try_emplace(
-        &inst, static_cast<std::uint32_t>(trace_->insts.size()));
-    if (inserted)
+    // The instruction's place in its program identifies it — Repeat
+    // re-issues and the steady state of a loop dedup to one stored
+    // copy.
+    const QueueInsts &q = queueInsts_[static_cast<std::size_t>(chip) *
+                                          kNumIcus +
+                                      static_cast<std::size_t>(queue_id)];
+    TSP_ASSERT(std::less_equal<>{}(q.base, &inst) &&
+               std::less<>{}(&inst, q.base + q.size));
+    std::uint32_t &index = q.index[&inst - q.base];
+    if (index == kUnseen) {
+        index = static_cast<std::uint32_t>(trace_->insts.size());
         trace_->insts.push_back(inst);
+    }
     ExecutionTrace::Event e;
     e.cycleOffset = offsetOf(now);
-    e.instIndex = it->second;
+    e.instIndex = index;
     e.unit = static_cast<std::uint16_t>(queue_id);
     e.chip = static_cast<std::uint8_t>(chip);
     e.kind = ExecutionTrace::EventKind::Dispatch;

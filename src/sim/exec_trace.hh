@@ -168,6 +168,14 @@ class TraceRecording final : public TapeRecorder
     std::shared_ptr<const ExecutionTrace> finish(bool completed);
 
   private:
+    /** A queue's loaded program and its instIndex_ table. */
+    struct QueueInsts
+    {
+        const Instruction *base = nullptr;
+        std::size_t size = 0;
+        std::uint32_t *index = nullptr;
+    };
+
     /** @return @p chip's lifetime totals of the ChipDeltas counters. */
     static ExecutionTrace::ChipDeltas snapshot(const Chip &chip);
     std::uint32_t offsetOf(Cycle now);
@@ -178,7 +186,15 @@ class TraceRecording final : public TapeRecorder
     std::vector<ExecutionTrace::ChipDeltas> snaps_;
     Cycle start_ = 0;
     std::unique_ptr<ExecutionTrace> trace_;
-    std::unordered_map<const Instruction *, std::uint32_t> instIndex_;
+    /**
+     * One table per distinct program vector: per instruction, its
+     * index into trace_->insts, or kUnseen before its first dispatch.
+     * Queues and pod members that point into the same vector share
+     * its table, as they share its instructions.
+     */
+    std::vector<std::vector<std::uint32_t>> instIndex_;
+    /** Per chip * kNumIcus + queue id: its program and table. */
+    std::vector<QueueInsts> queueInsts_;
     /** Per produce, the consume-tape length when it ran (liveness). */
     std::vector<std::uint32_t> produceAt_;
     std::uint64_t produceCount_ = 0;

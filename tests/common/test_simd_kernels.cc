@@ -1,7 +1,8 @@
 /**
  * @file
  * Differential tests: every SIMD lane kernel against the scalar
- * alu_ops / MXM reference it claims to reproduce bit-for-bit.
+ * alu_ops / MXM / SECDED reference it claims to reproduce
+ * bit-for-bit.
  *
  * Operands are pseudo-random byte planes with adversarial values
  * written over the first lanes — NaNs, signed zeros, infinities,
@@ -20,6 +21,7 @@
 
 #include "common/cpu.hh"
 #include "common/fp16.hh"
+#include "mem/ecc.hh"
 #include "mxm/mxm_kernels.hh"
 #include "vxm/alu_ops.hh"
 #include "vxm/vxm_kernels.hh"
@@ -702,6 +704,119 @@ TEST(MxmSimd, F16KernelsDeclineUncoveredShapes)
         EXPECT_FALSE(simd::mxmAbcF16Avx512(w.data(), 8, a.data(),
                                            acc.data(), 8, false));
     }
+}
+
+// ---------------------------------------------------------------
+// SECDED vector tier (mem/ecc_kernels_gfni.cc) against the scalar
+// per-word eccCompute / eccCheckCorrect.
+// ---------------------------------------------------------------
+
+/** Forces the GFNI tier on for one test; skips without it. */
+class EccSimd : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        forceScalarKernels(0);
+        if (!(simdKernelsEnabled() && cpuHasGfniAvx512()))
+            GTEST_SKIP() << "no GFNI + AVX-512BW on this host";
+    }
+
+    void TearDown() override { forceScalarKernels(-1); }
+
+    static void
+    expectCodesMatch(Vec320 v, const char *what)
+    {
+        eccComputeVec(v);
+        for (int sl = 0; sl < kSuperlanes; ++sl) {
+            ASSERT_EQ(v.ecc[static_cast<std::size_t>(sl)],
+                      eccCompute(v.bytes.data() + sl * kWordBytes))
+                << what << " superlane " << sl;
+        }
+    }
+};
+
+TEST_F(EccSimd, CodesMatchScalar)
+{
+    std::uint64_t seed = 211;
+    Vec320 v;
+    expectCodesMatch(v, "all-zero");
+    v.bytes.fill(0xff);
+    expectCodesMatch(v, "all-0xff");
+    for (int bit = 0; bit < kLanes * 8; ++bit) {
+        Vec320 one;
+        one.bytes[static_cast<std::size_t>(bit / 8)] =
+            static_cast<std::uint8_t>(1u << (bit % 8));
+        expectCodesMatch(one, "single-bit");
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+        fillPlanes(&v, 1, seed++);
+        expectCodesMatch(v, "random");
+        // Sparse: about one byte in 16 holds one set bit.
+        Vec320 sparse;
+        for (auto &b : sparse.bytes) {
+            const std::uint8_t r = nextByte(seed);
+            if (r < 16)
+                b = static_cast<std::uint8_t>(1u << (r % 8));
+        }
+        expectCodesMatch(sparse, "sparse");
+    }
+}
+
+TEST_F(EccSimd, CheckMatchesScalar)
+{
+    // 0-4 flips over data and check bits, half of them piled into one
+    // word, and now and then a stray bit 9-15 in a stored code: the
+    // tier must return the scalar status and leave the same bytes and
+    // codes as the scalar check of every word.
+    std::uint64_t seed = 307;
+    int seen[3] = {0, 0, 0};
+    for (int trial = 0; trial < 100000; ++trial) {
+        Vec320 v;
+        fillPlanes(&v, 1, seed++);
+        for (int sl = 0; sl < kSuperlanes; ++sl) {
+            v.ecc[static_cast<std::size_t>(sl)] =
+                eccCompute(v.bytes.data() + sl * kWordBytes);
+        }
+        const int flips = nextByte(seed) % 5;
+        const int pile = nextByte(seed) % kSuperlanes;
+        for (int f = 0; f < flips; ++f) {
+            const int sl =
+                (nextByte(seed) & 1) ? pile : nextByte(seed) % kSuperlanes;
+            const int bit =
+                ((nextByte(seed) << 8) | nextByte(seed)) % 137;
+            if (bit < 128) {
+                v.bytes[static_cast<std::size_t>(sl * 16 + bit / 8)] ^=
+                    static_cast<std::uint8_t>(1u << (bit % 8));
+            } else {
+                v.ecc[static_cast<std::size_t>(sl)] ^=
+                    static_cast<std::uint16_t>(1u << (bit - 128));
+            }
+        }
+        if (nextByte(seed) % 11 == 0) {
+            v.ecc[nextByte(seed) % kSuperlanes] ^=
+                static_cast<std::uint16_t>(1u << (9 + nextByte(seed) % 7));
+        }
+
+        Vec320 ref = v;
+        EccStatus want = EccStatus::Ok;
+        for (int sl = 0; sl < kSuperlanes; ++sl) {
+            want = std::max(want,
+                            eccCheckCorrect(ref.bytes.data() +
+                                                sl * kWordBytes,
+                                            ref.ecc[static_cast<
+                                                std::size_t>(sl)]));
+        }
+        ASSERT_EQ(eccCheckVec(v), want) << "trial " << trial;
+        ASSERT_EQ(v.bytes, ref.bytes) << "trial " << trial;
+        ASSERT_EQ(v.ecc, ref.ecc) << "trial " << trial;
+        ++seen[static_cast<int>(want)];
+    }
+    // Every outcome must be exercised for the match to mean anything.
+    EXPECT_GT(seen[static_cast<int>(EccStatus::Ok)], 0);
+    EXPECT_GT(seen[static_cast<int>(EccStatus::Corrected)], 0);
+    EXPECT_GT(seen[static_cast<int>(EccStatus::Uncorrectable)], 0);
 }
 
 } // namespace

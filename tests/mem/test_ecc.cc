@@ -2,7 +2,9 @@
  * @file
  * SECDED properties: exhaustive single-bit correction over data and
  * check bits, double-bit detection, zero-word code, and vector-level
- * helpers — the paper's 9-bit code over 128-bit words (II.D).
+ * helpers — the paper's 9-bit code over 128-bit words (II.D). The
+ * exhaustive properties also run through eccCheckVec on each kernel
+ * tier (scalar and GFNI), with the word under test among clean ones.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/cpu.hh"
 #include "common/rng.hh"
 #include "mem/ecc.hh"
 
@@ -271,6 +274,131 @@ TEST(Ecc, VectorHelpersCoverAllSuperlanes)
     double_err.bytes[13 * 16 + 5] ^= 0x20; // Second flip, same word.
     EXPECT_EQ(eccCheckVec(double_err), EccStatus::Uncorrectable);
 }
+
+/**
+ * Runs eccComputeVec / eccCheckVec on one kernel tier: the scalar
+ * loops (forceScalarKernels(1)) or the GFNI tier
+ * (forceScalarKernels(0)), which skips on a host without it. The
+ * word under test sits at an inner superlane among clean random
+ * words, so the vector tier's packing of codes is covered too.
+ */
+class EccVecTier : public ::testing::TestWithParam<bool>
+{
+  protected:
+    static constexpr int kSl = 13;
+
+    void
+    SetUp() override
+    {
+        forceScalarKernels(GetParam() ? 0 : 1);
+        if (GetParam() && !(simdKernelsEnabled() && cpuHasGfniAvx512()))
+            GTEST_SKIP() << "no GFNI + AVX-512BW on this host";
+    }
+
+    void TearDown() override { forceScalarKernels(-1); }
+
+    /** @return a vector of random words, coded on this tier. */
+    static Vec320
+    codedVector(std::uint64_t seed)
+    {
+        Rng rng(seed);
+        Vec320 v;
+        for (auto &b : v.bytes)
+            b = static_cast<std::uint8_t>(rng.nextBelow(256));
+        eccComputeVec(v);
+        return v;
+    }
+
+    /** Flips codeword bit @p bit (data 0..127, check 128..136). */
+    static void
+    flip(Vec320 &v, int bit)
+    {
+        if (bit < 128) {
+            v.bytes[static_cast<std::size_t>(kSl * 16 + bit / 8)] ^=
+                static_cast<std::uint8_t>(1u << (bit % 8));
+        } else {
+            v.ecc[kSl] =
+                static_cast<std::uint16_t>(v.ecc[kSl] ^ (1u << (bit - 128)));
+        }
+    }
+};
+
+TEST_P(EccVecTier, CleanVectorIsOk)
+{
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        Vec320 v = codedVector(seed);
+        for (int sl = 0; sl < kSuperlanes; ++sl) {
+            ASSERT_EQ(v.ecc[static_cast<std::size_t>(sl)],
+                      eccCompute(v.bytes.data() + sl * kWordBytes))
+                << "seed " << seed << " superlane " << sl;
+        }
+        const Vec320 clean = v;
+        ASSERT_EQ(eccCheckVec(v), EccStatus::Ok) << "seed " << seed;
+        ASSERT_EQ(v, clean) << "seed " << seed;
+    }
+}
+
+TEST_P(EccVecTier, EverySingleFlipCorrects)
+{
+    const Vec320 orig = codedVector(21);
+    for (int bit = 0; bit < 137; ++bit) {
+        Vec320 v = orig;
+        flip(v, bit);
+        ASSERT_EQ(eccCheckVec(v), EccStatus::Corrected) << "bit " << bit;
+        ASSERT_EQ(v, orig) << "bit " << bit;
+    }
+}
+
+TEST_P(EccVecTier, EveryDoubleFlipIsUncorrectableAndUntouched)
+{
+    const Vec320 orig = codedVector(22);
+    int pairs = 0;
+    for (int b1 = 0; b1 < 137; ++b1) {
+        for (int b2 = b1 + 1; b2 < 137; ++b2) {
+            Vec320 v = orig;
+            flip(v, b1);
+            flip(v, b2);
+            const Vec320 damaged = v;
+            ASSERT_EQ(eccCheckVec(v), EccStatus::Uncorrectable)
+                << b1 << "," << b2;
+            ASSERT_EQ(v, damaged) << b1 << "," << b2;
+            ++pairs;
+        }
+    }
+    EXPECT_EQ(pairs, 9316);
+}
+
+TEST_P(EccVecTier, EveryTripleFlipMatchesScalarCheck)
+{
+    // Three flips may miscorrect or be uncorrectable; either way the
+    // tier must do exactly what the scalar check does to the word,
+    // and leave the clean words alone.
+    const Vec320 orig = codedVector(23);
+    int triples = 0;
+    for (int b1 = 0; b1 < 137; ++b1) {
+        for (int b2 = b1 + 1; b2 < 137; ++b2) {
+            for (int b3 = b2 + 1; b3 < 137; ++b3) {
+                Vec320 v = orig;
+                flip(v, b1);
+                flip(v, b2);
+                flip(v, b3);
+                Vec320 ref = v;
+                const EccStatus want = eccCheckCorrect(
+                    ref.bytes.data() + kSl * kWordBytes, ref.ecc[kSl]);
+                ASSERT_EQ(eccCheckVec(v), want)
+                    << b1 << "," << b2 << "," << b3;
+                ASSERT_EQ(v, ref) << b1 << "," << b2 << "," << b3;
+                ++triples;
+            }
+        }
+    }
+    EXPECT_EQ(triples, 419220);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, EccVecTier, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "Gfni" : "Scalar";
+                         });
 
 } // namespace
 } // namespace tsp

@@ -308,8 +308,10 @@ TEST(MetricsSchema, AllOutcomeCountersPresentAtZero)
           "batch_samples", "machine_checks", "retries", "migrations",
           "ecc_corrected", "preemptions", "preempted_requeued",
           "preempted_shed"}) {
-        EXPECT_NE(j.find("\"" + std::string(name) + "\":0"),
-                  std::string::npos)
+        std::string key = "\"";
+        key += name;
+        key += "\":0";
+        EXPECT_NE(j.find(key), std::string::npos)
             << "missing zero-valued counter " << name;
     }
 }

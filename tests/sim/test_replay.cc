@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "c2c/collective.hh"
 #include "common/fp16.hh"
 #include "common/rng.hh"
@@ -119,6 +122,130 @@ expectIdenticalReplay(const AsmProgram &prog,
     replayTrace(*trace, {&replayed});
     EXPECT_TRUE(replayed.done());
     expectChipsIdentical(legacy, replayed, probes, "replayed");
+}
+
+/**
+ * @return the instructions one queue's @p prog dispatches, in order:
+ * every instruction but Nop, Sync and Repeat once, and a Repeat's
+ * imm0 re-issues of the last instruction before it that is not a Nop.
+ */
+std::vector<const Instruction *>
+dispatchOrder(const std::vector<Instruction> &prog)
+{
+    std::vector<const Instruction *> order;
+    for (std::size_t pc = 0; pc < prog.size(); ++pc) {
+        const Opcode op = prog[pc].op;
+        if (op == Opcode::Nop || op == Opcode::Sync)
+            continue;
+        if (op != Opcode::Repeat) {
+            order.push_back(&prog[pc]);
+            continue;
+        }
+        std::size_t prev = pc;
+        while (prog[prev - 1].op == Opcode::Nop)
+            --prev;
+        order.insert(order.end(), prog[pc].imm0, &prog[prev - 1]);
+    }
+    return order;
+}
+
+/**
+ * Checks a recording's instruction table against the programs its
+ * @p chips ran to completion: every Dispatch event's insts[instIndex]
+ * is the instruction its queue dispatched, each dispatched program
+ * instruction has exactly one entry (chips whose queues share a
+ * program vector share its entries), and entries are in order of
+ * first dispatch. @return the number of distinct entries.
+ */
+std::size_t
+expectInstsMatchDispatches(const ExecutionTrace &t,
+                           const std::vector<const Chip *> &chips)
+{
+    // Per (chip, queue): what it dispatches, and how much of that the
+    // events have matched so far.
+    std::map<std::pair<int, int>,
+             std::pair<std::vector<const Instruction *>, std::size_t>>
+        queues;
+    for (std::size_t c = 0; c < chips.size(); ++c) {
+        for (const auto &[icu, insts] : chips[c]->program()->queues)
+            queues[{static_cast<int>(c), icu}].first = dispatchOrder(insts);
+    }
+    std::map<const Instruction *, std::uint32_t> entry;
+    for (const ExecutionTrace::Event &e : t.events) {
+        if (e.kind != ExecutionTrace::EventKind::Dispatch)
+            continue;
+        auto &[order, matched] = queues[{e.chip, e.unit}];
+        EXPECT_LT(matched, order.size())
+            << "chip " << int{e.chip} << " queue " << e.unit;
+        EXPECT_LT(e.instIndex, t.insts.size());
+        if (matched >= order.size() || e.instIndex >= t.insts.size())
+            return 0;
+        const Instruction *inst = order[matched++];
+        EXPECT_EQ(t.insts[e.instIndex], *inst)
+            << "chip " << int{e.chip} << " queue " << e.unit;
+        const auto [it, fresh] = entry.try_emplace(
+            inst, static_cast<std::uint32_t>(entry.size()));
+        EXPECT_EQ(e.instIndex, it->second)
+            << "chip " << int{e.chip} << " queue " << e.unit
+            << (fresh ? " (first dispatch)" : " (re-dispatch)");
+    }
+    for (const auto &[key, q] : queues) {
+        EXPECT_EQ(q.second, q.first.size())
+            << "chip " << key.first << " queue " << key.second;
+    }
+    EXPECT_EQ(t.insts.size(), entry.size());
+    return entry.size();
+}
+
+TEST(Replay, RecordedInstsShareOnePodProgram)
+{
+    // Two pod members run one shared program: their queues point into
+    // the same instruction vectors, so the recording stores each
+    // dispatched instruction once for both, and Repeat re-issues land
+    // on their instruction's one entry.
+    const std::string text = "@MEM_E3:\n"
+                             "    nop 40\n"
+                             "    read 0x9, s2.w\n"
+                             "    repeat 12, 7\n"
+                             "@MEM_E2:\n"
+                             "    nop 121\n"
+                             "    write 0x30, s2.w\n";
+    const AsmResult r = assemble(text);
+    ASSERT_TRUE(r.ok) << r.error;
+    const SharedProgram prog(r.program);
+
+    InferenceSession pod(/*chips=*/2, /*wire_latency=*/12);
+    pod.bind({prog, prog});
+    pod.reset();
+    std::shared_ptr<const ExecutionTrace> trace;
+    {
+        TraceRecording rec({&pod.pod().chip(0), &pod.pod().chip(1)});
+        ASSERT_TRUE(pod.runBounded().completed);
+        trace = rec.finish(/*completed=*/true);
+    }
+    ASSERT_NE(trace, nullptr);
+    // The read and the write: two entries for 2 x 14 dispatches.
+    EXPECT_EQ(expectInstsMatchDispatches(
+                  *trace, {&pod.pod().chip(0), &pod.pod().chip(1)}),
+              2u);
+}
+
+TEST(Replay, RecordedInstsMatchTinyNetDispatches)
+{
+    const int h = 12, w = 12, c = 8;
+    Graph g = model::buildTinyNet(/*seed=*/42, h, w, c);
+    std::vector<std::int8_t> in(static_cast<std::size_t>(h) * w * c, 3);
+    Lowering lw(true);
+    g.lower(lw, in);
+    InferenceSession sess(lw);
+    std::shared_ptr<const ExecutionTrace> trace;
+    {
+        TraceRecording rec({&sess.chip()});
+        ASSERT_TRUE(sess.runBounded().completed);
+        trace = rec.finish(/*completed=*/true);
+    }
+    ASSERT_NE(trace, nullptr);
+    EXPECT_GT(expectInstsMatchDispatches(*trace, {&sess.chip()}), 0u);
 }
 
 TEST(Replay, StreamAddWithLongIdleSpans)
