@@ -151,7 +151,9 @@ C2cModule::execute(const Instruction &inst, int link, Cycle now)
                   link, static_cast<unsigned long long>(l.txBusyUntil),
                   static_cast<unsigned long long>(now));
         }
-        const Vec320 v = io_.consume(inst.srcA, p);
+        // deliver() copies the vector into the peer's receive queue
+        // before this dispatch ends, so a tape slot is read in place.
+        const Vec320 &v = *io_.consumeRef(inst.srcA, p, scratch_);
         l.txBusyUntil = now + kC2cSerializationCycles;
         l.peer->deliver(l.peerLink, v,
                         now + kC2cSerializationCycles + l.wireLatency);

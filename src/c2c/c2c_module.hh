@@ -109,6 +109,8 @@ class C2cModule
     const ChipConfig &cfg_;
     StreamFabric &fabric_;
     StreamIo io_;
+    /** Where the stepped tier's port checks a Send's operand. */
+    alignas(64) Vec320 scratch_;
     std::vector<Link> links_;
 
     std::uint64_t sent_ = 0;

@@ -60,6 +60,7 @@ MxmPlane::allocateArrays()
     winstFCols_.assign(plane, 0.0f);
     accI_.assign(kMxmAccDepth, {});
     accF_.assign(kMxmAccDepth, {});
+    scratch_.resize(kStreamsPerDir);
 }
 
 std::int8_t
@@ -131,8 +132,7 @@ MxmPlane::executeLw(const Instruction &inst, Cycle now)
               fillRow_, rows);
     }
     const Vec320 *vp[kStreamsPerDir];
-    Vec320 scratch[kStreamsPerDir];
-    io_.consumeRun(inst.srcA, pos(), scratch, vp,
+    io_.consumeRun(inst.srcA, pos(), scratch_.data(), vp,
                    static_cast<std::size_t>(gs));
     for (int i = 0; i < rows; ++i) {
         const std::size_t row = static_cast<std::size_t>(fillRow_ + i);
@@ -285,8 +285,7 @@ MxmPlane::stepAbc(Cycle now)
     indexGen_[idx] = generation_;
 
     if (abc_.atype == DType::Int8) {
-        Vec320 scratch;
-        const Vec320 &a = *io_.consumeRef(abc_.src, pos(), scratch);
+        const Vec320 &a = *io_.consumeRef(abc_.src, pos(), scratch_[0]);
         auto &acc = accI_[idx];
         // Dot products against installed rows: y[r] = sum_c W[r][c]*a[c],
         // computed over the nonzero block only — the rest of the plane
@@ -318,8 +317,7 @@ MxmPlane::stepAbc(Cycle now)
         }
     } else if (abc_.atype == DType::Fp16) {
         const Vec320 *vp[2];
-        Vec320 scratch[2];
-        io_.consumeRun(abc_.src, pos(), scratch, vp, 2);
+        io_.consumeRun(abc_.src, pos(), scratch_.data(), vp, 2);
         const Vec320 &vlo = *vp[0];
         const Vec320 &vhi = *vp[1];
         float act[kMxmDim];

@@ -241,6 +241,14 @@ class MxmPlane
     std::vector<std::array<float, kMxmDim>> accF_;
 
     /**
+     * Where the stepped tier's port checks LW's operand burst and
+     * ABC's activations (kStreamsPerDir vectors once allocated);
+     * replay reads tape slots instead. Every consume overwrites what
+     * it uses, so nothing re-zeroes it.
+     */
+    std::vector<Vec320> scratch_;
+
+    /**
      * Drain-consistency tracking: every overwriting ABC starts a new
      * generation; ACC must emit accumulators of the generation that
      * was current when it issued, or the schedule interleaved two

@@ -387,6 +387,20 @@ InferenceServer::workerLoop(int w)
         // Engine rebuilds are not free: every attempt after a machine
         // check first re-stages the engine image over the host link.
         const double rebuild = be.rebuildPenaltySec();
+        // Snapshots only serve a migration, and any recovery attempt
+        // books at least a rebuild plus the whole program after the
+        // batch's start (a failed attempt ran at least up to its last
+        // snapshot). When that misses the deadline, the loop below
+        // refuses every recovery, so the batch takes no snapshots.
+        if (cfg_.snapshotEveryCycles > 0) {
+            const bool recoverable =
+                deadline <= 0.0 ||
+                job.booking.startSec + rebuild +
+                        static_cast<double>(predicted) * period <=
+                    deadline;
+            be.enableSnapshots(recoverable ? cfg_.snapshotEveryCycles
+                                           : 0);
+        }
 
         // One recovery step. An attempt starts at program cycle
         // `from`: 0 for the first attempt and every retry (a fresh

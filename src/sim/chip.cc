@@ -131,16 +131,16 @@ Chip::dispatchMem(const IcuId &icu, const Instruction &inst)
             [&](Vec320 *const *o) { slice.readInto(inst.addr, now, *o[0]); });
         return;
       case Opcode::Write: {
-        Vec320 scratch;
-        const Vec320 *v = memIo_->consumeRef(inst.srcA, pos, scratch);
+        const Vec320 *v =
+            memIo_->consumeRef(inst.srcA, pos, memScratch_[0]);
         slice.write(inst.addr, *v, now);
         return;
       }
       case Opcode::Gather: {
         // The map stream supplies one 13-bit word address per
         // superlane in the first two bytes of each tile word.
-        Vec320 scratch;
-        const Vec320 *m = memIo_->consumeRef(inst.srcB, pos, scratch);
+        const Vec320 *m =
+            memIo_->consumeRef(inst.srcB, pos, memScratch_[0]);
         std::array<MemAddr, kSuperlanes> addrs;
         for (int sl = 0; sl < kSuperlanes; ++sl) {
             const std::size_t base =
@@ -156,12 +156,10 @@ Chip::dispatchMem(const IcuId &icu, const Instruction &inst)
         return;
       }
       case Opcode::Scatter: {
-        Vec320 mScratch;
-        Vec320 vScratch;
         const Vec320 *m =
-            memIo_->consumeRef(inst.srcB, pos, mScratch);
+            memIo_->consumeRef(inst.srcB, pos, memScratch_[0]);
         const Vec320 *v =
-            memIo_->consumeRef(inst.srcA, pos, vScratch);
+            memIo_->consumeRef(inst.srcA, pos, memScratch_[1]);
         std::array<MemAddr, kSuperlanes> addrs;
         for (int sl = 0; sl < kSuperlanes; ++sl) {
             const std::size_t base =
@@ -213,11 +211,10 @@ Chip::dispatch(const IcuId &icu, const Instruction &inst)
         // Default fetch model: count bandwidth; consume the text
         // vector pair if the compiler routed one here.
         ++ifetches_;
-        Vec320 dummy;
         StreamRef second = inst.srcA;
         second.id = static_cast<StreamId>(inst.srcA.id + 1);
-        memIo_->tryConsume(inst.srcA, IcuId{icu}.pos(), dummy);
-        memIo_->tryConsume(second, IcuId{icu}.pos(), dummy);
+        memIo_->tryConsume(inst.srcA, IcuId{icu}.pos(), memScratch_[0]);
+        memIo_->tryConsume(second, IcuId{icu}.pos(), memScratch_[0]);
         return;
       }
       default:

@@ -293,6 +293,13 @@ class Chip
     std::vector<std::unique_ptr<SxmComplex>> sxm_;
     std::unique_ptr<C2cModule> c2c_;
     std::unique_ptr<StreamIo> memIo_;          // MEM slices' stream port.
+    /**
+     * Where the stepped tier's memIo_ checks the operands of a Write,
+     * Gather or Scatter and Ifetch's text pair; replay reads tape
+     * slots instead. Every consume overwrites what it uses, so
+     * nothing re-zeroes it.
+     */
+    alignas(64) Vec320 memScratch_[2];
 
     /** The loaded program; queues_ point into its instructions. */
     SharedProgram program_;

@@ -117,9 +117,10 @@ TraceRecording::onProduce()
         return 0;
     }
     // Interleaving position against the consume tape: finish() walks
-    // both in recorded order to compute value liveness.
-    produceAt_.push_back(
-        static_cast<std::uint32_t>(trace_->consumeTape.size()));
+    // both in recorded order to compute value liveness. A produce
+    // counts as running at its event's start, so no slot its own
+    // event consumed is free for it yet.
+    produceAt_.push_back(eventStart_);
     return static_cast<std::uint32_t>(produceCount_++);
 }
 
@@ -135,6 +136,7 @@ void
 TraceRecording::onDispatch(int chip, int queue_id,
                            const Instruction &inst, Cycle now)
 {
+    eventStart_ = static_cast<std::uint32_t>(trace_->consumeTape.size());
     // The instruction's place in its program identifies it — Repeat
     // re-issues and the steady state of a loop dedup to one stored
     // copy.
@@ -160,6 +162,7 @@ TraceRecording::onDispatch(int chip, int queue_id,
 void
 TraceRecording::onMxmTick(int chip, int plane, Cycle now)
 {
+    eventStart_ = static_cast<std::uint32_t>(trace_->consumeTape.size());
     ExecutionTrace::Event e;
     e.cycleOffset = offsetOf(now);
     e.unit = static_cast<std::uint16_t>(plane);
@@ -193,9 +196,12 @@ TraceRecording::finish(bool completed)
         t.chips.push_back(d);
     }
     // Slot allocation: walk produces and consumes in recorded order,
-    // freeing a value's slot at its last consume. Replay re-executes
+    // freeing a value's slot when the event holding its last consume
+    // ends (a produce sits at its event's start). Replay re-executes
     // the exact same interleaving, so a reused slot is only ever
-    // overwritten after its previous value's final read.
+    // overwritten after its previous value's final read, and a unit
+    // may build its results in place while it still reads its
+    // operands' slots.
     constexpr std::uint32_t kNever = 0xffffffffu;
     const auto produces32 = static_cast<std::uint32_t>(produceCount_);
     std::vector<std::uint32_t> lastUse(produces32, kNever);

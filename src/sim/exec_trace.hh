@@ -90,11 +90,14 @@ struct ExecutionTrace
     std::vector<std::uint32_t> consumeTape;
     /**
      * Per produce, the replay-log slot holding its value. A produced
-     * vector is dead after its last recorded consume, so slots are
-     * reused: the replay log needs only the peak number of live
-     * values (a few hundred) instead of one slot per produce
-     * (gigabytes for a dense model). Slot 0 is a shared scratch for
-     * values no consume ever samples.
+     * vector is dead once the event (dispatch or MXM tick) holding
+     * its last recorded consume ends, so slots are reused: the replay
+     * log needs only the peak number of live values (a few hundred)
+     * instead of one slot per produce (gigabytes for a dense model).
+     * No produce takes a slot its own event consumed, so a unit can
+     * write results into their slots while it reads its operands
+     * from theirs. Slot 0 is a shared scratch for values no consume
+     * ever samples.
      */
     std::vector<std::uint32_t> produceSlot;
     std::uint32_t slotCount = 1; ///< Replay-log size (>= 1).
@@ -195,8 +198,13 @@ class TraceRecording final : public TapeRecorder
     std::vector<std::vector<std::uint32_t>> instIndex_;
     /** Per chip * kNumIcus + queue id: its program and table. */
     std::vector<QueueInsts> queueInsts_;
-    /** Per produce, the consume-tape length when it ran (liveness). */
+    /**
+     * Per produce, the consume-tape length at the start of the event
+     * that ran it (liveness): slots its own event consumed stay taken.
+     */
     std::vector<std::uint32_t> produceAt_;
+    /** Consume-tape length when the current event started. */
+    std::uint32_t eventStart_ = 0;
     std::uint64_t produceCount_ = 0;
     bool poisoned_ = false;
     bool armed_ = false;

@@ -124,42 +124,15 @@ StreamIo::consumeRun(StreamRef base, SlicePos pos, Vec320 *scratch,
     }
 }
 
-Vec320
-StreamIo::consume(StreamRef s, SlicePos pos)
-{
-    Vec320 out;
-    const Vec320 *v = consumeRef(s, pos, out);
-    if (v != &out)
-        out = *v;
-    return out;
-}
-
-void
-StreamIo::produce(StreamRef s, SlicePos pos, Vec320 vec, Cycle when)
-{
-    emit(s, pos, vec, when, /*encode=*/true);
-}
-
 void
 StreamIo::produceRaw(StreamRef s, SlicePos pos, Vec320 vec, Cycle when)
 {
-    emit(s, pos, vec, when, /*encode=*/false);
-}
-
-void
-StreamIo::emit(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
-               bool encode)
-{
     if (TapeReplayer *rep = fabric_.tapeReplayer()) {
-        // Replay tier: skip the SECDED encode. No consumer on this
-        // path checks codes, and the MEM slices regenerate them at
-        // store time, so the encode's only observable effects are
-        // reproduced for free.
         *rep->onProduce() = vec;
         ++produced_;
         return;
     }
-    publish(s, pos, vec, when, encode);
+    publish(s, pos, vec, when, /*encode=*/false);
 }
 
 void

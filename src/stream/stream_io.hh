@@ -11,7 +11,10 @@
  * It is also the only unit-facing code that knows the execution tier:
  * while a trace replays (sim/exec_trace.hh), the same calls exchange
  * pointers into the tape arena instead of flowing registers, and skip
- * the ECC code work no replay consumer observes.
+ * the ECC code work no replay consumer observes. Units read operands
+ * where consumeRef()/consumeRun() return them and build results where
+ * produceInPlace() points, so on replay an operand is read from its
+ * tape slot and a result is written straight into its own.
  */
 
 #ifndef TSP_STREAM_STREAM_IO_HH
@@ -46,7 +49,12 @@ class StreamIo
      * @p scratch after the fault and ECC check/correct path filled
      * it. If nothing is flowing, panics under strictStreams, else
      * counts a missed operand and returns a zero vector. The pointer
-     * is valid until the caller's next StreamIo call.
+     * stays valid, and the value unchanged, until the calling
+     * dispatch or MXM tick ends, so long as @p scratch is not reused:
+     * a recording frees a tape slot only when the event holding the
+     * value's last consume ends (sim/exec_trace.hh), so no produce of
+     * the same event, in place or not, can take it. @p scratch needs
+     * no initial value and may be the unit's own long-lived storage.
      */
     const Vec320 *consumeRef(StreamRef s, SlicePos pos,
                              Vec320 &scratch);
@@ -60,13 +68,6 @@ class StreamIo
                     const Vec320 **outs, std::size_t n);
 
     /**
-     * consumeRef() copied out, for units that keep an operand past
-     * their next produce (SXM) or past the call (C2C sends): a replay
-     * produce may reuse the tape slot of a value at its last consume.
-     */
-    Vec320 consume(StreamRef s, SlicePos pos);
-
-    /**
      * consumeRef() that tolerates an absent value even in strict mode
      * (an optional operand, like Ifetch's text pair).
      *
@@ -76,15 +77,10 @@ class StreamIo
                              Vec320 &scratch);
 
     /**
-     * Produces @p vec on stream @p s at position @p pos, visible at
-     * cycle @p when; generates fresh ECC (producer side).
-     */
-    void produce(StreamRef s, SlicePos pos, Vec320 vec, Cycle when);
-
-    /**
      * Produces @p vec with its existing ECC untouched (C2C receives):
      * the code generated by the original producer travels with it, so
-     * upsets in flight stay detectable downstream.
+     * upsets in flight stay detectable downstream. Every other
+     * producer builds its results in place (produceInPlace()).
      */
     void produceRaw(StreamRef s, SlicePos pos, Vec320 vec, Cycle when);
 
@@ -93,9 +89,14 @@ class StreamIo
      * visible at @p when, built in place: @p build receives the N
      * destinations (Vec320 *const *) and must assign every data byte
      * of each. While replaying they are the values' tape slots (reused
-     * across values, so nothing may be left over); otherwise they are
-     * locals, which are then encoded — or, with @p keep_codes, keep
-     * the codes @p build stored (MEM reads) — and scheduled in order.
+     * across values, so nothing may be left over — lanes past the
+     * vector length included); otherwise they are locals, which are
+     * then encoded — or, with @p keep_codes, keep the codes @p build
+     * stored (MEM reads) — and scheduled in order. A destination is
+     * never an operand this dispatch or tick consumed, so @p build may
+     * read its operands while it writes (see consumeRef()); values
+     * nothing consumes share one slot, so destinations may alias each
+     * other and @p build must not read them back.
      */
     template <std::size_t N, typename Build>
     void
@@ -185,10 +186,6 @@ class StreamIo
      * pays no call and only peeks when something is actually there.
      */
     void checkReplayUntagged(StreamRef s, SlicePos pos);
-
-    /** The by-value produces: @p vec to its tape slot, or published. */
-    void emit(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
-              bool encode);
 
     /**
      * Outside replay: encodes @p vec when @p encode, tags it for a

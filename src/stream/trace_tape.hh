@@ -7,12 +7,12 @@
  * routes every stream-fabric exchange through a tape instead of the
  * flowing registers: during *recording*, each produce is numbered and
  * each consume notes which produce (or a miss) it sampled; during
- * *replay*, produces write their vectors straight into a pinned,
- * liveness-compacted arena slot and consumes read arena pointers —
- * no Vec320 is copied on the tape hot path. The fabric is the
- * distribution point (mirroring attachFaultHooks): every StreamIo
- * consults the attached hooks per call, so no per-unit plumbing is
- * needed.
+ * *replay*, producers build their vectors straight in a pinned,
+ * liveness-compacted arena slot and consumers read operands in their
+ * arena slots — no Vec320 is copied on the tape hot path. The fabric
+ * is the distribution point (mirroring attachFaultHooks): every
+ * StreamIo consults the attached hooks per call, so no per-unit
+ * plumbing is needed.
  */
 
 #ifndef TSP_STREAM_TRACE_TAPE_HH
@@ -76,7 +76,10 @@ class TapeReplayer
      * liveness-reused, so unwritten bytes would leak a dead value's
      * bits). The ECC words may be left stale: no replay consumer
      * checks codes and the MEM slices regenerate them at store time
-     * (MemSlice::setReplayMode).
+     * (MemSlice::setReplayMode). The slot is never one a consume of
+     * the same dispatch or MXM tick returned, so the caller may build
+     * the value while it still reads its operands; values nothing
+     * consumes share slot 0.
      */
     virtual Vec320 *onProduce() = 0;
 
@@ -85,8 +88,9 @@ class TapeReplayer
      * with the arena slot the recorded tape says consume i sampled,
      * or nullptr for a recorded miss. A single operand is a run of
      * one; multi-operand consumers (MXM LW bursts and fp16 pairs, VXM
-     * groups) pay one virtual call per run. A pointer is valid until
-     * the value's last recorded consume has run.
+     * groups, the SXM transposer) pay one virtual call per run. A
+     * pointer is valid until the dispatch or MXM tick holding the
+     * value's last recorded consume ends.
      */
     virtual void onConsumeRun(const Vec320 **outs, std::size_t n) = 0;
 };

@@ -1,5 +1,7 @@
 #include "sxm/sxm_complex.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/strutil.hh"
 
@@ -83,44 +85,47 @@ SxmComplex::execute(const Instruction &inst, SxmUnit unit, Cycle now)
 void
 SxmComplex::executeShift(const Instruction &inst, bool north, Cycle now)
 {
-    const Vec320 in = io_.consume(inst.srcA, pos());
+    const Vec320 &in = *io_.consumeRef(inst.srcA, pos(), scratch_[0]);
     const int n = static_cast<int>(inst.imm0);
     TSP_ASSERT(n >= 0 && n < kLanes);
 
-    Vec320 out;
     // North raises the lane index (instructions flow northward over
     // rising superlanes); vacated lanes zero-fill.
-    for (int l = 0; l < kLanes; ++l) {
-        const int src = north ? l - n : l + n;
-        out.bytes[static_cast<std::size_t>(l)] =
-            (src >= 0 && src < kLanes)
-                ? in.bytes[static_cast<std::size_t>(src)]
-                : 0;
-    }
-    io_.produce(inst.dst, pos(), out,
-                now + opTiming(inst.op).dFunc);
+    io_.produceInPlace<1>(
+        inst.dst, pos(), now + opTiming(inst.op).dFunc, false,
+        [&](Vec320 *const *out) {
+            for (int l = 0; l < kLanes; ++l) {
+                const int src = north ? l - n : l + n;
+                out[0]->bytes[static_cast<std::size_t>(l)] =
+                    (src >= 0 && src < kLanes)
+                        ? in.bytes[static_cast<std::size_t>(src)]
+                        : 0;
+            }
+        });
     bytesSwitched_ += kLanes;
 }
 
 void
 SxmComplex::executeSelect(const Instruction &inst, Cycle now)
 {
-    const Vec320 a = io_.consume(inst.srcA, pos());
-    const Vec320 b = io_.consume(inst.srcB, pos());
+    const Vec320 &a = *io_.consumeRef(inst.srcA, pos(), scratch_[0]);
+    const Vec320 &b = *io_.consumeRef(inst.srcB, pos(), scratch_[1]);
 
-    Vec320 out;
     // imm0 is a 20-bit per-superlane mask: bit s set selects b for
     // superlane s.
-    for (int sl = 0; sl < kSuperlanes; ++sl) {
-        const bool take_b = (inst.imm0 >> sl) & 1;
-        const Vec320 &src = take_b ? b : a;
-        for (int j = 0; j < kLanesPerSuperlane; ++j) {
-            const int l = sl * kLanesPerSuperlane + j;
-            out.bytes[static_cast<std::size_t>(l)] =
-                src.bytes[static_cast<std::size_t>(l)];
-        }
-    }
-    io_.produce(inst.dst, pos(), out, now + opTiming(inst.op).dFunc);
+    io_.produceInPlace<1>(
+        inst.dst, pos(), now + opTiming(inst.op).dFunc, false,
+        [&](Vec320 *const *out) {
+            for (int sl = 0; sl < kSuperlanes; ++sl) {
+                const bool take_b = (inst.imm0 >> sl) & 1;
+                const Vec320 &src = take_b ? b : a;
+                for (int j = 0; j < kLanesPerSuperlane; ++j) {
+                    const auto l = static_cast<std::size_t>(
+                        sl * kLanesPerSuperlane + j);
+                    out[0]->bytes[l] = src.bytes[l];
+                }
+            }
+        });
     bytesSwitched_ += kLanes;
 }
 
@@ -128,16 +133,19 @@ void
 SxmComplex::executePermute(const Instruction &inst, Cycle now)
 {
     TSP_ASSERT(inst.map && inst.map->size() == kLanes);
-    const Vec320 in = io_.consume(inst.srcA, pos());
+    const Vec320 &in = *io_.consumeRef(inst.srcA, pos(), scratch_[0]);
 
-    Vec320 out;
-    for (int l = 0; l < kLanes; ++l) {
-        const std::uint16_t src = (*inst.map)[static_cast<std::size_t>(l)];
-        TSP_ASSERT(src < kLanes);
-        out.bytes[static_cast<std::size_t>(l)] =
-            in.bytes[static_cast<std::size_t>(src)];
-    }
-    io_.produce(inst.dst, pos(), out, now + opTiming(inst.op).dFunc);
+    io_.produceInPlace<1>(
+        inst.dst, pos(), now + opTiming(inst.op).dFunc, false,
+        [&](Vec320 *const *out) {
+            for (int l = 0; l < kLanes; ++l) {
+                const std::uint16_t src =
+                    (*inst.map)[static_cast<std::size_t>(l)];
+                TSP_ASSERT(src < kLanes);
+                out[0]->bytes[static_cast<std::size_t>(l)] =
+                    in.bytes[static_cast<std::size_t>(src)];
+            }
+        });
     bytesSwitched_ += kLanes;
 }
 
@@ -146,28 +154,30 @@ SxmComplex::executeDistribute(const Instruction &inst, Cycle now)
 {
     TSP_ASSERT(inst.map &&
                inst.map->size() == kLanesPerSuperlane);
-    const Vec320 in = io_.consume(inst.srcA, pos());
+    const Vec320 &in = *io_.consumeRef(inst.srcA, pos(), scratch_[0]);
 
     // The same 16-lane remap applies within every superlane; the
     // sentinel 0xffff zero-fills a lane (zero padding, filter
     // rearrangement).
-    Vec320 out;
-    for (int sl = 0; sl < kSuperlanes; ++sl) {
-        for (int j = 0; j < kLanesPerSuperlane; ++j) {
-            const std::uint16_t src =
-                (*inst.map)[static_cast<std::size_t>(j)];
-            const int l = sl * kLanesPerSuperlane + j;
-            if (src == 0xffff) {
-                out.bytes[static_cast<std::size_t>(l)] = 0;
-            } else {
-                TSP_ASSERT(src < kLanesPerSuperlane);
-                out.bytes[static_cast<std::size_t>(l)] =
-                    in.bytes[static_cast<std::size_t>(
-                        sl * kLanesPerSuperlane + src)];
+    io_.produceInPlace<1>(
+        inst.dst, pos(), now + opTiming(inst.op).dFunc, false,
+        [&](Vec320 *const *out) {
+            for (int sl = 0; sl < kSuperlanes; ++sl) {
+                for (int j = 0; j < kLanesPerSuperlane; ++j) {
+                    const std::uint16_t src =
+                        (*inst.map)[static_cast<std::size_t>(j)];
+                    const auto l = static_cast<std::size_t>(
+                        sl * kLanesPerSuperlane + j);
+                    if (src == 0xffff) {
+                        out[0]->bytes[l] = 0;
+                    } else {
+                        TSP_ASSERT(src < kLanesPerSuperlane);
+                        out[0]->bytes[l] = in.bytes[static_cast<
+                            std::size_t>(sl * kLanesPerSuperlane + src)];
+                    }
+                }
             }
-        }
-    }
-    io_.produce(inst.dst, pos(), out, now + opTiming(inst.op).dFunc);
+        });
     bytesSwitched_ += kLanes;
 }
 
@@ -177,7 +187,8 @@ SxmComplex::executeRotate(const Instruction &inst, Cycle now)
     const int n = static_cast<int>(inst.imm0);
     TSP_ASSERT(n == 3 || n == 4);
     const int block = n * n;
-    const Vec320 in = io_.consume(inst.srcA, pos());
+    TSP_ASSERT(inst.dst.id + block <= kStreamsPerDir);
+    const Vec320 &in = *io_.consumeRef(inst.srcA, pos(), scratch_[0]);
     const Cycle when = now + opTiming(inst.op).dFunc;
 
     // Produce n^2 output streams; output r is the input rotated by r
@@ -185,21 +196,24 @@ SxmComplex::executeRotate(const Instruction &inst, Cycle now)
     // the n x n window). Trailing lanes past the last whole block are
     // zero.
     const int whole = (kLanes / block) * block;
-    for (int r = 0; r < block; ++r) {
-        Vec320 out;
-        for (int l = 0; l < whole; ++l) {
-            const int base = (l / block) * block;
-            const int j = l % block;
-            out.bytes[static_cast<std::size_t>(l)] =
-                in.bytes[static_cast<std::size_t>(
-                    base + (j + r) % block)];
+    const auto build = [&](Vec320 *const *out) {
+        for (int r = 0; r < block; ++r) {
+            auto &bytes = out[r]->bytes;
+            for (int l = 0; l < whole; ++l) {
+                const int base = (l / block) * block;
+                const int j = l % block;
+                bytes[static_cast<std::size_t>(l)] =
+                    in.bytes[static_cast<std::size_t>(
+                        base + (j + r) % block)];
+            }
+            std::fill(bytes.begin() + whole, bytes.end(), 0);
         }
-        StreamRef d = inst.dst;
-        d.id = static_cast<StreamId>(inst.dst.id + r);
-        TSP_ASSERT(d.id < kStreamsPerDir);
-        io_.produce(d, pos(), out, when);
-        bytesSwitched_ += kLanes;
-    }
+    };
+    if (n == 3)
+        io_.produceInPlace<9>(inst.dst, pos(), when, false, build);
+    else
+        io_.produceInPlace<16>(inst.dst, pos(), when, false, build);
+    bytesSwitched_ += static_cast<std::uint64_t>(kLanes) * block;
 }
 
 void
@@ -209,30 +223,25 @@ SxmComplex::executeTranspose(const Instruction &inst, Cycle now)
     TSP_ASSERT(inst.dst.id + 16 <= kStreamsPerDir);
     const Cycle when = now + opTiming(inst.op).dFunc;
 
-    Vec320 in[16];
-    for (int k = 0; k < 16; ++k) {
-        StreamRef s = inst.srcA;
-        s.id = static_cast<StreamId>(inst.srcA.id + k);
-        in[k] = io_.consume(s, pos());
-    }
+    const Vec320 *in[16];
+    io_.consumeRun(inst.srcA, pos(), scratch_, in, 16);
 
     // Within each superlane, exchange the (stream, lane) axes of the
     // 16x16 element tile.
-    for (int k = 0; k < 16; ++k) {
-        Vec320 out;
-        for (int sl = 0; sl < kSuperlanes; ++sl) {
-            for (int j = 0; j < kLanesPerSuperlane; ++j) {
-                out.bytes[static_cast<std::size_t>(
-                    sl * kLanesPerSuperlane + j)] =
-                    in[j].bytes[static_cast<std::size_t>(
-                        sl * kLanesPerSuperlane + k)];
+    io_.produceInPlace<16>(
+        inst.dst, pos(), when, false, [&](Vec320 *const *out) {
+            for (int k = 0; k < 16; ++k) {
+                for (int sl = 0; sl < kSuperlanes; ++sl) {
+                    for (int j = 0; j < kLanesPerSuperlane; ++j) {
+                        out[k]->bytes[static_cast<std::size_t>(
+                            sl * kLanesPerSuperlane + j)] =
+                            in[j]->bytes[static_cast<std::size_t>(
+                                sl * kLanesPerSuperlane + k)];
+                    }
+                }
             }
-        }
-        StreamRef d = inst.dst;
-        d.id = static_cast<StreamId>(inst.dst.id + k);
-        io_.produce(d, pos(), out, when);
-        bytesSwitched_ += kLanes;
-    }
+        });
+    bytesSwitched_ += static_cast<std::uint64_t>(kLanes) * 16;
 }
 
 } // namespace tsp

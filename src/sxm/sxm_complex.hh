@@ -80,6 +80,13 @@ class SxmComplex
     Hemisphere hem_;
     const ChipConfig &cfg_;
     StreamIo io_;
+    /**
+     * Where the stepped tier's port checks and corrects the operands
+     * (Transpose's 16, Select's 2, one otherwise); replay reads tape
+     * slots instead. Every consume overwrites what it uses, so
+     * nothing re-zeroes it.
+     */
+    alignas(64) Vec320 scratch_[16];
 
     std::uint64_t bytesSwitched_ = 0;
     std::uint64_t instructions_ = 0;

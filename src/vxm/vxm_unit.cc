@@ -1,5 +1,6 @@
 #include "vxm/vxm_unit.hh"
 
+#include <algorithm>
 #include <type_traits>
 
 #include "common/cpu.hh"
@@ -116,27 +117,28 @@ withUnaryOp(Opcode op, Fn &&fn)
 
 template <DType T, Opcode OP>
 void
-binaryLanes(const Vec320 *a, const Vec320 *b, Vec320 *out, int lanes)
+binaryLanes(const Vec320 *const *a, const Vec320 *const *b,
+            Vec320 *const *out, int lanes)
 {
     constexpr int g = dtypeBytes(T);
     std::uint8_t ab[4], bb[4], ob[4];
     for (int l = 0; l < lanes; ++l) {
         const auto sl = static_cast<std::size_t>(l);
         for (int k = 0; k < g; ++k) {
-            ab[k] = a[k].bytes[sl];
-            bb[k] = b[k].bytes[sl];
+            ab[k] = a[k]->bytes[sl];
+            bb[k] = b[k]->bytes[sl];
         }
         const LaneValue r = aluBinary(OP, T, laneLoad(ab, T),
                                       laneLoad(bb, T));
         laneStore(ob, T, r);
         for (int k = 0; k < g; ++k)
-            out[k].bytes[sl] = ob[k];
+            out[k]->bytes[sl] = ob[k];
     }
 }
 
 template <DType T, Opcode OP>
 void
-unaryLanes(const Vec320 *a, Vec320 *out, int lanes,
+unaryLanes(const Vec320 *const *a, Vec320 *const *out, int lanes,
            std::uint32_t shift_amount)
 {
     constexpr int g = dtypeBytes(T);
@@ -144,18 +146,18 @@ unaryLanes(const Vec320 *a, Vec320 *out, int lanes,
     for (int l = 0; l < lanes; ++l) {
         const auto sl = static_cast<std::size_t>(l);
         for (int k = 0; k < g; ++k)
-            ab[k] = a[k].bytes[sl];
+            ab[k] = a[k]->bytes[sl];
         const LaneValue r = aluUnary(OP, T, laneLoad(ab, T),
                                      shift_amount);
         laneStore(ob, T, r);
         for (int k = 0; k < g; ++k)
-            out[k].bytes[sl] = ob[k];
+            out[k]->bytes[sl] = ob[k];
     }
 }
 
 template <DType FROM, DType TO>
 void
-convertLanes(const Vec320 *in, Vec320 *out, int lanes)
+convertLanes(const Vec320 *const *in, Vec320 *const *out, int lanes)
 {
     constexpr int gi = dtypeBytes(FROM);
     constexpr int go = dtypeBytes(TO);
@@ -163,11 +165,11 @@ convertLanes(const Vec320 *in, Vec320 *out, int lanes)
     for (int l = 0; l < lanes; ++l) {
         const auto sl = static_cast<std::size_t>(l);
         for (int k = 0; k < gi; ++k)
-            ibytes[k] = in[k].bytes[sl];
+            ibytes[k] = in[k]->bytes[sl];
         const LaneValue r = aluConvert(FROM, TO, laneLoad(ibytes, FROM));
         laneStore(obytes, TO, r);
         for (int k = 0; k < go; ++k)
-            out[k].bytes[sl] = obytes[k];
+            out[k]->bytes[sl] = obytes[k];
     }
 }
 
@@ -189,29 +191,34 @@ VxmUnit::checkAlignment(StreamRef s, int g)
     TSP_ASSERT(s.id + g <= kStreamsPerDir);
 }
 
+template <typename Build>
 void
-VxmUnit::loadGroup(StreamRef base, int g, Vec320 *out)
+VxmUnit::produceGroup(StreamRef base, int g, int lanes, Cycle when,
+                      Build &&build)
 {
-    // The lane kernels want the group contiguous in out[]: operands
-    // the port consumed into out[] stay there, and tape slots (replay)
-    // are copied in.
-    const Vec320 *vp[4];
-    io_.consumeRun(base, Layout::vxm, out, vp,
-                   static_cast<std::size_t>(g));
-    for (int k = 0; k < g; ++k) {
-        if (vp[k] != &out[k])
-            out[k] = *vp[k];
+    // Results go straight to where the port points: tape slots on
+    // replay, which still hold a dead value's bytes past the vector
+    // length, so those lanes are zeroed to read as the stepped tier's.
+    const auto fill = [&](Vec320 *const *out) {
+        build(out);
+        if (lanes < kLanes) {
+            for (int k = 0; k < g; ++k)
+                std::fill(out[k]->bytes.begin() + lanes,
+                          out[k]->bytes.end(), 0);
+        }
+    };
+    switch (g) {
+      case 1:
+        io_.produceInPlace<1>(base, Layout::vxm, when, false, fill);
+        return;
+      case 2:
+        io_.produceInPlace<2>(base, Layout::vxm, when, false, fill);
+        return;
+      case 4:
+        io_.produceInPlace<4>(base, Layout::vxm, when, false, fill);
+        return;
     }
-}
-
-void
-VxmUnit::storeGroup(StreamRef base, int g, const Vec320 *in, Cycle when)
-{
-    for (int k = 0; k < g; ++k) {
-        StreamRef s = base;
-        s.id = static_cast<StreamId>(base.id + k);
-        io_.produce(s, Layout::vxm, in[k], when);
-    }
+    panic("VXM: bad stream group size %d", g);
 }
 
 void
@@ -222,6 +229,10 @@ VxmUnit::execute(const Instruction &inst, int alu, Cycle now)
     const int lanes = cfg_.vectorLength();
     ++instructions_;
 
+    // Operands are read where the port returns them (tape slots on
+    // replay, scratch_ otherwise) and results built in place: no
+    // operand or result is copied on the way through.
+    const Vec320 *a[4];
     if (inst.op == Opcode::Convert) {
         const auto to = static_cast<DType>(inst.imm0);
         const auto from = static_cast<DType>(inst.imm1);
@@ -230,18 +241,20 @@ VxmUnit::execute(const Instruction &inst, int alu, Cycle now)
         checkAlignment(inst.srcA, gi);
         checkAlignment(inst.dst, go);
 
-        Vec320 in[4], out[4];
-        loadGroup(inst.srcA, gi, in);
-        if (!(simdKernelsEnabled() &&
-              simd::vxmConvertAvx2(from, to, in, out, lanes))) {
+        io_.consumeRun(inst.srcA, Layout::vxm, scratch_, a,
+                       static_cast<std::size_t>(gi));
+        produceGroup(inst.dst, go, lanes, when, [&](Vec320 *const *out) {
+            if (simdKernelsEnabled() &&
+                simd::vxmConvertAvx2(from, to, a, out, lanes)) {
+                return;
+            }
             withDType(from, [&](auto fromc) {
                 withDType(to, [&](auto toc) {
                     convertLanes<decltype(fromc)::value,
-                                 decltype(toc)::value>(in, out, lanes);
+                                 decltype(toc)::value>(a, out, lanes);
                 });
             });
-        }
-        storeGroup(inst.dst, go, out, when);
+        });
         laneOps_ += static_cast<std::uint64_t>(lanes);
         return;
     }
@@ -251,27 +264,35 @@ VxmUnit::execute(const Instruction &inst, int alu, Cycle now)
     checkAlignment(inst.srcA, g);
     checkAlignment(inst.dst, g);
 
-    Vec320 a[4], b[4], out[4];
-    loadGroup(inst.srcA, g, a);
+    io_.consumeRun(inst.srcA, Layout::vxm, scratch_, a,
+                   static_cast<std::size_t>(g));
     if (isVxmBinary(inst.op)) {
         checkAlignment(inst.srcB, g);
-        loadGroup(inst.srcB, g, b);
-        // The AVX2 kernels cover the integer (dtype, opcode) pairs and
-        // are bit-identical to the scalar templates; anything they
-        // decline falls through to the specialized scalar loop.
-        if (!(simdKernelsEnabled() &&
-              simd::vxmBinaryAvx2(t, inst.op, a, b, out, lanes))) {
+        const Vec320 *b[4];
+        io_.consumeRun(inst.srcB, Layout::vxm, scratch_ + 4, b,
+                       static_cast<std::size_t>(g));
+        // The AVX2 kernels cover the integer and fp32 (dtype, opcode)
+        // pairs and are bit-identical to the scalar templates;
+        // anything they decline falls through to the specialized
+        // scalar loop.
+        produceGroup(inst.dst, g, lanes, when, [&](Vec320 *const *out) {
+            if (simdKernelsEnabled() &&
+                simd::vxmBinaryAvx2(t, inst.op, a, b, out, lanes)) {
+                return;
+            }
             withDType(t, [&](auto tc) {
                 withBinaryOp(inst.op, [&](auto opc) {
                     binaryLanes<decltype(tc)::value,
-                                decltype(opc)::value>(a, b, out,
-                                                      lanes);
+                                decltype(opc)::value>(a, b, out, lanes);
                 });
             });
-        }
+        });
     } else {
-        if (!(simdKernelsEnabled() &&
-              simd::vxmUnaryAvx2(t, inst.op, a, out, lanes))) {
+        produceGroup(inst.dst, g, lanes, when, [&](Vec320 *const *out) {
+            if (simdKernelsEnabled() &&
+                simd::vxmUnaryAvx2(t, inst.op, a, out, lanes)) {
+                return;
+            }
             withDType(t, [&](auto tc) {
                 withUnaryOp(inst.op, [&](auto opc) {
                     unaryLanes<decltype(tc)::value,
@@ -279,9 +300,8 @@ VxmUnit::execute(const Instruction &inst, int alu, Cycle now)
                                                      inst.imm0);
                 });
             });
-        }
+        });
     }
-    storeGroup(inst.dst, g, out, when);
     laneOps_ += static_cast<std::uint64_t>(lanes);
 }
 

@@ -63,16 +63,25 @@ class VxmUnit
     }
 
   private:
-    /** Reads the @p g consecutive streams of an operand group. */
-    void loadGroup(StreamRef base, int g, Vec320 *out);
-
-    /** Produces @p g consecutive result streams at @p when. */
-    void storeGroup(StreamRef base, int g, const Vec320 *in, Cycle when);
+    /**
+     * Produces the @p g consecutive result streams from @p base at
+     * @p when, built in place by @p build over the first @p lanes
+     * lanes; the lanes past them are zeroed.
+     */
+    template <typename Build>
+    void produceGroup(StreamRef base, int g, int lanes, Cycle when,
+                      Build &&build);
 
     static void checkAlignment(StreamRef s, int g);
 
     const ChipConfig &cfg_;
     StreamIo io_;
+    /**
+     * Where the stepped tier's port checks and corrects the operand
+     * groups A (0..3) and B (4..7); replay reads tape slots instead.
+     * Every consume overwrites what it uses, so nothing re-zeroes it.
+     */
+    alignas(64) Vec320 scratch_[8];
 
     std::uint64_t laneOps_ = 0;
     std::uint64_t instructions_ = 0;

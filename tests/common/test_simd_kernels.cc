@@ -39,23 +39,30 @@ nextByte(std::uint64_t &s)
 }
 
 void
-fillPlanes(Vec320 *p, int g, std::uint64_t seed)
+fillPlanes(Vec320 *const *p, int g, std::uint64_t seed)
 {
     for (int k = 0; k < g; ++k)
         for (int l = 0; l < kLanes; ++l)
-            p[k].bytes[static_cast<std::size_t>(l)] = nextByte(seed);
+            p[k]->bytes[static_cast<std::size_t>(l)] = nextByte(seed);
 }
 
 void
-setLane32(Vec320 *p, int lane, std::uint32_t u)
+fillVec(Vec320 &v, std::uint64_t seed)
+{
+    Vec320 *p = &v;
+    fillPlanes(&p, 1, seed);
+}
+
+void
+setLane32(Vec320 *const *p, int lane, std::uint32_t u)
 {
     for (int k = 0; k < 4; ++k)
-        p[k].bytes[static_cast<std::size_t>(lane)] =
+        p[k]->bytes[static_cast<std::size_t>(lane)] =
             static_cast<std::uint8_t>(u >> (8 * k));
 }
 
 void
-setLaneF32(Vec320 *p, int lane, float f)
+setLaneF32(Vec320 *const *p, int lane, float f)
 {
     std::uint32_t u;
     std::memcpy(&u, &f, sizeof(u));
@@ -116,7 +123,7 @@ const std::int32_t kSpecialI32[] = {
 };
 
 void
-plantSpecials(Vec320 *a, Vec320 *b, DType t)
+plantSpecials(Vec320 *const *a, Vec320 *const *b, DType t)
 {
     if (t == DType::Fp32) {
         const int n = static_cast<int>(std::size(kSpecialF32));
@@ -156,94 +163,143 @@ plantSpecials(Vec320 *a, Vec320 *b, DType t)
 }
 
 void
-scalarBinary(DType t, Opcode op, const Vec320 *a, const Vec320 *b,
-             Vec320 *out)
+scalarBinary(DType t, Opcode op, const Vec320 *const *a,
+             const Vec320 *const *b, Vec320 *const *out, int lanes)
 {
     const int g = dtypeBytes(t);
     std::uint8_t ab[4], bb[4], ob[4];
-    for (int l = 0; l < kLanes; ++l) {
+    for (int l = 0; l < lanes; ++l) {
         const auto sl = static_cast<std::size_t>(l);
         for (int k = 0; k < g; ++k) {
-            ab[k] = a[k].bytes[sl];
-            bb[k] = b[k].bytes[sl];
+            ab[k] = a[k]->bytes[sl];
+            bb[k] = b[k]->bytes[sl];
         }
         const LaneValue r =
             aluBinary(op, t, laneLoad(ab, t), laneLoad(bb, t));
         laneStore(ob, t, r);
         for (int k = 0; k < g; ++k)
-            out[k].bytes[sl] = ob[k];
+            out[k]->bytes[sl] = ob[k];
     }
 }
 
 void
-scalarUnary(DType t, Opcode op, const Vec320 *a, Vec320 *out)
+scalarUnary(DType t, Opcode op, const Vec320 *const *a,
+            Vec320 *const *out, int lanes)
 {
     const int g = dtypeBytes(t);
     std::uint8_t ab[4], ob[4];
-    for (int l = 0; l < kLanes; ++l) {
+    for (int l = 0; l < lanes; ++l) {
         const auto sl = static_cast<std::size_t>(l);
         for (int k = 0; k < g; ++k)
-            ab[k] = a[k].bytes[sl];
+            ab[k] = a[k]->bytes[sl];
         const LaneValue r = aluUnary(op, t, laneLoad(ab, t), 0);
         laneStore(ob, t, r);
         for (int k = 0; k < g; ++k)
-            out[k].bytes[sl] = ob[k];
+            out[k]->bytes[sl] = ob[k];
     }
 }
 
 void
-scalarConvert(DType from, DType to, const Vec320 *in, Vec320 *out)
+scalarConvert(DType from, DType to, const Vec320 *const *in,
+              Vec320 *const *out, int lanes)
 {
     const int gi = dtypeBytes(from);
     const int go = dtypeBytes(to);
     std::uint8_t ib[4], ob[4];
-    for (int l = 0; l < kLanes; ++l) {
+    for (int l = 0; l < lanes; ++l) {
         const auto sl = static_cast<std::size_t>(l);
         for (int k = 0; k < gi; ++k)
-            ib[k] = in[k].bytes[sl];
+            ib[k] = in[k]->bytes[sl];
         const LaneValue r = aluConvert(from, to, laneLoad(ib, from));
         laneStore(ob, to, r);
         for (int k = 0; k < go; ++k)
-            out[k].bytes[sl] = ob[k];
+            out[k]->bytes[sl] = ob[k];
     }
 }
 
+/**
+ * Vector lengths every kernel must match scalar at: one half block,
+ * a whole block plus a half, the longest odd multiple of 16 and the
+ * full vector (the chip's lengths are the multiples of 16 up to 320).
+ */
+constexpr int kLaneCounts[] = {16, 48, 304, 320};
+
+/**
+ * The planes of one kernel call, each a separate slot of a heap pool
+ * in scrambled order: operands and results sit at unrelated,
+ * unaligned addresses, as tape slots do. The result planes start as
+ * garbage, and ref holds the same garbage for the scalar reference,
+ * so comparing whole planes also checks that a kernel writes lanes
+ * [0, lanes) and nothing past them.
+ */
+struct Planes
+{
+    std::vector<Vec320> pool = std::vector<Vec320>(16);
+    Vec320 *a[4], *b[4], *out[4], *ref[4];
+
+    explicit Planes(std::uint64_t seed)
+    {
+        const int order[16] = {7, 2,  13, 4,  1,  9, 15, 11,
+                               3, 8,  0,  6,  14, 5, 12, 10};
+        for (int k = 0; k < 4; ++k) {
+            a[k] = &pool[static_cast<std::size_t>(order[k])];
+            b[k] = &pool[static_cast<std::size_t>(order[4 + k])];
+            out[k] = &pool[static_cast<std::size_t>(order[8 + k])];
+            ref[k] = &pool[static_cast<std::size_t>(order[12 + k])];
+        }
+        fillPlanes(out, 4, seed ^ 0x6a09e667f3bcc908ull);
+        for (int k = 0; k < 4; ++k)
+            *ref[k] = *out[k];
+    }
+};
+
 void
-expectPlanesEq(const Vec320 *want, const Vec320 *got, int g,
-               const char *what)
+expectPlanesEq(Vec320 *const *want, Vec320 *const *got, int g,
+               const std::string &what)
 {
     for (int k = 0; k < g; ++k)
         for (int l = 0; l < kLanes; ++l) {
             const auto sl = static_cast<std::size_t>(l);
-            ASSERT_EQ(want[k].bytes[sl], got[k].bytes[sl])
+            ASSERT_EQ(want[k]->bytes[sl], got[k]->bytes[sl])
                 << what << " plane " << k << " lane " << l;
         }
+}
+
+std::string
+caseName(DType t, Opcode op, int lanes)
+{
+    return std::string(dtypeName(t)) + " " + opcodeName(op) + " at " +
+           std::to_string(lanes) + " lanes";
 }
 
 void
 checkBinary(DType t, Opcode op, std::uint64_t seed)
 {
-    Vec320 a[4], b[4], simd_out[4], ref_out[4];
-    fillPlanes(a, dtypeBytes(t), seed);
-    fillPlanes(b, dtypeBytes(t), seed ^ 0x9e3779b97f4a7c15ull);
-    plantSpecials(a, b, t);
-    ASSERT_TRUE(simd::vxmBinaryAvx2(t, op, a, b, simd_out, kLanes))
-        << dtypeName(t) << " " << opcodeName(op);
-    scalarBinary(t, op, a, b, ref_out);
-    expectPlanesEq(ref_out, simd_out, dtypeBytes(t), opcodeName(op));
+    for (const int lanes : kLaneCounts) {
+        Planes p(seed);
+        fillPlanes(p.a, dtypeBytes(t), seed);
+        fillPlanes(p.b, dtypeBytes(t), seed ^ 0x9e3779b97f4a7c15ull);
+        plantSpecials(p.a, p.b, t);
+        ASSERT_TRUE(simd::vxmBinaryAvx2(t, op, p.a, p.b, p.out, lanes))
+            << caseName(t, op, lanes);
+        scalarBinary(t, op, p.a, p.b, p.ref, lanes);
+        expectPlanesEq(p.ref, p.out, 4, caseName(t, op, lanes));
+    }
 }
 
 void
 checkUnary(DType t, Opcode op, std::uint64_t seed)
 {
-    Vec320 a[4], dummy[4], simd_out[4], ref_out[4];
-    fillPlanes(a, dtypeBytes(t), seed);
-    fillPlanes(dummy, dtypeBytes(t), seed + 1);
-    plantSpecials(a, dummy, t);
-    ASSERT_TRUE(simd::vxmUnaryAvx2(t, op, a, simd_out, kLanes))
-        << dtypeName(t) << " " << opcodeName(op);
-    scalarUnary(t, op, a, ref_out);
-    expectPlanesEq(ref_out, simd_out, dtypeBytes(t), opcodeName(op));
+    for (const int lanes : kLaneCounts) {
+        Planes p(seed);
+        fillPlanes(p.a, dtypeBytes(t), seed);
+        fillPlanes(p.b, dtypeBytes(t), seed + 1);
+        plantSpecials(p.a, p.b, t);
+        ASSERT_TRUE(simd::vxmUnaryAvx2(t, op, p.a, p.out, lanes))
+            << caseName(t, op, lanes);
+        scalarUnary(t, op, p.a, p.ref, lanes);
+        expectPlanesEq(p.ref, p.out, 4, caseName(t, op, lanes));
+    }
 }
 
 TEST(VxmSimd, Int8BinaryMatchesScalar)
@@ -306,22 +362,27 @@ TEST(VxmSimd, ConvertMatchesScalar)
         DType from, to;
     };
     const Pair pairs[] = {{DType::Int8, DType::Fp32},
+                          {DType::Int8, DType::Int32},
                           {DType::Int32, DType::Fp32},
                           {DType::Fp32, DType::Int8},
                           {DType::Fp32, DType::Int32}};
     std::uint64_t seed = 71;
     for (const Pair &pr : pairs) {
-        Vec320 in[4], dummy[4], simd_out[4], ref_out[4];
-        fillPlanes(in, dtypeBytes(pr.from), seed);
-        fillPlanes(dummy, dtypeBytes(pr.from), seed + 1);
-        plantSpecials(in, dummy, pr.from);
+        for (const int lanes : kLaneCounts) {
+            const std::string what = std::string(dtypeName(pr.from)) +
+                                     "->" + dtypeName(pr.to) + " at " +
+                                     std::to_string(lanes) + " lanes";
+            Planes p(seed);
+            fillPlanes(p.a, dtypeBytes(pr.from), seed);
+            fillPlanes(p.b, dtypeBytes(pr.from), seed + 1);
+            plantSpecials(p.a, p.b, pr.from);
+            ASSERT_TRUE(simd::vxmConvertAvx2(pr.from, pr.to, p.a, p.out,
+                                             lanes))
+                << what;
+            scalarConvert(pr.from, pr.to, p.a, p.ref, lanes);
+            expectPlanesEq(p.ref, p.out, 4, what);
+        }
         seed += 2;
-        ASSERT_TRUE(simd::vxmConvertAvx2(pr.from, pr.to, in, simd_out,
-                                         kLanes))
-            << dtypeName(pr.from) << "->" << dtypeName(pr.to);
-        scalarConvert(pr.from, pr.to, in, ref_out);
-        expectPlanesEq(ref_out, simd_out, dtypeBytes(pr.to),
-                       dtypeName(pr.to));
     }
 }
 
@@ -329,21 +390,26 @@ TEST(VxmSimd, DeclinesUncoveredShapes)
 {
     if (!cpuHasAvx2())
         GTEST_SKIP() << "no AVX2 on this host";
-    Vec320 a[4], b[4], out[4];
-    fillPlanes(a, 4, 7);
-    fillPlanes(b, 4, 9);
-    // Odd lane counts, scalar-only dtypes and opcodes all decline so
-    // the caller falls back to the scalar templates.
-    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Int8, Opcode::Add, a, b,
-                                     out, 33));
-    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Fp16, Opcode::Add, a, b,
-                                     out, kLanes));
-    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Int32, Opcode::MulSat, a,
-                                     b, out, kLanes));
-    EXPECT_FALSE(
-        simd::vxmUnaryAvx2(DType::Fp32, Opcode::Tanh, a, out, kLanes));
-    EXPECT_FALSE(simd::vxmConvertAvx2(DType::Fp32, DType::Fp16, a, out,
-                                      kLanes));
+    Planes p(5);
+    fillPlanes(p.a, 4, 7);
+    fillPlanes(p.b, 4, 9);
+    // Lane counts off the 16-lane grid, scalar-only dtypes and
+    // opcodes all decline so the caller falls back to the scalar
+    // templates.
+    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Int8, Opcode::Add, p.a, p.b,
+                                     p.out, 33));
+    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Int8, Opcode::Add, p.a, p.b,
+                                     p.out, 0));
+    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Int32, Opcode::Add, p.a,
+                                     p.b, p.out, kLanes + 16));
+    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Fp16, Opcode::Add, p.a, p.b,
+                                     p.out, kLanes));
+    EXPECT_FALSE(simd::vxmBinaryAvx2(DType::Int32, Opcode::MulSat, p.a,
+                                     p.b, p.out, kLanes));
+    EXPECT_FALSE(simd::vxmUnaryAvx2(DType::Fp32, Opcode::Tanh, p.a,
+                                    p.out, kLanes));
+    EXPECT_FALSE(simd::vxmConvertAvx2(DType::Fp32, DType::Fp16, p.a,
+                                      p.out, kLanes));
 }
 
 /** Scalar reference for one MXM int8 ABC broadcast cycle. */
@@ -751,7 +817,7 @@ TEST_F(EccSimd, CodesMatchScalar)
         expectCodesMatch(one, "single-bit");
     }
     for (int trial = 0; trial < 2000; ++trial) {
-        fillPlanes(&v, 1, seed++);
+        fillVec(v, seed++);
         expectCodesMatch(v, "random");
         // Sparse: about one byte in 16 holds one set bit.
         Vec320 sparse;
@@ -774,7 +840,7 @@ TEST_F(EccSimd, CheckMatchesScalar)
     int seen[3] = {0, 0, 0};
     for (int trial = 0; trial < 100000; ++trial) {
         Vec320 v;
-        fillPlanes(&v, 1, seed++);
+        fillVec(v, seed++);
         for (int sl = 0; sl < kSuperlanes; ++sl) {
             v.ecc[static_cast<std::size_t>(sl)] =
                 eccCompute(v.bytes.data() + sl * kWordBytes);

@@ -125,7 +125,7 @@ TEST(FaultInjection, DoubleBitUpsetRaisesMachineCheck)
 
 TEST(FaultInjection, DoubleBitStreamFlipNeverServesSilently)
 {
-    // Satellite regression for the old StreamIo::consume bug: an
+    // Regression for an old stream-consume bug: an
     // uncorrectable stream error used to warn and return the
     // corrupted vector as success. Force stream strikes that are
     // always double-bit: the run must end in MachineCheck, never in a

@@ -208,6 +208,58 @@ TEST(ServeMigration, MigrationThatMissesTheDeadlineIsNotTaken)
     EXPECT_LE(server.totalChipCycles(), server.serviceCycles());
 }
 
+TEST(ServeMigration, NoSnapshotsWhenNoRecoveryCanMeetTheDeadline)
+{
+    // Any recovery books at least an engine rebuild (about five
+    // service times) plus the whole program after the batch's start,
+    // so under a deadline of 1.5 service times none can be taken. The
+    // worker then runs the batch with no snapshot cadence: it takes
+    // no snapshot and returns exactly what a server without migration
+    // returns. A deadline a recovery can meet keeps the cadence.
+    Compiled m;
+    const std::vector<std::int8_t> input = m.randomInput(1);
+    const auto serveOnce = [&](Cycle every, double deadline_services,
+                               std::uint64_t *snapshots) {
+        ServerConfig cfg;
+        cfg.workers = 1;
+        cfg.maxRetries = 0;
+        cfg.snapshotEveryCycles = every;
+        m.armRandomStrikes(cfg);
+        serve::SessionBackend *backend = nullptr;
+        InferenceServer server(
+            [&](int) {
+                auto b = std::make_unique<serve::SessionBackend>(
+                    m.reg.acquire(0, 1), 1, cfg.chip);
+                backend = b.get();
+                return b;
+            },
+            m.reg, cfg);
+        auto f = server.submit(input, 0.0,
+                               deadline_services * server.serviceSec());
+        server.drain();
+        *snapshots = backend->session().snapshotCount();
+        return std::make_pair(f.get(), server.totalChipCycles());
+    };
+
+    const Cycle every = m.reg.cycles(0, 1) / 8;
+    std::uint64_t snaps = 0, plain_snaps = 0;
+    const auto [r, cycles] = serveOnce(every, 1.5, &snaps);
+    const auto [plain, plain_cycles] = serveOnce(0, 1.5, &plain_snaps);
+    EXPECT_EQ(snaps, 0u);
+    EXPECT_EQ(r.outcome, Outcome::FailedMachineCheck);
+    EXPECT_EQ(r.outcome, plain.outcome);
+    EXPECT_EQ(r.machineChecks, plain.machineChecks);
+    EXPECT_EQ(r.correctedErrors, plain.correctedErrors);
+    EXPECT_EQ(r.measuredCycles, plain.measuredCycles);
+    EXPECT_EQ(r.completionSec, plain.completionSec);
+    EXPECT_EQ(cycles, plain_cycles);
+
+    const auto [served, served_cycles] = serveOnce(every, 25.0, &snaps);
+    EXPECT_GT(snaps, 0u);
+    EXPECT_EQ(served.outcome, Outcome::Served);
+    EXPECT_GE(served.migrations, 1u);
+}
+
 TEST(ServeMigration, MigratedBatchMeasuresTheWholeProgram)
 {
     // A migrated batch measures its resume point plus the resumed

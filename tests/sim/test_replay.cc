@@ -44,11 +44,20 @@ fill(std::uint8_t v)
 }
 
 ChipConfig
-configFor(bool fast_forward)
+configFor(bool fast_forward, ChipConfig cfg = {})
 {
-    ChipConfig cfg;
     cfg.fastForwardEnabled = fast_forward;
     return cfg;
+}
+
+/** @return a word with random bytes in all 320 lanes. */
+Vec320
+randomWord(Rng &rng)
+{
+    Vec320 v;
+    for (auto &b : v.bytes)
+        b = static_cast<std::uint8_t>(rng.nextBelow(256));
+    return v;
 }
 
 /** One memory word to seed before the run. */
@@ -89,17 +98,19 @@ expectChipsIdentical(const Chip &ref, const Chip &other,
 }
 
 /**
- * Runs @p prog per-cycle (reference), recorded, and replayed, and
- * asserts the three executions are indistinguishable.
+ * Runs @p prog per-cycle (reference), recorded, and replayed on chips
+ * configured as @p cfg, and asserts the three executions are
+ * indistinguishable.
  */
 void
 expectIdenticalReplay(const AsmProgram &prog,
                       const std::vector<Seed> &seeds,
-                      const std::vector<Probe> &probes)
+                      const std::vector<Probe> &probes,
+                      const ChipConfig &cfg = {})
 {
-    Chip legacy(configFor(false));
-    Chip recorded(configFor(true));
-    Chip replayed(configFor(true));
+    Chip legacy(configFor(false, cfg));
+    Chip recorded(configFor(true, cfg));
+    Chip replayed(configFor(true, cfg));
     for (Chip *chip : {&legacy, &recorded, &replayed}) {
         for (const auto &s : seeds)
             chip->mem(s.hem, s.slice).backdoorWrite(s.addr, s.vec);
@@ -344,6 +355,193 @@ TEST(Replay, GatherScatterIndirection)
                           {{Hemisphere::West, 5, 0x1, map},
                            {Hemisphere::West, 4, 0x20, fill(77)}},
                           {{Hemisphere::West, 3, 0x20}});
+}
+
+TEST(Replay, ResultNeverTakesAnOperandSlotOfItsOwnDispatch)
+{
+    // Read, Read -> add.sat -> Write: the VXM dispatch consumes both
+    // reads for the last time and produces its result. A slot is
+    // freed only when the event holding its value's last consume
+    // ends, so the result gets a slot of its own, and the VXM can
+    // build it in place while it still reads the operands' slots.
+    const std::string text = "@MEM_W0:\n"
+                             "    nop 510\n"
+                             "    read 0x5, s16.e\n"
+                             "@MEM_W1:\n"
+                             "    nop 509\n"
+                             "    read 0x6, s17.e\n"
+                             "@MEM_W2:\n"
+                             "    nop 517\n"
+                             "    write 0x7, s29.w\n"
+                             "@VXM0:\n"
+                             "    nop 513\n"
+                             "    add.sat s16.e, s17.e, s29.w\n";
+    const AsmResult r = assemble(text);
+    ASSERT_TRUE(r.ok) << r.error;
+
+    Chip chip(configFor(true));
+    chip.loadProgram(r.program);
+    TraceRecording rec({&chip});
+    chip.run();
+    const auto trace = rec.finish(/*completed=*/true);
+    ASSERT_NE(trace, nullptr);
+    // Produces in order: the MEM_W1 read, the MEM_W0 read, the sum.
+    ASSERT_EQ(trace->produces, 3u);
+    const auto &slot = trace->produceSlot;
+    EXPECT_NE(slot[2], slot[0]);
+    EXPECT_NE(slot[2], slot[1]);
+    EXPECT_NE(slot[0], slot[1]);
+    EXPECT_EQ(trace->slotCount, 4u);
+}
+
+TEST(Replay, NarrowVectorResultsReadZeroPastTheVectorLength)
+{
+    // Three active superlanes: 48-lane vectors. Every source word is
+    // nonzero in all 320 lanes, so each Read leaves a full-width
+    // value in its tape slot, and later results are built in slots
+    // such values left. A result reads as zero past lane 48 on the
+    // stepped tier, so the replayed one must too, or a dead value's
+    // tail would reach SRAM. 48 lanes take the vector kernels' whole
+    // and half blocks; MulSat and Tanh take the scalar templates.
+    ChipConfig cfg;
+    cfg.activeSuperlanes = 3;
+    struct Op
+    {
+        Opcode op;
+        DType from, to; ///< The dtype twice unless a Convert.
+    };
+    const Op ops[] = {
+        {Opcode::AddSat, DType::Int8, DType::Int8},
+        {Opcode::Relu, DType::Int8, DType::Int8},
+        {Opcode::Add, DType::Int32, DType::Int32},
+        {Opcode::MulSat, DType::Int32, DType::Int32},
+        {Opcode::Relu, DType::Int32, DType::Int32},
+        {Opcode::Mul, DType::Fp32, DType::Fp32},
+        {Opcode::Max, DType::Fp32, DType::Fp32},
+        {Opcode::Neg, DType::Fp32, DType::Fp32},
+        {Opcode::Tanh, DType::Fp32, DType::Fp32},
+        {Opcode::Convert, DType::Int32, DType::Fp32},
+        {Opcode::Convert, DType::Int8, DType::Fp32},
+        {Opcode::Convert, DType::Int8, DType::Int32},
+        {Opcode::Convert, DType::Fp32, DType::Int8},
+        {Opcode::Convert, DType::Fp32, DType::Int32},
+    };
+    ScheduledProgram prog;
+    KernelBuilder kb(prog);
+    Rng rng(29);
+    std::vector<Seed> seeds;
+    std::vector<Probe> probes;
+    const StreamRef a{0, Direction::East};
+    const StreamRef b{4, Direction::East};
+    const StreamRef d{8, Direction::East};
+    Cycle t = 100;
+    for (std::size_t i = 0; i < std::size(ops); ++i, t += 100) {
+        const Op &o = ops[i];
+        const bool binary = o.op != Opcode::Convert && isVxmBinary(o.op);
+        // Operand planes come from MEM_W1.. (A) and MEM_W5.. (B) and
+        // flow east to the VXM; result planes go to MEM_E1...
+        for (int s = 0; s < (binary ? 2 : 1); ++s) {
+            for (int k = 0; k < dtypeBytes(o.from); ++k) {
+                const GlobalAddr src{Hemisphere::West, 1 + 4 * s + k,
+                                     static_cast<MemAddr>(i)};
+                seeds.push_back(
+                    {src.hem, src.slice, src.addr, randomWord(rng)});
+                kb.readArriving(src,
+                                {static_cast<StreamId>(4 * s + k),
+                                 Direction::East},
+                                Layout::vxm, t);
+            }
+        }
+        const int alu = static_cast<int>(i) % kVxmAlusPerLane;
+        const Cycle vis =
+            o.op == Opcode::Convert
+                ? kb.vxmConvert(alu, o.from, o.to, a, d, t)
+            : binary ? kb.vxmBinary(alu, o.op, o.from, a, b, d, t)
+                     : kb.vxmUnary(alu, o.op, o.from, a, d, t);
+        for (int k = 0; k < dtypeBytes(o.to); ++k) {
+            const GlobalAddr dst{Hemisphere::East, 1 + k,
+                                 static_cast<MemAddr>(0x1000 + i)};
+            kb.write(dst, {static_cast<StreamId>(d.id + k), d.dir},
+                     vis + Layout::transitDelay(Layout::vxm, dst.pos()));
+            probes.push_back({dst.hem, dst.slice, dst.addr});
+        }
+    }
+    expectIdenticalReplay(prog.toAsm(), seeds, probes, cfg);
+}
+
+TEST(Replay, SxmProgramReplayIdentical)
+{
+    // Every SXM operation on the west SXM, fed from MEM and written
+    // back: on replay the SXM reads its operands from their tape slots
+    // and builds every output (Rotate's n^2, Transpose's 16) in place.
+    ScheduledProgram prog;
+    KernelBuilder kb(prog);
+    Rng rng(31);
+    std::vector<Seed> seeds;
+    std::vector<Probe> probes;
+    const SlicePos sxm = Layout::sxmPos(Hemisphere::West);
+    Cycle t = 100;
+    // One operation at t: @p inputs operands from MEM_W1.. on s0..
+    // (flowing west), @p outputs results on s16.. (flowing east) to
+    // MEM_W20...
+    const auto run = [&](SxmUnit unit, Instruction inst, int inputs,
+                         int outputs) {
+        const auto addr = static_cast<MemAddr>(t / 100);
+        for (int j = 0; j < inputs; ++j) {
+            const GlobalAddr src{Hemisphere::West, 1 + j, addr};
+            seeds.push_back({src.hem, src.slice, src.addr, randomWord(rng)});
+            kb.readArriving(src,
+                            {static_cast<StreamId>(j), Direction::West},
+                            sxm, t);
+        }
+        inst.srcA = {0, Direction::West};
+        if (inst.op == Opcode::SelectNS)
+            inst.srcB = {1, Direction::West};
+        inst.dst = {16, Direction::East};
+        const Cycle vis = kb.sxm(Hemisphere::West, unit, inst, t);
+        for (int k = 0; k < outputs; ++k) {
+            const GlobalAddr dst{Hemisphere::West, 20 + k,
+                                 static_cast<MemAddr>(0x1000 + addr)};
+            kb.write(dst,
+                     {static_cast<StreamId>(16 + k), Direction::East},
+                     vis + Layout::transitDelay(sxm, dst.pos()));
+            probes.push_back({dst.hem, dst.slice, dst.addr});
+        }
+        t += 100;
+    };
+    const auto sxmOp = [](Opcode op, std::uint32_t imm0 = 0,
+                          int group = 0) {
+        Instruction inst;
+        inst.op = op;
+        inst.imm0 = imm0;
+        inst.groupSize = static_cast<std::uint8_t>(group);
+        return inst;
+    };
+
+    run(SxmUnit::ShiftNorth, sxmOp(Opcode::ShiftUp, 5), 1, 1);
+    run(SxmUnit::ShiftSouth, sxmOp(Opcode::ShiftDown, 17), 1, 1);
+    run(SxmUnit::Select, sxmOp(Opcode::SelectNS, 0xa5a5a), 2, 1);
+    auto lanes = std::make_shared<std::vector<std::uint16_t>>(kLanes);
+    for (int l = 0; l < kLanes; ++l)
+        (*lanes)[static_cast<std::size_t>(l)] =
+            static_cast<std::uint16_t>(l);
+    for (int l = kLanes - 1; l > 0; --l) {
+        std::swap((*lanes)[static_cast<std::size_t>(l)],
+                  (*lanes)[rng.nextBelow(static_cast<std::uint64_t>(l + 1))]);
+    }
+    Instruction permute = sxmOp(Opcode::Permute);
+    permute.map = lanes;
+    run(SxmUnit::Permute, permute, 1, 1);
+    Instruction distribute = sxmOp(Opcode::Distribute);
+    distribute.map = std::make_shared<const std::vector<std::uint16_t>>(
+        std::vector<std::uint16_t>{3, 0xffff, 7, 7, 15, 0, 1, 0xffff, 2,
+                                   9, 11, 4, 0xffff, 13, 6, 5});
+    run(SxmUnit::Distribute, distribute, 1, 1);
+    run(SxmUnit::Rotate, sxmOp(Opcode::Rotate, 3, 9), 1, 9);
+    run(SxmUnit::Rotate, sxmOp(Opcode::Rotate, 4, 16), 1, 16);
+    run(SxmUnit::Transpose0, sxmOp(Opcode::Transpose, 0, 16), 16, 16);
+    run(SxmUnit::Transpose1, sxmOp(Opcode::Transpose, 0, 16), 16, 16);
+    expectIdenticalReplay(prog.toAsm(), seeds, probes);
 }
 
 TEST(Replay, CompiledNetworkSessionReplayWithFreshInputs)
