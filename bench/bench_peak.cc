@@ -43,10 +43,8 @@ main()
         // One read per cycle feeding the plane.
         for (int i = 0; i < total; ++i) {
             const Cycle at = t0 + static_cast<Cycle>(i);
-            const Cycle lead =
-                opTiming(Opcode::Read).dFunc +
-                Layout::transitDelay(
-                    Layout::memPos(hem, 40 + plane % 2), mxm);
+            const Cycle lead = KernelBuilder::readLead(
+                GlobalAddr{hem, 40 + plane % 2, 0}, mxm);
             Instruction rd;
             rd.op = Opcode::Read;
             rd.addr = static_cast<MemAddr>(i % 64);

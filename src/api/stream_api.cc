@@ -95,10 +95,7 @@ struct Program::Impl
                     31,
                     Layout::flowDirection(from.pos(), to.pos())};
                 kb.read(from, s, t);
-                kb.write(to, s,
-                         t + opTiming(Opcode::Read).dFunc +
-                             Layout::transitDelay(from.pos(),
-                                                  to.pos()));
+                kb.write(to, s, t + kb.readLead(from, to.pos()));
             }
             t += Layout::numPositions;
         }

@@ -35,12 +35,6 @@ Layout::memPos(Hemisphere hem, int index)
     return vxm - 1 - index;
 }
 
-Hemisphere
-Layout::hemisphereOf(SlicePos pos)
-{
-    return pos < vxm ? Hemisphere::West : Hemisphere::East;
-}
-
 std::string
 Layout::posName(SlicePos pos)
 {

@@ -113,9 +113,6 @@ struct Layout
         return hem == Hemisphere::West ? c2cWest : c2cEast;
     }
 
-    /** @return which hemisphere a position falls in (VXM -> East). */
-    static Hemisphere hemisphereOf(SlicePos pos);
-
     /** @return transit delay in cycles between two positions (Eq. 4). */
     static Cycle
     transitDelay(SlicePos from, SlicePos to)

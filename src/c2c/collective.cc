@@ -1,35 +1,49 @@
 #include "c2c/collective.hh"
 
 #include "common/logging.hh"
+#include "compiler/builder.hh"
 
 namespace tsp {
 
 namespace {
 
-/** Positions used by the schedule. */
-constexpr SlicePos kVxm = Layout::vxm;
+/** Streams of the schedule. */
+constexpr StreamRef kOut{4, Direction::East};    // To the east link.
+constexpr StreamRef kIn{6, Direction::East};     // From the west link.
+constexpr StreamRef kLocal{16, Direction::West}; // Slice -> VXM.
+constexpr StreamRef kSum{29, Direction::East};   // VXM -> slice.
 
-SlicePos
-slicePos()
+/** @return word @p addr of the schedule's slice. */
+GlobalAddr
+word(MemAddr addr)
 {
-    return Layout::memPos(Hemisphere::East, AllReducePlan::kSlice);
+    return {Hemisphere::East, AllReducePlan::kSlice, addr};
 }
 
-/** Emits "read @p addr so it is at the east link at @p at". */
-void
-emitReadToLink(ScheduledProgram &prog, MemAddr addr, StreamRef s,
-               Cycle at)
+/**
+ * Emits one ring hop: @p from reads @p addr so it reaches its east
+ * link at @p send_at and sends it; @p to receives it @p wire cycles
+ * after the serialization.
+ * @return the cycle the vector is visible at @p to's west link.
+ */
+Cycle
+emitHop(KernelBuilder &from, KernelBuilder &to, MemAddr addr,
+        Cycle send_at, Cycle wire)
 {
-    const Cycle lead =
-        opTiming(Opcode::Read).dFunc +
-        Layout::transitDelay(slicePos(), Layout::c2cEast);
-    Instruction rd;
-    rd.op = Opcode::Read;
-    rd.addr = addr;
-    rd.dst = s;
-    prog.emit(at - lead, IcuId::mem(Hemisphere::East,
-                                    AllReducePlan::kSlice),
-              rd);
+    from.readArriving(word(addr), kOut, Layout::c2cEast, send_at);
+    Instruction send;
+    send.op = Opcode::Send;
+    send.imm0 = Pod::kRightLink;
+    send.srcA = kOut;
+    from.program().emit(send_at, IcuId::c2c(Pod::kRightLink), send);
+
+    const Cycle arrive = send_at + kC2cSerializationCycles + wire;
+    Instruction recv;
+    recv.op = Opcode::Receive;
+    recv.imm0 = Pod::kLeftLink;
+    recv.dst = kIn;
+    to.program().emit(arrive, IcuId::c2c(Pod::kLeftLink), recv);
+    return arrive + opTiming(Opcode::Receive).dFunc;
 }
 
 } // namespace
@@ -39,10 +53,11 @@ buildRingAllReduce(const Pod &pod,
                    std::vector<ScheduledProgram> &programs,
                    int batch)
 {
-    const int n = const_cast<Pod &>(pod).size();
+    const int n = pod.size();
     TSP_ASSERT(n >= 2);
     TSP_ASSERT(batch >= 1 && batch <= AllReducePlan::kMaxBatch);
     programs.assign(static_cast<std::size_t>(n), {});
+    std::vector<KernelBuilder> kb(programs.begin(), programs.end());
 
     AllReducePlan plan;
     const Cycle wire = pod.wireLatency();
@@ -52,136 +67,56 @@ buildRingAllReduce(const Pod &pod,
     plan.firstSend = 120;
 
     // Deskew every ring link once, well before the first send.
-    for (int c = 0; c < n; ++c) {
+    for (ScheduledProgram &prog : programs) {
         Instruction deskew;
         deskew.op = Opcode::Deskew;
-        programs[static_cast<std::size_t>(c)].emit(
-            0, IcuId::c2c(Pod::kRightLink), deskew);
-        programs[static_cast<std::size_t>(c)].emit(
-            1, IcuId::c2c(Pod::kLeftLink), deskew);
+        prog.emit(0, IcuId::c2c(Pod::kRightLink), deskew);
+        prog.emit(1, IcuId::c2c(Pod::kLeftLink), deskew);
     }
 
-    const IcuId mem =
-        IcuId::mem(Hemisphere::East, AllReducePlan::kSlice);
-    const StreamRef out_s{4, Direction::East};  // To the east link.
-    const StreamRef in_s{6, Direction::East};   // From the west link.
-    const StreamRef local_s{16, Direction::West}; // Slice -> VXM.
-    const StreamRef sum_s{29, Direction::East};   // VXM -> slice.
-
-    // The running partial lives at kResultAddr; chip 0 seeds it from
-    // its local vector (identity add with the zero at kResultAddr is
-    // avoided by just sending kLocalAddr directly in phase 0).
-    //
-    // Sample s's hops occupy slot s*(n+1) + p: pipelined batching
-    // with the collision-free offset proved in the header comment.
-    //
-    // Reduce phases p = 0..n-2: chip p sends its partial (phase 0:
-    // its local vector), chip p+1 receives, adds its local vector at
-    // the VXM and commits to kResultAddr.
+    const SlicePos slice = word(0).pos();
+    // The running partial lives at kResultAddr. Phase p sends from
+    // chip p % n to chip (p + 1) % n; sample s's hops occupy slot
+    // s*(n+1) + p: pipelined batching with the collision-free offset
+    // proved in the header comment.
     for (int s = 0; s < batch; ++s) {
-    const Cycle slot0 =
-        static_cast<Cycle>(s) * static_cast<Cycle>(n + 1);
-    const MemAddr local_a =
-        AllReducePlan::kLocalAddr + static_cast<MemAddr>(s);
-    const MemAddr result_a =
-        AllReducePlan::kResultAddr + static_cast<MemAddr>(s);
-    for (int p = 0; p <= n - 2; ++p) {
-        const int sender = p;
-        const int receiver = p + 1;
-        auto &ps = programs[static_cast<std::size_t>(sender)];
-        auto &pr = programs[static_cast<std::size_t>(receiver)];
-        const Cycle send_at =
-            plan.firstSend +
-            (slot0 + static_cast<Cycle>(p)) * plan.phase;
+        const Cycle slot0 =
+            static_cast<Cycle>(s) * static_cast<Cycle>(n + 1);
+        const MemAddr local_a =
+            AllReducePlan::kLocalAddr + static_cast<MemAddr>(s);
+        const MemAddr result_a =
+            AllReducePlan::kResultAddr + static_cast<MemAddr>(s);
+        for (int p = 0; p <= 2 * n - 3; ++p) {
+            KernelBuilder &to = kb[static_cast<std::size_t>((p + 1) % n)];
+            const Cycle send_at =
+                plan.firstSend +
+                (slot0 + static_cast<Cycle>(p)) * plan.phase;
+            // Chip 0 seeds the reduce by sending its local vector.
+            const Cycle vis =
+                emitHop(kb[static_cast<std::size_t>(p % n)], to,
+                        p == 0 ? local_a : result_a, send_at, wire);
 
-        emitReadToLink(ps, p == 0 ? local_a : result_a, out_s,
-                       send_at);
-        Instruction send;
-        send.op = Opcode::Send;
-        send.imm0 = Pod::kRightLink;
-        send.srcA = out_s;
-        ps.emit(send_at, IcuId::c2c(Pod::kRightLink), send);
-
-        const Cycle arrive =
-            send_at + kC2cSerializationCycles + wire;
-        Instruction recv;
-        recv.op = Opcode::Receive;
-        recv.imm0 = Pod::kLeftLink;
-        recv.dst = in_s;
-        pr.emit(arrive, IcuId::c2c(Pod::kLeftLink), recv);
-
-        // The received vector is visible at the west link (pos 0)
-        // at arrive + d_func(Receive), then flows east to the VXM.
-        const Cycle at_vxm = arrive +
-                             opTiming(Opcode::Receive).dFunc +
-                             Layout::transitDelay(Layout::c2cWest,
-                                                  kVxm);
-        // Local vector arrives the same cycle, flowing west.
-        Instruction rd;
-        rd.op = Opcode::Read;
-        rd.addr = local_a;
-        rd.dst = local_s;
-        pr.emit(at_vxm - opTiming(Opcode::Read).dFunc -
-                    Layout::transitDelay(slicePos(), kVxm),
-                mem, rd);
-
-        Instruction add;
-        add.op = Opcode::AddSat;
-        add.dtype = DType::Int8;
-        add.srcA = in_s;
-        add.srcB = local_s;
-        add.dst = sum_s;
-        pr.emit(at_vxm, IcuId::vxmAlu(0), add);
-
-        // Commit the new partial.
-        const Cycle w_at = at_vxm + opTiming(Opcode::AddSat).dFunc +
-                           Layout::transitDelay(kVxm, slicePos());
-        Instruction wr;
-        wr.op = Opcode::Write;
-        wr.addr = result_a;
-        wr.srcA = sum_s;
-        pr.emit(w_at, mem, wr);
+            if (p >= n - 1) {
+                // Broadcast phases: chip n-1 holds the total after the
+                // reduce; each receiver stores it straight to
+                // kResultAddr (west link -> slice, eastward).
+                to.write(word(result_a), kIn,
+                         vis + Layout::transitDelay(Layout::c2cWest,
+                                                    slice));
+                continue;
+            }
+            // Reduce phases: the received vector flows east to the
+            // VXM, where the local vector arrives the same cycle
+            // flowing west; the sum commits the new partial.
+            const Cycle at_vxm =
+                vis + Layout::transitDelay(Layout::c2cWest, Layout::vxm);
+            to.readArriving(word(local_a), kLocal, Layout::vxm, at_vxm);
+            const Cycle sum_vis = to.vxmBinary(
+                0, Opcode::AddSat, DType::Int8, kIn, kLocal, kSum, at_vxm);
+            to.write(word(result_a), kSum,
+                     sum_vis + Layout::transitDelay(Layout::vxm, slice));
+        }
     }
-
-    // Broadcast phases p = n-1 .. 2n-3: the total travels the ring;
-    // each receiver stores it. Chip n-1 holds the total after the
-    // reduce; it also copies it in place (already at kResultAddr).
-    for (int p = n - 1; p <= 2 * n - 3; ++p) {
-        const int sender = p % n;
-        const int receiver = (p + 1) % n;
-        auto &ps = programs[static_cast<std::size_t>(sender)];
-        auto &pr = programs[static_cast<std::size_t>(receiver)];
-        const Cycle send_at =
-            plan.firstSend +
-            (slot0 + static_cast<Cycle>(p)) * plan.phase;
-
-        emitReadToLink(ps, result_a, out_s, send_at);
-        Instruction send;
-        send.op = Opcode::Send;
-        send.imm0 = Pod::kRightLink;
-        send.srcA = out_s;
-        ps.emit(send_at, IcuId::c2c(Pod::kRightLink), send);
-
-        const Cycle arrive =
-            send_at + kC2cSerializationCycles + wire;
-        Instruction recv;
-        recv.op = Opcode::Receive;
-        recv.imm0 = Pod::kLeftLink;
-        recv.dst = in_s;
-        pr.emit(arrive, IcuId::c2c(Pod::kLeftLink), recv);
-
-        // Store straight to kResultAddr (pos 0 -> slice, eastward).
-        const Cycle w_at = arrive +
-                           opTiming(Opcode::Receive).dFunc +
-                           Layout::transitDelay(Layout::c2cWest,
-                                                slicePos());
-        Instruction wr;
-        wr.op = Opcode::Write;
-        wr.addr = result_a;
-        wr.srcA = in_s;
-        pr.emit(w_at, mem, wr);
-    }
-    } // sample loop
 
     plan.finish =
         plan.firstSend +

@@ -18,8 +18,7 @@ Cycle
 KernelBuilder::readArriving(const GlobalAddr &a, StreamRef s,
                             SlicePos consumer_pos, Cycle at)
 {
-    const Cycle lead = opTiming(Opcode::Read).dFunc +
-                       Layout::transitDelay(a.pos(), consumer_pos);
+    const Cycle lead = readLead(a, consumer_pos);
     if (at < lead) {
         panic("readArriving: arrival %llu needs issue %llu cycles "
               "earlier than 0",
@@ -163,14 +162,6 @@ KernelBuilder::sxm(Hemisphere hem, SxmUnit unit, Instruction inst,
     prog_.emit(issue, IcuId::sxm(hem, static_cast<int>(unit)),
                std::move(inst));
     return done;
-}
-
-void
-KernelBuilder::preamble()
-{
-    // The barrier is synthesized by ScheduledProgram::toAsm(true);
-    // nothing to emit here. Kept as an explicit no-op so kernels can
-    // assert intent.
 }
 
 } // namespace tsp

@@ -51,11 +51,14 @@ class KernelBuilder
     /** Emits a Write sampling stream @p s at @p issue. */
     void write(const GlobalAddr &a, StreamRef s, Cycle issue);
 
-    /** @return arrival cycle at @p q of a Read issued at @p issue. */
+    /**
+     * @return the cycles from a Read of @p a issuing to its vector
+     * being visible at position @p q: d_func(Read) plus the transit.
+     */
     static Cycle
-    readArrival(const GlobalAddr &a, SlicePos q, Cycle issue)
+    readLead(const GlobalAddr &a, SlicePos q)
     {
-        return issue + opTiming(Opcode::Read).dFunc +
+        return opTiming(Opcode::Read).dFunc +
                Layout::transitDelay(a.pos(), q);
     }
 
@@ -105,11 +108,6 @@ class KernelBuilder
     /** Emits an SXM op on the given unit of @p hem at @p issue. */
     Cycle sxm(Hemisphere hem, SxmUnit unit, Instruction inst,
               Cycle issue);
-
-    // ----- ICU -----
-
-    /** Emits Sync on every queue and Notify on queue 0 at cycle 0. */
-    void preamble();
 
   private:
     ScheduledProgram &prog_;

@@ -3,23 +3,19 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/snapshot_io.hh"
 #include "compiler/lowering_internal.hh"
 
 namespace tsp {
 
 namespace {
 
-/** Cycles from a Read's issue to visibility at @p consumer. */
-Cycle
-readLead(const GlobalAddr &a, SlicePos consumer)
-{
-    return opTiming(Opcode::Read).dFunc +
-           Layout::transitDelay(a.pos(), consumer);
-}
-
 /** MXM drain parameters shared by compiler and chip model. */
 constexpr Cycle kAccLatency = kSuperlanes + 1; // opTiming(Acc).dFunc
 constexpr Cycle kMxmToVxm = 46;                // delta(MXM, VXM)
+
+/** Requant chain: a drained result's int8 is visible this much later. */
+constexpr Cycle kChainOutLat = 8;
 
 } // namespace
 
@@ -115,6 +111,11 @@ Lowering::recordLayer(const char *kind, Cycle begin)
 
 namespace {
 
+/**
+ * @return the port-table key of @p a's slice at cycle @p c. An entry
+ * holds bit 0 for the read, bit 1 for the write, and bits 2 and 3 for
+ * the bank of each.
+ */
 std::uint64_t
 portKey(const GlobalAddr &a, Cycle c)
 {
@@ -125,79 +126,29 @@ portKey(const GlobalAddr &a, Cycle c)
     return (c << 7) | slice;
 }
 
-constexpr std::uint8_t kPortRead = 0x1;
-constexpr std::uint8_t kPortWrite = 0x2;
-constexpr std::uint8_t kPortReadBank = 0x4;  // Bank of the read.
-constexpr std::uint8_t kPortWriteBank = 0x8; // Bank of the write.
-
 } // namespace
 
 bool
-Lowering::tryReserveRead(const GlobalAddr &a, Cycle c)
+Lowering::tryReserve(const Access &acc)
 {
-    const std::uint64_t key = portKey(a, c);
-    auto it = ports_.find(key);
-    const int bank = a.bank();
-    if (it == ports_.end()) {
-        ports_[key] = static_cast<std::uint8_t>(
-            kPortRead | (bank ? kPortReadBank : 0));
-        return true;
-    }
-    std::uint8_t &bits = it->second;
-    if (bits & kPortRead)
-        return false; // One read per cycle.
-    if (bits & kPortWrite) {
-        const int wbank = (bits & kPortWriteBank) ? 1 : 0;
-        if (wbank == bank)
-            return false; // Pseudo-dual-port: opposite banks only.
-    }
-    bits |= static_cast<std::uint8_t>(kPortRead |
-                                      (bank ? kPortReadBank : 0));
+    const int k = acc.write ? 1 : 0;
+    const int bank = acc.a.bank();
+    std::uint8_t &bits = ports_[portKey(acc.a, acc.c)];
+    if (bits & (1 << k))
+        return false; // One read and one write per cycle,
+    if ((bits & (1 << (1 - k))) && ((bits >> (3 - k)) & 1) == bank)
+        return false; // in opposite banks (pseudo-dual-port).
+    bits |= static_cast<std::uint8_t>((1 << k) | (bank << (2 + k)));
     return true;
 }
 
 void
-Lowering::unreserveRead(const GlobalAddr &a, Cycle c)
+Lowering::unreserve(const Access &acc)
 {
-    auto it = ports_.find(portKey(a, c));
-    TSP_ASSERT(it != ports_.end() && (it->second & kPortRead));
-    it->second &= static_cast<std::uint8_t>(
-        ~(kPortRead | kPortReadBank));
-    if (it->second == 0)
-        ports_.erase(it);
-}
-
-bool
-Lowering::tryReserveWrite(const GlobalAddr &a, Cycle c)
-{
-    const std::uint64_t key = portKey(a, c);
-    auto it = ports_.find(key);
-    const int bank = a.bank();
-    if (it == ports_.end()) {
-        ports_[key] = static_cast<std::uint8_t>(
-            kPortWrite | (bank ? kPortWriteBank : 0));
-        return true;
-    }
-    std::uint8_t &bits = it->second;
-    if (bits & kPortWrite)
-        return false;
-    if (bits & kPortRead) {
-        const int rbank = (bits & kPortReadBank) ? 1 : 0;
-        if (rbank == bank)
-            return false;
-    }
-    bits |= static_cast<std::uint8_t>(kPortWrite |
-                                      (bank ? kPortWriteBank : 0));
-    return true;
-}
-
-void
-Lowering::unreserveWrite(const GlobalAddr &a, Cycle c)
-{
-    auto it = ports_.find(portKey(a, c));
-    TSP_ASSERT(it != ports_.end() && (it->second & kPortWrite));
-    it->second &= static_cast<std::uint8_t>(
-        ~(kPortWrite | kPortWriteBank));
+    const int k = acc.write ? 1 : 0;
+    auto it = ports_.find(portKey(acc.a, acc.c));
+    TSP_ASSERT(it != ports_.end() && (it->second & (1 << k)));
+    it->second &= static_cast<std::uint8_t>(~((1 << k) | (4 << k)));
     if (it->second == 0)
         ports_.erase(it);
 }
@@ -205,24 +156,41 @@ Lowering::unreserveWrite(const GlobalAddr &a, Cycle c)
 bool
 Lowering::tryReserveAll(const std::vector<Access> &batch)
 {
-    std::size_t done = 0;
-    for (; done < batch.size(); ++done) {
-        const Access &acc = batch[done];
-        const bool ok = acc.write ? tryReserveWrite(acc.a, acc.c)
-                                  : tryReserveRead(acc.a, acc.c);
-        if (!ok)
-            break;
+    for (std::size_t done = 0; done < batch.size(); ++done) {
+        if (tryReserve(batch[done]))
+            continue;
+        for (std::size_t i = 0; i < done; ++i)
+            unreserve(batch[i]);
+        return false;
     }
-    if (done == batch.size())
-        return true;
-    for (std::size_t i = 0; i < done; ++i) {
-        const Access &acc = batch[i];
-        if (acc.write)
-            unreserveWrite(acc.a, acc.c);
-        else
-            unreserveRead(acc.a, acc.c);
+    return true;
+}
+
+Cycle
+Lowering::place(Cycle slot, const char *who)
+{
+    for (int attempt = 0; !tryReserveAll(batch_); ++attempt) {
+        if (attempt > 100000)
+            panic("%s: cannot place (port livelock)", who);
+        for (Access &acc : batch_)
+            ++acc.c;
+        ++slot;
     }
-    return false;
+    return slot;
+}
+
+Cycle
+Lowering::producerDone(const LoweredTensor &t) const
+{
+    return pipelined_ ? 0 : t.maxReady();
+}
+
+Cycle
+Lowering::rowReady(const LoweredTensor &t, int e, int row, Cycle done)
+{
+    // A row commits no later than its producer's last write, so the
+    // maximum is the row itself when pipelined, done otherwise.
+    return std::max(done, (*t.ready[e])[static_cast<std::size_t>(row)]);
 }
 
 void
@@ -238,6 +206,50 @@ Lowering::reservedWrite(const GlobalAddr &a, StreamRef s, Cycle issue)
 {
     kb_.write(a, s, issue);
     bumpLast(issue + 1);
+}
+
+// --------------------------------------------------------------------
+// Output rows
+// --------------------------------------------------------------------
+
+Lowering::OutElem
+Lowering::outElem(const ActTensor &t, int e, int y, int x, int kg)
+{
+    OutElem o;
+    o.hasHalo = t.stores(1 - e, y);
+    for (int h = 0; h < (o.hasHalo ? 2 : 1); ++h) {
+        o.addr[h] = t.addrOf(e ^ h, y, x, kg);
+        o.row[h] = t.localRow(e ^ h, y, x, kg);
+        // The halo copy leaves the VXM a cycle later, after its flip.
+        o.lag[h] = static_cast<Cycle>(h) +
+                   Layout::transitDelay(Layout::vxm, o.addr[h].pos());
+    }
+    return o;
+}
+
+void
+Lowering::reserveOut(const OutElem &o, Cycle vis,
+                     std::vector<Access> &batch)
+{
+    for (int h = 0; h < (o.hasHalo ? 2 : 1); ++h)
+        batch.push_back({o.addr[h], vis + o.lag[h], true});
+}
+
+void
+Lowering::writeOut(int e, const OutElem &o, Cycle vis, int halo_alu,
+                   LoweredTensor &out)
+{
+    const StreamRoles &r = engine(e).roles;
+    reservedWrite(o.addr[0], r.finalOwn(), vis + o.lag[0]);
+    (*out.ready[e])[static_cast<std::size_t>(o.row[0])] =
+        vis + o.lag[0] + 1;
+    if (!o.hasHalo)
+        return;
+    kb_.vxmBinary(halo_alu, Opcode::Max, DType::Int8, r.finalOwn(),
+                  r.finalOwn(), r.haloOut(), vis);
+    reservedWrite(o.addr[1], r.haloOut(), vis + o.lag[1]);
+    (*out.ready[1 - e])[static_cast<std::size_t>(o.row[1])] =
+        vis + o.lag[1] + 1;
 }
 
 // --------------------------------------------------------------------
@@ -351,23 +363,14 @@ namespace {
 std::uint64_t
 convContentHash(const ConvGeom &g, const ConvWeights &w)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](const void *p, std::size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ULL;
-        }
-    };
-    const int dims[6] = {w.outC, w.inC, g.kh,
-                         g.kw,   g.stride, g.pad};
-    mix(dims, sizeof(dims));
+    const int dims[6] = {w.outC, w.inC, g.kh, g.kw, g.stride, g.pad};
     const unsigned char relu = g.relu ? 1 : 0;
-    mix(&relu, 1);
-    mix(w.w.data(), w.w.size() * sizeof(w.w[0]));
-    mix(w.bias.data(), w.bias.size() * sizeof(w.bias[0]));
-    mix(w.scale.data(), w.scale.size() * sizeof(w.scale[0]));
-    return h;
+    std::uint64_t h = fnv1a64(dims, sizeof(dims));
+    h = fnv1a64(&relu, 1, h);
+    h = fnv1a64(w.w.data(), w.w.size() * sizeof(w.w[0]), h);
+    h = fnv1a64(w.bias.data(), w.bias.size() * sizeof(w.bias[0]), h);
+    return fnv1a64(w.scale.data(), w.scale.size() * sizeof(w.scale[0]),
+                   h);
 }
 
 } // namespace
@@ -479,16 +482,15 @@ Lowering::placeConv(const ConvGeom &g, const ConvWeights &w)
 void
 Lowering::requantChain(int e, StreamId result_base,
                        const ConstQuad &bias, const ConstQuad &scale,
-                       bool relu, Cycle tv, int n,
-                       const std::vector<DrainDest> &dest,
-                       std::vector<Cycle> &commit)
+                       bool relu, Cycle tv,
+                       const std::vector<OutElem> &dest,
+                       LoweredTensor &out)
 {
     Engine &en = engine(e);
     const StreamRoles &r = en.roles;
     const SlicePos vxm = Layout::vxm;
-    commit.assign(static_cast<std::size_t>(n), 0);
 
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < dest.size(); ++i) {
         const Cycle t = tv + static_cast<Cycle>(i);
 
         // Stage 1: acc + bias (int32, saturating).
@@ -518,27 +520,7 @@ Lowering::requantChain(int e, StreamId result_base,
                           r.stageInt8(), r.stageInt8(), r.finalOwn(),
                           t + 7);
         }
-        const Cycle vis_final = t + 8;
-
-        // Primary write at arrival (ports reserved by the caller's
-        // drain placement).
-        const DrainDest &d = dest[static_cast<std::size_t>(i)];
-        const Cycle w_issue =
-            vis_final +
-            Layout::transitDelay(vxm, d.primary.pos());
-        reservedWrite(d.primary, r.finalOwn(), w_issue);
-        commit[static_cast<std::size_t>(i)] = w_issue + 1;
-
-        // Halo duplicate flows the other way.
-        if (d.hasHalo) {
-            kb_.vxmBinary(en.aluBase + 5, Opcode::Max, DType::Int8,
-                          r.finalOwn(), r.finalOwn(), r.haloOut(),
-                          vis_final);
-            const Cycle h_issue =
-                vis_final + 1 +
-                Layout::transitDelay(vxm, d.haloCopy.pos());
-            reservedWrite(d.haloCopy, r.haloOut(), h_issue);
-        }
+        writeOut(e, dest[i], t + kChainOutLat, en.aluBase + 5, out);
     }
 }
 
@@ -553,7 +535,7 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
     Engine &en = engine(e);
     const StreamRoles &r = en.roles;
     const ActTensor &it = in.t;
-    ActTensor &ot = out.t;
+    const ActTensor &ot = out.t;
 
     const int y_lo = e == 0 ? 0 : ot.splitY;
     const int y_hi = e == 0 ? ot.splitY : ot.height;
@@ -563,7 +545,9 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
 
     const int windows = pc.windows();
     const int chunk_max = static_cast<int>(kMxmAccDepth);
-    const Cycle in_max_ready = pipelined_ ? 0 : in.maxReady();
+    const Cycle done = producerDone(in);
+    std::vector<GlobalAddr> src;
+    std::vector<OutElem> dest;
 
     // Flattened owned output positions, chunked.
     int chunk_idx = 0;
@@ -600,85 +584,49 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                 en.installFree = inst_start + bursts + 1;
                 bumpLast(inst_done);
 
-                // Per-element source addresses.
-                std::vector<GlobalAddr> src(
-                    static_cast<std::size_t>(n));
-                std::vector<Cycle> row_ready(
-                    static_cast<std::size_t>(n), 0);
+                // Per-element sources and the earliest window start
+                // tw: element i's read issues at tw + i - lead, no
+                // earlier than its row is ready. A sequential-mode
+                // pad waits for the producer too (paper IV.C
+                // "before").
+                Cycle tw = std::max(prev_window_end, inst_done);
+                src.resize(static_cast<std::size_t>(n));
                 for (int i = 0; i < n; ++i) {
                     const int p = p0 + i;
                     const int oy = y_lo + p / ot.width;
                     const int ox = p % ot.width;
                     const int iy = oy * g.stride - g.pad + ky;
                     const int ix = ox * g.stride - g.pad + kx;
+                    GlobalAddr &a = src[static_cast<std::size_t>(i)];
+                    Cycle rdy = done;
                     if (iy < 0 || iy >= it.height || ix < 0 ||
                         ix >= it.width) {
-                        src[static_cast<std::size_t>(i)] =
-                            en.padZero[pi];
-                        continue;
+                        a = en.padZero[pi];
+                    } else {
+                        if (!it.stores(e, iy)) {
+                            panic("convEngine: engine %d needs input "
+                                  "row y=%d beyond its halo",
+                                  e, iy);
+                        }
+                        a = it.addrOf(e, iy, ix, kg);
+                        rdy = rowReady(in, e,
+                                       it.localRow(e, iy, ix, kg), done);
                     }
-                    if (!it.stores(e, iy)) {
-                        panic("convEngine: engine %d needs input row "
-                              "y=%d beyond its halo",
-                              e, iy);
-                    }
-                    src[static_cast<std::size_t>(i)] =
-                        it.addrOf(e, iy, ix, kg);
-                    if (in.ready[e]) {
-                        row_ready[static_cast<std::size_t>(i)] =
-                            (*in.ready[e])[static_cast<std::size_t>(
-                                it.localRow(e, iy, ix, kg))];
-                    }
-                }
-
-                // Earliest window start.
-                Cycle tw = std::max(prev_window_end, inst_done);
-                for (int i = 0; i < n; ++i) {
-                    const Cycle lead = readLead(
-                        src[static_cast<std::size_t>(i)], en.mxmPos);
-                    // Sequential mode pretends every row commits at
-                    // the producer's last write (paper IV.C "before").
-                    const Cycle rdy =
-                        pipelined_
-                            ? row_ready[static_cast<std::size_t>(i)]
-                            : in_max_ready;
-                    // Read issue = tw + i - lead >= rdy.
-                    const Cycle need = rdy + lead;
+                    const Cycle need = rdy + kb_.readLead(a, en.mxmPos);
                     if (tw + static_cast<Cycle>(i) < need)
                         tw = need - static_cast<Cycle>(i);
                 }
 
-                // Probe read ports; bump the window until all fit.
-                for (int attempt = 0;; ++attempt) {
-                    if (attempt > 100000) {
-                        panic("convEngine: cannot place window "
-                              "(port livelock)");
-                    }
-                    int ok = 0;
-                    for (int i = 0; i < n; ++i) {
-                        const GlobalAddr &a =
-                            src[static_cast<std::size_t>(i)];
-                        const Cycle issue =
-                            tw + static_cast<Cycle>(i) -
-                            readLead(a, en.mxmPos);
-                        if (!tryReserveRead(a, issue))
-                            break;
-                        ++ok;
-                    }
-                    if (ok == n)
-                        break;
-                    // Roll back and retry one cycle later.
-                    for (int i = 0; i < ok; ++i) {
-                        const GlobalAddr &a =
-                            src[static_cast<std::size_t>(i)];
-                        unreserveRead(a,
-                                      tw + static_cast<Cycle>(i) -
-                                          readLead(a, en.mxmPos));
-                    }
-                    ++tw;
+                // Place the window's reads, then emit them.
+                std::vector<Access> &batch = newBatch();
+                for (int i = 0; i < n; ++i) {
+                    const GlobalAddr &a = src[static_cast<std::size_t>(i)];
+                    batch.push_back({a,
+                                     tw + static_cast<Cycle>(i) -
+                                         kb_.readLead(a, en.mxmPos),
+                                     false});
                 }
-
-                // Emit the reads and the window.
+                tw = place(tw, "convEngine window");
                 for (int i = 0; i < n; ++i) {
                     reservedRead(src[static_cast<std::size_t>(i)],
                                  r.act(pi), en.mxmPos,
@@ -708,100 +656,40 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
             if (gate > drain_lead)
                 u = std::max(u, gate - drain_lead);
 
-            // Destination rows (+ halo duplicates).
-            std::vector<DrainDest> dest(static_cast<std::size_t>(n));
+            // Place the drain's whole port footprint (const-quad
+            // reads + output writes); shift the drain on conflict.
+            const ConstQuad &bias = pc.bias[e][static_cast<std::size_t>(cog)];
+            const ConstQuad &scale =
+                pc.scale[e][static_cast<std::size_t>(cog)];
+            dest.clear();
+            std::vector<Access> &batch = newBatch();
             for (int i = 0; i < n; ++i) {
                 const int p = p0 + i;
-                const int oy = y_lo + p / ot.width;
-                const int ox = p % ot.width;
-                DrainDest &d = dest[static_cast<std::size_t>(i)];
-                d.primary = ot.addrOf(e, oy, ox, cog);
-                if (ot.stores(1 - e, oy)) {
-                    d.hasHalo = true;
-                    d.haloCopy = ot.addrOf(1 - e, oy, ox, cog);
-                }
-            }
-
-            // Probe the drain's whole port footprint (const-quad
-            // reads + output writes); shift the drain on conflict.
-            constexpr Cycle chain_out_lat = 8;
-            for (int attempt = 0;; ++attempt) {
-                if (attempt > 100000)
-                    panic("convEngine: cannot place drain");
-                std::vector<Access> batch;
-                const Cycle tv = u + kAccLatency + kMxmToVxm;
-                for (int i = 0; i < n; ++i) {
-                    const Cycle t = tv + static_cast<Cycle>(i);
-                    for (int q = 0; q < 4; ++q) {
-                        const GlobalAddr &ba =
-                            pc.bias[e][static_cast<std::size_t>(cog)]
-                                .addr[q];
-                        batch.push_back(
-                            {ba, t - readLead(ba, Layout::vxm),
-                             false});
-                        const GlobalAddr &sa =
-                            pc.scale[e][static_cast<std::size_t>(cog)]
-                                .addr[q];
-                        batch.push_back(
-                            {sa, t + 3 - readLead(sa, Layout::vxm),
-                             false});
-                    }
-                    const DrainDest &d =
-                        dest[static_cast<std::size_t>(i)];
-                    const Cycle vis = t + chain_out_lat;
+                dest.push_back(outElem(ot, e, y_lo + p / ot.width,
+                                       p % ot.width, cog));
+                const Cycle t = u + drain_lead + static_cast<Cycle>(i);
+                for (int q = 0; q < 4; ++q) {
+                    const GlobalAddr &ba = bias.addr[q];
+                    const GlobalAddr &sa = scale.addr[q];
                     batch.push_back(
-                        {d.primary,
-                         vis + Layout::transitDelay(Layout::vxm,
-                                                    d.primary.pos()),
-                         true});
-                    if (d.hasHalo) {
-                        batch.push_back(
-                            {d.haloCopy,
-                             vis + 1 +
-                                 Layout::transitDelay(
-                                     Layout::vxm, d.haloCopy.pos()),
-                             true});
-                    }
+                        {ba, t - kb_.readLead(ba, Layout::vxm), false});
+                    batch.push_back(
+                        {sa, t + 3 - kb_.readLead(sa, Layout::vxm),
+                         false});
                 }
-                if (tryReserveAll(batch))
-                    break;
-                ++u;
+                reserveOut(dest.back(), t + kChainOutLat, batch);
             }
+            u = place(u, "convEngine drain");
 
-            const Cycle tv = u + kAccLatency + kMxmToVxm;
+            const Cycle tv = u + drain_lead;
             kb_.acc(plane, r.result(pi, 0),
                     static_cast<std::uint32_t>(n), u);
-
-            std::vector<Cycle> commit;
-            requantChain(e, r.result(pi, 0).id, pc.bias[e][cog],
-                         pc.scale[e][cog], g.relu, tv, n, dest,
-                         commit);
-
-            // Record row readiness (halo copies commit one visibility
-            // cycle later plus their own transit).
-            for (int i = 0; i < n; ++i) {
-                const int p = p0 + i;
-                const int oy = y_lo + p / ot.width;
-                const int ox = p % ot.width;
-                (*out.ready[e])[static_cast<std::size_t>(
-                    ot.localRow(e, oy, ox, cog))] =
-                    commit[static_cast<std::size_t>(i)];
-                const DrainDest &d = dest[static_cast<std::size_t>(i)];
-                if (d.hasHalo) {
-                    const Cycle vis = tv + static_cast<Cycle>(i) +
-                                      chain_out_lat;
-                    const Cycle hi =
-                        vis + 1 +
-                        Layout::transitDelay(Layout::vxm,
-                                             d.haloCopy.pos());
-                    (*out.ready[1 - e])[static_cast<std::size_t>(
-                        ot.localRow(1 - e, oy, ox, cog))] = hi + 1;
-                }
-            }
+            requantChain(e, r.result(pi, 0).id, bias, scale, g.relu,
+                         tv, dest, out);
 
             en.chainFree = tv + static_cast<Cycle>(n);
             en.chainTail =
-                tv + static_cast<Cycle>(n) + chain_out_lat + 2;
+                tv + static_cast<Cycle>(n) + kChainOutLat + 2;
             en.chainSig = sig;
             en.planeFree[pi] = u + 1;
             en.windowEnd[pi] =

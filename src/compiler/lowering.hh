@@ -11,12 +11,18 @@
  *    tracking every stream's position and time of use;
  *  - explicit management of MEM ports: a reservation table guarantees
  *    each slice sees at most one read and one write per cycle, in
- *    opposite banks — there is no hardware arbiter to fall back on;
+ *    opposite banks — there is no hardware arbiter to fall back on.
+ *    Every engine places its accesses through the one placement step
+ *    (place(): a batch that moves with its slot, shifted until the
+ *    table takes all of it), writes its results through the one
+ *    output writer (writeOut(): primary row, flipped halo copy, both
+ *    rows' readiness) and times its reads by KernelBuilder::readLead;
  *  - chaining: MXM results stream through the VXM requantization
  *    chain (int32 +bias -> fp32 -> x scale -> int8 -> ReLU) without
  *    round-tripping through MEM (paper IV.B);
  *  - optional cross-layer pipelining: a consumer may read an input
- *    row as soon as its producer committed it (paper IV.C).
+ *    row as soon as its producer committed it (paper IV.C); the one
+ *    readiness accessor (producerDone(), rowReady()) holds the choice.
  *
  * Stream map (fixed roles; see DESIGN.md section 7):
  *   West engine (planes 0,1 at MXM_W):
@@ -236,12 +242,8 @@ class Lowering
                                     const ConvWeights &w);
 
     // --- MEM port reservation (no arbiters: compile-time proof) ---
-    bool tryReserveRead(const GlobalAddr &a, Cycle c);
-    bool tryReserveWrite(const GlobalAddr &a, Cycle c);
-    void unreserveRead(const GlobalAddr &a, Cycle c);
-    void unreserveWrite(const GlobalAddr &a, Cycle c);
 
-    /** One element of an all-or-nothing reservation batch. */
+    /** One port access of a placement batch. */
     struct Access
     {
         GlobalAddr a;
@@ -249,19 +251,91 @@ class Lowering
         bool write = false;
     };
 
+    /** Reserves one access's port; @return false if it is taken. */
+    bool tryReserve(const Access &acc);
+    void unreserve(const Access &acc);
+
     /** Reserves all of @p batch or none; @return success. */
     bool tryReserveAll(const std::vector<Access> &batch);
 
-    /** Emits a read with port reservation; panics if impossible. */
+    /** @return the placement batch, emptied for an engine to fill. */
+    std::vector<Access> &
+    newBatch()
+    {
+        batch_.clear();
+        return batch_;
+    }
+
+    /**
+     * The one placement step. newBatch() holds the accesses of a
+     * placement at @p slot; every access moves with the slot, so the
+     * step shifts the whole batch one cycle later until
+     * tryReserveAll() takes it. @return the slot it reserved.
+     */
+    Cycle place(Cycle slot, const char *who);
+
+    // --- Row readiness (paper IV.C) ---
+
+    /**
+     * @return the cycle before which no read of @p t may issue: its
+     * producer's last write in sequential mode ("before" IV.C), 0
+     * when pipelined.
+     */
+    Cycle producerDone(const LoweredTensor &t) const;
+
+    /**
+     * @return the first cycle a read of local row @p row of @p t's
+     * part @p e may issue: its own commit, and no earlier than
+     * @p done (producerDone(), or the latest over several operands).
+     */
+    static Cycle rowReady(const LoweredTensor &t, int e, int row,
+                          Cycle done);
+
+    // --- Output rows ---
+
+    /**
+     * One output element as engine e writes it: [0] its row in part
+     * e, [1] the halo copy part 1 - e stores (when hasHalo).
+     */
+    struct OutElem
+    {
+        bool hasHalo = false;
+        GlobalAddr addr[2];
+        int row[2] = {0, 0};   ///< Local rows.
+        Cycle lag[2] = {0, 0}; ///< Write issue after VXM visibility.
+    };
+
+    /** @return element (@p y, @p x, @p kg) of @p t for engine @p e. */
+    static OutElem outElem(const ActTensor &t, int e, int y, int x,
+                           int kg);
+
+    /**
+     * Adds the write reservations of @p o, whose value is visible on
+     * the engine's finalOwn stream at the VXM at @p vis, to @p batch.
+     */
+    static void reserveOut(const OutElem &o, Cycle vis,
+                           std::vector<Access> &batch);
+
+    /**
+     * The one output writer: writes @p o's value (finalOwn at the VXM
+     * at @p vis) to its primary row, flips a halo copy toward the
+     * other part through ALU @p halo_alu, and records when both rows
+     * commit in @p out.
+     */
+    void writeOut(int e, const OutElem &o, Cycle vis, int halo_alu,
+                  LoweredTensor &out);
+
+    /** Emits a read arriving at @p consumer at @p at (its port
+     * reserved by place()). */
     void reservedRead(const GlobalAddr &a, StreamRef s,
                       SlicePos consumer, Cycle at);
 
-    /** Emits a write with port reservation (must have been probed). */
+    /** Emits a write at @p issue (its port reserved by place()). */
     void reservedWrite(const GlobalAddr &a, StreamRef s, Cycle issue);
 
     void bumpLast(Cycle c);
 
-    // Engine subroutines (definitions in lowering.cc).
+    // Layer engines (lowering.cc, lowering_eltwise.cc).
     void convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                     const PlacedConv &pc, LoweredTensor &out);
     void maxPoolEngine(int e, const LoweredTensor &in, int k,
@@ -272,23 +346,15 @@ class Lowering
                           LoweredTensor &out);
 
     /**
-     * Runs the requant chain for a drain of @p n result vectors
-     * arriving at the VXM from @p result_base starting at @p tv, and
-     * writes the int8 outputs to the addresses produced by @p dest
-     * (primary + optional halo copy). Returns per-vector write cycles
-     * via @p commit.
+     * Runs the requant chain for a drain of result vectors arriving
+     * at the VXM from @p result_base starting at @p tv, one per
+     * element of @p dest, and writes them out.
      */
-    struct DrainDest
-    {
-        GlobalAddr primary;
-        bool hasHalo = false;
-        GlobalAddr haloCopy;
-    };
     void requantChain(int e, StreamId result_base,
                       const ConstQuad &bias, const ConstQuad &scale,
-                      bool relu, Cycle tv, int n,
-                      const std::vector<DrainDest> &dest,
-                      std::vector<Cycle> &commit);
+                      bool relu, Cycle tv,
+                      const std::vector<OutElem> &dest,
+                      LoweredTensor &out);
 
     void recordLayer(const char *kind, Cycle begin);
 
@@ -308,6 +374,9 @@ class Lowering
 
     /** (hem, slice, cycle) -> port usage bits. */
     std::unordered_map<std::uint64_t, std::uint8_t> ports_;
+
+    /** place()'s batch, reused across placements. */
+    std::vector<Access> batch_;
 
     /** Cached conv placement + the key fields that validate reuse. */
     struct ConvCacheEntry;

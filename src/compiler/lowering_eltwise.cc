@@ -1,12 +1,14 @@
 /**
  * @file
  * Non-MXM layer engines: max pooling (the Fig. 11 workload),
- * quantized residual addition, and global average pooling. All stream
- * vectors through the VXM at the chip bisection, sharing the per-
- * hemisphere chain resource with the conv drains (serialized via
- * chainFree), and follow the same output conventions: primary rows
- * flow past the VXM to the opposite hemisphere, halo duplicates are
- * direction-flipped through a copy ALU.
+ * quantized residual addition, global average pooling, and the
+ * MEM-to-MEM copy. All but the copy stream vectors through the VXM at
+ * the chip bisection, sharing the per-hemisphere chain resource with
+ * the conv drains (serialized via chainFree). Like the conv engine,
+ * each places an element's accesses with place() and writes it with
+ * writeOut(): the primary row flows back to the engine's own
+ * hemisphere, and a halo duplicate is direction-flipped through a
+ * copy ALU toward the other part.
  */
 
 #include <algorithm>
@@ -56,17 +58,6 @@ Lowering::setGlobalChain(Cycle c)
     }
 }
 
-namespace {
-
-Cycle
-leadToVxm(const GlobalAddr &a)
-{
-    return opTiming(Opcode::Read).dFunc +
-           Layout::transitDelay(a.pos(), Layout::vxm);
-}
-
-} // namespace
-
 // --------------------------------------------------------------------
 // Max pooling
 // --------------------------------------------------------------------
@@ -78,7 +69,7 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
     Engine &en = engine(e);
     const StreamRoles &r = en.roles;
     const ActTensor &it = in.t;
-    ActTensor &ot = out.t;
+    const ActTensor &ot = out.t;
     const SlicePos vxm = Layout::vxm;
 
     const int y_lo = e == 0 ? 0 : ot.splitY;
@@ -88,24 +79,48 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
 
     const int kk = k * k;
     Cycle slot = globalChainGate();
-    const Cycle in_max_ready = pipelined_ ? 0 : in.maxReady();
+    const Cycle done = producerDone(in);
+    std::vector<GlobalAddr> src(static_cast<std::size_t>(kk));
+    std::vector<Cycle> rdy(static_cast<std::size_t>(kk));
+
+    // Fast plan (k == 3 only): per window row, a pair read at
+    // slot + row and a single at slot + row + 1; a three-ALU max tree
+    // finishes at slot + 5, one element every 3 cycles. Falls back to
+    // a fully serial chain when two same-cycle reads would hit one
+    // slice. Offsets are VXM arrivals relative to the slot.
+    auto arrival = [](bool fast, int j) {
+        return fast ? static_cast<Cycle>(j / 3 + (j % 3 == 2 ? 1 : 0))
+                    : static_cast<Cycle>(j);
+    };
+    // +1 for the direction-flipping final copy stage.
+    const Cycle fast_out = 6;
+    const Cycle serial_out = static_cast<Cycle>(kk) + 1;
+    auto selfConflict = [](const std::vector<Access> &b) {
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            for (std::size_t j = i + 1; j < b.size(); ++j) {
+                if (b[i].a.hem == b[j].a.hem &&
+                    b[i].a.slice == b[j].a.slice && b[i].c == b[j].c &&
+                    b[i].write == b[j].write)
+                    return true;
+            }
+        }
+        return false;
+    };
 
     for (int oy = y_lo; oy < y_hi; ++oy) {
         for (int ox = 0; ox < ot.width; ++ox) {
             for (int kg = 0; kg < ot.kgCount; ++kg) {
-                // Gather the k*k input addresses (row-major window).
-                std::vector<GlobalAddr> src(
-                    static_cast<std::size_t>(kk));
-                std::vector<Cycle> rdy(static_cast<std::size_t>(kk),
-                                       in_max_ready);
+                // Gather the k*k input addresses (row-major window);
+                // a pad reads a constant, ready from the start.
                 for (int j = 0; j < kk; ++j) {
                     const int iy = oy * stride - pad + j / k;
                     const int ix = ox * stride - pad + j % k;
+                    GlobalAddr &a = src[static_cast<std::size_t>(j)];
+                    Cycle &ready = rdy[static_cast<std::size_t>(j)];
                     if (iy < 0 || iy >= it.height || ix < 0 ||
                         ix >= it.width) {
-                        src[static_cast<std::size_t>(j)] =
-                            en.padNeg128[j % 3];
-                        rdy[static_cast<std::size_t>(j)] = 0;
+                        a = en.padNeg128[j % 3];
+                        ready = 0;
                         continue;
                     }
                     if (!it.stores(e, iy)) {
@@ -113,154 +128,69 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                               "engine %d halo",
                               iy, e);
                     }
-                    src[static_cast<std::size_t>(j)] =
-                        it.addrOf(e, iy, ix, kg);
-                    if (pipelined_) {
-                        rdy[static_cast<std::size_t>(j)] =
-                            (*in.ready[e])[static_cast<std::size_t>(
-                                it.localRow(e, iy, ix, kg))];
-                    }
+                    a = it.addrOf(e, iy, ix, kg);
+                    ready = rowReady(in, e, it.localRow(e, iy, ix, kg),
+                                     done);
                 }
 
-                // Fast plan (k == 3 only): per window row, a pair
-                // read at slot + row and a single at slot + row + 1;
-                // a three-ALU max tree finishes at slot + 5, one
-                // element every 3 cycles. Falls back to a fully
-                // serial chain when two same-cycle reads would hit
-                // one slice.
-                const bool try_fast = k == 3;
-                auto fastArrival = [&](int j) {
-                    const int row = j / 3;
-                    const int col = j % 3;
-                    return slot + static_cast<Cycle>(row) +
-                           (col == 2 ? 1 : 0);
-                };
-                auto serialArrival = [&](int j) {
-                    return slot + static_cast<Cycle>(j);
-                };
-
-                bool fast = try_fast;
-                // +1 for the direction-flipping final copy stage.
-                const Cycle fast_out = 6;
-                const Cycle serial_out = static_cast<Cycle>(kk) + 1;
-
-                const GlobalAddr primary = ot.addrOf(e, oy, ox, kg);
-                const bool has_halo = ot.stores(1 - e, oy);
-                const GlobalAddr halo_a =
-                    has_halo ? ot.addrOf(1 - e, oy, ox, kg)
-                             : GlobalAddr{};
-
-                auto buildBatch = [&](bool use_fast,
-                                      std::vector<Access> &batch) {
-                    batch.clear();
-                    const Cycle out_off =
-                        use_fast ? fast_out : serial_out;
-                    for (int j = 0; j < kk; ++j) {
-                        const GlobalAddr &a =
-                            src[static_cast<std::size_t>(j)];
-                        const Cycle at = use_fast ? fastArrival(j)
-                                                  : serialArrival(j);
-                        batch.push_back(
-                            {a, at - leadToVxm(a), false});
-                    }
-                    batch.push_back(
-                        {primary,
-                         slot + out_off +
-                             Layout::transitDelay(vxm,
-                                                  primary.pos()),
-                         true});
-                    if (has_halo) {
-                        batch.push_back(
-                            {halo_a,
-                             slot + out_off + 1 +
-                                 Layout::transitDelay(vxm,
-                                                      halo_a.pos()),
-                             true});
-                    }
-                };
-
-                auto hasInternalConflict =
-                    [&](const std::vector<Access> &batch) {
-                        for (std::size_t i = 0; i < batch.size();
-                             ++i) {
-                            for (std::size_t j2 = i + 1;
-                                 j2 < batch.size(); ++j2) {
-                                if (batch[i].a.hem ==
-                                        batch[j2].a.hem &&
-                                    batch[i].a.slice ==
-                                        batch[j2].a.slice &&
-                                    batch[i].c == batch[j2].c &&
-                                    batch[i].write ==
-                                        batch[j2].write) {
-                                    return true;
-                                }
-                            }
-                        }
-                        return false;
-                    };
-
-                // Honor row readiness.
+                // Honor row readiness (timed as the first-choice plan).
+                bool fast = k == 3;
                 for (int j = 0; j < kk; ++j) {
-                    const GlobalAddr &a =
-                        src[static_cast<std::size_t>(j)];
-                    const Cycle at =
-                        (fast ? fastArrival(j) : serialArrival(j));
-                    const Cycle off = at - slot;
                     const Cycle need =
                         rdy[static_cast<std::size_t>(j)] +
-                        leadToVxm(a);
+                        kb_.readLead(src[static_cast<std::size_t>(j)],
+                                     vxm);
+                    const Cycle off = arrival(fast, j);
                     if (slot + off < need)
                         slot = need - off;
                 }
 
-                std::vector<Access> batch;
-                if (fast) {
-                    buildBatch(true, batch);
-                    if (hasInternalConflict(batch))
-                        fast = false;
+                const OutElem o = outElem(ot, e, oy, ox, kg);
+                auto fill = [&](bool use_fast) {
+                    std::vector<Access> &batch = newBatch();
+                    for (int j = 0; j < kk; ++j) {
+                        const GlobalAddr &a =
+                            src[static_cast<std::size_t>(j)];
+                        batch.push_back({a,
+                                         slot + arrival(use_fast, j) -
+                                             kb_.readLead(a, vxm),
+                                         false});
+                    }
+                    reserveOut(o, slot + (use_fast ? fast_out : serial_out),
+                               batch);
+                };
+                fill(fast);
+                if (fast && selfConflict(batch_)) {
+                    fast = false;
+                    fill(false);
                 }
-                for (int attempt = 0;; ++attempt) {
-                    if (attempt > 100000)
-                        panic("maxPoolEngine: port livelock");
-                    buildBatch(fast, batch);
-                    if (tryReserveAll(batch))
-                        break;
-                    ++slot;
-                }
+                slot = place(slot, "maxPoolEngine");
 
                 Cycle tree_vis;
                 StreamRef tree_s;
                 if (fast) {
                     // Reads: pairs on streams 16/17, singles on 18.
                     for (int row = 0; row < 3; ++row) {
-                        const GlobalAddr &a0 =
-                            src[static_cast<std::size_t>(3 * row)];
-                        const GlobalAddr &a1 = src
-                            [static_cast<std::size_t>(3 * row + 1)];
-                        const GlobalAddr &a2 = src
-                            [static_cast<std::size_t>(3 * row + 2)];
-                        reservedRead(a0,
-                                     StreamRef{16, dirToVxm(a0)},
-                                     vxm, fastArrival(3 * row));
-                        reservedRead(a1,
-                                     StreamRef{17, dirToVxm(a1)},
-                                     vxm, fastArrival(3 * row + 1));
-                        reservedRead(a2,
-                                     StreamRef{18, dirToVxm(a2)},
-                                     vxm, fastArrival(3 * row + 2));
+                        StreamRef s[3];
+                        for (int c = 0; c < 3; ++c) {
+                            const int j = 3 * row + c;
+                            const GlobalAddr &a =
+                                src[static_cast<std::size_t>(j)];
+                            s[c] = {static_cast<StreamId>(16 + c),
+                                    dirToVxm(a)};
+                            reservedRead(a, s[c], vxm,
+                                         slot + arrival(true, j));
+                        }
                         // P_row = max(pair) on stage1(0).
                         kb_.vxmBinary(en.aluBase + 0, Opcode::Max,
-                                      DType::Int8,
-                                      StreamRef{16, dirToVxm(a0)},
-                                      StreamRef{17, dirToVxm(a1)},
+                                      DType::Int8, s[0], s[1],
                                       r.stage1(0),
                                       slot + static_cast<Cycle>(row));
                         // M_row = max(P_row, single): rows 0 and 2
                         // land on stage1(1), row 1 on stage1(2).
                         kb_.vxmBinary(
                             en.aluBase + 1, Opcode::Max, DType::Int8,
-                            r.stage1(0),
-                            StreamRef{18, dirToVxm(a2)},
+                            r.stage1(0), s[2],
                             row == 1 ? r.stage1(2) : r.stage1(1),
                             slot + static_cast<Cycle>(row) + 1);
                     }
@@ -282,53 +212,23 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                         const GlobalAddr &a =
                             src[static_cast<std::size_t>(j)];
                         const StreamRef in_s{16, dirToVxm(a)};
-                        reservedRead(a, in_s, vxm,
-                                     serialArrival(j));
-                        if (j == 0) {
-                            kb_.vxmBinary(en.aluBase + 0,
-                                          Opcode::Max, DType::Int8,
-                                          in_s, in_s, r.stage1(0),
-                                          slot);
-                        } else {
-                            kb_.vxmBinary(
-                                en.aluBase + 0, Opcode::Max,
-                                DType::Int8, r.stage1(0), in_s,
-                                r.stage1(0),
-                                slot + static_cast<Cycle>(j));
-                        }
+                        const Cycle at = slot + static_cast<Cycle>(j);
+                        reservedRead(a, in_s, vxm, at);
+                        kb_.vxmBinary(en.aluBase + 0, Opcode::Max,
+                                      DType::Int8,
+                                      j == 0 ? in_s : r.stage1(0), in_s,
+                                      r.stage1(0), at);
                     }
                     tree_vis = slot + serial_out - 1;
                     tree_s = r.stage1(0);
                 }
 
-                // Flip toward the engine's own hemisphere.
+                // Flip toward the engine's own hemisphere, then write
+                // out like a conv drain.
                 kb_.vxmBinary(en.aluBase + 3, Opcode::Max,
                               DType::Int8, tree_s, tree_s,
                               r.finalOwn(), tree_vis);
-                const Cycle vis = tree_vis + 1;
-                const StreamRef final_s = r.finalOwn();
-
-                // Outputs follow the conv conventions: primary to
-                // the opposite hemisphere on fromMxm, halo flipped.
-                const Cycle w_issue =
-                    vis + Layout::transitDelay(vxm, primary.pos());
-                reservedWrite(primary, final_s, w_issue);
-                (*out.ready[e])[static_cast<std::size_t>(
-                    ot.localRow(e, oy, ox, kg))] = w_issue + 1;
-
-                if (has_halo) {
-                    kb_.vxmBinary(en.aluBase + 4, Opcode::Max,
-                                  DType::Int8, final_s, final_s,
-                                  r.haloOut(), vis);
-                    const Cycle h_issue =
-                        vis + 1 +
-                        Layout::transitDelay(vxm, halo_a.pos());
-                    reservedWrite(halo_a, r.haloOut(), h_issue);
-                    (*out.ready[1 - e])[static_cast<std::size_t>(
-                        ot.localRow(1 - e, oy, ox, kg))] =
-                        h_issue + 1;
-                }
-
+                writeOut(e, o, tree_vis + 1, en.aluBase + 4, out);
                 slot += fast ? 3 : static_cast<Cycle>(kk) + 2;
             }
         }
@@ -369,7 +269,7 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
     const StreamRoles &r = en.roles;
     const ActTensor &at = a.t;
     const ActTensor &bt = b.t;
-    ActTensor &ot = out.t;
+    const ActTensor &ot = out.t;
     const SlicePos vxm = Layout::vxm;
     TSP_ASSERT(at.height == bt.height && at.width == bt.width &&
                at.kgCount == bt.kgCount);
@@ -380,23 +280,23 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
         return;
 
     Cycle slot = globalChainGate();
-    const Cycle max_ready =
-        pipelined_ ? 0 : std::max(a.maxReady(), b.maxReady());
+    const Cycle done = std::max(producerDone(a), producerDone(b));
 
     for (int oy = y_lo; oy < y_hi; ++oy) {
         for (int ox = 0; ox < ot.width; ++ox) {
             for (int kg = 0; kg < ot.kgCount; ++kg) {
                 const GlobalAddr src_a = at.addrOf(e, oy, ox, kg);
                 const GlobalAddr src_b = bt.addrOf(e, oy, ox, kg);
-                Cycle rdy_a = max_ready, rdy_b = max_ready;
-                if (pipelined_) {
-                    rdy_a = (*a.ready[e])[static_cast<std::size_t>(
-                        at.localRow(e, oy, ox, kg))];
-                    rdy_b = (*b.ready[e])[static_cast<std::size_t>(
-                        bt.localRow(e, oy, ox, kg))];
-                }
-                slot = std::max(slot, rdy_a + leadToVxm(src_a));
-                slot = std::max(slot, rdy_b + leadToVxm(src_b));
+                const Cycle lead_a = kb_.readLead(src_a, vxm);
+                const Cycle lead_b = kb_.readLead(src_b, vxm);
+                slot = std::max(
+                    slot, rowReady(a, e, at.localRow(e, oy, ox, kg),
+                                   done) +
+                              lead_a);
+                slot = std::max(
+                    slot, rowReady(b, e, bt.localRow(e, oy, ox, kg),
+                                   done) +
+                              lead_b);
 
                 // Stream budget (see lowering.hh): all 7 fp32/const
                 // quads plus three singles packed into quad 28-31;
@@ -408,49 +308,23 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
                 const StreamRef add_out{16, r.fromMxm};
                 const StreamRef int8_out{29, r.fromMxm};
 
-                // Probe every access of the element as a unit.
-                const GlobalAddr primary = ot.addrOf(e, oy, ox, kg);
-                const bool has_halo = ot.stores(1 - e, oy);
-                const GlobalAddr halo_a =
-                    has_halo ? ot.addrOf(1 - e, oy, ox, kg)
-                             : GlobalAddr{};
-                constexpr Cycle out_lat = 8;
-                for (int attempt = 0;; ++attempt) {
-                    if (attempt > 100000)
-                        panic("eltwiseAddEngine: port livelock");
-                    std::vector<Access> batch;
+                // Place every access of the element as a unit.
+                const OutElem o = outElem(ot, e, oy, ox, kg);
+                std::vector<Access> &batch = newBatch();
+                batch.push_back({src_a, slot - lead_a, false});
+                batch.push_back({src_b, slot - lead_b, false});
+                for (int q = 0; q < 4; ++q) {
                     batch.push_back(
-                        {src_a, slot - leadToVxm(src_a), false});
+                        {sa.addr[q],
+                         slot + 2 - kb_.readLead(sa.addr[q], vxm),
+                         false});
                     batch.push_back(
-                        {src_b, slot - leadToVxm(src_b), false});
-                    for (int q = 0; q < 4; ++q) {
-                        batch.push_back(
-                            {sa.addr[q],
-                             slot + 2 - leadToVxm(sa.addr[q]),
-                             false});
-                        batch.push_back(
-                            {sb.addr[q],
-                             slot + 2 - leadToVxm(sb.addr[q]),
-                             false});
-                    }
-                    batch.push_back(
-                        {primary,
-                         slot + out_lat +
-                             Layout::transitDelay(vxm,
-                                                  primary.pos()),
-                         true});
-                    if (has_halo) {
-                        batch.push_back(
-                            {halo_a,
-                             slot + out_lat + 1 +
-                                 Layout::transitDelay(vxm,
-                                                      halo_a.pos()),
-                             true});
-                    }
-                    if (tryReserveAll(batch))
-                        break;
-                    ++slot;
+                        {sb.addr[q],
+                         slot + 2 - kb_.readLead(sb.addr[q], vxm),
+                         false});
                 }
+                reserveOut(o, slot + 8, batch);
+                slot = place(slot, "eltwiseAddEngine");
                 reservedRead(src_a, in_a, vxm, slot);
                 reservedRead(src_b, in_b, vxm, slot);
 
@@ -497,27 +371,7 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
                                   DType::Int8, int8_out, int8_out,
                                   r.finalOwn(), slot + 7);
                 }
-                const Cycle vis = slot + 8;
-                const StreamRef final_s = r.finalOwn();
-
-                const Cycle w_issue =
-                    vis + Layout::transitDelay(vxm, primary.pos());
-                reservedWrite(primary, final_s, w_issue);
-                (*out.ready[e])[static_cast<std::size_t>(
-                    ot.localRow(e, oy, ox, kg))] = w_issue + 1;
-
-                if (has_halo) {
-                    kb_.vxmBinary(en.aluBase + 7, Opcode::Max,
-                                  DType::Int8, final_s, final_s,
-                                  r.haloOut(), vis);
-                    const Cycle h_issue =
-                        vis + 1 +
-                        Layout::transitDelay(vxm, halo_a.pos());
-                    reservedWrite(halo_a, r.haloOut(), h_issue);
-                    (*out.ready[1 - e])[static_cast<std::size_t>(
-                        ot.localRow(1 - e, oy, ox, kg))] =
-                        h_issue + 1;
-                }
+                writeOut(e, o, slot + 8, en.aluBase + 7, out);
                 slot += 1;
             }
         }
@@ -535,6 +389,7 @@ Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
                     avoid_mask);
     // Preserve the exact stored-row structure (including halos).
     TSP_ASSERT(out.t.splitY == st.splitY && out.t.halo == st.halo);
+    const Cycle done = producerDone(src);
 
     for (int e = 0; e < 2; ++e) {
         const StripedTensor &sp = st.part[e];
@@ -542,7 +397,6 @@ Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
             continue;
         Cycle t = std::max(engine(e).chainFree,
                            ScheduledProgram::kProgramStart + 128);
-        const Cycle max_ready = pipelined_ ? 0 : src.maxReady();
         // Slice-major order: consecutive issues come from ONE source
         // slice, so their values ride distinct flow lines of the
         // single copy stream; a gap separates slice groups.
@@ -551,24 +405,12 @@ Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
                  row += sp.nSlices) {
                 const GlobalAddr from = sp.rowAddr(row);
                 const GlobalAddr to = out.t.part[e].rowAddr(row);
-                const Cycle rdy =
-                    pipelined_ ? (*src.ready[e])[static_cast<
-                                     std::size_t>(row)]
-                               : max_ready;
-                const Cycle lead =
-                    opTiming(Opcode::Read).dFunc +
-                    Layout::transitDelay(from.pos(), to.pos());
-                Cycle issue = std::max(t, rdy);
-                for (int attempt = 0;; ++attempt) {
-                    if (attempt > 100000)
-                        panic("copyTensor: port livelock");
-                    std::vector<Access> batch;
-                    batch.push_back({from, issue, false});
-                    batch.push_back({to, issue + lead, true});
-                    if (tryReserveAll(batch))
-                        break;
-                    ++issue;
-                }
+                const Cycle lead = kb_.readLead(from, to.pos());
+                Cycle issue = std::max(t, rowReady(src, e, row, done));
+                std::vector<Access> &batch = newBatch();
+                batch.push_back({from, issue, false});
+                batch.push_back({to, issue + lead, true});
+                issue = place(issue, "copyTensor");
                 const StreamRef s{
                     31,
                     Layout::flowDirection(from.pos(), to.pos())};
@@ -650,6 +492,7 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
 
     const SlicePos vxm = Layout::vxm;
     std::vector<float> scalev(kLanes, scale);
+    const Cycle done = producerDone(in);
 
     // Per-engine partial sums land in int32 quads; the west engine
     // combines and requantizes.
@@ -663,91 +506,71 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
         const int y_hi = e == 0 ? it.splitY : it.height;
         if (y_hi <= y_lo)
             continue;
+        const int n = (y_hi - y_lo) * it.width;
+        auto elem = [&](int i) {
+            return std::pair<int, int>{y_lo + i / it.width, i % it.width};
+        };
 
         Cycle slot = globalChainGate();
-        const Cycle max_ready = pipelined_ ? 0 : in.maxReady();
-
         for (int kg = 0; kg < it.kgCount; ++kg) {
-            // Seed the running sum with the zero quad.
-            // Elements stream 1/cycle: cvt at s, add at s+2 chained
-            // on stage2 (the running int32 sum).
-            std::vector<std::pair<int, int>> pos;
-            for (int y = y_lo; y < y_hi; ++y)
-                for (int x = 0; x < it.width; ++x)
-                    pos.emplace_back(y, x);
-
-            // Find a feasible base slot for the whole run.
+            // Elements stream 1/cycle from base: cvt at s, add at
+            // s + 2 chained on stage2 (the running int32 sum, seeded
+            // with the zero quad).
             Cycle base = slot;
-            for (std::size_t i = 0; i < pos.size(); ++i) {
-                const GlobalAddr a =
-                    it.addrOf(e, pos[i].first, pos[i].second, kg);
-                Cycle rdy = max_ready;
-                if (pipelined_) {
-                    rdy = (*in.ready[e])[static_cast<std::size_t>(
-                        it.localRow(e, pos[i].first, pos[i].second,
-                                    kg))];
-                }
-                const Cycle need = rdy + leadToVxm(a);
+            for (int i = 0; i < n; ++i) {
+                const auto [y, x] = elem(i);
+                const Cycle need =
+                    rowReady(in, e, it.localRow(e, y, x, kg), done) +
+                    kb_.readLead(it.addrOf(e, y, x, kg), vxm);
                 if (base + static_cast<Cycle>(i) < need)
                     base = need - static_cast<Cycle>(i);
             }
             // Partial-sum destination quad (4 distinct slices).
-            const Hemisphere qhem_probe =
-                e == 0 ? Hemisphere::East : Hemisphere::West;
-            ConstQuad q = allocConstQuad(alloc_, qhem_probe,
-                                         kActFirst);
-            for (int attempt = 0;; ++attempt) {
-                if (attempt > 100000)
-                    panic("globalAvgPool: port livelock");
-                std::vector<Access> batch;
-                for (std::size_t i = 0; i < pos.size(); ++i) {
-                    const GlobalAddr a = it.addrOf(
-                        e, pos[i].first, pos[i].second, kg);
-                    batch.push_back(
-                        {a,
-                         base + static_cast<Cycle>(i) - leadToVxm(a),
-                         false});
-                }
-                const Cycle sv =
-                    base + static_cast<Cycle>(pos.size()) + 2;
-                for (int c = 0; c < 4; ++c) {
-                    batch.push_back(
-                        {en.zeroQuad.addr[c],
-                         base + 2 - leadToVxm(en.zeroQuad.addr[c]),
-                         false});
-                    batch.push_back(
-                        {q.addr[c],
-                         sv + Layout::transitDelay(
-                                  vxm, q.addr[c].pos()),
-                         true});
-                }
-                if (tryReserveAll(batch))
-                    break;
-                ++base;
+            const ConstQuad q = allocConstQuad(
+                alloc_, e == 0 ? Hemisphere::East : Hemisphere::West,
+                kActFirst);
+            std::vector<Access> &batch = newBatch();
+            for (int i = 0; i < n; ++i) {
+                const auto [y, x] = elem(i);
+                const GlobalAddr a = it.addrOf(e, y, x, kg);
+                batch.push_back(
+                    {a, base + static_cast<Cycle>(i) - kb_.readLead(a, vxm),
+                     false});
             }
+            const Cycle sum_off = static_cast<Cycle>(n) + 2;
+            for (int c = 0; c < 4; ++c) {
+                batch.push_back(
+                    {en.zeroQuad.addr[c],
+                     base + 2 - kb_.readLead(en.zeroQuad.addr[c], vxm),
+                     false});
+                batch.push_back(
+                    {q.addr[c],
+                     base + sum_off +
+                         Layout::transitDelay(vxm, q.addr[c].pos()),
+                     true});
+            }
+            base = place(base, "globalAvgPool");
 
             // Zero-quad seed arrives when the first add needs it.
-            for (int q = 0; q < 4; ++q) {
-                reservedRead(en.zeroQuad.addr[q], r.stage2(q), vxm,
+            for (int c = 0; c < 4; ++c) {
+                reservedRead(en.zeroQuad.addr[c], r.stage2(c), vxm,
                              base + 2);
             }
-            for (std::size_t i = 0; i < pos.size(); ++i) {
-                const GlobalAddr a =
-                    it.addrOf(e, pos[i].first, pos[i].second, kg);
+            for (int i = 0; i < n; ++i) {
+                const auto [y, x] = elem(i);
+                const GlobalAddr a = it.addrOf(e, y, x, kg);
+                const StreamRef in_s{16, dirToVxm(a)};
                 const Cycle s = base + static_cast<Cycle>(i);
-                reservedRead(a, StreamRef{16, dirToVxm(a)}, vxm, s);
+                reservedRead(a, in_s, vxm, s);
                 kb_.vxmConvert(en.aluBase + 0, DType::Int8,
-                               DType::Int32,
-                               StreamRef{16, dirToVxm(a)},
-                               r.stage1(0), s);
+                               DType::Int32, in_s, r.stage1(0), s);
                 kb_.vxmBinary(en.aluBase + 1, Opcode::AddSat,
                               DType::Int32, r.stage1(0), r.stage2(0),
                               r.stage2(0), s + 2);
             }
-            const Cycle sum_vis =
-                base + static_cast<Cycle>(pos.size()) + 2;
 
-            // Write the partial quad (already reserved above).
+            // Write the partial quad.
+            const Cycle sum_vis = base + sum_off;
             Cycle commit = 0;
             for (int c = 0; c < 4; ++c) {
                 const Cycle wi =
@@ -770,55 +593,39 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
     image_.addFp32Quad(sq.addr, scalev.data(), kLanes);
 
     for (int kg = 0; kg < it.kgCount; ++kg) {
-        const bool have_east =
-            static_cast<std::size_t>(kg) < partial[1].size();
-        const ConstQuad &qa = partial[0][static_cast<std::size_t>(kg)];
+        const std::size_t k = static_cast<std::size_t>(kg);
+        const bool have_east = k < partial[1].size();
+        const ConstQuad &qa = partial[0][k];
+        const ConstQuad &qb = have_east ? partial[1][k] : en.zeroQuad;
         // Partial quads live wherever their producing engine could
         // write them; the reads must flow toward the VXM from there.
         const Direction da = dirToVxm(qa.addr[0]);
-        Cycle t = globalChainGate();
+        const Direction db = dirToVxm(qb.addr[0]);
         // Every quad component has its own transit; the arrival time
         // must clear the slowest one after its commit.
+        Cycle t = globalChainGate();
         for (int c = 0; c < 4; ++c) {
-            t = std::max(
-                t, partial_ready[0][static_cast<std::size_t>(kg)] +
-                       leadToVxm(qa.addr[c]));
-        }
-        const ConstQuad &qb =
-            have_east ? partial[1][static_cast<std::size_t>(kg)]
-                      : en.zeroQuad;
-        const Direction db = dirToVxm(qb.addr[0]);
-        if (have_east) {
-            for (int c = 0; c < 4; ++c) {
-                t = std::max(
-                    t,
-                    partial_ready[1][static_cast<std::size_t>(kg)] +
-                        leadToVxm(qb.addr[c]));
+            t = std::max(t, partial_ready[0][k] +
+                                kb_.readLead(qa.addr[c], vxm));
+            if (have_east) {
+                t = std::max(t, partial_ready[1][k] +
+                                    kb_.readLead(qb.addr[c], vxm));
             }
         }
-        const GlobalAddr out_primary = out.t.addrOf(0, 0, 0, kg);
-        for (int attempt = 0;; ++attempt) {
-            if (attempt > 100000)
-                panic("globalAvgPool: combine port livelock");
-            std::vector<Access> batch;
-            for (int c = 0; c < 4; ++c) {
-                batch.push_back(
-                    {qa.addr[c], t - leadToVxm(qa.addr[c]), false});
-                batch.push_back(
-                    {qb.addr[c], t - leadToVxm(qb.addr[c]), false});
-                batch.push_back(
-                    {sq.addr[c], t + 3 - leadToVxm(sq.addr[c]),
-                     false});
-            }
+        const OutElem o = outElem(out.t, 0, 0, 0, kg);
+        std::vector<Access> &batch = newBatch();
+        for (int c = 0; c < 4; ++c) {
             batch.push_back(
-                {out_primary,
-                 t + 8 +
-                     Layout::transitDelay(vxm, out_primary.pos()),
-                 true});
-            if (tryReserveAll(batch))
-                break;
-            ++t;
+                {qa.addr[c], t - kb_.readLead(qa.addr[c], vxm), false});
+            batch.push_back(
+                {qb.addr[c], t - kb_.readLead(qb.addr[c], vxm), false});
+            batch.push_back(
+                {sq.addr[c], t + 3 - kb_.readLead(sq.addr[c], vxm),
+                 false});
         }
+        reserveOut(o, t + 8, batch);
+        t = place(t, "globalAvgPool combine");
+
         for (int c = 0; c < 4; ++c) {
             reservedRead(qa.addr[c],
                          StreamRef{static_cast<StreamId>(8 + c), da},
@@ -836,7 +643,6 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
                        r.stage3(0), r.stage1(0), t + 1);
         for (int c = 0; c < 4; ++c)
             reservedRead(sq.addr[c], r.scale(c), vxm, t + 3);
-        // (Scale reads were reserved in the combine batch above.)
         kb_.vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
                       r.stage1(0), r.scale(0), r.stage2(0), t + 3);
         kb_.vxmConvert(en.aluBase + 3, DType::Fp32, DType::Int8,
@@ -844,13 +650,8 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
         kb_.vxmBinary(en.aluBase + 4, Opcode::Max, DType::Int8,
                       r.stageInt8(), r.stageInt8(), r.finalOwn(),
                       t + 7);
-        const Cycle vis = t + 8;
-
-        const Cycle wi =
-            vis + Layout::transitDelay(vxm, out_primary.pos());
-        reservedWrite(out_primary, r.finalOwn(), wi);
-        (*out.ready[0])[static_cast<std::size_t>(
-            out.t.localRow(0, 0, 0, kg))] = wi + 1;
+        // A 1 x 1 tensor has no halo: only the primary row is written.
+        writeOut(0, o, t + 8, en.aluBase + 5, out);
         setGlobalChain(t + 8);
     }
     recordLayer("gap", layer_begin);

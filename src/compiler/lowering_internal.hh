@@ -82,11 +82,6 @@ struct StreamRoles
     {
         return {28, fromMxm};
     }
-    StreamRef
-    finalOut() const
-    {
-        return {29, fromMxm};
-    }
 };
 
 /** Per-hemisphere-engine scheduling state. */

@@ -11,15 +11,6 @@
 
 namespace tsp {
 
-Cycle
-ScheduledProgram::lastCycle() const
-{
-    Cycle last = 0;
-    for (const auto &e : events_)
-        last = std::max(last, e.cycle);
-    return last;
-}
-
 std::size_t
 ScheduledProgram::instructionCount(const AsmProgram &prog)
 {

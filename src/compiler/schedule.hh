@@ -45,9 +45,6 @@ class ScheduledProgram
     /** @return number of events. */
     std::size_t size() const { return events_.size(); }
 
-    /** @return the latest dispatch cycle (0 if empty). */
-    Cycle lastCycle() const;
-
     /**
      * Lowers to per-queue instruction lists with NOP padding.
      *

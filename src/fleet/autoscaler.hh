@@ -95,8 +95,6 @@ class Autoscaler
                            int provisioning_pods);
 
     const AutoscalerConfig &config() const { return cfg_; }
-    int upStreak() const { return upStreak_; }
-    int downStreak() const { return downStreak_; }
 
   private:
     AutoscalerConfig cfg_;

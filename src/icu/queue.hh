@@ -131,9 +131,6 @@ class InstructionQueue
     /** @return cycles spent parked on Sync. */
     std::uint64_t parkedCycles() const { return parkedCycles_; }
 
-    /** @return number of program instructions not yet retired. */
-    std::size_t pendingCount() const { return program_.size() - pc_; }
-
     /**
      * Serializes dispatch state and counters. The program itself is
      * *not* serialized — restore requires the identical program to be

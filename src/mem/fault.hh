@@ -175,13 +175,6 @@ class FaultInjector
     /** @return scheduled SRAM bits flipped so far. */
     std::uint64_t scheduledFlips() const { return scheduledFlips_; }
 
-    /** @return total injected bit flips from all sources. */
-    std::uint64_t
-    totalFlips() const
-    {
-        return memFlips_ + streamFlips_ + c2cFlips_ + scheduledFlips_;
-    }
-
     /** @return the configured base seed. */
     std::uint64_t seed() const { return cfg_.seed; }
 

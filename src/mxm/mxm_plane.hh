@@ -84,19 +84,6 @@ class MxmPlane
     /** @return true if either sequencer needs a tick() this cycle. */
     bool busy() const { return abc_.active || acc_.active; }
 
-    /**
-     * @return the next cycle >= @p now at which this plane does work:
-     * @p now while an ABC window or ACC drain is streaming (both
-     * sequencers consume/produce every cycle until exhausted), else
-     * kNoEventCycle — an idle plane only re-activates at an Lw / Iw /
-     * Abc / Acc dispatch, which is the dispatching queue's event.
-     */
-    Cycle
-    nextActiveCycle(Cycle now) const
-    {
-        return busy() ? now : kNoEventCycle;
-    }
-
     /** @return the stream access point (CSR counters). */
     const StreamIo &io() const { return io_; }
 

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 
 #include "arch/config.hh"
@@ -111,10 +112,15 @@ class StreamIo
             produced_ += N;
             return;
         }
-        // Line-aligned: the zero-fill, the build and the fabric's copy
-        // run as string operations, and a misaligned stack slot made
-        // fleet-soak requests about 8% slower (Emerald Rapids Xeon).
-        alignas(64) Vec320 local[N];
+        // Storage without an initializer: build() assigns every data
+        // byte, and publish() or build() sets the codes, so a fill
+        // here would only be overwritten (Vec320 is an aggregate, so
+        // the bytes hold its objects implicitly). Line-aligned: the
+        // build and the fabric's copy run as string operations, and a
+        // misaligned stack slot made fleet-soak requests about 8%
+        // slower (Emerald Rapids Xeon).
+        alignas(64) std::byte raw[N * sizeof(Vec320)];
+        Vec320 *local = std::launder(reinterpret_cast<Vec320 *>(raw));
         for (std::size_t k = 0; k < N; ++k)
             out[k] = &local[k];
         build(out);

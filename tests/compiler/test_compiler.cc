@@ -56,7 +56,8 @@ TEST(Schedule, MemDualIssueGetsCoIssueFlag)
     prog.emit(7, icu, readInst(0x10));
     prog.emit(7, icu, wr);
 
-    const auto &q = prog.toAsm().queue(icu);
+    const AsmProgram out = prog.toAsm();
+    const auto &q = out.queue(icu);
     ASSERT_EQ(q.size(), 3u);
     EXPECT_EQ(q[1].flags & Instruction::kFlagCoIssue, 0);
     EXPECT_NE(q[2].flags & Instruction::kFlagCoIssue, 0);

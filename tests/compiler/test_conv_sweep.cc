@@ -3,7 +3,9 @@
  * Property-style sweep: every lowered conv2d configuration must be
  * bit-exact with the golden reference. Covers channel groups beyond
  * one (inC > 320), output-channel tiling (outC > 320), strides, kernel
- * sizes, padding, odd spatial sizes, and both ReLU settings.
+ * sizes, padding, odd spatial sizes, and both ReLU settings. Each case
+ * also pins its program's hashProgram(): the compiler must keep
+ * building the same instructions.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@ struct ConvCase
     int h, w, in_c, out_c, k, stride, pad;
     bool relu;
     const char *name;
+    std::uint64_t hash; ///< The compiled program's hashProgram().
 };
 
 std::ostream &
@@ -72,23 +75,24 @@ TEST_P(ConvSweep, MatchesGoldenReference)
             ++mismatches;
     }
     EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(sess.chip().programHash(), p.hash);
 }
 
 const ConvCase kCases[] = {
-    {8, 8, 16, 16, 1, 1, 0, true, "c1x1_small"},
-    {8, 8, 16, 16, 3, 1, 1, true, "c3x3_pad"},
-    {9, 7, 24, 40, 3, 1, 1, true, "c3x3_odd_shape"},
-    {8, 8, 16, 32, 3, 2, 1, true, "c3x3_stride2"},
-    {12, 12, 8, 16, 5, 2, 2, true, "c5x5_stride2"},
-    {6, 6, 16, 16, 3, 1, 0, false, "c3x3_nopad_norelu"},
-    {4, 4, 400, 24, 1, 1, 0, true, "kg2_input"},
-    {4, 4, 24, 400, 1, 1, 0, true, "cog2_output"},
-    {4, 4, 330, 330, 3, 1, 1, false, "kg2_cog2_3x3"},
-    {3, 3, 650, 40, 1, 1, 0, true, "kg3_input"},
-    {1, 1, 512, 1000, 1, 1, 0, false, "fc_style"},
-    {16, 16, 8, 8, 3, 1, 1, true, "wide_spatial"},
-    {5, 5, 16, 16, 2, 1, 0, true, "even_kernel"},
-    {7, 7, 64, 64, 3, 2, 1, true, "c3x3_stride2_odd"},
+    {8, 8, 16, 16, 1, 1, 0, true, "c1x1_small", 0xcfc3eb07bd373976ull},
+    {8, 8, 16, 16, 3, 1, 1, true, "c3x3_pad", 0x5dd3bcba90be4074ull},
+    {9, 7, 24, 40, 3, 1, 1, true, "c3x3_odd_shape", 0x85722fbcfd3f3c5aull},
+    {8, 8, 16, 32, 3, 2, 1, true, "c3x3_stride2", 0x5593707595f51a3full},
+    {12, 12, 8, 16, 5, 2, 2, true, "c5x5_stride2", 0x48423928c6fcce6eull},
+    {6, 6, 16, 16, 3, 1, 0, false, "c3x3_nopad_norelu", 0x9d4e9df51ade2938ull},
+    {4, 4, 400, 24, 1, 1, 0, true, "kg2_input", 0x687a2161e145ebe6ull},
+    {4, 4, 24, 400, 1, 1, 0, true, "cog2_output", 0x21c48d5dfcbdab04ull},
+    {4, 4, 330, 330, 3, 1, 1, false, "kg2_cog2_3x3", 0xbdde7470cd9cab0aull},
+    {3, 3, 650, 40, 1, 1, 0, true, "kg3_input", 0x7351668b58489980ull},
+    {1, 1, 512, 1000, 1, 1, 0, false, "fc_style", 0x59b5e74c3a3d887aull},
+    {16, 16, 8, 8, 3, 1, 1, true, "wide_spatial", 0x8feaac92d033bb0full},
+    {5, 5, 16, 16, 2, 1, 0, true, "even_kernel", 0x29fa86b96d1a4fe4ull},
+    {7, 7, 64, 64, 3, 2, 1, true, "c3x3_stride2_odd", 0x62c61bd82dff6cb7ull},
 };
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ConvSweep, ::testing::ValuesIn(kCases),

@@ -2,7 +2,8 @@
  * @file
  * Parameterized sweeps of the non-conv engines — max pooling,
  * residual addition (including the same-group staging fallback),
- * and global average pooling — against the golden reference.
+ * and global average pooling — against the golden reference, each
+ * with its program's hashProgram() pinned.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +39,14 @@ struct PoolCase
 {
     int h, w, c, k, stride, pad;
     const char *name;
+    std::uint64_t hash; ///< The compiled program's hashProgram().
 };
+
+void
+PrintTo(const PoolCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class PoolSweep : public ::testing::TestWithParam<PoolCase>
 {
@@ -57,14 +65,16 @@ TEST_P(PoolSweep, MatchesReference)
     qin.data = data;
     expectEqual(sess.readTensor(out),
                 ref::maxPool(qin, p.k, p.stride, p.pad));
+    EXPECT_EQ(sess.chip().programHash(), p.hash);
 }
 
 const PoolCase kPools[] = {
-    {8, 8, 16, 3, 2, 1, "p3s2"},
-    {9, 9, 8, 3, 1, 1, "p3s1_odd"},
-    {8, 8, 16, 2, 2, 0, "p2s2_serial"}, // k != 3: serial plan.
-    {12, 8, 330, 3, 2, 1, "p3_kg2"},
-    {6, 6, 8, 3, 3, 0, "p3s3"},
+    {8, 8, 16, 3, 2, 1, "p3s2", 0x2729d3efd61372c8ull},
+    {9, 9, 8, 3, 1, 1, "p3s1_odd", 0xa213c38d77f684baull},
+    // k != 3: serial plan.
+    {8, 8, 16, 2, 2, 0, "p2s2_serial", 0xe01d3f0d8b9b1518ull},
+    {12, 8, 330, 3, 2, 1, "p3_kg2", 0x0d5a411dbbcf4340ull},
+    {6, 6, 8, 3, 3, 0, "p3s3", 0x82cc4d2e9068a63aull},
 };
 
 INSTANTIATE_TEST_SUITE_P(Shapes, PoolSweep, ::testing::ValuesIn(kPools),
@@ -78,7 +88,14 @@ struct ResCase
     float sa, sb;
     bool relu;
     const char *name;
+    std::uint64_t hash;
 };
+
+void
+PrintTo(const ResCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class ResidualSweep : public ::testing::TestWithParam<ResCase>
 {
@@ -100,14 +117,15 @@ TEST_P(ResidualSweep, MatchesReference)
     qb.data = db;
     expectEqual(sess.readTensor(out),
                 ref::residualAdd(qa, qb, p.sa, p.sb, p.relu));
+    EXPECT_EQ(sess.chip().programHash(), p.hash);
 }
 
 const ResCase kRes[] = {
-    {8, 8, 16, 0.7f, 0.5f, true, "basic"},
-    {5, 7, 24, 1.0f, 1.0f, false, "norelu_odd"},
-    {4, 4, 400, 0.3f, 0.9f, true, "kg2"},
-    {8, 8, 16, 2.0f, 2.0f, true, "saturating"},
-    {1, 4, 8, 0.5f, 0.5f, true, "single_row"},
+    {8, 8, 16, 0.7f, 0.5f, true, "basic", 0x6f8a53afab34be54ull},
+    {5, 7, 24, 1.0f, 1.0f, false, "norelu_odd", 0x51b8474cf2279b80ull},
+    {4, 4, 400, 0.3f, 0.9f, true, "kg2", 0xf34ddb30c161b974ull},
+    {8, 8, 16, 2.0f, 2.0f, true, "saturating", 0x6f8a53afab34be54ull},
+    {1, 4, 8, 0.5f, 0.5f, true, "single_row", 0xb7b1844ba583db49ull},
 };
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ResidualSweep,
@@ -138,13 +156,21 @@ TEST(ResidualStaging, SameGroupOperandsAreCopied)
     qb.data = db;
     expectEqual(sess.readTensor(out),
                 ref::residualAdd(qa, qb, 0.5f, 0.25f, true));
+    EXPECT_EQ(sess.chip().programHash(), 0xcc8b63806a8a3ef7ull);
 }
 
 struct GapCase
 {
     int h, w, c;
     const char *name;
+    std::uint64_t hash;
 };
+
+void
+PrintTo(const GapCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class GapSweep : public ::testing::TestWithParam<GapCase>
 {
@@ -164,13 +190,14 @@ TEST_P(GapSweep, MatchesReference)
     qin.data = data;
     expectEqual(sess.readTensor(out),
                 ref::globalAvgPool(qin, scale));
+    EXPECT_EQ(sess.chip().programHash(), p.hash);
 }
 
 const GapCase kGaps[] = {
-    {7, 7, 64, "g7x7"},
-    {7, 7, 2048, "g7x7_kg7"},
-    {1, 1, 16, "degenerate"},
-    {5, 3, 330, "odd_kg2"},
+    {7, 7, 64, "g7x7", 0x28c249850b49302full},
+    {7, 7, 2048, "g7x7_kg7", 0xa212aaf1443751bcull},
+    {1, 1, 16, "degenerate", 0xc41c36533d6bae94ull},
+    {5, 3, 330, "odd_kg2", 0xee912b8248b1b7ecull},
 };
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GapSweep, ::testing::ValuesIn(kGaps),

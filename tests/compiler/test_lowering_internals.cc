@@ -2,14 +2,19 @@
  * @file
  * Lowering internals: slice-group rotation with avoidance, the
  * MEM-to-MEM copyTensor kernel, ActTensor halo/ownership geometry,
- * and GlobalAddr helpers.
+ * GlobalAddr helpers, and the pinned identity of the programs the
+ * serving and fleet workloads compile.
  */
 
 #include <gtest/gtest.h>
 
+#include "c2c/collective.hh"
 #include "common/rng.hh"
 #include "compiler/lowering.hh"
+#include "graph/batch_program.hh"
+#include "model/resnet.hh"
 #include "runtime/session.hh"
+#include "sim/snapshot.hh"
 
 namespace tsp {
 namespace {
@@ -140,6 +145,120 @@ TEST(LoweringInternals, NonPipelinedWaitsForProducer)
         (pipelined ? pipe : seq) = lw.finishCycle();
     }
     EXPECT_LT(pipe, seq);
+}
+
+/** What a bit-identical rebuild of a program keeps. */
+struct Pinned
+{
+    std::uint64_t hash; ///< hashProgram().
+    std::size_t instructions;
+    Cycle cycles; ///< Lowering::finishCycle() or AllReducePlan::finish.
+};
+
+void
+expectPinned(const AsmProgram &p, Cycle cycles, const Pinned &want)
+{
+    EXPECT_EQ(hashProgram(p), want.hash);
+    EXPECT_EQ(ScheduledProgram::instructionCount(p), want.instructions);
+    EXPECT_EQ(cycles, want.cycles);
+}
+
+// A program depends on shapes only: weights and inputs reach SRAM by
+// DMA, so any seed compiles the same instructions.
+
+TEST(CompiledPrograms, TinyNetBatchesArePinned)
+{
+    struct Net
+    {
+        int h, w, c;
+        Pinned batch[4];
+    };
+    const Net nets[] = {
+        {8, 8, 4,
+         {{0x96d4b5ddcc682253ull, 3794, 1057},
+          {0xb0eb438197b4bfa6ull, 7495, 1838},
+          {0xaf9d8c5e1ce1a69bull, 11228, 2603},
+          {0xa3093b2e6b549b53ull, 15003, 3374}}},
+        {12, 12, 8,
+         {{0x13fbf4c8a2ff3113ull, 7434, 1503},
+          {0x1fbb6e3cb5b4d91aull, 14860, 2755},
+          {0xf06cf5f94b77de34ull, 22268, 3999},
+          {0xe921e55ef88fffdeull, 29652, 5251}}},
+    };
+    for (const Net &n : nets) {
+        for (const std::uint64_t seed : {1, 7, 11}) {
+            BatchProgramCache cache(
+                model::buildTinyNet(seed, n.h, n.w, n.c),
+                randomData(n.h, n.w, n.c, seed), 4);
+            for (int b = 1; b <= 4; ++b) {
+                SCOPED_TRACE(testing::Message()
+                             << n.h << "x" << n.w << "x" << n.c
+                             << " seed " << seed << " batch " << b);
+                const auto bp = cache.acquire(b);
+                expectPinned(*bp->prog.get(), bp->cycles,
+                             n.batch[b - 1]);
+            }
+        }
+    }
+}
+
+TEST(CompiledPrograms, SequentialTinyNetIsPinned)
+{
+    Lowering lw(/*pipelined=*/false);
+    model::buildTinyNet(11, 12, 12, 8).lower(lw, randomData(12, 12, 8, 2));
+    expectPinned(lw.program().toAsm(/*with_preamble=*/true),
+                 lw.finishCycle(), {0xd24dbe6e8e1bdd5eull, 7536, 1626});
+}
+
+TEST(CompiledPrograms, RingAllReduceIsPinned)
+{
+    struct Ring
+    {
+        int n, batch;
+        Cycle finish;
+        std::vector<std::pair<std::uint64_t, std::size_t>> chips;
+    };
+    const Ring rings[] = {
+        {2, 1, 518, {{0x39bfee427b9d05fcull, 11},
+                     {0x6747f0006fac9ec4ull, 15}}},
+        {2, 4, 2309, {{0x31c67e1aba879a04ull, 27},
+                      {0xa4a7460770e5f239ull, 39}}},
+        {2, 16, 9473, {{0xe95e30f97a1a3fbcull, 75},
+                       {0x8e47df6e2e892389ull, 111}}},
+        {3, 1, 916, {{0x18249303481fc489ull, 15},
+                     {0xe3bc73529d60bd69ull, 19},
+                     {0x658d86562e152834ull, 15}}},
+        {3, 4, 3304, {{0xa0728fdcfdff2c4aull, 47},
+                      {0xe43bd0b895be74b1ull, 59},
+                      {0xd0404e4923841df5ull, 39}}},
+        {3, 16, 12856, {{0xc0871e13a2e5bf4eull, 167},
+                        {0xf7acef43d6a57fe9ull, 203},
+                        {0xb260d6879a712259ull, 111}}},
+        {4, 1, 1314, {{0xdb5cc33c7e960253ull, 15},
+                      {0x70991b14776e2241ull, 23},
+                      {0xdd9331cf24bcf0eeull, 19},
+                      {0x731e6c8f62f4d70bull, 15}}},
+        {4, 4, 4299, {{0x146091224517140dull, 47},
+                      {0x1283a71a745cfc1cull, 79},
+                      {0x48fb36fbbc43a7c1ull, 59},
+                      {0x897ce353e331580aull, 39}}},
+        {4, 16, 16239, {{0x576e5b28da5ce931ull, 167},
+                        {0xbdef1c53292cf7e0ull, 295},
+                        {0xce026e9044f77211ull, 203},
+                        {0x3bce83c3e1f52cd2ull, 111}}},
+    };
+    for (const Ring &r : rings) {
+        Pod pod(r.n, /*wire_latency=*/17);
+        std::vector<ScheduledProgram> progs;
+        const AllReducePlan plan = buildRingAllReduce(pod, progs, r.batch);
+        ASSERT_EQ(progs.size(), r.chips.size());
+        for (std::size_t c = 0; c < progs.size(); ++c) {
+            SCOPED_TRACE(testing::Message() << r.n << " chips, batch "
+                                            << r.batch << ", chip " << c);
+            expectPinned(progs[c].toAsm(), plan.finish,
+                         {r.chips[c].first, r.chips[c].second, r.finish});
+        }
+    }
 }
 
 } // namespace

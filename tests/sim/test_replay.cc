@@ -1144,7 +1144,7 @@ TEST(Replay, TraceCacheKeyFingerprintDefeatsPointerAba)
         t->events.resize(events);
         return std::shared_ptr<const ExecutionTrace>(std::move(t));
     };
-    int slot; // One address, two successive "programs".
+    int slot = 0; // One address, two successive "programs".
     const TraceKey first{&slot, 0x1111111111111111ull};
     const TraceKey recycled{&slot, 0x2222222222222222ull};
 
