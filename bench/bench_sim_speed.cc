@@ -392,7 +392,8 @@ runEndToEnd(const std::string &workload, double min_replay_over_ff)
     // until the deadline, exactly the span the event core elides.
     const Cycle pad =
         workload == "resnet50" ? 25'000'000 : 2'000'000;
-    AsmProgram padded = lw.program().toAsm(/*with_preamble=*/true);
+    // The sessions above sealed lw; copy its one cached assembly.
+    AsmProgram padded = *lw.assembled().get();
     Instruction deadline;
     deadline.op = Opcode::Nop;
     deadline.imm0 = static_cast<std::uint32_t>(pad);

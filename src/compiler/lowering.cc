@@ -19,15 +19,6 @@ constexpr Cycle kChainOutLat = 8;
 
 } // namespace
 
-struct Lowering::ConvCacheEntry
-{
-    std::uint64_t hash = 0;
-    ConvGeom g;
-    int outC = 0;
-    int inC = 0;
-    std::unique_ptr<PlacedConv> pc;
-};
-
 Cycle
 LoweredTensor::maxReady() const
 {
@@ -41,11 +32,11 @@ LoweredTensor::maxReady() const
     return m;
 }
 
-Lowering::Lowering(bool pipelined) : kb_(prog_), pipelined_(pipelined)
+Lowering::Lowering(bool pipelined)
+    : build_(std::make_unique<Build>(prog_, pipelined))
 {
     for (int e = 0; e < 2; ++e) {
-        eng_[e] = std::make_unique<Engine>();
-        Engine &en = *eng_[e];
+        Engine &en = build_->eng[e];
         en.idx = e;
         en.hem = e == 0 ? Hemisphere::West : Hemisphere::East;
         en.planes[0] = e == 0 ? 0 : 2;
@@ -65,27 +56,59 @@ Lowering::Lowering(bool pipelined) : kb_(prog_), pipelined_(pipelined)
 
         // Padding vectors: zero pads read all-zero SRAM (no DMA
         // needed); -128 pads are DMA-filled for max pooling.
-        en.padZero[0] = alloc_.alloc(en.hem, kPadSlice, 1);
-        en.padZero[1] = alloc_.alloc(en.hem, kActLast, 1);
-        en.padNeg128[0] = alloc_.alloc(en.hem, kPadSlice, 1);
-        en.padNeg128[1] = alloc_.alloc(en.hem, kActLast, 1);
-        en.padNeg128[2] = alloc_.alloc(en.hem, kBiasFirst, 1);
+        en.padZero[0] = build_->alloc.alloc(en.hem, kPadSlice, 1);
+        en.padZero[1] = build_->alloc.alloc(en.hem, kActLast, 1);
+        en.padNeg128[0] = build_->alloc.alloc(en.hem, kPadSlice, 1);
+        en.padNeg128[1] = build_->alloc.alloc(en.hem, kActLast, 1);
+        en.padNeg128[2] = build_->alloc.alloc(en.hem, kBiasFirst, 1);
         std::array<std::int8_t, kLanes> neg;
         neg.fill(-128);
         for (const auto &a : en.padNeg128)
             image_.addInt8(a, neg.data(), kLanes);
-        en.zeroQuad = allocConstQuad(alloc_, en.hem, kScaleFirst);
+        en.zeroQuad = allocConstQuad(build_->alloc, en.hem, kScaleFirst);
         // Zero quad: SRAM zero-initialized; nothing to DMA.
     }
 }
 
 Lowering::~Lowering() = default;
 
+Lowering::Build &
+Lowering::build(const char *who)
+{
+    if (!build_) {
+        panic("Lowering::%s: the lowering is sealed: a session bound "
+              "it, which freed its build state",
+              who);
+    }
+    return *build_;
+}
+
+void
+Lowering::seal()
+{
+    std::lock_guard<std::mutex> lock(sealMu_);
+    if (!build_)
+        return;
+    build_.reset();
+    prog_.release();
+}
+
+const SharedProgram &
+Lowering::assembled()
+{
+    std::lock_guard<std::mutex> lock(sealMu_);
+    if (!asm_) {
+        build("assembled");
+        asm_ = SharedProgram(prog_.toAsm(/*with_preamble=*/true));
+    }
+    return asm_;
+}
+
 Lowering::Engine &
 Lowering::engine(int e)
 {
     TSP_ASSERT(e == 0 || e == 1);
-    return *eng_[e];
+    return build_->eng[e];
 }
 
 void
@@ -98,42 +121,45 @@ void
 Lowering::recordLayer(const char *kind, Cycle begin)
 {
     LayerSpan span;
-    span.name = nextName_.empty() ? kind : nextName_;
-    nextName_.clear();
+    std::string &next = build_->nextName;
+    span.name = next.empty() ? kind : next;
+    next.clear();
     span.begin = begin;
     span.end = lastEvent_;
     layers_.push_back(std::move(span));
+}
+
+void
+Lowering::setNextLayerName(std::string name)
+{
+    build("setNextLayerName").nextName = std::move(name);
 }
 
 // --------------------------------------------------------------------
 // MEM port reservation
 // --------------------------------------------------------------------
 
-namespace {
-
-/**
- * @return the port-table key of @p a's slice at cycle @p c. An entry
- * holds bit 0 for the read, bit 1 for the write, and bits 2 and 3 for
- * the bank of each.
- */
-std::uint64_t
-portKey(const GlobalAddr &a, Cycle c)
+std::uint8_t &
+Lowering::portBits(const Access &acc)
 {
-    const std::uint64_t slice =
-        static_cast<std::uint64_t>(a.hem == Hemisphere::East
-                                       ? kMemSlicesPerHem + a.slice
-                                       : a.slice);
-    return (c << 7) | slice;
+    constexpr std::size_t row = Build::kPortSlices;
+    std::vector<std::uint8_t> &ports = build_->ports;
+    const std::size_t i =
+        static_cast<std::size_t>(acc.c) * row +
+        static_cast<std::size_t>(acc.a.hem == Hemisphere::East
+                                     ? kMemSlicesPerHem + acc.a.slice
+                                     : acc.a.slice);
+    if (i >= ports.size())
+        ports.resize(std::max((i / row + 1) * row, 2 * ports.size()));
+    return ports[i];
 }
-
-} // namespace
 
 bool
 Lowering::tryReserve(const Access &acc)
 {
     const int k = acc.write ? 1 : 0;
     const int bank = acc.a.bank();
-    std::uint8_t &bits = ports_[portKey(acc.a, acc.c)];
+    std::uint8_t &bits = portBits(acc);
     if (bits & (1 << k))
         return false; // One read and one write per cycle,
     if ((bits & (1 << (1 - k))) && ((bits >> (3 - k)) & 1) == bank)
@@ -146,11 +172,9 @@ void
 Lowering::unreserve(const Access &acc)
 {
     const int k = acc.write ? 1 : 0;
-    auto it = ports_.find(portKey(acc.a, acc.c));
-    TSP_ASSERT(it != ports_.end() && (it->second & (1 << k)));
-    it->second &= static_cast<std::uint8_t>(~((1 << k) | (4 << k)));
-    if (it->second == 0)
-        ports_.erase(it);
+    std::uint8_t &bits = portBits(acc);
+    TSP_ASSERT(bits & (1 << k));
+    bits &= static_cast<std::uint8_t>(~((1 << k) | (4 << k)));
 }
 
 bool
@@ -166,13 +190,20 @@ Lowering::tryReserveAll(const std::vector<Access> &batch)
     return true;
 }
 
+std::vector<Lowering::Access> &
+Lowering::newBatch()
+{
+    build_->batch.clear();
+    return build_->batch;
+}
+
 Cycle
 Lowering::place(Cycle slot, const char *who)
 {
-    for (int attempt = 0; !tryReserveAll(batch_); ++attempt) {
+    for (int attempt = 0; !tryReserveAll(build_->batch); ++attempt) {
         if (attempt > 100000)
             panic("%s: cannot place (port livelock)", who);
-        for (Access &acc : batch_)
+        for (Access &acc : build_->batch)
             ++acc.c;
         ++slot;
     }
@@ -182,7 +213,7 @@ Lowering::place(Cycle slot, const char *who)
 Cycle
 Lowering::producerDone(const LoweredTensor &t) const
 {
-    return pipelined_ ? 0 : t.maxReady();
+    return build_->pipelined ? 0 : t.maxReady();
 }
 
 Cycle
@@ -197,14 +228,14 @@ void
 Lowering::reservedRead(const GlobalAddr &a, StreamRef s,
                        SlicePos consumer, Cycle at)
 {
-    kb_.readArriving(a, s, consumer, at);
+    kb().readArriving(a, s, consumer, at);
     bumpLast(at);
 }
 
 void
 Lowering::reservedWrite(const GlobalAddr &a, StreamRef s, Cycle issue)
 {
-    kb_.write(a, s, issue);
+    kb().write(a, s, issue);
     bumpLast(issue + 1);
 }
 
@@ -245,8 +276,8 @@ Lowering::writeOut(int e, const OutElem &o, Cycle vis, int halo_alu,
         vis + o.lag[0] + 1;
     if (!o.hasHalo)
         return;
-    kb_.vxmBinary(halo_alu, Opcode::Max, DType::Int8, r.finalOwn(),
-                  r.finalOwn(), r.haloOut(), vis);
+    kb().vxmBinary(halo_alu, Opcode::Max, DType::Int8, r.finalOwn(),
+                   r.finalOwn(), r.haloOut(), vis);
     reservedWrite(o.addr[1], r.haloOut(), vis + o.lag[1]);
     (*out.ready[1 - e])[static_cast<std::size_t>(o.row[1])] =
         vis + o.lag[1] + 1;
@@ -284,13 +315,14 @@ Lowering::allocOutput(int height, int width, int channels, int halo,
     t.splitY = height > 1 ? (height + 1) / 2 : 1;
     t.halo = height > 1 ? std::min(halo, height) : 0;
 
-    int group = actGroup_;
+    int &next_group = build_->actGroup;
+    int group = next_group;
     for (int tries = 0; tries < kActGroups; ++tries) {
         if (!(avoid_mask & (1 << group)))
             break;
         group = (group + 1) % kActGroups;
     }
-    actGroup_ = (group + 1) % kActGroups;
+    next_group = (group + 1) % kActGroups;
     const int first = kActFirst + group * kActGroupStride;
 
     for (int e = 0; e < 2; ++e) {
@@ -304,8 +336,8 @@ Lowering::allocOutput(int height, int width, int channels, int halo,
         st.rows = rows;
         if (rows > 0) {
             const GlobalAddr a =
-                alloc_.allocStriped(st.hem, first, kActStripe,
-                                    st.wordsPerSlice());
+                build_->alloc.allocStriped(st.hem, first, kActStripe,
+                                           st.wordsPerSlice());
             st.base = a.addr;
         }
         lt.ready[e] = std::make_shared<std::vector<Cycle>>(
@@ -318,6 +350,7 @@ LoweredTensor
 Lowering::inputTensor(int height, int width, int channels,
                       const std::vector<std::int8_t> &data, int halo)
 {
+    build("inputTensor");
     TSP_ASSERT(static_cast<std::size_t>(height) * width * channels ==
                data.size());
     // Every tensor part lives in its engine's own hemisphere: reads
@@ -378,9 +411,10 @@ convContentHash(const ConvGeom &g, const ConvWeights &w)
 const Lowering::PlacedConv &
 Lowering::placedConvFor(const ConvGeom &g, const ConvWeights &w)
 {
-    auto it = convCache_.find(&w);
-    if (it != convCache_.end()) {
-        const ConvCacheEntry &e = *it->second;
+    auto &cache = build_->convCache;
+    auto it = cache.find(&w);
+    if (it != cache.end()) {
+        const Build::ConvCacheEntry &e = *it->second;
         const bool same_geom =
             e.g.kh == g.kh && e.g.kw == g.kw &&
             e.g.stride == g.stride && e.g.pad == g.pad &&
@@ -388,9 +422,9 @@ Lowering::placedConvFor(const ConvGeom &g, const ConvWeights &w)
             e.inC == w.inC;
         if (same_geom && e.hash == convContentHash(g, w))
             return *e.pc;
-        convCache_.erase(it); // Recycled address or mutated weights.
+        cache.erase(it); // Recycled address or mutated weights.
     }
-    auto entry = std::make_unique<ConvCacheEntry>();
+    auto entry = std::make_unique<Build::ConvCacheEntry>();
     entry->hash = convContentHash(g, w);
     entry->g = g;
     entry->outC = w.outC;
@@ -398,7 +432,7 @@ Lowering::placedConvFor(const ConvGeom &g, const ConvWeights &w)
     entry->pc = placeConv(g, w);
     ++weightPlacements_;
     const PlacedConv &pc = *entry->pc;
-    convCache_.emplace(&w, std::move(entry));
+    cache.emplace(&w, std::move(entry));
     return pc;
 }
 
@@ -429,7 +463,7 @@ Lowering::placeConv(const ConvGeom &g, const ConvWeights &w)
                         const int valid_rows = std::min(
                             kMxmDim, w.outC - cog * kMxmDim);
                         WeightTile tile = allocWeightTile(
-                            alloc_, hem, kWeightFirst, valid_rows);
+                            build_->alloc, hem, kWeightFirst, valid_rows);
                         // DMA the stored row groups (tail rows of
                         // the last group zero).
                         const int stored =
@@ -464,8 +498,8 @@ Lowering::placeConv(const ConvGeom &g, const ConvWeights &w)
                     scalev[static_cast<std::size_t>(r)] = w.scale[oc];
                 }
             }
-            ConstQuad bq = allocConstQuad(alloc_, hem, kBiasFirst);
-            ConstQuad sq = allocConstQuad(alloc_, hem, kScaleFirst);
+            ConstQuad bq = allocConstQuad(build_->alloc, hem, kBiasFirst);
+            ConstQuad sq = allocConstQuad(build_->alloc, hem, kScaleFirst);
             image_.addInt32Quad(bq.addr, biasv.data(), kMxmDim);
             image_.addFp32Quad(sq.addr, scalev.data(), kMxmDim);
             pc->bias[e].push_back(bq);
@@ -497,28 +531,28 @@ Lowering::requantChain(int e, StreamId result_base,
         for (int k = 0; k < 4; ++k)
             reservedRead(bias.addr[k], r.bias(k), vxm, t);
         StreamRef res{static_cast<StreamId>(result_base), r.fromMxm};
-        kb_.vxmBinary(en.aluBase + 0, Opcode::AddSat, DType::Int32,
-                      res, r.bias(0), r.stage1(0), t);
+        kb().vxmBinary(en.aluBase + 0, Opcode::AddSat, DType::Int32,
+                       res, r.bias(0), r.stage1(0), t);
         // Stage 2: int32 -> fp32.
-        kb_.vxmConvert(en.aluBase + 1, DType::Int32, DType::Fp32,
-                       r.stage1(0), r.stage2(0), t + 1);
+        kb().vxmConvert(en.aluBase + 1, DType::Int32, DType::Fp32,
+                        r.stage1(0), r.stage2(0), t + 1);
         // Stage 3: x scale (fp32).
         for (int k = 0; k < 4; ++k)
             reservedRead(scale.addr[k], r.scale(k), vxm, t + 3);
-        kb_.vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
-                      r.stage2(0), r.scale(0), r.stage3(0), t + 3);
+        kb().vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
+                       r.stage2(0), r.scale(0), r.stage3(0), t + 3);
         // Stage 4: fp32 -> int8 (round-to-nearest-even, saturating).
-        kb_.vxmConvert(en.aluBase + 3, DType::Fp32, DType::Int8,
-                       r.stage3(0), r.stageInt8(), t + 5);
+        kb().vxmConvert(en.aluBase + 3, DType::Fp32, DType::Int8,
+                        r.stage3(0), r.stageInt8(), t + 5);
         // Stage 5 flips direction toward the engine's own hemisphere
         // (ReLU when the layer has one, an identity Max otherwise).
         if (relu) {
-            kb_.vxmUnary(en.aluBase + 4, Opcode::Relu, DType::Int8,
-                         r.stageInt8(), r.finalOwn(), t + 7);
+            kb().vxmUnary(en.aluBase + 4, Opcode::Relu, DType::Int8,
+                          r.stageInt8(), r.finalOwn(), t + 7);
         } else {
-            kb_.vxmBinary(en.aluBase + 4, Opcode::Max, DType::Int8,
-                          r.stageInt8(), r.stageInt8(), r.finalOwn(),
-                          t + 7);
+            kb().vxmBinary(en.aluBase + 4, Opcode::Max, DType::Int8,
+                           r.stageInt8(), r.stageInt8(), r.finalOwn(),
+                           t + 7);
         }
         writeOut(e, dest[i], t + kChainOutLat, en.aluBase + 5, out);
     }
@@ -578,7 +612,7 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                 const Cycle inst_start = std::max(
                     en.installFree,
                     iw_min > bursts ? iw_min - bursts : 0);
-                const Cycle inst_done = kb_.installWeights(
+                const Cycle inst_done = kb().installWeights(
                     plane, tile, /*streams_base=*/0, r.toMxm,
                     inst_start);
                 en.installFree = inst_start + bursts + 1;
@@ -612,7 +646,7 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                         rdy = rowReady(in, e,
                                        it.localRow(e, iy, ix, kg), done);
                     }
-                    const Cycle need = rdy + kb_.readLead(a, en.mxmPos);
+                    const Cycle need = rdy + kb().readLead(a, en.mxmPos);
                     if (tw + static_cast<Cycle>(i) < need)
                         tw = need - static_cast<Cycle>(i);
                 }
@@ -623,7 +657,7 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                     const GlobalAddr &a = src[static_cast<std::size_t>(i)];
                     batch.push_back({a,
                                      tw + static_cast<Cycle>(i) -
-                                         kb_.readLead(a, en.mxmPos),
+                                         kb().readLead(a, en.mxmPos),
                                      false});
                 }
                 tw = place(tw, "convEngine window");
@@ -632,9 +666,9 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                                  r.act(pi), en.mxmPos,
                                  tw + static_cast<Cycle>(i));
                 }
-                kb_.abc(plane, r.act(pi),
-                        static_cast<std::uint32_t>(n),
-                        /*accumulate=*/w > 0, DType::Int8, tw);
+                kb().abc(plane, r.act(pi),
+                         static_cast<std::uint32_t>(n),
+                         /*accumulate=*/w > 0, DType::Int8, tw);
                 bumpLast(tw + static_cast<Cycle>(n));
 
                 prev_window_end = tw + static_cast<Cycle>(n);
@@ -672,9 +706,9 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                     const GlobalAddr &ba = bias.addr[q];
                     const GlobalAddr &sa = scale.addr[q];
                     batch.push_back(
-                        {ba, t - kb_.readLead(ba, Layout::vxm), false});
+                        {ba, t - kb().readLead(ba, Layout::vxm), false});
                     batch.push_back(
-                        {sa, t + 3 - kb_.readLead(sa, Layout::vxm),
+                        {sa, t + 3 - kb().readLead(sa, Layout::vxm),
                          false});
                 }
                 reserveOut(dest.back(), t + kChainOutLat, batch);
@@ -682,8 +716,8 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
             u = place(u, "convEngine drain");
 
             const Cycle tv = u + drain_lead;
-            kb_.acc(plane, r.result(pi, 0),
-                    static_cast<std::uint32_t>(n), u);
+            kb().acc(plane, r.result(pi, 0),
+                     static_cast<std::uint32_t>(n), u);
             requantChain(e, r.result(pi, 0).id, bias, scale, g.relu,
                          tv, dest, out);
 
@@ -702,6 +736,7 @@ LoweredTensor
 Lowering::conv2d(const LoweredTensor &in, const ConvGeom &g,
                  const ConvWeights &w, int out_halo)
 {
+    build("conv2d");
     TSP_ASSERT(in.t.channels == w.inC);
     const int out_h =
         (in.t.height + 2 * g.pad - g.kh) / g.stride + 1;

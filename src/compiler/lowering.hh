@@ -42,12 +42,13 @@
 #define TSP_COMPILER_LOWERING_HH
 
 #include <memory>
-#include <unordered_map>
+#include <mutex>
 #include <vector>
 
 #include "arch/config.hh"
 #include "compiler/builder.hh"
 #include "compiler/host_image.hh"
+#include "sim/program.hh"
 
 namespace tsp {
 
@@ -93,7 +94,19 @@ struct LoweredTensor
     Cycle maxReady() const;
 };
 
-/** The lowering context: one instance builds one program. */
+/**
+ * The lowering context: one instance builds one program.
+ *
+ * It holds two halves. The run half is what a bound session and its
+ * caller read: the DMA image, layers(), finishCycle(),
+ * weightPlacements(), program().size() and the cached assembly
+ * (assembled()). The build half is what only scheduling reads: the
+ * events, the MEM port table, the engines, the conv-placement cache,
+ * the placement batch, the allocator and the KernelBuilder. seal()
+ * frees the build half; binding the lowering to an InferenceSession
+ * seals it, and so does the end of a BatchProgramCache compile. Any
+ * later lowering call, or toAsm() on its program, panics.
+ */
 class Lowering
 {
   public:
@@ -120,14 +133,32 @@ class Lowering
 
     ~Lowering();
 
-    /** @return the schedule under construction. */
+    /** @return the schedule; seal() frees its events but not size(). */
     ScheduledProgram &program() { return prog_; }
 
     /** @return the DMA manifest. */
-    HostImage &image() { return image_; }
+    const HostImage &image() const { return image_; }
 
-    /** @return the memory allocator. */
-    MemAllocator &allocator() { return alloc_; }
+    /**
+     * @return the program assembled with its barrier preamble
+     * (program().toAsm(true)) and hashed. The first call assembles it
+     * and caches it; every later call, before or after seal(), shares
+     * that one assembly. Panics on a sealed lowering that never
+     * cached one. Safe to call from several threads at once, also
+     * while one of them seals.
+     */
+    const SharedProgram &assembled();
+
+    /**
+     * Frees the build half once the schedule is complete.
+     * InferenceSession::bind() (and so every session constructor that
+     * takes a Lowering) and BatchProgramCache's compile call it; a
+     * repeat call does nothing. Thread-safe against assembled().
+     */
+    void seal();
+
+    /** @return true once seal() freed the build half. */
+    bool sealed() const { return build_ == nullptr; }
 
     /**
      * Places a host-provided int8 input tensor [h x w x channels] and
@@ -186,10 +217,7 @@ class Lowering
     const std::vector<LayerSpan> &layers() const { return layers_; }
 
     /** Names the next lowered layer (defaults to the op kind). */
-    void setNextLayerName(std::string name)
-    {
-        nextName_ = std::move(name);
-    }
+    void setNextLayerName(std::string name);
 
     /** Default halo rows stored on each side of the split. */
     static constexpr int kDefaultHalo = 4;
@@ -206,8 +234,15 @@ class Lowering
 
   private:
     struct Engine; // Per-hemisphere scheduling state.
+    struct Build;  // The build half (lowering_internal.hh).
+
+    /** @return the build half; panics in @p who once sealed. */
+    Build &build(const char *who);
 
     Engine &engine(int e);
+
+    /** @return the build half's KernelBuilder. */
+    KernelBuilder &kb();
 
     /** Gate for VXM ops that time-share the bisection streams. */
     Cycle globalChainGate();
@@ -258,13 +293,11 @@ class Lowering
     /** Reserves all of @p batch or none; @return success. */
     bool tryReserveAll(const std::vector<Access> &batch);
 
+    /** @return @p acc's slice-cycle entry of the port table. */
+    std::uint8_t &portBits(const Access &acc);
+
     /** @return the placement batch, emptied for an engine to fill. */
-    std::vector<Access> &
-    newBatch()
-    {
-        batch_.clear();
-        return batch_;
-    }
+    std::vector<Access> &newBatch();
 
     /**
      * The one placement step. newBatch() holds the accesses of a
@@ -358,32 +391,22 @@ class Lowering
 
     void recordLayer(const char *kind, Cycle begin);
 
-    /** Rotating activation stripe group (0..2) for allocOutput. */
-    int actGroup_ = 0;
+    // --- Run half ---
 
+    /** The events (freed by seal()) and their count (kept). */
     ScheduledProgram prog_;
-    KernelBuilder kb_;
-    MemAllocator alloc_;
     HostImage image_;
-    bool pipelined_;
     Cycle lastEvent_ = 0;
     std::vector<LayerSpan> layers_;
-    std::string nextName_;
-
-    std::unique_ptr<Engine> eng_[2];
-
-    /** (hem, slice, cycle) -> port usage bits. */
-    std::unordered_map<std::uint64_t, std::uint8_t> ports_;
-
-    /** place()'s batch, reused across placements. */
-    std::vector<Access> batch_;
-
-    /** Cached conv placement + the key fields that validate reuse. */
-    struct ConvCacheEntry;
-    std::unordered_map<const ConvWeights *,
-                       std::unique_ptr<ConvCacheEntry>>
-        convCache_;
     std::uint64_t weightPlacements_ = 0;
+    /** assembled()'s cache; null until something asks for it. */
+    SharedProgram asm_;
+    /** Orders assembled() and seal() across threads (sessions built
+     *  concurrently on one lowering). */
+    std::mutex sealMu_;
+
+    // --- Build half: null once sealed ---
+    std::unique_ptr<Build> build_;
 };
 
 } // namespace tsp

@@ -138,8 +138,8 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                 for (int j = 0; j < kk; ++j) {
                     const Cycle need =
                         rdy[static_cast<std::size_t>(j)] +
-                        kb_.readLead(src[static_cast<std::size_t>(j)],
-                                     vxm);
+                        kb().readLead(src[static_cast<std::size_t>(j)],
+                                      vxm);
                     const Cycle off = arrival(fast, j);
                     if (slot + off < need)
                         slot = need - off;
@@ -153,14 +153,14 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                             src[static_cast<std::size_t>(j)];
                         batch.push_back({a,
                                          slot + arrival(use_fast, j) -
-                                             kb_.readLead(a, vxm),
+                                             kb().readLead(a, vxm),
                                          false});
                     }
                     reserveOut(o, slot + (use_fast ? fast_out : serial_out),
                                batch);
                 };
                 fill(fast);
-                if (fast && selfConflict(batch_)) {
+                if (fast && selfConflict(build_->batch)) {
                     fast = false;
                     fill(false);
                 }
@@ -182,28 +182,28 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                                          slot + arrival(true, j));
                         }
                         // P_row = max(pair) on stage1(0).
-                        kb_.vxmBinary(en.aluBase + 0, Opcode::Max,
-                                      DType::Int8, s[0], s[1],
-                                      r.stage1(0),
-                                      slot + static_cast<Cycle>(row));
+                        kb().vxmBinary(en.aluBase + 0, Opcode::Max,
+                                       DType::Int8, s[0], s[1],
+                                       r.stage1(0),
+                                       slot + static_cast<Cycle>(row));
                         // M_row = max(P_row, single): rows 0 and 2
                         // land on stage1(1), row 1 on stage1(2).
-                        kb_.vxmBinary(
+                        kb().vxmBinary(
                             en.aluBase + 1, Opcode::Max, DType::Int8,
                             r.stage1(0), s[2],
                             row == 1 ? r.stage1(2) : r.stage1(1),
                             slot + static_cast<Cycle>(row) + 1);
                     }
                     // Combine on stage1(3): carry M0, fold M1, M2.
-                    kb_.vxmBinary(en.aluBase + 2, Opcode::Max,
-                                  DType::Int8, r.stage1(1),
-                                  r.stage1(1), r.stage1(3), slot + 2);
-                    kb_.vxmBinary(en.aluBase + 2, Opcode::Max,
-                                  DType::Int8, r.stage1(3),
-                                  r.stage1(2), r.stage1(3), slot + 3);
-                    kb_.vxmBinary(en.aluBase + 2, Opcode::Max,
-                                  DType::Int8, r.stage1(3),
-                                  r.stage1(1), r.stage1(3), slot + 4);
+                    kb().vxmBinary(en.aluBase + 2, Opcode::Max,
+                                   DType::Int8, r.stage1(1),
+                                   r.stage1(1), r.stage1(3), slot + 2);
+                    kb().vxmBinary(en.aluBase + 2, Opcode::Max,
+                                   DType::Int8, r.stage1(3),
+                                   r.stage1(2), r.stage1(3), slot + 3);
+                    kb().vxmBinary(en.aluBase + 2, Opcode::Max,
+                                   DType::Int8, r.stage1(3),
+                                   r.stage1(1), r.stage1(3), slot + 4);
                     tree_vis = slot + fast_out - 1;
                     tree_s = r.stage1(3);
                 } else {
@@ -214,10 +214,10 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                         const StreamRef in_s{16, dirToVxm(a)};
                         const Cycle at = slot + static_cast<Cycle>(j);
                         reservedRead(a, in_s, vxm, at);
-                        kb_.vxmBinary(en.aluBase + 0, Opcode::Max,
-                                      DType::Int8,
-                                      j == 0 ? in_s : r.stage1(0), in_s,
-                                      r.stage1(0), at);
+                        kb().vxmBinary(en.aluBase + 0, Opcode::Max,
+                                       DType::Int8,
+                                       j == 0 ? in_s : r.stage1(0), in_s,
+                                       r.stage1(0), at);
                     }
                     tree_vis = slot + serial_out - 1;
                     tree_s = r.stage1(0);
@@ -225,9 +225,9 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
 
                 // Flip toward the engine's own hemisphere, then write
                 // out like a conv drain.
-                kb_.vxmBinary(en.aluBase + 3, Opcode::Max,
-                              DType::Int8, tree_s, tree_s,
-                              r.finalOwn(), tree_vis);
+                kb().vxmBinary(en.aluBase + 3, Opcode::Max,
+                               DType::Int8, tree_s, tree_s,
+                               r.finalOwn(), tree_vis);
                 writeOut(e, o, tree_vis + 1, en.aluBase + 4, out);
                 slot += fast ? 3 : static_cast<Cycle>(kk) + 2;
             }
@@ -240,6 +240,7 @@ LoweredTensor
 Lowering::maxPool(const LoweredTensor &in, int k, int stride, int pad,
                   int out_halo)
 {
+    build("maxPool");
     const int out_h = (in.t.height + 2 * pad - k) / stride + 1;
     const int out_w = (in.t.width + 2 * pad - k) / stride + 1;
     Hemisphere hems[2] = {Hemisphere::West, Hemisphere::East};
@@ -287,8 +288,8 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
             for (int kg = 0; kg < ot.kgCount; ++kg) {
                 const GlobalAddr src_a = at.addrOf(e, oy, ox, kg);
                 const GlobalAddr src_b = bt.addrOf(e, oy, ox, kg);
-                const Cycle lead_a = kb_.readLead(src_a, vxm);
-                const Cycle lead_b = kb_.readLead(src_b, vxm);
+                const Cycle lead_a = kb().readLead(src_a, vxm);
+                const Cycle lead_b = kb().readLead(src_b, vxm);
                 slot = std::max(
                     slot, rowReady(a, e, at.localRow(e, oy, ox, kg),
                                    done) +
@@ -316,11 +317,11 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
                 for (int q = 0; q < 4; ++q) {
                     batch.push_back(
                         {sa.addr[q],
-                         slot + 2 - kb_.readLead(sa.addr[q], vxm),
+                         slot + 2 - kb().readLead(sa.addr[q], vxm),
                          false});
                     batch.push_back(
                         {sb.addr[q],
-                         slot + 2 - kb_.readLead(sb.addr[q], vxm),
+                         slot + 2 - kb().readLead(sb.addr[q], vxm),
                          false});
                 }
                 reserveOut(o, slot + 8, batch);
@@ -340,36 +341,36 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
                 //  s+4: add -> s16-19
                 //  s+5: cvt fp32->int8 -> s29 fromMxm
                 //  s+7: relu/copy -> finalOwn (s29 toMxm)
-                kb_.vxmConvert(en.aluBase + 0, DType::Int8,
-                               DType::Fp32, in_a, r.stage1(0), slot);
-                kb_.vxmConvert(en.aluBase + 1, DType::Int8,
-                               DType::Fp32, in_b, r.stage2(0), slot);
+                kb().vxmConvert(en.aluBase + 0, DType::Int8,
+                                DType::Fp32, in_a, r.stage1(0), slot);
+                kb().vxmConvert(en.aluBase + 1, DType::Int8,
+                                DType::Fp32, in_b, r.stage2(0), slot);
                 for (int q = 0; q < 4; ++q) {
                     reservedRead(sa.addr[q], r.bias(q), vxm,
                                  slot + 2);
                     reservedRead(sb.addr[q], r.scale(q), vxm,
                                  slot + 2);
                 }
-                kb_.vxmBinary(en.aluBase + 2, Opcode::Mul,
-                              DType::Fp32, r.stage1(0), r.bias(0),
-                              r.stage3(0), slot + 2);
-                kb_.vxmBinary(en.aluBase + 3, Opcode::Mul,
-                              DType::Fp32, r.stage2(0), r.scale(0),
-                              mulb_out, slot + 2);
-                kb_.vxmBinary(en.aluBase + 4, Opcode::Add,
-                              DType::Fp32, r.stage3(0), mulb_out,
-                              add_out, slot + 4);
-                kb_.vxmConvert(en.aluBase + 5, DType::Fp32,
-                               DType::Int8, add_out, int8_out,
-                               slot + 5);
+                kb().vxmBinary(en.aluBase + 2, Opcode::Mul,
+                               DType::Fp32, r.stage1(0), r.bias(0),
+                               r.stage3(0), slot + 2);
+                kb().vxmBinary(en.aluBase + 3, Opcode::Mul,
+                               DType::Fp32, r.stage2(0), r.scale(0),
+                               mulb_out, slot + 2);
+                kb().vxmBinary(en.aluBase + 4, Opcode::Add,
+                               DType::Fp32, r.stage3(0), mulb_out,
+                               add_out, slot + 4);
+                kb().vxmConvert(en.aluBase + 5, DType::Fp32,
+                                DType::Int8, add_out, int8_out,
+                                slot + 5);
                 if (relu) {
-                    kb_.vxmUnary(en.aluBase + 6, Opcode::Relu,
-                                 DType::Int8, int8_out,
-                                 r.finalOwn(), slot + 7);
-                } else {
-                    kb_.vxmBinary(en.aluBase + 6, Opcode::Max,
-                                  DType::Int8, int8_out, int8_out,
+                    kb().vxmUnary(en.aluBase + 6, Opcode::Relu,
+                                  DType::Int8, int8_out,
                                   r.finalOwn(), slot + 7);
+                } else {
+                    kb().vxmBinary(en.aluBase + 6, Opcode::Max,
+                                   DType::Int8, int8_out, int8_out,
+                                   r.finalOwn(), slot + 7);
                 }
                 writeOut(e, o, slot + 8, en.aluBase + 7, out);
                 slot += 1;
@@ -382,6 +383,7 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
 LoweredTensor
 Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
 {
+    build("copyTensor");
     const ActTensor &st = src.t;
     Hemisphere hems[2] = {st.part[0].hem, st.part[1].hem};
     LoweredTensor out =
@@ -405,7 +407,7 @@ Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
                  row += sp.nSlices) {
                 const GlobalAddr from = sp.rowAddr(row);
                 const GlobalAddr to = out.t.part[e].rowAddr(row);
-                const Cycle lead = kb_.readLead(from, to.pos());
+                const Cycle lead = kb().readLead(from, to.pos());
                 Cycle issue = std::max(t, rowReady(src, e, row, done));
                 std::vector<Access> &batch = newBatch();
                 batch.push_back({from, issue, false});
@@ -414,8 +416,8 @@ Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
                 const StreamRef s{
                     31,
                     Layout::flowDirection(from.pos(), to.pos())};
-                kb_.read(from, s, issue);
-                kb_.write(to, s, issue + lead);
+                kb().read(from, s, issue);
+                kb().write(to, s, issue + lead);
                 bumpLast(issue + lead + 1);
                 (*out.ready[e])[static_cast<std::size_t>(row)] =
                     issue + lead + 1;
@@ -431,6 +433,7 @@ LoweredTensor
 Lowering::residualAdd(const LoweredTensor &a, const LoweredTensor &b,
                       float sa, float sb, bool relu, int out_halo)
 {
+    build("residualAdd");
     TSP_ASSERT(a.t.channels == b.t.channels);
     Hemisphere hems[2] = {Hemisphere::West, Hemisphere::East};
     int avoid = 0;
@@ -461,8 +464,8 @@ Lowering::residualAdd(const LoweredTensor &a, const LoweredTensor &b,
     for (int e = 0; e < 2; ++e) {
         const Hemisphere hem =
             e == 0 ? Hemisphere::West : Hemisphere::East;
-        saq[e] = allocConstQuad(alloc_, hem, kBiasFirst);
-        sbq[e] = allocConstQuad(alloc_, hem, kScaleFirst);
+        saq[e] = allocConstQuad(build_->alloc, hem, kBiasFirst);
+        sbq[e] = allocConstQuad(build_->alloc, hem, kScaleFirst);
         image_.addFp32Quad(saq[e].addr, sav.data(), kLanes);
         image_.addFp32Quad(sbq[e].addr, sbv.data(), kLanes);
     }
@@ -481,6 +484,7 @@ Lowering::residualAdd(const LoweredTensor &a, const LoweredTensor &b,
 LoweredTensor
 Lowering::globalAvgPool(const LoweredTensor &in, float scale)
 {
+    build("globalAvgPool");
     const ActTensor &it = in.t;
     Hemisphere hems[2] = {Hemisphere::West, Hemisphere::East};
     int avoid = 0;
@@ -521,27 +525,27 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
                 const auto [y, x] = elem(i);
                 const Cycle need =
                     rowReady(in, e, it.localRow(e, y, x, kg), done) +
-                    kb_.readLead(it.addrOf(e, y, x, kg), vxm);
+                    kb().readLead(it.addrOf(e, y, x, kg), vxm);
                 if (base + static_cast<Cycle>(i) < need)
                     base = need - static_cast<Cycle>(i);
             }
             // Partial-sum destination quad (4 distinct slices).
             const ConstQuad q = allocConstQuad(
-                alloc_, e == 0 ? Hemisphere::East : Hemisphere::West,
+                build_->alloc, e == 0 ? Hemisphere::East : Hemisphere::West,
                 kActFirst);
             std::vector<Access> &batch = newBatch();
             for (int i = 0; i < n; ++i) {
                 const auto [y, x] = elem(i);
                 const GlobalAddr a = it.addrOf(e, y, x, kg);
                 batch.push_back(
-                    {a, base + static_cast<Cycle>(i) - kb_.readLead(a, vxm),
+                    {a, base + static_cast<Cycle>(i) - kb().readLead(a, vxm),
                      false});
             }
             const Cycle sum_off = static_cast<Cycle>(n) + 2;
             for (int c = 0; c < 4; ++c) {
                 batch.push_back(
                     {en.zeroQuad.addr[c],
-                     base + 2 - kb_.readLead(en.zeroQuad.addr[c], vxm),
+                     base + 2 - kb().readLead(en.zeroQuad.addr[c], vxm),
                      false});
                 batch.push_back(
                     {q.addr[c],
@@ -562,11 +566,11 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
                 const StreamRef in_s{16, dirToVxm(a)};
                 const Cycle s = base + static_cast<Cycle>(i);
                 reservedRead(a, in_s, vxm, s);
-                kb_.vxmConvert(en.aluBase + 0, DType::Int8,
-                               DType::Int32, in_s, r.stage1(0), s);
-                kb_.vxmBinary(en.aluBase + 1, Opcode::AddSat,
-                              DType::Int32, r.stage1(0), r.stage2(0),
-                              r.stage2(0), s + 2);
+                kb().vxmConvert(en.aluBase + 0, DType::Int8,
+                                DType::Int32, in_s, r.stage1(0), s);
+                kb().vxmBinary(en.aluBase + 1, Opcode::AddSat,
+                               DType::Int32, r.stage1(0), r.stage2(0),
+                               r.stage2(0), s + 2);
             }
 
             // Write the partial quad.
@@ -589,7 +593,7 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
     // Combine + requantize on the west engine.
     Engine &en = engine(0);
     const StreamRoles &r = en.roles;
-    ConstQuad sq = allocConstQuad(alloc_, en.hem, kScaleFirst);
+    ConstQuad sq = allocConstQuad(build_->alloc, en.hem, kScaleFirst);
     image_.addFp32Quad(sq.addr, scalev.data(), kLanes);
 
     for (int kg = 0; kg < it.kgCount; ++kg) {
@@ -606,21 +610,21 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
         Cycle t = globalChainGate();
         for (int c = 0; c < 4; ++c) {
             t = std::max(t, partial_ready[0][k] +
-                                kb_.readLead(qa.addr[c], vxm));
+                                kb().readLead(qa.addr[c], vxm));
             if (have_east) {
                 t = std::max(t, partial_ready[1][k] +
-                                    kb_.readLead(qb.addr[c], vxm));
+                                    kb().readLead(qb.addr[c], vxm));
             }
         }
         const OutElem o = outElem(out.t, 0, 0, 0, kg);
         std::vector<Access> &batch = newBatch();
         for (int c = 0; c < 4; ++c) {
             batch.push_back(
-                {qa.addr[c], t - kb_.readLead(qa.addr[c], vxm), false});
+                {qa.addr[c], t - kb().readLead(qa.addr[c], vxm), false});
             batch.push_back(
-                {qb.addr[c], t - kb_.readLead(qb.addr[c], vxm), false});
+                {qb.addr[c], t - kb().readLead(qb.addr[c], vxm), false});
             batch.push_back(
-                {sq.addr[c], t + 3 - kb_.readLead(sq.addr[c], vxm),
+                {sq.addr[c], t + 3 - kb().readLead(sq.addr[c], vxm),
                  false});
         }
         reserveOut(o, t + 8, batch);
@@ -635,21 +639,21 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
                                    db},
                          vxm, t);
         }
-        kb_.vxmBinary(en.aluBase + 0, Opcode::AddSat, DType::Int32,
-                      StreamRef{8, da}, StreamRef{12, db},
-                      r.stage3(0), t);
+        kb().vxmBinary(en.aluBase + 0, Opcode::AddSat, DType::Int32,
+                       StreamRef{8, da}, StreamRef{12, db},
+                       r.stage3(0), t);
         // stage3 int32 -> fp32 -> x scale -> int8.
-        kb_.vxmConvert(en.aluBase + 1, DType::Int32, DType::Fp32,
-                       r.stage3(0), r.stage1(0), t + 1);
+        kb().vxmConvert(en.aluBase + 1, DType::Int32, DType::Fp32,
+                        r.stage3(0), r.stage1(0), t + 1);
         for (int c = 0; c < 4; ++c)
             reservedRead(sq.addr[c], r.scale(c), vxm, t + 3);
-        kb_.vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
-                      r.stage1(0), r.scale(0), r.stage2(0), t + 3);
-        kb_.vxmConvert(en.aluBase + 3, DType::Fp32, DType::Int8,
-                       r.stage2(0), r.stageInt8(), t + 5);
-        kb_.vxmBinary(en.aluBase + 4, Opcode::Max, DType::Int8,
-                      r.stageInt8(), r.stageInt8(), r.finalOwn(),
-                      t + 7);
+        kb().vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
+                       r.stage1(0), r.scale(0), r.stage2(0), t + 3);
+        kb().vxmConvert(en.aluBase + 3, DType::Fp32, DType::Int8,
+                        r.stage2(0), r.stageInt8(), t + 5);
+        kb().vxmBinary(en.aluBase + 4, Opcode::Max, DType::Int8,
+                       r.stageInt8(), r.stageInt8(), r.finalOwn(),
+                       t + 7);
         // A 1 x 1 tensor has no halo: only the primary row is written.
         writeOut(0, o, t + 8, en.aluBase + 5, out);
         setGlobalChain(t + 8);

@@ -9,7 +9,11 @@
 #ifndef TSP_COMPILER_LOWERING_INTERNAL_HH
 #define TSP_COMPILER_LOWERING_INTERNAL_HH
 
+#include <string>
+#include <unordered_map>
+
 #include "compiler/lowering.hh"
+#include "compiler/mem_alloc.hh"
 #include "mxm/mxm_plane.hh"
 
 namespace tsp {
@@ -131,6 +135,60 @@ struct Lowering::PlacedConv
         return g.kh * g.kw * kgIn;
     }
 };
+
+/**
+ * The build half of a Lowering: everything only scheduling reads,
+ * freed by Lowering::seal().
+ */
+struct Lowering::Build
+{
+    /** MEM slices across both hemispheres: a port-table row. */
+    static constexpr std::size_t kPortSlices = 2 * kMemSlicesPerHem;
+
+    /** A cached conv placement + the key fields that validate reuse. */
+    struct ConvCacheEntry
+    {
+        std::uint64_t hash = 0;
+        ConvGeom g;
+        int outC = 0;
+        int inC = 0;
+        std::unique_ptr<PlacedConv> pc;
+    };
+
+    Build(ScheduledProgram &prog, bool pipelined)
+        : kb(prog), pipelined(pipelined)
+    {
+    }
+
+    KernelBuilder kb;
+    MemAllocator alloc;
+    bool pipelined;
+    Engine eng[2];
+    /** Rotating activation stripe group (0..3) for allocOutput. */
+    int actGroup = 0;
+    std::string nextName;
+
+    /**
+     * MEM port usage, one byte per slice and cycle at
+     * [cycle * kPortSlices + slice] (east slices after the west
+     * ones), grown on demand: bit 0 the read, bit 1 the write, bits 2
+     * and 3 the bank of each.
+     */
+    std::vector<std::uint8_t> ports;
+
+    /** place()'s batch, reused across placements. */
+    std::vector<Access> batch;
+
+    std::unordered_map<const ConvWeights *,
+                       std::unique_ptr<ConvCacheEntry>>
+        convCache;
+};
+
+inline KernelBuilder &
+Lowering::kb()
+{
+    return build_->kb;
+}
 
 } // namespace tsp
 

@@ -11,6 +11,21 @@
 
 namespace tsp {
 
+void
+ScheduledProgram::release()
+{
+    released_ = size();
+    std::vector<ScheduledInst>().swap(events_); // Frees the storage.
+}
+
+void
+ScheduledProgram::panicReleased(const char *who)
+{
+    panic("ScheduledProgram::%s: the program is sealed: its events "
+          "were freed when a session bound its lowering",
+          who);
+}
+
 std::size_t
 ScheduledProgram::instructionCount(const AsmProgram &prog)
 {
@@ -24,6 +39,8 @@ AsmProgram
 ScheduledProgram::toAsm(bool with_preamble,
                         bool compress_repeats) const
 {
+    if (released_)
+        panicReleased("toAsm");
     // Group by queue, then sort each queue by time.
     std::map<int, std::vector<const ScheduledInst *>> by_queue;
     for (const auto &e : events_)
@@ -154,6 +171,8 @@ ScheduledProgram::toAsm(bool with_preamble,
 std::string
 ScheduledProgram::gantt(Cycle from, Cycle to) const
 {
+    if (released_)
+        panicReleased("gantt");
     TSP_ASSERT(to > from);
     // Collect involved queues in id order.
     std::map<int, std::set<Cycle>> marks;
@@ -180,6 +199,8 @@ ScheduledProgram::gantt(Cycle from, Cycle to) const
 std::string
 ScheduledProgram::listing() const
 {
+    if (released_)
+        panicReleased("listing");
     std::vector<const ScheduledInst *> sorted;
     sorted.reserve(events_.size());
     for (const auto &e : events_)

@@ -13,6 +13,7 @@
 #ifndef TSP_COMPILER_SCHEDULE_HH
 #define TSP_COMPILER_SCHEDULE_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,14 +37,27 @@ class ScheduledProgram
     void
     emit(Cycle cycle, IcuId icu, Instruction inst)
     {
+        if (released_) [[unlikely]]
+            panicReleased("emit");
         events_.push_back({cycle, icu, std::move(inst)});
     }
 
-    /** @return all events (unsorted). */
+    /** @return all events (unsorted); empty once released. */
     const std::vector<ScheduledInst> &events() const { return events_; }
 
-    /** @return number of events. */
-    std::size_t size() const { return events_.size(); }
+    /** @return number of events, also after release(). */
+    std::size_t
+    size() const
+    {
+        return released_ ? *released_ : events_.size();
+    }
+
+    /**
+     * Frees the events once nothing will assemble them again (a
+     * Lowering seals its program when a session binds it). size()
+     * keeps its count; emit(), toAsm(), gantt() and listing() panic.
+     */
+    void release();
 
     /**
      * Lowers to per-queue instruction lists with NOP padding.
@@ -89,7 +103,11 @@ class ScheduledProgram
     std::string listing() const;
 
   private:
+    [[noreturn]] static void panicReleased(const char *who);
+
     std::vector<ScheduledInst> events_;
+    /** The event count release() kept; empty before it. */
+    std::optional<std::size_t> released_;
 };
 
 } // namespace tsp

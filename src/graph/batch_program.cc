@@ -50,8 +50,9 @@ BatchProgramCache::ensureLocked(int b) const
         bp->outputs.push_back(tensors.at(g_.outputNode()));
     }
     bp->cycles = bp->lw->finishCycle();
-    bp->prog = SharedProgram(
-        bp->lw->program().toAsm(/*with_preamble=*/true));
+    bp->prog = bp->lw->assembled();
+    // A resident program keeps only what runs.
+    bp->lw->seal();
     // One weight placement per conv layer, not per sample: the whole
     // point of the batch program. Checked against any other resident
     // size (compilation order is irrelevant — it's a pure function).

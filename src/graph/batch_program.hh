@@ -51,9 +51,10 @@ namespace tsp {
 struct BatchProgram
 {
     int batch = 1;
+    /** Sealed at compile: its run half (image, cycles, layers). */
     std::unique_ptr<Lowering> lw;
-    /** The assembled program, hashed once at compile; its hash is
-     *  also the trace-cache fingerprint. */
+    /** The assembled program (lw->assembled()), hashed once at
+     *  compile; its hash is also the trace-cache fingerprint. */
     SharedProgram prog;
     /** inputs[s]/outputs[s]: sample s's staging/result tensors. */
     std::vector<LoweredTensor> inputs;

@@ -22,9 +22,7 @@ runStatusName(RunStatus s)
 }
 
 InferenceSession::InferenceSession(Lowering &lw, ChipConfig cfg)
-    : InferenceSession(
-          lw, SharedProgram(lw.program().toAsm(/*with_preamble=*/true)),
-          cfg)
+    : InferenceSession(lw, lw.assembled(), cfg)
 {
 }
 
@@ -55,11 +53,15 @@ InferenceSession::bind(std::vector<SharedProgram> programs,
 {
     TSP_ASSERT(static_cast<int>(programs.size()) == pod_->size());
     programs_ = std::move(programs);
-    lw_ = lw;
+    // A bound lowering keeps only its run half: the image is all a
+    // session reads of it.
+    if (lw)
+        lw->seal();
+    image_ = lw ? &lw->image() : nullptr;
     key_ = traceKeyOf(programs_);
     dmaSeconds_ =
-        lw ? static_cast<double>(lw->image().totalBytes()) / kPcieGen4Bps
-           : 0.0;
+        image_ ? static_cast<double>(image_->totalBytes()) / kPcieGen4Bps
+               : 0.0;
     // The members still hold the previous programs and image until
     // the next reset(): any recorded trace or snapshot is of the
     // wrong program (or the wrong weights after a reinstall), and no
@@ -229,8 +231,8 @@ InferenceSession::reset()
                 programs_[static_cast<std::size_t>(c)]);
         }
     }
-    if (lw_)
-        lw_->image().applyTo(pod_->chip(0));
+    if (image_)
+        image_->applyTo(pod_->chip(0));
     resetAt_ = pod_->now();
     lastSnap_.reset(); // A snapshot never outlives its batch.
     fresh_ = true;

@@ -80,16 +80,19 @@ class InferenceSession
   public:
     /**
      * Builds one chip, applies @p lw's DMA image and loads its
-     * program. The Lowering must be fully built (all layers added)
-     * and must outlive the session (reset() re-reads its image).
+     * program, the lowering's one cached assembly
+     * (Lowering::assembled()). The Lowering must be fully built (all
+     * layers added). Binding seals it (see bind()): from then on it
+     * holds only its run half, which must outlive the session,
+     * because reset() re-applies its image.
      */
     explicit InferenceSession(Lowering &lw, ChipConfig cfg = {});
 
     /**
-     * Same, but with a pre-assembled (shared) program — avoids
-     * re-running toAsm() when many sessions serve one compiled
-     * lowering. The program is hashed here, once; reset() reloads it
-     * without rehashing or copying it.
+     * Same, but with a pre-assembled (shared) program of @p lw — for
+     * a caller that assembles the program itself. The program is
+     * hashed here, once; reset() reloads it without rehashing or
+     * copying it.
      */
     InferenceSession(Lowering &lw,
                      std::shared_ptr<const AsmProgram> prog,
@@ -112,7 +115,9 @@ class InferenceSession
     /**
      * Binds one program per member (ring order) and, optionally, the
      * Lowering whose DMA image member 0 receives (it must outlive the
-     * binding). Takes effect at the next reset(), which loads the
+     * binding). Binding seals @p lw (Lowering::seal()): its build
+     * state is freed, and the session keeps only a pointer to its
+     * image. Takes effect at the next reset(), which loads the
      * programs and applies the image; any held trace or snapshot is
      * of the previous programs and is dropped, and no run before that
      * reset may record, replay or migrate.
@@ -331,8 +336,9 @@ class InferenceSession
     std::unique_ptr<Pod> pod_;
     /** One cached assembly (with barrier preamble) per member. */
     std::vector<SharedProgram> programs_;
-    /** Image source for member 0; null for backdoor-staged pods. */
-    Lowering *lw_ = nullptr;
+    /** The bound lowering's image for member 0; null for
+     *  backdoor-staged pods. */
+    const HostImage *image_ = nullptr;
     /** traceKeyOf(programs_), computed at bind(). */
     TraceKey key_{nullptr};
     Cycle cycles_ = 0;

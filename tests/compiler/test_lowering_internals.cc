@@ -202,6 +202,54 @@ TEST(CompiledPrograms, TinyNetBatchesArePinned)
     }
 }
 
+TEST(CompiledPrograms, MemoryBytesArePinned)
+{
+    // ModelRegistry's byte budget evicts by memoryBytes(); a program's
+    // count does not depend on what its lowering keeps after compile.
+    struct Net
+    {
+        int h, w, c;
+        std::size_t bytes[4];
+    };
+    const Net nets[] = {
+        {8, 8, 4, {359'680, 584'880, 811'616, 1'040'368}},
+        {12, 12, 8, {570'240, 1'010'080, 1'449'056, 1'886'880}},
+    };
+    for (const Net &n : nets) {
+        for (const std::uint64_t seed : {1, 7, 11}) {
+            BatchProgramCache cache(
+                model::buildTinyNet(seed, n.h, n.w, n.c),
+                randomData(n.h, n.w, n.c, seed), 4);
+            for (int b = 1; b <= 4; ++b) {
+                EXPECT_EQ(cache.acquire(b)->memoryBytes(),
+                          n.bytes[b - 1])
+                    << n.h << "x" << n.w << "x" << n.c << " seed "
+                    << seed << " batch " << b;
+            }
+        }
+    }
+}
+
+TEST(CompiledPrograms, CompileSealsTheLowering)
+{
+    // A resident program keeps only what runs; a program-less session
+    // on its lowering shares the compiled assembly.
+    const std::vector<std::int8_t> warm = randomData(8, 8, 4, 1);
+    BatchProgramCache cache(model::buildTinyNet(1, 8, 8, 4), warm, 2);
+    const auto bp = cache.acquire(2);
+    Lowering unsealed(true); // The same batch-2 schedule.
+    for (int s = 0; s < 2; ++s)
+        cache.graph().lower(unsealed, warm);
+    EXPECT_TRUE(bp->lw->sealed());
+    EXPECT_FALSE(unsealed.sealed());
+    EXPECT_TRUE(bp->lw->program().events().empty());
+    EXPECT_EQ(bp->lw->program().size(), unsealed.program().size());
+    EXPECT_EQ(bp->lw->finishCycle(), bp->cycles);
+    InferenceSession sess(*bp->lw);
+    EXPECT_EQ(sess.program(), bp->prog.get());
+    EXPECT_EQ(sess.run(), bp->cycles);
+}
+
 TEST(CompiledPrograms, SequentialTinyNetIsPinned)
 {
     Lowering lw(/*pipelined=*/false);

@@ -3,8 +3,8 @@
  * Host runtime: DMA-time model, latency accounting, tensor readback
  * geometry, back-to-back sessions on fresh chips, the pre-encoded DMA
  * image, programs borrowed by chips with their carried hash, a
- * single-chip session as a pod of one, and the typed corrected-error
- * counter.
+ * single-chip session as a pod of one, the typed corrected-error
+ * counter, and a lowering sealed by the first session bound to it.
  */
 
 #include <gtest/gtest.h>
@@ -281,7 +281,8 @@ TEST(Session, PodOfOneIsABareChip)
     auto expectBare = [&](const InferenceSession &sess,
                           ChipConfig bare_cfg, const char *what) {
         Chip bare(bare_cfg);
-        bare.loadProgram(lw.program().toAsm(/*with_preamble=*/true));
+        // The session sealed lw; its one cached assembly remains.
+        bare.loadProgram(lw.assembled());
         lw.image().applyTo(bare);
         ASSERT_TRUE(bare.runBounded(500'000'000)) << what;
         const Chip &chip = sess.chip();
@@ -330,6 +331,91 @@ TEST(Session, CorrectedErrorCountMatchesStats)
     EXPECT_EQ(chip.correctedErrorCount(),
               chip.stats().get("ecc_corrected"));
     EXPECT_EQ(sess.correctedErrors(), chip.correctedErrorCount());
+}
+
+TEST(Session, BindingSealsTheLowering)
+{
+    // A bound lowering keeps only its run half: the events are freed,
+    // and everything a session or its caller reads keeps its value.
+    Graph g = model::buildTinyNet(3, 8, 8, 4);
+    Lowering lw(true);
+    g.lower(lw, randomInput(8 * 8 * 4, 31));
+    ASSERT_FALSE(lw.sealed());
+    const std::size_t events = lw.program().size();
+    ASSERT_EQ(lw.program().events().size(), events);
+    const std::vector<Lowering::LayerSpan> layers = lw.layers();
+    const Cycle finish = lw.finishCycle();
+    const std::uint64_t placements = lw.weightPlacements();
+    const std::size_t image_bytes = lw.image().totalBytes();
+
+    InferenceSession sess(lw);
+    EXPECT_TRUE(lw.sealed());
+    EXPECT_TRUE(lw.program().events().empty());
+    EXPECT_EQ(lw.program().size(), events);
+    ASSERT_EQ(lw.layers().size(), layers.size());
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        EXPECT_EQ(lw.layers()[i].name, layers[i].name);
+        EXPECT_EQ(lw.layers()[i].begin, layers[i].begin);
+        EXPECT_EQ(lw.layers()[i].end, layers[i].end);
+    }
+    EXPECT_EQ(lw.finishCycle(), finish);
+    EXPECT_EQ(lw.weightPlacements(), placements);
+    EXPECT_EQ(lw.image().totalBytes(), image_bytes);
+    EXPECT_EQ(sess.run(), finish);
+}
+
+TEST(SessionDeathTest, SealedLoweringRefusesToBuild)
+{
+    // Nothing lowers into or assembles from a sealed lowering; it
+    // dies loudly instead of returning an empty program.
+    Graph g = model::buildTinyNet(3, 8, 8, 4);
+    Lowering lw(true);
+    const auto tensors = g.lower(lw, randomInput(8 * 8 * 4, 32));
+    ConvWeights w;
+    w.outC = 4;
+    w.inC = 4;
+    w.w.assign(16, 1);
+    w.bias.assign(4, 0);
+    w.scale.assign(4, 1.0f);
+    const InferenceSession sess(lw,
+                                std::make_shared<const AsmProgram>(
+                                    lw.program().toAsm(true)));
+    EXPECT_DEATH(lw.conv2d(tensors.at(0), ConvGeom{}, w), "sealed");
+    EXPECT_DEATH(lw.program().toAsm(), "sealed");
+    // The caller assembled the program itself, so the lowering has no
+    // assembly of its own for a program-less session.
+    EXPECT_DEATH(InferenceSession{lw}, "sealed");
+}
+
+TEST(Session, SessionsOnOneSealedLoweringAgree)
+{
+    // Two program-less sessions share the lowering's one assembly and
+    // run identically; so do two sessions given one caller-assembled
+    // program, the second built after the first sealed the lowering.
+    Graph g = model::buildTinyNet(5, 12, 12, 8);
+    const std::vector<std::int8_t> input = randomInput(12 * 12 * 8, 33);
+    Lowering lw(true);
+    const LoweredTensor out = g.lower(lw, input).at(g.outputNode());
+    Lowering lw2(true);
+    const LoweredTensor out2 = g.lower(lw2, input).at(g.outputNode());
+    auto prog = std::make_shared<const AsmProgram>(
+        lw2.program().toAsm(/*with_preamble=*/true));
+
+    InferenceSession a(lw);
+    InferenceSession b(lw);
+    EXPECT_EQ(a.program(), b.program());
+    InferenceSession c(lw2, prog);
+    ASSERT_TRUE(lw2.sealed());
+    InferenceSession d(lw2, prog);
+    const Cycle cycles = a.run();
+    EXPECT_EQ(cycles, lw.finishCycle());
+    const auto stats = a.chip().stats().all();
+    const auto data = a.readTensor(out).data;
+    for (InferenceSession *s : {&b, &c, &d}) {
+        EXPECT_EQ(s->run(), cycles);
+        EXPECT_EQ(s->chip().stats().all(), stats);
+        EXPECT_EQ(s->readTensor(s == &b ? out : out2).data, data);
+    }
 }
 
 } // namespace
