@@ -1,13 +1,14 @@
 /**
  * @file
- * Scalar tier of the MXM int8 ABC kernels (mxm_kernels.hh): the
- * reference the vector tiers reproduce, and the path taken on hosts
- * without them or under TSP_FORCE_SCALAR.
+ * Scalar tier of the MXM int8 ABC, row-sum and ACC drain kernels
+ * (mxm_kernels.hh): the reference the vector tiers reproduce, and the
+ * path taken on hosts without them or under TSP_FORCE_SCALAR.
  */
 
 #include "mxm/mxm_kernels.hh"
 
 #include <cstddef>
+#include <cstring>
 
 namespace tsp::simd {
 
@@ -34,6 +35,40 @@ mxmAbcInt8Scalar(const std::int8_t *w, int stride,
     if (!accumulate) {
         for (int r = rows; r < n; ++r)
             acc[r] = 0;
+    }
+}
+
+void
+mxmRowSumsScalar(const std::int8_t *w, int stride,
+                 const std::uint8_t *ext, int block, int n, int rows,
+                 std::int32_t *sums)
+{
+    for (int r = 0; r < rows; ++r) {
+        const std::int8_t *wrow =
+            w + static_cast<std::size_t>(r) * stride;
+        const int ecols = ext[r] * block;
+        const int cols = ecols < n ? ecols : n;
+        std::int32_t sum = 0;
+        for (int c = 0; c < cols; ++c)
+            sum += wrow[c];
+        sums[r] = sum;
+    }
+}
+
+void
+accBytePlanesScalar(const void *row, int n, int width,
+                    std::uint8_t *const *planes)
+{
+    const auto *src = static_cast<const unsigned char *>(row);
+    for (int l = 0; l < n; ++l) {
+        std::uint32_t u;
+        std::memcpy(&u, src + 4 * static_cast<std::size_t>(l), sizeof(u));
+        for (int k = 0; k < 4; ++k)
+            planes[k][l] = static_cast<std::uint8_t>(u >> (8 * k));
+    }
+    for (int k = 0; k < 4; ++k) {
+        for (int l = n; l < width; ++l)
+            planes[k][l] = 0;
     }
 }
 

@@ -1,6 +1,7 @@
 #include "mxm/mxm_plane.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/cpu.hh"
 #include "common/fp16.hh"
@@ -60,6 +61,7 @@ MxmPlane::allocateArrays()
     winstFCols_.assign(plane, 0.0f);
     accI_.assign(kMxmAccDepth, {});
     accF_.assign(kMxmAccDepth, {});
+    winAct_.assign(std::size_t{kMxmAccDepth} * kMxmDim, 0);
     scratch_.resize(kStreamsPerDir);
 }
 
@@ -161,6 +163,8 @@ MxmPlane::executeIw(const Instruction &inst, Cycle now)
 {
     (void)inst;
     (void)now;
+    // Pending ticks of a window still streaming use the old weights.
+    flushWindow();
     // Installs staged == installed for the whole plane, copying only
     // what can differ: the rows staged since the last install, of the
     // burst's dtype (see wbuf_).
@@ -183,16 +187,13 @@ void
 MxmPlane::refreshRowSums(int rows)
 {
     const int n = cfg_.vectorLength();
-    for (int r = 0; r < rows; ++r) {
-        const std::size_t ri = static_cast<std::size_t>(r);
-        const std::int8_t *row = &winst_[ri * kMxmDim];
-        // The row's weights past its extent are zero.
-        const int cols = std::min(n, winstExt_[ri] * kColBlock);
-        std::int32_t sum = 0;
-        for (int c = 0; c < cols; ++c)
-            sum += row[c];
-        winstRowSum_[ri] = sum;
+    if (simdKernelsEnabled() && cpuHasAvx512Vnni() &&
+        simd::mxmRowSumsVnni(winst_.data(), kMxmDim, winstExt_.data(),
+                             kColBlock, n, rows, winstRowSum_.data())) {
+        return;
     }
+    simd::mxmRowSumsScalar(winst_.data(), kMxmDim, winstExt_.data(),
+                           kColBlock, n, rows, winstRowSum_.data());
 }
 
 void
@@ -245,6 +246,7 @@ MxmPlane::executeAbc(const Instruction &inst, Cycle now)
     abc_.src = inst.srcA;
     abc_.remaining = inst.imm1;
     abc_.index = 0;
+    winLo_ = winHi_ = 0;
     abc_.accumulate = inst.flags & Instruction::kFlagAccumulate;
     abc_.atype = inst.dtype;
     if (abc_.atype == DType::Fp16 && installedType_ != DType::Fp16) {
@@ -285,36 +287,11 @@ MxmPlane::stepAbc(Cycle now)
     indexGen_[idx] = generation_;
 
     if (abc_.atype == DType::Int8) {
+        // Keep the activation; flushWindow() computes the tick.
         const Vec320 &a = *io_.consumeRef(abc_.src, pos(), scratch_[0]);
-        auto &acc = accI_[idx];
-        // Dot products against installed rows: y[r] = sum_c W[r][c]*a[c],
-        // computed over the nonzero block only — the rest of the plane
-        // contributes exact zeros (mxm_kernels.hh). Kernel ladder:
-        // AVX-512 VNNI (with the per-install row sums), then AVX2,
-        // then scalar. Every tier computes the identical wrapping
-        // int32 sums; a kernel declines lane counts it can't chunk and
-        // the next tier takes over.
-        const int rows = std::min(blockRows_, n);
-        const int cols = std::min(blockCols_, n);
-        bool done = false;
-        if (simdKernelsEnabled()) {
-            if (cpuHasAvx512Vnni()) {
-                done = simd::mxmAbcInt8Vnni(
-                    winst_.data(), kMxmDim, a.bytes.data(),
-                    winstRowSum_.data(), acc.data(), n, rows, cols,
-                    abc_.accumulate);
-            }
-            if (!done) {
-                done = simd::mxmAbcInt8Avx2(
-                    winst_.data(), kMxmDim, a.bytes.data(), acc.data(),
-                    n, rows, cols, abc_.accumulate);
-            }
-        }
-        if (!done) {
-            simd::mxmAbcInt8Scalar(winst_.data(), kMxmDim,
-                                   a.bytes.data(), acc.data(), n, rows,
-                                   cols, abc_.accumulate);
-        }
+        std::memcpy(&winAct_[std::size_t{idx} * kMxmDim], a.bytes.data(),
+                    kMxmDim);
+        winHi_ = idx + 1;
     } else if (abc_.atype == DType::Fp16) {
         const Vec320 *vp[2];
         io_.consumeRun(abc_.src, pos(), scratch_.data(), vp, 2);
@@ -377,8 +354,56 @@ MxmPlane::stepAbc(Cycle now)
     maccOps_ +=
         static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
     ++abc_.index;
-    if (--abc_.remaining == 0)
+    if (--abc_.remaining == 0) {
+        flushWindow();
         abc_.active = false;
+    }
+}
+
+void
+MxmPlane::abcInt8(const std::uint8_t *act, std::int32_t *acc, int k,
+                  bool accumulate) const
+{
+    // Dot products against installed rows: y[r] = sum_c W[r][c]*a[c],
+    // computed over the nonzero block only — the rest of the plane
+    // contributes exact zeros (mxm_kernels.hh). Kernel ladder: the
+    // AVX-512 VNNI window kernel (with the per-install row sums) for
+    // all k, else per activation AVX2, then scalar. Every tier
+    // computes the identical wrapping int32 sums; a kernel declines
+    // lane counts it can't chunk and the next tier takes over.
+    const int n = cfg_.vectorLength();
+    const int rows = std::min(blockRows_, n);
+    const int cols = std::min(blockCols_, n);
+    if (simdKernelsEnabled() && cpuHasAvx512Vnni() &&
+        simd::mxmAbcInt8VnniWindow(winst_.data(), kMxmDim, act, kMxmDim,
+                                   winstRowSum_.data(), acc, kMxmDim, k,
+                                   n, rows, cols, accumulate)) {
+        return;
+    }
+    for (int j = 0; j < k; ++j) {
+        const std::uint8_t *a = act + std::size_t{kMxmDim} * j;
+        std::int32_t *y = acc + std::size_t{kMxmDim} * j;
+        if (!simdKernelsEnabled() ||
+            !simd::mxmAbcInt8Avx2(winst_.data(), kMxmDim, a, y, n, rows,
+                                  cols, accumulate)) {
+            simd::mxmAbcInt8Scalar(winst_.data(), kMxmDim, a, y, n, rows,
+                                   cols, accumulate);
+        }
+    }
+}
+
+void
+MxmPlane::flushWindow()
+{
+    if (winLo_ == winHi_)
+        return;
+    // The pending ticks' activations and accumulators are both rows
+    // at consecutive indices, so one call covers the window.
+    static_assert(sizeof(accI_[0]) == kMxmDim * sizeof(std::int32_t));
+    const int k = static_cast<int>(winHi_ - winLo_);
+    abcInt8(&winAct_[std::size_t{winLo_} * kMxmDim], accI_[winLo_].data(),
+            k, abc_.accumulate);
+    winLo_ = winHi_;
 }
 
 void
@@ -396,41 +421,33 @@ MxmPlane::stepAcc(Cycle now)
               static_cast<unsigned long long>(accGen_));
     }
 
+    // A drain chasing its window reads a tick still pending.
+    if (acc_.index >= winLo_ && acc_.index < winHi_)
+        flushWindow();
+
     const Cycle when = now + opTiming(Opcode::Acc).dFunc;
     const int n = cfg_.vectorLength();
 
     TSP_ASSERT(acc_.dst.id % 4 == 0 &&
                acc_.dst.id + 4 <= kStreamsPerDir);
 
-    // The four byte planes of each accumulator row, built in one pass
-    // straight into the produced vectors (tape slots on replay).
+    // The four byte planes of the accumulator row, built straight
+    // into the produced vectors (tape slots on replay); lanes past
+    // the vector length read as zero.
+    const void *row = installedType_ == DType::Fp16
+                          ? static_cast<const void *>(accF_[acc_.index].data())
+                          : static_cast<const void *>(accI_[acc_.index].data());
     io_.produceInPlace<4>(
         acc_.dst, pos(), when, /*keep_codes=*/false,
         [&](Vec320 *const *out) {
-            const auto put = [&](int r, std::uint32_t u) {
-                for (int k = 0; k < 4; ++k) {
-                    out[k]->bytes[static_cast<std::size_t>(r)] =
-                        static_cast<std::uint8_t>(u >> (8 * k));
-                }
-            };
-            if (installedType_ == DType::Fp16) {
-                const auto &acc = accF_[acc_.index];
-                for (int r = 0; r < n; ++r) {
-                    std::uint32_t u;
-                    __builtin_memcpy(&u, &acc[static_cast<std::size_t>(r)],
-                                     sizeof(u));
-                    put(r, u);
-                }
-            } else {
-                const auto &acc = accI_[acc_.index];
-                for (int r = 0; r < n; ++r) {
-                    put(r, static_cast<std::uint32_t>(
-                               acc[static_cast<std::size_t>(r)]));
-                }
+            std::uint8_t *const planes[4] = {
+                out[0]->bytes.data(), out[1]->bytes.data(),
+                out[2]->bytes.data(), out[3]->bytes.data()};
+            if (simdKernelsEnabled() && cpuHasAvx512f() &&
+                simd::accBytePlanesAvx512(row, n, kMxmDim, planes)) {
+                return;
             }
-            // Lanes past the vector length read as zero.
-            for (int k = 0; k < 4; ++k)
-                std::fill(out[k]->bytes.begin() + n, out[k]->bytes.end(), 0);
+            simd::accBytePlanesScalar(row, n, kMxmDim, planes);
         });
 
     ++acc_.index;
@@ -483,8 +500,18 @@ MxmPlane::saveState(SnapshotWriter &w) const
     if (zero) {
         w.zeros(2 * std::size_t{kMxmAccDepth} * kMxmDim * sizeof(float));
     } else {
-        for (const auto &row : accI_) {
-            for (const auto v : row)
+        for (std::uint32_t i = 0; i < kMxmAccDepth; ++i) {
+            // A pending tick's accumulator is written as its flush
+            // will leave it.
+            const std::array<std::int32_t, kMxmDim> *row = &accI_[i];
+            std::array<std::int32_t, kMxmDim> settled;
+            if (i >= winLo_ && i < winHi_) {
+                settled = accI_[i];
+                abcInt8(&winAct_[std::size_t{i} * kMxmDim], settled.data(),
+                        1, abc_.accumulate);
+                row = &settled;
+            }
+            for (const auto v : *row)
                 w.i32(v);
         }
         for (const auto &row : accF_) {
@@ -505,6 +532,7 @@ MxmPlane::saveState(SnapshotWriter &w) const
 void
 MxmPlane::loadState(SnapshotReader &r)
 {
+    winLo_ = winHi_ = 0;
     io_.loadState(r);
     allocateArrays();
     r.bytes(wbuf_.data(), wbuf_.size());
@@ -571,6 +599,8 @@ MxmPlane::loadState(SnapshotReader &r)
     accGen_ = r.u64();
     for (auto &g : indexGen_)
         g = r.u64();
+    // The saved accumulators are settled: nothing is pending.
+    winLo_ = winHi_ = abc_.index;
 
     maccOps_ = r.u64();
     activeCycles_ = r.u64();

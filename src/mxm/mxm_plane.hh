@@ -12,6 +12,14 @@
  * int8 activations produce int32 accumulations; fp16 mode runs two
  * byte-planes in tandem (modeled as a plane-local mode) accumulating
  * in fp32 with a single rounding step at the end.
+ *
+ * An int8 window's arithmetic is deferred: each tick consumes its
+ * activation and credits its counters at its cycle, but only keeps
+ * the activation; one flush computes every pending tick at the
+ * window's last tick, or earlier when an ACC drain reads a pending
+ * accumulator or an IW replaces the weights. Nothing else reads the
+ * accumulators, and snapshots write pending ones settled, so the
+ * deferral is invisible.
  */
 
 #ifndef TSP_MXM_MXM_PLANE_HH
@@ -96,14 +104,17 @@ class MxmPlane
     /**
      * Serializes weight buffers (staging + installed), sequencer
      * state, the accumulator banks with their generation stamps, and
-     * counters. Derived weight state — nonzero extents, VNNI row
-     * sums, the fp16 column image — is excluded: it is recomputed
-     * deterministically from the weights.
+     * counters. The accumulators of pending int8 ticks are written as
+     * the flush would leave them, computed into a temporary. Derived
+     * weight state — nonzero extents, VNNI row sums, the fp16 column
+     * image — is excluded: it is recomputed deterministically from
+     * the weights.
      */
     void saveState(SnapshotWriter &w) const;
 
     /**
-     * Restores plane state and recomputes the derived weight state.
+     * Restores plane state, recomputes the derived weight state and
+     * empties the int8 window (its accumulators were saved settled).
      * Marks @p r failed on a fill row past the plane, a sequencer
      * window outside the accumulator bank or its streams outside the
      * direction.
@@ -127,6 +138,20 @@ class MxmPlane
 
     void stepAbc(Cycle now);
     void stepAcc(Cycle now);
+
+    /**
+     * Computes @p k int8 ABC ticks over the installed weights: the
+     * activations at @p act and the accumulator rows at @p acc, both
+     * kMxmDim apart.
+     */
+    void abcInt8(const std::uint8_t *act, std::int32_t *acc, int k,
+                 bool accumulate) const;
+
+    /**
+     * Computes the pending int8 ticks [winLo_, winHi_) of the active
+     * window and empties it.
+     */
+    void flushWindow();
 
     /** Rebuilds winstFCols_ from winstF_ (lazy, post-IW). */
     void buildF16WeightCols();
@@ -226,6 +251,18 @@ class MxmPlane
      */
     std::vector<std::array<std::int32_t, kMxmDim>> accI_;
     std::vector<std::array<float, kMxmDim>> accF_;
+
+    /**
+     * The int8 window buffer: the activation of each pending tick, at
+     * its accumulator index (kMxmAccDepth x kMxmDim bytes once
+     * allocated). Ticks [winLo_, winHi_) of the active window are
+     * pending; their accumulators still hold the value from before
+     * the tick. Derived state: a snapshot writes those accumulators
+     * settled, so a restored plane starts with an empty window.
+     */
+    std::vector<std::uint8_t> winAct_;
+    std::uint32_t winLo_ = 0;
+    std::uint32_t winHi_ = 0;
 
     /**
      * Where the stepped tier's port checks LW's operand burst and

@@ -494,13 +494,11 @@ Chip::replayDispatch(int icu_id, const Instruction &inst, Cycle when)
 }
 
 void
-Chip::replayMxmRun(int plane, Cycle when, std::size_t count)
+Chip::replayMxmTick(int plane, Cycle when)
 {
     TSP_ASSERT(plane >= 0 && plane < kMxmPlanes);
     fabric_.replayJumpTo(when);
-    MxmPlane &p = *mxm_[static_cast<std::size_t>(plane)];
-    for (std::size_t k = 0; k < count; ++k)
-        p.tick(when + k);
+    mxm_[static_cast<std::size_t>(plane)]->tick(when);
 }
 
 void

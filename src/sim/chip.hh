@@ -255,16 +255,11 @@ class Chip
                         Cycle when);
 
     /**
-     * Re-executes @p count recorded MXM-plane ticks for consecutive
-     * cycles starting at @p when, with one clock jump for the whole
-     * run. Only legal for events that were adjacent in the recorded
-     * host order (replayTrace coalesces exactly those), so the
-     * produce/consume interleaving on the tape is preserved tick by
-     * tick. Replay produces ignore their visibility cycle (they go
-     * to the tape), so deferring the per-tick jumps to the run's
-     * first cycle is invisible.
+     * Re-executes one recorded MXM-plane tick at absolute cycle
+     * @p when. The plane batches an int8 window's arithmetic itself
+     * (mxm/mxm_plane.hh), so ticks replay one event at a time.
      */
-    void replayMxmRun(int plane, Cycle when, std::size_t count);
+    void replayMxmTick(int plane, Cycle when);
 
     /**
      * Leaves replay: jumps the clock to @p end (replay start +

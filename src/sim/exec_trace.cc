@@ -312,35 +312,15 @@ replayTrace(const ExecutionTrace &trace,
         TSP_ASSERT(c->now() == start);
         c->beginReplay(&player);
     }
-    const std::size_t n = trace.events.size();
-    for (std::size_t i = 0; i < n;) {
-        const ExecutionTrace::Event &e = trace.events[i];
+    // Events re-execute one at a time in recorded host order, which
+    // is the order the tape resolves exchanges in.
+    for (const ExecutionTrace::Event &e : trace.events) {
         Chip &c = *chips[e.chip];
         const Cycle cyc = start + e.cycleOffset;
-        if (e.kind == ExecutionTrace::EventKind::Dispatch) {
+        if (e.kind == ExecutionTrace::EventKind::Dispatch)
             c.replayDispatch(e.unit, trace.insts[e.instIndex], cyc);
-            ++i;
-            continue;
-        }
-        // Coalesce a run of MxmTicks that were *adjacent* in the
-        // recorded host order — same chip and plane, consecutive
-        // cycles — into one call. Only adjacency makes this safe:
-        // the tape resolves exchanges by recorded order, so events
-        // must re-execute in exactly that order, and a run of
-        // adjacent ticks trivially does.
-        std::size_t j = i + 1;
-        while (j < n) {
-            const ExecutionTrace::Event &f = trace.events[j];
-            if (f.kind != ExecutionTrace::EventKind::MxmTick ||
-                f.chip != e.chip || f.unit != e.unit ||
-                f.cycleOffset !=
-                    trace.events[j - 1].cycleOffset + 1) {
-                break;
-            }
-            ++j;
-        }
-        c.replayMxmRun(e.unit, cyc, j - i);
-        i = j;
+        else
+            c.replayMxmTick(e.unit, cyc);
     }
     for (std::size_t i = 0; i < chips.size(); ++i) {
         chips[i]->finishReplay(trace.chips[i], start + trace.span);

@@ -479,9 +479,9 @@ expectBoundedTiersMatch(const std::vector<std::int8_t> &w, int stride,
         }
         if (cpuHasAvx512Vnni() && n % 64 == 0) {
             got = init;
-            ASSERT_TRUE(simd::mxmAbcInt8Vnni(
-                w.data(), stride, act.data(), rs.data(), got.data(), n,
-                rows, cols, accumulate));
+            ASSERT_TRUE(simd::mxmAbcInt8VnniWindow(
+                w.data(), stride, act.data(), n, rs.data(), got.data(), n,
+                1, n, rows, cols, accumulate));
             ASSERT_EQ(ref, got) << "vnni " << tag;
         }
     }
@@ -613,10 +613,186 @@ TEST(MxmSimd, BoundedKernelsShortVectors)
         const auto w = blockPlane(8, 8, 1);
         const auto rs = rowSums(w, kLanes, 96);
         std::vector<std::int32_t> acc(kLanes);
-        EXPECT_FALSE(simd::mxmAbcInt8Vnni(w.data(), kLanes, act.data(),
-                                          rs.data(), acc.data(), 96, 8,
-                                          8, false));
+        EXPECT_FALSE(simd::mxmAbcInt8VnniWindow(
+            w.data(), kLanes, act.data(), kLanes, rs.data(), acc.data(),
+            kLanes, 1, 96, 8, 8, false));
     }
+}
+
+TEST(MxmSimd, WindowKernelMatchesPerTick)
+{
+    // A window of k activations at once against k calls of the scalar
+    // tick kernel: blocks that do and do not fill the kernel's 4-row
+    // groups and 64-column blocks, windows that do and do not fill
+    // its 4-activation tiles, accumulator rows pre-filled with
+    // garbage (rows past n must keep it), accumulate off and on.
+    if (!cpuHasAvx512Vnni())
+        GTEST_SKIP() << "no AVX-512 VNNI on this host";
+    const int extents[] = {0, 1, 4, 63, 64, 65, 320};
+    const int windows[] = {1, 2, 3, 4, 5, 63, 64};
+    std::uint64_t seed = 301;
+    for (const int n : {64, 128, 320}) {
+        for (const int re : extents) {
+            for (const int ce : extents) {
+                const int rows = std::min(re, n);
+                const int cols = std::min(ce, n);
+                const auto w = blockPlane(rows, cols, ++seed);
+                const auto rs = rowSums(w, kLanes, n);
+                for (const int k : windows) {
+                    const std::size_t len =
+                        static_cast<std::size_t>(k) * kLanes;
+                    std::vector<std::uint8_t> acts(len);
+                    for (auto &v : acts)
+                        v = nextByte(seed);
+                    std::vector<std::int32_t> init(len);
+                    for (auto &v : init) {
+                        v = static_cast<std::int32_t>(
+                            nextByte(seed) * 0x01010101u ^ 0x5a5a0000u);
+                    }
+                    for (const bool accumulate : {false, true}) {
+                        std::vector<std::int32_t> want = init;
+                        for (int j = 0; j < k; ++j) {
+                            const std::size_t at =
+                                static_cast<std::size_t>(j) * kLanes;
+                            simd::mxmAbcInt8Scalar(
+                                w.data(), kLanes, acts.data() + at,
+                                want.data() + at, n, rows, cols,
+                                accumulate);
+                        }
+                        std::vector<std::int32_t> got = init;
+                        ASSERT_TRUE(simd::mxmAbcInt8VnniWindow(
+                            w.data(), kLanes, acts.data(), kLanes,
+                            rs.data(), got.data(), kLanes, k, n, rows,
+                            cols, accumulate));
+                        ASSERT_EQ(want, got)
+                            << "n=" << n << " " << rows << "x" << cols
+                            << " k=" << k << (accumulate ? " acc" : " set");
+                    }
+                }
+            }
+        }
+    }
+    // No path for lane counts that are not whole 64-column blocks.
+    const auto w = blockPlane(8, 8, 1);
+    const auto rs = rowSums(w, kLanes, 96);
+    const std::vector<std::uint8_t> acts(2 * kLanes);
+    std::vector<std::int32_t> acc(2 * kLanes);
+    for (const int n : {16, 48, 96, 304}) {
+        EXPECT_FALSE(simd::mxmAbcInt8VnniWindow(
+            w.data(), kLanes, acts.data(), kLanes, rs.data(), acc.data(),
+            kLanes, 2, n, 8, 8, false))
+            << n;
+    }
+}
+
+TEST(MxmSimd, RowSumKernelMatchesScalar)
+{
+    // Per-row extents in 32-column blocks from empty to full, rows
+    // whose extent runs past the vector length (the sum stops at n),
+    // four-row groups with mixed extents, and saturated rows.
+    if (!cpuHasAvx512Vnni())
+        GTEST_SKIP() << "no AVX-512 VNNI on this host";
+    constexpr int kBlock = 32;
+    std::uint64_t seed = 17;
+    std::vector<std::int8_t> w(static_cast<std::size_t>(kLanes) * kLanes);
+    std::vector<std::uint8_t> ext(kLanes);
+    for (int r = 0; r < kLanes; ++r) {
+        ext[static_cast<std::size_t>(r)] =
+            static_cast<std::uint8_t>(nextByte(seed) % (kLanes / kBlock + 1));
+        const int cols = ext[static_cast<std::size_t>(r)] * kBlock;
+        for (int c = 0; c < cols; ++c) {
+            w[static_cast<std::size_t>(r) * kLanes + c] =
+                static_cast<std::int8_t>(nextByte(seed));
+        }
+    }
+    for (int c = 0; c < kLanes; ++c) {
+        w[5 * kLanes + c] = -128;
+        w[6 * kLanes + c] = 127;
+    }
+    ext[5] = ext[6] = kLanes / kBlock;
+    for (const int n : {16, 48, 64, 96, 304, 320}) {
+        for (const int rows : {0, 1, 3, 4, 5, 7, 319, 320}) {
+            std::vector<std::int32_t> want(kLanes, -9);
+            std::vector<std::int32_t> got(kLanes, -9);
+            simd::mxmRowSumsScalar(w.data(), kLanes, ext.data(), kBlock, n,
+                                   rows, want.data());
+            ASSERT_TRUE(simd::mxmRowSumsVnni(w.data(), kLanes, ext.data(),
+                                             kBlock, n, rows, got.data()));
+            ASSERT_EQ(want, got) << "n=" << n << " rows=" << rows;
+        }
+    }
+    // The reference itself: a full saturated row sums exactly.
+    std::int32_t sums[7];
+    simd::mxmRowSumsScalar(w.data(), kLanes, ext.data(), kBlock, kLanes, 7,
+                           sums);
+    EXPECT_EQ(sums[5], -128 * kLanes);
+    EXPECT_EQ(sums[6], 127 * kLanes);
+}
+
+TEST(MxmSimd, AccDrainKernelMatchesScalar)
+{
+    // An accumulator row's four byte planes, int32 and fp32 bit
+    // patterns (NaNs, signed zeros, infinities, extremes planted in
+    // the first lanes), into planes at unrelated, unaligned addresses
+    // pre-filled with garbage that must read zero past the vector
+    // length.
+    if (!cpuHasAvx512f())
+        GTEST_SKIP() << "no AVX-512F on this host";
+    const std::uint32_t specials[] = {
+        0x00000000u, 0x80000000u, 0x7fffffffu, 0xffffffffu,
+        0x7fc00000u, 0xffc00000u, 0x7fa12345u, 0x7f800000u,
+        0xff800000u, 0x00000001u, 0x3f800000u, 0x000000ffu,
+        0x0000ff00u, 0x00ff0000u, 0xff000000u, 0x01020304u};
+    std::uint64_t seed = 71;
+    for (const int lanes : {16, 48, 304, 320}) {
+        for (const bool fp32 : {false, true}) {
+            std::vector<std::uint32_t> bits(kLanes);
+            for (auto &u : bits) {
+                u = 0;
+                for (int b = 0; b < 4; ++b)
+                    u = u << 8 | nextByte(seed);
+            }
+            std::copy(std::begin(specials), std::end(specials),
+                      bits.begin());
+            std::vector<std::int32_t> ints(kLanes);
+            std::vector<float> floats(kLanes);
+            std::memcpy(ints.data(), bits.data(), kLanes * 4);
+            std::memcpy(floats.data(), bits.data(), kLanes * 4);
+            const void *row = fp32 ? static_cast<const void *>(floats.data())
+                                   : static_cast<const void *>(ints.data());
+
+            std::vector<std::uint8_t> want(4 * 401 + 8), got(want.size());
+            for (auto &v : want)
+                v = nextByte(seed);
+            got = want;
+            std::uint8_t *wp[4], *gp[4];
+            for (int k = 0; k < 4; ++k) {
+                wp[k] = want.data() + 3 + 401 * k;
+                gp[k] = got.data() + 3 + 401 * k;
+            }
+            simd::accBytePlanesScalar(row, lanes, kLanes, wp);
+            ASSERT_TRUE(simd::accBytePlanesAvx512(row, lanes, kLanes, gp));
+            const std::string what = std::string(fp32 ? "fp32" : "int32") +
+                                     " lanes=" + std::to_string(lanes);
+            ASSERT_EQ(want, got) << what;
+            for (int k = 0; k < 4; ++k) {
+                for (int l = 0; l < kLanes; ++l) {
+                    const std::uint8_t b = l < lanes
+                        ? static_cast<std::uint8_t>(
+                              bits[static_cast<std::size_t>(l)] >> (8 * k))
+                        : 0;
+                    ASSERT_EQ(gp[k][l], b) << what << " plane " << k
+                                           << " lane " << l;
+                }
+            }
+        }
+    }
+    std::vector<std::int32_t> row(kLanes);
+    std::vector<std::uint8_t> out(4 * kLanes);
+    std::uint8_t *p[4] = {out.data(), out.data() + kLanes,
+                          out.data() + 2 * kLanes, out.data() + 3 * kLanes};
+    EXPECT_FALSE(simd::accBytePlanesAvx512(row.data(), 16, 100, p));
+    EXPECT_FALSE(simd::accBytePlanesAvx512(row.data(), 48, 32, p));
 }
 
 /**

@@ -3,14 +3,17 @@
  * MXM plane: LW/IW weight staging, int8 matvec against a host
  * reference, multi-window accumulation, fp16 mode with fp32
  * accumulation, the drain-generation consistency check, the 40-cycle
- * weight-install claim's arithmetic, and short installs that replace
- * only the rows they stage (in both dtypes, across a snapshot).
+ * weight-install claim's arithmetic, short installs that replace
+ * only the rows they stage (in both dtypes, across a snapshot), and
+ * the deferred int8 window: drains and installs that land inside a
+ * window, and snapshots cut at every tick of one.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <vector>
 
 #include "common/fp16.hh"
@@ -125,32 +128,85 @@ class MxmHarness
         abc.dtype = dt;
         plane_.issue(abc, fabric_.now());
         step();
+        issueAcc(1);
+        finishDrains();
+        return drained_.back();
+    }
 
+    /**
+     * Issues an int8 ABC window of @p count ticks from stream 16 West;
+     * each stepWith() then supplies one activation.
+     */
+    void
+    issueAbc(std::uint32_t count, bool accumulate)
+    {
+        Instruction abc;
+        abc.op = Opcode::Abc;
+        abc.imm1 = count;
+        abc.srcA = {16, Direction::West};
+        abc.dtype = DType::Int8;
+        if (accumulate)
+            abc.flags |= Instruction::kFlagAccumulate;
+        plane_.issue(abc, fabric_.now());
+    }
+
+    /**
+     * Issues an ACC drain of accumulators [0, @p count) onto streams
+     * 20..23 East; stepWith() collects each row into drained_ as it
+     * passes the plane.
+     */
+    void
+    issueAcc(std::uint32_t count)
+    {
         Instruction acc;
         acc.op = Opcode::Acc;
-        acc.imm1 = 1;
+        acc.imm1 = count;
         acc.dst = {20, Direction::East};
         plane_.issue(acc, fabric_.now());
-        const Cycle visible = fabric_.now() + opTiming(Opcode::Acc).dFunc;
-        while (fabric_.now() <= visible)
-            step();
-        const SlicePos p = plane_.pos() +
-                           static_cast<SlicePos>(fabric_.now() - visible);
-        std::vector<std::uint32_t> out(kMxmDim, 0);
-        for (int k = 0; k < 4; ++k) {
-            const Vec320 *v = fabric_.peek(
-                {static_cast<StreamId>(20 + k), Direction::East}, p);
-            EXPECT_NE(v, nullptr);
-            if (v == nullptr)
-                return out;
-            for (int r = 0; r < kMxmDim; ++r) {
-                out[static_cast<std::size_t>(r)] |=
-                    static_cast<std::uint32_t>(
-                        v->bytes[static_cast<std::size_t>(r)])
-                    << (8 * k);
+        const Cycle first = fabric_.now() + opTiming(Opcode::Acc).dFunc;
+        for (std::uint32_t i = 0; i < count; ++i)
+            visible_.push_back(first + i);
+    }
+
+    /**
+     * Steps one cycle with @p act (if any) on ABC's stream, then
+     * collects every drained row that became visible.
+     */
+    void
+    stepWith(const Vec320 *act)
+    {
+        if (act != nullptr)
+            putStream(16, Direction::West, *act);
+        step();
+        while (!visible_.empty() && visible_.front() < fabric_.now()) {
+            const SlicePos p =
+                plane_.pos() +
+                static_cast<SlicePos>(fabric_.now() - visible_.front());
+            visible_.pop_front();
+            std::vector<std::uint32_t> row(kMxmDim, 0);
+            for (int k = 0; k < 4; ++k) {
+                const Vec320 *v = fabric_.peek(
+                    {static_cast<StreamId>(20 + k), Direction::East}, p);
+                EXPECT_NE(v, nullptr);
+                if (v == nullptr)
+                    break;
+                for (int r = 0; r < kMxmDim; ++r) {
+                    row[static_cast<std::size_t>(r)] |=
+                        static_cast<std::uint32_t>(
+                            v->bytes[static_cast<std::size_t>(r)])
+                        << (8 * k);
+                }
             }
+            drained_.push_back(std::move(row));
         }
-        return out;
+    }
+
+    /** Steps until every issued drain row is collected. */
+    void
+    finishDrains()
+    {
+        while (!visible_.empty())
+            stepWith(nullptr);
     }
 
     /** @return the plane's serialized state. */
@@ -181,6 +237,10 @@ class MxmHarness
     ChipConfig cfg_;
     StreamFabric fabric_;
     MxmPlane plane_;
+    /** Visibility cycles of issued drain rows not yet collected. */
+    std::deque<Cycle> visible_;
+    /** Drained accumulator rows, as raw 32-bit values, in order. */
+    std::vector<std::vector<std::uint32_t>> drained_;
 };
 
 TEST(Mxm, WeightInstallRoundTrip)
@@ -667,6 +727,202 @@ TEST(Mxm, ShortBurstKeepsUntouchedFp16RowsInstalled)
         }
         EXPECT_EQ(h->matvec(act, DType::Fp16), hostMatvecF16(want, act))
             << which;
+    }
+}
+
+/** @return a plane of random int8 weights in [-127, 127]. */
+std::vector<std::int8_t>
+randomPlane(Rng &rng)
+{
+    std::vector<std::int8_t> w(static_cast<std::size_t>(kMxmDim) * kMxmDim);
+    for (auto &v : w)
+        v = static_cast<std::int8_t>(rng.intIn(-127, 127));
+    return w;
+}
+
+/** @return @p n random int8 activation vectors. */
+std::vector<Vec320>
+randomActs(Rng &rng, int n)
+{
+    std::vector<Vec320> acts(static_cast<std::size_t>(n));
+    for (auto &a : acts) {
+        for (auto &b : a.bytes)
+            b = static_cast<std::uint8_t>(rng.intIn(-128, 127));
+    }
+    return acts;
+}
+
+TEST(Mxm, DrainInsideWindowFlushesPendingTicks)
+{
+    // An ACC issued while its window still streams reads accumulators
+    // whose ticks are pending: the plane computes them first. Issued
+    // 0, 1 and 2 cycles into an 8-tick window, the drain chases the
+    // window at that distance, so pending ticks flush at several
+    // points of it; every row must be its own activation's product.
+    Rng rng(51);
+    const std::vector<std::int8_t> w = randomPlane(rng);
+    const std::vector<Vec320> acts = randomActs(rng, 8);
+    for (const int lag : {0, 1, 2}) {
+        MxmHarness h;
+        h.loadWeights(w);
+        h.issueAbc(8, /*accumulate=*/false);
+        for (int j = 0; j < 8; ++j) {
+            if (j == lag)
+                h.issueAcc(8);
+            h.stepWith(&acts[static_cast<std::size_t>(j)]);
+        }
+        h.finishDrains();
+        ASSERT_EQ(h.drained_.size(), 8u) << "lag " << lag;
+        for (int j = 0; j < 8; ++j) {
+            EXPECT_EQ(h.drained_[static_cast<std::size_t>(j)],
+                      hostMatvec(w, acts[static_cast<std::size_t>(j)]))
+                << "lag " << lag << " index " << j;
+        }
+        EXPECT_EQ(h.plane_.maccOps(),
+                  8ull * kMxmDim * kMxmDim);
+    }
+}
+
+TEST(Mxm, InstallInsideWindowSplitsItsTicks)
+{
+    // An IW issued mid-window: the ticks before it use the old
+    // weights, the ticks from its cycle on use the new ones (a
+    // 16-row burst staged while the window streams).
+    Rng rng(53);
+    const std::vector<std::int8_t> w1 = randomPlane(rng);
+    std::vector<std::int8_t> w2 = w1;
+    for (int i = 0; i < 16 * kMxmDim; ++i)
+        w2[static_cast<std::size_t>(i)] =
+            static_cast<std::int8_t>(rng.intIn(-127, 127));
+    const std::vector<Vec320> acts = randomActs(rng, 8);
+
+    MxmHarness h;
+    h.loadWeights(w1);
+    h.issueAbc(8, /*accumulate=*/false);
+    for (int j = 0; j < 8; ++j) {
+        if (j == 2) {
+            for (int r = 0; r < 16; ++r) {
+                Vec320 row;
+                for (int c = 0; c < kMxmDim; ++c) {
+                    row.bytes[static_cast<std::size_t>(c)] =
+                        static_cast<std::uint8_t>(
+                            w2[static_cast<std::size_t>(r) * kMxmDim + c]);
+                }
+                h.putStream(static_cast<StreamId>(r), Direction::West, row);
+            }
+            Instruction lw;
+            lw.op = Opcode::Lw;
+            lw.srcA = {0, Direction::West};
+            lw.groupSize = 16;
+            h.plane_.issue(lw, h.fabric_.now());
+        }
+        if (j == 3) {
+            Instruction iw;
+            iw.op = Opcode::Iw;
+            h.plane_.issue(iw, h.fabric_.now());
+        }
+        h.stepWith(&acts[static_cast<std::size_t>(j)]);
+    }
+    h.issueAcc(8);
+    h.finishDrains();
+    ASSERT_EQ(h.drained_.size(), 8u);
+    for (int j = 0; j < 8; ++j) {
+        EXPECT_EQ(h.drained_[static_cast<std::size_t>(j)],
+                  hostMatvec(j < 3 ? w1 : w2,
+                             acts[static_cast<std::size_t>(j)]))
+            << "index " << j;
+    }
+}
+
+TEST(Mxm, SnapshotAtEveryTickOfAWindowIsSettled)
+{
+    // A 64-tick window after a first window, overwriting its results
+    // or accumulating onto them, cut before every tick and after the
+    // last. Each cut's saved accumulators are the host's partial sums
+    // for the ticks so far (pending ticks written settled), and the
+    // cut restored into a fresh plane finishes with the uninterrupted
+    // plane's drain.
+    Rng rng(57);
+    const std::vector<std::int8_t> w = randomPlane(rng);
+    const std::vector<Vec320> first = randomActs(rng, 64);
+    const std::vector<Vec320> second = randomActs(rng, 64);
+
+    // The int32 accumulator bank's place in a saved plane, counted
+    // from the end: it precedes the fp32 bank, the generation words
+    // (2 + kMxmAccDepth) and the three counters.
+    const std::size_t bank =
+        std::size_t{kMxmAccDepth} * kMxmDim * sizeof(std::int32_t);
+    const std::size_t tail =
+        2 * bank + (2 + std::size_t{kMxmAccDepth} + 3) * sizeof(std::uint64_t);
+    const auto savedAcc = [&](const std::vector<std::uint8_t> &blob,
+                              int index, int row) {
+        const std::size_t at = blob.size() - tail +
+                               (static_cast<std::size_t>(index) * kMxmDim +
+                                static_cast<std::size_t>(row)) *
+                                   sizeof(std::uint32_t);
+        std::uint32_t u = 0;
+        for (int b = 0; b < 4; ++b)
+            u |= static_cast<std::uint32_t>(blob[at + static_cast<std::size_t>(b)])
+                 << (8 * b);
+        return u;
+    };
+
+    for (const bool accumulate : {false, true}) {
+        SCOPED_TRACE(accumulate ? "accumulate" : "overwrite");
+        std::vector<std::vector<std::uint32_t>> before, after;
+        for (int j = 0; j < 64; ++j) {
+            const std::size_t i = static_cast<std::size_t>(j);
+            before.push_back(hostMatvec(w, first[i]));
+            after.push_back(hostMatvec(w, second[i]));
+            if (accumulate) {
+                for (int r = 0; r < kMxmDim; ++r) {
+                    after.back()[static_cast<std::size_t>(r)] +=
+                        before.back()[static_cast<std::size_t>(r)];
+                }
+            }
+        }
+
+        MxmHarness live;
+        live.loadWeights(w);
+        live.issueAbc(64, /*accumulate=*/false);
+        for (const Vec320 &a : first)
+            live.stepWith(&a);
+        live.issueAbc(64, accumulate);
+        std::vector<std::vector<std::uint8_t>> cuts;
+        for (int t = 0; t <= 64; ++t) {
+            cuts.push_back(live.save());
+            if (t < 64)
+                live.stepWith(&second[static_cast<std::size_t>(t)]);
+        }
+        live.issueAcc(64);
+        live.finishDrains();
+        ASSERT_EQ(live.drained_, after);
+
+        for (int t = 0; t <= 64; ++t) {
+            const std::vector<std::uint8_t> &blob =
+                cuts[static_cast<std::size_t>(t)];
+            for (int i = 0; i < 64; ++i) {
+                const auto &want = i < t ? after : before;
+                for (int r = 0; r < kMxmDim; ++r) {
+                    ASSERT_EQ(savedAcc(blob, i, r),
+                              want[static_cast<std::size_t>(i)]
+                                  [static_cast<std::size_t>(r)])
+                        << "cut " << t << " index " << i << " row " << r;
+                }
+            }
+            MxmHarness resumed;
+            resumed.restore(blob);
+            for (int j = t; j < 64; ++j)
+                resumed.stepWith(&second[static_cast<std::size_t>(j)]);
+            resumed.issueAcc(64);
+            resumed.finishDrains();
+            ASSERT_EQ(resumed.drained_, after) << "cut " << t;
+            EXPECT_EQ(resumed.plane_.maccOps(), live.plane_.maccOps())
+                << "cut " << t;
+            EXPECT_EQ(resumed.plane_.activeCycles(),
+                      live.plane_.activeCycles())
+                << "cut " << t;
+        }
     }
 }
 

@@ -11,7 +11,8 @@
  * rules, the fault-seed restore policy (same seed resumes the RNG
  * streams; a migration seed keeps fresh ones), pod snapshots with
  * in-flight C2C traffic, and the session-level periodic-snapshot +
- * migrate-and-resume path.
+ * migrate-and-resume path, and a compiled net cut at every cycle of
+ * an MXM window whose int8 ticks are still pending.
  */
 
 #include <gtest/gtest.h>
@@ -805,6 +806,98 @@ struct Compiled
         return tensors.at(g.outputNode());
     }
 };
+
+/** @return the bytes of @p t on @p chip, read from its SRAM. */
+std::vector<std::uint8_t>
+tensorBytes(const Chip &chip, const LoweredTensor &t)
+{
+    const ActTensor &at = t.t;
+    std::vector<std::uint8_t> bytes;
+    for (int y = 0; y < at.height; ++y) {
+        for (int x = 0; x < at.width; ++x) {
+            for (int kg = 0; kg < at.kgCount; ++kg) {
+                const GlobalAddr a = at.addrOf(at.ownerOf(y), y, x, kg);
+                const Vec320 v = chip.mem(a.hem, a.slice).backdoorRead(a.addr);
+                bytes.insert(bytes.end(), v.bytes.begin(), v.bytes.end());
+            }
+        }
+    }
+    return bytes;
+}
+
+TEST(Snapshot, CutsInsideAnAbcWindowResume)
+{
+    // The MXM defers an int8 window's arithmetic to its last tick, so
+    // a cut inside the window meets pending ticks, which the snapshot
+    // writes settled. Cut the tiny net at every cycle of its first
+    // ABC window (and one either side), on both stepping tiers:
+    // restored on a fresh chip, each cut must finish exactly as the
+    // uninterrupted run — and so must the source chip, which the
+    // snapshots must not disturb.
+    Compiled m;
+    const SharedProgram prog = m.lw.assembled();
+    const auto start = [&](Chip &chip) {
+        chip.loadProgram(prog);
+        m.lw.image().applyTo(chip);
+    };
+    for (const bool ff : {false, true}) {
+        SCOPED_TRACE(ff ? "fast-forward" : "per-cycle");
+        const ChipConfig cfg = configFor(ff);
+        Chip ref(cfg);
+        start(ref);
+        ref.run();
+        ChipSnapshot want;
+        std::string err;
+        ASSERT_TRUE(ref.snapshot(want, &err)) << err;
+        const std::vector<std::uint8_t> out = tensorBytes(ref, m.out());
+
+        // The first window: the first cycle a plane ticks, through
+        // the cycle its sequencer goes idle again.
+        Chip probe(cfg);
+        start(probe);
+        const auto ticks = [&probe] {
+            std::uint64_t n = 0;
+            for (int p = 0; p < kMxmPlanes; ++p)
+                n += probe.mxm(p).activeCycles();
+            return n;
+        };
+        while (ticks() == 0)
+            ASSERT_FALSE(probe.runBounded(probe.now() + 1));
+        const Cycle first = probe.now() - 1;
+        int plane = 0;
+        while (!probe.mxm(plane).abcActive() && plane + 1 < kMxmPlanes)
+            ++plane;
+        while (probe.mxm(plane).abcActive())
+            ASSERT_FALSE(probe.runBounded(probe.now() + 1));
+        const Cycle end = probe.now();
+        ASSERT_GT(end - first, 4u) << "window too short to cut inside";
+
+        const auto expectFinished = [&](const Chip &c) {
+            EXPECT_EQ(c.now(), ref.now());
+            EXPECT_EQ(c.stats().all(), ref.stats().all());
+            EXPECT_EQ(c.power().totalEnergyJ(), ref.power().totalEnergyJ());
+            EXPECT_EQ(tensorBytes(c, m.out()), out);
+            ChipSnapshot got;
+            ASSERT_TRUE(c.snapshot(got, &err)) << err;
+            EXPECT_EQ(got.payload, want.payload);
+        };
+        Chip src(cfg);
+        start(src);
+        for (Cycle cut = first - 1; cut <= end + 1; ++cut) {
+            SCOPED_TRACE("cut " + std::to_string(cut));
+            ASSERT_FALSE(src.runBounded(cut));
+            ChipSnapshot snap;
+            ASSERT_TRUE(src.snapshot(snap, &err)) << err;
+            Chip dst(cfg);
+            dst.loadProgram(prog);
+            ASSERT_TRUE(dst.restore(snap, &err)) << err;
+            dst.run();
+            expectFinished(dst);
+        }
+        src.run();
+        expectFinished(src);
+    }
+}
 
 TEST(SessionSnapshot, PeriodicSnapshotsAreInvisible)
 {
