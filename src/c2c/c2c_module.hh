@@ -109,7 +109,10 @@ class C2cModule
     const ChipConfig &cfg_;
     StreamFabric &fabric_;
     StreamIo io_;
-    /** Where the stepped tier's port checks a Send's operand. */
+    /**
+     * Where the stepped tier's port copies and checks a Send's operand
+     * when its code does not hold or a fault injector is attached.
+     */
     alignas(64) Vec320 scratch_;
     std::vector<Link> links_;
 

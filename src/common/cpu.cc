@@ -63,7 +63,8 @@ cpuHasGfniAvx512()
 #if defined(__x86_64__) || defined(__i386__)
     static const bool v = __builtin_cpu_supports("gfni") &&
                           __builtin_cpu_supports("avx512f") &&
-                          __builtin_cpu_supports("avx512bw");
+                          __builtin_cpu_supports("avx512bw") &&
+                          __builtin_cpu_supports("avx512vbmi");
     return v;
 #else
     return false;

@@ -36,7 +36,7 @@ bool cpuHasAvx512f();
 
 /**
  * @return true when the host CPU supports the SECDED codec's vector
- * tier (GFNI + AVX-512 F and BW — mem/ecc_kernels_gfni.cc).
+ * tier (GFNI + AVX-512 F, BW and VBMI — mem/ecc_kernels_gfni.cc).
  */
 bool cpuHasGfniAvx512();
 

@@ -78,13 +78,13 @@ const ContribTable kContrib;
  * maps its 8 data bits onto the 8 Hamming bits linearly: output bit
  * i takes input bit b when bit i of data bit 8j+b's codeword
  * position is set. vgf2p8affineqb reads output bit i's row from
- * matrix byte 7-i, and each operand's qwords alternate the matrices
- * of bytes p and 8+p, as a 512-bit load of four words alternates
- * their low and high halves.
+ * matrix byte 7-i. Qword j holds byte j's matrix, so the first 64
+ * bytes apply to the kernel's transposed word bytes 0-7, the next 64
+ * to bytes 8-15.
  */
 struct GfniOperands
 {
-    alignas(64) std::array<std::uint64_t, 64> ops{};
+    alignas(64) std::array<std::uint64_t, 16> ops{};
 
     GfniOperands()
     {
@@ -98,8 +98,7 @@ struct GfniOperands
                         m |= std::uint64_t{1} << ((7 - i) * 8 + b);
                 }
             }
-            for (int q = j / 8; q < 8; q += 2)
-                ops[static_cast<std::size_t>((j % 8) * 8 + q)] = m;
+            ops[static_cast<std::size_t>(j)] = m;
         }
     }
 };
@@ -227,6 +226,22 @@ eccCheckVec(Vec320 &vec)
             worst = s;
     }
     return worst;
+}
+
+bool
+eccCodesMatch(const Vec320 &vec)
+{
+    std::uint32_t words = 0;
+    if (gfniTier() && simd::eccDiffersGfni(vec.bytes.data(),
+                                           vec.ecc.data(),
+                                           kGfni.ops.data(), &words))
+        return words == 0;
+    for (int sl = 0; sl < kSuperlanes; ++sl) {
+        if (eccCompute(vec.bytes.data() + sl * kWordBytes) !=
+            vec.ecc[static_cast<std::size_t>(sl)])
+            return false;
+    }
+    return true;
 }
 
 } // namespace tsp

@@ -52,16 +52,24 @@ void eccComputeVec(Vec320 &vec);
  */
 EccStatus eccCheckVec(Vec320 &vec);
 
+/**
+ * Compares every stored code of @p vec with the one its data bytes
+ * give, writing nothing.
+ *
+ * @return true when all 20 are equal, in which case eccCheckVec()
+ * would return Ok and change nothing.
+ */
+bool eccCodesMatch(const Vec320 &vec);
+
 namespace simd {
 
 /**
  * GFNI tier of eccComputeVec: writes the codes of the kSuperlanes
  * words at @p bytes to @p codes. Definitions live in
  * ecc_kernels_gfni.cc, the only TU built with -mgfni -mavx512f
- * -mavx512bw. @p ops holds eight 64-byte operands, one per byte
- * position p in 0..7 of a qword, whose qwords alternate the 8x8 bit
- * matrices mapping word bytes p and 8+p onto the Hamming bits; ecc.cc
- * builds them from its position tables.
+ * -mavx512bw -mavx512vbmi. @p ops holds 16 qwords, qword j the 8x8
+ * bit matrix mapping word byte j onto the Hamming bits; ecc.cc builds
+ * them from its position tables.
  *
  * @return false when this build has no vector path (nothing written).
  */

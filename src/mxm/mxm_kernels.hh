@@ -68,8 +68,10 @@ bool mxmAbcInt8Avx2(const std::int8_t *w, int stride,
  * wrapping int32 arithmetic. Each 4-row x 4-activation tile keeps its
  * 16 partial dot products in registers across the block's columns,
  * so a group of four activations loads each weight once, and reduces
- * its 16 sums together. The activations and the accumulators must
- * not overlap. Callers gate on tsp::cpuHasAvx512Vnni().
+ * its 16 sums together; a pair left over (windows a drain cuts short
+ * are mostly 2 ticks long) shares a 4-row x 2-activation tile the
+ * same way. The activations and the accumulators must not overlap.
+ * Callers gate on tsp::cpuHasAvx512Vnni().
  *
  * @return false when (n) has no vector path (n % 64 != 0); the
  * caller then runs the tick tiers once per activation.

@@ -32,8 +32,9 @@ namespace {
  * __m128i of [sum(s0), sum(s1), sum(s2), sum(s3)], wrapping mod 2^32.
  * Integer adds are associative mod 2^32, so the shuffle-tree order is
  * as exact as any other. This runs once per four rows of an
- * activation outside a 4-activation tile — a scalar spill of each
- * row's lanes costs ~20 ops plus a store-forward stall per row.
+ * activation left over after the 4- and 2-activation tiles — a scalar
+ * spill of each row's lanes costs ~20 ops plus a store-forward stall
+ * per row.
  */
 inline __m128i
 hsum4Epi32(__m512i s0, __m512i s1, __m512i s2, __m512i s3)
@@ -100,6 +101,43 @@ hsum16Epi32(__m512i s00, __m512i s01, __m512i s02, __m512i s03,
     const __m512i p23 = rows(r2, r3);
     return _mm512_add_epi32(_mm512_maskz_unpacklo_epi64(0xff, p01, p23),
                             _mm512_maskz_unpackhi_epi64(0xff, p01, p23));
+}
+
+/**
+ * Reduces a 4-row x 2-activation tile of partial sums s<row><act> to
+ * its 8 dot products, with 128-bit lane j holding activation j's rows
+ * 0..3 in order: hsum16Epi32's pair and quad steps put four sources
+ * in a register's four lanes, and two lane-local steps and one
+ * 256-bit half swap finish: 17 shuffles for 8 sums.
+ */
+inline __m256i
+hsum8Epi32(__m512i s00, __m512i s01, __m512i s10, __m512i s11,
+           __m512i s20, __m512i s21, __m512i s30, __m512i s31)
+{
+    const auto pair = [](__m512i x, __m512i y) {
+        return _mm512_add_epi32(_mm512_maskz_shuffle_i64x2(0xff, x, y, 0x44),
+                                _mm512_maskz_shuffle_i64x2(0xff, x, y, 0xee));
+    };
+    const auto quad = [](__m512i xy, __m512i zw) {
+        return _mm512_add_epi32(
+            _mm512_maskz_shuffle_i64x2(0xff, xy, zw, 0x88),
+            _mm512_maskz_shuffle_i64x2(0xff, xy, zw, 0xdd));
+    };
+    // Lanes [s00 s01 s10 s11] and [s20 s21 s30 s31], four partials
+    // each.
+    const __m512i r01 = quad(pair(s00, s01), pair(s10, s11));
+    const __m512i r23 = quad(pair(s20, s21), pair(s30, s31));
+    // Per lane [x, y, x', y'] with x + x' source x's sum: lanes
+    // [s00 s20], [s01 s21], [s10 s30], [s11 s31].
+    const __m512i t =
+        _mm512_add_epi32(_mm512_maskz_unpacklo_epi32(0xffff, r01, r23),
+                         _mm512_maskz_unpackhi_epi32(0xffff, r01, r23));
+    // Rows 0 and 2 sit in the low half, rows 1 and 3 in the high one:
+    // interleaving the halves per lane gives [r0 r1 r2 r3].
+    const __m256i lo = _mm512_maskz_extracti64x4_epi64(0xff, t, 0);
+    const __m256i hi = _mm512_maskz_extracti64x4_epi64(0xff, t, 1);
+    return _mm256_add_epi32(_mm256_unpacklo_epi32(lo, hi),
+                            _mm256_unpackhi_epi32(lo, hi));
 }
 
 inline __m512i
@@ -259,6 +297,47 @@ tile4x4(const std::int8_t *w0, int stride, const std::uint8_t *a0,
     store16(c3, _mm512_maskz_extracti32x4_epi32(0xf, dots, 3));
 }
 
+/**
+ * tile4x4() for two activations a0, a0 + @p as: eight accumulators,
+ * and each weight block is loaded once for both.
+ */
+inline void
+tile4x2(const std::int8_t *w0, int stride, const std::uint8_t *a0,
+        std::size_t as, int blocks, __m128i excess, std::int32_t *c0,
+        std::size_t cs, bool accumulate)
+{
+    const std::int8_t *w1 = w0 + stride;
+    const std::int8_t *w2 = w1 + stride;
+    const std::int8_t *w3 = w2 + stride;
+    const std::uint8_t *a1 = a0 + as;
+    __m512i s00 = _mm512_setzero_si512(), s01 = _mm512_setzero_si512();
+    __m512i s10 = _mm512_setzero_si512(), s11 = _mm512_setzero_si512();
+    __m512i s20 = _mm512_setzero_si512(), s21 = _mm512_setzero_si512();
+    __m512i s30 = _mm512_setzero_si512(), s31 = _mm512_setzero_si512();
+    for (int i = 0; i < blocks; ++i) {
+        const int c = 64 * i;
+        const __m512i x0 = load64(a0 + c);
+        const __m512i x1 = load64(a1 + c);
+        const __m512i v0 = load64(w0 + c);
+        s00 = _mm512_dpbusd_epi32(s00, x0, v0);
+        s01 = _mm512_dpbusd_epi32(s01, x1, v0);
+        const __m512i v1 = load64(w1 + c);
+        s10 = _mm512_dpbusd_epi32(s10, x0, v1);
+        s11 = _mm512_dpbusd_epi32(s11, x1, v1);
+        const __m512i v2 = load64(w2 + c);
+        s20 = _mm512_dpbusd_epi32(s20, x0, v2);
+        s21 = _mm512_dpbusd_epi32(s21, x1, v2);
+        const __m512i v3 = load64(w3 + c);
+        s30 = _mm512_dpbusd_epi32(s30, x0, v3);
+        s31 = _mm512_dpbusd_epi32(s31, x1, v3);
+    }
+    const __m256i dots =
+        hsum8Epi32(s00, s01, s10, s11, s20, s21, s30, s31);
+    store4(c0, _mm256_extracti128_si256(dots, 0), excess, accumulate);
+    store4(c0 + cs, _mm256_extracti128_si256(dots, 1), excess,
+           accumulate);
+}
+
 /** Zeroes rows [from, n) of an overwritten accumulator. */
 inline void
 zeroPast(std::int32_t *acc, int from, int n)
@@ -314,7 +393,15 @@ mxmAbcInt8VnniWindow(const std::int8_t *w, int stride,
                         chunk + static_cast<std::size_t>(j) * cs + r, cs,
                         accumulate);
             }
-            // The chunk's last kc % 4 activations, one at a time.
+            // The chunk's last kc % 4 activations: a pair, then one.
+            if (j + 2 <= kc) {
+                tile4x2(w0, stride,
+                        biased + static_cast<std::size_t>(j) * bytes,
+                        bytes, blocks, excess,
+                        chunk + static_cast<std::size_t>(j) * cs + r, cs,
+                        accumulate);
+                j += 2;
+            }
             for (; j < kc; ++j) {
                 store4(chunk + static_cast<std::size_t>(j) * cs + r,
                        dot4x1(w0, stride,

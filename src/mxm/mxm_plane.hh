@@ -265,10 +265,12 @@ class MxmPlane
     std::uint32_t winHi_ = 0;
 
     /**
-     * Where the stepped tier's port checks LW's operand burst and
-     * ABC's activations (kStreamsPerDir vectors once allocated);
-     * replay reads tape slots instead. Every consume overwrites what
-     * it uses, so nothing re-zeroes it.
+     * Where the stepped tier's port copies and checks LW's operand
+     * burst and ABC's activations (kStreamsPerDir vectors once
+     * allocated) when a code does not hold or a fault injector is
+     * attached; otherwise operands are read in their fabric slots,
+     * and replay reads tape slots. Every copy overwrites what it uses,
+     * so nothing re-zeroes it.
      */
     std::vector<Vec320> scratch_;
 

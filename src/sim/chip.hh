@@ -289,10 +289,12 @@ class Chip
     std::unique_ptr<C2cModule> c2c_;
     std::unique_ptr<StreamIo> memIo_;          // MEM slices' stream port.
     /**
-     * Where the stepped tier's memIo_ checks the operands of a Write,
-     * Gather or Scatter and Ifetch's text pair; replay reads tape
-     * slots instead. Every consume overwrites what it uses, so
-     * nothing re-zeroes it.
+     * Where the stepped tier's memIo_ copies and checks the operands
+     * of a Write, Gather or Scatter and Ifetch's text pair when a code
+     * does not hold or a fault injector is attached; otherwise
+     * operands are read in their fabric slots, and replay reads tape
+     * slots. Every copy overwrites what it uses, so nothing re-zeroes
+     * it.
      */
     alignas(64) Vec320 memScratch_[2];
 

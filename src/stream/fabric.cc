@@ -10,45 +10,62 @@ StreamFabric::StreamFabric()
 {
 }
 
-void
-StreamFabric::applyWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
-                         const char *writer, std::uint32_t tag)
+StreamFabric::SlotId
+StreamFabric::acquireSlot()
 {
-    TSP_ASSERT(pos >= 0 && pos < kPositions);
-    Ring &ring = rings_[static_cast<std::size_t>(ringIndex(s))];
-    if (ring.slots.empty())
-        ring.slots.resize(kPositions);
-    Entry &e =
-        ring.slots[static_cast<std::size_t>(slotOf(s.dir, pos))];
-    if (e.valid && e.writtenAt == cycle_) {
-        panic("fabric: two producers on %s at pos %d in cycle %llu "
-              "(%s then %s) (scheduler bug)",
-              s.toString().c_str(), pos,
-              static_cast<unsigned long long>(cycle_), e.writer,
-              writer);
+    if (free_.empty()) {
+        const auto base = static_cast<SlotId>(chunks_.size() * kChunkSlots);
+        chunks_.push_back(std::make_unique<PoolSlot[]>(kChunkSlots));
+        // Highest index at the bottom: the chunk is handed out in
+        // address order.
+        for (SlotId i = kChunkSlots; i-- > 0;)
+            free_.push_back(base + i);
     }
-    if (!e.valid) {
-        e.valid = true;
+    const SlotId id = free_.back();
+    free_.pop_back();
+    return id;
+}
+
+void
+StreamFabric::applyWrite(const PendingWrite &w)
+{
+    TSP_ASSERT(w.pos >= 0 && w.pos < kPositions);
+    Ring &ring = rings_[static_cast<std::size_t>(ringIndex(w.s))];
+    if (ring.entries.empty())
+        ring.entries.resize(kPositions);
+    Entry &e =
+        ring.entries[static_cast<std::size_t>(entryOf(w.s.dir, w.pos))];
+    if (e.slot == kNoSlot) {
         ++ring.validInRing;
         ++validCount_;
+    } else if (e.writtenAt == cycle_) {
+        panic("fabric: two producers on %s at pos %d in cycle %llu "
+              "(%s then %s) (scheduler bug)",
+              w.s.toString().c_str(), w.pos,
+              static_cast<unsigned long long>(cycle_), e.writer,
+              w.writer);
+    } else {
+        releaseSlot(e.slot); // The overwritten value.
     }
-    e.vec = vec;
+    e.slot = w.slot;
+    e.encoded = w.encoded;
     e.writtenAt = cycle_;
-    e.writer = writer;
-    e.tag = tag;
+    e.writer = w.writer;
+    e.tag = w.tag;
     ++totalWrites_;
 }
 
 void
-StreamFabric::scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
-                            Cycle when, const char *writer,
-                            std::uint32_t tag)
+StreamFabric::scheduleSlot(StreamRef s, SlicePos pos, SlotId id,
+                           Cycle when, const char *writer,
+                           std::uint32_t tag, bool encoded)
 {
     // Producer delays are architectural constants well inside the
     // calendar: a write beyond it is a simulator bug.
     TSP_ASSERT(when >= cycle_ && when - cycle_ < kPendingHorizon);
+    const PendingWrite w{s, pos, id, encoded, writer, tag};
     if (when == cycle_) {
-        applyWrite(s, pos, vec, writer, tag);
+        applyWrite(w);
         return;
     }
     PendingBatch &b =
@@ -59,8 +76,18 @@ StreamFabric::scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
     } else {
         TSP_ASSERT(b.when == when);
     }
-    b.writes.push_back({s, pos, vec, writer, tag});
+    b.writes.push_back(w);
     ++pendingCount_;
+}
+
+void
+StreamFabric::scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
+                            Cycle when)
+{
+    const SlotId id = acquireSlot();
+    slot(id) = vec;
+    scheduleSlot(s, pos, id, when, "?", kTapeUntagged,
+                 /*encoded=*/false);
 }
 
 Cycle
@@ -69,32 +96,18 @@ StreamFabric::earliestPendingCycle() const
     return pendingCycles_.empty() ? kNoEventCycle : pendingCycles_.top();
 }
 
-const Vec320 *
-StreamFabric::peek(StreamRef s, SlicePos pos) const
+StreamFabric::Sample
+StreamFabric::sample(StreamRef s, SlicePos pos) const
 {
     TSP_ASSERT(pos >= 0 && pos < kPositions);
     const Ring &ring = rings_[static_cast<std::size_t>(ringIndex(s))];
     if (ring.validInRing == 0)
-        return nullptr;
+        return {};
     const Entry &e =
-        ring.slots[static_cast<std::size_t>(slotOf(s.dir, pos))];
-    return e.valid ? &e.vec : nullptr;
-}
-
-const Vec320 *
-StreamFabric::peek(StreamRef s, SlicePos pos,
-                   std::uint32_t *tag) const
-{
-    TSP_ASSERT(pos >= 0 && pos < kPositions);
-    const Ring &ring = rings_[static_cast<std::size_t>(ringIndex(s))];
-    if (ring.validInRing == 0)
-        return nullptr;
-    const Entry &e =
-        ring.slots[static_cast<std::size_t>(slotOf(s.dir, pos))];
-    if (!e.valid)
-        return nullptr;
-    *tag = e.tag;
-    return &e.vec;
+        ring.entries[static_cast<std::size_t>(entryOf(s.dir, pos))];
+    if (e.slot == kNoSlot)
+        return {};
+    return {&slot(e.slot), e.tag, e.encoded};
 }
 
 void
@@ -105,7 +118,7 @@ StreamFabric::replayJumpTo(Cycle target)
     // (they go to the tape), so there is nothing to flow or fall off.
     TSP_ASSERT(tapeRep_ != nullptr && validCount_ == 0 &&
                pendingWrites() == 0);
-    cycle_ = target;
+    setClock(target);
 }
 
 void
@@ -117,7 +130,7 @@ StreamFabric::applyPendingNow()
             cycle_ % kPendingHorizon)];
         TSP_ASSERT(b.when == cycle_ && !b.writes.empty());
         for (const PendingWrite &w : b.writes)
-            applyWrite(w.s, w.pos, w.vec, w.writer, w.tag);
+            applyWrite(w);
         pendingCount_ -= b.writes.size();
         b.writes.clear(); // Capacity retained for reuse.
     }
@@ -133,27 +146,27 @@ StreamFabric::advance()
     totalHops_ += validCount_;
 
     ++cycle_;
+    if (++phase_ == kPositions)
+        phase_ = 0;
 
-    // The slot that wrapped around the edge no longer holds a live
+    // The entry that wrapped around the edge no longer holds a live
     // value: for eastward streams the value past position N-1 falls
-    // off the east edge (its slot becomes position 0); westward values
-    // fall off the west edge (slot becomes position N-1). Empty rings
-    // (all of them on an empty fabric) have nothing to drop.
+    // off the east edge (its entry becomes position 0); westward
+    // values fall off the west edge (entry becomes position N-1).
+    // Empty rings (all of them on an empty fabric) have nothing to
+    // drop.
+    const auto east_edge =
+        static_cast<std::size_t>(entryOf(Direction::East, 0));
+    const auto west_edge = static_cast<std::size_t>(
+        entryOf(Direction::West, kPositions - 1));
     for (int r = 0; validCount_ > 0 && r < kNumRings; ++r) {
         Ring &ring = rings_[static_cast<std::size_t>(r)];
         if (ring.validInRing == 0)
             continue;
-        const Direction dir =
-            r < kStreamsPerDir ? Direction::East : Direction::West;
-        const SlicePos entry_pos =
-            dir == Direction::East ? 0 : kPositions - 1;
-        Entry &e = ring.slots[static_cast<std::size_t>(
-            slotOf(dir, entry_pos))];
-        if (e.valid) {
-            e.valid = false;
-            --ring.validInRing;
-            --validCount_;
-        }
+        Entry &e =
+            ring.entries[r < kStreamsPerDir ? east_edge : west_edge];
+        if (e.slot != kNoSlot)
+            dropEntry(ring, e);
     }
 
     // Apply writes that become visible this cycle.
@@ -173,36 +186,34 @@ StreamFabric::advanceBy(Cycle n)
     // eastward value at position p contributes one hop per advance
     // until the advance that wraps it past position N-1 — exactly
     // N - p hops — and symmetrically p + 1 hops westward. Empty
-    // rings (the common case in idle spans) cost nothing.
-    const long t = static_cast<long>(cycle_ % kPositions);
+    // rings (the common case in idle spans) cost nothing, and a
+    // ring's walk ends at its last value.
     std::uint64_t hops = 0;
     for (int r = 0; r < kNumRings; ++r) {
         Ring &ring = rings_[static_cast<std::size_t>(r)];
-        if (ring.validInRing == 0)
-            continue;
         const bool east = r < kStreamsPerDir;
-        for (int idx = 0; idx < kPositions; ++idx) {
-            Entry &e = ring.slots[static_cast<std::size_t>(idx)];
-            if (!e.valid)
+        for (int idx = 0, left = ring.validInRing; left > 0; ++idx) {
+            Entry &e = ring.entries[static_cast<std::size_t>(idx)];
+            if (e.slot == kNoSlot)
                 continue;
-            long pos = east ? (idx + t) % kPositions
-                            : (idx - t) % kPositions;
+            --left;
+            // The position entry idx holds: entryOf() inverted.
+            int pos = east ? idx + phase_ : idx - phase_;
             if (pos < 0)
                 pos += kPositions;
+            else if (pos >= kPositions)
+                pos -= kPositions;
             const Cycle remaining = east
                                         ? static_cast<Cycle>(
                                               kPositions - pos)
                                         : static_cast<Cycle>(pos + 1);
             hops += remaining < n ? remaining : n;
-            if (remaining <= n) {
-                e.valid = false;
-                --ring.validInRing;
-                --validCount_;
-            }
+            if (remaining <= n)
+                dropEntry(ring, e);
         }
     }
     totalHops_ += hops;
-    cycle_ += n;
+    setClock(cycle_ + n);
 
     // Writes scheduled for the arrival cycle become visible now, in
     // the same edge-falloff-then-apply order as advance().
@@ -235,18 +246,18 @@ StreamFabric::saveState(SnapshotWriter &w) const
     w.u64(cycle_);
     for (const auto &ring : rings_) {
         w.u32(static_cast<std::uint32_t>(ring.validInRing));
-        for (std::size_t idx = 0; idx < ring.slots.size(); ++idx) {
-            const Entry &e = ring.slots[idx];
-            if (!e.valid)
+        for (std::size_t idx = 0; idx < ring.entries.size(); ++idx) {
+            const Entry &e = ring.entries[idx];
+            if (e.slot == kNoSlot)
                 continue;
             w.u16(static_cast<std::uint16_t>(idx));
             w.u64(e.writtenAt);
             w.u32(e.tag);
-            putVec(w, e.vec);
+            putVec(w, slot(e.slot));
         }
     }
     // All scheduled-but-unapplied writes, flattened with their
-    // visibility cycle; loadState() re-inserts via scheduleWrite.
+    // visibility cycle; loadState() re-inserts via scheduleSlot.
     w.u64(pendingCount_);
     for (const auto &b : pendingRing_) {
         for (const PendingWrite &pw : b.writes) {
@@ -255,7 +266,7 @@ StreamFabric::saveState(SnapshotWriter &w) const
             w.u8(pw.s.dir == Direction::West ? 1 : 0);
             w.i32(pw.pos);
             w.u32(pw.tag);
-            putVec(w, pw.vec);
+            putVec(w, slot(pw.slot));
         }
     }
     w.u64(validCount_);
@@ -267,23 +278,24 @@ void
 StreamFabric::loadState(SnapshotReader &r)
 {
     clear();
-    cycle_ = r.u64();
+    setClock(r.u64());
     for (auto &ring : rings_) {
         const std::uint32_t n = r.u32();
-        if (n > 0 && ring.slots.empty())
-            ring.slots.resize(kPositions);
+        if (n > 0 && ring.entries.empty())
+            ring.entries.resize(kPositions);
         for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
             const std::uint16_t idx = r.u16();
-            if (idx >= kPositions || ring.slots[idx].valid) {
+            if (idx >= kPositions || ring.entries[idx].slot != kNoSlot) {
                 r.fail();
                 return;
             }
-            Entry &e = ring.slots[idx];
-            e.valid = true;
+            Entry &e = ring.entries[idx];
+            e.slot = acquireSlot();
+            e.encoded = false;
             e.writtenAt = r.u64();
             e.writer = "snapshot";
             e.tag = r.u32();
-            getVec(r, e.vec);
+            getVec(r, slot(e.slot));
             ++ring.validInRing;
             ++validCount_;
         }
@@ -296,17 +308,19 @@ StreamFabric::loadState(SnapshotReader &r)
         s.dir = r.u8() ? Direction::West : Direction::East;
         const SlicePos pos = r.i32();
         const std::uint32_t tag = r.u32();
-        Vec320 vec;
-        getVec(r, vec);
+        const SlotId id = acquireSlot();
+        getVec(r, slot(id));
         // Pending means strictly in the future (writes for the
         // restored cycle were applied before the snapshot was taken)
         // and inside the calendar.
         if (s.id >= kStreamsPerDir || pos < 0 || pos >= kPositions ||
             when <= cycle_ || when - cycle_ >= kPendingHorizon) {
+            releaseSlot(id);
             r.fail();
             return;
         }
-        scheduleWrite(s, pos, vec, when, "snapshot", tag);
+        scheduleSlot(s, pos, id, when, "snapshot", tag,
+                     /*encoded=*/false);
     }
     if (r.u64() != validCount_)
         r.fail();
@@ -321,16 +335,18 @@ StreamFabric::clear()
     // on an already-empty fabric: only rings holding values and a
     // calendar holding writes are walked, as in advanceBy().
     for (auto &ring : rings_) {
-        if (ring.validInRing == 0)
-            continue;
-        for (auto &e : ring.slots)
-            e.valid = false;
-        ring.validInRing = 0;
+        for (std::size_t idx = 0; ring.validInRing > 0; ++idx) {
+            Entry &e = ring.entries[idx];
+            if (e.slot != kNoSlot)
+                dropEntry(ring, e);
+        }
     }
-    validCount_ = 0;
     if (pendingCount_ > 0) {
-        for (auto &b : pendingRing_)
+        for (auto &b : pendingRing_) {
+            for (const PendingWrite &w : b.writes)
+                releaseSlot(w.slot);
             b.writes.clear();
+        }
     }
     pendingCycles_ = {};
     pendingCount_ = 0;

@@ -9,15 +9,26 @@
  * its direction of flow until it falls off the edge of the chip or a
  * functional slice overwrites it.
  *
- * Implementation: each (direction, stream) pair owns a ring buffer
- * over the 95 stream-register positions. Advancing the clock is O(1)
- * index arithmetic plus invalidation of the slot that wrapped past the
- * chip edge; no vector data is copied as it "flows". Writes scheduled
- * for future cycles live in a calendar ring indexed by cycle (every
- * producer delay is a small architectural constant) with a min-heap of
- * distinct pending cycles answering earliestPendingCycle() in O(1) —
- * the hook the event-driven chip core uses to fast-forward, via
- * advanceBy(), over spans where nothing dispatches.
+ * Implementation: the fabric keeps one store of values, a pool of
+ * 64-byte-aligned Vec320 slots allocated a chunk at a time at stable
+ * addresses. It starts empty, so a chip built for an engine rebuild
+ * allocates nothing until its first produce. Each (direction,
+ * stream) pair owns a ring over the 95 stream-register positions
+ * whose entries hold a slot index; advancing the clock is O(1) index
+ * arithmetic plus invalidation of the entry that wrapped past the
+ * chip edge, so no vector data is copied as it "flows" (a value
+ * moves by hops, paper II.A). A producer builds its value straight
+ * in a slot it takes from the pool (StreamIo::produceInPlace()), a
+ * scheduled write carries that index until it lands, and a consumer
+ * reads the slot in place. A slot goes back to the pool when
+ * advance(), advanceBy() or clear() drops or overwrites the entry
+ * that holds it, so the slots in use are always validEntries() +
+ * pendingWrites(). Writes scheduled for future cycles live in a
+ * calendar ring indexed by cycle (every producer delay is a small
+ * architectural constant) with a min-heap of distinct pending cycles
+ * answering earliestPendingCycle() in O(1) — the hook the
+ * event-driven chip core uses to fast-forward, via advanceBy(), over
+ * spans where nothing dispatches.
  */
 
 #ifndef TSP_STREAM_FABRIC_HH
@@ -25,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -108,33 +120,96 @@ class StreamFabric
      */
     Cycle earliestPendingCycle() const;
 
+    /** Index of a value slot in the fabric's pool. */
+    using SlotId = std::uint32_t;
+
+    /** What a consume samples at one stream register. */
+    struct Sample
+    {
+        /** The register's value, or nullptr if nothing is flowing. */
+        const Vec320 *vec = nullptr;
+
+        /**
+         * The entry's recording provenance (kTapeUntagged for entries
+         * written outside any StreamIo), so a recording consume can
+         * cite the produce it sampled.
+         */
+        std::uint32_t tag = kTapeUntagged;
+
+        /**
+         * True when StreamIo::publish() computed the value's codes
+         * from these very bytes. Nothing writes a slot while it is
+         * held by an entry or a pending write, so such a value's
+         * codes match its bytes.
+         */
+        bool encoded = false;
+    };
+
     /**
      * @return the vector visible on stream @p s at position @p pos in
      * the current cycle, or nullptr if no valid value is flowing
      * there.
      */
-    const Vec320 *peek(StreamRef s, SlicePos pos) const;
+    const Vec320 *
+    peek(StreamRef s, SlicePos pos) const
+    {
+        return sample(s, pos).vec;
+    }
 
     /**
-     * Like peek(), additionally reporting the entry's provenance tag
-     * (kTapeUntagged for entries written outside any StreamIo) so a
-     * recording consume can cite the produce it sampled.
+     * peek() with the entry's provenance tag and publish flag. The
+     * pointer stays valid, and the value unchanged, until the fabric
+     * next advances or an immediate write (when == now()) lands on
+     * the same register.
      */
-    const Vec320 *peek(StreamRef s, SlicePos pos,
-                       std::uint32_t *tag) const;
+    Sample sample(StreamRef s, SlicePos pos) const;
 
     /**
-     * Makes @p vec visible on stream @p s at position @p pos starting
-     * at cycle @p when (>= now), overwriting whatever would flow
-     * through that register. This is how producers with functional
-     * delay d_func deposit results: when = dispatch + d_func.
-     * @p tag is the recording provenance carried by the entry.
+     * Takes a free slot from the pool (growing it by a chunk when
+     * none is free). The caller builds a value there and hands the
+     * slot back with scheduleSlot(); until then no entry or pending
+     * write holds it, so it never aliases a value being consumed.
+     */
+    SlotId acquireSlot();
+
+    /** @return the value slot @p id (a stable address). */
+    Vec320 &
+    slot(SlotId id)
+    {
+        return chunks_[id / kChunkSlots][id % kChunkSlots].vec;
+    }
+
+    /** @return the value slot @p id (a stable address). */
+    const Vec320 &
+    slot(SlotId id) const
+    {
+        return chunks_[id / kChunkSlots][id % kChunkSlots].vec;
+    }
+
+    /**
+     * Makes the value in slot @p id (from acquireSlot()) visible on
+     * stream @p s at position @p pos starting at cycle @p when (>=
+     * now), overwriting whatever would flow through that register.
+     * This is how producers with functional delay d_func deposit
+     * results: when = dispatch + d_func. Every producer's delay is at
+     * least 1, so no register changes within the cycle a unit runs
+     * in. @p tag is the recording provenance carried by the entry,
+     * and @p encoded says whether StreamIo::publish() computed the
+     * value's codes from its bytes (see Sample). The fabric owns the
+     * slot from here on.
+     */
+    void scheduleSlot(StreamRef s, SlicePos pos, SlotId id, Cycle when,
+                      const char *writer, std::uint32_t tag,
+                      bool encoded);
+
+    /**
+     * Raw write: copies @p vec, codes as given, into a fresh slot and
+     * schedules it (untagged, not publish-encoded), as scheduleSlot().
      */
     void scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
-                       Cycle when, const char *writer = "?",
-                       std::uint32_t tag = kTapeUntagged);
+                       Cycle when);
 
-    /** Immediate write visible in the current cycle. */
+    /** Immediate raw write visible in the current cycle. */
     void
     write(StreamRef s, SlicePos pos, const Vec320 &vec)
     {
@@ -157,6 +232,16 @@ class StreamFabric
     std::size_t pendingWrites() const { return pendingCount_; }
 
     /**
+     * @return pool slots holding a value: validEntries() +
+     * pendingWrites() outside a produce (tests).
+     */
+    std::size_t
+    slotsInUse() const
+    {
+        return chunks_.size() * kChunkSlots - free_.size();
+    }
+
+    /**
      * Replay-tier clock jump: moves now() to @p target (>= now)
      * without flowing anything. Legal only while a TapeReplayer is
      * attached — no values are in flight (produces go to the tape,
@@ -175,7 +260,7 @@ class StreamFabric
 
     /**
      * Serializes the clock, every valid stream-register entry (by raw
-     * ring-slot index — slotOf() depends only on cycle_ % positions,
+     * ring-entry index — entryOf() depends only on cycle_ % positions,
      * which the restored clock reproduces), all scheduled-but-
      * unapplied writes (calendar ring, flattened), and the hop/write
      * totals. Fault/tape hooks are wiring, not state.
@@ -183,32 +268,37 @@ class StreamFabric
     void saveState(SnapshotWriter &w) const;
 
     /**
-     * Restores fabric state; pending writes are re-scheduled. Marks
-     * @p r failed on a payload no saved fabric produces: a ring slot,
+     * Restores fabric state; pending writes are re-scheduled. Restored
+     * values are never marked publish-encoded (their codes are
+     * whatever the blob holds), so their consumes compare them. Marks
+     * @p r failed on a payload no saved fabric produces: a ring entry,
      * stream id or position out of range, or a pending write outside
      * (now, now + horizon).
      */
     void loadState(SnapshotReader &r);
 
   private:
+    /** No slot: the entry holds no value. */
+    static constexpr SlotId kNoSlot = ~SlotId{0};
+
     struct Entry
     {
-        Vec320 vec;
-        bool valid = false;
+        SlotId slot = kNoSlot;       ///< The value; kNoSlot if none.
+        bool encoded = false;        ///< See Sample::encoded.
         Cycle writtenAt = ~Cycle{0}; ///< Cycle of the last write.
         const char *writer = "?";    ///< Debug: who wrote it.
         std::uint32_t tag = kTapeUntagged; ///< Recording provenance.
     };
 
     /**
-     * Ring of entries for one (direction, stream id). The slots are
+     * Ring of entries for one (direction, stream id). The entries are
      * allocated on the ring's first write: most programs use a few
      * of the 64 streams, and a chip is built on every engine rebuild.
-     * A ring without slots holds no value (validInRing == 0).
+     * A ring without entries holds no value (validInRing == 0).
      */
     struct Ring
     {
-        std::vector<Entry> slots;
+        std::vector<Entry> entries;
         int validInRing = 0;
     };
 
@@ -217,7 +307,8 @@ class StreamFabric
     {
         StreamRef s{};
         SlicePos pos = 0;
-        Vec320 vec{};
+        SlotId slot = kNoSlot;
+        bool encoded = false;
         const char *writer = "?";
         std::uint32_t tag = kTapeUntagged;
     };
@@ -229,13 +320,22 @@ class StreamFabric
         std::vector<PendingWrite> writes; ///< Capacity is reused.
     };
 
+    /** A pool slot, one cache line aligned. */
+    struct alignas(64) PoolSlot
+    {
+        Vec320 vec;
+    };
+
+    /** Pool slots allocated at a time. */
+    static constexpr SlotId kChunkSlots = 64;
+
     static constexpr int kNumRings = 2 * kStreamsPerDir;
     static constexpr int kPositions = Layout::numPositions;
 
     /**
      * Calendar depth. Producer delays are architectural constants
      * (the largest stream producer's is ACC's 21 cycles), so every
-     * in-flight write lands well inside this horizon; scheduleWrite
+     * in-flight write lands well inside this horizon; scheduleSlot
      * asserts it.
      */
     static constexpr Cycle kPendingHorizon = 128;
@@ -246,29 +346,56 @@ class StreamFabric
         return (s.dir == Direction::West ? kStreamsPerDir : 0) + s.id;
     }
 
-    /** Ring slot holding (pos) at the current cycle. */
+    /** Ring entry holding (pos) at the current cycle. */
     int
-    slotOf(Direction dir, SlicePos pos) const
+    entryOf(Direction dir, SlicePos pos) const
     {
-        const long t = static_cast<long>(cycle_ % kPositions);
-        long idx;
-        if (dir == Direction::East)
-            idx = (pos - t) % kPositions;
-        else
-            idx = (pos + t) % kPositions;
+        int idx = dir == Direction::East ? pos - phase_ : pos + phase_;
         if (idx < 0)
             idx += kPositions;
-        return static_cast<int>(idx);
+        else if (idx >= kPositions)
+            idx -= kPositions;
+        return idx;
     }
 
-    void applyWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
-                    const char *writer, std::uint32_t tag);
+    /** Sets the clock and its ring phase. */
+    void
+    setClock(Cycle c)
+    {
+        cycle_ = c;
+        phase_ = static_cast<int>(c % kPositions);
+    }
+
+    /** Returns slot @p id to the pool. */
+    void releaseSlot(SlotId id) { free_.push_back(id); }
+
+    /** Drops the value of @p e, a valid entry of @p ring. */
+    void
+    dropEntry(Ring &ring, Entry &e)
+    {
+        releaseSlot(e.slot);
+        e.slot = kNoSlot;
+        --ring.validInRing;
+        --validCount_;
+    }
+
+    void applyWrite(const PendingWrite &w);
 
     /** Applies (and empties) the batch scheduled for @p cycle_. */
     void applyPendingNow();
 
     std::vector<Ring> rings_;
     Cycle cycle_ = 0;
+    int phase_ = 0; ///< cycle_ % kPositions: entryOf() needs no division.
+
+    /**
+     * The value pool: chunks never move, so a slot's address is
+     * stable for as long as the fabric lives. free_ is a stack of
+     * the free slot indices (the most recently freed, still warm in
+     * cache, is reused first).
+     */
+    std::vector<std::unique_ptr<PoolSlot[]>> chunks_;
+    std::vector<SlotId> free_;
 
     /**
      * Calendar ring of pending batches indexed by when % horizon,

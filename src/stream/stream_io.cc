@@ -30,8 +30,8 @@ StreamIo::missed(StreamRef s, SlicePos pos)
 void
 StreamIo::checkReplayUntagged(StreamRef s, SlicePos pos)
 {
-    std::uint32_t tag = kTapeUntagged;
-    if (fabric_.peek(s, pos, &tag) && tag == kTapeUntagged) {
+    const StreamFabric::Sample in = fabric_.sample(s, pos);
+    if (in.vec && in.tag == kTapeUntagged) {
         panic("%s: replay consume on %s at pos %d, cycle %llu would "
               "sample a fabric entry written outside any StreamIo "
               "(kTapeUntagged) — the tape cannot reproduce it, so "
@@ -57,15 +57,21 @@ StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &scratch)
             ++consumed_;
         return v;
     }
-    std::uint32_t tag = kTapeUntagged;
-    const Vec320 *v = fabric_.peek(s, pos, &tag);
+    const StreamFabric::Sample in = fabric_.sample(s, pos);
     if (TapeRecorder *rec = fabric_.tapeRecorder())
-        rec->onConsume(v ? tag : kTapeMiss);
-    if (!v)
+        rec->onConsume(in.vec ? in.tag : kTapeMiss);
+    if (!in.vec)
         return nullptr;
-    scratch = *v;
     ++consumed_;
-    if (FaultInjector *fi = fabric_.faultInjector()) {
+    FaultInjector *fi = fabric_.faultInjector();
+    // Fault-free, the register is read in place when the check would
+    // pass: publish() computed its codes from these bytes (no register
+    // changes within a cycle), or a compare that writes nothing finds
+    // them equal. A mismatch is checked, and corrected, in the copy.
+    if (!fi && (in.encoded || eccCodesMatch(*in.vec)))
+        return in.vec;
+    scratch = *in.vec;
+    if (fi) {
         // Stream-hop upset on the consumed copy; the check below is
         // the consumer-side SECDED check that must catch it.
         fi->onStreamConsume(scratch);
@@ -125,26 +131,23 @@ StreamIo::consumeRun(StreamRef base, SlicePos pos, Vec320 *scratch,
 }
 
 void
-StreamIo::produceRaw(StreamRef s, SlicePos pos, Vec320 vec, Cycle when)
+StreamIo::produceRaw(StreamRef s, SlicePos pos, const Vec320 &vec,
+                     Cycle when)
 {
-    if (TapeReplayer *rep = fabric_.tapeReplayer()) {
-        *rep->onProduce() = vec;
-        ++produced_;
-        return;
-    }
-    publish(s, pos, vec, when, /*encode=*/false);
+    produceInPlace<1>(s, pos, when, /*keep_codes=*/true,
+                      [&](Vec320 *const *out) { *out[0] = vec; });
 }
 
 void
-StreamIo::publish(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
-                  bool encode)
+StreamIo::publish(StreamRef s, SlicePos pos, StreamFabric::SlotId id,
+                  Cycle when, bool encode)
 {
     if (encode)
-        eccComputeVec(vec);
+        eccComputeVec(fabric_.slot(id));
     std::uint32_t tag = kTapeUntagged;
     if (TapeRecorder *rec = fabric_.tapeRecorder())
         tag = rec->onProduce();
-    fabric_.scheduleWrite(s, pos, vec, when, owner_.c_str(), tag);
+    fabric_.scheduleSlot(s, pos, id, when, owner_.c_str(), tag, encode);
     ++produced_;
 }
 

@@ -8,13 +8,22 @@
  * check (a missing operand is a compiler bug), and the CSR counters an
  * error handler would interrogate.
  *
- * It is also the only unit-facing code that knows the execution tier:
- * while a trace replays (sim/exec_trace.hh), the same calls exchange
- * pointers into the tape arena instead of flowing registers, and skip
- * the ECC code work no replay consumer observes. Units read operands
- * where consumeRef()/consumeRun() return them and build results where
- * produceInPlace() points, so on replay an operand is read from its
- * tape slot and a result is written straight into its own.
+ * It is also the only unit-facing code that knows the execution tier.
+ * Units read operands where consumeRef()/consumeRun() return them and
+ * build results where produceInPlace() points, so no value is copied
+ * between a producer and its consumers on either tier:
+ *  - stepped, the destinations are fresh fabric slots (stream/
+ *    fabric.hh) that the fabric then flows by index, and a consume
+ *    returns the register's slot itself when its codes hold: when
+ *    publish() computed them from these bytes, or when a compare that
+ *    writes nothing finds them equal. Only a mismatch copies into the
+ *    caller's scratch, where the check corrects it, so the register
+ *    keeps the flip. With a fault injector attached every consume
+ *    copies, injects and checks, so the RNG draws one per consume;
+ *  - while a trace replays (sim/exec_trace.hh), the same calls
+ *    exchange pointers into the tape arena instead of flowing
+ *    registers, and skip the ECC code work no replay consumer
+ *    observes.
  */
 
 #ifndef TSP_STREAM_STREAM_IO_HH
@@ -22,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string>
 
 #include "arch/config.hh"
@@ -46,16 +54,19 @@ class StreamIo
     /**
      * Samples stream @p s at position @p pos in the current cycle.
      *
-     * @return the operand: its tape slot while replaying, otherwise
-     * @p scratch after the fault and ECC check/correct path filled
-     * it. If nothing is flowing, panics under strictStreams, else
-     * counts a missed operand and returns a zero vector. The pointer
-     * stays valid, and the value unchanged, until the calling
-     * dispatch or MXM tick ends, so long as @p scratch is not reused:
-     * a recording frees a tape slot only when the event holding the
-     * value's last consume ends (sim/exec_trace.hh), so no produce of
-     * the same event, in place or not, can take it. @p scratch needs
-     * no initial value and may be the unit's own long-lived storage.
+     * @return the operand: its tape slot while replaying; stepped,
+     * the stream register's own slot when its codes hold and no
+     * fault injector is attached, otherwise @p scratch after the
+     * fault and ECC check/correct path filled it. If nothing is
+     * flowing, panics under strictStreams, else counts a missed
+     * operand and returns a zero vector. The pointer stays valid, and
+     * the value unchanged, until the calling dispatch or MXM tick
+     * ends, so long as @p scratch is not reused: a recording frees a
+     * tape slot only when the event holding the value's last consume
+     * ends (sim/exec_trace.hh), and a fabric slot returns to the pool
+     * only when the fabric advances, so no produce of the same event,
+     * in place or not, can take it. @p scratch needs no initial value
+     * and may be the unit's own long-lived storage.
      */
     const Vec320 *consumeRef(StreamRef s, SlicePos pos,
                              Vec320 &scratch);
@@ -63,7 +74,8 @@ class StreamIo
     /**
      * consumeRef() over the @p n consecutive streams base.id + i,
      * filling @p outs[i]. While replaying this is one batched tape
-     * read; otherwise operand i lands in @p scratch[i].
+     * read; otherwise operand i is read as consumeRef() would, with
+     * @p scratch[i] as its scratch.
      */
     void consumeRun(StreamRef base, SlicePos pos, Vec320 *scratch,
                     const Vec320 **outs, std::size_t n);
@@ -83,21 +95,24 @@ class StreamIo
      * upsets in flight stay detectable downstream. Every other
      * producer builds its results in place (produceInPlace()).
      */
-    void produceRaw(StreamRef s, SlicePos pos, Vec320 vec, Cycle when);
+    void produceRaw(StreamRef s, SlicePos pos, const Vec320 &vec,
+                    Cycle when);
 
     /**
      * Produces @p N results on the streams base.id + k at @p pos,
      * visible at @p when, built in place: @p build receives the N
      * destinations (Vec320 *const *) and must assign every data byte
-     * of each. While replaying they are the values' tape slots (reused
-     * across values, so nothing may be left over — lanes past the
-     * vector length included); otherwise they are locals, which are
-     * then encoded — or, with @p keep_codes, keep the codes @p build
-     * stored (MEM reads) — and scheduled in order. A destination is
-     * never an operand this dispatch or tick consumed, so @p build may
-     * read its operands while it writes (see consumeRef()); values
-     * nothing consumes share one slot, so destinations may alias each
-     * other and @p build must not read them back.
+     * of each. While replaying they are the values' tape slots, and
+     * stepped they are fresh fabric slots; both are reused across
+     * values, so nothing may be left over (lanes past the vector
+     * length included). Stepped, the slots are then encoded — or,
+     * with @p keep_codes, keep the codes @p build stored (MEM reads),
+     * and are not marked publish-encoded — and scheduled in order. A
+     * destination is never an operand this dispatch or tick
+     * consumed, so @p build may read its operands while it writes
+     * (see consumeRef()); on replay, values nothing consumes share
+     * one slot, so destinations may alias each other and @p build
+     * must not read them back.
      */
     template <std::size_t N, typename Build>
     void
@@ -112,20 +127,14 @@ class StreamIo
             produced_ += N;
             return;
         }
-        // Storage without an initializer: build() assigns every data
-        // byte, and publish() or build() sets the codes, so a fill
-        // here would only be overwritten (Vec320 is an aggregate, so
-        // the bytes hold its objects implicitly). Line-aligned: the
-        // build and the fabric's copy run as string operations, and a
-        // misaligned stack slot made fleet-soak requests about 8%
-        // slower (Emerald Rapids Xeon).
-        alignas(64) std::byte raw[N * sizeof(Vec320)];
-        Vec320 *local = std::launder(reinterpret_cast<Vec320 *>(raw));
-        for (std::size_t k = 0; k < N; ++k)
-            out[k] = &local[k];
+        StreamFabric::SlotId ids[N];
+        for (std::size_t k = 0; k < N; ++k) {
+            ids[k] = fabric_.acquireSlot();
+            out[k] = &fabric_.slot(ids[k]);
+        }
         build(out);
         for (std::size_t k = 0; k < N; ++k)
-            publish(nth(base, k), pos, local[k], when, !keep_codes);
+            publish(nth(base, k), pos, ids[k], when, !keep_codes);
     }
 
     /** CSR: single-bit errors corrected on consumed operands. */
@@ -194,11 +203,12 @@ class StreamIo
     void checkReplayUntagged(StreamRef s, SlicePos pos);
 
     /**
-     * Outside replay: encodes @p vec when @p encode, tags it for a
-     * recording and schedules it on the fabric.
+     * Outside replay: encodes the value in fabric slot @p id when
+     * @p encode, tags it for a recording and schedules the slot on the
+     * fabric, marked publish-encoded when @p encode.
      */
-    void publish(StreamRef s, SlicePos pos, Vec320 &vec, Cycle when,
-                 bool encode);
+    void publish(StreamRef s, SlicePos pos, StreamFabric::SlotId id,
+                 Cycle when, bool encode);
 
     const ChipConfig &cfg_;
     StreamFabric &fabric_;

@@ -81,10 +81,12 @@ class SxmComplex
     const ChipConfig &cfg_;
     StreamIo io_;
     /**
-     * Where the stepped tier's port checks and corrects the operands
-     * (Transpose's 16, Select's 2, one otherwise); replay reads tape
-     * slots instead. Every consume overwrites what it uses, so
-     * nothing re-zeroes it.
+     * Where the stepped tier's port copies, checks and corrects the
+     * operands (Transpose's 16, Select's 2, one otherwise) when a code
+     * does not hold or a fault injector is attached; otherwise
+     * operands are read in their fabric slots, and replay reads tape
+     * slots. Every copy overwrites what it uses, so nothing re-zeroes
+     * it.
      */
     alignas(64) Vec320 scratch_[16];
 

@@ -77,9 +77,11 @@ class VxmUnit
     const ChipConfig &cfg_;
     StreamIo io_;
     /**
-     * Where the stepped tier's port checks and corrects the operand
-     * groups A (0..3) and B (4..7); replay reads tape slots instead.
-     * Every consume overwrites what it uses, so nothing re-zeroes it.
+     * Where the stepped tier's port copies, checks and corrects the
+     * operand groups A (0..3) and B (4..7) when a code does not hold
+     * or a fault injector is attached; otherwise operands are read in
+     * their fabric slots, and replay reads tape slots. Every copy
+     * overwrites what it uses, so nothing re-zeroes it.
      */
     alignas(64) Vec320 scratch_[8];
 

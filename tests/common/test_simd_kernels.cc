@@ -962,7 +962,7 @@ class EccSimd : public ::testing::Test
     {
         forceScalarKernels(0);
         if (!(simdKernelsEnabled() && cpuHasGfniAvx512()))
-            GTEST_SKIP() << "no GFNI + AVX-512BW on this host";
+            GTEST_SKIP() << "no GFNI + AVX-512 BW/VBMI on this host";
     }
 
     void TearDown() override { forceScalarKernels(-1); }
@@ -1040,6 +1040,15 @@ TEST_F(EccSimd, CheckMatchesScalar)
             v.ecc[nextByte(seed) % kSuperlanes] ^=
                 static_cast<std::uint16_t>(1u << (9 + nextByte(seed) % 7));
         }
+
+        // The compare that writes nothing agrees with the scalar codes.
+        bool clean = true;
+        for (int sl = 0; sl < kSuperlanes; ++sl) {
+            clean = clean && v.ecc[static_cast<std::size_t>(sl)] ==
+                                 eccCompute(v.bytes.data() +
+                                            sl * kWordBytes);
+        }
+        ASSERT_EQ(eccCodesMatch(v), clean) << "trial " << trial;
 
         Vec320 ref = v;
         EccStatus want = EccStatus::Ok;

@@ -292,7 +292,7 @@ class EccVecTier : public ::testing::TestWithParam<bool>
     {
         forceScalarKernels(GetParam() ? 0 : 1);
         if (GetParam() && !(simdKernelsEnabled() && cpuHasGfniAvx512()))
-            GTEST_SKIP() << "no GFNI + AVX-512BW on this host";
+            GTEST_SKIP() << "no GFNI + AVX-512 BW/VBMI on this host";
     }
 
     void TearDown() override { forceScalarKernels(-1); }

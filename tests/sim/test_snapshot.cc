@@ -20,6 +20,7 @@
 #include <string>
 
 #include "c2c/collective.hh"
+#include "common/cpu.hh"
 #include "common/rng.hh"
 #include "common/snapshot_io.hh"
 #include "graph/graph.hh"
@@ -897,6 +898,73 @@ TEST(Snapshot, CutsInsideAnAbcWindowResume)
         src.run();
         expectFinished(src);
     }
+}
+
+/** @return the 64-bit FNV-1a hash of @p bytes. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Snapshot, SerializedBytesArePinned)
+{
+    // The framed snapshot of the tiny net, cut where values are
+    // flowing on the fabric and writes are still pending, is pinned
+    // byte for byte: the fabric's saved entries and calendar, and
+    // what a restore reads back, do not depend on how the fabric
+    // stores its values. Both kernel tiers and both stepping tiers
+    // must give the same bytes.
+    Compiled m;
+    const SharedProgram prog = m.lw.assembled();
+    const struct
+    {
+        Cycle cut;
+        std::uint64_t hash;
+    } pins[] = {
+        {150, 0x9d07954e016c2e53ull},
+        {227, 0xee10a9bfce26b1ffull},
+        {480, 0xf12eceb71188a273ull},
+        {627, 0xd638c1aeefcbbc54ull},
+    };
+    for (const int force_scalar : {1, 0}) {
+        forceScalarKernels(force_scalar);
+        for (const bool ff : {false, true}) {
+            SCOPED_TRACE(std::string(force_scalar ? "scalar" : "simd") +
+                         (ff ? ", fast-forward" : ", per-cycle"));
+            Chip chip(configFor(ff));
+            chip.loadProgram(prog);
+            m.lw.image().applyTo(chip);
+            for (const auto &pin : pins) {
+                SCOPED_TRACE("cut " + std::to_string(pin.cut));
+                ASSERT_FALSE(chip.runBounded(pin.cut));
+                EXPECT_GT(chip.fabric().validEntries(), 0u);
+                EXPECT_GT(chip.fabric().pendingWrites(), 0u);
+                ChipSnapshot snap;
+                std::string err;
+                ASSERT_TRUE(chip.snapshot(snap, &err)) << err;
+                EXPECT_EQ(fnv1a(snap.serialize()), pin.hash);
+                ChipSnapshot back;
+                const std::vector<std::uint8_t> bytes = snap.serialize();
+                ASSERT_TRUE(ChipSnapshot::deserialize(bytes.data(),
+                                                      bytes.size(), back,
+                                                      &err))
+                    << err;
+                Chip dst(configFor(ff));
+                dst.loadProgram(prog);
+                ASSERT_TRUE(dst.restore(back, &err)) << err;
+                ChipSnapshot again;
+                ASSERT_TRUE(dst.snapshot(again, &err)) << err;
+                EXPECT_EQ(again.payload, snap.payload);
+            }
+        }
+    }
+    forceScalarKernels(-1);
 }
 
 TEST(SessionSnapshot, PeriodicSnapshotsAreInvisible)

@@ -3,17 +3,23 @@
  * Stream register file semantics (paper II.A, V.c): one-hop-per-cycle
  * propagation in the direction of flow, values falling off the chip
  * edge, producer overwrites, scheduled future writes, and the
- * two-producers-per-slot panic; and the StreamIo port over it on both
- * tiers: run consumes against single consumes, strict misses, tape
- * resolution and in-place produces.
+ * two-producers-per-slot panic, and the slot pool behind the registers
+ * (one slot per value held, stable addresses); and the StreamIo port
+ * over it on both tiers: run consumes against single consumes, strict
+ * misses, tape resolution, in-place produces, in-place consumes of
+ * clean registers, and corrections in each consumer's own copy, with
+ * and without a fault injector.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/config.hh"
+#include "common/snapshot_io.hh"
 #include "mem/ecc.hh"
+#include "mem/fault.hh"
 #include "stream/fabric.hh"
 #include "stream/stream_io.hh"
 
@@ -311,8 +317,9 @@ stageRun(StreamFabric &f)
 TEST(StreamIo, RunConsumeEqualsSingleConsumes)
 {
     // Stepped tier: a run over s4..s7 reads, checks and counts
-    // exactly like four single consumes, each operand landing in the
-    // caller's scratch (the silent s6 reads as zero).
+    // exactly like four single consumes. Clean operands are read in
+    // their registers, the corrected one in the caller's scratch (the
+    // silent s6 reads as zero).
     ChipConfig cfg;
     cfg.strictStreams = false;
     StreamFabric fr, fs;
@@ -331,8 +338,11 @@ TEST(StreamIo, RunConsumeEqualsSingleConsumes)
             {static_cast<StreamId>(4 + i), Direction::East}, 10, one);
         ASSERT_NE(outs[i], nullptr);
         EXPECT_EQ(*outs[i], *want);
-        if (i != 2) {
+        const StreamRef si{static_cast<StreamId>(4 + i), Direction::East};
+        if (i == 1) {
             EXPECT_EQ(outs[i], &scratch[i]);
+        } else if (i != 2) {
+            EXPECT_EQ(outs[i], fr.peek(si, 10));
         }
     }
     EXPECT_EQ(*outs[1], encoded(2));
@@ -475,6 +485,183 @@ TEST(StreamIo, ProduceInPlaceBuildsWhereTheTierKeepsValues)
         EXPECT_EQ(f.pendingWrites(), 0u);
         EXPECT_EQ(io.produced(), 2u);
     }
+}
+
+TEST(Fabric, SlotsInUseEqualValuesHeld)
+{
+    // Every value the fabric holds, flowing or pending, owns one pool
+    // slot, and a dropped or overwritten value gives its slot back:
+    // across writes, overwrites, per-cycle and bulk advances with
+    // edge fall-off, clear() and loadState().
+    StreamFabric f;
+    EXPECT_EQ(f.slotsInUse(), 0u) << "a new fabric allocates nothing";
+    const auto expectBalanced = [](const StreamFabric &x,
+                                   const char *what) {
+        SCOPED_TRACE(what);
+        EXPECT_EQ(x.slotsInUse(), x.validEntries() + x.pendingWrites());
+    };
+    const StreamRef e4{4, Direction::East};
+    f.write(e4, 10, mark(1));
+    f.write(e4, Layout::numPositions - 2, mark(2)); // Off in 2 hops.
+    f.write({0, Direction::West}, 2, mark(3));       // Off in 3 hops.
+    f.scheduleWrite(e4, 12, mark(4), /*when=*/2);    // Overwrites 1.
+    f.scheduleWrite({9, Direction::West}, 50, mark(5), /*when=*/5);
+    expectBalanced(f, "writes");
+    EXPECT_EQ(f.slotsInUse(), 5u);
+    f.advance();
+    expectBalanced(f, "advance");
+    f.advance();
+    expectBalanced(f, "overwrite and fall-off");
+    EXPECT_EQ(f.slotsInUse(), 3u);
+    ASSERT_NE(f.peek(e4, 12), nullptr);
+    EXPECT_EQ(*f.peek(e4, 12), mark(4));
+    f.advanceBy(3); // Lands on the write due at 5.
+    expectBalanced(f, "advanceBy");
+    EXPECT_EQ(f.slotsInUse(), 2u);
+    f.advanceBy(100); // Everything falls off the edges.
+    expectBalanced(f, "advanceBy past the edges");
+    EXPECT_EQ(f.slotsInUse(), 0u);
+
+    // Values in flight and pending survive a save/load into a fresh
+    // fabric and into one already holding values.
+    f.write(e4, 30, mark(6));
+    f.write({7, Direction::West}, 30, mark(7));
+    f.scheduleWrite({8, Direction::East}, 3, mark(8), f.now() + 4);
+    SnapshotWriter w;
+    f.saveState(w);
+    const std::vector<std::uint8_t> blob = w.take();
+    StreamFabric fresh, busy;
+    busy.write({1, Direction::East}, 1, mark(9));
+    busy.scheduleWrite({2, Direction::East}, 1, mark(9), 3);
+    for (StreamFabric *g : {&fresh, &busy}) {
+        SnapshotReader r(blob);
+        g->loadState(r);
+        ASSERT_TRUE(r.atEnd());
+        expectBalanced(*g, "loadState");
+        EXPECT_EQ(g->slotsInUse(), 3u);
+        EXPECT_EQ(*g->peek(e4, 30), mark(6));
+        while (g->pendingWrites() > 0)
+            g->advance();
+        expectBalanced(*g, "restored write landed");
+    }
+    f.clear();
+    expectBalanced(f, "clear");
+    EXPECT_EQ(f.slotsInUse(), 0u);
+}
+
+TEST(Fabric, SlotsKeepTheirAddressesAsThePoolGrows)
+{
+    // A consumer may hold a register's address for its whole dispatch
+    // while the same dispatch's produces take new slots: growing the
+    // pool must not move a value.
+    StreamFabric f;
+    f.write({0, Direction::East}, 0, mark(1));
+    const Vec320 *first = f.peek({0, Direction::East}, 0);
+    for (int i = 0; i < 300; ++i) {
+        f.scheduleWrite({static_cast<StreamId>(1 + i % 31),
+                         Direction::East},
+                        i / 31, mark(static_cast<std::uint8_t>(i)), 1);
+    }
+    EXPECT_EQ(f.peek({0, Direction::East}, 0), first);
+    EXPECT_EQ(*first, mark(1));
+    EXPECT_EQ(f.slotsInUse(), 301u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % 64, 0u);
+}
+
+TEST(StreamIo, CleanRegistersAreReadInPlace)
+{
+    // Fault-free, a consume returns the register itself when the
+    // check would pass, publish-encoded or not; a value whose stored
+    // codes do not hold (as a MEM read of a flipped SRAM word keeps
+    // them) is corrected in the consumer's scratch, and the register
+    // keeps the flip.
+    ChipConfig cfg;
+    StreamFabric f;
+    StreamIo io(cfg, f, "TEST");
+    const StreamRef a{1, Direction::East}, b{2, Direction::East},
+        c{3, Direction::East};
+    io.produceInPlace<1>(a, 7, 1, /*keep_codes=*/false,
+                         [](Vec320 *const *out) { *out[0] = mark(3); });
+    Vec320 flipped = encoded(5);
+    flipped.bytes[200] ^= 0x01;
+    io.produceInPlace<1>(b, 7, 1, /*keep_codes=*/true,
+                         [&](Vec320 *const *out) { *out[0] = flipped; });
+    f.scheduleWrite(c, 7, encoded(6), 1);
+    f.advance();
+    Vec320 scratch[3];
+    EXPECT_EQ(io.consumeRef(a, 7, scratch[0]), f.peek(a, 7));
+    EXPECT_EQ(io.consumeRef(c, 7, scratch[2]), f.peek(c, 7));
+    const Vec320 *vb = io.consumeRef(b, 7, scratch[1]);
+    EXPECT_EQ(vb, &scratch[1]);
+    EXPECT_EQ(*vb, encoded(5));
+    EXPECT_EQ(*f.peek(b, 7), flipped);
+    EXPECT_EQ(io.correctedErrors(), 1u);
+    EXPECT_EQ(io.consumed(), 3u);
+}
+
+TEST(StreamIo, EachConsumerCorrectsItsOwnCopyOfARawValue)
+{
+    // A raw write carries whatever codes it was given: here one data
+    // bit is off. Two consumers of the one register each correct it
+    // in their own copy and count it, and the register keeps the
+    // flip for whoever samples it next.
+    ChipConfig cfg;
+    StreamFabric f;
+    const StreamRef s{3, Direction::West};
+    const Vec320 good = encoded(8);
+    Vec320 flipped = good;
+    flipped.bytes[33] ^= 0x40;
+    f.write(s, 60, flipped);
+    StreamIo a(cfg, f, "A");
+    StreamIo b(cfg, f, "B");
+    Vec320 sa, sb;
+    const Vec320 *va = a.consumeRef(s, 60, sa);
+    const Vec320 *vb = b.consumeRef(s, 60, sb);
+    EXPECT_EQ(*va, good);
+    EXPECT_EQ(*vb, good);
+    EXPECT_EQ(a.correctedErrors(), 1u);
+    EXPECT_EQ(b.correctedErrors(), 1u);
+    ASSERT_NE(f.peek(s, 60), nullptr);
+    EXPECT_EQ(*f.peek(s, 60), flipped);
+}
+
+TEST(StreamIo, InjectedStreamFlipsOnPublishedValuesAreCorrected)
+{
+    // With a fault injector attached, every consume draws and checks
+    // its own copy, publish-encoded values included: each injected
+    // single-bit flip is corrected and counted, the consumer reads
+    // the produced value, and the registers stay as produced. The
+    // draw counts are pinned: the RNG sees one draw per consume.
+    ChipConfig cfg;
+    cfg.fault.seed = 0x51ab;
+    cfg.fault.streamRate = 0.5;
+    FaultInjector fi(cfg.fault);
+    MachineCheckSink mc;
+    StreamFabric f;
+    f.attachFaultHooks(&fi, &mc);
+    StreamIo prod(cfg, f, "PROD");
+    StreamIo cons(cfg, f, "CONS");
+    constexpr int kValues = 64;
+    const StreamRef s{6, Direction::East};
+    for (int i = 0; i < kValues; ++i) {
+        const auto seed = static_cast<std::uint8_t>(i + 1);
+        prod.produceInPlace<1>(s, 20, f.now() + 1, /*keep_codes=*/false,
+                               [&](Vec320 *const *out) {
+                                   *out[0] = encoded(seed);
+                               });
+        f.advance();
+        for (int c = 0; c < 2; ++c) {
+            Vec320 scratch;
+            const Vec320 *v = cons.consumeRef(s, 20, scratch);
+            EXPECT_EQ(*v, encoded(seed));
+        }
+        EXPECT_EQ(*f.peek(s, 20), encoded(seed));
+    }
+    EXPECT_EQ(fi.streamFlips(), 64u);
+    EXPECT_EQ(cons.correctedErrors(), fi.streamFlips());
+    EXPECT_EQ(cons.uncorrectableErrors(), 0u);
+    EXPECT_EQ(cons.consumed(), 2u * kValues);
+    EXPECT_FALSE(mc.raised());
 }
 
 TEST(Fabric, FullTraversalTiming)
