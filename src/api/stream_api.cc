@@ -290,10 +290,4 @@ Program::chip()
     return *impl_->chip;
 }
 
-std::size_t
-Program::scheduledInstructions() const
-{
-    return impl_->prog.size();
-}
-
 } // namespace tsp::api

@@ -79,9 +79,6 @@ class Program
     /** @return the built chip (valid after run()). */
     Chip &chip();
 
-    /** @return the number of instructions scheduled so far. */
-    std::size_t scheduledInstructions() const;
-
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;

@@ -55,6 +55,16 @@ inline constexpr int kMxmPlanes = 4;
 /** Rows/cols of one MXM MACC plane. */
 inline constexpr int kMxmDim = 320;
 
+/**
+ * Accumulator bank depth per plane, in 320-element vectors.
+ *
+ * The paper does not publish this constant; 64 bounds the reorder
+ * window the compiler may accumulate into before draining (DESIGN.md
+ * lists this as a modeled parameter). Convolution lowering tiles its
+ * output windows to this depth, and it bounds an ABC or ACC window.
+ */
+inline constexpr std::uint32_t kMxmAccDepth = 64;
+
 /** Vector ALUs per lane (the 4x4 VXM mesh). */
 inline constexpr int kVxmAlusPerLane = 16;
 

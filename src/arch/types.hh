@@ -48,13 +48,6 @@ opposite(Direction d)
     return d == Direction::East ? Direction::West : Direction::East;
 }
 
-/** @return "E" or "W". */
-constexpr const char *
-dirName(Direction d)
-{
-    return d == Direction::East ? "E" : "W";
-}
-
 /** Hemisphere of the chip, split at the central VXM. */
 enum class Hemisphere : std::uint8_t { West = 0, East = 1 };
 

@@ -1,5 +1,7 @@
 #include "c2c/collective.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "compiler/builder.hh"
 
@@ -49,18 +51,17 @@ emitHop(KernelBuilder &from, KernelBuilder &to, MemAddr addr,
 } // namespace
 
 AllReducePlan
-buildRingAllReduce(const Pod &pod,
-                   std::vector<ScheduledProgram> &programs,
-                   int batch)
+buildRingAllReduce(int chips, Cycle wire_latency,
+                   std::vector<ScheduledProgram> &programs, int batch)
 {
-    const int n = pod.size();
+    const int n = chips;
     TSP_ASSERT(n >= 2);
     TSP_ASSERT(batch >= 1 && batch <= AllReducePlan::kMaxBatch);
     programs.assign(static_cast<std::size_t>(n), {});
     std::vector<KernelBuilder> kb(programs.begin(), programs.end());
 
     AllReducePlan plan;
-    const Cycle wire = pod.wireLatency();
+    const Cycle wire = wire_latency;
     // One hop: serialize (22) + wire + receive (2) + to the VXM (47)
     // + add (1) + write transit + read back to the link, plus slack.
     plan.phase = kC2cSerializationCycles + wire + 160;
@@ -118,11 +119,8 @@ buildRingAllReduce(const Pod &pod,
         }
     }
 
-    plan.finish =
-        plan.firstSend +
-        static_cast<Cycle>(2 * n - 2 +
-                           (batch - 1) * (n + 1)) *
-            plan.phase;
+    for (const ScheduledProgram &prog : programs)
+        plan.finish = std::max(plan.finish, prog.finishCycle());
     return plan;
 }
 

@@ -30,9 +30,11 @@ struct AllReducePlan
     /** Batched schedules address kLocalAddr+s / kResultAddr+s. */
     static constexpr int kMaxBatch = 16;
 
-    Cycle phase = 0;      ///< Cycles per ring hop.
-    Cycle firstSend = 0;  ///< First Send's cycle.
-    Cycle finish = 0;     ///< All chips hold the result by here.
+    Cycle phase = 0;     ///< Cycles per ring hop.
+    Cycle firstSend = 0; ///< First Send's cycle.
+    /** The exact retire cycle: the largest finishCycle() of the
+     *  member programs, which a run of them takes. */
+    Cycle finish = 0;
 };
 
 /**
@@ -51,14 +53,24 @@ struct AllReducePlan
  * plus program overhead: strictly sublinear in batch. toAsm() panics
  * on any same-cycle ICU double-booking, so a bad offset cannot build.
  *
- * @param pod the ring (provides size and wire latency).
+ * @param chips the ring's size (>= 2).
+ * @param wire_latency the ring's per-link wire latency.
  * @param programs out: one ScheduledProgram per chip.
  * @param batch vectors reduced per program (1..16; address-limited).
  * @return the plan with the computed timing.
  */
-AllReducePlan buildRingAllReduce(
-    const Pod &pod, std::vector<ScheduledProgram> &programs,
-    int batch = 1);
+AllReducePlan buildRingAllReduce(int chips, Cycle wire_latency,
+                                 std::vector<ScheduledProgram> &programs,
+                                 int batch = 1);
+
+/** The schedule for @p pod's size and wire latency. */
+inline AllReducePlan
+buildRingAllReduce(const Pod &pod, std::vector<ScheduledProgram> &programs,
+                   int batch = 1)
+{
+    return buildRingAllReduce(pod.size(), pod.wireLatency(), programs,
+                              batch);
+}
 
 /**
  * Loads the programs, runs the pod, and returns the cycle count.

@@ -111,12 +111,6 @@ fp16Add(Fp16 a, Fp16 b)
 }
 
 Fp16
-fp16Sub(Fp16 a, Fp16 b)
-{
-    return Fp16(a.toFloat() - b.toFloat());
-}
-
-Fp16
 fp16Mul(Fp16 a, Fp16 b)
 {
     return Fp16(a.toFloat() * b.toFloat());

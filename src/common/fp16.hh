@@ -64,14 +64,8 @@ class Fp16
     /** Largest finite fp16 value: 65504. */
     static constexpr Fp16 max() { return fromBits(0x7bff); }
 
-    /** Smallest positive normal fp16 value: 2^-14. */
-    static constexpr Fp16 minNormal() { return fromBits(0x0400); }
-
     /** Positive infinity. */
     static constexpr Fp16 inf() { return fromBits(0x7c00); }
-
-    /** Canonical quiet NaN. */
-    static constexpr Fp16 qnan() { return fromBits(0x7e00); }
 
   private:
     static std::uint16_t fromFloatBits(float value);
@@ -81,9 +75,6 @@ class Fp16
 
 /** fp16 addition with a single round-to-nearest-even step. */
 Fp16 fp16Add(Fp16 a, Fp16 b);
-
-/** fp16 subtraction with a single round-to-nearest-even step. */
-Fp16 fp16Sub(Fp16 a, Fp16 b);
 
 /** fp16 multiplication with a single round-to-nearest-even step. */
 Fp16 fp16Mul(Fp16 a, Fp16 b);

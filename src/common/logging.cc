@@ -6,7 +6,6 @@
 namespace tsp {
 
 namespace {
-LogLevel g_level = LogLevel::Warn;
 
 void
 vreport(const char *tag, const char *fmt, va_list ap)
@@ -15,19 +14,8 @@ vreport(const char *tag, const char *fmt, va_list ap)
     std::vfprintf(stderr, fmt, ap);
     std::fputc('\n', stderr);
 }
+
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
 
 void
 panic(const char *fmt, ...)
@@ -52,33 +40,9 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (g_level < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("debug", fmt, ap);
     va_end(ap);
 }
 

@@ -5,8 +5,8 @@
  * Follows the gem5 convention: panic() is for internal simulator bugs
  * (conditions that should never happen regardless of user input) and
  * aborts; fatal() is for user errors (bad configuration, invalid
- * arguments) and exits cleanly with an error code. warn() and inform()
- * emit status messages without stopping the simulation.
+ * arguments) and exits cleanly with an error code. warn() reports on
+ * stderr without stopping the simulation.
  */
 
 #ifndef TSP_COMMON_LOGGING_HH
@@ -16,15 +16,6 @@
 #include <string>
 
 namespace tsp {
-
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Set the global log verbosity. Messages above this level are dropped. */
-void setLogLevel(LogLevel level);
-
-/** @return the current global log verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal simulator bug and abort.
@@ -43,12 +34,6 @@ LogLevel logLevel();
 
 /** Report suspicious but non-fatal behaviour. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report debug-level detail (dropped unless LogLevel::Debug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Assert a simulator invariant; calls panic() with location info when

@@ -112,12 +112,6 @@ Lowering::engine(int e)
 }
 
 void
-Lowering::bumpLast(Cycle c)
-{
-    lastEvent_ = std::max(lastEvent_, c);
-}
-
-void
 Lowering::recordLayer(const char *kind, Cycle begin)
 {
     LayerSpan span;
@@ -125,7 +119,7 @@ Lowering::recordLayer(const char *kind, Cycle begin)
     span.name = next.empty() ? kind : next;
     next.clear();
     span.begin = begin;
-    span.end = lastEvent_;
+    span.end = prog_.finishCycle();
     layers_.push_back(std::move(span));
 }
 
@@ -224,21 +218,6 @@ Lowering::rowReady(const LoweredTensor &t, int e, int row, Cycle done)
     return std::max(done, (*t.ready[e])[static_cast<std::size_t>(row)]);
 }
 
-void
-Lowering::reservedRead(const GlobalAddr &a, StreamRef s,
-                       SlicePos consumer, Cycle at)
-{
-    kb().readArriving(a, s, consumer, at);
-    bumpLast(at);
-}
-
-void
-Lowering::reservedWrite(const GlobalAddr &a, StreamRef s, Cycle issue)
-{
-    kb().write(a, s, issue);
-    bumpLast(issue + 1);
-}
-
 // --------------------------------------------------------------------
 // Output rows
 // --------------------------------------------------------------------
@@ -271,14 +250,14 @@ Lowering::writeOut(int e, const OutElem &o, Cycle vis, int halo_alu,
                    LoweredTensor &out)
 {
     const StreamRoles &r = engine(e).roles;
-    reservedWrite(o.addr[0], r.finalOwn(), vis + o.lag[0]);
+    kb().write(o.addr[0], r.finalOwn(), vis + o.lag[0]);
     (*out.ready[e])[static_cast<std::size_t>(o.row[0])] =
         vis + o.lag[0] + 1;
     if (!o.hasHalo)
         return;
     kb().vxmBinary(halo_alu, Opcode::Max, DType::Int8, r.finalOwn(),
                    r.finalOwn(), r.haloOut(), vis);
-    reservedWrite(o.addr[1], r.haloOut(), vis + o.lag[1]);
+    kb().write(o.addr[1], r.haloOut(), vis + o.lag[1]);
     (*out.ready[1 - e])[static_cast<std::size_t>(o.row[1])] =
         vis + o.lag[1] + 1;
 }
@@ -529,7 +508,7 @@ Lowering::requantChain(int e, StreamId result_base,
 
         // Stage 1: acc + bias (int32, saturating).
         for (int k = 0; k < 4; ++k)
-            reservedRead(bias.addr[k], r.bias(k), vxm, t);
+            kb().readArriving(bias.addr[k], r.bias(k), vxm, t);
         StreamRef res{static_cast<StreamId>(result_base), r.fromMxm};
         kb().vxmBinary(en.aluBase + 0, Opcode::AddSat, DType::Int32,
                        res, r.bias(0), r.stage1(0), t);
@@ -538,7 +517,7 @@ Lowering::requantChain(int e, StreamId result_base,
                         r.stage1(0), r.stage2(0), t + 1);
         // Stage 3: x scale (fp32).
         for (int k = 0; k < 4; ++k)
-            reservedRead(scale.addr[k], r.scale(k), vxm, t + 3);
+            kb().readArriving(scale.addr[k], r.scale(k), vxm, t + 3);
         kb().vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
                        r.stage2(0), r.scale(0), r.stage3(0), t + 3);
         // Stage 4: fp32 -> int8 (round-to-nearest-even, saturating).
@@ -616,7 +595,6 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                     plane, tile, /*streams_base=*/0, r.toMxm,
                     inst_start);
                 en.installFree = inst_start + bursts + 1;
-                bumpLast(inst_done);
 
                 // Per-element sources and the earliest window start
                 // tw: element i's read issues at tw + i - lead, no
@@ -662,14 +640,13 @@ Lowering::convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                 }
                 tw = place(tw, "convEngine window");
                 for (int i = 0; i < n; ++i) {
-                    reservedRead(src[static_cast<std::size_t>(i)],
-                                 r.act(pi), en.mxmPos,
-                                 tw + static_cast<Cycle>(i));
+                    kb().readArriving(src[static_cast<std::size_t>(i)],
+                                      r.act(pi), en.mxmPos,
+                                      tw + static_cast<Cycle>(i));
                 }
                 kb().abc(plane, r.act(pi),
                          static_cast<std::uint32_t>(n),
                          /*accumulate=*/w > 0, DType::Int8, tw);
-                bumpLast(tw + static_cast<Cycle>(n));
 
                 prev_window_end = tw + static_cast<Cycle>(n);
                 last_window_start = tw;
@@ -753,7 +730,7 @@ Lowering::conv2d(const LoweredTensor &in, const ConvGeom &g,
     LoweredTensor out =
         allocOutput(out_h, out_w, w.outC, out_halo, hems, avoid);
 
-    const Cycle begin = lastEvent_;
+    const Cycle begin = prog_.finishCycle();
     for (int e = 0; e < 2; ++e)
         convEngine(e, in, g, pc, out);
     recordLayer("conv2d", begin);

@@ -193,8 +193,9 @@ class Lowering
                               float sb, bool relu,
                               int out_halo = kDefaultHalo);
 
-    /** @return cycle at which the whole program has finished. */
-    Cycle finishCycle() const { return lastEvent_; }
+    /** @return cycle at which the whole program has finished: its
+     *  program's finishCycle(). */
+    Cycle finishCycle() const { return prog_.finishCycle(); }
 
     /**
      * @return conv layers whose weights were actually placed (SRAM
@@ -358,16 +359,6 @@ class Lowering
     void writeOut(int e, const OutElem &o, Cycle vis, int halo_alu,
                   LoweredTensor &out);
 
-    /** Emits a read arriving at @p consumer at @p at (its port
-     * reserved by place()). */
-    void reservedRead(const GlobalAddr &a, StreamRef s,
-                      SlicePos consumer, Cycle at);
-
-    /** Emits a write at @p issue (its port reserved by place()). */
-    void reservedWrite(const GlobalAddr &a, StreamRef s, Cycle issue);
-
-    void bumpLast(Cycle c);
-
     // Layer engines (lowering.cc, lowering_eltwise.cc).
     void convEngine(int e, const LoweredTensor &in, const ConvGeom &g,
                     const PlacedConv &pc, LoweredTensor &out);
@@ -393,10 +384,9 @@ class Lowering
 
     // --- Run half ---
 
-    /** The events (freed by seal()) and their count (kept). */
+    /** The events (freed by seal()), their count and finish (kept). */
     ScheduledProgram prog_;
     HostImage image_;
-    Cycle lastEvent_ = 0;
     std::vector<LayerSpan> layers_;
     std::uint64_t weightPlacements_ = 0;
     /** assembled()'s cache; null until something asks for it. */

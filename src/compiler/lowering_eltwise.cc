@@ -178,8 +178,8 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                                 src[static_cast<std::size_t>(j)];
                             s[c] = {static_cast<StreamId>(16 + c),
                                     dirToVxm(a)};
-                            reservedRead(a, s[c], vxm,
-                                         slot + arrival(true, j));
+                            kb().readArriving(a, s[c], vxm,
+                                              slot + arrival(true, j));
                         }
                         // P_row = max(pair) on stage1(0).
                         kb().vxmBinary(en.aluBase + 0, Opcode::Max,
@@ -213,7 +213,7 @@ Lowering::maxPoolEngine(int e, const LoweredTensor &in, int k,
                             src[static_cast<std::size_t>(j)];
                         const StreamRef in_s{16, dirToVxm(a)};
                         const Cycle at = slot + static_cast<Cycle>(j);
-                        reservedRead(a, in_s, vxm, at);
+                        kb().readArriving(a, in_s, vxm, at);
                         kb().vxmBinary(en.aluBase + 0, Opcode::Max,
                                        DType::Int8,
                                        j == 0 ? in_s : r.stage1(0), in_s,
@@ -249,7 +249,7 @@ Lowering::maxPool(const LoweredTensor &in, int k, int stride, int pad,
         avoid |= 1 << ig;
     LoweredTensor out = allocOutput(out_h, out_w, in.t.channels,
                                     out_halo, hems, avoid);
-    const Cycle begin = lastEvent_;
+    const Cycle begin = prog_.finishCycle();
     for (int e = 0; e < 2; ++e)
         maxPoolEngine(e, in, k, stride, pad, out);
     recordLayer("maxpool", begin);
@@ -326,8 +326,8 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
                 }
                 reserveOut(o, slot + 8, batch);
                 slot = place(slot, "eltwiseAddEngine");
-                reservedRead(src_a, in_a, vxm, slot);
-                reservedRead(src_b, in_b, vxm, slot);
+                kb().readArriving(src_a, in_a, vxm, slot);
+                kb().readArriving(src_b, in_b, vxm, slot);
 
                 // Pipeline (per element, one producing stage per
                 // stream so back-to-back elements never collide on a
@@ -346,10 +346,10 @@ Lowering::eltwiseAddEngine(int e, const LoweredTensor &a,
                 kb().vxmConvert(en.aluBase + 1, DType::Int8,
                                 DType::Fp32, in_b, r.stage2(0), slot);
                 for (int q = 0; q < 4; ++q) {
-                    reservedRead(sa.addr[q], r.bias(q), vxm,
-                                 slot + 2);
-                    reservedRead(sb.addr[q], r.scale(q), vxm,
-                                 slot + 2);
+                    kb().readArriving(sa.addr[q], r.bias(q), vxm,
+                                      slot + 2);
+                    kb().readArriving(sb.addr[q], r.scale(q), vxm,
+                                      slot + 2);
                 }
                 kb().vxmBinary(en.aluBase + 2, Opcode::Mul,
                                DType::Fp32, r.stage1(0), r.bias(0),
@@ -418,7 +418,6 @@ Lowering::copyTensor(const LoweredTensor &src, int avoid_mask)
                     Layout::flowDirection(from.pos(), to.pos())};
                 kb().read(from, s, issue);
                 kb().write(to, s, issue + lead);
-                bumpLast(issue + lead + 1);
                 (*out.ready[e])[static_cast<std::size_t>(row)] =
                     issue + lead + 1;
                 t = issue + 1;
@@ -470,7 +469,7 @@ Lowering::residualAdd(const LoweredTensor &a, const LoweredTensor &b,
         image_.addFp32Quad(sbq[e].addr, sbv.data(), kLanes);
     }
 
-    const Cycle begin = lastEvent_;
+    const Cycle begin = prog_.finishCycle();
     for (int e = 0; e < 2; ++e)
         eltwiseAddEngine(e, a, *pb, saq[e], sbq[e], relu, out);
     recordLayer("residual", begin);
@@ -492,7 +491,7 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
         avoid |= 1 << ig;
     LoweredTensor out =
         allocOutput(1, 1, it.channels, /*halo=*/0, hems, avoid);
-    const Cycle layer_begin = lastEvent_;
+    const Cycle layer_begin = prog_.finishCycle();
 
     const SlicePos vxm = Layout::vxm;
     std::vector<float> scalev(kLanes, scale);
@@ -557,15 +556,15 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
 
             // Zero-quad seed arrives when the first add needs it.
             for (int c = 0; c < 4; ++c) {
-                reservedRead(en.zeroQuad.addr[c], r.stage2(c), vxm,
-                             base + 2);
+                kb().readArriving(en.zeroQuad.addr[c], r.stage2(c),
+                                  vxm, base + 2);
             }
             for (int i = 0; i < n; ++i) {
                 const auto [y, x] = elem(i);
                 const GlobalAddr a = it.addrOf(e, y, x, kg);
                 const StreamRef in_s{16, dirToVxm(a)};
                 const Cycle s = base + static_cast<Cycle>(i);
-                reservedRead(a, in_s, vxm, s);
+                kb().readArriving(a, in_s, vxm, s);
                 kb().vxmConvert(en.aluBase + 0, DType::Int8,
                                 DType::Int32, in_s, r.stage1(0), s);
                 kb().vxmBinary(en.aluBase + 1, Opcode::AddSat,
@@ -580,7 +579,7 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
                 const Cycle wi =
                     sum_vis +
                     Layout::transitDelay(vxm, q.addr[c].pos());
-                reservedWrite(q.addr[c], r.stage2(c), wi);
+                kb().write(q.addr[c], r.stage2(c), wi);
                 commit = std::max(commit, wi + 1);
             }
             partial[e].push_back(q);
@@ -631,13 +630,12 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
         t = place(t, "globalAvgPool combine");
 
         for (int c = 0; c < 4; ++c) {
-            reservedRead(qa.addr[c],
-                         StreamRef{static_cast<StreamId>(8 + c), da},
-                         vxm, t);
-            reservedRead(qb.addr[c],
-                         StreamRef{static_cast<StreamId>(12 + c),
-                                   db},
-                         vxm, t);
+            kb().readArriving(qa.addr[c],
+                              StreamRef{static_cast<StreamId>(8 + c), da},
+                              vxm, t);
+            kb().readArriving(qb.addr[c],
+                              StreamRef{static_cast<StreamId>(12 + c), db},
+                              vxm, t);
         }
         kb().vxmBinary(en.aluBase + 0, Opcode::AddSat, DType::Int32,
                        StreamRef{8, da}, StreamRef{12, db},
@@ -646,7 +644,7 @@ Lowering::globalAvgPool(const LoweredTensor &in, float scale)
         kb().vxmConvert(en.aluBase + 1, DType::Int32, DType::Fp32,
                         r.stage3(0), r.stage1(0), t + 1);
         for (int c = 0; c < 4; ++c)
-            reservedRead(sq.addr[c], r.scale(c), vxm, t + 3);
+            kb().readArriving(sq.addr[c], r.scale(c), vxm, t + 3);
         kb().vxmBinary(en.aluBase + 2, Opcode::Mul, DType::Fp32,
                        r.stage1(0), r.scale(0), r.stage2(0), t + 3);
         kb().vxmConvert(en.aluBase + 3, DType::Fp32, DType::Int8,

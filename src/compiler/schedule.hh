@@ -13,6 +13,7 @@
 #ifndef TSP_COMPILER_SCHEDULE_HH
 #define TSP_COMPILER_SCHEDULE_HH
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,8 +40,16 @@ class ScheduledProgram
     {
         if (released_) [[unlikely]]
             panicReleased("emit");
+        finish_ = std::max(finish_, cycle + holdCycles(inst));
         events_.push_back({cycle, icu, std::move(inst)});
     }
+
+    /**
+     * @return the cycle the program retires at: the latest dispatch
+     * cycle plus hold (holdCycles()) over every emitted event; 0 with
+     * none. Kept by release().
+     */
+    Cycle finishCycle() const { return finish_; }
 
     /** @return all events (unsorted); empty once released. */
     const std::vector<ScheduledInst> &events() const { return events_; }
@@ -106,6 +115,7 @@ class ScheduledProgram
     [[noreturn]] static void panicReleased(const char *who);
 
     std::vector<ScheduledInst> events_;
+    Cycle finish_ = 0;
     /** The event count release() kept; empty before it. */
     std::optional<std::size_t> released_;
 };

@@ -4,17 +4,6 @@
 
 namespace tsp::fleet {
 
-const char *
-scaleDecisionName(ScaleDecision d)
-{
-    switch (d) {
-      case ScaleDecision::Hold: return "hold";
-      case ScaleDecision::Up: return "up";
-      case ScaleDecision::Down: return "down";
-    }
-    return "unknown";
-}
-
 Autoscaler::Autoscaler(AutoscalerConfig cfg) : cfg_(cfg)
 {
     TSP_ASSERT(cfg_.minPods >= 1);

@@ -73,9 +73,6 @@ enum class ScaleDecision : std::uint8_t {
     Down, ///< Start draining one pod.
 };
 
-/** @return a stable lower-case name for @p d. */
-const char *scaleDecisionName(ScaleDecision d);
-
 /** The hysteresis state machine (one instance per fleet). */
 class Autoscaler
 {

@@ -18,9 +18,9 @@ runSoak(const SoakConfig &cfg)
     TSP_ASSERT(cfg.chipsPerPod >= 2);
     TSP_ASSERT(cfg.workersPerPod >= 1);
 
-    // One fault-free calibration per batch size gives the exact
-    // cycles(b) every pod books against (timing is data- and
-    // fault-independent in a static schedule).
+    // The builder's retire cycle per batch size is the exact cycles(b)
+    // every pod books against (timing is data- and fault-independent
+    // in a static schedule).
     const std::vector<Cycle> table =
         serve::PodBackend::serviceCyclesTable(
             cfg.chipsPerPod, cfg.wireLatency, cfg.chip,

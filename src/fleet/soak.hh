@@ -7,10 +7,11 @@
  * (serve::PodBackend): its per-request service time is a few hundred
  * nanoseconds of virtual time and ~0.1 ms of host time, which is what
  * makes millions of simulated requests tractable on one machine. The
- * admission table is calibrated fault-free once and shared by every
- * pod; per-(pod, worker) fault seeds are derived from the base seed
- * (common/seed.hh), so background fault injection is live during the
- * whole run and still replays byte-identically.
+ * admission table is the collective builder's exact retire cycle per
+ * batch size, shared by every pod; per-(pod, worker) fault seeds are
+ * derived from the base seed (common/seed.hh), so background fault
+ * injection is live during the whole run and still replays
+ * byte-identically.
  */
 
 #ifndef TSP_FLEET_SOAK_HH

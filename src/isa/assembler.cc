@@ -12,46 +12,75 @@ namespace {
 const std::vector<Instruction> kEmptyQueue;
 
 bool
-parseDType(const std::string &name, DType &out)
+parseDType(std::string_view name, DType &out)
 {
-    const std::string s = toLower(name);
-    if (s == "int8") {
-        out = DType::Int8;
-    } else if (s == "int16") {
-        out = DType::Int16;
-    } else if (s == "int32") {
-        out = DType::Int32;
-    } else if (s == "fp16") {
-        out = DType::Fp16;
-    } else if (s == "fp32") {
-        out = DType::Fp32;
-    } else {
+    for (int t = 0; t <= static_cast<int>(DType::Fp32); ++t) {
+        if (iequals(name, dtypeName(static_cast<DType>(t)))) {
+            out = static_cast<DType>(t);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Parses a number operand: its tag, then parseInt's syntax within
+ *  the operand's range. */
+bool
+parseNumber(const OpOperand &o, std::string_view text, std::uint32_t &out)
+{
+    if (o.tag) {
+        if (text.empty() || text[0] != o.tag)
+            return false;
+        text.remove_prefix(1);
+    }
+    long v = 0;
+    if (!parseInt(text, v) || v < static_cast<long>(o.lo) ||
+        v > static_cast<long>(o.hi)) {
         return false;
     }
-    return true;
-}
-
-/** Parses "p3", "n16", "l2", "m1" style tagged immediates. */
-bool
-parseTagged(const std::string &text, char tag, std::uint32_t &out)
-{
-    const auto t = trim(text);
-    if (t.size() < 2 || t[0] != tag)
-        return false;
-    long v = 0;
-    if (!parseInt(t.substr(1), v) || v < 0)
-        return false;
     out = static_cast<std::uint32_t>(v);
     return true;
 }
 
+/** Parses @p text as operand @p o into @p inst. */
 bool
-parseUint(const std::string &text, std::uint32_t &out)
+parseOperand(const OpOperand &o, std::string_view text, Instruction &inst)
 {
-    long v = 0;
-    if (!parseInt(text, v) || v < 0)
+    if (isStreamField(o.field))
+        return parseStreamRef(std::string(text), inst.stream(o.field));
+    if (o.field == OpField::Types) {
+        const auto arrow = text.find("->");
+        DType from, to;
+        if (arrow == std::string_view::npos ||
+            !parseDType(trim(text.substr(0, arrow)), from) ||
+            !parseDType(trim(text.substr(arrow + 2)), to)) {
+            return false;
+        }
+        inst.imm1 = static_cast<std::uint32_t>(from);
+        inst.imm0 = static_cast<std::uint32_t>(to);
+        return true;
+    }
+    std::uint32_t v = 0;
+    if (!parseNumber(o, text, v))
         return false;
-    out = static_cast<std::uint32_t>(v);
+    switch (o.field) {
+      case OpField::Addr:
+        inst.addr = v;
+        break;
+      case OpField::Imm1:
+        inst.imm1 = v;
+        break;
+      case OpField::GroupSize:
+        inst.groupSize = static_cast<std::uint8_t>(v);
+        break;
+      case OpField::Rotation:
+        inst.imm0 = v;
+        inst.groupSize = static_cast<std::uint8_t>(v * v);
+        break;
+      default:
+        inst.imm0 = v;
+        break;
+    }
     return true;
 }
 
@@ -67,61 +96,12 @@ AsmProgram::queue(IcuId icu) const
 bool
 parseIcuName(const std::string &name, IcuId &out)
 {
-    const std::string s = toLower(trim(name));
-    long v = 0;
-    if (s.rfind("mem_", 0) == 0 && s.size() > 5) {
-        const char hc = s[4];
-        if (hc != 'w' && hc != 'e')
-            return false;
-        if (!parseInt(s.substr(5), v) || v < 0 || v >= kMemSlicesPerHem)
-            return false;
-        out = IcuId::mem(hc == 'w' ? Hemisphere::West : Hemisphere::East,
-                         static_cast<int>(v));
-        return true;
-    }
-    if (s.rfind("vxm", 0) == 0 && s.size() > 3) {
-        if (!parseInt(s.substr(3), v) || v < 0 || v >= kVxmAlusPerLane)
-            return false;
-        out = IcuId::vxmAlu(static_cast<int>(v));
-        return true;
-    }
-    if (s.rfind("mxm", 0) == 0 && s.size() >= 6) {
-        // "mxm<plane>_<w|a>"
-        const auto us = s.find('_');
-        if (us == std::string::npos || us + 1 >= s.size())
-            return false;
-        if (!parseInt(s.substr(3, us - 3), v) || v < 0 || v >= kMxmPlanes)
-            return false;
-        const char sel = s[us + 1];
-        if (sel != 'w' && sel != 'a')
-            return false;
-        out = IcuId::mxm(static_cast<int>(v), sel == 'w');
-        return true;
-    }
-    if (s.rfind("sxm_", 0) == 0) {
-        // "sxm_<w|e>_<unit>"
-        const auto parts = split(s, '_');
-        if (parts.size() != 3)
-            return false;
-        if (parts[1] != "w" && parts[1] != "e")
-            return false;
-        static const char *unit_names[8] = {"shn", "shs", "prm", "dst",
-                                            "rot", "tr0", "tr1", "sel"};
-        for (int u = 0; u < 8; ++u) {
-            if (parts[2] == unit_names[u]) {
-                out = IcuId::sxm(parts[1] == "w" ? Hemisphere::West
-                                                 : Hemisphere::East,
-                                 u);
-                return true;
-            }
+    const auto t = trim(name);
+    for (int i = 0; i < kNumIcus; ++i) {
+        if (iequals(t, IcuId{i}.name())) {
+            out = IcuId{i};
+            return true;
         }
-        return false;
-    }
-    if (s.rfind("c2c", 0) == 0 && s.size() > 3) {
-        if (!parseInt(s.substr(3), v) || v < 0 || v >= kC2cLinks)
-            return false;
-        out = IcuId::c2c(static_cast<int>(v));
-        return true;
     }
     return false;
 }
@@ -129,23 +109,21 @@ parseIcuName(const std::string &name, IcuId &out)
 bool
 parseStreamRef(const std::string &text, StreamRef &out)
 {
-    const auto t = trim(text);
-    if (t.size() < 4 || (t[0] != 's' && t[0] != 'S'))
-        return false;
+    // Accept exactly what StreamRef::toString() prints: "s<id>.<e|w>",
+    // the id in decimal without leading zeros.
+    const std::string t = toLower(trim(text));
     const auto dot = t.find('.');
-    if (dot == std::string_view::npos || dot + 1 >= t.size())
-        return false;
-    long id = 0;
-    if (!parseInt(t.substr(1, dot - 1), id) || id < 0 ||
+    long id = -1;
+    if (t.size() < 4 || t[0] != 's' || dot == std::string::npos ||
+        !parseInt(t.substr(1, dot - 1), id) || id < 0 ||
         id >= kStreamsPerDir) {
         return false;
     }
-    const char d = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(t[dot + 1])));
-    if (d != 'e' && d != 'w')
+    const StreamRef s{static_cast<StreamId>(id),
+                      t.back() == 'w' ? Direction::West : Direction::East};
+    if (s.toString() != t)
         return false;
-    out.id = static_cast<StreamId>(id);
-    out.dir = d == 'e' ? Direction::East : Direction::West;
+    out = s;
     return true;
 }
 
@@ -159,278 +137,64 @@ parseInstruction(const std::string &line, Instruction &out,
     const auto t = trim(line);
     const auto sp = t.find_first_of(" \t");
     const std::string mnem(t.substr(0, sp));
-    const std::string rest(sp == std::string_view::npos
-                               ? std::string_view{}
-                               : trim(t.substr(sp)));
-
     Opcode op;
     if (!opcodeFromName(mnem, op)) {
         error = "unknown mnemonic '" + mnem + "'";
         return false;
     }
+    const OpRow &row = opRow(op);
     out.op = op;
+    out.groupSize = row.group;
 
-    auto args = rest.empty() ? std::vector<std::string>{}
-                             : split(rest, ',');
-    auto need = [&](std::size_t n) {
-        if (args.size() != n) {
-            error = strformat("'%s' expects %zu operands, got %zu",
-                              opcodeName(op), n, args.size());
-            return false;
+    const auto rest =
+        sp == std::string_view::npos ? std::string_view{} : trim(t.substr(sp));
+    auto args =
+        rest.empty() ? std::vector<std::string>{} : split(rest, ',');
+    std::size_t need = 0;
+    for (const OpOperand &o : row.operands) {
+        if (o.field == OpField::AccFlag) {
+            // An optional trailing "acc" sets the accumulate flag.
+            if (args.size() == need + 1 && iequals(args.back(), "acc")) {
+                out.flags |= Instruction::kFlagAccumulate;
+                args.pop_back();
+            }
+        } else if (o.field != OpField::None) {
+            ++need;
         }
-        return true;
-    };
-
-    switch (op) {
-      case Opcode::Sync:
-      case Opcode::Notify:
-      case Opcode::Deskew:
-        return need(0);
-
-      case Opcode::Nop:
-      case Opcode::Config:
-        if (!need(1))
-            return false;
-        if (!parseUint(args[0], out.imm0)) {
-            error = "bad immediate";
-            return false;
-        }
-        return true;
-
-      case Opcode::Repeat:
-        if (!need(2))
-            return false;
-        if (!parseUint(args[0], out.imm0) ||
-            !parseUint(args[1], out.imm1)) {
-            error = "bad immediate";
-            return false;
-        }
-        return true;
-
-      case Opcode::Ifetch:
-        if (!need(1))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA)) {
-            error = "bad stream ref";
-            return false;
-        }
-        return true;
-
-      case Opcode::Read:
-      case Opcode::Write: {
-        if (!need(2))
-            return false;
-        long a = 0;
-        if (!parseInt(args[0], a) || a < 0 || a >= kMemWordsPerSlice) {
-            error = "bad address";
-            return false;
-        }
-        out.addr = static_cast<MemAddr>(a);
-        StreamRef &sref = op == Opcode::Read ? out.dst : out.srcA;
-        if (!parseStreamRef(args[1], sref)) {
-            error = "bad stream ref";
-            return false;
-        }
-        return true;
-      }
-
-      case Opcode::Gather:
-      case Opcode::Scatter: {
-        if (!need(2))
-            return false;
-        StreamRef &data = op == Opcode::Gather ? out.dst : out.srcA;
-        if (!parseStreamRef(args[0], data) ||
-            !parseStreamRef(args[1], out.srcB)) {
-            error = "bad stream ref";
-            return false;
-        }
-        return true;
-      }
-
-      case Opcode::Lw: {
-        if (!need(2))
-            return false;
-        std::uint32_t n = 0;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseTagged(args[1], 'n', n) || n == 0 ||
-            n > 2 * kStreamsPerDir) {
-            error = "bad lw operands";
-            return false;
-        }
-        out.groupSize = static_cast<std::uint8_t>(n);
-        return true;
-      }
-
-      case Opcode::Iw:
-        if (!need(1))
-            return false;
-        if (!parseTagged(args[0], 'p', out.imm0) ||
-            out.imm0 >= kMxmPlanes) {
-            error = "bad plane";
-            return false;
-        }
-        return true;
-
-      case Opcode::Abc:
-      case Opcode::Acc: {
-        // Abc accepts an optional trailing "acc" accumulate flag.
-        if (op == Opcode::Abc && args.size() == 4 &&
-            iequals(trim(args[3]), "acc")) {
-            out.flags |= Instruction::kFlagAccumulate;
-            args.pop_back();
-        }
-        if (!need(3))
-            return false;
-        if (!parseTagged(args[0], 'p', out.imm0) ||
-            out.imm0 >= kMxmPlanes) {
-            error = "bad plane";
-            return false;
-        }
-        StreamRef &sref = op == Opcode::Abc ? out.srcA : out.dst;
-        if (!parseStreamRef(args[1], sref)) {
-            error = "bad stream ref";
-            return false;
-        }
-        if (!parseTagged(args[2], 'n', out.imm1) || out.imm1 == 0) {
-            error = "bad count";
-            return false;
-        }
-        return true;
-      }
-
-      case Opcode::ShiftUp:
-      case Opcode::ShiftDown:
-      case Opcode::Shift:
-        if (!need(3))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.dst) ||
-            !parseUint(args[2], out.imm0)) {
-            error = "bad shift operands";
-            return false;
-        }
-        return true;
-
-      case Opcode::SelectNS:
-        if (!need(4))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.srcB) ||
-            !parseStreamRef(args[2], out.dst) ||
-            !parseTagged(args[3], 'm', out.imm0)) {
-            error = "bad select operands";
-            return false;
-        }
-        return true;
-
-      case Opcode::Permute:
-      case Opcode::Distribute:
-        if (!need(2))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.dst)) {
-            error = "bad stream ref";
-            return false;
-        }
-        return true;
-
-      case Opcode::Rotate:
-        if (!need(3))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.dst) ||
-            !parseTagged(args[2], 'n', out.imm0) ||
-            (out.imm0 != 3 && out.imm0 != 4)) {
-            error = "bad rotate operands (n must be 3 or 4)";
-            return false;
-        }
-        out.groupSize =
-            static_cast<std::uint8_t>(out.imm0 * out.imm0);
-        return true;
-
-      case Opcode::Transpose:
-        if (!need(2))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.dst)) {
-            error = "bad stream ref";
-            return false;
-        }
-        out.groupSize = 16;
-        return true;
-
-      case Opcode::Send:
-      case Opcode::Receive: {
-        if (!need(2))
-            return false;
-        if (!parseTagged(args[0], 'l', out.imm0) ||
-            out.imm0 >= kC2cLinks) {
-            error = "bad link";
-            return false;
-        }
-        StreamRef &sref = op == Opcode::Send ? out.srcA : out.dst;
-        if (!parseStreamRef(args[1], sref)) {
-            error = "bad stream ref";
-            return false;
-        }
-        return true;
-      }
-
-      case Opcode::Convert: {
-        if (!need(3))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.dst)) {
-            error = "bad stream ref";
-            return false;
-        }
-        // "<src-dtype> -> <dst-dtype>"
-        const auto arrow = args[2].find("->");
-        if (arrow == std::string::npos) {
-            error = "convert needs 'src -> dst' types";
-            return false;
-        }
-        DType src_t, dst_t;
-        if (!parseDType(std::string(trim(args[2].substr(0, arrow))),
-                        src_t) ||
-            !parseDType(std::string(trim(args[2].substr(arrow + 2))),
-                        dst_t)) {
-            error = "bad dtype";
-            return false;
-        }
-        out.imm1 = static_cast<std::uint32_t>(src_t);
-        out.imm0 = static_cast<std::uint32_t>(dst_t);
-        return true;
-      }
-
-      default:
-        break;
     }
-
-    if (isVxmBinary(op)) {
-        if (!need(3))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.srcB) ||
-            !parseStreamRef(args[2], out.dst)) {
-            error = "bad stream ref";
+    if (args.size() != need) {
+        error = strformat("'%s' expects %zu operands, got %zu", row.name,
+                          need, args.size());
+        return false;
+    }
+    for (std::size_t i = 0; i < need; ++i) {
+        if (!parseOperand(row.operands[i], args[i], out)) {
+            error = strformat("'%s' operand %zu: bad or out of range "
+                              "'%s'",
+                              row.name, i + 1, args[i].c_str());
             return false;
         }
-        return true;
     }
-    if (isVxmUnary(op)) {
-        if (!need(2))
-            return false;
-        if (!parseStreamRef(args[0], out.srcA) ||
-            !parseStreamRef(args[1], out.dst)) {
-            error = "bad stream ref";
+    // Every stream group must fit its direction's streams.
+    for (std::size_t i = 0; i < need; ++i) {
+        const OpOperand &o = row.operands[i];
+        if (!isStreamField(o.field))
+            continue;
+        const StreamSpan span = streamSpan(out, o);
+        const int base = out.stream(o.field).id;
+        if (base + span.count > kStreamsPerDir ||
+            (span.aligned && base % span.count != 0)) {
+            error = strformat("'%s' operand %zu: %d streams from s%d %s "
+                              "%d streams",
+                              row.name, i + 1, span.count, base,
+                              span.aligned ? "must start at a multiple of "
+                                             "their count and fit"
+                                           : "do not fit",
+                              kStreamsPerDir);
             return false;
         }
-        return true;
     }
-
-    error = strformat("unhandled opcode '%s'", opcodeName(op));
-    return false;
+    return true;
 }
 
 AsmResult
@@ -441,6 +205,12 @@ assemble(const std::string &text)
     std::string raw;
     int lineno = 0;
     IcuId current{-1};
+    const auto fail = [&](std::string error) {
+        result.ok = false;
+        result.error = std::move(error);
+        result.errorLine = lineno;
+        return result;
+    };
 
     while (std::getline(is, raw)) {
         ++lineno;
@@ -456,40 +226,23 @@ assemble(const std::string &text)
             std::string name = line.substr(1);
             if (!name.empty() && name.back() == ':')
                 name.pop_back();
-            if (!parseIcuName(name, current)) {
-                result.ok = false;
-                result.error = "bad ICU label '" + name + "'";
-                result.errorLine = lineno;
-                return result;
-            }
+            if (!parseIcuName(name, current))
+                return fail("bad ICU label '" + name + "'");
             result.program.queues[current.id]; // Ensure section exists.
             continue;
         }
-
-        if (current.id < 0) {
-            result.ok = false;
-            result.error = "instruction before any @ICU label";
-            result.errorLine = lineno;
-            return result;
-        }
+        if (current.id < 0)
+            return fail("instruction before any @ICU label");
 
         Instruction inst;
         std::string err;
-        if (!parseInstruction(line, inst, err)) {
-            result.ok = false;
-            result.error = err;
-            result.errorLine = lineno;
-            return result;
-        }
+        if (!parseInstruction(line, inst, err))
+            return fail(err);
         const SliceKind expect = opcodeSlice(inst.op);
         if (expect != SliceKind::ICU && expect != current.kind()) {
-            result.ok = false;
-            result.error =
-                strformat("'%s' is a %s instruction but section is %s",
-                          opcodeName(inst.op), sliceKindName(expect),
-                          sliceKindName(current.kind()));
-            result.errorLine = lineno;
-            return result;
+            return fail(strformat("'%s' is a %s instruction but section is %s",
+                                  opcodeName(inst.op), sliceKindName(expect),
+                                  sliceKindName(current.kind())));
         }
         result.program.queues[current.id].push_back(inst);
     }

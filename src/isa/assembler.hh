@@ -39,13 +39,21 @@ struct AsmResult
     int errorLine = 0;
 };
 
-/** Parses ICU names like "MEM_E12", "VXM3", "SXM_W_PRM", "C2C5". */
+/** Parses an ICU name: exactly what IcuId::name() prints ("MEM_E12",
+ *  "VXM3", "SXM_W_PRM", "C2C5"), in either letter case. */
 bool parseIcuName(const std::string &name, IcuId &out);
 
-/** Parses a stream reference like "s12.e". */
+/** Parses a stream reference: exactly what StreamRef::toString()
+ *  prints ("s12.e"), in either letter case. */
 bool parseStreamRef(const std::string &text, StreamRef &out);
 
-/** Parses one instruction line (without a label). */
+/**
+ * Parses one instruction line (without a label): the mnemonic, then
+ * the operands of its opcode row in order. A number keeps parseInt's
+ * syntax (decimal, 0x hex, leading-zero octal) and must lie in its
+ * operand's range; a stream group must fit its direction's 32
+ * streams.
+ */
 bool parseInstruction(const std::string &line, Instruction &out,
                       std::string &error);
 

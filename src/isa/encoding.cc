@@ -6,33 +6,20 @@ namespace tsp {
 
 namespace {
 
+/** Appends the low @p n bytes of @p v, little-endian. */
 void
-put16(std::vector<std::uint8_t> &out, std::uint16_t v)
+putLe(std::vector<std::uint8_t> &out, std::uint32_t v, int n)
 {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-put32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < n; ++i)
         out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
 }
 
-std::uint16_t
-get16(const std::vector<std::uint8_t> &b, std::size_t off)
-{
-    return static_cast<std::uint16_t>(b[off] |
-                                      (static_cast<unsigned>(b[off + 1])
-                                       << 8));
-}
-
+/** @return the @p n little-endian bytes of @p b at @p off. */
 std::uint32_t
-get32(const std::vector<std::uint8_t> &b, std::size_t off)
+getLe(const std::vector<std::uint8_t> &b, std::size_t off, int n)
 {
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < n; ++i)
         v |= static_cast<std::uint32_t>(b[off + i]) << (8 * i);
     return v;
 }
@@ -83,14 +70,14 @@ encodeInstruction(const Instruction &inst, std::vector<std::uint8_t> &out)
     out.push_back(inst.groupSize);
     out.push_back(static_cast<std::uint8_t>(inst.dtype));
     out.push_back(inst.flags);
-    put32(out, inst.imm0);
-    put32(out, inst.imm1);
-    put16(out, static_cast<std::uint16_t>(inst.addr));
-    put16(out, static_cast<std::uint16_t>(inst.map ? inst.map->size()
-                                                   : 0));
+    putLe(out, inst.imm0, 4);
+    putLe(out, inst.imm1, 4);
+    putLe(out, inst.addr, 2);
+    putLe(out, inst.map ? static_cast<std::uint32_t>(inst.map->size()) : 0,
+          2);
     if (inst.map) {
         for (const std::uint16_t e : *inst.map)
-            put16(out, e);
+            putLe(out, e, 2);
     }
 }
 
@@ -117,10 +104,10 @@ decodeInstruction(const std::vector<std::uint8_t> &bytes,
         return std::nullopt;
     inst.dtype = static_cast<DType>(bytes[base + 6]);
     inst.flags = bytes[base + 7];
-    inst.imm0 = get32(bytes, base + 8);
-    inst.imm1 = get32(bytes, base + 12);
-    inst.addr = get16(bytes, base + 16);
-    const std::size_t map_len = get16(bytes, base + 18);
+    inst.imm0 = getLe(bytes, base + 8, 4);
+    inst.imm1 = getLe(bytes, base + 12, 4);
+    inst.addr = getLe(bytes, base + 16, 2);
+    const std::size_t map_len = getLe(bytes, base + 18, 2);
 
     if (has_map != (map_len > 0))
         return std::nullopt;
@@ -131,7 +118,8 @@ decodeInstruction(const std::vector<std::uint8_t> &bytes,
         auto map = std::make_shared<std::vector<std::uint16_t>>();
         map->reserve(map_len);
         for (std::size_t i = 0; i < map_len; ++i)
-            map->push_back(get16(bytes, next + 2 * i));
+            map->push_back(
+                static_cast<std::uint16_t>(getLe(bytes, next + 2 * i, 2)));
         inst.map = std::move(map);
         next += 2 * map_len;
     }

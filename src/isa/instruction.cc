@@ -30,164 +30,64 @@ Instruction::operator==(const Instruction &other) const
 std::string
 Instruction::toString() const
 {
-    const std::string mnem = opcodeName(op);
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::Config:
-        return strformat("%s %u", mnem.c_str(), imm0);
-      case Opcode::Repeat:
-        return strformat("repeat %u, %u", imm0, imm1);
-      case Opcode::Sync:
-      case Opcode::Notify:
-      case Opcode::Deskew:
-        return mnem;
-      case Opcode::Ifetch:
-        return strformat("ifetch %s", srcA.toString().c_str());
-      case Opcode::Read:
-        return strformat("read 0x%x, %s", addr, dst.toString().c_str());
-      case Opcode::Write:
-        return strformat("write 0x%x, %s", addr,
-                         srcA.toString().c_str());
-      case Opcode::Gather:
-        return strformat("gather %s, %s", dst.toString().c_str(),
-                         srcB.toString().c_str());
-      case Opcode::Scatter:
-        return strformat("scatter %s, %s", srcA.toString().c_str(),
-                         srcB.toString().c_str());
-      case Opcode::Lw:
-        return strformat("lw %s, n%u", srcA.toString().c_str(),
-                         static_cast<unsigned>(groupSize));
-      case Opcode::Iw:
-        return strformat("iw p%u", imm0);
-      case Opcode::Abc:
-        if (flags & kFlagAccumulate) {
-            return strformat("abc p%u, %s, n%u, acc", imm0,
-                             srcA.toString().c_str(), imm1);
+    std::string out = opcodeName(op);
+    const char *sep = " ";
+    for (const OpOperand &o : opRow(op).operands) {
+        if (o.field == OpField::None)
+            break;
+        if (o.field == OpField::AccFlag) {
+            if (flags & kFlagAccumulate)
+                out += ", acc";
+            continue;
         }
-        return strformat("abc p%u, %s, n%u", imm0,
-                         srcA.toString().c_str(), imm1);
-      case Opcode::Acc:
-        return strformat("acc p%u, %s, n%u", imm0,
-                         dst.toString().c_str(), imm1);
-      case Opcode::ShiftUp:
-      case Opcode::ShiftDown:
-        return strformat("%s %s, %s, %u", mnem.c_str(),
-                         srcA.toString().c_str(),
-                         dst.toString().c_str(), imm0);
-      case Opcode::SelectNS:
-        return strformat("select.ns %s, %s, %s, m%u",
-                         srcA.toString().c_str(),
-                         srcB.toString().c_str(),
-                         dst.toString().c_str(), imm0);
-      case Opcode::Permute:
-      case Opcode::Distribute:
-        return strformat("%s %s, %s", mnem.c_str(),
-                         srcA.toString().c_str(),
-                         dst.toString().c_str());
-      case Opcode::Rotate:
-        return strformat("rotate %s, %s, n%u",
-                         srcA.toString().c_str(),
-                         dst.toString().c_str(), imm0);
-      case Opcode::Transpose:
-        return strformat("transpose %s, %s",
-                         srcA.toString().c_str(),
-                         dst.toString().c_str());
-      case Opcode::Send:
-      case Opcode::Receive:
-        return strformat("%s l%u, %s", mnem.c_str(), imm0,
-                         (op == Opcode::Send ? srcA : dst)
-                             .toString()
-                             .c_str());
-      case Opcode::Convert:
-        return strformat("convert %s, %s, %s -> %s",
-                         srcA.toString().c_str(),
-                         dst.toString().c_str(),
-                         dtypeName(static_cast<DType>(imm1)),
+        out += sep;
+        sep = ", ";
+        out += operandText(o);
+    }
+    return out;
+}
+
+std::string
+Instruction::operandText(const OpOperand &o) const
+{
+    switch (o.field) {
+      case OpField::Addr:
+        return strformat("0x%x", addr);
+      case OpField::SrcA:
+      case OpField::SrcB:
+      case OpField::Dst:
+        return stream(o.field).toString();
+      case OpField::Types:
+        return strformat("%s -> %s", dtypeName(static_cast<DType>(imm1)),
                          dtypeName(static_cast<DType>(imm0)));
-      case Opcode::Shift:
-        return strformat("shift %s, %s, %u", srcA.toString().c_str(),
-                         dst.toString().c_str(), imm0);
       default:
         break;
     }
-    if (isVxmBinary(op)) {
-        return strformat("%s %s, %s, %s", mnem.c_str(),
-                         srcA.toString().c_str(),
-                         srcB.toString().c_str(),
-                         dst.toString().c_str());
-    }
-    if (isVxmUnary(op)) {
-        return strformat("%s %s, %s", mnem.c_str(),
-                         srcA.toString().c_str(),
-                         dst.toString().c_str());
-    }
-    return mnem;
+    // Imm0 and Rotation print imm0.
+    const std::uint32_t v = o.field == OpField::Imm1        ? imm1
+                            : o.field == OpField::GroupSize ? groupSize
+                                                            : imm0;
+    return o.tag ? strformat("%c%u", o.tag, v) : strformat("%u", v);
 }
 
-OpTiming
-opTiming(Opcode op)
+StreamSpan
+streamSpan(const Instruction &inst, const OpOperand &o)
 {
-    // Modeling parameters: functional latencies in core-clock cycles.
-    // These are architecturally exposed constants; the compiler and the
-    // chip model share this single table so scheduled intercepts are
-    // exact by construction (the paper's determinism contract).
-    switch (op) {
-      case Opcode::Read:
-      case Opcode::Gather:
-        return {2, 0}; // SRAM access + ECC generate + SR drive.
-      case Opcode::Write:
-      case Opcode::Scatter:
-        return {1, 0}; // Consume: sample + ECC check + bank write.
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Max:
-      case Opcode::Min:
-      case Opcode::Neg:
-      case Opcode::Abs:
-      case Opcode::Mask:
-      case Opcode::Relu:
-      case Opcode::AddSat:
-      case Opcode::SubSat:
-      case Opcode::Shift:
-        return {1, 0};
-      case Opcode::Mul:
-      case Opcode::MulSat:
-      case Opcode::Convert:
-        return {2, 0};
-      case Opcode::Tanh:
-      case Opcode::Exp:
-      case Opcode::Rsqrt:
-        return {4, 0}; // Iterative / table-based units.
-      case Opcode::Lw:
-        return {1, 0};
-      case Opcode::Iw:
-        return {1, 0};
-      case Opcode::Abc:
-        return {1, 0};
-      case Opcode::Acc:
-        // One full traversal of the 20-supercell accumulation chain
-        // before the first int32 partial sum exits the array edge.
-        return {kSuperlanes + 1, 0};
-      case Opcode::ShiftUp:
-      case Opcode::ShiftDown:
-      case Opcode::SelectNS:
-      case Opcode::Distribute:
-        return {1, 0};
-      case Opcode::Permute:
-      case Opcode::Rotate:
-      case Opcode::Transpose:
-        return {2, 0};
-      case Opcode::Send:
-        // 320 B x 8 b / 120 Gb/s at 1 GHz ~= 22 cycles serialization.
-        return {22, 0};
-      case Opcode::Receive:
-        // The vector already landed in the link's elastic buffer;
-        // d_func covers the buffer-to-stream-register drive.
-        return {2, 0};
-      case Opcode::Deskew:
-        return {64, 0};
+    switch (o.span) {
+      case Span::Pair:
+        return {2, false};
+      case Span::Quad:
+        return {4, true};
+      case Span::Sixteen:
+        return {16, false};
+      case Span::Group:
+        return {inst.groupSize, false};
+      case Span::SrcType:
+        return {dtypeBytes(static_cast<DType>(inst.imm1)), true};
+      case Span::DstType:
+        return {dtypeBytes(static_cast<DType>(inst.imm0)), true};
       default:
-        return {1, 0};
+        return {1, false};
     }
 }
 

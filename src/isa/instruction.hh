@@ -1,9 +1,8 @@
 /**
  * @file
- * The Instruction record dispatched to functional slices, and the
- * architecturally-exposed temporal parameters (d_func, d_skew) the
- * compiler uses to schedule intersections of instructions and streams
- * (paper section III, Eq. 4).
+ * The Instruction record dispatched to functional slices, and Eq. 4's
+ * instruction time, which the compiler uses to schedule intersections
+ * of instructions and streams (paper section III).
  */
 
 #ifndef TSP_ISA_INSTRUCTION_HH
@@ -99,34 +98,48 @@ struct Instruction
     /** Lane map for Permute (320 entries) / Distribute (16 entries). */
     std::shared_ptr<const std::vector<std::uint16_t>> map;
 
-    /** @return assembler text for this instruction. */
+    /** @return assembler text for this instruction: the mnemonic,
+     *  then each of its row's operands. */
     std::string toString() const;
+
+    /** @return the text of operand @p o, as the assembler reads it. */
+    std::string operandText(const OpOperand &o) const;
+
+    /** @return the stream field @p f names (SrcA, SrcB or Dst). */
+    StreamRef &
+    stream(OpField f)
+    {
+        return f == OpField::SrcA ? srcA : f == OpField::SrcB ? srcB : dst;
+    }
+    const StreamRef &
+    stream(OpField f) const
+    {
+        return f == OpField::SrcA ? srcA : f == OpField::SrcB ? srcB : dst;
+    }
 
     bool operator==(const Instruction &other) const;
 };
 
-/**
- * Temporal parameters of an opcode, exposed through the ISA so the
- * compiler back-end can track the position and time of every stream
- * (the "software-defined hardware" contract of section III).
- */
-struct OpTiming
+/** The streams a stream operand touches from its base. */
+struct StreamSpan
 {
-    /**
-     * d_func: cycles from dispatch until the result vector appears on
-     * the destination stream register at the slice's position.
-     */
-    Cycle dFunc = 1;
-
-    /**
-     * d_skew: offset from dispatch to when the first operand vector is
-     * sampled from the stream register.
-     */
-    Cycle dSkew = 0;
+    int count = 1;
+    bool aligned = false; ///< The base must be a multiple of count.
 };
 
-/** @return the temporal parameters for @p op. */
-OpTiming opTiming(Opcode op);
+/** @return the span of stream operand @p o in @p inst. */
+StreamSpan streamSpan(const Instruction &inst, const OpOperand &o);
+
+/**
+ * @return the cycles @p inst holds its unit from its dispatch: its
+ * imm1 window for a windowed row (ABC, ACC), one cycle otherwise. A
+ * schedule is finished when every event's hold has passed.
+ */
+inline Cycle
+holdCycles(const Instruction &inst)
+{
+    return opRow(inst.op).windowed ? inst.imm1 : 1;
+}
 
 /**
  * Compute Eq. 4: total time for an instruction whose result, produced

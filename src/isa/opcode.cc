@@ -1,142 +1,19 @@
 #include "isa/opcode.hh"
 
-#include <array>
-
-#include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace tsp {
 
-namespace {
-
-struct OpInfo
-{
-    Opcode op;
-    const char *name;
-    SliceKind slice;
-};
-
-constexpr std::array<OpInfo, kNumOpcodes> kOpTable = {{
-    {Opcode::Nop, "nop", SliceKind::ICU},
-    {Opcode::Ifetch, "ifetch", SliceKind::ICU},
-    {Opcode::Sync, "sync", SliceKind::ICU},
-    {Opcode::Notify, "notify", SliceKind::ICU},
-    {Opcode::Config, "config", SliceKind::ICU},
-    {Opcode::Repeat, "repeat", SliceKind::ICU},
-
-    {Opcode::Read, "read", SliceKind::MEM},
-    {Opcode::Write, "write", SliceKind::MEM},
-    {Opcode::Gather, "gather", SliceKind::MEM},
-    {Opcode::Scatter, "scatter", SliceKind::MEM},
-
-    {Opcode::Add, "add", SliceKind::VXM},
-    {Opcode::Sub, "sub", SliceKind::VXM},
-    {Opcode::Mul, "mul", SliceKind::VXM},
-    {Opcode::AddSat, "add.sat", SliceKind::VXM},
-    {Opcode::SubSat, "sub.sat", SliceKind::VXM},
-    {Opcode::MulSat, "mul.sat", SliceKind::VXM},
-    {Opcode::Max, "max", SliceKind::VXM},
-    {Opcode::Min, "min", SliceKind::VXM},
-    {Opcode::Neg, "neg", SliceKind::VXM},
-    {Opcode::Abs, "abs", SliceKind::VXM},
-    {Opcode::Mask, "mask", SliceKind::VXM},
-    {Opcode::Relu, "relu", SliceKind::VXM},
-    {Opcode::Tanh, "tanh", SliceKind::VXM},
-    {Opcode::Exp, "exp", SliceKind::VXM},
-    {Opcode::Rsqrt, "rsqrt", SliceKind::VXM},
-    {Opcode::Convert, "convert", SliceKind::VXM},
-    {Opcode::Shift, "shift", SliceKind::VXM},
-
-    {Opcode::Lw, "lw", SliceKind::MXM},
-    {Opcode::Iw, "iw", SliceKind::MXM},
-    {Opcode::Abc, "abc", SliceKind::MXM},
-    {Opcode::Acc, "acc", SliceKind::MXM},
-
-    {Opcode::ShiftUp, "shift.up", SliceKind::SXM},
-    {Opcode::ShiftDown, "shift.down", SliceKind::SXM},
-    {Opcode::SelectNS, "select.ns", SliceKind::SXM},
-    {Opcode::Permute, "permute", SliceKind::SXM},
-    {Opcode::Distribute, "distribute", SliceKind::SXM},
-    {Opcode::Rotate, "rotate", SliceKind::SXM},
-    {Opcode::Transpose, "transpose", SliceKind::SXM},
-
-    {Opcode::Deskew, "deskew", SliceKind::C2C},
-    {Opcode::Send, "send", SliceKind::C2C},
-    {Opcode::Receive, "receive", SliceKind::C2C},
-}};
-
-const OpInfo &
-info(Opcode op)
-{
-    const auto idx = static_cast<std::size_t>(op);
-    TSP_ASSERT(idx < kOpTable.size());
-    const OpInfo &e = kOpTable[idx];
-    TSP_ASSERT(e.op == op);
-    return e;
-}
-
-} // namespace
-
-const char *
-opcodeName(Opcode op)
-{
-    return info(op).name;
-}
-
 bool
 opcodeFromName(const std::string &name, Opcode &out)
 {
-    const std::string lower = toLower(name);
-    for (const auto &e : kOpTable) {
-        if (lower == e.name) {
-            out = e.op;
+    for (const OpRow &r : kOpTable) {
+        if (iequals(name, r.name)) {
+            out = r.op;
             return true;
         }
     }
     return false;
-}
-
-SliceKind
-opcodeSlice(Opcode op)
-{
-    return info(op).slice;
-}
-
-bool
-isVxmBinary(Opcode op)
-{
-    switch (op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::AddSat:
-      case Opcode::SubSat:
-      case Opcode::MulSat:
-      case Opcode::Max:
-      case Opcode::Min:
-      case Opcode::Mask:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isVxmUnary(Opcode op)
-{
-    switch (op) {
-      case Opcode::Neg:
-      case Opcode::Abs:
-      case Opcode::Relu:
-      case Opcode::Tanh:
-      case Opcode::Exp:
-      case Opcode::Rsqrt:
-      case Opcode::Convert:
-      case Opcode::Shift:
-        return true;
-      default:
-        return false;
-    }
 }
 
 } // namespace tsp

@@ -63,13 +63,6 @@ struct GlobalAddr
     bool operator==(const GlobalAddr &other) const = default;
 };
 
-/** @return the number of 320-byte words on the whole chip. */
-inline constexpr std::size_t
-totalWords()
-{
-    return static_cast<std::size_t>(kMemSlices) * kMemWordsPerSlice;
-}
-
 } // namespace tsp
 
 #endif // TSP_MEM_ADDR_HH

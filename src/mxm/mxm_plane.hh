@@ -34,16 +34,6 @@
 
 namespace tsp {
 
-/**
- * Accumulator bank depth per plane, in 320-element vectors.
- *
- * The paper does not publish this constant; 64 bounds the reorder
- * window the compiler may accumulate into before draining (DESIGN.md
- * lists this as a modeled parameter). Convolution lowering tiles its
- * output windows to this depth.
- */
-inline constexpr std::uint32_t kMxmAccDepth = 64;
-
 /** One of the four 320x320 multiply-accumulate planes. */
 class MxmPlane
 {

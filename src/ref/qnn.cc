@@ -158,15 +158,6 @@ residualAdd(const QTensor &a, const QTensor &b, float sa, float sb,
     return out;
 }
 
-QTensor
-fullyConnected(const QTensor &in, const std::int8_t *w, int out_c,
-               const std::int32_t *bias, const float *scale,
-               bool relu)
-{
-    TSP_ASSERT(in.h == 1 && in.w == 1);
-    return conv2d(in, w, out_c, 1, 1, 1, 0, bias, scale, relu);
-}
-
 std::vector<float>
 conv2dF32(const std::vector<float> &in, int h, int w, int c,
           const float *wgt, int out_c, int kh, int kw, int stride,

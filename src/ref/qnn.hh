@@ -74,11 +74,6 @@ QTensor globalAvgPool(const QTensor &in, float scale);
 QTensor residualAdd(const QTensor &a, const QTensor &b, float sa,
                     float sb, bool relu);
 
-/** Fully connected as 1x1 conv on a 1x1 spatial tensor. */
-QTensor fullyConnected(const QTensor &in, const std::int8_t *w,
-                       int out_c, const std::int32_t *bias,
-                       const float *scale, bool relu);
-
 /**
  * Floating-point reference conv (for quantization-loss experiments):
  * plain fp32 convolution with bias, optional ReLU.

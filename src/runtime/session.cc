@@ -7,20 +7,6 @@
 
 namespace tsp {
 
-const char *
-runStatusName(RunStatus s)
-{
-    switch (s) {
-      case RunStatus::Completed:
-        return "completed";
-      case RunStatus::CycleLimit:
-        return "cycle_limit";
-      case RunStatus::MachineCheck:
-        return "machine_check";
-    }
-    return "?";
-}
-
 InferenceSession::InferenceSession(Lowering &lw, ChipConfig cfg)
     : InferenceSession(lw, lw.assembled(), cfg)
 {

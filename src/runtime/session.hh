@@ -51,9 +51,6 @@ enum class RunStatus : std::uint8_t
     MachineCheck, ///< Uncorrectable error condemned the chip.
 };
 
-/** @return stable lower-case name for @p s. */
-const char *runStatusName(RunStatus s);
-
 /** Outcome of one bounded run. */
 struct RunResult
 {

@@ -105,23 +105,15 @@ PodBackend::PodBackend(int chips, Cycle wire_latency, ChipConfig cfg,
 }
 
 std::vector<Cycle>
-PodBackend::serviceCyclesTable(int chips, Cycle wire_latency,
-                               ChipConfig cfg, int max_batch)
+PodBackend::serviceCyclesTable(int chips, Cycle wire_latency, ChipConfig,
+                               int max_batch)
 {
-    // A static schedule's cycle count is input- and fault-independent
-    // (injection flips data bits, never timing), so one fault-free
-    // calibration run per batch size is the exact booking for every
-    // future request.
-    cfg.fault = FaultConfig{};
     std::vector<Cycle> table;
     table.reserve(static_cast<std::size_t>(max_batch));
+    std::vector<ScheduledProgram> sched;
     for (int b = 1; b <= max_batch; ++b) {
-        InferenceSession calib(chips, wire_latency, cfg);
-        calib.bind(allReducePrograms(calib.pod(), b));
-        calib.reset();
-        const RunResult r = calib.runBounded();
-        TSP_ASSERT(r.completed);
-        table.push_back(r.cycles);
+        table.push_back(
+            buildRingAllReduce(chips, wire_latency, sched, b).finish);
     }
     return table;
 }

@@ -274,10 +274,11 @@ class PodBackend final : public EngineBackend
 
     /**
      * @return exact cycles(b) for b = 1..max_batch of the all-reduce
-     * on an equivalent pod, each measured on a fault-free calibration
-     * pod (a deterministic schedule's timing is independent of fault
-     * injection, which only flips data bits). This is the table the
-     * admission controller books against.
+     * on an equivalent pod: the builder's AllReducePlan::finish, which
+     * a run retires at (a static schedule's timing is independent of
+     * its data and of fault injection, which only flips data bits).
+     * This is the table the admission controller books against. The
+     * chip configuration does not enter it.
      */
     static std::vector<Cycle> serviceCyclesTable(int chips,
                                                  Cycle wire_latency,

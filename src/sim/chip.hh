@@ -200,9 +200,6 @@ class Chip
     /** @return timed SRAM port accesses chip-wide (power stat). */
     std::uint64_t sramAccessCount() const { return sramAccesses_; }
 
-    /** @return Ifetch instructions observed (fetch-bandwidth stat). */
-    std::uint64_t ifetchCount() const { return ifetches_; }
-
     // --- Snapshot/restore (see sim/snapshot.hh) ---
 
     /**

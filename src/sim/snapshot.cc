@@ -131,14 +131,6 @@ ChipSnapshot::payloadHash() const
     return fnv1a64(payload.data(), payload.size());
 }
 
-std::size_t
-ChipSnapshot::frameBytes() const
-{
-    // magic + version + 5 u64 fields + payload length + payload +
-    // payload hash.
-    return 4 + 4 + 5 * 8 + 8 + payload.size() + 8;
-}
-
 std::vector<std::uint8_t>
 ChipSnapshot::serialize() const
 {

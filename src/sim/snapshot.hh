@@ -90,9 +90,6 @@ struct ChipSnapshot
      */
     static bool deserialize(const std::uint8_t *data, std::size_t size,
                             ChipSnapshot &out, std::string *err);
-
-    /** @return serialized size in bytes without building the frame. */
-    std::size_t frameBytes() const;
 };
 
 /** A pod's state: one snapshot per member chip, in ring order. */

@@ -45,7 +45,7 @@ TEST_P(PodAllReduce, MatchesHostReduction)
     std::vector<ScheduledProgram> programs;
     const AllReducePlan plan = buildRingAllReduce(pod, programs);
     const Cycle cycles = runAllReduce(pod, programs);
-    EXPECT_LE(cycles, plan.finish + 16);
+    EXPECT_EQ(cycles, plan.finish);
 
     // Host reference with the same saturating chain order.
     std::array<std::int8_t, kLanes> want =

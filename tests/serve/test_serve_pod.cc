@@ -2,7 +2,7 @@
  * @file
  * Multi-chip pod serving: each worker owns an N-chip ring pod running
  * the statically scheduled all-reduce, the admission controller books
- * the collective's exact (calibrated) cycle count, every served
+ * the collective's exact cycle count (its builder's finish), every served
  * result is bit-exact against a host reduction — including under
  * fault injection on SRAM, stream hops and C2C link flight — and a
  * machine check on any member condemns the whole pod through the
@@ -89,7 +89,7 @@ TEST(ServePod, ServesExactReductionsWithExactBookings)
     for (int i = 0; i < kRequests; ++i) {
         const Result r = futures[static_cast<std::size_t>(i)].get();
         ASSERT_EQ(r.outcome, Outcome::Served) << "request " << i;
-        // The calibrated booking is exact: measured == predicted,
+        // The builder's finish is exact: measured == predicted,
         // with no mismatch ever recorded.
         EXPECT_EQ(r.measuredCycles, r.predictedCycles);
         const auto want = reduceReference(

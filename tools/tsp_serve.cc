@@ -294,7 +294,7 @@ main(int argc, char **argv)
     if (pod_chips >= 2) {
         // Each worker owns an N-chip ring pod serving the statically
         // scheduled all-reduce; the collective's exact cycles(b) are
-        // calibrated once per batch size on a fault-free pod.
+        // the retire cycles its builder reports per batch size.
         const std::vector<Cycle> table =
             serve::PodBackend::serviceCyclesTable(
                 pod_chips, static_cast<Cycle>(wire_latency), cfg.chip,
