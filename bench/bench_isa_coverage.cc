@@ -270,7 +270,8 @@ main()
     for (const auto &e : trace.events) {
         if (e.kind != ExecutionTrace::EventKind::Dispatch)
             continue;
-        const Instruction &inst = trace.insts[e.instIndex];
+        const Instruction &inst =
+            main_chip.program()->queue(IcuId{e.unit})[e.instIndex];
         seen.insert(inst.op);
         if (inst.op == Opcode::Read && inst.addr == 0x17)
             ++repeated_reads;

@@ -8,11 +8,14 @@
  * After the microbenchmarks, main() runs an end-to-end full-program
  * comparison across the three execution tiers: the legacy per-cycle
  * stepper, the event-driven fast-forward core, and trace replay
- * (record the resolved micro-op sequence once, then re-execute only
- * the numerics — see sim/exec_trace.hh), reporting simulated cycles
- * per wall-clock second for each and asserting the executions are
- * identical (cycles, and stats for the first two; the replay tier's
- * full bit-identity is proven by tests/sim/test_replay.cc). Two
+ * (derive the resolved micro-op sequence from the program's text
+ * once, then re-execute only the numerics — see sim/exec_trace.hh),
+ * reporting simulated cycles per wall-clock second for each and
+ * asserting the executions are identical (cycles, and stats for the
+ * first two; the replay tier's full bit-identity is proven by
+ * tests/sim/test_replay.cc). It also times a recording of a stepped
+ * run against the derivation of the same trace, prints the trace's
+ * bytes, and fails unless the two traces are equal. Two
  * variants run: the dense compiled schedule as-is, and a
  * NOP-dominated variant — the same program padded with a long
  * trailing NOP on an unused queue, modeling a deadline-padded
@@ -24,7 +27,8 @@
  * common/cpu.hh).
  *
  * Flags: --e2e=resnet50 (default) | tiny | off selects the
- * end-to-end workload (CI smoke uses tiny);
+ * end-to-end workload (CI smoke uses tiny; both exit nonzero if the
+ * derived trace differs from the recording);
  * --min-replay-over-ff=<x> exits nonzero unless the dense replay
  * tier is at least x times faster than fast-forward, comparing the
  * medians of kGateReps runs of each tier (CI smoke); all other flags
@@ -233,16 +237,17 @@ timedChipRun(const AsmProgram &prog, Lowering &lw, bool fast_forward)
     return r;
 }
 
-/** Timed replays of the compiled session: record once (untimed),
- * then @p reps times reset with fresh state and time the replayed
- * run. @return the last replay, timed by the median. */
+/** Timed replays of the compiled session: its first run (untimed)
+ * derives the trace, then @p reps times reset with fresh state and
+ * time the replayed run. @return the last replay, timed by the
+ * median. */
 E2eRun
 timedReplayRun(Lowering &lw, int reps, bench::Measurement *wall)
 {
     ChipConfig cfg;
     InferenceSession sess(lw, cfg);
     sess.enableReplay();
-    sess.run(); // Recording run.
+    sess.run(); // Derives the trace, then replays it.
     E2eRun r;
     *wall = bench::measure(
         [&] {
@@ -290,6 +295,57 @@ timedChipReplay(const AsmProgram &prog, Lowering &lw, int reps,
         reps, 0.0);
     r.wallSec = wall->median;
     return r;
+}
+
+/** The first run's trace, recorded and derived. */
+struct TraceSources
+{
+    double recordSec = 0.0;     ///< A fast-forward run while recording.
+    bench::Measurement derive;  ///< deriveTrace() of the program.
+    std::size_t traceBytes = 0; ///< ExecutionTrace::memoryBytes().
+    std::string mismatch;       ///< traceMismatch(); "" when equal.
+};
+
+/**
+ * Records a stepped run of @p lw's program once and derives the same
+ * trace from its text @p reps times (median), and compares the two.
+ */
+TraceSources
+recordAndDerive(Lowering &lw, int reps)
+{
+    TraceSources t;
+    InferenceSession sess(lw);
+    std::shared_ptr<const ExecutionTrace> recorded;
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        TraceRecording rec({&sess.chip()});
+        const bool done = sess.runBounded().completed;
+        recorded = rec.finish(done);
+        t.recordSec = since(t0);
+    }
+    std::shared_ptr<const ExecutionTrace> derived;
+    t.derive = bench::measure(
+        [&] {
+            derived.reset();
+            const auto t0 = std::chrono::steady_clock::now();
+            derived = deriveTrace(*sess.program());
+            return since(t0);
+        },
+        reps, 0.0);
+    if (!recorded || !derived)
+        t.mismatch = recorded ? "derivation declined" : "no recording";
+    else
+        t.mismatch = traceMismatch(*derived, *recorded);
+    t.traceBytes = derived ? derived->memoryBytes() : 0;
+    std::printf("  %-22s record %8.3f s | derive %8.1f ms [%.1f-%.1f] "
+                "over %d runs | trace %.1f MiB | derived %s\n",
+                "first-run trace", t.recordSec, 1e3 * t.derive.median,
+                1e3 * t.derive.q1, 1e3 * t.derive.q3, t.derive.reps,
+                static_cast<double>(t.traceBytes) / (1 << 20),
+                t.mismatch.empty()
+                    ? "== recorded"
+                    : ("!= recorded: " + t.mismatch).c_str());
+    return t;
 }
 
 /** A legacy/fast-forward/replay triple over one workload variant. */
@@ -387,6 +443,8 @@ runEndToEnd(const std::string &workload, double min_replay_over_ff)
         },
         reps);
 
+    const TraceSources sources = recordAndDerive(lw, kGateReps);
+
     // NOP-dominated variant: the compiled program plus one long NOP
     // on an otherwise unused C2C queue — the chip sits provably idle
     // until the deadline, exactly the span the event core elides.
@@ -411,7 +469,8 @@ runEndToEnd(const std::string &workload, double min_replay_over_ff)
         },
         1);
 
-    const bool identical = dense.identical && nop.identical;
+    const bool identical =
+        dense.identical && nop.identical && sources.mismatch.empty();
     std::printf("  headline: replay %.2fx over per-cycle, %.2fx over "
                 "fast-forward on the dense schedule (%s)\n",
                 dense.replaySpeedup, dense.replayOverFast,
@@ -441,6 +500,10 @@ runEndToEnd(const std::string &workload, double min_replay_over_ff)
          {"nop_padded_replay_cycles_per_sec", nop.replayCps},
          {"nop_padded_replay_speedup", nop.replaySpeedup},
          {"speedup", nop.speedup},
+         {"record_wall_sec", sources.recordSec},
+         {"derive_wall_sec", sources.derive.median},
+         {"trace_bytes", static_cast<double>(sources.traceBytes)},
+         {"derived_equals_recorded", sources.mismatch.empty() ? 1.0 : 0.0},
          {"identical_results", identical ? 1.0 : 0.0}});
     if (!identical)
         return 1;

@@ -122,6 +122,9 @@ class InstructionQueue
     /** @return queue identity. */
     IcuId id() const { return id_; }
 
+    /** @return the loaded program (borrowed; see loadProgram()). */
+    std::span<const Instruction> program() const { return program_; }
+
     /** @return instructions dispatched to the slice so far. */
     std::uint64_t dispatched() const { return dispatched_; }
 

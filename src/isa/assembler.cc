@@ -48,6 +48,14 @@ parseOperand(const OpOperand &o, std::string_view text, Instruction &inst)
 {
     if (isStreamField(o.field))
         return parseStreamRef(std::string(text), inst.stream(o.field));
+    if (o.field == OpField::DType)
+        return parseDType(text, inst.dtype);
+    if (o.field == OpField::AccFlag) {
+        if (!iequals(text, "acc"))
+            return false;
+        inst.flags |= Instruction::kFlagAccumulate;
+        return true;
+    }
     if (o.field == OpField::Types) {
         const auto arrow = text.find("->");
         DType from, to;
@@ -134,7 +142,12 @@ parseInstruction(const std::string &line, Instruction &out,
     out = Instruction{};
     error.clear();
 
-    const auto t = trim(line);
+    auto t = trim(line);
+    // "|| " marks an instruction co-issued with the one before it.
+    if (t.starts_with("||")) {
+        out.flags |= Instruction::kFlagCoIssue;
+        t = trim(t.substr(2));
+    }
     const auto sp = t.find_first_of(" \t");
     const std::string mnem(t.substr(0, sp));
     Opcode op;
@@ -148,53 +161,39 @@ parseInstruction(const std::string &line, Instruction &out,
 
     const auto rest =
         sp == std::string_view::npos ? std::string_view{} : trim(t.substr(sp));
-    auto args =
+    const auto args =
         rest.empty() ? std::vector<std::string>{} : split(rest, ',');
     std::size_t need = 0;
     for (const OpOperand &o : row.operands) {
-        if (o.field == OpField::AccFlag) {
-            // An optional trailing "acc" sets the accumulate flag.
-            if (args.size() == need + 1 && iequals(args.back(), "acc")) {
-                out.flags |= Instruction::kFlagAccumulate;
-                args.pop_back();
-            }
-        } else if (o.field != OpField::None) {
+        if (o.field != OpField::None && !isOptionalField(o.field))
             ++need;
-        }
     }
-    if (args.size() != need) {
+    // The required operands, in order; then each optional one (they
+    // trail) when the next argument reads as it.
+    std::size_t next = 0;
+    for (const OpOperand &o : row.operands) {
+        if (o.field == OpField::None || next == args.size())
+            break;
+        if (isOptionalField(o.field)) {
+            if (parseOperand(o, args[next], out))
+                ++next;
+            continue;
+        }
+        if (!parseOperand(o, args[next], out)) {
+            error = strformat("'%s' operand %zu: bad or out of range "
+                              "'%s'",
+                              row.name, next + 1, args[next].c_str());
+            return false;
+        }
+        ++next;
+    }
+    if (next < need || next != args.size()) {
         error = strformat("'%s' expects %zu operands, got %zu", row.name,
                           need, args.size());
         return false;
     }
-    for (std::size_t i = 0; i < need; ++i) {
-        if (!parseOperand(row.operands[i], args[i], out)) {
-            error = strformat("'%s' operand %zu: bad or out of range "
-                              "'%s'",
-                              row.name, i + 1, args[i].c_str());
-            return false;
-        }
-    }
-    // Every stream group must fit its direction's streams.
-    for (std::size_t i = 0; i < need; ++i) {
-        const OpOperand &o = row.operands[i];
-        if (!isStreamField(o.field))
-            continue;
-        const StreamSpan span = streamSpan(out, o);
-        const int base = out.stream(o.field).id;
-        if (base + span.count > kStreamsPerDir ||
-            (span.aligned && base % span.count != 0)) {
-            error = strformat("'%s' operand %zu: %d streams from s%d %s "
-                              "%d streams",
-                              row.name, i + 1, span.count, base,
-                              span.aligned ? "must start at a multiple of "
-                                             "their count and fit"
-                                           : "do not fit",
-                              kStreamsPerDir);
-            return false;
-        }
-    }
-    return true;
+    error = operandError(out);
+    return error.empty();
 }
 
 AsmResult

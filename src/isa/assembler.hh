@@ -48,8 +48,10 @@ bool parseIcuName(const std::string &name, IcuId &out);
 bool parseStreamRef(const std::string &text, StreamRef &out);
 
 /**
- * Parses one instruction line (without a label): the mnemonic, then
- * the operands of its opcode row in order. A number keeps parseInt's
+ * Parses one instruction line (without a label): "|| " when it is
+ * co-issued with the line before, the mnemonic, then the operands of
+ * its opcode row in order (a trailing dtype or acc flag may be left
+ * out: int8, no accumulate). A number keeps parseInt's
  * syntax (decimal, 0x hex, leading-zero octal) and must lie in its
  * operand's range; a stream group must fit its direction's 32
  * streams.

@@ -93,6 +93,14 @@ decodeInstruction(const std::vector<std::uint8_t> &bytes,
     if (opb >= kNumOpcodes)
         return std::nullopt;
 
+    // Only the bits the encoder writes: a decodable bundle re-encodes
+    // to itself.
+    if ((bytes[base + 1] & ~0x01) != 0 || ((bytes[base + 2] |
+                                            bytes[base + 3] |
+                                            bytes[base + 4]) &
+                                           0xc0) != 0) {
+        return std::nullopt;
+    }
     Instruction inst;
     inst.op = static_cast<Opcode>(opb);
     const bool has_map = bytes[base + 1] & 0x01;
@@ -109,7 +117,9 @@ decodeInstruction(const std::vector<std::uint8_t> &bytes,
     inst.addr = getLe(bytes, base + 16, 2);
     const std::size_t map_len = getLe(bytes, base + 18, 2);
 
-    if (has_map != (map_len > 0))
+    // The text and the bundle share one validator: a field outside
+    // its row's range is refused in either form.
+    if (has_map != (map_len > 0) || !operandError(inst).empty())
         return std::nullopt;
     std::size_t next = base + kInstHeaderBytes;
     if (map_len > 0) {

@@ -37,7 +37,10 @@ std::size_t encodedSize(const Instruction &inst);
  * Decodes one instruction from @p bytes starting at @p offset.
  *
  * @return the decoded instruction and advances @p offset past it, or
- * std::nullopt on malformed input (offset unchanged).
+ * std::nullopt on malformed input (offset unchanged): a truncated
+ * bundle, an unknown opcode or dtype, a bit the encoder never sets,
+ * or a field outside its row's range (operandError(), the check the
+ * assembler applies to text).
  */
 std::optional<Instruction> decodeInstruction(
     const std::vector<std::uint8_t> &bytes, std::size_t &offset);

@@ -30,14 +30,17 @@ Instruction::operator==(const Instruction &other) const
 std::string
 Instruction::toString() const
 {
-    std::string out = opcodeName(op);
+    // A co-issued instruction dispatches with the one before it, as
+    // "||" marks a parallel instruction in VLIW assembly.
+    std::string out = flags & kFlagCoIssue ? "|| " : "";
+    out += opcodeName(op);
     const char *sep = " ";
     for (const OpOperand &o : opRow(op).operands) {
         if (o.field == OpField::None)
             break;
-        if (o.field == OpField::AccFlag) {
-            if (flags & kFlagAccumulate)
-                out += ", acc";
+        // The optional operands print only when they say something.
+        if ((o.field == OpField::AccFlag && !(flags & kFlagAccumulate)) ||
+            (o.field == OpField::DType && dtype == DType::Int8)) {
             continue;
         }
         out += sep;
@@ -60,6 +63,10 @@ Instruction::operandText(const OpOperand &o) const
       case OpField::Types:
         return strformat("%s -> %s", dtypeName(static_cast<DType>(imm1)),
                          dtypeName(static_cast<DType>(imm0)));
+      case OpField::DType:
+        return dtypeName(dtype);
+      case OpField::AccFlag:
+        return "acc";
       default:
         break;
     }
@@ -86,9 +93,91 @@ streamSpan(const Instruction &inst, const OpOperand &o)
         return {dtypeBytes(static_cast<DType>(inst.imm1)), true};
       case Span::DstType:
         return {dtypeBytes(static_cast<DType>(inst.imm0)), true};
+      case Span::Typed:
+        return {dtypeBytes(inst.dtype), true};
+      case Span::TypedRun:
+        return {dtypeBytes(inst.dtype), false};
       default:
         return {1, false};
     }
+}
+
+std::string
+operandError(const Instruction &inst)
+{
+    const OpRow &row = opRow(inst.op);
+    const auto number = [&](OpField f) -> std::uint32_t {
+        switch (f) {
+          case OpField::Addr:
+            return inst.addr;
+          case OpField::Imm1:
+            return inst.imm1;
+          case OpField::GroupSize:
+            return inst.groupSize;
+          default:
+            return inst.imm0;
+        }
+    };
+    constexpr auto kLastType = static_cast<std::uint32_t>(DType::Fp32);
+    // The flags a line can say: co-issue on any row, acc on a row with
+    // the flag.
+    std::uint8_t sayable = Instruction::kFlagCoIssue;
+    for (const OpOperand &o : row.operands) {
+        if (o.field == OpField::AccFlag)
+            sayable |= Instruction::kFlagAccumulate;
+    }
+    if ((inst.flags & ~sayable) != 0)
+        return strformat("'%s': flags 0x%x", row.name, inst.flags);
+    // Numbers and dtypes first: the stream spans depend on them.
+    for (std::size_t i = 0; i < row.operands.size(); ++i) {
+        const OpOperand &o = row.operands[i];
+        bool ok = true;
+        switch (o.field) {
+          case OpField::None:
+          case OpField::SrcA:
+          case OpField::SrcB:
+          case OpField::Dst:
+          case OpField::AccFlag:
+            break;
+          case OpField::Types:
+            ok = inst.imm0 <= kLastType && inst.imm1 <= kLastType;
+            break;
+          case OpField::DType:
+            ok = static_cast<std::uint32_t>(inst.dtype) <= kLastType;
+            break;
+          case OpField::Rotation:
+            ok = inst.imm0 >= o.lo && inst.imm0 <= o.hi &&
+                 inst.groupSize == inst.imm0 * inst.imm0;
+            break;
+          default:
+            ok = number(o.field) >= o.lo && number(o.field) <= o.hi;
+            break;
+        }
+        if (!ok) {
+            return strformat("'%s' operand %zu: out of range '%s'",
+                             row.name, i + 1,
+                             inst.operandText(o).c_str());
+        }
+    }
+    // Every stream group must fit its direction's streams.
+    for (std::size_t i = 0; i < row.operands.size(); ++i) {
+        const OpOperand &o = row.operands[i];
+        if (!isStreamField(o.field))
+            continue;
+        const StreamRef s = inst.stream(o.field);
+        const StreamSpan span = streamSpan(inst, o);
+        if (s.id + span.count > kStreamsPerDir ||
+            (span.aligned && s.id % span.count != 0)) {
+            return strformat("'%s' operand %zu: %d streams from s%d %s %d "
+                             "streams",
+                             row.name, i + 1, span.count, s.id,
+                             span.aligned ? "must start at a multiple of "
+                                            "their count and fit"
+                                          : "do not fit",
+                             kStreamsPerDir);
+        }
+    }
+    return "";
 }
 
 Cycle

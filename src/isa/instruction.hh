@@ -91,15 +91,15 @@ struct Instruction
     /**
      * Dispatch in the same cycle as the preceding instruction of the
      * queue (MEM dual-issue: read one bank + write the other — paper
-     * IV.A). Set by the scheduler, not by hand.
+     * IV.A). Set by the scheduler; a listing marks the line "|| ".
      */
     static constexpr std::uint8_t kFlagCoIssue = 0x02;
 
     /** Lane map for Permute (320 entries) / Distribute (16 entries). */
     std::shared_ptr<const std::vector<std::uint16_t>> map;
 
-    /** @return assembler text for this instruction: the mnemonic,
-     *  then each of its row's operands. */
+    /** @return assembler text for this instruction: "|| " when
+     *  co-issued, the mnemonic, then each of its row's operands. */
     std::string toString() const;
 
     /** @return the text of operand @p o, as the assembler reads it. */
@@ -129,6 +129,16 @@ struct StreamSpan
 
 /** @return the span of stream operand @p o in @p inst. */
 StreamSpan streamSpan(const Instruction &inst, const OpOperand &o);
+
+/**
+ * @return "" when every field @p inst's row names lies where the
+ * assembler reads it from — each number within its operand's range,
+ * each dtype named, each stream group within its direction's streams
+ * (aligned where its span says), and no flag a line cannot say — else
+ * why not. The text parser and the binary decoder share this one
+ * validator.
+ */
+std::string operandError(const Instruction &inst);
 
 /**
  * @return the cycles @p inst holds its unit from its dispatch: its

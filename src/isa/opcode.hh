@@ -99,8 +99,16 @@ enum class OpField : std::uint8_t {
     GroupSize, ///< groupSize.
     Rotation,  ///< n: imm0 = n and groupSize = n * n (Rotate).
     Types,     ///< "int32 -> fp32": imm1 = source, imm0 = target.
+    DType,     ///< Optional trailing dtype: printed unless int8.
     AccFlag,   ///< Optional trailing "acc": kFlagAccumulate.
 };
+
+/** @return true for the trailing operands a line may leave out. */
+constexpr bool
+isOptionalField(OpField f)
+{
+    return f == OpField::DType || f == OpField::AccFlag;
+}
 
 /** @return true for the stream fields (srcA, srcB, dst). */
 constexpr bool
@@ -118,6 +126,8 @@ enum class Span : std::uint8_t {
     Group,   ///< groupSize (an LW burst, the Rotate outputs).
     SrcType, ///< The source dtype's bytes, aligned (Convert input).
     DstType, ///< The target dtype's bytes, aligned (Convert output).
+    Typed,   ///< The dtype's bytes, aligned (a VXM operand group).
+    TypedRun, ///< The dtype's bytes (an ABC activation: fp16's pair).
 };
 
 /** One assembly operand of an opcode. */
@@ -150,8 +160,8 @@ struct OpRow
     bool windowed;
     /** groupSize the assembler sets before its operands. */
     std::uint8_t group;
-    /** Assembly operands in text order. */
-    std::array<OpOperand, 4> operands;
+    /** Assembly operands in text order; optional ones trail. */
+    std::array<OpOperand, 5> operands;
 };
 
 namespace oprow {
@@ -182,13 +192,21 @@ inline constexpr OpOperand kLink =
 inline constexpr OpOperand kA = stream(OpField::SrcA);
 inline constexpr OpOperand kB = stream(OpField::SrcB);
 inline constexpr OpOperand kD = stream(OpField::Dst);
+inline constexpr OpOperand kDType = {OpField::DType};
 
-inline constexpr std::array<OpOperand, 4> kUnary = {kA, kD};
-inline constexpr std::array<OpOperand, 4> kBinary = {kA, kB, kD};
+inline constexpr std::array<OpOperand, 5> kUnary = {kA, kD};
+
+// The VXM's arithmetic reads every operand as its dtype's bytes.
+inline constexpr OpOperand kTA = stream(OpField::SrcA, Span::Typed);
+inline constexpr OpOperand kTB = stream(OpField::SrcB, Span::Typed);
+inline constexpr OpOperand kTD = stream(OpField::Dst, Span::Typed);
+inline constexpr std::array<OpOperand, 5> kTypedUnary = {kTA, kTD, kDType};
+inline constexpr std::array<OpOperand, 5> kTypedBinary = {kTA, kTB, kTD,
+                                                          kDType};
 
 constexpr OpRow
 row(Opcode op, const char *name, SliceKind slice, int d_func,
-    std::array<OpOperand, 4> operands = {},
+    std::array<OpOperand, 5> operands = {},
     VxmClass vxm = VxmClass::None, bool windowed = false, int group = 1)
 {
     return {op, name, slice, static_cast<std::uint8_t>(d_func), vxm,
@@ -228,35 +246,37 @@ inline constexpr std::array<OpRow, kNumOpcodes> kOpTable = [] {
         row(O::Gather, "gather", S::MEM, 2, {kD, kB}),
         row(O::Scatter, "scatter", S::MEM, 1, {kA, kB}),
 
-        row(O::Add, "add", S::VXM, 1, kBinary, B),
-        row(O::Sub, "sub", S::VXM, 1, kBinary, B),
-        row(O::Mul, "mul", S::VXM, 2, kBinary, B),
-        row(O::AddSat, "add.sat", S::VXM, 1, kBinary, B),
-        row(O::SubSat, "sub.sat", S::VXM, 1, kBinary, B),
-        row(O::MulSat, "mul.sat", S::VXM, 2, kBinary, B),
-        row(O::Max, "max", S::VXM, 1, kBinary, B),
-        row(O::Min, "min", S::VXM, 1, kBinary, B),
-        row(O::Neg, "neg", S::VXM, 1, kUnary, U),
-        row(O::Abs, "abs", S::VXM, 1, kUnary, U),
-        row(O::Mask, "mask", S::VXM, 1, kBinary, B),
-        row(O::Relu, "relu", S::VXM, 1, kUnary, U),
+        row(O::Add, "add", S::VXM, 1, kTypedBinary, B),
+        row(O::Sub, "sub", S::VXM, 1, kTypedBinary, B),
+        row(O::Mul, "mul", S::VXM, 2, kTypedBinary, B),
+        row(O::AddSat, "add.sat", S::VXM, 1, kTypedBinary, B),
+        row(O::SubSat, "sub.sat", S::VXM, 1, kTypedBinary, B),
+        row(O::MulSat, "mul.sat", S::VXM, 2, kTypedBinary, B),
+        row(O::Max, "max", S::VXM, 1, kTypedBinary, B),
+        row(O::Min, "min", S::VXM, 1, kTypedBinary, B),
+        row(O::Neg, "neg", S::VXM, 1, kTypedUnary, U),
+        row(O::Abs, "abs", S::VXM, 1, kTypedUnary, U),
+        row(O::Mask, "mask", S::VXM, 1, kTypedBinary, B),
+        row(O::Relu, "relu", S::VXM, 1, kTypedUnary, U),
         // Iterative / table-based units.
-        row(O::Tanh, "tanh", S::VXM, 4, kUnary, U),
-        row(O::Exp, "exp", S::VXM, 4, kUnary, U),
-        row(O::Rsqrt, "rsqrt", S::VXM, 4, kUnary, U),
+        row(O::Tanh, "tanh", S::VXM, 4, kTypedUnary, U),
+        row(O::Exp, "exp", S::VXM, 4, kTypedUnary, U),
+        row(O::Rsqrt, "rsqrt", S::VXM, 4, kTypedUnary, U),
         row(O::Convert, "convert", S::VXM, 2,
             {stream(F::SrcA, Span::SrcType), stream(F::Dst, Span::DstType),
              {F::Types}},
             U),
         // A lane holds at most 32 bits.
-        row(O::Shift, "shift", S::VXM, 1, {kA, kD, number(F::Imm0, 0, 31)},
-            U),
+        row(O::Shift, "shift", S::VXM, 1,
+            {kTA, kTD, number(F::Imm0, 0, 31), kDType}, U),
 
         row(O::Lw, "lw", S::MXM, 1,
             {stream(F::SrcA, Span::Group),
-             number(F::GroupSize, 1, kStreamsPerDir, 'n')}),
+             number(F::GroupSize, 1, kStreamsPerDir, 'n'), kDType}),
         row(O::Iw, "iw", S::MXM, 1, {kPlane}),
-        row(O::Abc, "abc", S::MXM, 1, {kPlane, kA, kWindow, {F::AccFlag}},
+        row(O::Abc, "abc", S::MXM, 1,
+            {kPlane, stream(F::SrcA, Span::TypedRun), kWindow, kDType,
+             {F::AccFlag}},
             N, /*windowed=*/true),
         // One full traversal of the 20-supercell accumulation chain
         // before the first int32 partial sum exits the array edge.

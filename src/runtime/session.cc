@@ -115,6 +115,27 @@ InferenceSession::runBounded(Cycle max_cycles)
     }
     if (trace_)
         return runRaw(max_cycles);
+    // A lone chip's trace follows from its program's text when the
+    // run starts on an empty fabric (values already flowing are not
+    // in the text); the first run then replays it too. A declined
+    // derivation, a pod or a stepped run that will not retire within
+    // the budget records instead, as every first run once did.
+    const StreamFabric &fabric = pod_->chip(0).fabric();
+    if (pod_->size() == 1 && fabric.validEntries() == 0 &&
+        fabric.pendingWrites() == 0) {
+        trace_ = deriveTrace(*programs_.front().get(), max_cycles);
+        if (trace_) {
+            ++records_;
+            ++derived_;
+            if (pool_)
+                pool_->insert(key_, trace_);
+            replayTrace(*trace_, members());
+            timedOut_ = false;
+            machineChecked_ = false;
+            cycles_ = trace_->span;
+            return {true, RunStatus::Completed, trace_->span};
+        }
+    }
     TraceRecording rec(members());
     const RunResult r = runRaw(max_cycles);
     trace_ = rec.finish(r.completed);

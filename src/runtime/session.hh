@@ -248,14 +248,18 @@ class InferenceSession
     static constexpr int kMaxMigrations = 8;
 
     /**
-     * Enables the trace record/replay tier: the first complete run
-     * after a reset() records every member's resolved micro-op
+     * Enables the trace replay tier: the first complete run after a
+     * reset() makes a trace of every member's resolved micro-op
      * sequence, and subsequent fresh runs of the same bound programs
-     * replay it (see sim/exec_trace.hh). With a @p pool, recordings
-     * are shared: a fresh run with no trace of its own looks the
-     * bound programs up in the pool first (traceKeyOf()), and a new
-     * recording is inserted there. Runs with fault injection always
-     * take the normal path.
+     * replay it (see sim/exec_trace.hh). A one-chip session derives
+     * the trace from its program's text (deriveTrace()) and replays
+     * it, so even that first run is a replay; pods, programs with C2C
+     * transfers, a first run that starts with values already on the
+     * fabric and programs the derivation declines record a stepped
+     * run instead. With a @p pool, traces are shared: a fresh run
+     * with no trace of its own looks the bound programs up in the
+     * pool first (traceKeyOf()), and a new trace is inserted there.
+     * Runs with fault injection always take the normal path.
      */
     void
     enableReplay(bool on = true,
@@ -272,11 +276,16 @@ class InferenceSession
         return trace_;
     }
 
-    /** @return runs served by replaying a recorded trace. */
+    /** @return runs served by replaying the session's trace after
+     *  the first run that made it. */
     std::uint64_t replayCount() const { return replays_; }
 
-    /** @return runs that successfully recorded a trace. */
+    /** @return first runs that made the session's trace, recorded
+     *  or derived. */
     std::uint64_t recordCount() const { return records_; }
+
+    /** @return how many of recordCount()'s traces were derived. */
+    std::uint64_t derivedCount() const { return derived_; }
 
     /** @return member 0's bound compiled program. */
     const AsmProgram *
@@ -366,6 +375,7 @@ class InferenceSession
     std::shared_ptr<const ExecutionTrace> trace_;
     std::uint64_t replays_ = 0;
     std::uint64_t records_ = 0;
+    std::uint64_t derived_ = 0;
 };
 
 } // namespace tsp

@@ -247,9 +247,18 @@ class Chip
      */
     void beginReplay(TapeReplayer *player);
 
-    /** Re-executes one recorded dispatch at absolute cycle @p when. */
-    void replayDispatch(int icu_id, const Instruction &inst,
-                        Cycle when);
+    /** @return queue @p icu_id's loaded program (empty when none). */
+    std::span<const Instruction>
+    queueProgram(int icu_id) const
+    {
+        return queues_[static_cast<std::size_t>(icu_id)].program();
+    }
+
+    /**
+     * Re-executes one traced dispatch at absolute cycle @p when: @p
+     * inst, an instruction of queue @p icu_id's loaded program.
+     */
+    void replayDispatch(int icu_id, const Instruction &inst, Cycle when);
 
     /**
      * Re-executes one recorded MXM-plane tick at absolute cycle

@@ -1,19 +1,15 @@
 #include "sim/exec_trace.hh"
 
+#include <algorithm>
+#include <array>
 #include <functional>
 
 #include "arch/layout.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "sim/chip.hh"
 
 namespace tsp {
-
-namespace {
-
-/** instIndex_ entry of an instruction that has not dispatched yet. */
-constexpr std::uint32_t kUnseen = 0xffffffffu;
-
-} // namespace
 
 std::size_t
 ExecutionTrace::arenaBytes() const
@@ -29,7 +25,6 @@ ExecutionTrace::memoryBytes() const
     // cache budget must carry it or eviction under-counts what a
     // cached-and-replaying trace really holds resident.
     return sizeof(ExecutionTrace) + events.size() * sizeof(Event) +
-           insts.size() * sizeof(Instruction) +
            consumeTape.size() * sizeof(std::uint32_t) +
            produceSlot.size() * sizeof(std::uint32_t) +
            chips.size() * sizeof(ChipDeltas) + arenaBytes();
@@ -42,12 +37,8 @@ TraceRecording::TraceRecording(std::vector<Chip *> chips)
     TSP_ASSERT(!chips_.empty() && chips_.size() <= 256);
     start_ = chips_[0]->now();
     snaps_.reserve(chips_.size());
-    // Programs stay loaded for the whole run, so each program vector
-    // gets its index table up front, and a dispatch finds its
-    // instruction by its offset in the queue's program. instIndex_
-    // may reallocate, but a moved table keeps its buffer, so the
-    // queues' pointers into it stay valid.
-    std::unordered_map<const Instruction *, std::uint32_t *> tableOf;
+    // Programs stay loaded for the whole run, so a dispatch's
+    // instIndex is its instruction's offset in its queue's program.
     queueInsts_.resize(chips_.size() * kNumIcus);
     for (std::size_t i = 0; i < chips_.size(); ++i) {
         Chip *c = chips_[i];
@@ -55,17 +46,8 @@ TraceRecording::TraceRecording(std::vector<Chip *> chips)
         snaps_.push_back(snapshot(*c));
         if (const SharedProgram &prog = c->program()) {
             for (const auto &[icu, insts] : prog->queues) {
-                if (insts.empty())
-                    continue;
-                auto [it, fresh] = tableOf.try_emplace(insts.data());
-                if (fresh) {
-                    it->second =
-                        instIndex_.emplace_back(insts.size(), kUnseen)
-                            .data();
-                }
-                queueInsts_[i * kNumIcus +
-                            static_cast<std::size_t>(icu)] = {
-                    insts.data(), insts.size(), it->second};
+                queueInsts_[i * kNumIcus + static_cast<std::size_t>(icu)] =
+                    {insts.data(), insts.size()};
             }
         }
         c->armTraceRecorder(this, static_cast<int>(i));
@@ -137,19 +119,14 @@ TraceRecording::onDispatch(int chip, int queue_id,
                            const Instruction &inst, Cycle now)
 {
     eventStart_ = static_cast<std::uint32_t>(trace_->consumeTape.size());
-    // The instruction's place in its program identifies it — Repeat
-    // re-issues and the steady state of a loop dedup to one stored
-    // copy.
+    // The instruction's place in its program identifies it: Repeat
+    // re-issues cite the instruction they repeat.
     const QueueInsts &q = queueInsts_[static_cast<std::size_t>(chip) *
                                           kNumIcus +
                                       static_cast<std::size_t>(queue_id)];
     TSP_ASSERT(std::less_equal<>{}(q.base, &inst) &&
                std::less<>{}(&inst, q.base + q.size));
-    std::uint32_t &index = q.index[&inst - q.base];
-    if (index == kUnseen) {
-        index = static_cast<std::uint32_t>(trace_->insts.size());
-        trace_->insts.push_back(inst);
-    }
+    const auto index = static_cast<std::uint32_t>(&inst - q.base);
     ExecutionTrace::Event e;
     e.cycleOffset = offsetOf(now);
     e.instIndex = index;
@@ -195,15 +172,24 @@ TraceRecording::finish(bool completed)
         d.fabricWrites -= s0.fabricWrites;
         t.chips.push_back(d);
     }
-    // Slot allocation: walk produces and consumes in recorded order,
-    // freeing a value's slot when the event holding its last consume
-    // ends (a produce sits at its event's start). Replay re-executes
-    // the exact same interleaving, so a reused slot is only ever
-    // overwritten after its previous value's final read, and a unit
-    // may build its results in place while it still reads its
-    // operands' slots.
+    assignTraceSlots(t, std::move(produceAt_));
+    t.events.shrink_to_fit();
+    t.consumeTape.shrink_to_fit();
+    return std::shared_ptr<const ExecutionTrace>(std::move(trace_));
+}
+
+void
+assignTraceSlots(ExecutionTrace &t, std::vector<std::uint32_t> produce_at)
+{
+    // Walk produces and consumes in recorded order, freeing a value's
+    // slot when the event holding its last consume ends (a produce
+    // sits at its event's start). Replay re-executes the exact same
+    // interleaving, so a reused slot is only ever overwritten after
+    // its previous value's final read, and a unit may build its
+    // results in place while it still reads its operands' slots.
     constexpr std::uint32_t kNever = 0xffffffffu;
-    const auto produces32 = static_cast<std::uint32_t>(produceCount_);
+    const auto produces32 = static_cast<std::uint32_t>(t.produces);
+    TSP_ASSERT(produce_at.size() == produces32);
     std::vector<std::uint32_t> lastUse(produces32, kNever);
     for (std::uint32_t c = 0;
          c < static_cast<std::uint32_t>(t.consumeTape.size()); ++c) {
@@ -211,32 +197,101 @@ TraceRecording::finish(bool completed)
         if (tag != kTapeMiss)
             lastUse[tag] = c;
     }
-    t.produceSlot.resize(produces32);
+    // Each produce's slot overwrites its produce_at entry, which the
+    // walk has just read for the last time.
+    std::vector<std::uint32_t> &slot = produce_at;
     std::vector<std::uint32_t> freeSlots;
     std::uint32_t slots = 1; // Slot 0: scratch for unconsumed values.
     std::size_t c = 0;
     for (std::uint32_t tag = 0; tag < produces32; ++tag) {
-        while (c < produceAt_[tag]) {
+        while (c < produce_at[tag]) {
             const std::uint32_t done = t.consumeTape[c];
             if (done != kTapeMiss && lastUse[done] == c)
-                freeSlots.push_back(t.produceSlot[done]);
+                freeSlots.push_back(slot[done]);
             ++c;
         }
         if (lastUse[tag] == kNever) {
-            t.produceSlot[tag] = 0;
+            slot[tag] = 0;
         } else if (freeSlots.empty()) {
-            t.produceSlot[tag] = slots++;
+            slot[tag] = slots++;
         } else {
-            t.produceSlot[tag] = freeSlots.back();
+            slot[tag] = freeSlots.back();
             freeSlots.pop_back();
         }
     }
+    t.produceSlot = std::move(slot);
     t.slotCount = slots;
+}
 
-    t.events.shrink_to_fit();
-    t.insts.shrink_to_fit();
-    t.consumeTape.shrink_to_fit();
-    return std::shared_ptr<const ExecutionTrace>(std::move(trace_));
+std::string
+traceMismatch(const ExecutionTrace &a, const ExecutionTrace &b)
+{
+    if (a.span != b.span)
+        return strformat("span %llu vs %llu",
+                         static_cast<unsigned long long>(a.span),
+                         static_cast<unsigned long long>(b.span));
+    if (a.produces != b.produces)
+        return strformat("produces %llu vs %llu",
+                         static_cast<unsigned long long>(a.produces),
+                         static_cast<unsigned long long>(b.produces));
+    const std::size_t events = std::min(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < events; ++i) {
+        const ExecutionTrace::Event &x = a.events[i];
+        const ExecutionTrace::Event &y = b.events[i];
+        if (x.cycleOffset != y.cycleOffset || x.instIndex != y.instIndex ||
+            x.unit != y.unit || x.chip != y.chip || x.kind != y.kind) {
+            return strformat(
+                "event %zu: %s unit %u chip %u inst %u at +%u vs %s unit "
+                "%u chip %u inst %u at +%u",
+                i,
+                x.kind == ExecutionTrace::EventKind::Dispatch ? "dispatch"
+                                                              : "tick",
+                x.unit, x.chip, x.instIndex, x.cycleOffset,
+                y.kind == ExecutionTrace::EventKind::Dispatch ? "dispatch"
+                                                              : "tick",
+                y.unit, y.chip, y.instIndex, y.cycleOffset);
+        }
+    }
+    if (a.events.size() != b.events.size())
+        return strformat("%zu vs %zu events", a.events.size(),
+                         b.events.size());
+    const std::size_t tape =
+        std::min(a.consumeTape.size(), b.consumeTape.size());
+    for (std::size_t i = 0; i < tape; ++i) {
+        if (a.consumeTape[i] != b.consumeTape[i])
+            return strformat("consume %zu samples produce %u vs %u", i,
+                             a.consumeTape[i], b.consumeTape[i]);
+    }
+    if (a.consumeTape.size() != b.consumeTape.size())
+        return strformat("%zu vs %zu consumes", a.consumeTape.size(),
+                         b.consumeTape.size());
+    if (a.produceSlot != b.produceSlot)
+        return "produce slots differ";
+    if (a.slotCount != b.slotCount)
+        return strformat("%u vs %u slots", a.slotCount, b.slotCount);
+    if (a.chips.size() != b.chips.size())
+        return strformat("%zu vs %zu chips", a.chips.size(),
+                         b.chips.size());
+    for (std::size_t c = 0; c < a.chips.size(); ++c) {
+        const ExecutionTrace::ChipDeltas &x = a.chips[c];
+        const ExecutionTrace::ChipDeltas &y = b.chips[c];
+        const struct
+        {
+            const char *name;
+            std::uint64_t x, y;
+        } fields[] = {{"dispatched", x.dispatched, y.dispatched},
+                      {"nop cycles", x.nopCycles, y.nopCycles},
+                      {"parked cycles", x.parkedCycles, y.parkedCycles},
+                      {"fabric hops", x.fabricHops, y.fabricHops},
+                      {"fabric writes", x.fabricWrites, y.fabricWrites}};
+        for (const auto &f : fields) {
+            if (f.x != f.y)
+                return strformat("chip %zu %s %llu vs %llu", c, f.name,
+                                 static_cast<unsigned long long>(f.x),
+                                 static_cast<unsigned long long>(f.y));
+        }
+    }
+    return "";
 }
 
 namespace {
@@ -308,17 +363,43 @@ replayTrace(const ExecutionTrace &trace,
     TSP_ASSERT(!chips.empty() && chips.size() == trace.chips.size());
     const Cycle start = chips[0]->now();
     TapePlayer player(trace);
-    for (Chip *c : chips) {
+    // Each queue's loaded program, where its dispatches' instIndex
+    // points.
+    std::vector<std::array<std::span<const Instruction>, kNumIcus>> progs(
+        chips.size());
+    for (std::size_t i = 0; i < chips.size(); ++i) {
+        Chip *c = chips[i];
         TSP_ASSERT(c->now() == start);
+        for (int q = 0; q < kNumIcus; ++q)
+            progs[i][static_cast<std::size_t>(q)] = c->queueProgram(q);
         c->beginReplay(&player);
     }
+    const auto instOf = [&](const ExecutionTrace::Event &e) {
+        const std::span<const Instruction> p = progs[e.chip][e.unit];
+        TSP_ASSERT(e.instIndex < p.size());
+        return &p[e.instIndex];
+    };
     // Events re-execute one at a time in recorded host order, which
-    // is the order the tape resolves exchanges in.
-    for (const ExecutionTrace::Event &e : trace.events) {
+    // is the order the tape resolves exchanges in. The instructions
+    // lie in about a hundred queues' programs, read in step: fetch
+    // each a few events ahead of its dispatch.
+    constexpr std::size_t kAhead = 8;
+    const std::size_t n = trace.events.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + kAhead < n) {
+            const ExecutionTrace::Event &next = trace.events[i + kAhead];
+            if (next.kind == ExecutionTrace::EventKind::Dispatch) {
+                const auto *p =
+                    reinterpret_cast<const char *>(instOf(next));
+                __builtin_prefetch(p);
+                __builtin_prefetch(p + sizeof(Instruction) - 1);
+            }
+        }
+        const ExecutionTrace::Event &e = trace.events[i];
         Chip &c = *chips[e.chip];
         const Cycle cyc = start + e.cycleOffset;
         if (e.kind == ExecutionTrace::EventKind::Dispatch)
-            c.replayDispatch(e.unit, trace.insts[e.instIndex], cyc);
+            c.replayDispatch(e.unit, *instOf(e), cyc);
         else
             c.replayMxmTick(e.unit, cyc);
     }

@@ -2,23 +2,33 @@
  * @file
  * Trace record/replay: the third execution tier.
  *
- * The first run of a program (per-cycle or fast-forward — they are
- * bit-identical) can *record* the resolved micro-op sequence: every
- * queue dispatch and every active-MXM tick, with cycle offsets from
- * run start, plus a consume tape citing which produce each stream
- * consume sampled. *Replay* then re-executes exactly those events
- * against the real functional units — the numerics run for real, so
- * fresh inputs staged in SRAM flow through — while skipping
- * everything input-independent: the 144-queue scan, NOP/Sync/Repeat
- * bookkeeping, fabric flow and barrier scans. Counters the skipped
- * machinery would have bumped are credited from recorded per-chip
- * deltas, leaving cycles, stats and energy (a function of those
- * counters) bit-identical to a normal run.
+ * A trace is the resolved micro-op sequence of one run: every queue
+ * dispatch and every active-MXM tick, with cycle offsets from run
+ * start, plus a consume tape citing which produce each stream consume
+ * sampled. *Replay* re-executes exactly those events against the real
+ * functional units — the numerics run for real, so fresh inputs
+ * staged in SRAM flow through — while skipping everything
+ * input-independent: the 144-queue scan, NOP/Sync/Repeat bookkeeping,
+ * fabric flow and barrier scans. Counters the skipped machinery would
+ * have bumped are credited from per-chip deltas, leaving cycles,
+ * stats and energy (a function of those counters) bit-identical to a
+ * normal run.
  *
- * A trace holds no data values (produces are re-computed at replay),
- * so it is valid for any identically configured chip running the
- * same program — including a freshly rebuilt one — which is what
- * lets a serving pool share traces across workers via TraceCache.
+ * A trace comes from one of two places. deriveTrace() computes a
+ * one-chip program's trace from its text: the queues' schedule fixes
+ * every dispatch, and an index-only pass over stream flow resolves
+ * every consume. A TraceRecording observes a stepped run (per-cycle
+ * or fast-forward — they are bit-identical) of anything else: pods,
+ * programs with C2C transfers, runs that start with values already
+ * on the fabric. Both end in the same slot-allocation pass, and ctest
+ * holds the recording as the derivation's oracle (traceMismatch()).
+ *
+ * A trace holds no data values (produces are re-computed at replay)
+ * and no instructions (an event cites its instruction's index in its
+ * queue's loaded program), so it is valid for any identically
+ * configured chip running the same program — including a freshly
+ * rebuilt one — which is what lets a serving pool share traces
+ * across workers via TraceCache.
  *
  * Recording *poisons* itself (finish() returns null) when it sees
  * anything replay could not reproduce: a consume of a fabric entry
@@ -37,10 +47,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "isa/instruction.hh"
+#include "isa/assembler.hh"
 #include "sim/program.hh"
 #include "stream/trace_tape.hh"
 
@@ -48,7 +59,7 @@ namespace tsp {
 
 class Chip;
 
-/** One recorded run: the replay tier's input. Immutable once built. */
+/** One run's trace: the replay tier's input. Immutable once built. */
 struct ExecutionTrace
 {
     enum class EventKind : std::uint8_t
@@ -61,7 +72,12 @@ struct ExecutionTrace
     struct Event
     {
         std::uint32_t cycleOffset = 0; ///< Cycles after run start.
-        std::uint32_t instIndex = 0;   ///< Into insts (Dispatch only).
+        /**
+         * Dispatch only: the instruction's index in queue `unit`'s
+         * loaded program. A Repeat re-issue cites the instruction it
+         * repeats.
+         */
+        std::uint32_t instIndex = 0;
         std::uint16_t unit = 0;        ///< Queue id / plane number.
         std::uint8_t chip = 0;         ///< Pod member index.
         EventKind kind = EventKind::Dispatch;
@@ -84,8 +100,6 @@ struct ExecutionTrace
     };
 
     std::vector<Event> events;
-    /** Deduplicated dispatch payloads (Repeat re-issues share one). */
-    std::vector<Instruction> insts;
     /** Per consume, the produce index sampled (or kTapeMiss). */
     std::vector<std::uint32_t> consumeTape;
     /**
@@ -155,9 +169,9 @@ class TraceRecording final : public TapeRecorder
 
     /**
      * @return what has been recorded so far (events with cycle
-     * offsets from the recording's start, and their instructions).
-     * Valid until finish() seals a replayable trace, so a run that
-     * was cut off or machine-checked still lists what dispatched.
+     * offsets from the recording's start). Valid until finish()
+     * seals a replayable trace, so a run that was cut off or
+     * machine-checked still lists what dispatched.
      */
     const ExecutionTrace &recorded() const { return *trace_; }
 
@@ -171,12 +185,11 @@ class TraceRecording final : public TapeRecorder
     std::shared_ptr<const ExecutionTrace> finish(bool completed);
 
   private:
-    /** A queue's loaded program and its instIndex_ table. */
+    /** A queue's loaded program: its dispatches' instIndex base. */
     struct QueueInsts
     {
         const Instruction *base = nullptr;
         std::size_t size = 0;
-        std::uint32_t *index = nullptr;
     };
 
     /** @return @p chip's lifetime totals of the ChipDeltas counters. */
@@ -189,14 +202,7 @@ class TraceRecording final : public TapeRecorder
     std::vector<ExecutionTrace::ChipDeltas> snaps_;
     Cycle start_ = 0;
     std::unique_ptr<ExecutionTrace> trace_;
-    /**
-     * One table per distinct program vector: per instruction, its
-     * index into trace_->insts, or kUnseen before its first dispatch.
-     * Queues and pod members that point into the same vector share
-     * its table, as they share its instructions.
-     */
-    std::vector<std::vector<std::uint32_t>> instIndex_;
-    /** Per chip * kNumIcus + queue id: its program and table. */
+    /** Per chip * kNumIcus + queue id: its loaded program. */
     std::vector<QueueInsts> queueInsts_;
     /**
      * Per produce, the consume-tape length at the start of the event
@@ -211,8 +217,48 @@ class TraceRecording final : public TapeRecorder
 };
 
 /**
+ * Seals @p trace's slot map (produceSlot, slotCount) from its consume
+ * tape and, per produce, the tape length at the start of the event
+ * that ran it (@p produce_at, whose buffer becomes produceSlot): the
+ * one slot-allocation pass both TraceRecording::finish() and
+ * deriveTrace() end with.
+ */
+void assignTraceSlots(ExecutionTrace &trace,
+                      std::vector<std::uint32_t> produce_at);
+
+/**
+ * Derives, from @p program's text alone, the trace a TraceRecording
+ * of its run on a freshly loaded chip with an empty fabric would
+ * seal — equal to that recording field by field. The real
+ * InstructionQueues and BarrierController advance from event to event
+ * on a calendar; each dispatch and each tick of an ABC or ACC window
+ * takes its stream reads and writes from its kOpTable row (consumes
+ * first, in the unit's order, then produces at d_func); and each
+ * consume is resolved on an index-only fabric, where a value written
+ * at position p in cycle t flows along the diagonal p +- (now - t)
+ * until it passes the chip edge or is overwritten.
+ *
+ * @return null (record instead) for a program the derivation does
+ * not cover or that a stepped run would refuse: a C2C instruction,
+ * an instruction its queue's slice cannot run, a stream group or
+ * window outside its unit's limits, a window issued over an active
+ * one, two writes to one stream register in one cycle, or a run that
+ * would not retire within @p max_span cycles (never beyond 2^32 - 1,
+ * the trace's offset range).
+ */
+std::shared_ptr<const ExecutionTrace>
+deriveTrace(const AsmProgram &program, Cycle max_span = 0xffffffffull);
+
+/**
+ * @return "" when @p a and @p b are equal field by field (events,
+ * tape, produce slots, slot count, per-chip deltas, span and produce
+ * count), otherwise a description of the first difference.
+ */
+std::string traceMismatch(const ExecutionTrace &a, const ExecutionTrace &b);
+
+/**
  * Replays @p trace on @p chips (identically configured to — not
- * necessarily the same objects as — the recorded set, with the same
+ * necessarily the same objects as — the traced set, with the same
  * programs loaded and clocks equal across members). On return the
  * chips are in the exact end-of-run state of a normal run: done(),
  * clocks advanced by trace.span, stats credited.

@@ -38,7 +38,8 @@ jsonEscape(const std::string &s)
 } // namespace
 
 std::string
-traceToChromeJson(const ExecutionTrace &trace)
+traceToChromeJson(const ExecutionTrace &trace,
+                  const std::vector<const AsmProgram *> &programs)
 {
     using Kind = ExecutionTrace::EventKind;
     std::ostringstream os;
@@ -73,7 +74,8 @@ traceToChromeJson(const ExecutionTrace &trace)
     for (const ExecutionTrace::Event &e : trace.events) {
         if (e.kind != Kind::Dispatch)
             continue;
-        const Instruction &inst = trace.insts[e.instIndex];
+        const Instruction &inst =
+            programs.at(e.chip)->queue(IcuId{e.unit}).at(e.instIndex);
         emit(strformat(
             "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
             "\"ts\":%u,\"dur\":1,\"args\":{\"asm\":\"%s\"}}",
@@ -85,12 +87,14 @@ traceToChromeJson(const ExecutionTrace &trace)
 }
 
 bool
-writeChromeTrace(const ExecutionTrace &trace, const std::string &path)
+writeChromeTrace(const ExecutionTrace &trace,
+                 const std::vector<const AsmProgram *> &programs,
+                 const std::string &path)
 {
     std::ofstream out(path);
     if (!out)
         return false;
-    out << traceToChromeJson(trace);
+    out << traceToChromeJson(trace, programs);
     return static_cast<bool>(out);
 }
 

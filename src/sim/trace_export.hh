@@ -12,6 +12,7 @@
 #define TSP_SIM_TRACE_EXPORT_HH
 
 #include <string>
+#include <vector>
 
 #include "sim/exec_trace.hh"
 
@@ -19,16 +20,21 @@ namespace tsp {
 
 /**
  * Renders @p trace's Dispatch events as Chrome Trace Event JSON.
+ * @p programs holds each traced chip's loaded program, in chip order:
+ * an event cites its instruction by index into its queue's program.
  *
  * Chip c becomes pid c + 1 and its queues become thread ids grouped
- * by slice kind; timestamps are cycle offsets from the recording's
- * start. The instruction mnemonic is the event name and the full
- * assembly text is attached as an argument.
+ * by slice kind; timestamps are cycle offsets from the trace's start.
+ * The instruction mnemonic is the event name and the full assembly
+ * text is attached as an argument.
  */
-std::string traceToChromeJson(const ExecutionTrace &trace);
+std::string
+traceToChromeJson(const ExecutionTrace &trace,
+                  const std::vector<const AsmProgram *> &programs);
 
 /** Convenience: writes @p trace's JSON to @p path; returns success. */
 bool writeChromeTrace(const ExecutionTrace &trace,
+                      const std::vector<const AsmProgram *> &programs,
                       const std::string &path);
 
 } // namespace tsp

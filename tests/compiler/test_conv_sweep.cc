@@ -12,6 +12,7 @@
 
 #include "common/rng.hh"
 #include "model/resnet.hh"
+#include "oracle.hh"
 #include "runtime/session.hh"
 
 namespace tsp {
@@ -59,7 +60,8 @@ TEST_P(ConvSweep, MatchesGoldenReference)
     LoweredTensor out = lw.conv2d(in, g, cw);
 
     InferenceSession sess(lw);
-    sess.run();
+    runAndCheckDerivation(sess);
+    expectProgramRoundTrips(*sess.program());
 
     ref::QTensor qin(p.h, p.w, p.in_c);
     qin.data = data;

@@ -10,6 +10,7 @@
 
 #include "common/rng.hh"
 #include "model/resnet.hh"
+#include "oracle.hh"
 #include "runtime/session.hh"
 
 namespace tsp {
@@ -60,7 +61,8 @@ TEST_P(PoolSweep, MatchesReference)
     auto in = lw.inputTensor(p.h, p.w, p.c, data);
     auto out = lw.maxPool(in, p.k, p.stride, p.pad);
     InferenceSession sess(lw);
-    sess.run();
+    runAndCheckDerivation(sess);
+    expectProgramRoundTrips(*sess.program());
     ref::QTensor qin(p.h, p.w, p.c);
     qin.data = data;
     expectEqual(sess.readTensor(out),
@@ -111,7 +113,8 @@ TEST_P(ResidualSweep, MatchesReference)
     auto b = lw.inputTensor(p.h, p.w, p.c, db);
     auto out = lw.residualAdd(a, b, p.sa, p.sb, p.relu);
     InferenceSession sess(lw);
-    sess.run();
+    runAndCheckDerivation(sess);
+    expectProgramRoundTrips(*sess.program());
     ref::QTensor qa(p.h, p.w, p.c), qb(p.h, p.w, p.c);
     qa.data = da;
     qb.data = db;
@@ -150,7 +153,8 @@ TEST(ResidualStaging, SameGroupOperandsAreCopied)
     ASSERT_EQ(Lowering::groupOf(a), Lowering::groupOf(b));
     auto out = lw.residualAdd(a, b, 0.5f, 0.25f, true);
     InferenceSession sess(lw);
-    sess.run();
+    runAndCheckDerivation(sess);
+    expectProgramRoundTrips(*sess.program());
     ref::QTensor qa(h, w, c), qb(h, w, c);
     qa.data = da;
     qb.data = db;
@@ -185,7 +189,8 @@ TEST_P(GapSweep, MatchesReference)
     auto in = lw.inputTensor(p.h, p.w, p.c, data);
     auto out = lw.globalAvgPool(in, scale);
     InferenceSession sess(lw);
-    sess.run();
+    runAndCheckDerivation(sess);
+    expectProgramRoundTrips(*sess.program());
     ref::QTensor qin(p.h, p.w, p.c);
     qin.data = data;
     expectEqual(sess.readTensor(out),

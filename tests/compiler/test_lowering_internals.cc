@@ -13,6 +13,7 @@
 #include "compiler/lowering.hh"
 #include "graph/batch_program.hh"
 #include "model/resnet.hh"
+#include "oracle.hh"
 #include "runtime/session.hh"
 #include "sim/snapshot.hh"
 
@@ -162,6 +163,8 @@ expectPinned(const AsmProgram &p, Cycle cycles, const Pinned &want)
     EXPECT_EQ(hashProgram(p), want.hash);
     EXPECT_EQ(ScheduledProgram::instructionCount(p), want.instructions);
     EXPECT_EQ(cycles, want.cycles);
+    // Its listing and its bundles give the program back.
+    expectProgramRoundTrips(p);
 }
 
 // A program depends on shapes only: weights and inputs reach SRAM by

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <utility>
 
 #include "c2c/collective.hh"
@@ -100,7 +101,8 @@ expectChipsIdentical(const Chip &ref, const Chip &other,
 /**
  * Runs @p prog per-cycle (reference), recorded, and replayed on chips
  * configured as @p cfg, and asserts the three executions are
- * indistinguishable.
+ * indistinguishable, and that the trace derived from @p prog's text
+ * equals the recording.
  */
 void
 expectIdenticalReplay(const AsmProgram &prog,
@@ -129,6 +131,9 @@ expectIdenticalReplay(const AsmProgram &prog,
     ASSERT_NE(trace, nullptr);
     EXPECT_EQ(trace->span, legacy_cycles);
     expectChipsIdentical(legacy, recorded, probes, "recorded");
+    const auto derived = deriveTrace(prog);
+    ASSERT_NE(derived, nullptr);
+    EXPECT_EQ(traceMismatch(*derived, *trace), "");
 
     replayTrace(*trace, {&replayed});
     EXPECT_TRUE(replayed.done());
@@ -136,37 +141,40 @@ expectIdenticalReplay(const AsmProgram &prog,
 }
 
 /**
- * @return the instructions one queue's @p prog dispatches, in order:
- * every instruction but Nop, Sync and Repeat once, and a Repeat's
- * imm0 re-issues of the last instruction before it that is not a Nop.
+ * @return the program positions one queue's @p prog dispatches, in
+ * order: every instruction but Nop, Sync and Repeat once, and a
+ * Repeat's imm0 re-issues of the last instruction before it that is
+ * not a Nop.
  */
-std::vector<const Instruction *>
+std::vector<std::uint32_t>
 dispatchOrder(const std::vector<Instruction> &prog)
 {
-    std::vector<const Instruction *> order;
+    std::vector<std::uint32_t> order;
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         const Opcode op = prog[pc].op;
         if (op == Opcode::Nop || op == Opcode::Sync)
             continue;
         if (op != Opcode::Repeat) {
-            order.push_back(&prog[pc]);
+            order.push_back(static_cast<std::uint32_t>(pc));
             continue;
         }
         std::size_t prev = pc;
         while (prog[prev - 1].op == Opcode::Nop)
             --prev;
-        order.insert(order.end(), prog[pc].imm0, &prog[prev - 1]);
+        order.insert(order.end(), prog[pc].imm0,
+                     static_cast<std::uint32_t>(prev - 1));
     }
     return order;
 }
 
 /**
- * Checks a recording's instruction table against the programs its
- * @p chips ran to completion: every Dispatch event's insts[instIndex]
- * is the instruction its queue dispatched, each dispatched program
- * instruction has exactly one entry (chips whose queues share a
- * program vector share its entries), and entries are in order of
- * first dispatch. @return the number of distinct entries.
+ * Checks a trace's dispatches against the programs its @p chips ran
+ * to completion: every Dispatch event's instIndex is the position, in
+ * its queue's loaded program, of the instruction that queue
+ * dispatched next (a Repeat re-issue cites the instruction it
+ * repeats), and every queue dispatched all it had. @return the number
+ * of distinct (queue, position) pairs cited: chips loaded with one
+ * program cite the same positions.
  */
 std::size_t
 expectInstsMatchDispatches(const ExecutionTrace &t,
@@ -175,45 +183,37 @@ expectInstsMatchDispatches(const ExecutionTrace &t,
     // Per (chip, queue): what it dispatches, and how much of that the
     // events have matched so far.
     std::map<std::pair<int, int>,
-             std::pair<std::vector<const Instruction *>, std::size_t>>
+             std::pair<std::vector<std::uint32_t>, std::size_t>>
         queues;
     for (std::size_t c = 0; c < chips.size(); ++c) {
         for (const auto &[icu, insts] : chips[c]->program()->queues)
             queues[{static_cast<int>(c), icu}].first = dispatchOrder(insts);
     }
-    std::map<const Instruction *, std::uint32_t> entry;
+    std::set<std::pair<int, std::uint32_t>> cited;
     for (const ExecutionTrace::Event &e : t.events) {
         if (e.kind != ExecutionTrace::EventKind::Dispatch)
             continue;
         auto &[order, matched] = queues[{e.chip, e.unit}];
         EXPECT_LT(matched, order.size())
             << "chip " << int{e.chip} << " queue " << e.unit;
-        EXPECT_LT(e.instIndex, t.insts.size());
-        if (matched >= order.size() || e.instIndex >= t.insts.size())
+        if (matched >= order.size())
             return 0;
-        const Instruction *inst = order[matched++];
-        EXPECT_EQ(t.insts[e.instIndex], *inst)
+        EXPECT_EQ(e.instIndex, order[matched++])
             << "chip " << int{e.chip} << " queue " << e.unit;
-        const auto [it, fresh] = entry.try_emplace(
-            inst, static_cast<std::uint32_t>(entry.size()));
-        EXPECT_EQ(e.instIndex, it->second)
-            << "chip " << int{e.chip} << " queue " << e.unit
-            << (fresh ? " (first dispatch)" : " (re-dispatch)");
+        cited.insert({e.unit, e.instIndex});
     }
     for (const auto &[key, q] : queues) {
         EXPECT_EQ(q.second, q.first.size())
             << "chip " << key.first << " queue " << key.second;
     }
-    EXPECT_EQ(t.insts.size(), entry.size());
-    return entry.size();
+    return cited.size();
 }
 
 TEST(Replay, RecordedInstsShareOnePodProgram)
 {
-    // Two pod members run one shared program: their queues point into
-    // the same instruction vectors, so the recording stores each
-    // dispatched instruction once for both, and Repeat re-issues land
-    // on their instruction's one entry.
+    // Two pod members run one shared program: both cite the same
+    // program positions, and Repeat re-issues cite the read they
+    // repeat.
     const std::string text = "@MEM_E3:\n"
                              "    nop 40\n"
                              "    read 0x9, s2.w\n"
@@ -235,7 +235,7 @@ TEST(Replay, RecordedInstsShareOnePodProgram)
         trace = rec.finish(/*completed=*/true);
     }
     ASSERT_NE(trace, nullptr);
-    // The read and the write: two entries for 2 x 14 dispatches.
+    // The read and the write: two positions for 2 x 14 dispatches.
     EXPECT_EQ(expectInstsMatchDispatches(
                   *trace, {&pod.pod().chip(0), &pod.pod().chip(1)}),
               2u);
@@ -968,6 +968,9 @@ TEST(Replay, Fp16MatmulReplayIdentical)
     }
     ASSERT_NE(trace, nullptr);
     expectChipsIdentical(legacy, recorded, probes, "recorded");
+    const auto derived = deriveTrace(asmProg);
+    ASSERT_NE(derived, nullptr);
+    EXPECT_EQ(traceMismatch(*derived, *trace), "");
 
     replayTrace(*trace, {&replayed});
     EXPECT_TRUE(replayed.done());
@@ -1098,7 +1101,6 @@ TEST(Replay, ArenaAccountingMatchesAllocation)
               sizeof(ExecutionTrace) +
                   trace->events.size() *
                       sizeof(ExecutionTrace::Event) +
-                  trace->insts.size() * sizeof(Instruction) +
                   trace->consumeTape.size() * sizeof(std::uint32_t) +
                   trace->produceSlot.size() * sizeof(std::uint32_t) +
                   trace->chips.size() *

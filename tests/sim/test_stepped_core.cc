@@ -12,7 +12,8 @@
  * Send/Receive. Each program runs per-cycle lock-step, fast-forward,
  * and cut by a snapshot at a random cycle, then restored on a fresh
  * pod and run to the end; a fault-free program is also recorded and
- * its trace replayed on a fresh pod. All must agree on every chip's
+ * its trace replayed on a fresh pod, and on one chip the trace derived
+ * from its text must equal the recording. All must agree on every chip's
  * stats, clock, energy and written words, and the words must equal
  * the host's arithmetic. Odd seeds run with correctable faults live
  * on the stepped paths, so the fault RNG draws are compared too.
@@ -633,6 +634,12 @@ checkSeed(std::uint64_t seed, int chips)
         }
         ASSERT_NE(trace, nullptr);
         expectSameOutcome(ref, outcomeOf(*recorded, p), "recorded");
+        if (chips == 1) {
+            // The recording is the derivation's oracle.
+            const auto derived = deriveTrace(p.programs[0]);
+            ASSERT_NE(derived, nullptr);
+            EXPECT_EQ(traceMismatch(*derived, *trace), "");
+        }
         auto replayed =
             makePod(p, /*fast_forward=*/true, /*seed_memory=*/true);
         replayTrace(*trace, chipsOf(*replayed));

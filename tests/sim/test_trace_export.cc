@@ -32,7 +32,7 @@ TEST(TraceExport, JsonContainsQueuesAndEvents)
     TraceRecording rec({&chip});
     chip.run();
 
-    const std::string json = traceToChromeJson(rec.recorded());
+    const std::string json = traceToChromeJson(rec.recorded(), {&r.program});
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("MEM_W0"), std::string::npos);
     EXPECT_NE(json.find("VXM3"), std::string::npos);
@@ -59,7 +59,7 @@ TEST(TraceExport, WritesFile)
     chip.run();
 
     const std::string path = "/tmp/tsp_trace_test.json";
-    ASSERT_TRUE(writeChromeTrace(rec.recorded(), path));
+    ASSERT_TRUE(writeChromeTrace(rec.recorded(), {&r.program}, path));
     std::ifstream in(path);
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -71,15 +71,16 @@ TEST(TraceExport, EscapesAssemblyText)
 {
     // toString never emits quotes/backslashes today, but the escaper
     // must be safe regardless.
+    AsmProgram prog;
+    prog.queues[IcuId::vxmAlu(0).id].resize(1);
+    prog.queues[IcuId::vxmAlu(0).id][0].op = Opcode::Relu;
     ExecutionTrace t;
-    t.insts.resize(1);
-    t.insts[0].op = Opcode::Relu;
     ExecutionTrace::Event e;
     e.cycleOffset = 3;
     e.unit = static_cast<std::uint16_t>(IcuId::vxmAlu(0).id);
     e.chip = 1;
     t.events.push_back(e);
-    const std::string json = traceToChromeJson(t);
+    const std::string json = traceToChromeJson(t, {&prog, &prog});
     EXPECT_NE(json.find("\"pid\":2,"), std::string::npos);
     EXPECT_NE(json.find("\"asm\""), std::string::npos);
     EXPECT_EQ(json.find('\n', json.find("\"asm\"")),
@@ -114,7 +115,8 @@ TEST(TraceExport, CutOffRunStillListsItsDispatches)
     for (const ExecutionTrace::Event &e : t.events) {
         if (e.kind != ExecutionTrace::EventKind::Dispatch)
             continue;
-        EXPECT_EQ(t.insts[e.instIndex].op, Opcode::Read);
+        EXPECT_EQ(r.program.queue(IcuId{e.unit})[e.instIndex].op,
+                  Opcode::Read);
         reads.emplace_back(e.cycleOffset, IcuId{e.unit}.name());
     }
     const std::vector<std::pair<std::uint32_t, std::string>> want = {

@@ -345,11 +345,14 @@ main(int argc, char **argv)
                 continue;
             std::printf("%8u  %-12s %s\n", e.cycleOffset,
                         IcuId{e.unit}.name().c_str(),
-                        t.insts[e.instIndex].toString().c_str());
+                        result.program.queue(IcuId{e.unit})[e.instIndex]
+                            .toString()
+                            .c_str());
         }
     }
     if (trace_json) {
-        if (!writeChromeTrace(rec->recorded(), trace_json)) {
+        if (!writeChromeTrace(rec->recorded(), {&result.program},
+                              trace_json)) {
             std::fprintf(stderr, "cannot write %s\n", trace_json);
             return 1;
         }
