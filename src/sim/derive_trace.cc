@@ -91,25 +91,29 @@ class IndexFabric
             Batch &b = pending_[c % kHorizon];
             if (b.writes.empty() || b.when != c)
                 continue;
+            const int phase = static_cast<int>(c % kPositions);
             for (const Pending &w : b.writes) {
-                if (!apply(w, c))
+                if (!apply(w, c, phase))
                     return false;
             }
             pendingCount_ -= b.writes.size();
             b.writes.clear();
         }
         applied_ = now;
+        phase_ = static_cast<int>(now % kPositions);
         return true;
     }
 
     /**
-     * @return the produce a consume of @p s at @p pos in cycle @p now
-     * samples, or kTapeMiss when nothing flows there.
+     * @return the produce a consume of @p s at @p pos in cycle @p now,
+     * the cycle applied last, samples, or kTapeMiss when nothing flows
+     * there.
      */
     std::uint32_t
     sample(StreamRef s, SlicePos pos, Cycle now) const
     {
-        const Entry &e = entries_[index(s, diagonal(s.dir, pos, now))];
+        TSP_ASSERT(now == applied_);
+        const Entry &e = entries_[index(s, pos, phase_)];
         // The entry's value is this register's when it is on the same
         // diagonal: it has flowed from its position to this one since
         // it was written.
@@ -169,15 +173,6 @@ class IndexFabric
     /** Calendar depth; the largest producer delay (ACC's) is 21. */
     static constexpr Cycle kHorizon = 128;
 
-    /** @return position minus (eastward) or plus (westward) time:
-     *  constant along a value's path. */
-    static std::int64_t
-    diagonal(Direction dir, SlicePos pos, Cycle t)
-    {
-        const auto now = static_cast<std::int64_t>(t);
-        return dir == Direction::East ? pos - now : pos + now;
-    }
-
     /** @return the hops a value written at @p pos makes before it
      *  passes the chip edge: to past position N - 1 eastward, past 0
      *  westward. */
@@ -188,30 +183,36 @@ class IndexFabric
                                       : static_cast<Cycle>(pos + 1);
     }
 
-    /** @return the ring entry holding diagonal @p d of @p s: the
-     *  fabric's entryOf() at any cycle of the diagonal. */
+    /**
+     * @return the ring entry holding register @p pos of @p s in a cycle
+     * whose phase (cycle % N) is @p phase: the fabric's entryOf(). A
+     * value keeps its entry while it flows, so an entry holds one
+     * diagonal, position minus (eastward) or plus (westward) time,
+     * modulo N.
+     */
     static std::size_t
-    index(StreamRef s, std::int64_t d)
+    index(StreamRef s, SlicePos pos, int phase)
     {
-        std::int64_t e = d % kPositions;
+        int e = s.dir == Direction::East ? pos - phase : pos + phase;
         if (e < 0)
             e += kPositions;
+        else if (e >= kPositions)
+            e -= kPositions;
         const std::size_t ring =
             (s.dir == Direction::West ? kStreamsPerDir : 0) + s.id;
         return ring * kPositions + static_cast<std::size_t>(e);
     }
 
     bool
-    apply(const Pending &w, Cycle t)
+    apply(const Pending &w, Cycle t, int phase)
     {
-        Entry &e = entries_[index(w.s, diagonal(w.s.dir, w.pos, t))];
+        Entry &e = entries_[index(w.s, w.pos, phase)];
         if (e.valid) {
             const Cycle until = e.at + life(e.dir(), e.pos);
             if (until > t) {
-                // The register still holds a value: one on this
-                // diagonal (a value and the write replacing it share
-                // the entry only while both are on the chip), which
-                // stops here.
+                // The register still holds a value, and this write
+                // replaces it: while a value is on the chip, only
+                // writes on its own diagonal share its entry.
                 if (e.at == t)
                     return false;
                 hops_ -= until - t;
@@ -230,6 +231,7 @@ class IndexFabric
     std::size_t pendingCount_ = 0;
     /** Writes visible at or before this cycle are applied. */
     Cycle applied_ = 0;
+    int phase_ = 0; ///< applied_ % N.
     std::uint64_t hops_ = 0;
     std::uint64_t writes_ = 0;
 };
@@ -279,10 +281,8 @@ class Derivation
             from = c + 1;
             end = from;
         }
-        if (!fabric_.applyUntil(end) || produces_ >= kTapeUntagged ||
-            trace_->consumeTape.size() >= kTapeUntagged) {
+        if (!fabric_.applyUntil(end))
             return nullptr;
-        }
         return seal(end);
     }
 
@@ -364,35 +364,39 @@ class Derivation
     bool
     load()
     {
+        // What a run that retires adds to the trace: exactly its
+        // consumes and produces, and at most its events (ticks of one
+        // plane's ABC and ACC windows may share one). Reserved up
+        // front, so the trace never moves while it grows.
         std::size_t events = 0, tape = 0, produced = 0;
         for (const auto &[icu, insts] : program_.queues) {
             if (icu < 0 || icu >= kNumIcus)
                 return false;
             const auto i = static_cast<std::size_t>(icu);
             for (std::size_t pc = 0; pc < insts.size(); ++pc) {
-                const Instruction &inst = insts[pc];
                 if (!covered(IcuId{icu}, insts, pc))
                     return false;
-                // Room for what it adds to the trace, window ticks
-                // included (ticks of one plane's windows may share an
-                // event); a Repeat's re-issues grow the trace as they
-                // come, since its count need not be reached.
-                if (inst.op == Opcode::Nop || inst.op == Opcode::Sync ||
-                    inst.op == Opcode::Repeat) {
+                const Instruction *inst = &insts[pc];
+                if (inst->op == Opcode::Nop || inst->op == Opcode::Sync)
                     continue;
+                std::size_t issues = 1;
+                if (inst->op == Opcode::Repeat) {
+                    issues = inst->imm0;
+                    inst = &insts[repeated(insts, pc) - 1];
                 }
-                const Roles &r = roles_[static_cast<std::size_t>(inst.op)];
-                events += 1;
-                tape += static_cast<std::size_t>(streams(inst, r.src[0]) +
-                                                 streams(inst, r.src[1]));
-                produced += static_cast<std::size_t>(streams(inst, r.dst));
-                if (inst.op == Opcode::Abc) {
-                    events += inst.imm1;
-                    tape += std::size_t{inst.imm1} * dtypeBytes(inst.dtype);
-                } else if (inst.op == Opcode::Acc) {
-                    events += inst.imm1;
-                    produced += std::size_t{inst.imm1} * 4;
+                const Roles &r = roles_[static_cast<std::size_t>(inst->op)];
+                std::size_t ticks = 0, consumes = 0, produces = 0;
+                if (inst->op == Opcode::Abc) {
+                    ticks = inst->imm1;
+                    consumes = ticks * dtypeBytes(inst->dtype);
+                } else if (inst->op == Opcode::Acc) {
+                    ticks = inst->imm1;
+                    produces = ticks * 4;
                 }
+                events += issues * (1 + ticks);
+                tape += issues * (consumes + streams(*inst, r.src[0]) +
+                                  streams(*inst, r.src[1]));
+                produced += issues * (produces + streams(*inst, r.dst));
             }
             InstructionQueue &q = queues_[i];
             q.loadProgram(insts);
@@ -400,10 +404,29 @@ class Derivation
             notDone_ += done_[i] ? 0 : 1;
             schedule(icu, q.nextEventCycle(0));
         }
+        // Past the tape's 32-bit produce tags (the recorder poisons on
+        // them too); a trace with as many events is not reserved.
+        if (events >= kTapeUntagged || tape >= kTapeUntagged ||
+            produced >= kTapeUntagged) {
+            return false;
+        }
         trace_->events.reserve(events);
         trace_->consumeTape.reserve(tape);
         produceAt_.reserve(produced);
         return true;
+    }
+
+    /**
+     * @return one past the index of the instruction the Repeat at @p pc
+     * re-issues: the last one before it that is not a NOP (0 when there
+     * is none).
+     */
+    static std::size_t
+    repeated(const std::vector<Instruction> &insts, std::size_t pc)
+    {
+        while (pc > 0 && insts[pc - 1].op == Opcode::Nop)
+            --pc;
+        return pc;
     }
 
     /** @return true when instruction @p pc of queue @p icu is one
@@ -424,11 +447,8 @@ class Derivation
         if (inst.op == Opcode::Abc)
             return inst.dtype == DType::Int8 || inst.dtype == DType::Fp16;
         if (inst.op == Opcode::Repeat) {
-            // The queue re-issues the last instruction before it that
-            // is not a NOP, which must be neither a Repeat nor a Sync.
-            std::size_t prev = pc;
-            while (prev > 0 && insts[prev - 1].op == Opcode::Nop)
-                --prev;
+            // What it re-issues must be neither a Repeat nor a Sync.
+            const std::size_t prev = repeated(insts, pc);
             return prev > 0 && insts[prev - 1].op != Opcode::Repeat &&
                    insts[prev - 1].op != Opcode::Sync;
         }
@@ -680,9 +700,10 @@ class Derivation
         t.chips.push_back(d);
         t.span = end;
         t.produces = produces_;
+        // The reserve fits the tape and the produces exactly; the
+        // events keep what shared ticks left of theirs, since
+        // shrinking would copy them all.
         assignTraceSlots(t, std::move(produceAt_));
-        t.events.shrink_to_fit();
-        t.consumeTape.shrink_to_fit();
         return std::shared_ptr<const ExecutionTrace>(std::move(trace_));
     }
 

@@ -180,6 +180,11 @@ TEST(DeriveTrace, DeclinedProgramsAreRecorded)
     // A Repeat with nothing to repeat.
     EXPECT_EQ(deriveTrace(assembled("@MEM_W0:\n    repeat 2, 1\n")),
               nullptr);
+    // A trace past the tape's 32-bit produce tags, declined from the
+    // text before anything runs.
+    EXPECT_EQ(deriveTrace(assembled("@MEM_W0:\n    read 0x1, s0.e\n"
+                                    "    repeat 4294967295, 1\n")),
+              nullptr);
 
     // A program that never retires: the stepped run times out and
     // keeps no trace.
