@@ -1,17 +1,19 @@
 /**
  * @file
  * E17 (Table I): ISA coverage — every instruction of every functional
- * slice executes on the chip at least once in a single program, and
- * a recording of every dispatch proves it.
+ * slice executes on the chip at least once in a single program. The
+ * program runs on member 0 of a 2-chip ring, whose peer sends it a
+ * vector to receive; the trace derived from the two programs' text
+ * lists every dispatch, and replaying it executes each one.
  */
 
 #include <map>
 #include <set>
 
 #include "bench_util.hh"
+#include "c2c/pod.hh"
 #include "compiler/builder.hh"
 #include "mem/ecc.hh"
-#include "sim/chip.hh"
 
 int
 main()
@@ -222,8 +224,8 @@ main()
     rep.imm1 = 2;
     prog.emit(st + 203, memw2, rep);
 
-    // --- C2C: Deskew / Send / Receive against a peer chip ---
-    Chip peer(ChipConfig{.strictStreams = false});
+    // --- C2C: Deskew / Send / Receive against the ring peer: link 0
+    // is wired to the peer's link 1, which sends one back ---
     Instruction deskew;
     deskew.op = Opcode::Deskew;
     prog.emit(40, IcuId::c2c(0), deskew); // After the preamble.
@@ -234,44 +236,44 @@ main()
     send.srcA = {11, Direction::West};
     prog.emit(st + 217, IcuId::c2c(0), send);
     // The peer sends one back for our Receive.
+    constexpr Cycle kWire = 5;
     ScheduledProgram peer_prog;
-    peer_prog.emit(0, IcuId::c2c(0), deskew);
+    KernelBuilder peer_kb(peer_prog);
+    peer_prog.emit(0, IcuId::c2c(Pod::kRightLink), deskew);
     Instruction psend = send;
-    psend.srcA = {11, Direction::West};
-    Instruction prd;
-    prd.op = Opcode::Read;
-    prd.addr = 0x19;
-    prd.dst = {11, Direction::West};
-    peer_prog.emit(st + 212, IcuId::mem(Hemisphere::West, 43), prd);
-    peer_prog.emit(st + 219, IcuId::c2c(0), psend);
+    psend.srcA = {11, Direction::East};
+    peer_kb.readArriving({Hemisphere::East, 43, 0x19}, psend.srcA,
+                         Layout::c2cEast, st + 219);
+    peer_prog.emit(st + 219, IcuId::c2c(Pod::kRightLink), psend);
     Instruction recv;
     recv.op = Opcode::Receive;
     recv.dst = {12, Direction::East};
-    prog.emit(st + 219 + kC2cSerializationCycles + 5 + 2,
+    prog.emit(st + 219 + kC2cSerializationCycles + kWire + 2,
               IcuId::c2c(0), recv);
 
-    // Record every dispatch.
+    // Derive every dispatch from the text, and replay them all.
     ChipConfig cfg;
     cfg.strictStreams = false;
-    Chip main_chip(cfg);
-    main_chip.c2c().connect(0, peer.c2c(), 0, 5);
-    main_chip.loadProgram(prog.toAsm(/*with_preamble=*/true));
-    peer.loadProgram(peer_prog.toAsm());
-    TraceRecording rec({&main_chip});
-    Cycle guard = 0;
-    while ((!main_chip.done() || !peer.done()) && guard++ < 100000) {
-        main_chip.step();
-        peer.step();
+    Pod pod(2, kWire, cfg);
+    const AsmProgram main_prog = prog.toAsm(/*with_preamble=*/true);
+    const AsmProgram peer_text = peer_prog.toAsm();
+    pod.chip(0).loadProgram(main_prog);
+    pod.chip(1).loadProgram(peer_text);
+    const auto trace = deriveTrace({&main_prog, &peer_text}, kWire);
+    if (!trace) {
+        std::printf("shape check: full Table I coverage: NO (the "
+                    "derivation declined the program)\n");
+        return 1;
     }
+    replayTrace(*trace, {&pod.chip(0), &pod.chip(1)});
 
     std::set<Opcode> seen;
     int repeated_reads = 0;
-    const ExecutionTrace &trace = rec.recorded();
-    for (const auto &e : trace.events) {
-        if (e.kind != ExecutionTrace::EventKind::Dispatch)
+    for (const auto &e : trace->events) {
+        if (e.kind != ExecutionTrace::EventKind::Dispatch || e.chip != 0)
             continue;
         const Instruction &inst =
-            main_chip.program()->queue(IcuId{e.unit})[e.instIndex];
+            main_prog.queue(IcuId{e.unit})[e.instIndex];
         seen.insert(inst.op);
         if (inst.op == Opcode::Read && inst.addr == 0x17)
             ++repeated_reads;

@@ -1,5 +1,7 @@
 #include "c2c/c2c_module.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "mem/fault.hh"
 
@@ -54,6 +56,14 @@ std::size_t
 C2cModule::pendingRx(int link) const
 {
     return links_[static_cast<std::size_t>(link)].rx.size();
+}
+
+bool
+C2cModule::idle(Cycle now) const
+{
+    return std::all_of(links_.begin(), links_.end(), [now](const Link &l) {
+        return l.rx.empty() && l.txBusyUntil <= now;
+    });
 }
 
 std::uint64_t

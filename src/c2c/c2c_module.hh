@@ -75,6 +75,13 @@ class C2cModule
     /** @return vectors waiting in link @p link's elastic buffer. */
     std::size_t pendingRx(int link) const;
 
+    /**
+     * @return true when no link holds a vector, in flight or in its
+     * elastic buffer, and no serializer is busy at @p now: the state
+     * a freshly built module starts from, deskew aside.
+     */
+    bool idle(Cycle now) const;
+
     /** @return the stream access point (CSR counters). */
     const StreamIo &io() const { return io_; }
 

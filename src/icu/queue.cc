@@ -154,11 +154,7 @@ InstructionQueue::tick(Cycle now, const Instruction *out[2])
         // iterations": the repeated instruction precedes this one in
         // program order (an intervening NOP only spaces the first
         // iteration).
-        std::size_t prev_pc = pc_;
-        while (prev_pc > 0 &&
-               program_[prev_pc - 1].op == Opcode::Nop) {
-            --prev_pc;
-        }
+        const std::size_t prev_pc = repeatTarget(program_, pc_);
         if (prev_pc == 0) {
             panic("%s: repeat with no previous instruction",
                   id_.name().c_str());

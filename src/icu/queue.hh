@@ -113,6 +113,19 @@ class InstructionQueue
         repeatsLeft_ = 0;
     }
 
+    /**
+     * @return one past the index of the instruction a Repeat at
+     * @p pc of @p program re-issues: the last one before it that is
+     * not a NOP (0 when there is none).
+     */
+    static std::size_t
+    repeatTarget(std::span<const Instruction> program, std::size_t pc)
+    {
+        while (pc > 0 && program[pc - 1].op == Opcode::Nop)
+            --pc;
+        return pc;
+    }
+
     /** @return true if parked on a Sync right now. */
     bool parked() const { return parked_; }
 

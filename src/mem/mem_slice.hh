@@ -92,8 +92,8 @@ class MemSlice
      * so arriving vectors carry stale codes; while set, write() and
      * scatter() regenerate codes at commit instead of checking them,
      * keeping the stored image bit-identical to a live run. Sound
-     * because replay is only taken for fault-free recordings whose
-     * checks all came back Ok (zero CSR deltas either way).
+     * because replay is only taken for fault-free runs, whose checks
+     * all come back Ok (zero CSR deltas either way).
      */
     void setReplayMode(bool on) { replay_ = on; }
 

@@ -49,9 +49,9 @@ InferenceSession::bind(std::vector<SharedProgram> programs,
         image_ ? static_cast<double>(image_->totalBytes()) / kPcieGen4Bps
                : 0.0;
     // The members still hold the previous programs and image until
-    // the next reset(): any recorded trace or snapshot is of the
+    // the next reset(): any derived trace or snapshot is of the
     // wrong program (or the wrong weights after a reinstall), and no
-    // run before that reset may record, replay or migrate.
+    // run before that reset may derive, replay or migrate.
     trace_.reset();
     lastSnap_.reset();
     fresh_ = false;
@@ -93,58 +93,58 @@ InferenceSession::members()
     return chips;
 }
 
+bool
+InferenceSession::quiescent() const
+{
+    for (int c = 0; c < pod_->size(); ++c) {
+        const Chip &chip = pod_->chip(c);
+        if (chip.fabric().validEntries() != 0 ||
+            chip.fabric().pendingWrites() != 0 ||
+            !chip.c2c().idle(chip.now())) {
+            return false;
+        }
+    }
+    return true;
+}
+
 RunResult
 InferenceSession::runBounded(Cycle max_cycles)
 {
-    // Record/replay only engages from the freshly loaded program
-    // state a recording started from; any run consumes freshness.
-    const bool eligible = replayEnabled_ && fresh_ && replayEligible();
+    // Replay only engages from the freshly loaded program state a
+    // trace starts from: any run consumes freshness, and a run that
+    // starts with values on a member's fabric or a vector on its links
+    // (neither is in the text) steps.
+    const bool eligible =
+        replayEnabled_ && fresh_ && replayEligible() && quiescent();
     fresh_ = false;
     if (!eligible)
         return runRaw(max_cycles);
-    // Another session of the pool may have recorded these programs.
+    // Another session of the pool may have derived the trace.
     if (!trace_ && pool_)
         trace_ = pool_->find(key_);
-    if (trace_ && trace_->span <= max_cycles) {
-        replayTrace(*trace_, members());
-        ++replays_;
-        timedOut_ = false;
-        machineChecked_ = false;
-        cycles_ = trace_->span;
-        return {true, RunStatus::Completed, trace_->span};
-    }
-    if (trace_)
-        return runRaw(max_cycles);
-    // A lone chip's trace follows from its program's text when the
-    // run starts on an empty fabric (values already flowing are not
-    // in the text); the first run then replays it too. A declined
-    // derivation, a pod or a stepped run that will not retire within
-    // the budget records instead, as every first run once did.
-    const StreamFabric &fabric = pod_->chip(0).fabric();
-    if (pod_->size() == 1 && fabric.validEntries() == 0 &&
-        fabric.pendingWrites() == 0) {
-        trace_ = deriveTrace(*programs_.front().get(), max_cycles);
-        if (trace_) {
-            ++records_;
-            ++derived_;
-            if (pool_)
-                pool_->insert(key_, trace_);
-            replayTrace(*trace_, members());
-            timedOut_ = false;
-            machineChecked_ = false;
-            cycles_ = trace_->span;
-            return {true, RunStatus::Completed, trace_->span};
-        }
-    }
-    TraceRecording rec(members());
-    const RunResult r = runRaw(max_cycles);
-    trace_ = rec.finish(r.completed);
     if (trace_) {
+        if (trace_->span > max_cycles)
+            return runRaw(max_cycles);
+        ++replays_;
+    } else {
+        // The run's trace follows from its programs' text, so the first
+        // run replays it too. A declined derivation, or one that will
+        // not retire within the budget, steps and keeps no trace.
+        std::vector<const AsmProgram *> texts;
+        for (const SharedProgram &p : programs_)
+            texts.push_back(p.get());
+        trace_ = deriveTrace(texts, pod_->wireLatency(), max_cycles);
+        if (!trace_)
+            return runRaw(max_cycles);
         ++records_;
         if (pool_)
             pool_->insert(key_, trace_);
     }
-    return r;
+    replayTrace(*trace_, members());
+    timedOut_ = false;
+    machineChecked_ = false;
+    cycles_ = trace_->span;
+    return {true, RunStatus::Completed, trace_->span};
 }
 
 void
@@ -270,7 +270,7 @@ InferenceSession::migrateAndResume(Cycle max_cycles)
     pod_ = std::move(fresh);
     machineChecked_ = false;
     timedOut_ = false;
-    fresh_ = false; // Mid-program: no record/replay footing.
+    fresh_ = false; // Mid-program: no replay footing.
     return runRaw(max_cycles);
 }
 

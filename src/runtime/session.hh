@@ -117,7 +117,7 @@ class InferenceSession
      * image. Takes effect at the next reset(), which loads the
      * programs and applies the image; any held trace or snapshot is
      * of the previous programs and is dropped, and no run before that
-     * reset may record, replay or migrate.
+     * reset may derive, replay or migrate.
      */
     void bind(std::vector<SharedProgram> programs,
               Lowering *lw = nullptr);
@@ -206,8 +206,9 @@ class InferenceSession
      * @p every cycles and capture a PodSnapshot at each chunk
      * boundary (never after a machine check, so the last snapshot
      * always precedes the first uncorrectable error). 0 disables.
-     * Capture is skipped silently whenever a member refuses (e.g. a
-     * trace recording is in progress). Chunking itself is invisible:
+     * Capture is skipped silently whenever a member refuses. A run
+     * that replays a trace takes no snapshot. Chunking itself is
+     * invisible:
      * Pod::runAllBounded() stops bit-identically at any absolute
      * cycle, and a chunk boundary is a consistent cut even when
      * member clocks differ by the lookahead, because every C2C vector
@@ -248,18 +249,17 @@ class InferenceSession
     static constexpr int kMaxMigrations = 8;
 
     /**
-     * Enables the trace replay tier: the first complete run after a
-     * reset() makes a trace of every member's resolved micro-op
-     * sequence, and subsequent fresh runs of the same bound programs
-     * replay it (see sim/exec_trace.hh). A one-chip session derives
-     * the trace from its program's text (deriveTrace()) and replays
-     * it, so even that first run is a replay; pods, programs with C2C
-     * transfers, a first run that starts with values already on the
-     * fabric and programs the derivation declines record a stepped
-     * run instead. With a @p pool, traces are shared: a fresh run
-     * with no trace of its own looks the bound programs up in the
-     * pool first (traceKeyOf()), and a new trace is inserted there.
-     * Runs with fault injection always take the normal path.
+     * Enables the trace replay tier: the first fresh run after a
+     * reset() derives a trace of every member's resolved micro-op
+     * sequence from the bound programs' text (deriveTrace(), for any
+     * pod size) and replays it, and later fresh runs replay the same
+     * trace (see sim/exec_trace.hh). A first run that starts with
+     * values on a member's fabric or a vector on its links, a program
+     * the derivation declines and one that will not retire within the
+     * budget step instead and keep no trace. With a @p pool, traces
+     * are shared: a fresh run with no trace of its own looks the bound
+     * programs up in the pool first (traceKeyOf()), and a new trace is
+     * inserted there. Runs with fault injection always step.
      */
     void
     enableReplay(bool on = true,
@@ -269,7 +269,7 @@ class InferenceSession
         pool_ = std::move(pool);
     }
 
-    /** @return the trace recorded for the bound programs, if any. */
+    /** @return the trace derived for the bound programs, if any. */
     const std::shared_ptr<const ExecutionTrace> &
     trace() const
     {
@@ -280,12 +280,9 @@ class InferenceSession
      *  the first run that made it. */
     std::uint64_t replayCount() const { return replays_; }
 
-    /** @return first runs that made the session's trace, recorded
-     *  or derived. */
+    /** @return first runs that derived the session's trace (and
+     *  replayed it). */
     std::uint64_t recordCount() const { return records_; }
-
-    /** @return how many of recordCount()'s traces were derived. */
-    std::uint64_t derivedCount() const { return derived_; }
 
     /** @return member 0's bound compiled program. */
     const AsmProgram *
@@ -325,8 +322,14 @@ class InferenceSession
     /** Captures a snapshot if every member permits one right now. */
     void captureSnapshot();
 
-    /** @return true when this config may ever record or replay. */
+    /** @return true when this config may ever replay. */
     bool replayEligible() const;
+
+    /**
+     * @return true when every member's fabric and links hold nothing:
+     * the state a trace derived from the text starts from.
+     */
+    bool quiescent() const;
 
     /** @return a fresh pod with the next derived fault seed and the
      *  bound programs loaded. */
@@ -367,15 +370,14 @@ class InferenceSession
     bool replayEnabled_ = false;
     /**
      * True between reset() and the next run: the members are at the
-     * freshly loaded program state a recording started from, so a
-     * replay lands on identical footing.
+     * freshly loaded program state a trace starts from, so a replay
+     * lands on identical footing.
      */
     bool fresh_ = false;
     std::shared_ptr<TraceCache> pool_;
     std::shared_ptr<const ExecutionTrace> trace_;
     std::uint64_t replays_ = 0;
     std::uint64_t records_ = 0;
-    std::uint64_t derived_ = 0;
 };
 
 } // namespace tsp

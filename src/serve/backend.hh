@@ -88,15 +88,15 @@ class Backend
 
     /**
      * Attaches a pool-shared execution-trace cache and enables the
-     * record/replay tier (see sim/exec_trace.hh): the first worker to
-     * run a compiled program records it, every worker replays it.
+     * replay tier (see sim/exec_trace.hh): the first worker to run a
+     * compiled program derives its trace, every worker replays it.
      */
     virtual void attachTraceCache(std::shared_ptr<TraceCache>) = 0;
 
-    /** @return runs served by replaying a recorded trace. */
+    /** @return runs served by replaying a trace made earlier. */
     virtual std::uint64_t replayCount() const = 0;
 
-    /** @return runs that recorded a trace. */
+    /** @return first runs that derived a trace (and replayed it). */
     virtual std::uint64_t recordCount() const = 0;
 
     // --- Snapshot-based mid-batch migration ---

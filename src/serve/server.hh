@@ -186,10 +186,10 @@ struct ServerConfig
     /**
      * Byte budget of the pool-shared execution-trace cache (LRU,
      * see sim/exec_trace.hh). A worker that runs a compiled program
-     * with no resident trace records one; later serves of that
+     * with no resident trace derives one; later serves of that
      * program, on any worker, replay it bit-identically instead of
-     * re-simulating per cycle. Which runs record depends on host
-     * thread timing, so the record/replay counts are accessors only
+     * re-simulating per cycle. Which runs derive depends on host
+     * thread timing, so the derive/replay counts are accessors only
      * (recordCount()), never part of metricsJson(). 0 disables the
      * replay tier entirely. Sessions self-gate when replay would be
      * unsound (fault injection), so leaving this on is always safe.
@@ -367,7 +367,7 @@ class InferenceServer
      */
     Cycle totalChipCycles() const;
 
-    /** @return recorded traces resident in the shared cache. */
+    /** @return traces resident in the shared cache. */
     std::size_t traceCacheSize() const
     {
         return traceCache_ ? traceCache_->size() : 0;
@@ -382,7 +382,7 @@ class InferenceServer
     /** @return pool-wide runs served by trace replay. */
     std::uint64_t replayCount() const;
 
-    /** @return pool-wide runs that recorded a trace. */
+    /** @return pool-wide runs that derived a trace. */
     std::uint64_t recordCount() const;
 
   private:

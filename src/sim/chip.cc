@@ -271,11 +271,8 @@ Chip::step()
         const Instruction *insts[2] = {nullptr, nullptr};
         const int n = q.tick(now, insts);
         dispatches += n;
-        for (int i = 0; i < n; ++i) {
-            if (traceRec_)
-                traceRec_->onDispatch(traceChip_, id, *insts[i], now);
+        for (int i = 0; i < n; ++i)
             dispatch(q.id(), *insts[i]);
-        }
         if (!q.inert(now + 1))
             live_[kept++] = id;
     }
@@ -284,16 +281,11 @@ Chip::step()
     // MXM sequencers stream activations/results every cycle. Note
     // whether any plane was active *before* ticking so the final
     // cycle of a window still counts as busy. A tick on an idle plane
-    // is a no-op, so only busy-plane ticks are recorded.
+    // is a no-op (a trace lists only busy-plane ticks).
     bool mxm_busy = false;
-    for (int p = 0; p < kMxmPlanes; ++p) {
-        MxmPlane &plane = *mxm_[static_cast<std::size_t>(p)];
-        if (plane.busy()) {
-            mxm_busy = true;
-            if (traceRec_)
-                traceRec_->onMxmTick(traceChip_, p, now);
-        }
-        plane.tick(now);
+    for (const auto &plane : mxm_) {
+        mxm_busy = mxm_busy || plane->busy();
+        plane->tick(now);
     }
 
     lastStepQuiet_ = dispatches == 0 && !mxm_busy;
@@ -454,34 +446,16 @@ Chip::totalParkedCycles() const
 }
 
 void
-Chip::armTraceRecorder(TraceRecording *rec, int chip_index)
-{
-    TSP_ASSERT(traceRec_ == nullptr && rec != nullptr);
-    TSP_ASSERT(fabric_.tapeReplayer() == nullptr);
-    traceRec_ = rec;
-    traceChip_ = chip_index;
-    fabric_.attachTapeHooks(rec, nullptr);
-}
-
-void
-Chip::disarmTraceRecorder()
-{
-    traceRec_ = nullptr;
-    fabric_.attachTapeHooks(nullptr, nullptr);
-}
-
-void
 Chip::beginReplay(TapeReplayer *player)
 {
-    TSP_ASSERT(player != nullptr && traceRec_ == nullptr);
-    TSP_ASSERT(!mcheck_->raised());
-    // The chip is at the freshly loaded program state the recording
-    // started from (queues loaded, sequencers idle). A previous run
+    TSP_ASSERT(player != nullptr && !mcheck_->raised());
+    // The chip is at the freshly loaded program state the trace
+    // starts from (queues loaded, sequencers idle). A previous run
     // can leave dead values still flowing; a reload would clear them,
     // and replay never reads the fabric, so drop them here to let
     // replayJumpTo() keep its emptiness invariant.
     fabric_.clear();
-    fabric_.attachTapeHooks(nullptr, player);
+    fabric_.attachTapeReplayer(player);
     for (auto &m : memSlices_)
         m.setReplayMode(true);
 }
@@ -507,11 +481,11 @@ Chip::finishReplay(const ExecutionTrace::ChipDeltas &d, Cycle end)
     TSP_ASSERT(fabric_.tapeReplayer() != nullptr);
     fabric_.replayJumpTo(end);
     fabric_.replayCredit(d.fabricHops, d.fabricWrites);
-    fabric_.attachTapeHooks(nullptr, nullptr);
+    fabric_.attachTapeReplayer(nullptr);
     for (auto &m : memSlices_)
         m.setReplayMode(false);
 
-    // The queues never ticked: retire them (the recorded run retired)
+    // The queues never ticked: retire them (the traced run retired)
     // and credit the dispatch/idle counters their scans would have
     // accumulated.
     for (auto &q : queues_)

@@ -205,8 +205,7 @@ class Chip
     /**
      * Serializes the full architectural state into @p out at the
      * current quiesce point (between steps). Refuses — returning
-     * false with @p err set — while a trace recorder is armed or a
-     * replay is in progress.
+     * false with @p err set — while a replay is in progress.
      */
     bool snapshot(ChipSnapshot &out, std::string *err = nullptr) const;
 
@@ -227,23 +226,13 @@ class Chip
     /** @return the loaded program (null when none). */
     const SharedProgram &program() const { return program_; }
 
-    // --- Trace record/replay tier (see sim/exec_trace.hh) ---
-
-    /**
-     * Arms @p rec to observe this chip's dispatches, MXM ticks and
-     * stream exchanges for the duration of one run. @p chip_index is
-     * this chip's index within the recording's chip set.
-     */
-    void armTraceRecorder(TraceRecording *rec, int chip_index);
-
-    /** Detaches the recorder (recording sealed or abandoned). */
-    void disarmTraceRecorder();
+    // --- Trace replay tier (see sim/exec_trace.hh) ---
 
     /**
      * Enters replay: the chip must be at the freshly loaded program
-     * state the recording started from (queues loaded, sequencers
-     * idle). Stream produces/consumes are redirected to @p player
-     * until finishReplay().
+     * state the trace starts from (queues loaded, sequencers idle).
+     * Stream produces/consumes are redirected to @p player until
+     * finishReplay().
      */
     void beginReplay(TapeReplayer *player);
 
@@ -261,7 +250,7 @@ class Chip
     void replayDispatch(int icu_id, const Instruction &inst, Cycle when);
 
     /**
-     * Re-executes one recorded MXM-plane tick at absolute cycle
+     * Re-executes one traced MXM-plane tick at absolute cycle
      * @p when. The plane batches an int8 window's arithmetic itself
      * (mxm/mxm_plane.hh), so ticks replay one event at a time.
      */
@@ -269,7 +258,7 @@ class Chip
 
     /**
      * Leaves replay: jumps the clock to @p end (replay start +
-     * recorded span), credits the counters replay skipped from @p d
+     * traced span), credits the counters replay skipped from @p d
      * and retires the queues. The chip is left in the exact
      * end-of-run state of a normal run.
      */
@@ -331,10 +320,6 @@ class Chip
     bool decodePayload(const ChipSnapshot &snap, std::string *err);
 
     std::uint64_t ifetches_ = 0;
-
-    /** Armed recorder (record tier) and this chip's index in it. */
-    TraceRecording *traceRec_ = nullptr;
-    int traceChip_ = 0;
 
     /**
      * Counters replay credits wholesale because the machinery that

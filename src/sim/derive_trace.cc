@@ -1,24 +1,31 @@
 /**
  * @file
- * deriveTrace(): a one-chip program's replay trace from its text.
+ * deriveTrace(): a pod's replay trace from its member programs' text.
  *
  * On this machine the queue text fixes every dispatch cycle (paper
- * section III: the compiler tracks all 144 queues' logical time), and
- * a stream value moves one register a cycle, so the trace a recording
- * of the program's run would seal is a function of the text. The
- * derivation computes it in three parts:
+ * section III: the compiler tracks all 144 queues' logical time), a
+ * stream value moves one register a cycle, and each C2C Send is
+ * scheduled for the cycle its peer's Receive expects it (II item 6),
+ * so the trace of a fault-free run is a function of the text. The
+ * derivation computes it in four parts:
  *
- *  - *Dispatches.* The real InstructionQueues and BarrierController
- *    advance from event to event on a bucket calendar: a queue ticks
- *    only at its nextEventCycle(), and skipIdle() credits the idle
- *    span before it, exactly as the fast-forward core does. Live
- *    queues tick in id order within a cycle, then the MXM planes,
- *    which is the order Chip::step() records.
+ *  - *Dispatches.* Each member's real InstructionQueues and
+ *    BarrierController advance from event to event on a bucket
+ *    calendar: a queue ticks only at its nextEventCycle(), and
+ *    skipIdle() credits the idle span before it, exactly as the
+ *    fast-forward core does. The members advance cycle by cycle in
+ *    ring order, as Pod::stepAll() steps them; within a member, live
+ *    queues tick in id order, then the MXM planes, as Chip::step()
+ *    runs them.
  *  - *Stream effects.* Each dispatch, and each tick of an open ABC or
  *    ACC window, takes its reads and writes from its kOpTable row:
  *    consumes first, in the unit's order (scatter reads its map
  *    stream first), then produces, visible d_func cycles later. A
  *    windowed row's streams belong to its ticks.
+ *  - *The ring links.* Pod's wiring (link 1 of member i to link 0 of
+ *    member i + 1), modeled from the text as C2cModule runs it: a Send
+ *    at cycle t lands in the peer link's buffer at t + serialization +
+ *    wire, and a Receive produces only when an arrival is due.
  *  - *The index-only fabric.* A value written at position p in cycle
  *    t sits at p + (now - t) on an eastward stream (p - (now - t)
  *    westward) until it passes the chip edge or a later write to its
@@ -27,23 +34,26 @@
  *    latest write whose exact diagonal matches. Hops and writes follow
  *    from each value's life on that diagonal.
  *
- * It ends with TraceRecording's own slot-allocation pass
- * (assignTraceSlots()), so the trace equals the recording field by
- * field; ctest holds the recording as its oracle.
+ * It ends with a slot-allocation pass over the tape (assignSlots()).
+ * The stepped tier is the reference: ctest replays each derived trace
+ * against a stepped run of the same program.
  */
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <utility>
 
 #include "arch/layout.hh"
+#include "c2c/pod.hh"
 #include "common/logging.hh"
 #include "icu/barrier.hh"
 #include "icu/queue.hh"
 #include "sim/exec_trace.hh"
+#include "stream/fabric.hh"
 
 namespace tsp {
 
@@ -52,8 +62,58 @@ namespace {
 constexpr int kPositions = Layout::numPositions;
 
 /**
- * The stream register file as produce indices: what a recording's
- * tags say, without a vector, a pool slot or a per-cycle advance.
+ * Seals @p t's slot map (produceSlot, slotCount) from its consume
+ * tape and, per produce, the tape length at the start of the event
+ * that ran it (@p produce_at, whose buffer becomes produceSlot).
+ */
+void
+assignSlots(ExecutionTrace &t, std::vector<std::uint32_t> produce_at)
+{
+    // Walk produces and consumes in trace order, freeing a value's
+    // slot when the event holding its last consume ends (a produce
+    // sits at its event's start). Replay re-executes the exact same
+    // interleaving, so a reused slot is only ever overwritten after
+    // its previous value's final read, and a unit may build its
+    // results in place while it still reads its operands' slots.
+    constexpr std::uint32_t kNever = 0xffffffffu;
+    const auto produces32 = static_cast<std::uint32_t>(t.produces);
+    TSP_ASSERT(produce_at.size() == produces32);
+    std::vector<std::uint32_t> lastUse(produces32, kNever);
+    for (std::uint32_t c = 0;
+         c < static_cast<std::uint32_t>(t.consumeTape.size()); ++c) {
+        const std::uint32_t tag = t.consumeTape[c];
+        if (tag != kTapeMiss)
+            lastUse[tag] = c;
+    }
+    // Each produce's slot overwrites its produce_at entry, which the
+    // walk has just read for the last time.
+    std::vector<std::uint32_t> &slot = produce_at;
+    std::vector<std::uint32_t> freeSlots;
+    std::uint32_t slots = 1; // Slot 0: scratch for unconsumed values.
+    std::size_t c = 0;
+    for (std::uint32_t tag = 0; tag < produces32; ++tag) {
+        while (c < produce_at[tag]) {
+            const std::uint32_t done = t.consumeTape[c];
+            if (done != kTapeMiss && lastUse[done] == c)
+                freeSlots.push_back(slot[done]);
+            ++c;
+        }
+        if (lastUse[tag] == kNever) {
+            slot[tag] = 0;
+        } else if (freeSlots.empty()) {
+            slot[tag] = slots++;
+        } else {
+            slot[tag] = freeSlots.back();
+            freeSlots.pop_back();
+        }
+    }
+    t.produceSlot = std::move(slot);
+    t.slotCount = slots;
+}
+
+/**
+ * The stream register file as produce indices: what each consume
+ * samples, without a vector, a pool slot or a per-cycle advance.
  */
 class IndexFabric
 {
@@ -64,9 +124,10 @@ class IndexFabric
     {
     }
 
-    /** Schedules produce @p tag on @p s at @p pos, visible at @p when. */
+    /** Schedules produce @p produce on @p s at @p pos, visible at
+     *  @p when. */
     void
-    schedule(StreamRef s, SlicePos pos, Cycle when, std::uint32_t tag)
+    schedule(StreamRef s, SlicePos pos, Cycle when, std::uint32_t produce)
     {
         // Producer delays are architectural constants well inside the
         // calendar, and every one is at least a cycle.
@@ -75,7 +136,7 @@ class IndexFabric
         if (b.writes.empty())
             b.when = when;
         TSP_ASSERT(b.when == when);
-        b.writes.push_back({s, pos, tag});
+        b.writes.push_back({s, pos, produce});
         ++pendingCount_;
     }
 
@@ -121,7 +182,7 @@ class IndexFabric
                                         ? pos - e.pos
                                         : e.pos - pos;
         return e.valid && flowed == static_cast<std::int64_t>(now - e.at)
-                   ? e.tag
+                   ? e.produce
                    : kTapeMiss;
     }
 
@@ -131,7 +192,8 @@ class IndexFabric
     {
         std::uint64_t h = hops_;
         for (const Entry &e : entries_) {
-            const Cycle until = e.at + life(e.dir(), e.pos);
+            const Cycle until =
+                e.at + StreamFabric::hopsToEdge(e.dir(), e.pos);
             if (e.valid && until > end)
                 h -= until - end;
         }
@@ -145,8 +207,8 @@ class IndexFabric
     /** The last write to one stream register entry. */
     struct Entry
     {
-        std::uint32_t at = 0;  ///< The cycle it was written.
-        std::uint32_t tag = 0; ///< The produce it holds.
+        std::uint32_t at = 0;      ///< The cycle it was written.
+        std::uint32_t produce = 0; ///< The produce it holds.
         std::uint8_t pos = 0;  ///< The position it was written at.
         bool west = false;
         bool valid = false;
@@ -161,7 +223,7 @@ class IndexFabric
     {
         StreamRef s;
         SlicePos pos;
-        std::uint32_t tag;
+        std::uint32_t produce;
     };
 
     struct Batch
@@ -173,34 +235,15 @@ class IndexFabric
     /** Calendar depth; the largest producer delay (ACC's) is 21. */
     static constexpr Cycle kHorizon = 128;
 
-    /** @return the hops a value written at @p pos makes before it
-     *  passes the chip edge: to past position N - 1 eastward, past 0
-     *  westward. */
-    static Cycle
-    life(Direction dir, int pos)
-    {
-        return dir == Direction::East ? static_cast<Cycle>(kPositions - pos)
-                                      : static_cast<Cycle>(pos + 1);
-    }
-
-    /**
-     * @return the ring entry holding register @p pos of @p s in a cycle
-     * whose phase (cycle % N) is @p phase: the fabric's entryOf(). A
-     * value keeps its entry while it flows, so an entry holds one
-     * diagonal, position minus (eastward) or plus (westward) time,
-     * modulo N.
-     */
+    /** @return the entry holding register @p pos of @p s in a cycle
+     *  whose phase is @p phase: the fabric's own ring entry. */
     static std::size_t
     index(StreamRef s, SlicePos pos, int phase)
     {
-        int e = s.dir == Direction::East ? pos - phase : pos + phase;
-        if (e < 0)
-            e += kPositions;
-        else if (e >= kPositions)
-            e -= kPositions;
-        const std::size_t ring =
-            (s.dir == Direction::West ? kStreamsPerDir : 0) + s.id;
-        return ring * kPositions + static_cast<std::size_t>(e);
+        return static_cast<std::size_t>(StreamFabric::ringIndex(s)) *
+                   kPositions +
+               static_cast<std::size_t>(
+                   StreamFabric::entryOf(s.dir, pos, phase));
     }
 
     bool
@@ -208,7 +251,8 @@ class IndexFabric
     {
         Entry &e = entries_[index(w.s, w.pos, phase)];
         if (e.valid) {
-            const Cycle until = e.at + life(e.dir(), e.pos);
+            const Cycle until =
+                e.at + StreamFabric::hopsToEdge(e.dir(), e.pos);
             if (until > t) {
                 // The register still holds a value, and this write
                 // replaces it: while a value is on the chip, only
@@ -218,10 +262,10 @@ class IndexFabric
                 hops_ -= until - t;
             }
         }
-        e = {static_cast<std::uint32_t>(t), w.tag,
+        e = {static_cast<std::uint32_t>(t), w.produce,
              static_cast<std::uint8_t>(w.pos), w.s.dir == Direction::West,
              true};
-        hops_ += life(w.s.dir, w.pos);
+        hops_ += StreamFabric::hopsToEdge(w.s.dir, w.pos);
         ++writes_;
         return true;
     }
@@ -236,72 +280,330 @@ class IndexFabric
     std::uint64_t writes_ = 0;
 };
 
-/** One derivation: the state a stepped run of the program keeps. */
-class Derivation
+constexpr int kMaskWords = (kNumIcus + 63) / 64;
+using QueueMask = std::array<std::uint64_t, kMaskWords>;
+
+/** One member's queue events: a bucket calendar of queue id masks. */
+class Calendar
 {
   public:
-    Derivation(const AsmProgram &program, Cycle max_span)
-        : program_(program), maxSpan_(max_span),
-          trace_(std::make_unique<ExecutionTrace>()),
-          buckets_(kBuckets)
+    Calendar() : buckets_(kBuckets) { due_.fill(kNoEventCycle); }
+
+    /** @return queue @p id's filed event cycle (kNoEventCycle: none). */
+    Cycle due(int id) const { return due_[static_cast<std::size_t>(id)]; }
+
+    /** Files queue @p id's next event at cycle @p at. */
+    void
+    schedule(int id, Cycle at)
     {
-        queues_.reserve(kNumIcus);
-        for (int i = 0; i < kNumIcus; ++i) {
-            queues_.emplace_back(IcuId{i}, barrier_);
-            pos_[static_cast<std::size_t>(i)] = IcuId{i}.pos();
-        }
-        due_.fill(kNoEventCycle);
-        done_.fill(true);
+        due_[static_cast<std::size_t>(id)] = at;
+        if (at == kNoEventCycle)
+            return;
+        if (at < base_ + kBuckets)
+            put(id, at);
+        else
+            far_.push({at, id});
     }
 
-    std::shared_ptr<const ExecutionTrace>
-    run()
+    /** @return the earliest queue event at or after @p from. */
+    Cycle
+    earliest(Cycle from)
     {
-        if (!load())
-            return nullptr;
-        Cycle from = 0;
-        Cycle end = 0;
-        while (notDone_ > 0 || planesBusy()) {
-            const Cycle c = planesBusy() ? from : earliestDue(from);
-            // Nothing left to happen while a queue still waits: the
-            // program never retires.
-            if (c == kNoEventCycle || c >= maxSpan_ ||
-                !fabric_.applyUntil(c)) {
-                return nullptr;
-            }
-            const std::array<std::uint64_t, kMaskWords> ids = take(c);
-            for (int w = 0; w < kMaskWords; ++w) {
-                for (std::uint64_t m = ids[w]; m != 0; m &= m - 1) {
-                    const int id = w * 64 + std::countr_zero(m);
-                    if (!tickQueue(id, c))
-                        return nullptr;
-                }
-            }
-            tickPlanes(c);
-            from = c + 1;
-            end = from;
+        rebase(from);
+        if (inBuckets_ == 0)
+            return far_.empty() ? kNoEventCycle : far_.top().first;
+        for (Cycle c = from;; ++c) {
+            const Bucket &b = buckets_[c & (kBuckets - 1)];
+            if (b.when == c && b.ids != QueueMask{})
+                return c;
         }
-        if (!fabric_.applyUntil(end))
-            return nullptr;
-        return seal(end);
+    }
+
+    /** @return (and unfiles) the queues due at @p c. */
+    QueueMask
+    take(Cycle c)
+    {
+        rebase(c);
+        Bucket &b = buckets_[c & (kBuckets - 1)];
+        if (b.when != c)
+            return {};
+        const QueueMask ids = b.ids;
+        b.ids = {};
+        for (const std::uint64_t m : ids)
+            inBuckets_ -= static_cast<std::size_t>(std::popcount(m));
+        return ids;
     }
 
   private:
-    static constexpr int kMaskWords = (kNumIcus + 63) / 64;
-    /** Calendar buckets (a power of two): NOP gaps past them wait in
-     *  far_. */
+    /** Buckets (a power of two): NOP gaps past them wait in far_. */
     static constexpr Cycle kBuckets = 1024;
 
-    /** An MXM plane's open windows. */
-    struct Plane
+    /** One calendar cycle: the queues due then, as an id mask. */
+    struct Bucket
     {
-        std::uint32_t abcLeft = 0; ///< ABC ticks to go.
-        StreamRef abcSrc{};
-        int abcStreams = 1;        ///< 2 for an fp16 activation pair.
-        std::uint32_t accLeft = 0; ///< ACC ticks to go.
-        StreamRef accDst{};
+        Cycle when = 0;
+        QueueMask ids{};
     };
 
+    void
+    put(int id, Cycle at)
+    {
+        Bucket &b = buckets_[at & (kBuckets - 1)];
+        if (b.ids == QueueMask{})
+            b.when = at;
+        TSP_ASSERT(b.when == at);
+        b.ids[static_cast<std::size_t>(id / 64)] |= std::uint64_t{1}
+                                                    << (id % 64);
+        ++inBuckets_;
+    }
+
+    /** Moves the buckets' window to start at @p base. */
+    void
+    rebase(Cycle base)
+    {
+        base_ = base;
+        while (!far_.empty() && far_.top().first < base_ + kBuckets) {
+            put(far_.top().second, far_.top().first);
+            far_.pop();
+        }
+    }
+
+    /**
+     * Per queue, its filed event cycle, or kNoEventCycle when it has
+     * none (retired, or parked with no release yet).
+     */
+    std::array<Cycle, kNumIcus> due_{};
+    std::vector<Bucket> buckets_;
+    std::size_t inBuckets_ = 0;
+    /** Buckets hold the events of [base_, base_ + kBuckets). */
+    Cycle base_ = 0;
+    std::priority_queue<std::pair<Cycle, int>,
+                        std::vector<std::pair<Cycle, int>>,
+                        std::greater<>>
+        far_;
+};
+
+/** An MXM plane's open windows. */
+struct Plane
+{
+    std::uint32_t abcLeft = 0; ///< ABC ticks to go.
+    StreamRef abcSrc{};
+    int abcStreams = 1;        ///< 2 for an fp16 activation pair.
+    std::uint32_t accLeft = 0; ///< ACC ticks to go.
+    StreamRef accDst{};
+};
+
+/** One C2C link's flight state, as C2cModule keeps it. */
+struct Link
+{
+    Link *peer = nullptr; ///< The wired peer link; null when unwired.
+    bool deskewed = false;
+    Cycle txBusyUntil = 0;
+    /** Arrival cycles of the vectors in the elastic buffer. */
+    std::deque<Cycle> rx;
+};
+
+/** One pod member: the state a stepped run of its program keeps. */
+struct Member
+{
+    Member()
+    {
+        queues.reserve(kNumIcus);
+        for (int i = 0; i < kNumIcus; ++i)
+            queues.emplace_back(IcuId{i}, barrier);
+        done.fill(true);
+    }
+
+    // The queues point at the barrier, and the links at each other.
+    Member(const Member &) = delete;
+    Member &operator=(const Member &) = delete;
+
+    bool
+    planesBusy() const
+    {
+        return std::any_of(planes.begin(), planes.end(),
+                           [](const Plane &p) {
+                               return p.abcLeft > 0 || p.accLeft > 0;
+                           });
+    }
+
+    /** @return true while the member would still step. */
+    bool running() const { return notDone > 0 || planesBusy(); }
+
+    BarrierController barrier;
+    std::vector<InstructionQueue> queues;
+    Calendar calendar;
+    /** Per queue, the cycle its idle counters are credited up to. */
+    std::array<Cycle, kNumIcus> at{};
+    /** Per queue, whether it is done(); notDone counts the rest. */
+    std::array<bool, kNumIcus> done{};
+    int notDone = 0;
+    std::array<Plane, kMxmPlanes> planes{};
+    std::array<Link, kC2cLinks> links{};
+    IndexFabric fabric;
+};
+
+/** One derivation: the members' programs run from their text. */
+class Derivation
+{
+  public:
+    Derivation(const std::vector<const AsmProgram *> &programs,
+               Cycle wire_latency)
+        : programs_(programs), wire_(wire_latency),
+          trace_(std::make_unique<ExecutionTrace>())
+    {
+        TSP_ASSERT(!programs_.empty() && programs_.size() <= 256);
+        const std::size_t n = programs_.size();
+        members_.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            members_.push_back(std::make_unique<Member>());
+        // Pod's ring; a pod of one wires no link.
+        for (std::size_t i = 0; n > 1 && i < n; ++i) {
+            Link &a = members_[i]->links[Pod::kRightLink];
+            Link &b = members_[(i + 1) % n]->links[Pod::kLeftLink];
+            a.peer = &b;
+            b.peer = &a;
+        }
+        for (int i = 0; i < kNumIcus; ++i)
+            pos_[static_cast<std::size_t>(i)] = IcuId{i}.pos();
+    }
+
+    /**
+     * Loads each member's program into its queues, as
+     * Chip::loadProgram() does, and reserves the trace. @return false
+     * for a program the derivation does not cover or a stepped run
+     * would refuse (see deriveTrace()).
+     */
+    bool
+    load()
+    {
+        // What a run that retires adds to the trace: exactly its
+        // consumes, at most its produces (a Receive with no arrival
+        // produces nothing) and at most its events (ticks of one
+        // plane's ABC and ACC windows may share one). Reserved up
+        // front, so the trace never moves while it grows.
+        std::size_t events = 0, tape = 0, produced = 0;
+        for (std::size_t c = 0; c < members_.size(); ++c) {
+            Member &m = *members_[c];
+            for (const auto &[icu, insts] : programs_[c]->queues) {
+                if (icu < 0 || icu >= kNumIcus)
+                    return false;
+                const auto i = static_cast<std::size_t>(icu);
+                for (std::size_t pc = 0; pc < insts.size(); ++pc) {
+                    if (!covered(IcuId{icu}, insts, pc))
+                        return false;
+                    const Instruction *inst = &insts[pc];
+                    if (inst->op == Opcode::Nop || inst->op == Opcode::Sync)
+                        continue;
+                    std::size_t issues = 1;
+                    if (inst->op == Opcode::Repeat) {
+                        issues = inst->imm0;
+                        inst = &insts[InstructionQueue::repeatTarget(
+                                          insts, pc) -
+                                      1];
+                    }
+                    const Roles &r =
+                        roles_[static_cast<std::size_t>(inst->op)];
+                    std::size_t ticks = 0, consumes = 0, produces = 0;
+                    if (inst->op == Opcode::Abc) {
+                        ticks = inst->imm1;
+                        consumes = ticks * dtypeBytes(inst->dtype);
+                    } else if (inst->op == Opcode::Acc) {
+                        ticks = inst->imm1;
+                        produces = ticks * 4;
+                    }
+                    events += issues * (1 + ticks);
+                    tape += issues * (consumes + streams(*inst, r.src[0]) +
+                                      streams(*inst, r.src[1]));
+                    produced += issues * (produces + streams(*inst, r.dst));
+                }
+                InstructionQueue &q = m.queues[i];
+                q.loadProgram(insts);
+                m.done[i] = q.done();
+                m.notDone += m.done[i] ? 0 : 1;
+                m.calendar.schedule(icu, q.nextEventCycle(0));
+            }
+        }
+        // Produce indices and tape positions are 32-bit, kTapeMiss
+        // excluded; a trace with as many events is not reserved.
+        if (events >= kTapeMiss || tape >= kTapeMiss ||
+            produced >= kTapeMiss) {
+            return false;
+        }
+        trace_->events.reserve(events);
+        trace_->consumeTape.reserve(tape);
+        produceAt_.reserve(produced);
+        return true;
+    }
+
+    /**
+     * Advances the members cycle by cycle until they all retire, the
+     * next cycle to run reaches @p limit, or a step a stepped run
+     * refuses. @return true when they retired.
+     */
+    bool
+    advance(Cycle limit)
+    {
+        Cycle from = 0;
+        for (;;) {
+            Cycle c = kNoEventCycle;
+            bool running = false;
+            for (const auto &m : members_) {
+                running = running || m->running();
+                c = std::min(c, m->planesBusy() ? from
+                                                : m->calendar.earliest(from));
+            }
+            if (!running)
+                break;
+            // Nothing left to happen while a queue still waits: the
+            // program never retires.
+            if (c == kNoEventCycle || c >= limit)
+                return false;
+            for (std::size_t i = 0; i < members_.size(); ++i) {
+                if (!step(*members_[i], static_cast<int>(i), c))
+                    return false;
+            }
+            from = c + 1;
+            end_ = from;
+        }
+        for (const auto &m : members_) {
+            if (!m->fabric.applyUntil(end_))
+                return false;
+        }
+        return true;
+    }
+
+    /** @return the events derived so far. */
+    std::vector<ExecutionTrace::Event> &events() { return trace_->events; }
+
+    /** @return the trace of the run advance() retired. */
+    std::shared_ptr<const ExecutionTrace>
+    seal()
+    {
+        ExecutionTrace &t = *trace_;
+        for (const auto &m : members_) {
+            ExecutionTrace::ChipDeltas d;
+            for (std::size_t i = 0; i < m->queues.size(); ++i) {
+                InstructionQueue &q = m->queues[i];
+                q.skipIdle(m->at[i], end_);
+                d.dispatched += q.dispatched();
+                d.nopCycles += q.nopCycles();
+                d.parkedCycles += q.parkedCycles();
+            }
+            d.fabricHops = m->fabric.hops(end_);
+            d.fabricWrites = m->fabric.writes();
+            t.chips.push_back(d);
+        }
+        t.span = end_;
+        t.produces = produces_;
+        // The reserve fits the tape exactly; the events and produces
+        // keep what shared ticks and dropped Receives left of theirs,
+        // since shrinking would copy them all.
+        assignSlots(t, std::move(produceAt_));
+        return std::shared_ptr<const ExecutionTrace>(std::move(trace_));
+    }
+
+  private:
     /**
      * An opcode's stream operands, from its kOpTable row: the ones its
      * unit reads, in read order, and the one it writes d_func cycles
@@ -349,86 +651,6 @@ class Derivation
         return o->span == Span::One ? 1 : streamSpan(inst, *o).count;
     }
 
-    /** One calendar cycle: the queues due then, as an id mask. */
-    struct Bucket
-    {
-        Cycle when = 0;
-        std::array<std::uint64_t, kMaskWords> ids{};
-    };
-
-    /**
-     * Loads the program into the queues, as Chip::loadProgram() does.
-     * @return false for a program the derivation does not cover or a
-     * stepped run would refuse (see deriveTrace()).
-     */
-    bool
-    load()
-    {
-        // What a run that retires adds to the trace: exactly its
-        // consumes and produces, and at most its events (ticks of one
-        // plane's ABC and ACC windows may share one). Reserved up
-        // front, so the trace never moves while it grows.
-        std::size_t events = 0, tape = 0, produced = 0;
-        for (const auto &[icu, insts] : program_.queues) {
-            if (icu < 0 || icu >= kNumIcus)
-                return false;
-            const auto i = static_cast<std::size_t>(icu);
-            for (std::size_t pc = 0; pc < insts.size(); ++pc) {
-                if (!covered(IcuId{icu}, insts, pc))
-                    return false;
-                const Instruction *inst = &insts[pc];
-                if (inst->op == Opcode::Nop || inst->op == Opcode::Sync)
-                    continue;
-                std::size_t issues = 1;
-                if (inst->op == Opcode::Repeat) {
-                    issues = inst->imm0;
-                    inst = &insts[repeated(insts, pc) - 1];
-                }
-                const Roles &r = roles_[static_cast<std::size_t>(inst->op)];
-                std::size_t ticks = 0, consumes = 0, produces = 0;
-                if (inst->op == Opcode::Abc) {
-                    ticks = inst->imm1;
-                    consumes = ticks * dtypeBytes(inst->dtype);
-                } else if (inst->op == Opcode::Acc) {
-                    ticks = inst->imm1;
-                    produces = ticks * 4;
-                }
-                events += issues * (1 + ticks);
-                tape += issues * (consumes + streams(*inst, r.src[0]) +
-                                  streams(*inst, r.src[1]));
-                produced += issues * (produces + streams(*inst, r.dst));
-            }
-            InstructionQueue &q = queues_[i];
-            q.loadProgram(insts);
-            done_[i] = q.done();
-            notDone_ += done_[i] ? 0 : 1;
-            schedule(icu, q.nextEventCycle(0));
-        }
-        // Past the tape's 32-bit produce tags (the recorder poisons on
-        // them too); a trace with as many events is not reserved.
-        if (events >= kTapeUntagged || tape >= kTapeUntagged ||
-            produced >= kTapeUntagged) {
-            return false;
-        }
-        trace_->events.reserve(events);
-        trace_->consumeTape.reserve(tape);
-        produceAt_.reserve(produced);
-        return true;
-    }
-
-    /**
-     * @return one past the index of the instruction the Repeat at @p pc
-     * re-issues: the last one before it that is not a NOP (0 when there
-     * is none).
-     */
-    static std::size_t
-    repeated(const std::vector<Instruction> &insts, std::size_t pc)
-    {
-        while (pc > 0 && insts[pc - 1].op == Opcode::Nop)
-            --pc;
-        return pc;
-    }
-
     /** @return true when instruction @p pc of queue @p icu is one
      *  the derivation models and the units accept. */
     static bool
@@ -439,8 +661,7 @@ class Derivation
         if (static_cast<int>(inst.op) >= kNumOpcodes)
             return false;
         const SliceKind slice = opcodeSlice(inst.op);
-        if (slice == SliceKind::C2C ||
-            (slice != SliceKind::ICU && slice != icu.kind()) ||
+        if ((slice != SliceKind::ICU && slice != icu.kind()) ||
             !operandError(inst).empty()) {
             return false;
         }
@@ -448,144 +669,82 @@ class Derivation
             return inst.dtype == DType::Int8 || inst.dtype == DType::Fp16;
         if (inst.op == Opcode::Repeat) {
             // What it re-issues must be neither a Repeat nor a Sync.
-            const std::size_t prev = repeated(insts, pc);
+            const std::size_t prev =
+                InstructionQueue::repeatTarget(insts, pc);
             return prev > 0 && insts[prev - 1].op != Opcode::Repeat &&
                    insts[prev - 1].op != Opcode::Sync;
         }
         return true;
     }
 
+    /** Runs cycle @p c on member @p chip: its queues, then planes. */
     bool
-    planesBusy() const
+    step(Member &m, int chip, Cycle c)
     {
-        return std::any_of(planes_.begin(), planes_.end(),
-                           [](const Plane &p) {
-                               return p.abcLeft > 0 || p.accLeft > 0;
-                           });
-    }
-
-    // --- The calendar. ---
-
-    /** Files queue @p id's next event at cycle @p at. */
-    void
-    schedule(int id, Cycle at)
-    {
-        due_[static_cast<std::size_t>(id)] = at;
-        if (at == kNoEventCycle)
-            return;
-        if (at < base_ + kBuckets)
-            put(id, at);
-        else
-            far_.push({at, id});
-    }
-
-    void
-    put(int id, Cycle at)
-    {
-        Bucket &b = buckets_[at & (kBuckets - 1)];
-        if (b.ids == std::array<std::uint64_t, kMaskWords>{})
-            b.when = at;
-        TSP_ASSERT(b.when == at);
-        b.ids[static_cast<std::size_t>(id / 64)] |= std::uint64_t{1}
-                                                    << (id % 64);
-        ++inBuckets_;
-    }
-
-    /** Moves the buckets' window to start at @p base. */
-    void
-    rebase(Cycle base)
-    {
-        base_ = base;
-        while (!far_.empty() && far_.top().first < base_ + kBuckets) {
-            put(far_.top().second, far_.top().first);
-            far_.pop();
-        }
-    }
-
-    /** @return the earliest queue event at or after @p from. */
-    Cycle
-    earliestDue(Cycle from)
-    {
-        rebase(from);
-        if (inBuckets_ == 0)
-            return far_.empty() ? kNoEventCycle : far_.top().first;
-        for (Cycle c = from;; ++c) {
-            const Bucket &b = buckets_[c & (kBuckets - 1)];
-            if (b.when == c &&
-                b.ids != std::array<std::uint64_t, kMaskWords>{}) {
-                return c;
+        if (!m.fabric.applyUntil(c))
+            return false;
+        const QueueMask ids = m.calendar.take(c);
+        for (int w = 0; w < kMaskWords; ++w) {
+            for (std::uint64_t bits = ids[static_cast<std::size_t>(w)];
+                 bits != 0; bits &= bits - 1) {
+                const int id = w * 64 + std::countr_zero(bits);
+                if (!tickQueue(m, chip, id, c))
+                    return false;
             }
         }
+        tickPlanes(m, chip, c);
+        return true;
     }
 
-    /** @return (and unfiles) the queues due at @p c. */
-    std::array<std::uint64_t, kMaskWords>
-    take(Cycle c)
-    {
-        rebase(c);
-        Bucket &b = buckets_[c & (kBuckets - 1)];
-        if (b.when != c)
-            return {};
-        const std::array<std::uint64_t, kMaskWords> ids = b.ids;
-        b.ids = {};
-        for (const std::uint64_t m : ids)
-            inBuckets_ -= static_cast<std::size_t>(std::popcount(m));
-        return ids;
-    }
-
-    // --- Queues and units. ---
-
-    /** Ticks queue @p id at its event cycle @p now. */
+    /** Ticks queue @p id of member @p m at its event cycle @p now. */
     bool
-    tickQueue(int id, Cycle now)
+    tickQueue(Member &m, int chip, int id, Cycle now)
     {
         const auto i = static_cast<std::size_t>(id);
-        InstructionQueue &q = queues_[i];
-        if (at_[i] < now)
-            q.skipIdle(at_[i], now);
+        InstructionQueue &q = m.queues[i];
+        if (m.at[i] < now)
+            q.skipIdle(m.at[i], now);
         const Instruction *out[2] = {nullptr, nullptr};
         const int n = q.tick(now, out);
-        at_[i] = now + 1;
+        m.at[i] = now + 1;
         for (int k = 0; k < n; ++k) {
             const auto index =
                 static_cast<std::uint32_t>(out[k] - q.program().data());
-            if (!dispatch(id, *out[k], index, now))
+            if (!dispatch(m, chip, id, *out[k], index, now))
                 return false;
         }
-        if (!done_[i] && q.done()) {
+        if (!m.done[i] && q.done()) {
             // Done is for good: a retired queue never parks again.
-            done_[i] = true;
-            --notDone_;
+            m.done[i] = true;
+            --m.notDone;
         }
-        schedule(id, q.nextEventCycle(now + 1));
+        m.calendar.schedule(id, q.nextEventCycle(now + 1));
         return true;
     }
 
     /** A Notify at @p now: parked queues now know their release. */
-    void
-    notify(Cycle now)
+    static void
+    notify(Member &m, Cycle now)
     {
-        barrier_.notify(now);
+        m.barrier.notify(now);
         Cycle floor = now;
-        for (const InstructionQueue &q : queues_) {
+        for (const InstructionQueue &q : m.queues) {
             if (q.parked() && q.parkedSince() < floor)
                 floor = q.parkedSince();
         }
-        barrier_.prune(floor);
+        m.barrier.prune(floor);
         for (int id = 0; id < kNumIcus; ++id) {
             const InstructionQueue &q =
-                queues_[static_cast<std::size_t>(id)];
-            if (q.parked() &&
-                due_[static_cast<std::size_t>(id)] == kNoEventCycle)
-                schedule(id, q.nextEventCycle(now));
+                m.queues[static_cast<std::size_t>(id)];
+            if (q.parked() && m.calendar.due(id) == kNoEventCycle)
+                m.calendar.schedule(id, q.nextEventCycle(now));
         }
     }
 
     /** Opens the plane's ABC or ACC window; false over an open one. */
-    bool
-    openWindow(int plane, const Instruction &inst)
+    static bool
+    openWindow(Plane &p, const Instruction &inst)
     {
-        Plane &p = planes_[static_cast<std::size_t>(plane)];
         if (inst.op == Opcode::Abc) {
             if (p.abcLeft > 0)
                 return false;
@@ -601,47 +760,91 @@ class Derivation
         return true;
     }
 
+    /**
+     * Runs C2C @p inst on link @p link at @p now, as C2cModule does.
+     * @return false where the stepped link refuses it: a Send on an
+     * unwired link, before its Deskew or while its serializer is busy,
+     * and a Receive before Deskew.
+     */
     bool
-    dispatch(int id, const Instruction &inst, std::uint32_t index,
-             Cycle now)
+    c2c(Member &m, int link, const Instruction &inst, SlicePos pos,
+        Cycle now)
     {
-        beginEvent(now, index, id, ExecutionTrace::EventKind::Dispatch);
-        if (inst.op == Opcode::Notify) {
-            notify(now);
+        Link &l = m.links[static_cast<std::size_t>(link)];
+        switch (inst.op) {
+          case Opcode::Deskew:
+            l.deskewed = true;
+            return true;
+          case Opcode::Send:
+            if (!l.peer || !l.deskewed || now < l.txBusyUntil)
+                return false;
+            consume(m.fabric, inst.srcA, 1, pos, now);
+            l.txBusyUntil = now + kC2cSerializationCycles;
+            l.peer->rx.push_back(now + kC2cSerializationCycles + wire_);
+            return true;
+          default: // Receive.
+            if (!l.deskewed)
+                return false;
+            // No arrival due: the Receive produces nothing.
+            if (l.rx.empty() || l.rx.front() > now)
+                return true;
+            l.rx.pop_front();
+            produce(m.fabric, inst.dst, 1, pos,
+                    now + opRow(Opcode::Receive).dFunc);
             return true;
         }
-        if (opRow(inst.op).windowed)
-            return openWindow((id - IcuId::mxmBase) / 2, inst);
+    }
+
+    bool
+    dispatch(Member &m, int chip, int id, const Instruction &inst,
+             std::uint32_t index, Cycle now)
+    {
+        beginEvent(now, index, id, chip,
+                   ExecutionTrace::EventKind::Dispatch);
+        if (inst.op == Opcode::Notify) {
+            notify(m, now);
+            return true;
+        }
+        const OpRow &row = opRow(inst.op);
+        if (row.windowed) {
+            return openWindow(
+                m.planes[static_cast<std::size_t>((id - IcuId::mxmBase) / 2)],
+                inst);
+        }
         const SlicePos pos = pos_[static_cast<std::size_t>(id)];
+        if (row.slice == SliceKind::C2C)
+            return c2c(m, id - IcuId::c2cBase, inst, pos, now);
         const Roles &r = roles_[static_cast<std::size_t>(inst.op)];
         for (const OpOperand *o : r.src) {
-            if (o)
-                consume(inst.stream(o->field), streams(inst, o), pos, now);
+            if (o) {
+                consume(m.fabric, inst.stream(o->field), streams(inst, o),
+                        pos, now);
+            }
         }
-        if (r.dst) {
-            produce(inst.dst, streams(inst, r.dst), pos,
-                    now + opRow(inst.op).dFunc);
-        }
+        if (r.dst)
+            produce(m.fabric, inst.dst, streams(inst, r.dst), pos,
+                    now + row.dFunc);
         return true;
     }
 
-    /** The MXM sequencers' ticks at @p now, after the dispatches. */
+    /** Member @p m's MXM sequencer ticks at @p now, after its
+     *  dispatches. */
     void
-    tickPlanes(Cycle now)
+    tickPlanes(Member &m, int chip, Cycle now)
     {
         for (int p = 0; p < kMxmPlanes; ++p) {
-            Plane &plane = planes_[static_cast<std::size_t>(p)];
+            Plane &plane = m.planes[static_cast<std::size_t>(p)];
             if (plane.abcLeft == 0 && plane.accLeft == 0)
                 continue;
-            beginEvent(now, 0, p, ExecutionTrace::EventKind::MxmTick);
+            beginEvent(now, 0, p, chip, ExecutionTrace::EventKind::MxmTick);
             const SlicePos pos = Layout::mxmPos(p < 2 ? Hemisphere::West
                                                       : Hemisphere::East);
             if (plane.abcLeft > 0) {
-                consume(plane.abcSrc, plane.abcStreams, pos, now);
+                consume(m.fabric, plane.abcSrc, plane.abcStreams, pos, now);
                 --plane.abcLeft;
             }
             if (plane.accLeft > 0) {
-                produce(plane.accDst, 4, pos,
+                produce(m.fabric, plane.accDst, 4, pos,
                         now + opTiming(Opcode::Acc).dFunc);
                 --plane.accLeft;
             }
@@ -649,7 +852,7 @@ class Derivation
     }
 
     void
-    beginEvent(Cycle now, std::uint32_t index, int unit,
+    beginEvent(Cycle now, std::uint32_t index, int unit, int chip,
                ExecutionTrace::EventKind kind)
     {
         eventStart_ =
@@ -658,100 +861,79 @@ class Derivation
         e.cycleOffset = static_cast<std::uint32_t>(now);
         e.instIndex = index;
         e.unit = static_cast<std::uint16_t>(unit);
+        e.chip = static_cast<std::uint8_t>(chip);
         e.kind = kind;
         trace_->events.push_back(e);
     }
 
     void
-    consume(StreamRef base, int count, SlicePos pos, Cycle now)
+    consume(const IndexFabric &fabric, StreamRef base, int count,
+            SlicePos pos, Cycle now)
     {
         for (int k = 0; k < count; ++k) {
             const StreamRef s{static_cast<StreamId>(base.id + k), base.dir};
-            trace_->consumeTape.push_back(fabric_.sample(s, pos, now));
+            trace_->consumeTape.push_back(fabric.sample(s, pos, now));
         }
     }
 
     void
-    produce(StreamRef base, int count, SlicePos pos, Cycle when)
+    produce(IndexFabric &fabric, StreamRef base, int count, SlicePos pos,
+            Cycle when)
     {
         for (int k = 0; k < count; ++k) {
             const StreamRef s{static_cast<StreamId>(base.id + k), base.dir};
             produceAt_.push_back(eventStart_);
-            fabric_.schedule(s, pos, when,
-                             static_cast<std::uint32_t>(produces_++));
+            fabric.schedule(s, pos, when,
+                            static_cast<std::uint32_t>(produces_++));
         }
     }
 
-    /** @return the trace of a run that ends at @p end. */
-    std::shared_ptr<const ExecutionTrace>
-    seal(Cycle end)
-    {
-        ExecutionTrace &t = *trace_;
-        ExecutionTrace::ChipDeltas d;
-        for (std::size_t i = 0; i < queues_.size(); ++i) {
-            InstructionQueue &q = queues_[i];
-            q.skipIdle(at_[i], end);
-            d.dispatched += q.dispatched();
-            d.nopCycles += q.nopCycles();
-            d.parkedCycles += q.parkedCycles();
-        }
-        d.fabricHops = fabric_.hops(end);
-        d.fabricWrites = fabric_.writes();
-        t.chips.push_back(d);
-        t.span = end;
-        t.produces = produces_;
-        // The reserve fits the tape and the produces exactly; the
-        // events keep what shared ticks left of theirs, since
-        // shrinking would copy them all.
-        assignTraceSlots(t, std::move(produceAt_));
-        return std::shared_ptr<const ExecutionTrace>(std::move(trace_));
-    }
-
-    const AsmProgram &program_;
-    const Cycle maxSpan_;
+    const std::vector<const AsmProgram *> &programs_;
+    const Cycle wire_;
     const std::array<Roles, kNumOpcodes> &roles_ = rolesTable();
     std::unique_ptr<ExecutionTrace> trace_;
-
-    BarrierController barrier_;
-    std::vector<InstructionQueue> queues_;
+    std::vector<std::unique_ptr<Member>> members_;
     /** Per queue, its slice's position: where its unit's streams
      *  meet the fabric. */
     std::array<SlicePos, kNumIcus> pos_{};
+    /** One past the last cycle advance() ran. */
+    Cycle end_ = 0;
 
-    /** Per queue, the cycle its idle counters are credited up to. */
-    std::array<Cycle, kNumIcus> at_{};
-    /**
-     * Per queue, its filed event cycle, or kNoEventCycle when it has
-     * none (retired, or parked with no release yet).
-     */
-    std::array<Cycle, kNumIcus> due_{};
-    /** Per queue, whether it is done(); notDone_ counts the rest. */
-    std::array<bool, kNumIcus> done_{};
-    int notDone_ = 0;
-    std::array<Plane, kMxmPlanes> planes_{};
-    IndexFabric fabric_;
-
-    std::vector<Bucket> buckets_;
-    std::size_t inBuckets_ = 0;
-    /** Buckets hold the events of [base_, base_ + kBuckets). */
-    Cycle base_ = 0;
-    std::priority_queue<std::pair<Cycle, int>,
-                        std::vector<std::pair<Cycle, int>>,
-                        std::greater<>>
-        far_;
-
+    /** Per produce, the tape length at the start of its event. */
     std::vector<std::uint32_t> produceAt_;
     std::uint32_t eventStart_ = 0;
     std::uint64_t produces_ = 0;
 };
 
+/** The trace's cycle offsets are 32-bit. */
+constexpr Cycle kMaxSpan = 0xffffffffull;
+
 } // namespace
+
+std::shared_ptr<const ExecutionTrace>
+deriveTrace(const std::vector<const AsmProgram *> &members,
+            Cycle wire_latency, Cycle max_span)
+{
+    Derivation d(members, wire_latency);
+    if (!d.load() || !d.advance(std::min(max_span, kMaxSpan)))
+        return nullptr;
+    return d.seal();
+}
 
 std::shared_ptr<const ExecutionTrace>
 deriveTrace(const AsmProgram &program, Cycle max_span)
 {
-    return Derivation(program, std::min<Cycle>(max_span, 0xffffffffull))
-        .run();
+    return deriveTrace({&program}, 0, max_span);
+}
+
+std::vector<ExecutionTrace::Event>
+deriveSchedule(const AsmProgram &program, Cycle until)
+{
+    const std::vector<const AsmProgram *> members = {&program};
+    Derivation d(members, 0);
+    if (d.load())
+        d.advance(std::min(until, kMaxSpan));
+    return std::move(d.events());
 }
 
 } // namespace tsp

@@ -1,12 +1,8 @@
 #include "sim/exec_trace.hh"
 
-#include <algorithm>
 #include <array>
-#include <functional>
 
-#include "arch/layout.hh"
 #include "common/logging.hh"
-#include "common/strutil.hh"
 #include "sim/chip.hh"
 
 namespace tsp {
@@ -30,270 +26,6 @@ ExecutionTrace::memoryBytes() const
            chips.size() * sizeof(ChipDeltas) + arenaBytes();
 }
 
-TraceRecording::TraceRecording(std::vector<Chip *> chips)
-    : chips_(std::move(chips)),
-      trace_(std::make_unique<ExecutionTrace>())
-{
-    TSP_ASSERT(!chips_.empty() && chips_.size() <= 256);
-    start_ = chips_[0]->now();
-    snaps_.reserve(chips_.size());
-    // Programs stay loaded for the whole run, so a dispatch's
-    // instIndex is its instruction's offset in its queue's program.
-    queueInsts_.resize(chips_.size() * kNumIcus);
-    for (std::size_t i = 0; i < chips_.size(); ++i) {
-        Chip *c = chips_[i];
-        TSP_ASSERT(c->now() == start_);
-        snaps_.push_back(snapshot(*c));
-        if (const SharedProgram &prog = c->program()) {
-            for (const auto &[icu, insts] : prog->queues) {
-                queueInsts_[i * kNumIcus + static_cast<std::size_t>(icu)] =
-                    {insts.data(), insts.size()};
-            }
-        }
-        c->armTraceRecorder(this, static_cast<int>(i));
-    }
-    armed_ = true;
-}
-
-TraceRecording::~TraceRecording() { disarm(); }
-
-void
-TraceRecording::disarm()
-{
-    if (!armed_)
-        return;
-    for (Chip *c : chips_)
-        c->disarmTraceRecorder();
-    armed_ = false;
-}
-
-ExecutionTrace::ChipDeltas
-TraceRecording::snapshot(const Chip &chip)
-{
-    ExecutionTrace::ChipDeltas s;
-    s.dispatched = chip.totalDispatched();
-    s.nopCycles = chip.totalNopCycles();
-    s.parkedCycles = chip.totalParkedCycles();
-    s.fabricHops = chip.fabric().totalHops();
-    s.fabricWrites = chip.fabric().totalWrites();
-    return s;
-}
-
-std::uint32_t
-TraceRecording::offsetOf(Cycle now)
-{
-    const Cycle off = now - start_;
-    if (off > 0xffffffffull) {
-        poisoned_ = true;
-        return 0;
-    }
-    return static_cast<std::uint32_t>(off);
-}
-
-std::uint32_t
-TraceRecording::onProduce()
-{
-    if (produceCount_ >= kTapeUntagged ||
-        trace_->consumeTape.size() >= kTapeUntagged) {
-        poisoned_ = true;
-        return 0;
-    }
-    // Interleaving position against the consume tape: finish() walks
-    // both in recorded order to compute value liveness. A produce
-    // counts as running at its event's start, so no slot its own
-    // event consumed is free for it yet.
-    produceAt_.push_back(eventStart_);
-    return static_cast<std::uint32_t>(produceCount_++);
-}
-
-void
-TraceRecording::onConsume(std::uint32_t tag)
-{
-    if (tag == kTapeUntagged)
-        poisoned_ = true;
-    trace_->consumeTape.push_back(tag);
-}
-
-void
-TraceRecording::onDispatch(int chip, int queue_id,
-                           const Instruction &inst, Cycle now)
-{
-    eventStart_ = static_cast<std::uint32_t>(trace_->consumeTape.size());
-    // The instruction's place in its program identifies it: Repeat
-    // re-issues cite the instruction they repeat.
-    const QueueInsts &q = queueInsts_[static_cast<std::size_t>(chip) *
-                                          kNumIcus +
-                                      static_cast<std::size_t>(queue_id)];
-    TSP_ASSERT(std::less_equal<>{}(q.base, &inst) &&
-               std::less<>{}(&inst, q.base + q.size));
-    const auto index = static_cast<std::uint32_t>(&inst - q.base);
-    ExecutionTrace::Event e;
-    e.cycleOffset = offsetOf(now);
-    e.instIndex = index;
-    e.unit = static_cast<std::uint16_t>(queue_id);
-    e.chip = static_cast<std::uint8_t>(chip);
-    e.kind = ExecutionTrace::EventKind::Dispatch;
-    trace_->events.push_back(e);
-}
-
-void
-TraceRecording::onMxmTick(int chip, int plane, Cycle now)
-{
-    eventStart_ = static_cast<std::uint32_t>(trace_->consumeTape.size());
-    ExecutionTrace::Event e;
-    e.cycleOffset = offsetOf(now);
-    e.unit = static_cast<std::uint16_t>(plane);
-    e.chip = static_cast<std::uint8_t>(chip);
-    e.kind = ExecutionTrace::EventKind::MxmTick;
-    trace_->events.push_back(e);
-}
-
-std::shared_ptr<const ExecutionTrace>
-TraceRecording::finish(bool completed)
-{
-    disarm();
-    if (!completed || poisoned_ || !trace_)
-        return nullptr;
-
-    ExecutionTrace &t = *trace_;
-    const Cycle end = chips_[0]->now();
-    t.span = end - start_;
-    t.produces = produceCount_;
-    t.chips.reserve(chips_.size());
-    for (std::size_t i = 0; i < chips_.size(); ++i) {
-        const Chip &c = *chips_[i];
-        TSP_ASSERT(c.now() == end);
-        const ExecutionTrace::ChipDeltas &s0 = snaps_[i];
-        ExecutionTrace::ChipDeltas d = snapshot(c);
-        d.dispatched -= s0.dispatched;
-        d.nopCycles -= s0.nopCycles;
-        d.parkedCycles -= s0.parkedCycles;
-        d.fabricHops -= s0.fabricHops;
-        d.fabricWrites -= s0.fabricWrites;
-        t.chips.push_back(d);
-    }
-    assignTraceSlots(t, std::move(produceAt_));
-    t.events.shrink_to_fit();
-    t.consumeTape.shrink_to_fit();
-    return std::shared_ptr<const ExecutionTrace>(std::move(trace_));
-}
-
-void
-assignTraceSlots(ExecutionTrace &t, std::vector<std::uint32_t> produce_at)
-{
-    // Walk produces and consumes in recorded order, freeing a value's
-    // slot when the event holding its last consume ends (a produce
-    // sits at its event's start). Replay re-executes the exact same
-    // interleaving, so a reused slot is only ever overwritten after
-    // its previous value's final read, and a unit may build its
-    // results in place while it still reads its operands' slots.
-    constexpr std::uint32_t kNever = 0xffffffffu;
-    const auto produces32 = static_cast<std::uint32_t>(t.produces);
-    TSP_ASSERT(produce_at.size() == produces32);
-    std::vector<std::uint32_t> lastUse(produces32, kNever);
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(t.consumeTape.size()); ++c) {
-        const std::uint32_t tag = t.consumeTape[c];
-        if (tag != kTapeMiss)
-            lastUse[tag] = c;
-    }
-    // Each produce's slot overwrites its produce_at entry, which the
-    // walk has just read for the last time.
-    std::vector<std::uint32_t> &slot = produce_at;
-    std::vector<std::uint32_t> freeSlots;
-    std::uint32_t slots = 1; // Slot 0: scratch for unconsumed values.
-    std::size_t c = 0;
-    for (std::uint32_t tag = 0; tag < produces32; ++tag) {
-        while (c < produce_at[tag]) {
-            const std::uint32_t done = t.consumeTape[c];
-            if (done != kTapeMiss && lastUse[done] == c)
-                freeSlots.push_back(slot[done]);
-            ++c;
-        }
-        if (lastUse[tag] == kNever) {
-            slot[tag] = 0;
-        } else if (freeSlots.empty()) {
-            slot[tag] = slots++;
-        } else {
-            slot[tag] = freeSlots.back();
-            freeSlots.pop_back();
-        }
-    }
-    t.produceSlot = std::move(slot);
-    t.slotCount = slots;
-}
-
-std::string
-traceMismatch(const ExecutionTrace &a, const ExecutionTrace &b)
-{
-    if (a.span != b.span)
-        return strformat("span %llu vs %llu",
-                         static_cast<unsigned long long>(a.span),
-                         static_cast<unsigned long long>(b.span));
-    if (a.produces != b.produces)
-        return strformat("produces %llu vs %llu",
-                         static_cast<unsigned long long>(a.produces),
-                         static_cast<unsigned long long>(b.produces));
-    const std::size_t events = std::min(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < events; ++i) {
-        const ExecutionTrace::Event &x = a.events[i];
-        const ExecutionTrace::Event &y = b.events[i];
-        if (x.cycleOffset != y.cycleOffset || x.instIndex != y.instIndex ||
-            x.unit != y.unit || x.chip != y.chip || x.kind != y.kind) {
-            return strformat(
-                "event %zu: %s unit %u chip %u inst %u at +%u vs %s unit "
-                "%u chip %u inst %u at +%u",
-                i,
-                x.kind == ExecutionTrace::EventKind::Dispatch ? "dispatch"
-                                                              : "tick",
-                x.unit, x.chip, x.instIndex, x.cycleOffset,
-                y.kind == ExecutionTrace::EventKind::Dispatch ? "dispatch"
-                                                              : "tick",
-                y.unit, y.chip, y.instIndex, y.cycleOffset);
-        }
-    }
-    if (a.events.size() != b.events.size())
-        return strformat("%zu vs %zu events", a.events.size(),
-                         b.events.size());
-    const std::size_t tape =
-        std::min(a.consumeTape.size(), b.consumeTape.size());
-    for (std::size_t i = 0; i < tape; ++i) {
-        if (a.consumeTape[i] != b.consumeTape[i])
-            return strformat("consume %zu samples produce %u vs %u", i,
-                             a.consumeTape[i], b.consumeTape[i]);
-    }
-    if (a.consumeTape.size() != b.consumeTape.size())
-        return strformat("%zu vs %zu consumes", a.consumeTape.size(),
-                         b.consumeTape.size());
-    if (a.produceSlot != b.produceSlot)
-        return "produce slots differ";
-    if (a.slotCount != b.slotCount)
-        return strformat("%u vs %u slots", a.slotCount, b.slotCount);
-    if (a.chips.size() != b.chips.size())
-        return strformat("%zu vs %zu chips", a.chips.size(),
-                         b.chips.size());
-    for (std::size_t c = 0; c < a.chips.size(); ++c) {
-        const ExecutionTrace::ChipDeltas &x = a.chips[c];
-        const ExecutionTrace::ChipDeltas &y = b.chips[c];
-        const struct
-        {
-            const char *name;
-            std::uint64_t x, y;
-        } fields[] = {{"dispatched", x.dispatched, y.dispatched},
-                      {"nop cycles", x.nopCycles, y.nopCycles},
-                      {"parked cycles", x.parkedCycles, y.parkedCycles},
-                      {"fabric hops", x.fabricHops, y.fabricHops},
-                      {"fabric writes", x.fabricWrites, y.fabricWrites}};
-        for (const auto &f : fields) {
-            if (f.x != f.y)
-                return strformat("chip %zu %s %llu vs %llu", c, f.name,
-                                 static_cast<unsigned long long>(f.x),
-                                 static_cast<unsigned long long>(f.y));
-        }
-    }
-    return "";
-}
-
 namespace {
 
 /**
@@ -302,7 +34,7 @@ namespace {
  * (peak concurrently-live values), not per produce — the whole
  * exchange history stays cache-resident instead of growing to
  * gigabytes on dense models, and it never reallocates, so the
- * pointers handed out stay valid for a value's recorded lifetime.
+ * pointers handed out stay valid for a value's traced lifetime.
  */
 class TapePlayer final : public TapeReplayer
 {
@@ -332,14 +64,14 @@ class TapePlayer final : public TapeReplayer
                 continue;
             }
             // A consume can only cite a produce that already ran: the
-            // recorded host order is the replay order.
+            // trace's order is the replay order.
             TSP_ASSERT(t < produced_);
             outs[i] = &arena_[trace_.produceSlot[t]];
         }
         next_ += n;
     }
 
-    /** @return true once every recorded exchange re-executed. */
+    /** @return true once every traced exchange re-executed. */
     bool
     drained() const
     {
@@ -379,8 +111,8 @@ replayTrace(const ExecutionTrace &trace,
         TSP_ASSERT(e.instIndex < p.size());
         return &p[e.instIndex];
     };
-    // Events re-execute one at a time in recorded host order, which
-    // is the order the tape resolves exchanges in. The instructions
+    // Events re-execute one at a time in trace order, which is the
+    // order the tape resolves exchanges in. The instructions
     // lie in about a hundred queues' programs, read in step: fetch
     // each a few events ahead of its dispatch.
     constexpr std::size_t kAhead = 8;
@@ -406,7 +138,7 @@ replayTrace(const ExecutionTrace &trace,
     for (std::size_t i = 0; i < chips.size(); ++i) {
         chips[i]->finishReplay(trace.chips[i], start + trace.span);
     }
-    // The replayed run exchanged exactly what the recording did.
+    // The replayed run exchanged exactly what the trace holds.
     TSP_ASSERT(player.drained());
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace record/replay: the third execution tier.
+ * Trace replay: the third execution tier.
  *
  * A trace is the resolved micro-op sequence of one run: every queue
  * dispatch and every active-MXM tick, with cycle offsets from run
@@ -14,30 +14,22 @@
  * stats and energy (a function of those counters) bit-identical to a
  * normal run.
  *
- * A trace comes from one of two places. deriveTrace() computes a
- * one-chip program's trace from its text: the queues' schedule fixes
- * every dispatch, and an index-only pass over stream flow resolves
- * every consume. A TraceRecording observes a stepped run (per-cycle
- * or fast-forward — they are bit-identical) of anything else: pods,
- * programs with C2C transfers, runs that start with values already
- * on the fabric. Both end in the same slot-allocation pass, and ctest
- * holds the recording as the derivation's oracle (traceMismatch()).
+ * A trace is derived from the program text (deriveTrace()): the
+ * queues' schedule fixes every dispatch, the C2C links' timing fixes
+ * when a Receive has a vector to drive, and an index-only pass over
+ * stream flow resolves every consume. It covers one chip or a pod's
+ * ring of members. The stepped tiers (per-cycle and fast-forward,
+ * which are bit-identical) are the reference: ctest replays each
+ * derived trace against a stepped run of the same program.
  *
  * A trace holds no data values (produces are re-computed at replay)
  * and no instructions (an event cites its instruction's index in its
  * queue's loaded program), so it is valid for any identically
  * configured chip running the same program — including a freshly
  * rebuilt one — which is what lets a serving pool share traces
- * across workers via TraceCache.
- *
- * Recording *poisons* itself (finish() returns null) when it sees
- * anything replay could not reproduce: a consume of a fabric entry
- * written outside any StreamIo (kTapeUntagged), or a cycle offset
- * overflowing 32 bits. A recording also lists every dispatch in order
- * (recorded()), which is what the dispatch listing and Chrome trace
- * export read. Recording with fault injection armed is fine; replaying
- * such a recording is not — an injector mutates consumed values in
- * ways the tape does not capture (InferenceSession gates on this).
+ * across workers via TraceCache. Replaying with fault injection armed
+ * is not: an injector mutates consumed values in ways the tape does
+ * not capture (InferenceSession gates on this).
  */
 
 #ifndef TSP_SIM_EXEC_TRACE_HH
@@ -47,7 +39,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +59,7 @@ struct ExecutionTrace
         MxmTick,  ///< One active-cycle tick of MXM plane `unit`.
     };
 
-    /** One re-executable event, in recorded (host) order. */
+    /** One re-executable event, in replay order. */
     struct Event
     {
         std::uint32_t cycleOffset = 0; ///< Cycles after run start.
@@ -84,7 +75,7 @@ struct ExecutionTrace
     };
 
     /**
-     * Per-chip counter deltas of the recorded run for everything
+     * Per-chip counter deltas of the traced run for everything
      * replay skips (queue/idle counters, fabric flow). Counters that
      * re-execution bumps naturally (MACCs, SRAM accesses, ECC, C2C,
      * notifies) are *not* here — crediting them too would
@@ -105,7 +96,7 @@ struct ExecutionTrace
     /**
      * Per produce, the replay-log slot holding its value. A produced
      * vector is dead once the event (dispatch or MXM tick) holding
-     * its last recorded consume ends, so slots are reused: the replay
+     * its last consume ends, so slots are reused: the replay
      * log needs only the peak number of live values (a few hundred)
      * instead of one slot per produce (gigabytes for a dense model).
      * No produce takes a slot its own event consumed, so a unit can
@@ -116,7 +107,7 @@ struct ExecutionTrace
     std::vector<std::uint32_t> produceSlot;
     std::uint32_t slotCount = 1; ///< Replay-log size (>= 1).
     std::vector<ChipDeltas> chips;
-    Cycle span = 0; ///< Cycles the recorded run consumed.
+    Cycle span = 0; ///< Cycles the traced run consumes.
     std::uint64_t produces = 0;
 
     /**
@@ -135,131 +126,54 @@ struct ExecutionTrace
 };
 
 /**
- * Arms recording on a set of chips (one, or every pod member) for
- * the duration of one run. Usage:
- *
- *   TraceRecording rec({&chip});
- *   ... run the program normally ...
- *   auto trace = rec.finish(completed);  // null if not replayable
- *
- * All chips must share one clock value at construction (pod members
- * are equalized between collectives). The destructor disarms if
- * finish() was never called.
- */
-class TraceRecording final : public TapeRecorder
-{
-  public:
-    explicit TraceRecording(std::vector<Chip *> chips);
-    ~TraceRecording() override;
-
-    TraceRecording(const TraceRecording &) = delete;
-    TraceRecording &operator=(const TraceRecording &) = delete;
-
-    // TapeRecorder (called by StreamIo through the fabric hooks).
-    std::uint32_t onProduce() override;
-    void onConsume(std::uint32_t tag) override;
-
-    // Called by Chip::step() at each dispatch / active-plane tick.
-    void onDispatch(int chip, int queue_id, const Instruction &inst,
-                    Cycle now);
-    void onMxmTick(int chip, int plane, Cycle now);
-
-    /** @return true when the run is known unreplayable. */
-    bool poisoned() const { return poisoned_; }
-
-    /**
-     * @return what has been recorded so far (events with cycle
-     * offsets from the recording's start). Valid until finish()
-     * seals a replayable trace, so a run that was cut off or
-     * machine-checked still lists what dispatched.
-     */
-    const ExecutionTrace &recorded() const { return *trace_; }
-
-    /**
-     * Disarms and seals the recording.
-     *
-     * @param completed whether the recorded run retired cleanly.
-     * @return the immutable trace, or null when it must not be
-     * replayed (run failed, or recording poisoned itself).
-     */
-    std::shared_ptr<const ExecutionTrace> finish(bool completed);
-
-  private:
-    /** A queue's loaded program: its dispatches' instIndex base. */
-    struct QueueInsts
-    {
-        const Instruction *base = nullptr;
-        std::size_t size = 0;
-    };
-
-    /** @return @p chip's lifetime totals of the ChipDeltas counters. */
-    static ExecutionTrace::ChipDeltas snapshot(const Chip &chip);
-    std::uint32_t offsetOf(Cycle now);
-    void disarm();
-
-    std::vector<Chip *> chips_;
-    /** Per chip, the totals at record start. */
-    std::vector<ExecutionTrace::ChipDeltas> snaps_;
-    Cycle start_ = 0;
-    std::unique_ptr<ExecutionTrace> trace_;
-    /** Per chip * kNumIcus + queue id: its loaded program. */
-    std::vector<QueueInsts> queueInsts_;
-    /**
-     * Per produce, the consume-tape length at the start of the event
-     * that ran it (liveness): slots its own event consumed stay taken.
-     */
-    std::vector<std::uint32_t> produceAt_;
-    /** Consume-tape length when the current event started. */
-    std::uint32_t eventStart_ = 0;
-    std::uint64_t produceCount_ = 0;
-    bool poisoned_ = false;
-    bool armed_ = false;
-};
-
-/**
- * Seals @p trace's slot map (produceSlot, slotCount) from its consume
- * tape and, per produce, the tape length at the start of the event
- * that ran it (@p produce_at, whose buffer becomes produceSlot): the
- * one slot-allocation pass both TraceRecording::finish() and
- * deriveTrace() end with.
- */
-void assignTraceSlots(ExecutionTrace &trace,
-                      std::vector<std::uint32_t> produce_at);
-
-/**
- * Derives, from @p program's text alone, the trace a TraceRecording
- * of its run on a freshly loaded chip with an empty fabric would
- * seal — equal to that recording field by field. The real
- * InstructionQueues and BarrierController advance from event to event
- * on a calendar; each dispatch and each tick of an ABC or ACC window
- * takes its stream reads and writes from its kOpTable row (consumes
- * first, in the unit's order, then produces at d_func); and each
+ * Derives, from the text of a pod's member programs alone (@p members,
+ * one per member in ring order), the trace of their run on freshly
+ * loaded members with empty fabrics and idle links, wired as Pod
+ * wires them (link 1 of member i to link 0 of member i + 1, @p
+ * wire_latency cycles of flight; a pod of one wires no link). The
+ * real InstructionQueues and BarrierController advance from event to
+ * event on a calendar, the members cycle by cycle in ring order as
+ * Pod::stepAll() steps them; each dispatch and each tick of an ABC or
+ * ACC window takes its stream reads and writes from its kOpTable row
+ * (consumes first, in the unit's order, then produces at d_func);
+ * a Send at cycle t lands on its peer's link at t + serialization +
+ * wire, and a Receive produces only when an arrival is due; and each
  * consume is resolved on an index-only fabric, where a value written
  * at position p in cycle t flows along the diagonal p +- (now - t)
  * until it passes the chip edge or is overwritten.
  *
- * @return null (record instead) for a program the derivation does
- * not cover or that a stepped run would refuse: a C2C instruction,
- * an instruction its queue's slice cannot run, a stream group or
- * window outside its unit's limits, a window issued over an active
- * one, two writes to one stream register in one cycle, or a run that
- * would not retire within @p max_span cycles (never beyond 2^32 - 1,
- * the trace's offset range).
+ * @return null (step instead) for a program the derivation does not
+ * cover or that a stepped run would refuse: an instruction its
+ * queue's slice cannot run, a stream group or window outside its
+ * unit's limits, a window issued over an active one, two writes to
+ * one stream register in one cycle, a Send on an unwired link, before
+ * its Deskew or while the link still serializes, a Receive before
+ * Deskew, or a run that would not retire within @p max_span cycles
+ * (never beyond 2^32 - 1, the trace's offset range).
  */
+std::shared_ptr<const ExecutionTrace>
+deriveTrace(const std::vector<const AsmProgram *> &members,
+            Cycle wire_latency, Cycle max_span = 0xffffffffull);
+
+/** deriveTrace() of a lone chip running @p program. */
 std::shared_ptr<const ExecutionTrace>
 deriveTrace(const AsmProgram &program, Cycle max_span = 0xffffffffull);
 
 /**
- * @return "" when @p a and @p b are equal field by field (events,
- * tape, produce slots, slot count, per-chip deltas, span and produce
- * count), otherwise a description of the first difference.
+ * @return the events deriveTrace() lists for a lone chip running
+ * @p program that fall before cycle @p until (at most 2^32 - 1), in
+ * order: what a stepped run that stopped at @p until dispatched,
+ * whether or not it retires by then (a cut-off, machine-checked or
+ * never-retiring run). Empty for a program the derivation does not
+ * cover; it ends where a stepped run would refuse to go on.
  */
-std::string traceMismatch(const ExecutionTrace &a, const ExecutionTrace &b);
+std::vector<ExecutionTrace::Event> deriveSchedule(const AsmProgram &program,
+                                                  Cycle until);
 
 /**
- * Replays @p trace on @p chips (identically configured to — not
- * necessarily the same objects as — the traced set, with the same
- * programs loaded and clocks equal across members). On return the
+ * Replays @p trace on @p chips (identically configured members, in
+ * ring order, with the traced programs loaded, clocks equal across
+ * members and empty fabrics). On return the
  * chips are in the exact end-of-run state of a normal run: done(),
  * clocks advanced by trace.span, stats credited.
  */

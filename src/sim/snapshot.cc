@@ -180,10 +180,8 @@ ChipSnapshot::deserialize(const std::uint8_t *data, std::size_t size,
 bool
 Chip::snapshot(ChipSnapshot &out, std::string *err) const
 {
-    // Quiesce rule: the record/replay tier redirects stream traffic
-    // through side structures a snapshot cannot see.
-    if (traceRec_ != nullptr)
-        return fail(err, "snapshot: trace recorder armed");
+    // Quiesce rule: the replay tier redirects stream traffic through
+    // side structures a snapshot cannot see.
     if (fabric_.tapeReplayer() != nullptr)
         return fail(err, "snapshot: replay in progress");
 
@@ -226,8 +224,6 @@ Chip::snapshot(ChipSnapshot &out, std::string *err) const
 bool
 Chip::restore(const ChipSnapshot &snap, std::string *err)
 {
-    if (traceRec_ != nullptr)
-        return fail(err, "restore: trace recorder armed");
     if (fabric_.tapeReplayer() != nullptr)
         return fail(err, "restore: replay in progress");
     if (snap.configHash != hashChipConfig(cfg_))

@@ -4,7 +4,7 @@
  *
  * A ChipSnapshot is a bit-identical serialization of the full
  * architectural state of one chip at a quiesce point (between steps,
- * outside trace record/replay): MEM slices with their SECDED check
+ * outside a trace replay): MEM slices with their SECDED check
  * bits, stream registers and in-flight fabric writes, ICU queue
  * positions, MXM accumulators and weight-install state, SXM/VXM
  * latches and counters (from which energy follows), barrier state,
@@ -56,7 +56,7 @@ struct ChipSnapshot
     static constexpr std::uint32_t kMagic = 0x54535053u;
 
     /** Bumped on any incompatible payload-layout change. */
-    static constexpr std::uint32_t kVersion = 2;
+    static constexpr std::uint32_t kVersion = 3;
 
     /** Chip configuration hash (see file comment for exclusions). */
     std::uint64_t configHash = 0;

@@ -38,7 +38,7 @@ jsonEscape(const std::string &s)
 } // namespace
 
 std::string
-traceToChromeJson(const ExecutionTrace &trace,
+traceToChromeJson(const std::vector<ExecutionTrace::Event> &events,
                   const std::vector<const AsmProgram *> &programs)
 {
     using Kind = ExecutionTrace::EventKind;
@@ -56,7 +56,7 @@ traceToChromeJson(const ExecutionTrace &trace,
         os << line;
     };
 
-    for (const ExecutionTrace::Event &e : trace.events) {
+    for (const ExecutionTrace::Event &e : events) {
         if (e.kind != Kind::Dispatch ||
             !named.insert({e.chip, e.unit}).second) {
             continue;
@@ -71,7 +71,7 @@ traceToChromeJson(const ExecutionTrace &trace,
             e.chip + 1, e.unit, e.unit));
     }
 
-    for (const ExecutionTrace::Event &e : trace.events) {
+    for (const ExecutionTrace::Event &e : events) {
         if (e.kind != Kind::Dispatch)
             continue;
         const Instruction &inst =
@@ -87,14 +87,14 @@ traceToChromeJson(const ExecutionTrace &trace,
 }
 
 bool
-writeChromeTrace(const ExecutionTrace &trace,
+writeChromeTrace(const std::vector<ExecutionTrace::Event> &events,
                  const std::vector<const AsmProgram *> &programs,
                  const std::string &path)
 {
     std::ofstream out(path);
     if (!out)
         return false;
-    out << traceToChromeJson(trace, programs);
+    out << traceToChromeJson(events, programs);
     return static_cast<bool>(out);
 }
 

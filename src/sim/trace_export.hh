@@ -1,6 +1,6 @@
 /**
  * @file
- * Chrome-tracing export of a recording's dispatches: one timeline
+ * Chrome-tracing export of a trace's dispatches: one timeline
  * row per instruction queue (one process per chip), one duration
  * event per dispatched instruction (1 cycle = 1 µs in the viewer).
  * Load the output in chrome://tracing or https://ui.perfetto.dev to
@@ -19,9 +19,10 @@
 namespace tsp {
 
 /**
- * Renders @p trace's Dispatch events as Chrome Trace Event JSON.
- * @p programs holds each traced chip's loaded program, in chip order:
- * an event cites its instruction by index into its queue's program.
+ * Renders the Dispatch events of @p events (a trace's, or
+ * deriveSchedule()'s) as Chrome Trace Event JSON. @p programs holds
+ * each traced chip's loaded program, in chip order: an event cites
+ * its instruction by index into its queue's program.
  *
  * Chip c becomes pid c + 1 and its queues become thread ids grouped
  * by slice kind; timestamps are cycle offsets from the trace's start.
@@ -29,11 +30,11 @@ namespace tsp {
  * text is attached as an argument.
  */
 std::string
-traceToChromeJson(const ExecutionTrace &trace,
+traceToChromeJson(const std::vector<ExecutionTrace::Event> &events,
                   const std::vector<const AsmProgram *> &programs);
 
-/** Convenience: writes @p trace's JSON to @p path; returns success. */
-bool writeChromeTrace(const ExecutionTrace &trace,
+/** Convenience: writes @p events' JSON to @p path; returns success. */
+bool writeChromeTrace(const std::vector<ExecutionTrace::Event> &events,
                       const std::vector<const AsmProgram *> &programs,
                       const std::string &path);
 

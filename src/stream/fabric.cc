@@ -51,19 +51,17 @@ StreamFabric::applyWrite(const PendingWrite &w)
     e.encoded = w.encoded;
     e.writtenAt = cycle_;
     e.writer = w.writer;
-    e.tag = w.tag;
     ++totalWrites_;
 }
 
 void
 StreamFabric::scheduleSlot(StreamRef s, SlicePos pos, SlotId id,
-                           Cycle when, const char *writer,
-                           std::uint32_t tag, bool encoded)
+                           Cycle when, const char *writer, bool encoded)
 {
     // Producer delays are architectural constants well inside the
     // calendar: a write beyond it is a simulator bug.
     TSP_ASSERT(when >= cycle_ && when - cycle_ < kPendingHorizon);
-    const PendingWrite w{s, pos, id, encoded, writer, tag};
+    const PendingWrite w{s, pos, id, encoded, writer};
     if (when == cycle_) {
         applyWrite(w);
         return;
@@ -86,8 +84,7 @@ StreamFabric::scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
 {
     const SlotId id = acquireSlot();
     slot(id) = vec;
-    scheduleSlot(s, pos, id, when, "?", kTapeUntagged,
-                 /*encoded=*/false);
+    scheduleSlot(s, pos, id, when, "?", /*encoded=*/false);
 }
 
 Cycle
@@ -107,7 +104,7 @@ StreamFabric::sample(StreamRef s, SlicePos pos) const
         ring.entries[static_cast<std::size_t>(entryOf(s.dir, pos))];
     if (e.slot == kNoSlot)
         return {};
-    return {&slot(e.slot), e.tag, e.encoded};
+    return {&slot(e.slot), e.encoded};
 }
 
 void
@@ -203,10 +200,8 @@ StreamFabric::advanceBy(Cycle n)
                 pos += kPositions;
             else if (pos >= kPositions)
                 pos -= kPositions;
-            const Cycle remaining = east
-                                        ? static_cast<Cycle>(
-                                              kPositions - pos)
-                                        : static_cast<Cycle>(pos + 1);
+            const Cycle remaining = hopsToEdge(
+                east ? Direction::East : Direction::West, pos);
             hops += remaining < n ? remaining : n;
             if (remaining <= n)
                 dropEntry(ring, e);
@@ -252,7 +247,6 @@ StreamFabric::saveState(SnapshotWriter &w) const
                 continue;
             w.u16(static_cast<std::uint16_t>(idx));
             w.u64(e.writtenAt);
-            w.u32(e.tag);
             putVec(w, slot(e.slot));
         }
     }
@@ -265,7 +259,6 @@ StreamFabric::saveState(SnapshotWriter &w) const
             w.u8(pw.s.id);
             w.u8(pw.s.dir == Direction::West ? 1 : 0);
             w.i32(pw.pos);
-            w.u32(pw.tag);
             putVec(w, slot(pw.slot));
         }
     }
@@ -294,7 +287,6 @@ StreamFabric::loadState(SnapshotReader &r)
             e.encoded = false;
             e.writtenAt = r.u64();
             e.writer = "snapshot";
-            e.tag = r.u32();
             getVec(r, slot(e.slot));
             ++ring.validInRing;
             ++validCount_;
@@ -307,7 +299,6 @@ StreamFabric::loadState(SnapshotReader &r)
         s.id = r.u8();
         s.dir = r.u8() ? Direction::West : Direction::East;
         const SlicePos pos = r.i32();
-        const std::uint32_t tag = r.u32();
         const SlotId id = acquireSlot();
         getVec(r, slot(id));
         // Pending means strictly in the future (writes for the
@@ -319,8 +310,7 @@ StreamFabric::loadState(SnapshotReader &r)
             r.fail();
             return;
         }
-        scheduleSlot(s, pos, id, when, "snapshot", tag,
-                     /*encoded=*/false);
+        scheduleSlot(s, pos, id, when, "snapshot", /*encoded=*/false);
     }
     if (r.u64() != validCount_)
         r.fail();

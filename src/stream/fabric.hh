@@ -80,19 +80,11 @@ class StreamFabric
     MachineCheckSink *machineCheckSink() const { return mc_; }
 
     /**
-     * Attaches the trace-replay tape hooks (at most one of the two
-     * non-null; see trace_tape.hh). Like the fault hooks, the fabric
-     * never dereferences them — StreamIo consults them per call.
+     * Attaches the trace-replay tape (null detaches; see
+     * trace_tape.hh). Like the fault hooks, the fabric never
+     * dereferences it — StreamIo consults it per call.
      */
-    void
-    attachTapeHooks(TapeRecorder *rec, TapeReplayer *rep)
-    {
-        tapeRec_ = rec;
-        tapeRep_ = rep;
-    }
-
-    /** @return the attached tape recorder, or nullptr. */
-    TapeRecorder *tapeRecorder() const { return tapeRec_; }
+    void attachTapeReplayer(TapeReplayer *rep) { tapeRep_ = rep; }
 
     /** @return the attached tape replayer, or nullptr. */
     TapeReplayer *tapeReplayer() const { return tapeRep_; }
@@ -130,13 +122,6 @@ class StreamFabric
         const Vec320 *vec = nullptr;
 
         /**
-         * The entry's recording provenance (kTapeUntagged for entries
-         * written outside any StreamIo), so a recording consume can
-         * cite the produce it sampled.
-         */
-        std::uint32_t tag = kTapeUntagged;
-
-        /**
          * True when StreamIo::publish() computed the value's codes
          * from these very bytes. Nothing writes a slot while it is
          * held by an entry or a pending write, so such a value's
@@ -157,10 +142,9 @@ class StreamFabric
     }
 
     /**
-     * peek() with the entry's provenance tag and publish flag. The
-     * pointer stays valid, and the value unchanged, until the fabric
-     * next advances or an immediate write (when == now()) lands on
-     * the same register.
+     * peek() with the entry's publish flag. The pointer stays valid,
+     * and the value unchanged, until the fabric next advances or an
+     * immediate write (when == now()) lands on the same register.
      */
     Sample sample(StreamRef s, SlicePos pos) const;
 
@@ -193,18 +177,16 @@ class StreamFabric
      * This is how producers with functional delay d_func deposit
      * results: when = dispatch + d_func. Every producer's delay is at
      * least 1, so no register changes within the cycle a unit runs
-     * in. @p tag is the recording provenance carried by the entry,
-     * and @p encoded says whether StreamIo::publish() computed the
+     * in. @p encoded says whether StreamIo::publish() computed the
      * value's codes from its bytes (see Sample). The fabric owns the
      * slot from here on.
      */
     void scheduleSlot(StreamRef s, SlicePos pos, SlotId id, Cycle when,
-                      const char *writer, std::uint32_t tag,
-                      bool encoded);
+                      const char *writer, bool encoded);
 
     /**
      * Raw write: copies @p vec, codes as given, into a fresh slot and
-     * schedules it (untagged, not publish-encoded), as scheduleSlot().
+     * schedules it (not publish-encoded), as scheduleSlot().
      */
     void scheduleWrite(StreamRef s, SlicePos pos, const Vec320 &vec,
                        Cycle when);
@@ -246,11 +228,11 @@ class StreamFabric
      * without flowing anything. Legal only while a TapeReplayer is
      * attached — no values are in flight (produces go to the tape,
      * so validEntries() stays 0) and hop/write totals are credited
-     * wholesale from the recording via replayCredit().
+     * wholesale from the trace via replayCredit().
      */
     void replayJumpTo(Cycle target);
 
-    /** Credits the recorded run's hop/write totals (replay tier). */
+    /** Credits the traced run's hop/write totals (replay tier). */
     void
     replayCredit(std::uint64_t hops, std::uint64_t writes)
     {
@@ -277,6 +259,42 @@ class StreamFabric
      */
     void loadState(SnapshotReader &r);
 
+    /** @return the ring of (direction, stream id) @p s. */
+    static int
+    ringIndex(StreamRef s)
+    {
+        return (s.dir == Direction::West ? kStreamsPerDir : 0) + s.id;
+    }
+
+    /**
+     * @return the ring entry holding position @p pos in a cycle whose
+     * phase (cycle % positions) is @p phase. A value keeps its entry
+     * while it flows, so an entry holds one diagonal: position minus
+     * (eastward) or plus (westward) time, modulo the positions.
+     */
+    static int
+    entryOf(Direction dir, SlicePos pos, int phase)
+    {
+        int idx = dir == Direction::East ? pos - phase : pos + phase;
+        if (idx < 0)
+            idx += kPositions;
+        else if (idx >= kPositions)
+            idx -= kPositions;
+        return idx;
+    }
+
+    /**
+     * @return the hops a value at position @p pos makes before it
+     * passes the chip edge: to past position N - 1 eastward, past 0
+     * westward.
+     */
+    static Cycle
+    hopsToEdge(Direction dir, SlicePos pos)
+    {
+        return dir == Direction::East ? static_cast<Cycle>(kPositions - pos)
+                                      : static_cast<Cycle>(pos + 1);
+    }
+
   private:
     /** No slot: the entry holds no value. */
     static constexpr SlotId kNoSlot = ~SlotId{0};
@@ -287,7 +305,6 @@ class StreamFabric
         bool encoded = false;        ///< See Sample::encoded.
         Cycle writtenAt = ~Cycle{0}; ///< Cycle of the last write.
         const char *writer = "?";    ///< Debug: who wrote it.
-        std::uint32_t tag = kTapeUntagged; ///< Recording provenance.
     };
 
     /**
@@ -310,7 +327,6 @@ class StreamFabric
         SlotId slot = kNoSlot;
         bool encoded = false;
         const char *writer = "?";
-        std::uint32_t tag = kTapeUntagged;
     };
 
     /** One calendar slot: all writes landing in the same cycle. */
@@ -340,22 +356,11 @@ class StreamFabric
      */
     static constexpr Cycle kPendingHorizon = 128;
 
-    static int
-    ringIndex(StreamRef s)
-    {
-        return (s.dir == Direction::West ? kStreamsPerDir : 0) + s.id;
-    }
-
     /** Ring entry holding (pos) at the current cycle. */
     int
     entryOf(Direction dir, SlicePos pos) const
     {
-        int idx = dir == Direction::East ? pos - phase_ : pos + phase_;
-        if (idx < 0)
-            idx += kPositions;
-        else if (idx >= kPositions)
-            idx -= kPositions;
-        return idx;
+        return entryOf(dir, pos, phase_);
     }
 
     /** Sets the clock and its ring phase. */
@@ -411,7 +416,6 @@ class StreamFabric
 
     FaultInjector *faults_ = nullptr;
     MachineCheckSink *mc_ = nullptr;
-    TapeRecorder *tapeRec_ = nullptr;
     TapeReplayer *tapeRep_ = nullptr;
 
     std::uint64_t validCount_ = 0;

@@ -28,17 +28,15 @@ StreamIo::missed(StreamRef s, SlicePos pos)
 }
 
 void
-StreamIo::checkReplayUntagged(StreamRef s, SlicePos pos)
+StreamIo::replayFoundValues(StreamRef s, SlicePos pos) const
 {
-    const StreamFabric::Sample in = fabric_.sample(s, pos);
-    if (in.vec && in.tag == kTapeUntagged) {
-        panic("%s: replay consume on %s at pos %d, cycle %llu would "
-              "sample a fabric entry written outside any StreamIo "
-              "(kTapeUntagged) — the tape cannot reproduce it, so "
-              "replay would silently read stale arena state",
-              owner_.c_str(), s.toString().c_str(), pos,
-              static_cast<unsigned long long>(fabric_.now()));
-    }
+    panic("%s: replay consume on %s at pos %d, cycle %llu found %llu "
+          "value(s) on the fabric — replay keeps it empty, so the trace "
+          "cannot hold them, and the consume would silently read the "
+          "tape instead",
+          owner_.c_str(), s.toString().c_str(), pos,
+          static_cast<unsigned long long>(fabric_.now()),
+          static_cast<unsigned long long>(fabric_.validEntries()));
 }
 
 const Vec320 *
@@ -47,10 +45,10 @@ StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &scratch)
     if (TapeReplayer *rep = fabric_.tapeReplayer()) {
         // Replay tier: the tape says which produce (if any) this
         // consume sampled. The consumer-side ECC check is skipped —
-        // replay is only ever taken for fault-free recordings whose
-        // check came back clean on every operand.
+        // replay is only ever taken for fault-free runs, whose check
+        // comes back clean on every operand.
         if (fabric_.validEntries() != 0)
-            checkReplayUntagged(s, pos);
+            replayFoundValues(s, pos);
         const Vec320 *v = nullptr;
         rep->onConsumeRun(&v, 1);
         if (v)
@@ -58,8 +56,6 @@ StreamIo::tryConsume(StreamRef s, SlicePos pos, Vec320 &scratch)
         return v;
     }
     const StreamFabric::Sample in = fabric_.sample(s, pos);
-    if (TapeRecorder *rec = fabric_.tapeRecorder())
-        rec->onConsume(in.vec ? in.tag : kTapeMiss);
     if (!in.vec)
         return nullptr;
     ++consumed_;
@@ -117,10 +113,8 @@ StreamIo::consumeRun(StreamRef base, SlicePos pos, Vec320 *scratch,
             outs[i] = consumeRef(nth(base, i), pos, scratch[i]);
         return;
     }
-    if (fabric_.validEntries() != 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            checkReplayUntagged(nth(base, i), pos);
-    }
+    if (fabric_.validEntries() != 0)
+        replayFoundValues(base, pos);
     rep->onConsumeRun(outs, n);
     for (std::size_t i = 0; i < n; ++i) {
         if (outs[i])
@@ -144,10 +138,7 @@ StreamIo::publish(StreamRef s, SlicePos pos, StreamFabric::SlotId id,
 {
     if (encode)
         eccComputeVec(fabric_.slot(id));
-    std::uint32_t tag = kTapeUntagged;
-    if (TapeRecorder *rec = fabric_.tapeRecorder())
-        tag = rec->onProduce();
-    fabric_.scheduleSlot(s, pos, id, when, owner_.c_str(), tag, encode);
+    fabric_.scheduleSlot(s, pos, id, when, owner_.c_str(), encode);
     ++produced_;
 }
 

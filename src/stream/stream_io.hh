@@ -61,7 +61,7 @@ class StreamIo
      * flowing, panics under strictStreams, else counts a missed
      * operand and returns a zero vector. The pointer stays valid, and
      * the value unchanged, until the calling dispatch or MXM tick
-     * ends, so long as @p scratch is not reused: a recording frees a
+     * ends, so long as @p scratch is not reused: a trace frees a
      * tape slot only when the event holding the value's last consume
      * ends (sim/exec_trace.hh), and a fabric slot returns to the pool
      * only when the fabric advances, so no produce of the same event,
@@ -192,20 +192,20 @@ class StreamIo
     const Vec320 *missed(StreamRef s, SlicePos pos);
 
     /**
-     * Hard-fail check for replay consumes: a fabric entry poked in
-     * from outside any StreamIo (kTapeUntagged) during replay would
-     * be silently ignored — the tape resolves consumes by recorded
-     * order, so the replayed consume would read stale arena state
-     * instead of the poked value. Callers gate it on validEntries()
-     * != 0 (one load): replay keeps the fabric empty, so the hot path
-     * pays no call and only peeks when something is actually there.
+     * Hard failure of a replay consume of @p s at @p pos that found
+     * values on the fabric. Replay keeps the fabric empty (produces go
+     * to the tape), so a value there was written around the trace —
+     * poked in from outside any StreamIo — and the tape, which
+     * resolves consumes in trace order, would silently ignore it.
+     * Callers gate it on validEntries() != 0 (one load), so the hot
+     * path pays no call.
      */
-    void checkReplayUntagged(StreamRef s, SlicePos pos);
+    [[noreturn]] void replayFoundValues(StreamRef s, SlicePos pos) const;
 
     /**
      * Outside replay: encodes the value in fabric slot @p id when
-     * @p encode, tags it for a recording and schedules the slot on the
-     * fabric, marked publish-encoded when @p encode.
+     * @p encode and schedules the slot on the fabric, marked
+     * publish-encoded when @p encode.
      */
     void publish(StreamRef s, SlicePos pos, StreamFabric::SlotId id,
                  Cycle when, bool encode);

@@ -60,7 +60,7 @@ TEST_P(ConvSweep, MatchesGoldenReference)
     LoweredTensor out = lw.conv2d(in, g, cw);
 
     InferenceSession sess(lw);
-    runAndCheckDerivation(sess);
+    runAndCheckDerivation(lw, sess);
     expectProgramRoundTrips(*sess.program());
 
     ref::QTensor qin(p.h, p.w, p.in_c);

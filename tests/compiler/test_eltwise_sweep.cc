@@ -61,7 +61,7 @@ TEST_P(PoolSweep, MatchesReference)
     auto in = lw.inputTensor(p.h, p.w, p.c, data);
     auto out = lw.maxPool(in, p.k, p.stride, p.pad);
     InferenceSession sess(lw);
-    runAndCheckDerivation(sess);
+    runAndCheckDerivation(lw, sess);
     expectProgramRoundTrips(*sess.program());
     ref::QTensor qin(p.h, p.w, p.c);
     qin.data = data;
@@ -113,7 +113,7 @@ TEST_P(ResidualSweep, MatchesReference)
     auto b = lw.inputTensor(p.h, p.w, p.c, db);
     auto out = lw.residualAdd(a, b, p.sa, p.sb, p.relu);
     InferenceSession sess(lw);
-    runAndCheckDerivation(sess);
+    runAndCheckDerivation(lw, sess);
     expectProgramRoundTrips(*sess.program());
     ref::QTensor qa(p.h, p.w, p.c), qb(p.h, p.w, p.c);
     qa.data = da;
@@ -153,7 +153,7 @@ TEST(ResidualStaging, SameGroupOperandsAreCopied)
     ASSERT_EQ(Lowering::groupOf(a), Lowering::groupOf(b));
     auto out = lw.residualAdd(a, b, 0.5f, 0.25f, true);
     InferenceSession sess(lw);
-    runAndCheckDerivation(sess);
+    runAndCheckDerivation(lw, sess);
     expectProgramRoundTrips(*sess.program());
     ref::QTensor qa(h, w, c), qb(h, w, c);
     qa.data = da;
@@ -189,7 +189,7 @@ TEST_P(GapSweep, MatchesReference)
     auto in = lw.inputTensor(p.h, p.w, p.c, data);
     auto out = lw.globalAvgPool(in, scale);
     InferenceSession sess(lw);
-    runAndCheckDerivation(sess);
+    runAndCheckDerivation(lw, sess);
     expectProgramRoundTrips(*sess.program());
     ref::QTensor qin(p.h, p.w, p.c);
     qin.data = data;

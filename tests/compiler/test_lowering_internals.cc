@@ -300,19 +300,42 @@ TEST(CompiledPrograms, RingAllReduceIsPinned)
                         {0x3bce83c3e1f52cd2ull, 111}}},
     };
     for (const Ring &r : rings) {
+        SCOPED_TRACE(testing::Message() << r.n << " chips, batch "
+                                        << r.batch);
         Pod pod(r.n, /*wire_latency=*/17);
+        Pod replayed(r.n, /*wire_latency=*/17);
         std::vector<ScheduledProgram> progs;
         const AllReducePlan plan = buildRingAllReduce(pod, progs, r.batch);
         ASSERT_EQ(progs.size(), r.chips.size());
         for (std::size_t c = 0; c < progs.size(); ++c) {
-            SCOPED_TRACE(testing::Message() << r.n << " chips, batch "
-                                            << r.batch << ", chip " << c);
-            expectPinned(progs[c].toAsm(), plan.finish,
+            SCOPED_TRACE(testing::Message() << "chip " << c);
+            const AsmProgram text = progs[c].toAsm();
+            expectPinned(text, plan.finish,
                          {r.chips[c].first, r.chips[c].second, r.finish});
+            // Both pods reduce the same local vectors.
+            const auto v = randomData(1, 1, kLanes, 100 + c);
+            for (Pod *p : {&pod, &replayed}) {
+                Chip &chip = p->chip(static_cast<int>(c));
+                for (int k = 0; k < r.batch; ++k) {
+                    Vec320 word;
+                    for (int l = 0; l < kLanes; ++l) {
+                        word.bytes[static_cast<std::size_t>(l)] =
+                            static_cast<std::uint8_t>(
+                                v[static_cast<std::size_t>(l)] + k);
+                    }
+                    chip.mem(Hemisphere::East, AllReducePlan::kSlice)
+                        .backdoorWrite(static_cast<MemAddr>(
+                                           AllReducePlan::kLocalAddr + k),
+                                       word);
+                }
+                chip.loadProgram(text);
+            }
         }
         // The builder's finish is the cycle a run retires at.
-        EXPECT_EQ(runAllReduce(pod, progs), plan.finish)
-            << r.n << " chips, batch " << r.batch;
+        EXPECT_EQ(runAllReduce(pod, progs), plan.finish);
+        // The trace derived from the members' text replays to the
+        // lock-step run's end.
+        expectDerivedReplayMatches(replayed, pod);
     }
 }
 

@@ -1,16 +1,16 @@
 /**
  * @file
- * Differential tests for the trace record/replay execution tier:
- * every program runs per-cycle (the reference), once while recording,
- * and once replayed from the recording — and the three executions
+ * Differential tests for the trace replay execution tier: every
+ * program runs per-cycle (the reference), fast-forward, and replayed
+ * from the trace derived from its text — and the three executions
  * must be indistinguishable. Identical cycle counts, identical
  * stats() counters (idle, power-activity, fabric and ECC counters
- * included), energy equal to floating-point association, and
- * bit-identical memory results. Also covers the eligibility gates
- * (fault injection bypasses replay, bind() invalidates the trace,
- * failed runs record nothing, out-of-band fabric writes poison the
- * recording), fresh inputs flowing through a replayed run, pod-scale
- * replay, and TraceCache LRU accounting.
+ * included), exact energy, and bit-identical memory images. Also
+ * covers the eligibility gates (fault injection bypasses replay,
+ * bind() invalidates the trace, failed runs keep no trace, a run that
+ * starts with a stray fabric value steps), fresh inputs flowing
+ * through a replayed run, pod-scale replay, and TraceCache LRU
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +27,8 @@
 #include "compiler/schedule.hh"
 #include "graph/graph.hh"
 #include "isa/assembler.hh"
-#include "mem/ecc.hh"
 #include "model/resnet.hh"
+#include "oracle.hh"
 #include "runtime/session.hh"
 #include "sim/chip.hh"
 #include "sim/exec_trace.hh"
@@ -99,10 +99,9 @@ expectChipsIdentical(const Chip &ref, const Chip &other,
 }
 
 /**
- * Runs @p prog per-cycle (reference), recorded, and replayed on chips
- * configured as @p cfg, and asserts the three executions are
- * indistinguishable, and that the trace derived from @p prog's text
- * equals the recording.
+ * Runs @p prog per-cycle (reference), fast-forward, and replayed from
+ * the trace derived from its text on chips configured as @p cfg, and
+ * asserts the three executions are indistinguishable.
  */
 void
 expectIdenticalReplay(const AsmProgram &prog,
@@ -111,33 +110,25 @@ expectIdenticalReplay(const AsmProgram &prog,
                       const ChipConfig &cfg = {})
 {
     Chip legacy(configFor(false, cfg));
-    Chip recorded(configFor(true, cfg));
+    Chip fast(configFor(true, cfg));
     Chip replayed(configFor(true, cfg));
-    for (Chip *chip : {&legacy, &recorded, &replayed}) {
+    for (Chip *chip : {&legacy, &fast, &replayed}) {
         for (const auto &s : seeds)
             chip->mem(s.hem, s.slice).backdoorWrite(s.addr, s.vec);
         chip->loadProgram(prog);
     }
 
     const Cycle legacy_cycles = legacy.run();
+    EXPECT_EQ(fast.run(), legacy_cycles);
+    expectChipsIdentical(legacy, fast, probes, "fast-forward");
 
-    std::shared_ptr<const ExecutionTrace> trace;
-    {
-        TraceRecording rec({&recorded});
-        const Cycle recorded_cycles = recorded.run();
-        EXPECT_EQ(recorded_cycles, legacy_cycles);
-        trace = rec.finish(/*completed=*/true);
-    }
+    const auto trace = deriveTrace(prog);
     ASSERT_NE(trace, nullptr);
     EXPECT_EQ(trace->span, legacy_cycles);
-    expectChipsIdentical(legacy, recorded, probes, "recorded");
-    const auto derived = deriveTrace(prog);
-    ASSERT_NE(derived, nullptr);
-    EXPECT_EQ(traceMismatch(*derived, *trace), "");
-
     replayTrace(*trace, {&replayed});
     EXPECT_TRUE(replayed.done());
     expectChipsIdentical(legacy, replayed, probes, "replayed");
+    EXPECT_EQ(chipEndMismatch(legacy, replayed), "");
 }
 
 /**
@@ -212,8 +203,8 @@ expectInstsMatchDispatches(const ExecutionTrace &t,
 TEST(Replay, RecordedInstsShareOnePodProgram)
 {
     // Two pod members run one shared program: both cite the same
-    // program positions, and Repeat re-issues cite the read they
-    // repeat.
+    // program positions in the pod's derived trace, and Repeat
+    // re-issues cite the read they repeat.
     const std::string text = "@MEM_E3:\n"
                              "    nop 40\n"
                              "    read 0x9, s2.w\n"
@@ -228,12 +219,9 @@ TEST(Replay, RecordedInstsShareOnePodProgram)
     InferenceSession pod(/*chips=*/2, /*wire_latency=*/12);
     pod.bind({prog, prog});
     pod.reset();
-    std::shared_ptr<const ExecutionTrace> trace;
-    {
-        TraceRecording rec({&pod.pod().chip(0), &pod.pod().chip(1)});
-        ASSERT_TRUE(pod.runBounded().completed);
-        trace = rec.finish(/*completed=*/true);
-    }
+    pod.enableReplay();
+    ASSERT_TRUE(pod.runBounded().completed);
+    const auto trace = pod.trace();
     ASSERT_NE(trace, nullptr);
     // The read and the write: two positions for 2 x 14 dispatches.
     EXPECT_EQ(expectInstsMatchDispatches(
@@ -249,20 +237,17 @@ TEST(Replay, RecordedInstsMatchTinyNetDispatches)
     Lowering lw(true);
     g.lower(lw, in);
     InferenceSession sess(lw);
-    std::shared_ptr<const ExecutionTrace> trace;
-    {
-        TraceRecording rec({&sess.chip()});
-        ASSERT_TRUE(sess.runBounded().completed);
-        trace = rec.finish(/*completed=*/true);
-    }
-    ASSERT_NE(trace, nullptr);
-    EXPECT_GT(expectInstsMatchDispatches(*trace, {&sess.chip()}), 0u);
+    sess.enableReplay();
+    ASSERT_TRUE(sess.runBounded().completed);
+    ASSERT_NE(sess.trace(), nullptr);
+    EXPECT_GT(expectInstsMatchDispatches(*sess.trace(), {&sess.chip()}),
+              0u);
 }
 
 TEST(Replay, StreamAddWithLongIdleSpans)
 {
     // The Table I read->add->write program, NOP-padded: dispatches,
-    // a VXM op and long skipped spans all inside one recording.
+    // a VXM op and long skipped spans all inside one trace.
     const std::string text = "@MEM_W0:\n"
                              "    nop 510\n"
                              "    read 0x5, s16.e\n"
@@ -379,11 +364,7 @@ TEST(Replay, ResultNeverTakesAnOperandSlotOfItsOwnDispatch)
     const AsmResult r = assemble(text);
     ASSERT_TRUE(r.ok) << r.error;
 
-    Chip chip(configFor(true));
-    chip.loadProgram(r.program);
-    TraceRecording rec({&chip});
-    chip.run();
-    const auto trace = rec.finish(/*completed=*/true);
+    const auto trace = deriveTrace(r.program);
     ASSERT_NE(trace, nullptr);
     // Produces in order: the MEM_W1 read, the MEM_W0 read, the sum.
     ASSERT_EQ(trace->produces, 3u);
@@ -548,7 +529,7 @@ TEST(Replay, CompiledNetworkSessionReplayWithFreshInputs)
 {
     // End-to-end: a replay-enabled session serves three inferences of
     // a compiled network with a *different* input each time. Run 1
-    // records; runs 2 and 3 replay — and every one must be
+    // derives its trace; every run replays it — and every one must be
     // indistinguishable from a session running the normal tiers on
     // the same inputs, because the replayed numerics re-read live
     // SRAM where the fresh input was staged.
@@ -607,9 +588,9 @@ TEST(Replay, CompiledNetworkSessionReplayWithFreshInputs)
 
 TEST(Replay, FaultInjectionBypassesReplay)
 {
-    // An armed fault injector disqualifies record and replay: both
-    // runs take the normal tiers and stay bit-identical to a session
-    // that never heard of replay.
+    // An armed fault injector disqualifies replay: both runs take the
+    // normal tiers and stay bit-identical to a session that never
+    // heard of replay.
     ChipConfig cfg;
     cfg.fault.seed = 0xfaceull;
     cfg.fault.memReadRate = 0.001;
@@ -651,7 +632,7 @@ TEST(Replay, FaultInjectionBypassesReplay)
 TEST(Replay, BindInvalidatesTrace)
 {
     // Rebinding (a different program, or a weight reinstall) drops
-    // the recorded trace; the next fresh run re-records.
+    // the derived trace; the next fresh run derives it again.
     const int h = 8, w = 8, c = 8;
     Graph g = model::buildTinyNet(/*seed=*/5, h, w, c);
     Rng rng(13);
@@ -679,7 +660,7 @@ TEST(Replay, BindInvalidatesTrace)
     EXPECT_EQ(sess.program(), prog2.get());
 
     // Before the reset that loads the new program the session is not
-    // fresh: nothing records.
+    // fresh: nothing derives.
     sess.reset();
     ASSERT_TRUE(sess.runBounded().completed);
     EXPECT_EQ(sess.recordCount(), 2u);
@@ -690,8 +671,9 @@ TEST(Replay, BindInvalidatesTrace)
 
 TEST(Replay, TimedOutRunRecordsNothing)
 {
-    // A run that hits its cycle budget is mid-program: finish(false)
-    // must seal no trace, and the session recovers via reset().
+    // A run whose budget ends before its program retires steps, is
+    // left mid-program and keeps no trace; the session recovers via
+    // reset().
     const int h = 8, w = 8, c = 8;
     Graph g = model::buildTinyNet(/*seed=*/9, h, w, c);
     Rng rng(17);
@@ -714,36 +696,44 @@ TEST(Replay, TimedOutRunRecordsNothing)
     EXPECT_EQ(sess.recordCount(), 1u);
 }
 
-TEST(Replay, OutOfBandFabricWritePoisonsRecording)
+TEST(Replay, StrayFabricValueStepsAndLeavesNoHopsInLaterReplays)
 {
-    // A value consumed from the fabric that no StreamIo produced
-    // (here: a test writing the register file directly) cannot be
-    // reproduced by the tape — the recording must refuse to seal.
-    const std::string text = "@MEM_W0:\n"
-                             "    write 0x7, s16.e\n";
-    const AsmResult r = assemble(text);
+    // A first run that starts with a stray value on the fabric (here:
+    // a test writing the register file directly) is not in the text:
+    // it steps and keeps no trace. Its clean second run derives the
+    // trace, which holds none of the stray value's 85 hops, so the
+    // session's counters and energy stay those of a replay-disabled
+    // session. Nothing consumes the value: a recording of the first
+    // run kept its hops and credited them to every replay (170).
+    const AsmResult r = assemble("@MEM_W0:\n    nop 100\n    notify\n");
     ASSERT_TRUE(r.ok) << r.error;
-
-    Chip chip(configFor(true));
-    chip.loadProgram(r.program);
-    Vec320 v = fill(99);
-    eccComputeVec(v); // Valid codeword: only provenance is missing.
-    chip.fabric().write(StreamRef{16, Direction::East},
-                        IcuId::mem(Hemisphere::West, 0).pos(), v);
-    TraceRecording rec({&chip});
-    chip.run();
-    EXPECT_TRUE(rec.poisoned());
-    EXPECT_EQ(rec.finish(/*completed=*/true), nullptr);
-    // The out-of-band value still flowed: the run itself is fine.
-    EXPECT_EQ(chip.mem(Hemisphere::West, 0).backdoorRead(0x7).bytes,
-              v.bytes);
+    InferenceSession ref(1, 0);
+    InferenceSession rep(1, 0);
+    rep.enableReplay();
+    for (InferenceSession *s : {&ref, &rep}) {
+        s->bind({SharedProgram(r.program)});
+        s->reset();
+        s->chip().fabric().write(StreamRef{7, Direction::East}, 10,
+                                 fill(99));
+        ASSERT_TRUE(s->runBounded().completed);
+    }
+    EXPECT_EQ(rep.recordCount(), 0u);
+    EXPECT_EQ(rep.trace(), nullptr);
+    for (InferenceSession *s : {&ref, &rep}) {
+        s->reset();
+        ASSERT_TRUE(s->runBounded().completed);
+    }
+    EXPECT_EQ(rep.recordCount(), 1u);
+    EXPECT_NE(rep.trace(), nullptr);
+    EXPECT_EQ(rep.chip().stats().get("stream_hops"), 85u);
+    EXPECT_EQ(chipEndMismatch(ref.chip(), rep.chip()), "");
 }
 
 TEST(Replay, PodAllReduceReplayIdentical)
 {
-    // Pod-scale: a 4-chip ring all-reduce recorded once and replayed
-    // with fresh local vectors, against a reference pod running the
-    // normal tiers on the same data.
+    // Pod-scale: a 4-chip ring all-reduce whose trace is derived once
+    // and replayed with fresh local vectors, against a reference pod
+    // running the normal tiers on the same data.
     constexpr int kChips = 4;
     constexpr Cycle kWire = 12;
 
@@ -951,30 +941,20 @@ TEST(Replay, Fp16MatmulReplayIdentical)
     const AsmProgram asmProg = prog.toAsm();
 
     Chip legacy(configFor(false));
-    Chip recorded(configFor(true));
     Chip replayed(configFor(true));
-    for (Chip *chip : {&legacy, &recorded, &replayed}) {
+    for (Chip *chip : {&legacy, &replayed}) {
         image.applyTo(*chip);
         chip->loadProgram(asmProg);
     }
 
     const Cycle legacy_cycles = legacy.run();
-
-    std::shared_ptr<const ExecutionTrace> trace;
-    {
-        TraceRecording rec({&recorded});
-        EXPECT_EQ(recorded.run(), legacy_cycles);
-        trace = rec.finish(/*completed=*/true);
-    }
+    const auto trace = deriveTrace(asmProg);
     ASSERT_NE(trace, nullptr);
-    expectChipsIdentical(legacy, recorded, probes, "recorded");
-    const auto derived = deriveTrace(asmProg);
-    ASSERT_NE(derived, nullptr);
-    EXPECT_EQ(traceMismatch(*derived, *trace), "");
-
+    EXPECT_EQ(trace->span, legacy_cycles);
     replayTrace(*trace, {&replayed});
     EXPECT_TRUE(replayed.done());
     expectChipsIdentical(legacy, replayed, probes, "replayed");
+    EXPECT_EQ(chipEndMismatch(legacy, replayed), "");
 }
 
 TEST(Replay, Fp16FaultInjectionDeterministicAcrossLiveTiers)
@@ -1059,7 +1039,7 @@ TEST(Replay, TraceCacheLruEviction)
 
 TEST(Replay, ArenaAccountingMatchesAllocation)
 {
-    // Record a real program and pin the trace's self-reported
+    // Derive a real program's trace and pin its self-reported
     // footprint against the allocation formulas: arenaBytes() is
     // exactly the pinned replay log (slotCount Vec320 slots), and
     // memoryBytes() is the component sum including that arena.
@@ -1078,13 +1058,7 @@ TEST(Replay, ArenaAccountingMatchesAllocation)
     const AsmResult r = assemble(text);
     ASSERT_TRUE(r.ok) << r.error;
 
-    Chip chip(configFor(true));
-    chip.mem(Hemisphere::West, 0).backdoorWrite(0x5, fill(30));
-    chip.mem(Hemisphere::West, 1).backdoorWrite(0x6, fill(40));
-    chip.loadProgram(r.program);
-    TraceRecording rec({&chip});
-    chip.run();
-    const auto trace = rec.finish(/*completed=*/true);
+    const auto trace = deriveTrace(r.program);
     ASSERT_NE(trace, nullptr);
 
     // Liveness compaction: one slot entry per produce, but the log

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "c2c/collective.hh"
@@ -445,16 +446,31 @@ TEST(Snapshot, DifferentFaultSeedRestoresWithFreshStreams)
     EXPECT_EQ(a.bytes, b.bytes);
 }
 
-TEST(Snapshot, RefusesWhileTraceRecorderArmed)
+TEST(Snapshot, RefusesWhileReplaying)
 {
+    // A replay routes stream traffic through a tape a snapshot cannot
+    // see: the chip refuses to capture or restore until it ends.
+    struct Tape final : TapeReplayer
+    {
+        Vec320 slot;
+        Vec320 *onProduce() override { return &slot; }
+        void
+        onConsumeRun(const Vec320 **outs, std::size_t n) override
+        {
+            std::fill(outs, outs + n, nullptr);
+        }
+    } tape;
     Chip chip(configFor(false));
     seedInputs(chip);
     chip.loadProgram(program());
-    TraceRecording rec({&chip});
     ChipSnapshot snap;
     std::string err;
+    ASSERT_TRUE(chip.snapshot(snap, &err)) << err;
+    chip.beginReplay(&tape);
     EXPECT_FALSE(chip.snapshot(snap, &err));
-    EXPECT_NE(err.find("recorder"), std::string::npos);
+    EXPECT_NE(err.find("replay in progress"), std::string::npos);
+    EXPECT_FALSE(chip.restore(snap, &err));
+    EXPECT_NE(err.find("replay in progress"), std::string::npos);
 }
 
 TEST(PodSnapshot, RestoreWithInFlightC2cTraffic)
@@ -640,12 +656,12 @@ TEST(Snapshot, FabricDecoderRefusesOutOfRangeFields)
     // saved fields are at fixed offsets (clock, then per ring a count
     // and its entries, then the pending list and the valid count).
     constexpr std::size_t kVec = kLanes + 2 * kSuperlanes;
-    constexpr std::size_t kEntryBytes = 2 + 8 + 4 + kVec;
+    constexpr std::size_t kEntryBytes = 2 + 8 + kVec;
     constexpr std::size_t kSlot = 8 + 4;
     constexpr std::size_t kPending =
         8 + 2 * kStreamsPerDir * 4 + 2 * kEntryBytes;
     constexpr std::size_t kWhen = kPending + 8;
-    constexpr std::size_t kValid = kWhen + 8 + 1 + 1 + 4 + 4 + kVec;
+    constexpr std::size_t kValid = kWhen + 8 + 1 + 1 + 4 + kVec;
     StreamFabric src;
     src.write({0, Direction::East}, 3, fill(1));
     src.write({0, Direction::East}, 4, fill(1));
@@ -916,7 +932,8 @@ TEST(Snapshot, SerializedBytesArePinned)
 {
     // The framed snapshot of the tiny net, cut where values are
     // flowing on the fabric and writes are still pending, is pinned
-    // byte for byte: the fabric's saved entries and calendar, and
+    // byte for byte (version 3: the fabric's entries and pending
+    // writes carry no produce tags): the fabric's saved entries and calendar, and
     // what a restore reads back, do not depend on how the fabric
     // stores its values. Both kernel tiers and both stepping tiers
     // must give the same bytes.
@@ -927,10 +944,10 @@ TEST(Snapshot, SerializedBytesArePinned)
         Cycle cut;
         std::uint64_t hash;
     } pins[] = {
-        {150, 0x9d07954e016c2e53ull},
-        {227, 0xee10a9bfce26b1ffull},
-        {480, 0xf12eceb71188a273ull},
-        {627, 0xd638c1aeefcbbc54ull},
+        {150, 0xd674d121c9ed7d65ull},
+        {227, 0x928f75e89308e152ull},
+        {480, 0x7f3c2931080870a4ull},
+        {627, 0xc83e354da4160ceaull},
     };
     for (const int force_scalar : {1, 0}) {
         forceScalarKernels(force_scalar);

@@ -11,11 +11,11 @@
  * fillers only. On 2-chip pods, vectors also cross the ring by C2C
  * Send/Receive. Each program runs per-cycle lock-step, fast-forward,
  * and cut by a snapshot at a random cycle, then restored on a fresh
- * pod and run to the end; a fault-free program is also recorded and
- * its trace replayed on a fresh pod, and on one chip the trace derived
- * from its text must equal the recording. All must agree on every chip's
- * stats, clock, energy and written words, and the words must equal
- * the host's arithmetic. Odd seeds run with correctable faults live
+ * pod and run to the end; a fault-free program's trace is also
+ * derived from its members' text and replayed on a fresh pod. All
+ * must agree on every chip's stats, clock, energy and written words
+ * (the replay on every MEM image too), and the words must equal the
+ * host's arithmetic. Odd seeds run with correctable faults live
  * on the stepped paths, so the fault RNG draws are compared too.
  *
  * Every tier steps through Chip::step(), so a queue the chip stopped
@@ -40,6 +40,7 @@
 #include "graph/graph.hh"
 #include "mem/addr.hh"
 #include "model/resnet.hh"
+#include "oracle.hh"
 #include "runtime/session.hh"
 #include "sim/exec_trace.hh"
 #include "sim/snapshot.hh"
@@ -581,18 +582,8 @@ expectSameOutcome(const Outcome &ref, const Outcome &got,
 
 constexpr Cycle kLimit = 100'000;
 
-/** @return @p pod's members in ring order. */
-std::vector<Chip *>
-chipsOf(Pod &pod)
-{
-    std::vector<Chip *> chips;
-    for (int c = 0; c < pod.size(); ++c)
-        chips.push_back(&pod.chip(c));
-    return chips;
-}
-
 /** Runs @p seed's program per-cycle, fast-forward, snapshot-cut and,
- *  when fault-free, recorded and replayed. */
+ *  when fault-free, replayed from the trace derived from its text. */
 void
 checkSeed(std::uint64_t seed, int chips)
 {
@@ -621,28 +612,13 @@ checkSeed(std::uint64_t seed, int chips)
     ASSERT_TRUE(fast->runAllBounded(kLimit));
     expectSameOutcome(ref, outcomeOf(*fast, p), "fast-forward");
 
-    // Record and replay on a fresh pod. Only a fault-free run replays:
-    // an armed injector's strikes are not on the tape.
+    // Replay the trace derived from the members' text on a fresh pod,
+    // against the lock-step run. Only a fault-free run replays: an
+    // armed injector's strikes are not on the tape.
     if (!p.cfg.fault.enabled()) {
-        auto recorded =
-            makePod(p, /*fast_forward=*/true, /*seed_memory=*/true);
-        std::shared_ptr<const ExecutionTrace> trace;
-        {
-            TraceRecording rec(chipsOf(*recorded));
-            ASSERT_TRUE(recorded->runAllBounded(kLimit));
-            trace = rec.finish(/*completed=*/true);
-        }
-        ASSERT_NE(trace, nullptr);
-        expectSameOutcome(ref, outcomeOf(*recorded, p), "recorded");
-        if (chips == 1) {
-            // The recording is the derivation's oracle.
-            const auto derived = deriveTrace(p.programs[0]);
-            ASSERT_NE(derived, nullptr);
-            EXPECT_EQ(traceMismatch(*derived, *trace), "");
-        }
         auto replayed =
             makePod(p, /*fast_forward=*/true, /*seed_memory=*/true);
-        replayTrace(*trace, chipsOf(*replayed));
+        expectDerivedReplayMatches(*replayed, *lock);
         expectSameOutcome(ref, outcomeOf(*replayed, p), "replay");
     }
 
@@ -671,7 +647,8 @@ checkSeed(std::uint64_t seed, int chips)
 }
 
 // 200 generated programs in all: seeds 1-100 on one chip, 101-200 on
-// a 2-chip ring; the 100 even (fault-free) seeds also replay. Over those seeds the programs hold about 330 VXM
+// a 2-chip ring; the 100 even (fault-free) seeds also replay their
+// derived traces. Over those seeds the programs hold about 330 VXM
 // pipelines, 240 C2C transfers, 220 Syncs, 760 Repeats and 180
 // co-issued pairs. A chip snapshot is about 3 MB, mostly MXM state,
 // which sets the cost of each seed.

@@ -1,7 +1,8 @@
 /**
  * @file
- * Dispatch listings from a recording: Chrome-trace event structure,
- * escaping, a file round-trip, and a run cut off before it retires.
+ * Dispatch listings derived from a program's text: Chrome-trace event
+ * structure, escaping, a file round-trip, and a run cut off before it
+ * retires.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <sstream>
 
 #include "isa/assembler.hh"
-#include "sim/chip.hh"
+#include "sim/exec_trace.hh"
 #include "sim/trace_export.hh"
 
 namespace tsp {
@@ -19,7 +20,6 @@ namespace {
 
 TEST(TraceExport, JsonContainsQueuesAndEvents)
 {
-    Chip chip;
     const AsmResult r = assemble("@MEM_W0:\n"
                                  "    read 0x1, s0.e\n"
                                  "    nop 2\n"
@@ -28,11 +28,10 @@ TEST(TraceExport, JsonContainsQueuesAndEvents)
                                  "    nop 3\n"
                                  "    relu s0.e, s2.e\n");
     ASSERT_TRUE(r.ok) << r.error;
-    chip.loadProgram(r.program);
-    TraceRecording rec({&chip});
-    chip.run();
+    const auto trace = deriveTrace(r.program);
+    ASSERT_NE(trace, nullptr);
 
-    const std::string json = traceToChromeJson(rec.recorded(), {&r.program});
+    const std::string json = traceToChromeJson(trace->events, {&r.program});
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("MEM_W0"), std::string::npos);
     EXPECT_NE(json.find("VXM3"), std::string::npos);
@@ -51,15 +50,12 @@ TEST(TraceExport, JsonContainsQueuesAndEvents)
 
 TEST(TraceExport, WritesFile)
 {
-    Chip chip;
     const AsmResult r = assemble("@MEM_E1:\n    read 0x4, s5.w\n");
     ASSERT_TRUE(r.ok);
-    chip.loadProgram(r.program);
-    TraceRecording rec({&chip});
-    chip.run();
 
     const std::string path = "/tmp/tsp_trace_test.json";
-    ASSERT_TRUE(writeChromeTrace(rec.recorded(), {&r.program}, path));
+    ASSERT_TRUE(writeChromeTrace(deriveSchedule(r.program, 10),
+                                 {&r.program}, path));
     std::ifstream in(path);
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -80,7 +76,7 @@ TEST(TraceExport, EscapesAssemblyText)
     e.unit = static_cast<std::uint16_t>(IcuId::vxmAlu(0).id);
     e.chip = 1;
     t.events.push_back(e);
-    const std::string json = traceToChromeJson(t, {&prog, &prog});
+    const std::string json = traceToChromeJson(t.events, {&prog, &prog});
     EXPECT_NE(json.find("\"pid\":2,"), std::string::npos);
     EXPECT_NE(json.find("\"asm\""), std::string::npos);
     EXPECT_EQ(json.find('\n', json.find("\"asm\"")),
@@ -89,10 +85,9 @@ TEST(TraceExport, EscapesAssemblyText)
 
 TEST(TraceExport, CutOffRunStillListsItsDispatches)
 {
-    // tsp-run's example listing, stopped at cycle 12: finish() will
-    // not seal the unretired run, but the recording still lists the
+    // tsp-run's example listing, stopped at cycle 12: the run has not
+    // retired, so it has no trace, but its derived schedule lists the
     // two reads that dispatched (cycles 9 and 10).
-    Chip chip;
     const AsmResult r = assemble("@MEM_W0:\n"
                                  "    nop 10\n"
                                  "    read 0x5, s16.e\n"
@@ -106,13 +101,12 @@ TEST(TraceExport, CutOffRunStillListsItsDispatches)
                                  "    nop 17\n"
                                  "    write 0x7, s29.w\n");
     ASSERT_TRUE(r.ok) << r.error;
-    chip.loadProgram(r.program);
-    TraceRecording rec({&chip});
-    EXPECT_FALSE(chip.runBounded(12));
+    EXPECT_EQ(deriveTrace(r.program, /*max_span=*/12), nullptr);
 
-    const ExecutionTrace &t = rec.recorded();
+    const std::vector<ExecutionTrace::Event> listed =
+        deriveSchedule(r.program, 12);
     std::vector<std::pair<std::uint32_t, std::string>> reads;
-    for (const ExecutionTrace::Event &e : t.events) {
+    for (const ExecutionTrace::Event &e : listed) {
         if (e.kind != ExecutionTrace::EventKind::Dispatch)
             continue;
         EXPECT_EQ(r.program.queue(IcuId{e.unit})[e.instIndex].op,
@@ -122,8 +116,11 @@ TEST(TraceExport, CutOffRunStillListsItsDispatches)
     const std::vector<std::pair<std::uint32_t, std::string>> want = {
         {9, "MEM_W1"}, {10, "MEM_W0"}};
     EXPECT_EQ(reads, want);
-    EXPECT_EQ(rec.finish(/*completed=*/false), nullptr);
-    EXPECT_EQ(rec.recorded().events.size(), 2u);
+    EXPECT_EQ(listed.size(), 2u);
+    // The whole run lists all four dispatches, as its trace does.
+    EXPECT_EQ(deriveSchedule(r.program, 1000).size(),
+              deriveTrace(r.program)->events.size());
+    EXPECT_EQ(deriveSchedule(r.program, 1000).size(), 4u);
 }
 
 } // namespace

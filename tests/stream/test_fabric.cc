@@ -238,7 +238,7 @@ TEST(Fabric, ReplayConsumeResolvesFromTapeNotFabric)
     StreamFabric f;
     StubReplayer rep;
     rep.slot = mark(9);
-    f.attachTapeHooks(nullptr, &rep);
+    f.attachTapeReplayer(&rep);
     StreamIo io(cfg, f, "TEST");
 
     Vec320 out;
@@ -259,36 +259,36 @@ TEST(Fabric, ReplayConsumeResolvesFromTapeNotFabric)
 TEST(FabricDeath, UntaggedEntryConsumedDuringReplayPanics)
 {
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // Replay resolves consumes by recorded tape order, so a value
-    // poked into the fabric from outside any StreamIo (a direct
-    // StreamFabric::write carries kTapeUntagged) would be silently
-    // ignored — the replayed consume would read stale arena state
-    // instead of the poked value. Both consume paths must hard-fail.
+    // Replay keeps the fabric empty and resolves consumes in tape
+    // order, so a value poked into the fabric from outside any
+    // StreamIo (a direct StreamFabric::write) would be silently
+    // ignored — the replayed consume would read the tape instead of
+    // the poked value. Both consume paths must hard-fail.
     const auto single = [] {
         ChipConfig cfg;
         StreamFabric f;
         StubReplayer rep;
-        f.attachTapeHooks(nullptr, &rep);
+        f.attachTapeReplayer(&rep);
         StreamIo io(cfg, f, "TEST");
-        f.write({4, Direction::East}, 10, mark(7)); // Untagged poke.
+        f.write({4, Direction::East}, 10, mark(7)); // Out-of-band poke.
         Vec320 out;
         io.tryConsume({4, Direction::East}, 10, out);
     };
-    ASSERT_DEATH(single(), "outside any StreamIo");
+    ASSERT_DEATH(single(), "value\\(s\\) on the fabric");
 
     const auto batched = [] {
         ChipConfig cfg;
         StreamFabric f;
         StubReplayer rep;
-        f.attachTapeHooks(nullptr, &rep);
+        f.attachTapeReplayer(&rep);
         StreamIo io(cfg, f, "TEST");
-        // Poke a mid-run register: ids 4..7 are checked one by one.
+        // Poke a register of the run's third stream.
         f.write({6, Direction::East}, 10, mark(7));
         Vec320 scratch[4];
         const Vec320 *outs[4] = {};
         io.consumeRun({4, Direction::East}, 10, scratch, outs, 4);
     };
-    ASSERT_DEATH(batched(), "outside any StreamIo");
+    ASSERT_DEATH(batched(), "value\\(s\\) on the fabric");
 }
 
 /** A value with valid codes and lanes 0..3 set from @p seed. */
@@ -410,7 +410,7 @@ TEST(StreamIo, ReplayRunConsumeEqualsTape)
         StreamFabric f;
         ScriptReplayer rep;
         rep.tape = {&a, &b, nullptr, &c};
-        f.attachTapeHooks(nullptr, &rep);
+        f.attachTapeReplayer(&rep);
         StreamIo io(cfg, f, "TEST");
         Vec320 scratch[4];
         const Vec320 *outs[4] = {};
@@ -477,7 +477,7 @@ TEST(StreamIo, ProduceInPlaceBuildsWhereTheTierKeepsValues)
         // empty.
         StreamFabric f;
         ScriptReplayer rep;
-        f.attachTapeHooks(nullptr, &rep);
+        f.attachTapeReplayer(&rep);
         StreamIo io(cfg, f, "TEST");
         io.produceInPlace<2>({2, Direction::East}, 5, 1, false, build);
         EXPECT_EQ(rep.slots[0], mark(20));

@@ -25,11 +25,11 @@
  *                                           (fresh fault seed) instead
  *                                           of dying
  *
- * --trace and --trace-json record the run (sim/exec_trace.hh); they
- * cannot be combined with --snapshot-every (a chip refuses snapshots
- * while recording) or with --max-cycles above 2^32 - 1 (recorded
- * cycle offsets are 32-bit). A run that is cut off or machine-checked
- * still lists everything it dispatched.
+ * --trace and --trace-json list the program's schedule derived from
+ * its text (deriveSchedule(), sim/exec_trace.hh) up to the cycle the
+ * run stopped at, so a run that is cut off, machine-checked, migrated
+ * or never retires still lists everything it dispatched. A listing
+ * ends at cycle 2^32 - 1 (its cycle offsets are 32-bit).
  *
  * Exit status: 0 on clean retirement, 1 on error or cycle-limit
  * abort, 2 on usage errors, 3 on a machine check (uncorrectable
@@ -57,7 +57,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "common/strutil.hh"
@@ -232,19 +231,6 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
-    const bool record = want_trace || trace_json;
-    if (record && snapshot_every > 0) {
-        std::fprintf(stderr, "--trace/--trace-json cannot be combined "
-                             "with --snapshot-every\n");
-        usage();
-        return 2;
-    }
-    if (record && max_cycles > 0xffffffffull) {
-        std::fprintf(stderr, "--trace/--trace-json need --max-cycles "
-                             "<= 4294967295\n");
-        usage();
-        return 2;
-    }
 
     std::ifstream in(path);
     if (!in) {
@@ -287,10 +273,6 @@ main(int argc, char **argv)
         sess.chip().mem(m.hem, m.slice).backdoorWrite(m.addr, v);
     }
 
-    // Declared after sess so it disarms before the chip goes.
-    std::optional<TraceRecording> rec;
-    if (record)
-        rec.emplace(std::vector<Chip *>{&sess.chip()});
     sess.enableSnapshots(snapshot_every);
     RunResult run = sess.runBounded(max_cycles);
     while (run.status == RunStatus::MachineCheck && run.resumeAt > 0 &&
@@ -338,9 +320,13 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(cycles));
     }
 
+    // The schedule is the program's, faults or not: list what
+    // dispatched before the run stopped.
+    std::vector<ExecutionTrace::Event> listed;
+    if (want_trace || trace_json)
+        listed = deriveSchedule(result.program, cycles);
     if (want_trace) {
-        const ExecutionTrace &t = rec->recorded();
-        for (const ExecutionTrace::Event &e : t.events) {
+        for (const ExecutionTrace::Event &e : listed) {
             if (e.kind != ExecutionTrace::EventKind::Dispatch)
                 continue;
             std::printf("%8u  %-12s %s\n", e.cycleOffset,
@@ -351,8 +337,7 @@ main(int argc, char **argv)
         }
     }
     if (trace_json) {
-        if (!writeChromeTrace(rec->recorded(), {&result.program},
-                              trace_json)) {
+        if (!writeChromeTrace(listed, {&result.program}, trace_json)) {
             std::fprintf(stderr, "cannot write %s\n", trace_json);
             return 1;
         }

@@ -462,7 +462,7 @@ main(int argc, char **argv)
     std::printf("  prediction mismatches  %llu\n",
                 static_cast<unsigned long long>(
                     snap.predictionMismatches()));
-    // Which runs recorded a trace depends on host thread timing, so
+    // Which runs derived a trace depends on host thread timing, so
     // these counts stay out of the (deterministic) JSON report.
     std::printf("  trace cache            %zu entries, %zu bytes, "
                 "%llu replays, %llu records\n",
