@@ -359,6 +359,29 @@ TEST(DeriveTrace, DeclinedProgramsStepWithoutATrace)
     ASSERT_TRUE(flowing.runBounded().completed);
     EXPECT_EQ(flowing.recordCount(), 0u);
     EXPECT_EQ(flowing.trace(), nullptr);
+
+    // A ring whose first run leaves a vector on a link (sent, never
+    // received): the second run does not start from the text's state,
+    // so it steps, and ends as a replay-disabled ring's does.
+    ChipConfig loose;
+    loose.strictStreams = false; // The Send reads nothing flowing.
+    const AsmProgram sender = assembled("@C2C1:\n    deskew\n"
+                                        "    send l1, s0.e\n"
+                                        "    nop 30\n    deskew\n");
+    InferenceSession ref(2, /*wire_latency=*/5, loose);
+    InferenceSession rep(2, /*wire_latency=*/5, loose);
+    rep.enableReplay();
+    for (InferenceSession *ring : {&ref, &rep}) {
+        ring->bind({SharedProgram(sender), SharedProgram(idle)});
+        for (int run = 0; run < 2; ++run) {
+            ring->reset();
+            ASSERT_TRUE(ring->runBounded().completed);
+        }
+    }
+    EXPECT_EQ(rep.recordCount(), 1u);
+    EXPECT_EQ(rep.replayCount(), 0u);
+    EXPECT_EQ(rep.pod().chip(1).c2c().pendingRx(Pod::kLeftLink), 2u);
+    EXPECT_EQ(podEndMismatch(ref.pod(), rep.pod()), "");
 }
 
 } // namespace
