@@ -19,6 +19,7 @@
 
 #include "c2c/collective.hh"
 #include "common/rng.hh"
+#include "compiler/builder.hh"
 #include "graph/batch_program.hh"
 #include "isa/assembler.hh"
 #include "model/resnet.hh"
@@ -220,9 +221,77 @@ TEST(DeriveTrace, PodFirstRunsReplayTheirDerivedTraces)
         ASSERT_NE(derived->trace(), nullptr);
         EXPECT_EQ(derived->trace()->chips.size(),
                   static_cast<std::size_t>(chips));
+        // The members advance cycle by cycle in ring order, as
+        // Pod::stepAll() steps them.
+        const auto &events = derived->trace()->events;
+        EXPECT_TRUE(std::is_sorted(
+            events.begin(), events.end(),
+            [](const ExecutionTrace::Event &a, const ExecutionTrace::Event &b) {
+                return std::pair(a.cycleOffset, a.chip) <
+                       std::pair(b.cycleOffset, b.chip);
+            }));
         EXPECT_EQ(derived->cycles(), stepped->cycles());
         EXPECT_EQ(podEndMismatch(stepped->pod(), derived->pod()), "");
     }
+}
+
+TEST(DeriveTrace, ReceiveBeforeItsVectorLandsDrivesNothing)
+{
+    // Under non-strict streams a Receive a cycle before its link's
+    // vector lands drops it (the stepped link counts the drop), and the
+    // next Receive, at the landing cycle, drives the vector, which
+    // member 1 writes to SRAM. The derived trace must say which Receive
+    // produced, or the write stores nothing.
+    constexpr Cycle kWire = 5;
+    ChipConfig cfg;
+    cfg.strictStreams = false;
+    const GlobalAddr src{Hemisphere::East, 43, 0x1};
+    const GlobalAddr dst{Hemisphere::West, 43, 0x2};
+    ScheduledProgram sender, receiver;
+    Instruction deskew;
+    deskew.op = Opcode::Deskew;
+    sender.emit(0, IcuId::c2c(Pod::kRightLink), deskew);
+    receiver.emit(0, IcuId::c2c(Pod::kLeftLink), deskew);
+    Instruction send;
+    send.op = Opcode::Send;
+    send.imm0 = Pod::kRightLink;
+    send.srcA = {0, Direction::East};
+    KernelBuilder(sender).readArriving(src, send.srcA, Layout::c2cEast, 10);
+    sender.emit(10, IcuId::c2c(Pod::kRightLink), send);
+    const Cycle lands = 10 + kC2cSerializationCycles + kWire;
+    Instruction receive;
+    receive.op = Opcode::Receive;
+    receive.imm0 = Pod::kLeftLink;
+    receive.dst = {3, Direction::East};
+    receiver.emit(lands - 1, IcuId::c2c(Pod::kLeftLink), receive);
+    receive.dst = {4, Direction::East};
+    receiver.emit(lands, IcuId::c2c(Pod::kLeftLink), receive);
+    KernelBuilder(receiver).write(
+        dst, receive.dst,
+        lands + opTiming(Opcode::Receive).dFunc +
+            Layout::transitDelay(Layout::c2cWest, dst.pos()));
+
+    Rng rng(13);
+    Vec320 word;
+    for (auto &b : word.bytes)
+        b = static_cast<std::uint8_t>(rng.nextBelow(256));
+    InferenceSession stepped(2, kWire, cfg);
+    InferenceSession derived(2, kWire, cfg);
+    derived.enableReplay();
+    for (InferenceSession *ring : {&stepped, &derived}) {
+        ring->bind({SharedProgram(sender.toAsm()),
+                    SharedProgram(receiver.toAsm())});
+        ring->reset();
+        ring->pod().chip(0).mem(src).backdoorWrite(src.addr, word);
+        ASSERT_TRUE(ring->runBounded().completed);
+    }
+    EXPECT_EQ(derived.recordCount(), 1u);
+    const Chip &rx = derived.pod().chip(1);
+    EXPECT_EQ(rx.stats().get("c2c_dropped_receives"), 1u);
+    EXPECT_EQ(rx.stats().get("c2c_received"), 1u);
+    EXPECT_EQ(rx.mem(dst.hem, dst.slice).backdoorRead(dst.addr).bytes,
+              word.bytes);
+    EXPECT_EQ(podEndMismatch(stepped.pod(), derived.pod()), "");
 }
 
 TEST(DeriveTrace, ChangedTapeEntryOrMovedSendFailsTheOracle)
