@@ -29,8 +29,8 @@ namespace tsp {
 inline constexpr std::uint32_t kTapeMiss = 0xffffffffu;
 
 /**
- * The replay side of the tape (implemented by the trace replay
- * driver).
+ * The replay side of the tape (implemented by replayTrace()'s tape
+ * player).
  *
  * The implementation owns a pinned arena of Vec320 slots (one per
  * peak-live value of the traced run, sim/exec_trace.hh). Produce
