@@ -941,13 +941,17 @@ TEST(Replay, Fp16MatmulReplayIdentical)
     const AsmProgram asmProg = prog.toAsm();
 
     Chip legacy(configFor(false));
+    Chip fast(configFor(true));
     Chip replayed(configFor(true));
-    for (Chip *chip : {&legacy, &replayed}) {
+    for (Chip *chip : {&legacy, &fast, &replayed}) {
         image.applyTo(*chip);
         chip->loadProgram(asmProg);
     }
 
     const Cycle legacy_cycles = legacy.run();
+    EXPECT_EQ(fast.run(), legacy_cycles);
+    expectChipsIdentical(legacy, fast, probes, "fast-forward");
+
     const auto trace = deriveTrace(asmProg);
     ASSERT_NE(trace, nullptr);
     EXPECT_EQ(trace->span, legacy_cycles);
