@@ -448,8 +448,8 @@ class Derivation
 {
   public:
     Derivation(const std::vector<const AsmProgram *> &programs,
-               Cycle wire_latency)
-        : programs_(programs), wire_(wire_latency),
+               Cycle wire_latency, bool listing)
+        : programs_(programs), wire_(wire_latency), listing_(listing),
           trace_(std::make_unique<ExecutionTrace>())
     {
         TSP_ASSERT(!programs_.empty() && programs_.size() <= 256);
@@ -470,9 +470,10 @@ class Derivation
 
     /**
      * Loads each member's program into its queues, as
-     * Chip::loadProgram() does, and reserves the trace. @return false
-     * for a program the derivation does not cover or a stepped run
-     * would refuse (see deriveTrace()).
+     * Chip::loadProgram() does, and reserves the trace unless this is
+     * a listing. @return false for a program the derivation does not
+     * cover or a stepped run would refuse (see deriveTrace()), and for
+     * a trace too long for its 32-bit tape positions.
      */
     bool
     load()
@@ -524,6 +525,9 @@ class Derivation
                 m.calendar.schedule(icu, q.nextEventCycle(0));
             }
         }
+        // A listing stops at its cycle, whatever the text would run.
+        if (listing_)
+            return true;
         // Produce indices and tape positions are 32-bit, kTapeMiss
         // excluded; a trace with as many events is not reserved.
         if (events >= kTapeMiss || tape >= kTapeMiss ||
@@ -870,6 +874,8 @@ class Derivation
     consume(const IndexFabric &fabric, StreamRef base, int count,
             SlicePos pos, Cycle now)
     {
+        if (listing_)
+            return;
         for (int k = 0; k < count; ++k) {
             const StreamRef s{static_cast<StreamId>(base.id + k), base.dir};
             trace_->consumeTape.push_back(fabric.sample(s, pos, now));
@@ -882,7 +888,8 @@ class Derivation
     {
         for (int k = 0; k < count; ++k) {
             const StreamRef s{static_cast<StreamId>(base.id + k), base.dir};
-            produceAt_.push_back(eventStart_);
+            if (!listing_)
+                produceAt_.push_back(eventStart_);
             fabric.schedule(s, pos, when,
                             static_cast<std::uint32_t>(produces_++));
         }
@@ -890,6 +897,9 @@ class Derivation
 
     const std::vector<const AsmProgram *> &programs_;
     const Cycle wire_;
+    /** A listing keeps only the events: no tape, no produce
+     *  positions, nothing reserved. */
+    const bool listing_;
     const std::array<Roles, kNumOpcodes> &roles_ = rolesTable();
     std::unique_ptr<ExecutionTrace> trace_;
     std::vector<std::unique_ptr<Member>> members_;
@@ -914,7 +924,7 @@ std::shared_ptr<const ExecutionTrace>
 deriveTrace(const std::vector<const AsmProgram *> &members,
             Cycle wire_latency, Cycle max_span)
 {
-    Derivation d(members, wire_latency);
+    Derivation d(members, wire_latency, /*listing=*/false);
     if (!d.load() || !d.advance(std::min(max_span, kMaxSpan)))
         return nullptr;
     return d.seal();
@@ -930,7 +940,7 @@ std::vector<ExecutionTrace::Event>
 deriveSchedule(const AsmProgram &program, Cycle until)
 {
     const std::vector<const AsmProgram *> members = {&program};
-    Derivation d(members, 0);
+    Derivation d(members, 0, /*listing=*/true);
     if (d.load())
         d.advance(std::min(until, kMaxSpan));
     return std::move(d.events());

@@ -165,7 +165,9 @@ deriveTrace(const AsmProgram &program, Cycle max_span = 0xffffffffull);
  * order: what a stepped run that stopped at @p until dispatched,
  * whether or not it retires by then (a cut-off, machine-checked or
  * never-retiring run). Empty for a program the derivation does not
- * cover; it ends where a stepped run would refuse to go on.
+ * cover; it ends where a stepped run would refuse to go on. It keeps
+ * no tape and reserves nothing from the text, so its memory grows
+ * with what dispatched before @p until, whatever the text would run.
  */
 std::vector<ExecutionTrace::Event> deriveSchedule(const AsmProgram &program,
                                                   Cycle until);

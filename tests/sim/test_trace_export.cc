@@ -1,8 +1,8 @@
 /**
  * @file
  * Dispatch listings derived from a program's text: Chrome-trace event
- * structure, escaping, a file round-trip, and a run cut off before it
- * retires.
+ * structure, escaping, a file round-trip, and runs cut off before they
+ * retire.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "isa/assembler.hh"
+#include "sim/chip.hh"
 #include "sim/exec_trace.hh"
 #include "sim/trace_export.hh"
 
@@ -121,6 +122,39 @@ TEST(TraceExport, CutOffRunStillListsItsDispatches)
     EXPECT_EQ(deriveSchedule(r.program, 1000).size(),
               deriveTrace(r.program)->events.size());
     EXPECT_EQ(deriveSchedule(r.program, 1000).size(), 4u);
+}
+
+TEST(TraceExport, HugeRepeatListsOnlyWhatDispatchedBeforeItsCycle)
+{
+    // A text that would run for billions of cycles has no trace, but
+    // its listing up to cycle 100 holds the dispatches a stepped run
+    // stopped there made, reserving nothing for the rest of the text.
+    for (const char *count : {"3000000000", "4294967295"}) {
+        SCOPED_TRACE(count);
+        const AsmResult r = assemble(std::string("@MEM_W0:\n"
+                                                 "    read 0x1, s0.e\n"
+                                                 "    repeat ") +
+                                     count + ", 1\n");
+        ASSERT_TRUE(r.ok) << r.error;
+        const std::vector<ExecutionTrace::Event> listed =
+            deriveSchedule(r.program, 100);
+
+        Chip chip;
+        chip.loadProgram(r.program);
+        EXPECT_FALSE(chip.runBounded(100));
+        ASSERT_EQ(listed.size(), chip.totalDispatched());
+        EXPECT_GT(listed.size(), 10u);
+        std::uint32_t last = 0;
+        for (std::size_t i = 0; i < listed.size(); ++i) {
+            const ExecutionTrace::Event &e = listed[i];
+            EXPECT_EQ(e.kind, ExecutionTrace::EventKind::Dispatch);
+            EXPECT_EQ(e.unit, IcuId::mem(Hemisphere::West, 0).id);
+            EXPECT_EQ(e.instIndex, 0u);
+            EXPECT_LT(e.cycleOffset, 100u);
+            EXPECT_TRUE(i == 0 || e.cycleOffset > last);
+            last = e.cycleOffset;
+        }
+    }
 }
 
 } // namespace
