@@ -54,7 +54,8 @@ struct BatchProgram
     /** Sealed at compile: its run half (image, cycles, layers). */
     std::unique_ptr<Lowering> lw;
     /** The assembled program (lw->assembled()), hashed once at
-     *  compile; its hash is also the trace-cache fingerprint. */
+     *  compile; its hash keys its replay trace (traceKeyOf()), so a
+     *  recompile, or another family of its shape, shares that trace. */
     SharedProgram prog;
     /** inputs[s]/outputs[s]: sample s's staging/result tensors. */
     std::vector<LoweredTensor> inputs;
@@ -112,9 +113,7 @@ class BatchProgramCache
      * Drops batch @p batch's program from the cache (memoized cycles
      * and image bytes are kept, so admission stays exact without
      * recompiling).
-     * @return the evicted handle (null if the slot was empty) so the
-     * caller can invalidate derived state (e.g. execution traces)
-     * keyed by it.
+     * @return the evicted handle (null if the slot was empty).
      */
     std::shared_ptr<BatchProgram> evict(int batch);
 

@@ -100,8 +100,8 @@ class InstructionQueue
 
     /**
      * Retires the loaded program without ticking (trace-replay tier:
-     * the recorded run retired it, and replay dispatches directly).
-     * Counters are preserved — the chip credits the recorded deltas.
+     * the derived trace retired it, and replay dispatches directly).
+     * Counters are preserved — the chip credits the trace's deltas.
      */
     void
     retireForReplay()

@@ -44,7 +44,7 @@ InferenceSession::bind(std::vector<SharedProgram> programs,
     if (lw)
         lw->seal();
     image_ = lw ? &lw->image() : nullptr;
-    key_ = traceKeyOf(programs_);
+    key_ = traceKeyOf(programs_, pod_->wireLatency());
     dmaSeconds_ =
         image_ ? static_cast<double>(image_->totalBytes()) / kPcieGen4Bps
                : 0.0;

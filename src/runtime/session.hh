@@ -258,14 +258,13 @@ class InferenceSession
      * the derivation declines and one that will not retire within the
      * budget step instead and keep no trace. With a @p pool, traces
      * are shared: a fresh run with no trace of its own looks the bound
-     * programs up in the pool first (traceKeyOf()), and a new trace is
-     * inserted there. Runs with fault injection always step.
+     * programs' text up in the pool first (traceKeyOf()), and a new
+     * trace is inserted there. Runs with fault injection always step.
      */
     void
-    enableReplay(bool on = true,
-                 std::shared_ptr<TraceCache> pool = nullptr)
+    enableReplay(std::shared_ptr<TraceCache> pool = nullptr)
     {
-        replayEnabled_ = on;
+        replayEnabled_ = true;
         pool_ = std::move(pool);
     }
 
@@ -348,8 +347,9 @@ class InferenceSession
     /** The bound lowering's image for member 0; null for
      *  backdoor-staged pods. */
     const HostImage *image_ = nullptr;
-    /** traceKeyOf(programs_), computed at bind(). */
-    TraceKey key_{nullptr};
+    /** traceKeyOf() of programs_ on the pod's ring, computed at
+     *  bind(). */
+    std::uint64_t key_ = 0;
     Cycle cycles_ = 0;
     bool timedOut_ = false;
     bool machineChecked_ = false;

@@ -89,7 +89,7 @@ class Backend
     /**
      * Attaches a pool-shared execution-trace cache and enables the
      * replay tier (see sim/exec_trace.hh): the first worker to run a
-     * compiled program derives its trace, every worker replays it.
+     * program text derives its trace, every worker replays it.
      */
     virtual void attachTraceCache(std::shared_ptr<TraceCache>) = 0;
 
@@ -185,7 +185,7 @@ class EngineBackend : public Backend
     int rebuilds() const override { return sess_.rebuilds(); }
     void attachTraceCache(std::shared_ptr<TraceCache> t) override
     {
-        sess_.enableReplay(t != nullptr, t);
+        sess_.enableReplay(std::move(t));
     }
     std::uint64_t replayCount() const override
     {
@@ -238,7 +238,7 @@ class SessionBackend final : public EngineBackend
   public:
     /**
      * Starts bound to @p initial (pinned by the shared_ptr, so
-     * registry eviction cannot invalidate it). @p max_batch is the
+     * registry eviction cannot free it). @p max_batch is the
      * largest batch any family compiles (per-family caps are
      * enforced at admission).
      */

@@ -103,11 +103,6 @@ ModelRegistry::evictOverBudget(int keep_m, int keep_b)
                 .cache->evict(victim_b);
         TSP_ASSERT(evicted != nullptr);
         ++evictions_;
-        // Eager trace invalidation: a swapped-out program's traces
-        // must not pin the shared trace-cache byte budget until a
-        // lookup happens to miss on them.
-        if (traces_)
-            traces_->invalidate(traceKeyOf({evicted->prog}));
     }
 }
 

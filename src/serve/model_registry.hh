@@ -24,11 +24,9 @@
  *    under the byte budget can never yank a program out from under a
  *    sealed batch riding a queue or a worker's bound engine.
  *
- * Eviction is *eager* about derived state: dropping a model's
- * compiled program immediately invalidates its execution traces in
- * the attached TraceCache. (Previously dead traces lingered until a
- * lookup happened to miss on the fingerprint, pinning the shared
- * byte budget and evicting the hot model's traces.)
+ * Eviction drops only the program: a replay trace is keyed by its
+ * program's text (traceKeyOf()), so it stays valid for the program's
+ * recompile and ages out of the TraceCache's own LRU.
  *
  * Threading: acquire()/eviction and the LRU clock run on the
  * server's submit path (single-threaded under the submit lock), so
@@ -47,7 +45,6 @@
 #include <vector>
 
 #include "graph/batch_program.hh"
-#include "sim/exec_trace.hh"
 
 namespace tsp::serve {
 
@@ -111,19 +108,12 @@ class ModelRegistry
     /**
      * @return a pinned handle to family @p m's batch-@p b program,
      * compiling it on first use, refreshing its LRU stamp, and
-     * evicting least-recently-used programs (with eager trace
-     * invalidation) while the resident total exceeds the budget.
+     * evicting least-recently-used programs while the resident total
+     * exceeds the budget.
      * The just-acquired program is never evicted by its own acquire.
      * Submit-path only (see file comment).
      */
     std::shared_ptr<BatchProgram> acquire(int m, int b);
-
-    /** Attaches the serving pool's shared trace cache so eviction
-     * can drop a swapped-out model's traces eagerly. */
-    void attachTraceCache(std::shared_ptr<TraceCache> traces)
-    {
-        traces_ = std::move(traces);
-    }
 
     /** @return true when (m, b) is currently resident. */
     bool compiled(int m, int b) const;
@@ -157,7 +147,6 @@ class ModelRegistry
 
     std::vector<Model> models_;
     std::size_t budget_;
-    std::shared_ptr<TraceCache> traces_;
     std::uint64_t tick_ = 0;
     std::uint64_t evictions_ = 0;
 };

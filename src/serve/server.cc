@@ -77,19 +77,12 @@ InferenceServer::InferenceServer(const BackendFactory &factory,
     backends_.reserve(static_cast<std::size_t>(cfg_.workers));
     for (int w = 0; w < cfg_.workers; ++w)
         backends_.push_back(factory(w));
-    if (cfg_.traceCacheBytes > 0) {
-        traceCache_ =
-            std::make_shared<TraceCache>(cfg_.traceCacheBytes);
-        for (const auto &b : backends_)
-            b->attachTraceCache(traceCache_);
-        // Eager trace hygiene: when the registry evicts a model's
-        // program, its traces leave the shared budget immediately.
-        if (registry_)
-            registry_->attachTraceCache(traceCache_);
-    }
-    // A snapshot cadence arms mid-batch migration (0 disables both).
-    for (const auto &b : backends_)
+    // Every worker shares the trace cache. A snapshot cadence arms
+    // mid-batch migration (0 disables both).
+    for (const auto &b : backends_) {
+        b->attachTraceCache(traceCache_);
         b->enableSnapshots(cfg_.snapshotEveryCycles);
+    }
     backendBatchCap_ = backends_[0]->maxBatch();
     for (const auto &b : backends_)
         backendBatchCap_ = std::min(backendBatchCap_, b->maxBatch());
@@ -624,7 +617,7 @@ InferenceServer::metricsJson() const
         .kv("batch_max", effBatchMax_)
         .kv("batch_window_us", cfg_.batchWindowSec * 1e6)
         .kv("trace_cache_budget_bytes",
-            static_cast<std::uint64_t>(cfg_.traceCacheBytes))
+            static_cast<std::uint64_t>(TraceCache::kDefaultBudget))
         .endObject();
     j.key("model").beginObject();
     j.kv("service_cycles",

@@ -184,19 +184,6 @@ struct ServerConfig
     std::function<void(const Result &)> onResult;
 
     /**
-     * Byte budget of the pool-shared execution-trace cache (LRU,
-     * see sim/exec_trace.hh). A worker that runs a compiled program
-     * with no resident trace derives one; later serves of that
-     * program, on any worker, replay it bit-identically instead of
-     * re-simulating per cycle. Which runs derive depends on host
-     * thread timing, so the derive/replay counts are accessors only
-     * (recordCount()), never part of metricsJson(). 0 disables the
-     * replay tier entirely. Sessions self-gate when replay would be
-     * unsound (fault injection), so leaving this on is always safe.
-     */
-    std::size_t traceCacheBytes = TraceCache::kDefaultBudget;
-
-    /**
      * Tenant SLO classes, indexed by submitModel()'s slo_class.
      * Empty means one default class (multiplier 1, priority 0) —
      * the single-tenant behavior.
@@ -368,15 +355,12 @@ class InferenceServer
     Cycle totalChipCycles() const;
 
     /** @return traces resident in the shared cache. */
-    std::size_t traceCacheSize() const
-    {
-        return traceCache_ ? traceCache_->size() : 0;
-    }
+    std::size_t traceCacheSize() const { return traceCache_->size(); }
 
     /** @return bytes those resident traces hold. */
     std::size_t traceCacheBytes() const
     {
-        return traceCache_ ? traceCache_->memoryBytes() : 0;
+        return traceCache_->memoryBytes();
     }
 
     /** @return pool-wide runs served by trace replay. */
@@ -476,7 +460,16 @@ class InferenceServer
     std::vector<std::unique_ptr<BoundedQueue<BatchJob>>> queues_;
 
     std::vector<std::unique_ptr<Backend>> backends_;
-    std::shared_ptr<TraceCache> traceCache_; ///< Null when disabled.
+    /**
+     * The pool-shared trace cache (sim/exec_trace.hh): the first
+     * worker to run a program text derives its trace, and later runs
+     * of that text, on any worker, replay it. Which runs derive
+     * depends on host thread timing, so its counts are accessors
+     * only (recordCount()), never part of metricsJson(). Sessions step
+     * where replay would be unsound (fault injection).
+     */
+    const std::shared_ptr<TraceCache> traceCache_ =
+        std::make_shared<TraceCache>();
     std::vector<std::thread> threads_;
     int effBatchMax_ = 1;
     int backendBatchCap_ = 1; ///< Min maxBatch() over the backends.

@@ -472,11 +472,13 @@ class Derivation
      * Loads each member's program into its queues, as
      * Chip::loadProgram() does, and reserves the trace unless this is
      * a listing. @return false for a program the derivation does not
-     * cover or a stepped run would refuse (see deriveTrace()), and for
-     * a trace too long for its 32-bit tape positions.
+     * cover or a stepped run would refuse (see deriveTrace()), and,
+     * unless this is a listing, before reserving anything, for a queue
+     * that cannot retire within @p limit cycles (retireBound()) and
+     * for a trace too long for its 32-bit tape positions.
      */
     bool
-    load()
+    load(Cycle limit)
     {
         // What a run that retires adds to the trace: exactly its
         // consumes, at most its produces (a Receive with no arrival
@@ -518,6 +520,8 @@ class Derivation
                                       streams(*inst, r.src[1]));
                     produced += issues * (produces + streams(*inst, r.dst));
                 }
+                if (!listing_ && retireBound(insts, limit) > limit)
+                    return false;
                 InstructionQueue &q = m.queues[i];
                 q.loadProgram(insts);
                 m.done[i] = q.done();
@@ -653,6 +657,50 @@ class Derivation
         if (!o)
             return 0;
         return o->span == Span::One ? 1 : streamSpan(inst, *o).count;
+    }
+
+    /**
+     * @return a lower bound on the span of a run that retires queue
+     * @p insts, or a value past @p limit once the bound passes it. A
+     * queue fetches its first instruction at cycle 0 and each next
+     * one no sooner than its predecessor allows, as
+     * InstructionQueue::tick() runs them: a NOP's count later, a
+     * Repeat's (count - 1) x gap + 1 later, in the same cycle for the
+     * second of a co-issued pair and one cycle later for anything
+     * else (a Sync at least that). It is done as it fetches its last
+     * instruction, or its last re-issue, so a trailing NOP counts one.
+     */
+    static Cycle
+    retireBound(const std::vector<Instruction> &insts, Cycle limit)
+    {
+        Cycle bound = 0;
+        for (std::size_t pc = 0; pc < insts.size() && bound <= limit;
+             ++pc) {
+            const Instruction &inst = insts[pc];
+            const bool last = pc + 1 == insts.size();
+            Cycle cycles = 1;
+            switch (inst.op) {
+              case Opcode::Nop:
+                if (!last)
+                    cycles = std::max<Cycle>(inst.imm0, 1);
+                break;
+              case Opcode::Repeat:
+                if (inst.imm0 > 0) {
+                    cycles = Cycle{inst.imm0 - 1} *
+                                 std::max<Cycle>(inst.imm1, 1) +
+                             1;
+                }
+                break;
+              case Opcode::Sync:
+                break;
+              default:
+                if (!last && (insts[pc + 1].flags & Instruction::kFlagCoIssue))
+                    ++pc;
+                break;
+            }
+            bound += cycles;
+        }
+        return bound;
     }
 
     /** @return true when instruction @p pc of queue @p icu is one
@@ -924,8 +972,9 @@ std::shared_ptr<const ExecutionTrace>
 deriveTrace(const std::vector<const AsmProgram *> &members,
             Cycle wire_latency, Cycle max_span)
 {
+    const Cycle limit = std::min(max_span, kMaxSpan);
     Derivation d(members, wire_latency, /*listing=*/false);
-    if (!d.load() || !d.advance(std::min(max_span, kMaxSpan)))
+    if (!d.load(limit) || !d.advance(limit))
         return nullptr;
     return d.seal();
 }
@@ -940,9 +989,10 @@ std::vector<ExecutionTrace::Event>
 deriveSchedule(const AsmProgram &program, Cycle until)
 {
     const std::vector<const AsmProgram *> members = {&program};
+    const Cycle limit = std::min(until, kMaxSpan);
     Derivation d(members, 0, /*listing=*/true);
-    if (d.load())
-        d.advance(std::min(until, kMaxSpan));
+    if (d.load(limit))
+        d.advance(limit);
     return std::move(d.events());
 }
 

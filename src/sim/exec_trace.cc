@@ -142,20 +142,23 @@ replayTrace(const ExecutionTrace &trace,
     TSP_ASSERT(player.drained());
 }
 
-TraceKey
-traceKeyOf(const std::vector<SharedProgram> &programs)
+std::uint64_t
+traceKeyOf(const std::vector<SharedProgram> &programs, Cycle wire_latency)
 {
     TSP_ASSERT(!programs.empty());
-    std::uint64_t fingerprint = 0;
-    for (const SharedProgram &p : programs) {
-        fingerprint ^= p.hash() + 0x9e3779b97f4a7c15ull +
-                       (fingerprint << 6) + (fingerprint >> 2);
-    }
-    return {programs.front().get(), fingerprint};
+    std::uint64_t key = 0;
+    const auto fold = [&key](std::uint64_t v) {
+        key ^= v + 0x9e3779b97f4a7c15ull + (key << 6) + (key >> 2);
+    };
+    fold(programs.size());
+    for (const SharedProgram &p : programs)
+        fold(p.hash());
+    fold(wire_latency);
+    return key;
 }
 
 std::shared_ptr<const ExecutionTrace>
-TraceCache::find(const TraceKey &key)
+TraceCache::find(std::uint64_t key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = map_.find(key);
@@ -166,7 +169,7 @@ TraceCache::find(const TraceKey &key)
 }
 
 void
-TraceCache::insert(const TraceKey &key,
+TraceCache::insert(std::uint64_t key,
                    std::shared_ptr<const ExecutionTrace> trace)
 {
     if (!trace)
@@ -182,18 +185,6 @@ TraceCache::insert(const TraceKey &key,
     lru_.emplace_front(key, std::move(trace));
     map_[key] = lru_.begin();
     evictOverBudgetLocked();
-}
-
-void
-TraceCache::invalidate(const TraceKey &key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = map_.find(key);
-    if (it == map_.end())
-        return;
-    bytes_ -= it->second->second->memoryBytes();
-    lru_.erase(it->second);
-    map_.erase(it);
 }
 
 std::size_t

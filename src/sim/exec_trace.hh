@@ -25,11 +25,12 @@
  * A trace holds no data values (produces are re-computed at replay)
  * and no instructions (an event cites its instruction's index in its
  * queue's loaded program), so it is valid for any identically
- * configured chip running the same program — including a freshly
- * rebuilt one — which is what lets a serving pool share traces
- * across workers via TraceCache. Replaying with fault injection armed
- * is not: an injector mutates consumed values in ways the tape does
- * not capture (InferenceSession gates on this).
+ * configured chip running the same program text (another program
+ * object, a freshly rebuilt chip, other weights), which is what lets
+ * a serving pool share traces across workers and families via
+ * TraceCache. Replaying with fault injection armed is not: an
+ * injector mutates consumed values in ways the tape does not capture
+ * (InferenceSession gates on this).
  */
 
 #ifndef TSP_SIM_EXEC_TRACE_HH
@@ -149,7 +150,10 @@ struct ExecutionTrace
  * one stream register in one cycle, a Send on an unwired link, before
  * its Deskew or while the link still serializes, a Receive before
  * Deskew, or a run that would not retire within @p max_span cycles
- * (never beyond 2^32 - 1, the trace's offset range).
+ * (never beyond 2^32 - 1, the trace's offset range). A text with a
+ * queue that cannot retire within @p max_span by its NOPs, Repeats
+ * and instruction count alone is declined before anything is
+ * reserved.
  */
 std::shared_ptr<const ExecutionTrace>
 deriveTrace(const std::vector<const AsmProgram *> &members,
@@ -183,56 +187,20 @@ void replayTrace(const ExecutionTrace &trace,
                  const std::vector<Chip *> &chips);
 
 /**
- * TraceCache key: an identity pointer *plus* a content fingerprint
- * (e.g. hashProgram() of the compiled program). The pointer alone is
- * an ABA hazard: retire a program, allocate a different one at the
- * same address, and a pointer-keyed cache would serve the stale tape
- * — replayed wholesale as the wrong program's results. A lookup whose
- * fingerprint differs from the cached entry's simply misses, and the
- * stale entry ages out of the LRU.
+ * @return the TraceCache key of a bound program set, one program per
+ * pod member in ring order, on a ring of @p wire_latency: a fold of
+ * the member count, each member's carried hashProgram() and the wire
+ * latency, which is everything deriveTrace() reads. Two program
+ * objects with one text share one key, and so one trace.
  */
-struct TraceKey
-{
-    const void *ptr = nullptr;
-    std::uint64_t fingerprint = 0;
-
-    TraceKey(const void *p, std::uint64_t fp = 0)
-        : ptr(p), fingerprint(fp)
-    {
-    }
-
-    bool
-    operator==(const TraceKey &o) const
-    {
-        return ptr == o.ptr && fingerprint == o.fingerprint;
-    }
-};
-
-struct TraceKeyHash
-{
-    std::size_t
-    operator()(const TraceKey &k) const
-    {
-        // Multiplicative mix; the pointer and the fingerprint both
-        // perturb every output bit.
-        std::uint64_t h = reinterpret_cast<std::uintptr_t>(k.ptr);
-        h ^= k.fingerprint + 0x9e3779b97f4a7c15ull + (h << 6) +
-             (h >> 2);
-        return static_cast<std::size_t>(h);
-    }
-};
-
-/**
- * @return the key of a bound program set, one program per pod member
- * in ring order: the first program's identity plus a fold of every
- * member's carried hash. The one definition shared by the session's
- * lookups and the model registry's eager invalidation.
- */
-TraceKey traceKeyOf(const std::vector<SharedProgram> &programs);
+std::uint64_t traceKeyOf(const std::vector<SharedProgram> &programs,
+                         Cycle wire_latency);
 
 /**
  * A byte-bounded LRU cache of execution traces shared by a serving
- * pool's workers, keyed by compiled-program identity. Thread-safe.
+ * pool's workers, keyed by traceKeyOf(). A trace follows from its
+ * key's text alone, so an entry never goes stale: it only ages out.
+ * Thread-safe.
  */
 class TraceCache
 {
@@ -247,14 +215,11 @@ class TraceCache
     }
 
     /** @return the cached trace for @p key, or null; refreshes LRU. */
-    std::shared_ptr<const ExecutionTrace> find(const TraceKey &key);
+    std::shared_ptr<const ExecutionTrace> find(std::uint64_t key);
 
     /** Inserts (or replaces) @p key's trace; evicts LRU over budget. */
-    void insert(const TraceKey &key,
+    void insert(std::uint64_t key,
                 std::shared_ptr<const ExecutionTrace> trace);
-
-    /** Drops @p key's trace (weight reinstall, program retire). */
-    void invalidate(const TraceKey &key);
 
     /** @return cached trace count. */
     std::size_t size() const;
@@ -264,14 +229,13 @@ class TraceCache
 
   private:
     using LruList = std::list<
-        std::pair<TraceKey, std::shared_ptr<const ExecutionTrace>>>;
+        std::pair<std::uint64_t, std::shared_ptr<const ExecutionTrace>>>;
 
     void evictOverBudgetLocked();
 
     mutable std::mutex mu_;
     LruList lru_; ///< Front = most recent.
-    std::unordered_map<TraceKey, LruList::iterator, TraceKeyHash>
-        map_;
+    std::unordered_map<std::uint64_t, LruList::iterator> map_;
     std::size_t bytes_ = 0;
     std::size_t budget_;
 };

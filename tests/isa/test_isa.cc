@@ -4,7 +4,8 @@
  * instruction form in Table I, the assembler's operand ranges (a
  * seeded generator over every row and a seeded line mutator), pinned
  * listings of compiled programs, binary encode/decode round trips
- * (including a randomized fuzz sweep), and timing-table sanity.
+ * (including a randomized fuzz sweep and a seeded mutator over a
+ * compiled program's bundles), and timing-table sanity.
  */
 
 #include <gtest/gtest.h>
@@ -521,6 +522,89 @@ TEST(Encoding, RejectsTruncation)
     bytes.pop_back();
     std::vector<Instruction> out;
     EXPECT_FALSE(decodeQueue(bytes, out));
+}
+
+TEST(Encoding, MutatedBundlesAreRefusedOrReencodeToThemselves)
+{
+    // A seeded mutator over the encoded queues of a pinned tiny-net
+    // program: whole-bundle splices at instruction boundaries, then bit
+    // flips, byte overwrites, truncations and splices at any byte.
+    // Each mutant is either refused by decodeQueue() or decodes to
+    // instructions that encode back to exactly its bytes.
+    BatchProgramCache cache(model::buildTinyNet(1, 8, 8, 4),
+                            std::vector<std::int8_t>(8 * 8 * 4, 3), 1);
+    const AsmProgram &prog = *cache.acquire(1)->prog.get();
+    std::vector<std::vector<Instruction>> queues;
+    std::vector<std::vector<std::uint8_t>> bundles;
+    for (const auto &[icu, insts] : prog.queues) {
+        if (insts.empty())
+            continue;
+        queues.push_back(insts);
+        for (const Instruction &inst : insts) {
+            bundles.emplace_back();
+            encodeInstruction(inst, bundles.back());
+        }
+    }
+    ASSERT_GT(queues.size(), 10u);
+    const auto bundle = [&](Rng &rng) -> const std::vector<std::uint8_t> & {
+        return bundles[rng.nextBelow(bundles.size())];
+    };
+
+    Rng rng(0x6d75);
+    int refused = 0, accepted = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::vector<Instruction> &insts =
+            queues[rng.nextBelow(queues.size())];
+        // Whole bundles: none, one from any queue inserted before
+        // instruction k, or one in instruction k's place.
+        const std::size_t k = rng.nextBelow(insts.size() + 1);
+        const auto splice = rng.nextBelow(3);
+        std::vector<std::uint8_t> blob;
+        for (std::size_t j = 0; j <= insts.size(); ++j) {
+            if (j == k && splice > 0) {
+                const auto &b = bundle(rng);
+                blob.insert(blob.end(), b.begin(), b.end());
+                if (splice == 2)
+                    continue;
+            }
+            if (j < insts.size())
+                encodeInstruction(insts[j], blob);
+        }
+        for (auto m = rng.nextBelow(3); m > 0; --m) {
+            const std::size_t at = rng.nextBelow(blob.size() + 1);
+            switch (rng.nextBelow(4)) {
+              case 0: // Flip a bit.
+                if (at < blob.size()) {
+                    blob[at] ^=
+                        static_cast<std::uint8_t>(1u << rng.nextBelow(8));
+                }
+                break;
+              case 1: // Overwrite a byte.
+                if (at < blob.size())
+                    blob[at] = static_cast<std::uint8_t>(rng.nextBelow(256));
+                break;
+              case 2: // Truncate.
+                blob.resize(at);
+                break;
+              default: { // Splice a bundle at any byte.
+                const auto &b = bundle(rng);
+                blob.insert(blob.begin() + static_cast<std::ptrdiff_t>(at),
+                            b.begin(), b.end());
+                break;
+              }
+            }
+        }
+        std::vector<Instruction> back;
+        if (!decodeQueue(blob, back)) {
+            ++refused;
+            continue;
+        }
+        ++accepted;
+        EXPECT_EQ(encodeQueue(back), blob) << "mutant " << i;
+    }
+    // Both outcomes occur, so the mutants reach the decoder's checks.
+    EXPECT_GT(refused, 1000);
+    EXPECT_GT(accepted, 1000);
 }
 
 TEST(Timing, TemporalParametersExposed)

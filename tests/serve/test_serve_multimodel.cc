@@ -3,9 +3,9 @@
  * Multi-model, multi-tenant serving: one server holds N compiled
  * model families behind a ModelRegistry. Programs compile lazily on
  * first use (a batch size that never forms is never compiled), LRU
- * eviction under a byte budget eagerly invalidates the evicted
- * model's execution traces, weight swaps between families are booked
- * *exactly* into admission completions, tenant SLO classes scale
+ * eviction under a byte budget drops a program (its recompile replays
+ * the trace its text already has), weight swaps between families are
+ * booked *exactly* into admission completions, tenant SLO classes scale
  * deadline slack and carry priority, and a high-priority arrival may
  * preempt the open batch — victims re-queued or shed against their
  * original effective deadline, never dropped. With one family and
@@ -177,7 +177,7 @@ TEST(LazyBatchCompile, ServerCompilesOnlyFormedBatchSizes)
 }
 
 // ---------------------------------------------------------------
-// ModelRegistry: LRU eviction and eager trace invalidation.
+// ModelRegistry: LRU eviction and the traces of recompiled programs.
 // ---------------------------------------------------------------
 
 TEST(ModelRegistryTest, LruEvictsColdFamilyUnderBudget)
@@ -211,60 +211,45 @@ TEST(ModelRegistryTest, LruEvictsColdFamilyUnderBudget)
     EXPECT_EQ(reg.compileCount(), 3u);
 }
 
-TEST(ModelRegistryTest, EvictionEagerlyInvalidatesTraces)
+TEST(ModelRegistryTest, RecompiledProgramReplaysItsTrace)
 {
+    // A trace is keyed by its program's text, so a program the
+    // registry evicted and then recompiled (a new object with the same
+    // text) replays the trace its first run derived.
     std::vector<ModelSpec> specs;
     specs.push_back(makeSpec("a", 3, 1));
     specs.push_back(makeSpec("b", 11, 1));
+    const Graph g = specs[0].graph;
     ModelRegistry reg(std::move(specs), /*budget_bytes=*/1);
     auto traces = std::make_shared<TraceCache>();
-    reg.attachTraceCache(traces);
 
-    auto pa = reg.acquire(0, 1);
-    // A recorded trace keyed by family a's compiled program.
-    auto tr = std::make_shared<ExecutionTrace>();
-    tr->events.resize(64);
-    const std::size_t tr_bytes = tr->memoryBytes();
-    ASSERT_GT(tr_bytes, 0u);
-    traces->insert(traceKeyOf({pa->prog}), tr);
-    EXPECT_EQ(traces->size(), 1u);
-    EXPECT_EQ(traces->memoryBytes(), tr_bytes);
-
-    // Swapping family b in evicts a's program — and its traces leave
-    // the shared budget *immediately*, not on some later miss.
-    auto pb = reg.acquire(1, 1);
-    EXPECT_FALSE(reg.compiled(0, 1));
-    EXPECT_EQ(traces->size(), 0u);
-    EXPECT_EQ(traces->memoryBytes(), 0u);
-}
-
-TEST(ModelRegistryTest, EvictionDropsTheTraceASessionRecorded)
-{
-    // End to end: the key a session records under and the key the
-    // registry invalidates come from one definition (traceKeyOf), so
-    // a real recording leaves the pool when its program is evicted.
-    std::vector<ModelSpec> specs;
-    specs.push_back(makeSpec("a", 3, 1));
-    specs.push_back(makeSpec("b", 11, 1));
-    ModelRegistry reg(std::move(specs), /*budget_bytes=*/1);
-    auto traces = std::make_shared<TraceCache>();
-    reg.attachTraceCache(traces);
-
-    serve::SessionBackend be(reg.acquire(0, 1), 1, ChipConfig{});
+    const auto pa = reg.acquire(0, 1);
+    serve::SessionBackend be(pa, 1, ChipConfig{});
     be.attachTraceCache(traces);
-    be.resetBatch(1);
-    be.writeSample(0, randomInput(5));
-    ASSERT_TRUE(be.runBounded(500'000'000).completed);
+    const auto serve = [&be, &g](std::uint64_t seed) {
+        const std::vector<std::int8_t> input = randomInput(seed);
+        be.resetBatch(1);
+        be.writeSample(0, input);
+        ASSERT_TRUE(be.runBounded(500'000'000).completed);
+        EXPECT_EQ(be.readSample(0).data, reference(g, input).data);
+    };
+    serve(5);
     EXPECT_EQ(be.recordCount(), 1u);
     EXPECT_EQ(traces->size(), 1u);
-    EXPECT_GT(traces->memoryBytes(), 0u);
 
-    // Family b under the 1-byte budget evicts a (still pinned by the
-    // backend), and a's recording leaves the pool with it.
-    auto pb = reg.acquire(1, 1);
+    // Family b evicts a; re-acquiring a recompiles it.
+    reg.acquire(1, 1);
     EXPECT_FALSE(reg.compiled(0, 1));
-    EXPECT_EQ(traces->size(), 0u);
-    EXPECT_EQ(traces->memoryBytes(), 0u);
+    const auto again = reg.acquire(0, 1);
+    EXPECT_EQ(reg.compileCount(), 3u);
+    ASSERT_NE(again, pa);
+    EXPECT_EQ(again->prog.hash(), pa->prog.hash());
+
+    be.bindProgram(again);
+    serve(6);
+    EXPECT_EQ(be.recordCount(), 1u);
+    EXPECT_EQ(be.replayCount(), 1u);
+    EXPECT_EQ(traces->size(), 1u);
 }
 
 TEST(ModelRegistryTest, SwapPricingNeverCompiles)

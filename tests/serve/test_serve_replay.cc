@@ -1,12 +1,12 @@
 /**
  * @file
- * Serving-layer trace record/replay tests: the pool-shared TraceCache
- * lets the first worker to run a compiled program record its micro-op
- * trace and every later serve — on any worker — replay it, with
- * bit-identical outputs, exact (booking-matching) cycle counts, and
- * the cache/replay counters surfaced through the server metrics.
- * Fault-injected pools must never record or replay, and a zero byte
- * budget must disable the tier entirely.
+ * Serving-layer trace replay tests: the pool-shared TraceCache lets
+ * the first worker to run a program text derive its micro-op trace
+ * and every later serve of that text — on any worker, for any family
+ * of its shape — replay it, with bit-identical outputs, exact
+ * (booking-matching) cycle counts, and the cache/replay counters
+ * surfaced through the server's accessors. Fault-injected pools must
+ * never derive or replay.
  */
 
 #include <gtest/gtest.h>
@@ -93,7 +93,7 @@ TEST(ServeReplay, PoolSharesTracesAndMatchesReference)
 {
     Compiled m;
     ServerConfig cfg;
-    cfg.workers = 2; // traceCacheBytes defaults on.
+    cfg.workers = 2;
     InferenceServer server(m.reg, cfg);
 
     constexpr int kRequests = 8;
@@ -118,8 +118,8 @@ TEST(ServeReplay, PoolSharesTracesAndMatchesReference)
     }
     EXPECT_EQ(server.metricsSnapshot().predictionMismatches(), 0u);
 
-    // Every run either recorded or replayed. At most one record per
-    // worker (a worker that raced past the other's insert records its
+    // Every run either derived or replayed. At most one derivation per
+    // worker (a worker that raced past the other's insert derives its
     // own copy once, then replays its session-held trace).
     EXPECT_GE(server.recordCount(), 1u);
     EXPECT_LE(server.recordCount(),
@@ -133,46 +133,15 @@ TEST(ServeReplay, PoolSharesTracesAndMatchesReference)
     const std::string json = server.metricsJson();
     EXPECT_NE(json.find("\"trace_cache_budget_bytes\":"),
               std::string::npos);
-    // Which worker records which trace depends on host timing; the
+    // Which worker derives which trace depends on host timing; the
     // report must not: same-seed batched runs are byte-identical.
     EXPECT_EQ(batchedReplayReport(1), batchedReplayReport(1));
-}
-
-TEST(ServeReplay, ZeroBudgetDisablesTheTier)
-{
-    Compiled m;
-    ServerConfig cfg;
-    cfg.workers = 1;
-    cfg.traceCacheBytes = 0;
-    InferenceServer server(m.reg, cfg);
-
-    std::vector<std::future<Result>> futures;
-    std::vector<std::vector<std::int8_t>> inputs;
-    for (int i = 0; i < 3; ++i) {
-        inputs.push_back(
-            randomInput(200 + static_cast<std::uint64_t>(i)));
-        futures.push_back(server.submit(
-            inputs.back(), static_cast<double>(i) * 1e-7));
-    }
-    server.drain();
-
-    for (int i = 0; i < 3; ++i) {
-        const Result r = futures[static_cast<std::size_t>(i)].get();
-        ASSERT_EQ(r.outcome, Outcome::Served);
-        EXPECT_EQ(r.output.data,
-                  m.reference(inputs[static_cast<std::size_t>(i)])
-                      .data);
-    }
-    EXPECT_EQ(server.recordCount(), 0u);
-    EXPECT_EQ(server.replayCount(), 0u);
-    EXPECT_EQ(server.traceCacheSize(), 0u);
-    EXPECT_EQ(server.traceCacheBytes(), 0u);
 }
 
 TEST(ServeReplay, FaultInjectionGatesReplayOff)
 {
     // Correctable-only stream injection: every request still serves,
-    // but the sessions must refuse to record or replay — a trace is
+    // but the sessions must refuse to derive or replay — a trace is
     // only valid for a fault-free timeline.
     Compiled m;
     ServerConfig cfg;
@@ -207,9 +176,9 @@ TEST(ServeReplay, FaultInjectionGatesReplayOff)
 TEST(ServeReplay, BatchServerKeepsOneTracePerBatchProgram)
 {
     // One worker for deterministic run counts. Three batch-2 jobs:
-    // the first records, the next two replay. Then two batch-1 jobs:
-    // the rebind invalidates the session's held trace, so the batch-1
-    // program records once and replays once. Two programs -> two
+    // the first derives, the next two replay. Then two batch-1 jobs:
+    // the rebind drops the session's held trace, so the batch-1
+    // program derives once and replays once. Two programs -> two
     // resident traces.
     Graph g = model::buildTinyNet(3, kH, kW, kC);
     ModelRegistry reg({{"tinynet", g, randomInput(7), 2}});
@@ -261,6 +230,48 @@ TEST(ServeReplay, BatchServerKeepsOneTracePerBatchProgram)
             << "request " << i;
     }
     EXPECT_EQ(server.metricsSnapshot().predictionMismatches(), 0u);
+}
+
+TEST(ServeReplay, SameShapeFamiliesShareOneTrace)
+{
+    // Two 8x8x4 families with different weights compile to one text,
+    // and a trace holds no data values: one worker alternating between
+    // them derives once and replays the rest, and every output is its
+    // own family's golden.
+    const Graph ga = model::buildTinyNet(3, kH, kW, kC);
+    const Graph gb = model::buildTinyNet(11, kH, kW, kC);
+    ModelRegistry reg({{"a", ga, randomInput(7), 1},
+                       {"b", gb, randomInput(8), 1}});
+    ASSERT_EQ(reg.acquire(0, 1)->prog.hash(), reg.acquire(1, 1)->prog.hash());
+    ServerConfig cfg;
+    cfg.workers = 1;
+    InferenceServer server(reg, cfg);
+
+    constexpr int kRequests = 6;
+    std::vector<std::future<Result>> futures;
+    std::vector<std::vector<std::int8_t>> inputs;
+    for (int i = 0; i < kRequests; ++i) {
+        inputs.push_back(randomInput(500 + static_cast<std::uint64_t>(i)));
+        futures.push_back(server.submitModel(
+            i % 2, 0, inputs.back(), static_cast<double>(i) * 1e-3));
+    }
+    server.drain();
+
+    for (int i = 0; i < kRequests; ++i) {
+        const Result r = futures[static_cast<std::size_t>(i)].get();
+        ASSERT_EQ(r.outcome, Outcome::Served) << "request " << i;
+        ASSERT_EQ(r.model, i % 2);
+        EXPECT_EQ(r.measuredCycles, r.predictedCycles);
+        ref::QTensor qin(kH, kW, kC);
+        qin.data = inputs[static_cast<std::size_t>(i)];
+        const Graph &g = i % 2 ? gb : ga;
+        EXPECT_EQ(r.output.data, g.runReference(qin).at(g.outputNode()).data)
+            << "request " << i;
+    }
+    EXPECT_EQ(server.recordCount(), 1u);
+    EXPECT_EQ(server.replayCount(),
+              static_cast<std::uint64_t>(kRequests) - 1u);
+    EXPECT_EQ(server.traceCacheSize(), 1u);
 }
 
 std::vector<std::int8_t>
@@ -332,6 +343,56 @@ TEST(ServeReplay, PodServerReplaysTheCollective)
               static_cast<std::uint64_t>(kRequests) - 1u);
     EXPECT_EQ(server.traceCacheSize(), 1u);
     EXPECT_EQ(server.metricsSnapshot().predictionMismatches(), 0u);
+}
+
+TEST(ServeReplay, PodWorkersShareOneTrace)
+{
+    // Each worker of a pod server compiles its own copy of the
+    // collective; the copies have one text, so they share one trace.
+    constexpr int kChips = 2;
+    constexpr Cycle kWire = 17;
+    ServerConfig cfg;
+    cfg.workers = 2;
+    const ChipConfig chip_cfg = cfg.chip;
+    std::vector<PodBackend *> pods;
+    InferenceServer server(
+        [&pods, chip_cfg, kChips, kWire](int)
+            -> std::unique_ptr<serve::Backend> {
+            auto pod = std::make_unique<PodBackend>(kChips, kWire, chip_cfg);
+            pods.push_back(pod.get());
+            return pod;
+        },
+        PodBackend::serviceCyclesTable(kChips, kWire, cfg.chip, 1), cfg);
+
+    // Requests closer together than one service: both workers serve.
+    constexpr int kRequests = 6;
+    std::vector<std::future<Result>> futures;
+    std::vector<std::vector<std::int8_t>> inputs;
+    for (int i = 0; i < kRequests; ++i) {
+        inputs.push_back(
+            randomPodInput(kChips, 40 + static_cast<std::uint64_t>(i)));
+        futures.push_back(server.submit(
+            inputs.back(), static_cast<double>(i) * 1e-8));
+    }
+    server.drain();
+
+    for (int i = 0; i < kRequests; ++i) {
+        const Result r = futures[static_cast<std::size_t>(i)].get();
+        ASSERT_EQ(r.outcome, Outcome::Served) << "request " << i;
+        EXPECT_EQ(r.measuredCycles, r.predictedCycles);
+        EXPECT_EQ(r.output.data,
+                  reduceReference(
+                      kChips, inputs[static_cast<std::size_t>(i)]))
+            << "request " << i;
+    }
+    ASSERT_EQ(pods.size(), 2u);
+    for (const PodBackend *pod : pods)
+        EXPECT_GT(pod->recordCount() + pod->replayCount(), 0u);
+    // Two workers that raced may both derive; they insert one key.
+    EXPECT_LE(server.recordCount(), 2u);
+    EXPECT_EQ(server.recordCount() + server.replayCount(),
+              static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(server.traceCacheSize(), 1u);
 }
 
 } // namespace

@@ -9,7 +9,9 @@
  * programs, the sweeps their shapes, test_lowering_internals.cc the
  * pinned rings and test_stepped_core.cc the generated programs). Also:
  * the oracle is not vacuous, the derived dispatches are the compiler's
- * schedule, and each program the derivation declines steps instead.
+ * schedule, each program the derivation declines steps instead (a
+ * queue that cannot retire within the budget is declined from its
+ * text), and one text on two wire latencies has two traces.
  */
 
 #include <gtest/gtest.h>
@@ -189,7 +191,8 @@ ringSession(int chips, bool replay, std::uint64_t seed)
         members.emplace_back(p.toAsm());
     sess->bind(members);
     sess->reset();
-    sess->enableReplay(replay);
+    if (replay)
+        sess->enableReplay();
     Rng rng(seed);
     for (int c = 0; c < chips; ++c) {
         for (int k = 0; k < 2; ++k) {
@@ -235,6 +238,52 @@ TEST(DeriveTrace, PodFirstRunsReplayTheirDerivedTraces)
     }
 }
 
+/**
+ * A 2-chip ring's text for wire latency @p wire: member 0 sends the
+ * word at @p src on link 1 at cycle 10, and member 1 receives on link 0
+ * a cycle before the vector lands (onto s3) and as it lands (onto s4),
+ * then writes s4 to @p dst.
+ */
+std::vector<SharedProgram>
+lateReceiveRing(Cycle wire, GlobalAddr src, GlobalAddr dst)
+{
+    ScheduledProgram sender, receiver;
+    Instruction deskew;
+    deskew.op = Opcode::Deskew;
+    sender.emit(0, IcuId::c2c(Pod::kRightLink), deskew);
+    receiver.emit(0, IcuId::c2c(Pod::kLeftLink), deskew);
+    Instruction send;
+    send.op = Opcode::Send;
+    send.imm0 = Pod::kRightLink;
+    send.srcA = {0, Direction::East};
+    KernelBuilder(sender).readArriving(src, send.srcA, Layout::c2cEast, 10);
+    sender.emit(10, IcuId::c2c(Pod::kRightLink), send);
+    const Cycle lands = 10 + kC2cSerializationCycles + wire;
+    Instruction receive;
+    receive.op = Opcode::Receive;
+    receive.imm0 = Pod::kLeftLink;
+    receive.dst = {3, Direction::East};
+    receiver.emit(lands - 1, IcuId::c2c(Pod::kLeftLink), receive);
+    receive.dst = {4, Direction::East};
+    receiver.emit(lands, IcuId::c2c(Pod::kLeftLink), receive);
+    KernelBuilder(receiver).write(
+        dst, receive.dst,
+        lands + opTiming(Opcode::Receive).dFunc +
+            Layout::transitDelay(Layout::c2cWest, dst.pos()));
+    return {SharedProgram(sender.toAsm()), SharedProgram(receiver.toAsm())};
+}
+
+/** @return a random vector from @p seed. */
+Vec320
+randomWord(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Vec320 word;
+    for (auto &b : word.bytes)
+        b = static_cast<std::uint8_t>(rng.nextBelow(256));
+    return word;
+}
+
 TEST(DeriveTrace, ReceiveBeforeItsVectorLandsDrivesNothing)
 {
     // Under non-strict streams a Receive a cycle before its link's
@@ -247,40 +296,13 @@ TEST(DeriveTrace, ReceiveBeforeItsVectorLandsDrivesNothing)
     cfg.strictStreams = false;
     const GlobalAddr src{Hemisphere::East, 43, 0x1};
     const GlobalAddr dst{Hemisphere::West, 43, 0x2};
-    ScheduledProgram sender, receiver;
-    Instruction deskew;
-    deskew.op = Opcode::Deskew;
-    sender.emit(0, IcuId::c2c(Pod::kRightLink), deskew);
-    receiver.emit(0, IcuId::c2c(Pod::kLeftLink), deskew);
-    Instruction send;
-    send.op = Opcode::Send;
-    send.imm0 = Pod::kRightLink;
-    send.srcA = {0, Direction::East};
-    KernelBuilder(sender).readArriving(src, send.srcA, Layout::c2cEast, 10);
-    sender.emit(10, IcuId::c2c(Pod::kRightLink), send);
-    const Cycle lands = 10 + kC2cSerializationCycles + kWire;
-    Instruction receive;
-    receive.op = Opcode::Receive;
-    receive.imm0 = Pod::kLeftLink;
-    receive.dst = {3, Direction::East};
-    receiver.emit(lands - 1, IcuId::c2c(Pod::kLeftLink), receive);
-    receive.dst = {4, Direction::East};
-    receiver.emit(lands, IcuId::c2c(Pod::kLeftLink), receive);
-    KernelBuilder(receiver).write(
-        dst, receive.dst,
-        lands + opTiming(Opcode::Receive).dFunc +
-            Layout::transitDelay(Layout::c2cWest, dst.pos()));
-
-    Rng rng(13);
-    Vec320 word;
-    for (auto &b : word.bytes)
-        b = static_cast<std::uint8_t>(rng.nextBelow(256));
+    const std::vector<SharedProgram> text = lateReceiveRing(kWire, src, dst);
+    const Vec320 word = randomWord(13);
     InferenceSession stepped(2, kWire, cfg);
     InferenceSession derived(2, kWire, cfg);
     derived.enableReplay();
     for (InferenceSession *ring : {&stepped, &derived}) {
-        ring->bind({SharedProgram(sender.toAsm()),
-                    SharedProgram(receiver.toAsm())});
+        ring->bind(text);
         ring->reset();
         ring->pod().chip(0).mem(src).backdoorWrite(src.addr, word);
         ASSERT_TRUE(ring->runBounded().completed);
@@ -292,6 +314,43 @@ TEST(DeriveTrace, ReceiveBeforeItsVectorLandsDrivesNothing)
     EXPECT_EQ(rx.mem(dst.hem, dst.slice).backdoorRead(dst.addr).bytes,
               word.bytes);
     EXPECT_EQ(podEndMismatch(stepped.pod(), derived.pod()), "");
+}
+
+TEST(DeriveTrace, OneTextOnTwoWireLatenciesDerivesTwoTraces)
+{
+    // The wire latency decides which of the two Receives drives the
+    // vector (the first on a wire of 17, the second on 18, the wire
+    // the text was built for), so one text on the two rings has two
+    // traces. Sessions of one pool that bind the same program objects
+    // must each derive their own, and end as their stepped runs do.
+    ChipConfig cfg;
+    cfg.strictStreams = false;
+    const GlobalAddr src{Hemisphere::East, 43, 0x1};
+    const GlobalAddr dst{Hemisphere::West, 43, 0x2};
+    const std::vector<SharedProgram> text = lateReceiveRing(18, src, dst);
+    const Vec320 word = randomWord(21);
+    auto pool = std::make_shared<TraceCache>();
+    for (const Cycle wire : {Cycle{17}, Cycle{18}}) {
+        SCOPED_TRACE(testing::Message() << "wire " << wire);
+        InferenceSession stepped(2, wire, cfg);
+        InferenceSession derived(2, wire, cfg);
+        derived.enableReplay(pool);
+        for (InferenceSession *ring : {&stepped, &derived}) {
+            ring->bind(text);
+            ring->reset();
+            ring->pod().chip(0).mem(src).backdoorWrite(src.addr, word);
+            ASSERT_TRUE(ring->runBounded().completed);
+        }
+        EXPECT_EQ(derived.recordCount(), 1u);
+        EXPECT_EQ(derived.replayCount(), 0u);
+        EXPECT_EQ(podEndMismatch(stepped.pod(), derived.pod()), "");
+        // Only the Receive at the landing cycle feeds the write.
+        const Chip &rx = derived.pod().chip(1);
+        EXPECT_EQ(rx.mem(dst.hem, dst.slice).backdoorRead(dst.addr).bytes ==
+                      word.bytes,
+                  wire == 18);
+    }
+    EXPECT_EQ(pool->size(), 2u);
 }
 
 TEST(DeriveTrace, ChangedTapeEntryOrMovedSendFailsTheOracle)
@@ -451,6 +510,53 @@ TEST(DeriveTrace, DeclinedProgramsStepWithoutATrace)
     EXPECT_EQ(rep.replayCount(), 0u);
     EXPECT_EQ(rep.pod().chip(1).c2c().pendingRx(Pod::kLeftLink), 2u);
     EXPECT_EQ(podEndMismatch(ref.pod(), rep.pod()), "");
+}
+
+TEST(DeriveTrace, QueueThatCannotRetireInTheBudgetIsDeclinedFromItsText)
+{
+    // Three billion re-issues cannot retire within 1,000 cycles: the
+    // derivation declines the text before it reserves the run's
+    // events, so a replay-enabled session steps to its cycle limit and
+    // keeps no trace.
+    const AsmProgram huge = assembled("@MEM_W0:\n    read 0x1, s0.e\n"
+                                      "    repeat 3000000000, 1\n");
+    EXPECT_EQ(deriveTrace(huge, 1000), nullptr);
+    InferenceSession sess(1, 0);
+    sess.bind({SharedProgram(huge)});
+    sess.reset();
+    sess.enableReplay();
+    EXPECT_EQ(sess.runBounded(1000).status, RunStatus::CycleLimit);
+    EXPECT_EQ(sess.recordCount(), 0u);
+    EXPECT_EQ(sess.trace(), nullptr);
+}
+
+TEST(DeriveTrace, TextDerivesAtItsSpanAndDeclinesOneCycleShort)
+{
+    // A text's retire bound never exceeds the span its run retires at:
+    // each text derives with its own span as the budget and declines
+    // with a cycle less. The Repeats' bounds are their spans, a
+    // trailing NOP gates nothing, and the pinned tiny net co-issues MEM
+    // pairs and parks on its preamble's Sync.
+    std::vector<AsmProgram> texts;
+    texts.push_back(assembled("@MEM_W0:\n    read 0x1, s0.e\n"
+                              "    repeat 3000, 1\n"));
+    texts.push_back(assembled("@MEM_W0:\n    read 0x1, s0.e\n"
+                              "    repeat 40, 7\n    nop 1000\n"));
+    texts.push_back(assembled("@MEM_W0:\n    read 0x1, s0.e\n"
+                              "    || write 0x2, s1.w\n    nop 30\n"
+                              "    read 0x3, s2.e\n"));
+    BatchProgramCache cache(model::buildTinyNet(1, 8, 8, 4),
+                            std::vector<std::int8_t>(8 * 8 * 4, 3), 1);
+    texts.push_back(*cache.acquire(1)->prog.get());
+    for (const AsmProgram &text : texts) {
+        const auto trace = deriveTrace(text);
+        ASSERT_NE(trace, nullptr);
+        SCOPED_TRACE(testing::Message() << "span " << trace->span);
+        EXPECT_NE(deriveTrace(text, trace->span), nullptr);
+        EXPECT_EQ(deriveTrace(text, trace->span - 1), nullptr);
+    }
+    EXPECT_EQ(deriveTrace(texts[0])->span, 3001u);
+    EXPECT_EQ(deriveTrace(texts[1])->span, 276u);
 }
 
 } // namespace

@@ -1015,30 +1015,26 @@ TEST(Replay, TraceCacheLruEviction)
     };
     const std::size_t unit = make_trace(1000)->memoryBytes();
 
-    int keys[4];
     TraceCache cache(2 * unit + unit / 2); // Fits two entries.
-    cache.insert(&keys[0], make_trace(1000));
-    cache.insert(&keys[1], make_trace(1000));
+    cache.insert(0, make_trace(1000));
+    cache.insert(1, make_trace(1000));
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.memoryBytes(), 2 * unit);
 
     // Touch key 0 so key 1 is the LRU victim of the next insert.
-    EXPECT_NE(cache.find(&keys[0]), nullptr);
-    cache.insert(&keys[2], make_trace(1000));
+    EXPECT_NE(cache.find(0), nullptr);
+    cache.insert(2, make_trace(1000));
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.find(&keys[1]), nullptr);
-    EXPECT_NE(cache.find(&keys[0]), nullptr);
-    EXPECT_NE(cache.find(&keys[2]), nullptr);
+    EXPECT_EQ(cache.find(1), nullptr);
+    EXPECT_NE(cache.find(0), nullptr);
+    EXPECT_NE(cache.find(2), nullptr);
 
     // An oversized trace still caches (never thrash to empty) but
     // evicts everything else.
-    cache.insert(&keys[3], make_trace(5000));
+    cache.insert(3, make_trace(5000));
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_NE(cache.find(&keys[3]), nullptr);
-
-    cache.invalidate(&keys[3]);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.memoryBytes(), 0u);
+    EXPECT_NE(cache.find(3), nullptr);
+    EXPECT_EQ(cache.memoryBytes(), make_trace(5000)->memoryBytes());
 }
 
 TEST(Replay, ArenaAccountingMatchesAllocation)
@@ -1101,51 +1097,13 @@ TEST(Replay, TraceCacheBudgetsArenaStorage)
     const std::size_t heavy = make_trace(4096)->memoryBytes();
     ASSERT_EQ(heavy, lean + 4095 * sizeof(Vec320));
 
-    int keys[2];
     TraceCache cache(lean + heavy - 1); // Both only fit sans arena.
-    cache.insert(&keys[0], make_trace(1));
-    cache.insert(&keys[1], make_trace(4096));
+    cache.insert(0, make_trace(1));
+    cache.insert(1, make_trace(4096));
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.find(&keys[0]), nullptr);
-    EXPECT_NE(cache.find(&keys[1]), nullptr);
+    EXPECT_EQ(cache.find(0), nullptr);
+    EXPECT_NE(cache.find(1), nullptr);
     EXPECT_EQ(cache.memoryBytes(), heavy);
-}
-
-TEST(Replay, TraceCacheKeyFingerprintDefeatsPointerAba)
-{
-    // Regression: the cache used to key on the program's address
-    // alone. A program freed and a *different* one allocated at the
-    // same address (ABA) would silently replay the stale trace. The
-    // key now pairs the pointer with a content fingerprint, so the
-    // recycled address with a different fingerprint misses — and the
-    // stale hit is impossible by construction.
-    auto make_trace = [](std::size_t events) {
-        auto t = std::make_shared<ExecutionTrace>();
-        t->events.resize(events);
-        return std::shared_ptr<const ExecutionTrace>(std::move(t));
-    };
-    int slot = 0; // One address, two successive "programs".
-    const TraceKey first{&slot, 0x1111111111111111ull};
-    const TraceKey recycled{&slot, 0x2222222222222222ull};
-
-    TraceCache cache(1 << 20);
-    cache.insert(first, make_trace(100));
-    EXPECT_NE(cache.find(first), nullptr);
-
-    // Same pointer, different content: must MISS, not replay stale.
-    EXPECT_EQ(cache.find(recycled), nullptr);
-
-    // Both fingerprints may coexist at one address; each resolves to
-    // its own trace and invalidation is per-key.
-    cache.insert(recycled, make_trace(200));
-    EXPECT_EQ(cache.size(), 2u);
-    ASSERT_NE(cache.find(first), nullptr);
-    ASSERT_NE(cache.find(recycled), nullptr);
-    EXPECT_EQ(cache.find(first)->events.size(), 100u);
-    EXPECT_EQ(cache.find(recycled)->events.size(), 200u);
-    cache.invalidate(first);
-    EXPECT_EQ(cache.find(first), nullptr);
-    EXPECT_NE(cache.find(recycled), nullptr);
 }
 
 } // namespace

@@ -53,8 +53,7 @@
  *                       across them, and weight swaps are booked
  *                       exactly into admission (default shape 8x8x4)
  *     --registry-mb N   compiled-program byte budget, MiB; LRU
- *                       eviction (with eager trace invalidation)
- *                       above it               (default unbounded)
+ *                       eviction above it      (default unbounded)
  *     --hipri F         fraction of requests submitted as the
  *                       high-priority tenant class (priority 1,
  *                       deadline slack halved)       (default 0)
@@ -465,7 +464,7 @@ main(int argc, char **argv)
     // Which runs derived a trace depends on host thread timing, so
     // these counts stay out of the (deterministic) JSON report.
     std::printf("  trace cache            %zu entries, %zu bytes, "
-                "%llu replays, %llu records\n",
+                "%llu replays, %llu derived\n",
                 server.traceCacheSize(), server.traceCacheBytes(),
                 static_cast<unsigned long long>(server.replayCount()),
                 static_cast<unsigned long long>(server.recordCount()));
